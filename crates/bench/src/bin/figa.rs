@@ -26,7 +26,7 @@ use dlpt_core::messages::QueryKind;
 use dlpt_core::{Alphabet, DlptSystem, FaultPlan, Key};
 use dlpt_sim::experiments::{figa_config, figa_variants, FIGA_LOSS_RATES};
 use dlpt_sim::report::{ascii_chart, results_dir};
-use dlpt_sim::runner::{average, health_jsonl, run_all};
+use dlpt_sim::runner::{average, health_jsonl, health_timing_jsonl, run_all};
 use std::io::Write as _;
 
 /// Per-curve, per-loss-rate fault counters persisted into the CSV so
@@ -82,6 +82,7 @@ fn main() {
     let trace_path = trace_path_from_args();
     let health_path = health_path_from_args();
     let mut health = String::new();
+    let mut health_timing = String::new();
     let mut last_snapshot = None;
     let variants = figa_variants();
     // satisfaction[v][l], hops[v][l], survival[v][l], faults[v][l]
@@ -112,6 +113,7 @@ fn main() {
             let results = run_all(&cfg);
             if health_path.is_some() {
                 health.push_str(&health_jsonl(&results));
+                health_timing.push_str(&health_timing_jsonl(&results));
                 last_snapshot = results.last().and_then(|r| r.last_snapshot.clone());
             }
             let series = average(&cfg, &results);
@@ -229,8 +231,8 @@ fn main() {
     println!("  loss rates: {FIGA_LOSS_RATES:?}");
     println!("  CSV: {}", path.display());
     if let Some(hp) = &health_path {
-        let prom =
-            write_health_files(hp, &health, last_snapshot.as_ref()).expect("write figA health");
+        let prom = write_health_files(hp, &health, &health_timing, last_snapshot.as_ref())
+            .expect("write figA health");
         println!(
             "  health: {} snapshots -> {} (+ {})",
             health.lines().count(),

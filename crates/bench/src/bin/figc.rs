@@ -22,7 +22,7 @@
 use dlpt_bench::{health_path_from_args, scale_from_args, write_health_files};
 use dlpt_sim::experiments::{figc_config, figc_workloads, FIGC_CACHE_SIZES};
 use dlpt_sim::report::{ascii_chart, results_dir};
-use dlpt_sim::runner::{average, health_jsonl, run_all, AveragedSeries};
+use dlpt_sim::runner::{average, health_jsonl, health_timing_jsonl, run_all, AveragedSeries};
 use std::io::Write as _;
 
 fn main() {
@@ -32,6 +32,7 @@ fn main() {
     // series[w][c]
     let mut series: Vec<Vec<AveragedSeries>> = Vec::with_capacity(workloads.len());
     let mut health = String::new();
+    let mut health_timing = String::new();
     let mut last_snapshot = None;
     for w in &workloads {
         let mut per_cache = Vec::with_capacity(FIGC_CACHE_SIZES.len());
@@ -53,6 +54,7 @@ fn main() {
             let results = run_all(&cfg);
             if health_path.is_some() {
                 health.push_str(&health_jsonl(&results));
+                health_timing.push_str(&health_timing_jsonl(&results));
                 last_snapshot = results.last().and_then(|r| r.last_snapshot.clone());
             }
             per_cache.push(average(&cfg, &results));
@@ -60,8 +62,8 @@ fn main() {
         series.push(per_cache);
     }
     if let Some(hp) = &health_path {
-        let prom =
-            write_health_files(hp, &health, last_snapshot.as_ref()).expect("write figC health");
+        let prom = write_health_files(hp, &health, &health_timing, last_snapshot.as_ref())
+            .expect("write figC health");
         println!(
             "  health: {} snapshots -> {} (+ {})",
             health.lines().count(),

@@ -71,20 +71,27 @@ pub fn health_path_from_args() -> Option<std::path::PathBuf> {
 /// Writes the accumulated health JSONL time series (one
 /// [`dlpt_core::HealthSnapshot`] line per unit per run, in sweep
 /// order) plus a Prometheus-style text rendering of the final
-/// snapshot at `path` with the extension replaced by `prom`. Returns
-/// the prometheus path.
+/// snapshot at `path` with the extension replaced by `prom`. The
+/// snapshots' timing section ([`dlpt_core::HealthTiming`]) goes to
+/// `timing.jsonl` / `timing.prom` beside them: two seeded runs diff
+/// clean on the first pair of files and may differ on the second.
+/// Returns the prometheus path.
 pub fn write_health_files(
     path: &std::path::Path,
     jsonl: &str,
+    timing_jsonl: &str,
     last: Option<&dlpt_core::HealthSnapshot>,
 ) -> std::io::Result<std::path::PathBuf> {
     std::fs::write(path, jsonl)?;
+    std::fs::write(path.with_extension("timing.jsonl"), timing_jsonl)?;
     let prom_path = path.with_extension("prom");
-    let mut prom = String::new();
+    let (mut prom, mut timing_prom) = (String::new(), String::new());
     if let Some(snap) = last {
         snap.write_prometheus(&mut prom);
+        snap.write_timing_prometheus(&mut timing_prom);
     }
     std::fs::write(&prom_path, prom)?;
+    std::fs::write(path.with_extension("timing.prom"), timing_prom)?;
     Ok(prom_path)
 }
 

@@ -39,22 +39,49 @@
 //!    up/down route; the cache can therefore never change a result,
 //!    only the route taken to compute it.
 //!
-//! Epoch checks make invalidation lazy and free; where eager
-//! invalidation is cheap (a node dissolved or migrated, both rare and
-//! already fan-out events) the runtimes additionally broadcast
-//! [`crate::messages::PeerMsg::InvalidateCached`] so peers drop dead
-//! shortcuts before ever paying a stale-hit fallback.
+//! ## What eager invalidation costs
+//!
+//! Epoch checks make invalidation lazy and free. When a node dissolves
+//! or migrates, every shortcut through its label is a guaranteed stale
+//! hit, so the engine additionally tells every peer to drop it
+//! ([`crate::messages::PeerMsg::InvalidateCached`]) before anyone pays
+//! the fallback. That is one invalidation per peer per event, and
+//! registration churn makes the events common: on the benchmark's
+//! `register_churn` workload (100 peers, capacity 256) a write —
+//! `remove_data` + `insert_data` — delivers 122 invalidations. Sent as
+//! 122 envelopes through the synchronous pump, each ending in a walk of
+//! the receiving peer's whole LRU list, the broadcast was ~18 µs of a
+//! ~28 µs write: `remove_data` took 24.4 µs beside `insert_data`
+//! (which dissolves nothing) at 5.4 µs. Two things make it cost what
+//! it does — drop at most one entry per peer:
+//!
+//! * [`RouteCache`] keeps a reverse index `label → slots` (its one
+//!   hash index, serving a key both as target and as label), so
+//!   [`RouteCache::invalidate_label`] is one hash probe plus the epoch
+//!   check on the (usually zero or one) slots routing through the
+//!   label, and allocates nothing;
+//! * on a transport whose
+//!   [`synchronous`](crate::engine::Transport::synchronous) is true the
+//!   engine, which owns every cache, applies the invalidation to each
+//!   peer's cache inline instead of round-tripping 122 envelopes
+//!   through the queue ([`crate::engine::Engine::queue_invalidations`]).
+//!   Every other transport keeps the per-peer message, so its loss,
+//!   delay and reordering stay injectable.
+//!
+//! With both, `remove_data` on that workload takes 5.6 µs beside
+//! `insert_data` at 5.0 µs, and the workload runs 2.6× the operations
+//! per second (DESIGN.md §Caching & invalidation has the method).
 //!
 //! With capacity 0 (the default) the cache is fully inert: no entries,
 //! no messages, no counters — the system is byte-identical to the
 //! uncached golden fingerprint.
 
-use crate::directory::Directory;
+use crate::directory::{Directory, FxHashMap};
 use crate::key::Key;
 use crate::messages::{DiscoveryMsg, Envelope, NodeMsg, QueryKind, RoutePhase};
-use std::collections::HashMap;
+use std::collections::hash_map;
 
-/// Sentinel index meaning "no neighbour" in the intrusive LRU list.
+/// Sentinel index meaning "no neighbour" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
 /// One learned routing shortcut: where a query target's covering node
@@ -76,34 +103,63 @@ pub struct Shortcut {
     pub epoch: u64,
 }
 
-/// One slot of the LRU list.
+/// One slot: a member of the LRU list and of the chain of slots whose
+/// shortcut routes through the same label.
 #[derive(Debug, Clone)]
 struct Slot {
     target: Key,
     shortcut: Shortcut,
     prev: u32,
     next: u32,
+    /// Neighbours in the chain of slots sharing `shortcut.label`
+    /// ([`Entry::chain`]).
+    label_prev: u32,
+    label_next: u32,
 }
+
+/// What the index knows about one key, in both roles a key can play.
+/// An exact lookup teaches `label == target`, so one entry usually
+/// serves both and the reverse index costs no map entries of its own.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// As a query target: the slot caching its shortcut (NIL if none).
+    slot: u32,
+    /// As a shortcut label: the first of the chain of live slots
+    /// routing through it (NIL if none).
+    chain: u32,
+}
+
+const VACANT: Entry = Entry {
+    slot: NIL,
+    chain: NIL,
+};
 
 /// A fixed-capacity LRU map `query target → Shortcut`.
 ///
 /// Implemented as an index-based intrusive doubly-linked list over a
 /// slot vector plus a hash index, so hits, inserts and evictions are
 /// all O(1) and fully deterministic (the iteration order of the
-/// internal map is never observed). Capacity 0 disables the cache
-/// entirely.
+/// internal map is never observed). The same index is the reverse
+/// index `label → slots`: it names the head of a second intrusive
+/// chain through the slots routing via each label, which makes eager
+/// invalidation O(entries through that label). Capacity 0 disables the
+/// cache entirely.
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     capacity: usize,
     slots: Vec<Slot>,
-    /// target → slot index.
-    index: HashMap<Key, u32, std::hash::BuildHasherDefault<crate::directory::FxHasher>>,
+    /// key → its slot as a target, its chain as a label. An entry
+    /// lives while either is set.
+    index: FxHashMap<Key, Entry>,
+    /// Number of cached shortcuts (live slots).
+    len: usize,
     /// Most-recently-used slot (NIL when empty).
     head: u32,
     /// Least-recently-used slot (NIL when empty).
     tail: u32,
-    /// Reusable slot indices left by removals.
-    free: Vec<u32>,
+    /// First of the slots left by removals, chained through `next`
+    /// (NIL when none): recycling a slot never allocates.
+    free: u32,
 }
 
 impl Default for RouteCache {
@@ -121,17 +177,18 @@ impl RouteCache {
         RouteCache {
             capacity,
             slots: Vec::new(),
-            index: HashMap::default(),
+            index: FxHashMap::default(),
+            len: 0,
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
+            free: NIL,
         }
     }
 
     /// Reconfigures the capacity; shrinking evicts from the LRU end.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        while self.len() > self.capacity {
+        while self.len > self.capacity {
             self.evict_lru();
         }
     }
@@ -143,20 +200,31 @@ impl RouteCache {
 
     /// Number of cached shortcuts.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True iff no shortcuts are cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Looks up `target`, promoting the entry to most-recently-used.
     pub fn hit(&mut self, target: &Key) -> Option<&Shortcut> {
-        let &i = self.index.get(target)?;
+        let i = self.hit_slot(target)?;
+        Some(&self.slots[i as usize].shortcut)
+    }
+
+    /// [`RouteCache::hit`], returning the promoted slot's index.
+    fn hit_slot(&mut self, target: &Key) -> Option<u32> {
+        let i = self.slot_of(target)?;
         self.unlink(i);
         self.push_front(i);
-        Some(&self.slots[i as usize].shortcut)
+        Some(i)
+    }
+
+    /// The slot caching `target`'s shortcut.
+    fn slot_of(&self, target: &Key) -> Option<u32> {
+        self.index.get(target).map(|e| e.slot).filter(|&i| i != NIL)
     }
 
     /// Inserts (or refreshes) the shortcut for `target`, evicting the
@@ -165,13 +233,20 @@ impl RouteCache {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&i) = self.index.get(&target) {
+        if let Some(i) = self.slot_of(&target) {
+            let relabel = self.slots[i as usize].shortcut.label != shortcut.label;
+            if relabel {
+                self.unlink_label(i);
+            }
             self.slots[i as usize].shortcut = shortcut;
+            if relabel {
+                self.link_label(i);
+            }
             self.unlink(i);
             self.push_front(i);
             return;
         }
-        if self.len() >= self.capacity {
+        if self.len >= self.capacity {
             self.evict_lru();
         }
         let slot = Slot {
@@ -179,52 +254,53 @@ impl RouteCache {
             shortcut,
             prev: NIL,
             next: NIL,
+            label_prev: NIL,
+            label_next: NIL,
         };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = slot;
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                (self.slots.len() - 1) as u32
-            }
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = slot;
+            i
+        } else {
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
         };
-        self.index.insert(target, i);
+        self.index.entry(target).or_insert(VACANT).slot = i;
+        self.len += 1;
+        self.link_label(i);
         self.push_front(i);
     }
 
     /// Removes the shortcut for `target`; returns true iff present.
     pub fn remove(&mut self, target: &Key) -> bool {
-        let Some(i) = self.index.remove(target) else {
-            return false;
-        };
-        self.unlink(i);
-        self.free.push(i);
-        true
+        match self.slot_of(target) {
+            Some(i) => {
+                self.remove_slot(i);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Drops every shortcut routing through node `label` whose epoch is
     /// `<= epoch` (the eager-invalidation handler: later-learned
     /// shortcuts already carry a fresher epoch and survive a reordered
-    /// invalidation). Returns how many entries were dropped.
+    /// invalidation). Returns how many entries were dropped. One probe
+    /// of the index, then only the slots routing through `label` are
+    /// visited; never allocates.
     pub fn invalidate_label(&mut self, label: &Key, epoch: u64) -> usize {
-        // Capacity is small and invalidations are rare fan-out events:
-        // a linear walk of the live list beats maintaining a reverse
-        // index on the hot (hit/insert) path.
-        let mut doomed: Vec<Key> = Vec::new();
-        let mut i = self.head;
+        let mut dropped = 0;
+        let mut i = self.index.get(label).map_or(NIL, |e| e.chain);
         while i != NIL {
-            let s = &self.slots[i as usize];
-            if s.shortcut.label == *label && s.shortcut.epoch <= epoch {
-                doomed.push(s.target.clone());
+            let next = self.slots[i as usize].label_next;
+            if self.slots[i as usize].shortcut.epoch <= epoch {
+                self.remove_slot(i);
+                dropped += 1;
             }
-            i = s.next;
+            i = next;
         }
-        for t in &doomed {
-            self.remove(t);
-        }
-        doomed.len()
+        dropped
     }
 
     /// Live `(target, shortcut)` entries in most-recently-used order
@@ -243,14 +319,12 @@ impl RouteCache {
         })
     }
 
-    /// Estimated resident bytes: the slot vector, the free list, the
-    /// index (fixed per-entry estimate) and any spilled keys held by
-    /// live slots.
+    /// Estimated resident bytes: the slot vector, the index (fixed
+    /// per-entry estimate) and any spilled keys held by live slots.
     pub fn bytes_estimate(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.slots.capacity() * size_of::<Slot>()
-            + self.free.capacity() * size_of::<u32>()
-            + self.index.len() * (size_of::<Key>() + size_of::<u32>() + 8);
+            + self.index.len() * (size_of::<(Key, Entry)>() + 8);
         for (target, sc) in self.iter_shortcuts() {
             for k in [target, &sc.label, &sc.host] {
                 if !k.is_inline() {
@@ -265,17 +339,125 @@ impl RouteCache {
     pub fn clear(&mut self) {
         self.index.clear();
         self.slots.clear();
-        self.free.clear();
+        self.len = 0;
+        self.free = NIL;
         self.head = NIL;
         self.tail = NIL;
     }
 
-    fn evict_lru(&mut self) {
-        if self.tail == NIL {
-            return;
+    /// Checks that the index and both intrusive lists describe the same
+    /// set of live slots; the error says what disagrees. Read-only, for
+    /// [`crate::engine::Engine::audit`] and the model test.
+    pub fn check_index(&self) -> Result<(), String> {
+        let slot_of = |key: &Key| self.index.get(key).map_or(NIL, |e| e.slot);
+        let mut live = 0usize;
+        let mut i = self.head;
+        while i != NIL {
+            let s = &self.slots[i as usize];
+            if slot_of(&s.target) != i {
+                return Err(format!("listed target {} is not indexed", s.target));
+            }
+            live += 1;
+            if live > self.len {
+                break;
+            }
+            i = s.next;
         }
-        let target = self.slots[self.tail as usize].target.clone();
-        self.remove(&target);
+        if live != self.len {
+            return Err(format!("{live}+ listed slots, len {}", self.len));
+        }
+        // Listed slots are indexed at distinct targets, so `live`
+        // entries with a slot means no entry names a dead one. Every
+        // chain member is a live slot under the right label, so chains
+        // are disjoint, and a repeat within one would never end:
+        // `live` members in total covers each live slot exactly once.
+        let (mut targets, mut chained) = (0usize, 0usize);
+        for (key, e) in &self.index {
+            if e.slot == NIL && e.chain == NIL {
+                return Err(format!("vacant entry kept for {key}"));
+            }
+            targets += (e.slot != NIL) as usize;
+            let (mut prev, mut j) = (NIL, e.chain);
+            while j != NIL {
+                let s = &self.slots[j as usize];
+                if s.shortcut.label != *key || s.label_prev != prev {
+                    return Err(format!("chain of {key} is broken at slot {j}"));
+                }
+                if slot_of(&s.target) != j {
+                    return Err(format!("chain of {key} holds dead slot {j}"));
+                }
+                chained += 1;
+                if chained > live {
+                    return Err(format!("chain of {key} does not terminate"));
+                }
+                (prev, j) = (j, s.label_next);
+            }
+        }
+        if targets != live || chained != live {
+            return Err(format!(
+                "{targets} indexed targets, {chained} chained slots, {live} live"
+            ));
+        }
+        Ok(())
+    }
+
+    fn evict_lru(&mut self) {
+        if self.tail != NIL {
+            self.remove_slot(self.tail);
+        }
+    }
+
+    /// Removes the live slot `i` by index — no key clone, no probe to
+    /// find what the caller already holds — and recycles it.
+    fn remove_slot(&mut self, i: u32) {
+        self.unlink(i);
+        self.unlink_label(i);
+        Self::edit_entry(&mut self.index, &self.slots[i as usize].target, |e| {
+            e.slot = NIL
+        });
+        self.slots[i as usize].next = self.free;
+        self.free = i;
+        self.len -= 1;
+    }
+
+    /// Edits `key`'s entry, dropping it once it names neither a slot
+    /// nor a chain.
+    fn edit_entry(index: &mut FxHashMap<Key, Entry>, key: &Key, edit: impl FnOnce(&mut Entry)) {
+        // One probe for the edit and the removal; the clone it costs is
+        // a 32-byte copy for every key the workloads generate.
+        let hash_map::Entry::Occupied(mut e) = index.entry(key.clone()) else {
+            unreachable!("a live slot's keys are indexed");
+        };
+        edit(e.get_mut());
+        if e.get().slot == NIL && e.get().chain == NIL {
+            e.remove();
+        }
+    }
+
+    /// Pushes slot `i` onto the front of its label's chain.
+    fn link_label(&mut self, i: u32) {
+        let label = self.slots[i as usize].shortcut.label.clone();
+        let e = self.index.entry(label).or_insert(VACANT);
+        let old_head = std::mem::replace(&mut e.chain, i);
+        self.slots[i as usize].label_prev = NIL;
+        self.slots[i as usize].label_next = old_head;
+        if old_head != NIL {
+            self.slots[old_head as usize].label_prev = i;
+        }
+    }
+
+    /// Takes slot `i` out of its label's chain.
+    fn unlink_label(&mut self, i: u32) {
+        let s = &self.slots[i as usize];
+        let (prev, next) = (s.label_prev, s.label_next);
+        if prev != NIL {
+            self.slots[prev as usize].label_next = next;
+        } else {
+            Self::edit_entry(&mut self.index, &s.shortcut.label, |e| e.chain = next);
+        }
+        if next != NIL {
+            self.slots[next as usize].label_prev = prev;
+        }
     }
 
     fn unlink(&mut self, i: u32) {
@@ -313,30 +495,28 @@ impl RouteCache {
 
 /// Consults `cache` for `target`, validating any hit against the
 /// authoritative `directory`: the cached label must still be live at
-/// the recorded epoch. Returns the shortcut on a validated hit; a
-/// stale hit is evicted, and every outcome is counted in `stats`.
-/// Shared by all three runtimes so the consult flow cannot drift
-/// between them.
+/// the recorded epoch. Returns the covering node's label on a validated
+/// hit (all [`shortcut_envelope`] needs of the shortcut); a stale hit is
+/// evicted, and every outcome is counted in `stats`. Shared by all
+/// three runtimes so the consult flow cannot drift between them.
 pub fn consult(
     cache: &mut RouteCache,
     directory: &Directory,
     target: &Key,
     stats: &mut CacheStats,
-) -> Option<Shortcut> {
-    match cache.hit(target).cloned() {
-        Some(sc) if directory.live_epoch(&sc.label) == Some(sc.epoch) => {
-            stats.hits += 1;
-            Some(sc)
-        }
-        Some(_) => {
-            stats.stale_hits += 1;
-            cache.remove(target);
-            None
-        }
-        None => {
-            stats.misses += 1;
-            None
-        }
+) -> Option<Key> {
+    let Some(i) = cache.hit_slot(target) else {
+        stats.misses += 1;
+        return None;
+    };
+    let sc = &cache.slots[i as usize].shortcut;
+    if directory.live_epoch(&sc.label) == Some(sc.epoch) {
+        stats.hits += 1;
+        Some(sc.label.clone())
+    } else {
+        stats.stale_hits += 1;
+        cache.remove_slot(i);
+        None
     }
 }
 
@@ -356,13 +536,13 @@ pub fn learned_shortcut(directory: &Directory, target: &Key) -> Option<Shortcut>
 }
 
 /// The envelope a validated shortcut turns a request into: the query
-/// delivered straight to the covering node in `Down` phase, path
-/// empty (the target visit appends itself; hop accounting then shows
-/// the one-hop route). Shared by all three runtimes so the cached
+/// delivered straight to the covering node `label` in `Down` phase,
+/// path empty (the target visit appends itself; hop accounting then
+/// shows the one-hop route). Shared by all three runtimes so the cached
 /// route's shape cannot drift between them.
-pub fn shortcut_envelope(request_id: u64, query: QueryKind, sc: Shortcut) -> Envelope {
+pub fn shortcut_envelope(request_id: u64, query: QueryKind, label: Key) -> Envelope {
     Envelope::to_node(
-        sc.label,
+        label,
         NodeMsg::Discovery(DiscoveryMsg {
             request_id,
             query,
@@ -565,7 +745,7 @@ mod tests {
         assert_eq!(sc.epoch, epoch);
         c.insert(k("101"), sc);
         let hit = consult(&mut c, &d, &k("101"), &mut stats).unwrap();
-        assert_eq!(hit.label, k("101"));
+        assert_eq!(hit, k("101"));
         assert_eq!(stats.hits, 1);
         // Stale hit after a structural event: evicted, fallback.
         d.bump_epoch(&k("101"));

@@ -32,11 +32,13 @@
 //! mid-drain or only at quiescence (`judge_at_quiescence`, required
 //! when responses can arrive out of order).
 
+#[cfg(test)]
+mod inline_invalidation;
 pub mod parallel;
 #[cfg(test)]
 mod slab_props;
 
-use crate::cache::{self, CacheStats, RouteCache, Shortcut};
+use crate::cache::{self, CacheStats, RouteCache};
 use crate::directory::{Directory, FxHashMap, FxHashSet};
 use crate::error::{DlptError, Result};
 use crate::key::Key;
@@ -91,10 +93,13 @@ pub trait Transport {
     }
 
     /// Whether queuing through this transport is immediate FIFO work
-    /// the engine may equivalently run inline ("hop chaining", see
-    /// [`Engine::deliver`]). Only the synchronous [`FifoTransport`]
-    /// says yes: modelled-latency, fault-injecting, threaded and
-    /// batched transports must observe every individual hop.
+    /// the engine may equivalently run inline. It has exactly two
+    /// uses: hop chaining ([`Engine::deliver`]) and inline termination
+    /// of the eager cache-invalidation fan-out
+    /// ([`Engine::queue_invalidations`]). Only the synchronous
+    /// [`FifoTransport`] says yes: modelled-latency, fault-injecting,
+    /// threaded and batched transports must observe every individual
+    /// hop and every invalidation message.
     fn synchronous(&self) -> bool {
         false
     }
@@ -590,7 +595,9 @@ pub struct Engine {
 /// the deepest inter-worker SPSC ring occupancy observed. Kept on the
 /// engine (not the pump, which is stateless) so health snapshots can
 /// report slice balance; overwritten per batch, never consulted on the
-/// routing hot path.
+/// routing hot path. The slice fields are deterministic per
+/// `(seed, workers)`; `ring_peak` depends on thread interleaving and
+/// is reported in the snapshot's timing section only.
 #[derive(Debug, Clone, Default)]
 pub struct PumpHealth {
     /// Interned peer id → owning worker slice index **plus one**
@@ -1014,7 +1021,7 @@ impl Engine {
             self.tracer
                 .emit(TraceEvent::new(EventKind::Admit, id, lid, hid, 0));
         }
-        let mut shortcut: Option<Shortcut> = None;
+        let mut shortcut: Option<Key> = None;
         if self.config.cache_capacity > 0 {
             let target = query.target();
             let (hits0, stale0) = (self.cache_stats.hits, self.cache_stats.stale_hits);
@@ -1041,7 +1048,7 @@ impl Engine {
             }
         }
         let env = match shortcut {
-            Some(sc) => cache::shortcut_envelope(id, query, sc),
+            Some(label) => cache::shortcut_envelope(id, query, label),
             None => discovery::entry_envelope(entry.clone(), id, query),
         };
         if self.fault_recovery {
@@ -1604,9 +1611,9 @@ impl Engine {
                 }
             }
             self.directory.remove(&label);
-            // Dissolution is the cheap eager-invalidation case: every
-            // shortcut through the dead label is now a guaranteed
-            // stale hit, so broadcasting beats paying the fallback.
+            // Every shortcut through the dead label is now a
+            // guaranteed stale hit, so dropping them eagerly beats
+            // paying the fallback.
             self.queue_invalidations(&label, t);
             if self.root.as_ref() == Some(&label) {
                 self.root = None; // recomputed by the runtime
@@ -1626,16 +1633,35 @@ impl Engine {
         }
     }
 
-    /// Broadcasts [`PeerMsg::InvalidateCached`] for `label` to every
-    /// live peer (no-op with caching off). Called where eager
-    /// invalidation is cheap — dissolutions and migrations — while the
-    /// per-hit epoch check covers everything else lazily.
+    /// Eager invalidation of `label` on every live peer's cache (no-op
+    /// with caching off). Called on dissolutions and migrations, while
+    /// the per-hit epoch check covers everything else lazily.
+    ///
+    /// Inline termination: the engine owns every [`RouteCache`] and
+    /// terminates `InvalidateCached` itself ([`Engine::deliver`]), and
+    /// nothing consults or teaches a cache while a
+    /// [synchronous](Transport::synchronous) transport drains. So on
+    /// such a transport each peer's cache is invalidated here, with the
+    /// counters the queued deliveries would have bumped, instead of
+    /// round-tripping one envelope per peer through the queue. Every
+    /// other transport gets the per-peer [`PeerMsg::InvalidateCached`]
+    /// broadcast, so a fault layer can still lose, delay or reorder it.
     pub fn queue_invalidations<T: Transport>(&mut self, label: &Key, t: &mut T) {
         if self.config.cache_capacity == 0 {
             return;
         }
         let epoch = self.directory.epoch_of(label);
-        self.cache_stats.invalidations_sent += self.members.len() as u64;
+        let peers = self.members.len() as u64;
+        self.cache_stats.invalidations_sent += peers;
+        if t.synchronous() {
+            // Members and slab slots move in lockstep (`insert_peer`,
+            // `remove_member`, `rename_shard`).
+            self.cache_stats.invalidations_delivered += peers;
+            for slot in self.peers.iter_slots_mut() {
+                slot.cache.invalidate_label(label, epoch);
+            }
+            return;
+        }
         let members = &self.members;
         t.broadcast(members.iter().map(|p| {
             Envelope::to_peer(
@@ -2023,8 +2049,7 @@ impl Engine {
         );
         self.mark_touched(label);
         self.stats.balance_migrations += 1;
-        // A migration stales every shortcut pointing at the old host;
-        // the balancers migrate rarely, so eager invalidation is cheap.
+        // A migration stales every shortcut pointing at the old host.
         self.queue_invalidations(label, t);
         Ok(())
     }
@@ -2559,13 +2584,17 @@ impl Engine {
             }
         }
 
-        // Cache shortcuts must reference epochs the directory has
-        // actually issued (stale is legal; from-the-future is not).
+        // Each cache's reverse index must agree with its slots, and
+        // shortcuts must reference epochs the directory has actually
+        // issued (stale is legal; from-the-future is not).
         for m in &self.members {
             let Some(pid) = self.directory.id_of(m) else {
                 continue;
             };
             let Some(slot) = slab.get(pid) else { continue };
+            if let Err(detail) = slot.cache.check_index() {
+                push(AuditCheck::Cache, format!("{m}: {detail}"));
+            }
             for (target, sc) in slot.cache.iter_shortcuts() {
                 if sc.epoch > self.directory.epoch_of(&sc.label) {
                     push(
@@ -2635,7 +2664,7 @@ impl Engine {
         snap.nodes = self.directory.len() as u64;
         snap.audit_violations = 0;
         snap.slices = self.pump_health.slices as u64;
-        snap.ring_peak = self.pump_health.ring_peak as u64;
+        snap.timing.ring_peak = self.pump_health.ring_peak as u64;
 
         // Per-peer rows in ring order; `scratch_rows` maps interned
         // peer id → row index so the directory pass below can attribute

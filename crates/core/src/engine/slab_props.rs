@@ -46,7 +46,7 @@ fn churn_op() -> impl Strategy<Value = ChurnOp> {
 /// All 39 keys of length 1–3 over the `012` alphabet — small enough
 /// that removals and re-registrations constantly revisit the same
 /// interned ids.
-fn key_pool() -> Vec<Key> {
+pub(super) fn key_pool() -> Vec<Key> {
     let mut pool = Vec::new();
     let digits = [b'0', b'1', b'2'];
     for a in digits {

@@ -58,7 +58,7 @@ pub use key::Key;
 pub use messages::{Address, Envelope, Message, NodeMsg, PeerMsg, QueryKind};
 pub use node::NodeState;
 pub use obs::health::{
-    AuditCheck, HealthMonitor, HealthSnapshot, MemoryFootprint, PeerHealth, Violation,
+    AuditCheck, HealthMonitor, HealthSnapshot, HealthTiming, MemoryFootprint, PeerHealth, Violation,
 };
 pub use obs::{EventKind, Histogram, MetricsRegistry, TraceEvent, TraceRing, Tracer};
 pub use peer::PeerState;

@@ -332,9 +332,10 @@ pub enum PeerMsg {
     /// node `label` dissolved or migrated, so the recipient must drop
     /// every routing shortcut through it that was learned at or before
     /// `epoch`. Purely an optimization — the per-hit epoch check
-    /// already catches stale shortcuts lazily — sent only where the
-    /// invalidation is cheap (dissolutions and migrations, both rare
-    /// fan-out events).
+    /// already catches stale shortcuts lazily — sent on dissolutions
+    /// and migrations, one per peer (`dlpt_core::cache` states what
+    /// that costs); a synchronous transport never carries it, the
+    /// engine applies it inline.
     InvalidateCached {
         /// Label whose shortcuts are stale.
         label: Key,

@@ -12,8 +12,10 @@
 //!   on demand or on a unit cadence. Collection is a pure read of
 //!   engine state (no counters in the hot path, no allocation once the
 //!   buffers are warm), so health-off runs are byte-identical to the
-//!   golden fingerprint and health-on runs are deterministic per seed,
-//!   including `workers > 1`.
+//!   golden fingerprint and health-on runs are deterministic per
+//!   `(seed, workers)` — except for the [`HealthTiming`] section, which
+//!   holds what thread scheduling decides and is rendered apart, never
+//!   to be diffed.
 //! * [`Violation`] / [`AuditCheck`] — the structured result vocabulary
 //!   of [`Engine::audit`](crate::engine::Engine::audit), which checks
 //!   directory↔slab↔trie↔replication cross-consistency and returns
@@ -26,7 +28,8 @@
 //!
 //! Exporters serialise a snapshot as one JSONL object (fixed key
 //! order, fixed float precision — two seeded runs diff clean) or as
-//! Prometheus-style gauge text.
+//! Prometheus-style gauge text; the timing section has its own pair of
+//! writers and goes to files of its own.
 
 use crate::cache::CacheStats;
 use crate::transport::FaultStats;
@@ -52,7 +55,9 @@ pub struct PeerHealth {
     pub messages: u64,
     /// Worker-slice index (1-based) that owned this peer's shard in
     /// the last parallel batch; 0 when no batch has run or the shard
-    /// was not partitioned (sequential pump only).
+    /// was not partitioned (sequential pump only). Slices are
+    /// contiguous runs of the ring order, so this is deterministic per
+    /// `(seed, workers)`.
     pub slice: u16,
 }
 
@@ -100,6 +105,21 @@ impl MemoryFootprint {
     }
 }
 
+/// The scheduling-dependent part of a snapshot: readings that differ
+/// between two runs of one `(seed, workers)` because they depend on how
+/// the OS interleaved the pump's worker threads. Rendered by
+/// [`HealthSnapshot::write_timing_jsonl_line`] /
+/// [`HealthSnapshot::write_timing_prometheus`] only, so nothing that
+/// compares runs ever sees it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HealthTiming {
+    /// Peak SPSC ring occupancy observed during the last parallel
+    /// batch (0 when only the sequential pump has run): how far ahead
+    /// of its receiver a sender got, which one core serialising the
+    /// workers hides and two cores do not.
+    pub ring_peak: u64,
+}
+
 /// One filled system snapshot. Every buffer is preallocated by the
 /// owning [`HealthMonitor`] and reused; collection never allocates
 /// once the buffers have reached their high-water marks.
@@ -142,13 +162,13 @@ pub struct HealthSnapshot {
     /// collector ran one (0 otherwise).
     pub audit_violations: u64,
     /// Worker-slice count of the last parallel batch (0 when only the
-    /// sequential pump has run).
+    /// sequential pump has run): `min(workers, local shards)`, a
+    /// function of the configuration, not of scheduling.
     pub slices: u64,
-    /// Peak SPSC ring occupancy observed during the last parallel
-    /// batch (0 when only the sequential pump has run).
-    pub ring_peak: u64,
     /// Memory accounting for the whole engine at snapshot time.
     pub bytes: MemoryFootprint,
+    /// What scheduling decides; excluded from every rendering above.
+    pub timing: HealthTiming,
 }
 
 /// Owns a [`HealthSnapshot`] plus the previous-counter state needed to
@@ -193,7 +213,8 @@ pub enum AuditCheck {
     /// Replication bookkeeping: follower counts ≤ k − 1, followers
     /// live.
     Replication,
-    /// Route-cache shortcuts reference plausible (non-future) epochs.
+    /// Route caches: reverse index consistent with the slots,
+    /// shortcuts reference plausible (non-future) epochs.
     Cache,
 }
 
@@ -265,7 +286,7 @@ impl HealthSnapshot {
              \"under_replicated\":{},\"cache_hits\":{},\"cache_stale\":{},\"cache_learned\":{},\
              \"lost\":{},\"duplicated\":{},\"reordered\":{},\"partition_dropped\":{},\
              \"dedup_suppressed\":{},\"retries\":{},\"requests_failed\":{},\"violations\":{},\
-             \"slices\":{},\"ring_peak\":{},\
+             \"slices\":{},\
              \"bytes_total\":{},\"bytes_directory\":{},\"bytes_slab\":{},\"bytes_shards\":{},\
              \"bytes_caches\":{},\"bytes_per_node\":{:.1},\"bytes_per_peer\":{:.1},\
              \"depth_occupancy\":[",
@@ -291,7 +312,6 @@ impl HealthSnapshot {
             f.requests_failed,
             self.audit_violations,
             self.slices,
-            self.ring_peak,
             self.bytes.total(),
             self.bytes.directory_bytes,
             self.bytes.slab_bytes,
@@ -320,11 +340,22 @@ impl HealthSnapshot {
         out.push_str("]}\n");
     }
 
+    /// Appends the [`HealthTiming`] section as one JSON object line,
+    /// keyed like [`HealthSnapshot::write_jsonl_line`] so the two
+    /// series join on `(cfg, run, unit)`.
+    pub fn write_timing_jsonl_line(&self, cfg: &str, run: u64, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "{{\"cfg\":\"{}\",\"run\":{},\"unit\":{},\"ring_peak\":{}}}",
+            cfg, run, self.unit, self.timing.ring_peak
+        );
+    }
+
     /// Appends this snapshot as Prometheus-style gauge text. One
     /// `# TYPE` header per family, per-peer gauges labelled by interned
     /// id — deterministic for the same reason as the JSONL form.
     pub fn write_prometheus(&self, out: &mut String) {
-        let scalars: [(&str, f64); 12] = [
+        let scalars: [(&str, f64); 11] = [
             ("dlpt_peers", self.peers as f64),
             ("dlpt_nodes", self.nodes as f64),
             ("dlpt_max_depth", self.max_depth as f64),
@@ -336,7 +367,6 @@ impl HealthSnapshot {
             ("dlpt_bytes_total", self.bytes.total() as f64),
             ("dlpt_unit", self.unit as f64),
             ("dlpt_pump_slices", self.slices as f64),
-            ("dlpt_pump_ring_peak", self.ring_peak as f64),
         ];
         for (name, v) in scalars {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v:.4}");
@@ -364,6 +394,16 @@ impl HealthSnapshot {
                 p.peer, p.messages
             );
         }
+    }
+
+    /// Appends the [`HealthTiming`] section as Prometheus-style gauge
+    /// text.
+    pub fn write_timing_prometheus(&self, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "# TYPE dlpt_pump_ring_peak gauge\ndlpt_pump_ring_peak {}",
+            self.timing.ring_peak
+        );
     }
 }
 
@@ -430,7 +470,7 @@ mod tests {
             },
         ];
         snap.slices = 2;
-        snap.ring_peak = 7;
+        snap.timing.ring_peak = 7;
         let mut a = String::new();
         let mut b = String::new();
         snap.write_jsonl_line("t", 0, &mut a);
@@ -439,7 +479,7 @@ mod tests {
         assert!(a.starts_with("{\"cfg\":\"t\",\"run\":0,\"unit\":3,"));
         assert!(a.ends_with("]}\n"));
         assert!(a.contains("\"depth_occupancy\":[1,2,2]"));
-        assert!(a.contains("\"slices\":2,\"ring_peak\":7"));
+        assert!(a.contains("\"slices\":2,\"bytes_total\""));
         assert!(a.contains("\"peer_load\":[[0,3,0,0,9,1],[1,2,0,0,3,2]]"));
 
         let mut prom = String::new();
@@ -447,6 +487,18 @@ mod tests {
         assert!(prom.contains("dlpt_peers 2.0000"));
         assert!(prom.contains("dlpt_pump_slices 2.0000"));
         assert!(prom.contains("dlpt_peer_nodes{peer=\"0\"} 3"));
+
+        // The timing section renders apart, and only there.
+        assert!(!a.contains("ring_peak") && !prom.contains("ring_peak"));
+        let mut timing = String::new();
+        snap.write_timing_jsonl_line("t", 0, &mut timing);
+        assert_eq!(
+            timing,
+            "{\"cfg\":\"t\",\"run\":0,\"unit\":3,\"ring_peak\":7}\n"
+        );
+        timing.clear();
+        snap.write_timing_prometheus(&mut timing);
+        assert!(timing.ends_with("dlpt_pump_ring_peak 7\n"));
     }
 
     #[test]

@@ -148,6 +148,10 @@ pub struct RunResult {
     /// One JSONL [`dlpt_core::HealthSnapshot`] line per unit when
     /// [`ExperimentConfig::health_snapshots`] is set; empty otherwise.
     pub health: String,
+    /// The snapshots' scheduling-dependent section
+    /// ([`dlpt_core::HealthTiming`]), one JSONL line per unit beside
+    /// `health`. Two runs of one seed may differ here and nowhere else.
+    pub health_timing: String,
     /// The final unit's snapshot (for Prometheus-style rendering of
     /// the end-of-horizon state); `None` unless `health_snapshots`.
     pub last_snapshot: Option<dlpt_core::HealthSnapshot>,
@@ -202,6 +206,7 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
     }
 
     let mut health = String::new();
+    let mut health_timing = String::new();
     let mut monitor = cfg.health_snapshots.then(dlpt_core::HealthMonitor::new);
 
     let mut pop = cfg.popularity.build();
@@ -393,6 +398,8 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
             mon.snap.audit_violations = violations.len() as u64;
             mon.snap
                 .write_jsonl_line(&cfg.name, run_idx as u64, &mut health);
+            mon.snap
+                .write_timing_jsonl_line(&cfg.name, run_idx as u64, &mut health_timing);
         }
         sys.end_time_unit();
         units.push(m);
@@ -400,6 +407,7 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
     RunResult {
         units,
         health,
+        health_timing,
         last_snapshot: monitor.map(|mon| mon.snap),
     }
 }
@@ -608,6 +616,17 @@ mod tests {
         let pb = run_once(&par, 0);
         assert_eq!(pa.health, pb.health, "workers > 1 stays deterministic");
         assert_eq!(pa.health.lines().count(), 8);
+        assert!(
+            pa.health.contains("\"slices\":4"),
+            "slice carve is configuration"
+        );
+        // Ring depth is the scheduler's doing: reported, never compared.
+        assert!(!pa.health.contains("ring_peak"));
+        assert_eq!(pa.health_timing.lines().count(), 8);
+        assert!(pa
+            .health_timing
+            .lines()
+            .all(|l| l.contains("\"ring_peak\":")));
     }
 
     #[test]

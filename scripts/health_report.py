@@ -4,10 +4,15 @@
 
 Usage:
     scripts/health_report.py <health.jsonl> [--expect-zero-violations]
+                             [--timing <health.timing.jsonl>]
 
 Each line is one `HealthSnapshot` of one (config, run, unit) cell,
 with a fixed key order and fixed float precision so two seeded runs
-diff byte-identically. This tool enforces the schema: every line must
+diff byte-identically. What thread scheduling decides (`ring_peak`, the
+peak SPSC ring depth of the parallel pump) is not in this file: the
+snapshot's timing section is written to a series of its own, which
+``--timing`` validates (same cells in the same order, non-negative
+ints) and which is never diffed. This tool enforces the schema: every line must
 be a JSON object with exactly the expected keys, correctly typed;
 `depth_occupancy` must be a list of non-negative ints summing to
 `nodes`; `peer_load` must be a list of `[peer, nodes, replicas, used,
@@ -32,7 +37,7 @@ INT_KEYS = (
     "run", "unit", "peers", "nodes", "max_depth", "under_replicated",
     "cache_hits", "cache_stale", "cache_learned", "lost", "duplicated",
     "reordered", "partition_dropped", "dedup_suppressed", "retries",
-    "requests_failed", "violations", "slices", "ring_peak",
+    "requests_failed", "violations", "slices",
     "bytes_total", "bytes_directory", "bytes_slab", "bytes_shards",
     "bytes_caches",
 )
@@ -40,6 +45,7 @@ FLOAT_KEYS = ("opt_depth", "imbalance", "gini", "bytes_per_node",
               "bytes_per_peer")
 LIST_KEYS = ("depth_occupancy", "peer_load")
 ALL_KEYS = set(INT_KEYS) | set(FLOAT_KEYS) | set(LIST_KEYS) | {"cfg"}
+TIMING_INT_KEYS = ("run", "unit", "ring_peak")
 
 
 def fail(lineno, line, why):
@@ -48,9 +54,40 @@ def fail(lineno, line, why):
     sys.exit(1)
 
 
+def check_timing(path, cells):
+    """The timing series must cover exactly `cells`, in order."""
+    n = 0
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as e:
+                fail(lineno, line, f"timing: not JSON: {e}")
+            if not isinstance(row, dict) or \
+                    set(row) != set(TIMING_INT_KEYS) | {"cfg"}:
+                fail(lineno, line, "timing: keys must be "
+                     f"cfg, {', '.join(TIMING_INT_KEYS)}")
+            for k in TIMING_INT_KEYS:
+                if not isinstance(row[k], int) or isinstance(row[k], bool) \
+                        or row[k] < 0:
+                    fail(lineno, line,
+                         f"timing: {k!r} must be a non-negative int")
+            cell = (row["cfg"], row["run"], row["unit"])
+            if n >= len(cells) or cell != cells[n]:
+                fail(lineno, line, "timing: cell does not match snapshot "
+                     f"{n + 1} of the health series")
+            n += 1
+    if n != len(cells):
+        print(f"health-report: timing series has {n} lines, "
+              f"health series {len(cells)}", file=sys.stderr)
+        sys.exit(1)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("health", help="JSONL health-snapshot file")
+    ap.add_argument("--timing", metavar="PATH",
+                    help="the snapshots' timing-section JSONL series")
     ap.add_argument("--expect-zero-violations", action="store_true",
                     help="fail if any snapshot reports audit violations")
     args = ap.parse_args()
@@ -58,6 +95,7 @@ def main():
     n = 0
     violations = 0
     configs = defaultdict(int)
+    cells = []
     last = None
     with open(args.health) as f:
         for lineno, line in enumerate(f, 1):
@@ -111,11 +149,14 @@ def main():
             n += 1
             violations += snap["violations"]
             configs[snap["cfg"]] += 1
+            cells.append((snap["cfg"], snap["run"], snap["unit"]))
             last = snap
 
     if n == 0:
         print("health-report: empty series", file=sys.stderr)
         sys.exit(1)
+    if args.timing:
+        check_timing(args.timing, cells)
 
     print(f"snapshots: {n}  configs: {len(configs)}  "
           f"audit violations: {violations}")

@@ -335,4 +335,37 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
         "health collection must not perturb routing: {post_allocs} allocs vs \
          {ring_allocs} before"
     );
+
+    // ---- Phase 7: cache hits and eager invalidation never allocate. -
+    // A write under a warm cache invalidates on every peer (~120 times
+    // at 100 peers), so `invalidate_label` is as hot as a hop: it
+    // follows the reverse index and recycles slots through the
+    // intrusive free list, where it once collected a `Vec<Key>` per
+    // call. Four targets per label, so every call drops a whole chain.
+    use dlpt::core::cache::{RouteCache, Shortcut};
+    let targets: Vec<Key> = (0..64).map(|i| Key::from(format!("T{i:02}"))).collect();
+    let labels: Vec<Key> = (0..16).map(|i| Key::from(format!("L{i:02}"))).collect();
+    let mut cache = RouteCache::new(targets.len());
+    for (i, t) in targets.iter().enumerate() {
+        let sc = Shortcut {
+            label: labels[i / 4].clone(),
+            host: Key::from("P"),
+            epoch: 1,
+        };
+        cache.insert(t.clone(), sc);
+    }
+    let (cache_allocs, dropped) = count(|| {
+        for t in &targets {
+            assert!(cache.hit(t).is_some());
+        }
+        labels
+            .iter()
+            .map(|l| cache.invalidate_label(l, 1))
+            .sum::<usize>()
+    });
+    assert_eq!(dropped, targets.len());
+    assert!(
+        cache_allocs <= JITTER,
+        "cache hits and invalidations must not allocate: {cache_allocs} allocs"
+    );
 }
