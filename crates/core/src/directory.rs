@@ -352,6 +352,22 @@ impl Directory {
         &self.followers[lid as usize]
     }
 
+    /// Overwrites the follower record of label id `lid` with `hosts`
+    /// (peer ids) in place, reusing the record's allocation — the
+    /// id-level twin of [`Directory::set_followers`].
+    pub fn set_follower_ids(&mut self, lid: u32, hosts: &[u32]) {
+        let rec = &mut self.followers[lid as usize];
+        rec.clear();
+        rec.extend_from_slice(hosts);
+    }
+
+    /// The live label ids, ascending by label — the id-level twin of
+    /// [`Directory::labels`] for scans that stay in id space.
+    #[inline]
+    pub fn live_ids(&self) -> &[u32] {
+        &self.sorted
+    }
+
     /// The `i`-th live label in ascending order. Panics when out of
     /// range — this is the O(1) uniform-sampling accessor behind
     /// `random_node`, which replaced the rebuilt `node_cache`.

@@ -35,7 +35,11 @@
 #[cfg(test)]
 mod inline_invalidation;
 pub mod parallel;
+#[cfg(test)]
+mod reference_scans;
 mod replicate;
+#[cfg(test)]
+mod scan_equivalence;
 #[cfg(test)]
 mod slab_props;
 
@@ -55,7 +59,7 @@ use crate::obs::health::{
 };
 use crate::obs::{EventKind, MetricsRegistry, TraceEvent, TraceRing, Tracer};
 use crate::peer::PeerShard;
-use crate::protocol::{self, discovery, maintenance, Effects};
+use crate::protocol::{self, discovery, maintenance, repair, Effects};
 use crate::replication::ReplicationStats;
 use crate::trie::{PgcpTrie, TrieViolation};
 use rand::rngs::StdRng;
@@ -535,6 +539,11 @@ pub struct Engine {
     /// emits messages or reports errors (the slab's slot order is a
     /// reuse artifact and must never leak into the fingerprint).
     members: BTreeSet<Key>,
+    /// `members` in interned-id space — the follower planner of the
+    /// replication passes. Invalidated wherever `members` changes and
+    /// rebuilt on first use ([`Engine::ring_plan`]), so the per-write
+    /// replication flush never re-reads an unchanged membership.
+    ring: repair::RingPlan,
     /// Node label → hosting peer (interned, incrementally ordered).
     pub(crate) directory: Directory,
     /// In-flight request aggregation, pooled by request id.
@@ -589,6 +598,11 @@ pub struct Engine {
     /// [`Engine::collect_health`]. Empty (and cost-free) on engines
     /// that never ran a parallel batch.
     pub(crate) pump_health: PumpHealth,
+    /// Routes the replication flush, the anti-entropy scan and the
+    /// repair scan through their pre-id-native versions
+    /// (`reference_scans`), for the equivalence tests.
+    #[cfg(test)]
+    pub(crate) reference_scans: bool,
 }
 
 /// What the parallel pump ([`parallel::ParallelPump`]) left behind
@@ -619,6 +633,7 @@ impl Engine {
             config,
             peers: PeerSlab::default(),
             members: BTreeSet::new(),
+            ring: repair::RingPlan::default(),
             directory: Directory::new(),
             gathers: GatherPool::default(),
             finished: FxHashMap::default(),
@@ -636,6 +651,8 @@ impl Engine {
             tracer: Tracer::Noop,
             metrics: MetricsRegistry::default(),
             pump_health: PumpHealth::default(),
+            #[cfg(test)]
+            reference_scans: false,
         }
     }
 
@@ -856,29 +873,66 @@ impl Engine {
         self.root.as_ref()
     }
 
-    /// Depth of every live node (root = 0), via memoized father-link
-    /// walks — O(nodes) for the whole map. Feeds the per-depth visit
-    /// histogram ([`crate::metrics::DepthHistogram`]).
+    /// Depth of every live node (root = 0; local shards). Only live
+    /// labels appear: a node whose father is not a live node — a crash
+    /// orphaned its subtree and [`crate::system::DlptSystem::repair_tree`]
+    /// has not run yet — counts as a root of depth 0. Father links are
+    /// resolved to interned ids once (two hashes per node), depths
+    /// memoized along each father chain in id-indexed arrays, and the
+    /// ordered map built in one pass: O(nodes) hashes and array steps,
+    /// O(nodes log nodes) key comparisons only if the shards are far
+    /// from label order. Feeds the per-depth visit histogram
+    /// ([`crate::metrics::DepthHistogram`]).
     pub fn depth_map(&self) -> BTreeMap<Key, u32> {
-        let mut depths: BTreeMap<Key, u32> = BTreeMap::new();
+        /// `depth` entry of an id that names no live node.
+        const NOT_A_NODE: u32 = u32::MAX;
+        /// `depth` entry of a live node not reached yet.
+        const UNSET: u32 = u32::MAX - 1;
+        /// `father` entry of a node without a (known) father.
+        const NO_FATHER: u32 = u32::MAX;
+        let ids = self.directory.interned_len();
+        let mut father = vec![NO_FATHER; ids];
+        let mut depth = vec![NOT_A_NODE; ids];
+        let mut nodes: Vec<u32> = Vec::with_capacity(self.directory.len());
         for shard in self.local_shards() {
             for node in shard.nodes.values() {
-                self.depth_into(&node.label, &mut depths);
+                let lid = self
+                    .directory
+                    .id_of(&node.label)
+                    .expect("hosted nodes are interned when they are placed");
+                depth[lid as usize] = UNSET;
+                if let Some(fid) = node.father.as_ref().and_then(|f| self.directory.id_of(f)) {
+                    father[lid as usize] = fid;
+                }
+                nodes.push(lid);
             }
         }
-        depths
-    }
-
-    fn depth_into(&self, label: &Key, depths: &mut BTreeMap<Key, u32>) -> u32 {
-        if let Some(&d) = depths.get(label) {
-            return d;
+        let mut chain: Vec<u32> = Vec::new();
+        for &start in &nodes {
+            // Climb to the first ancestor of known depth (or to a node
+            // with no live father), then number the chain on the way
+            // back down.
+            let mut cur = start;
+            let mut next = loop {
+                match depth[cur as usize] {
+                    UNSET => chain.push(cur),
+                    known => break known + 1,
+                }
+                let up = father[cur as usize];
+                if up == NO_FATHER || depth[up as usize] == NOT_A_NODE {
+                    break 0;
+                }
+                cur = up;
+            };
+            while let Some(lid) = chain.pop() {
+                depth[lid as usize] = next;
+                next += 1;
+            }
         }
-        let d = match self.node(label).and_then(|n| n.father.as_ref()) {
-            None => 0,
-            Some(f) => self.depth_into(f, depths) + 1,
-        };
-        depths.insert(label.clone(), d);
-        d
+        nodes
+            .iter()
+            .map(|&lid| (self.directory.key_of(lid).clone(), depth[lid as usize]))
+            .collect()
     }
 
     /// Every registered service key, ascending (local shards).
@@ -931,12 +985,14 @@ impl Engine {
             },
         );
         self.members.insert(id);
+        self.ring.invalidate();
     }
 
     /// Forgets a peer: membership, its entry-point cache, and its
     /// local shard if any. Returns the shard.
     pub fn remove_member(&mut self, id: &Key) -> Option<PeerShard> {
         self.members.remove(id);
+        self.ring.invalidate();
         let pid = self.directory.id_of(id)?;
         self.peers.remove(pid)?.shard
     }
@@ -1776,6 +1832,7 @@ impl Engine {
         // shortcuts and slab integrity carry over.
         self.peers.rebind(old_pid, new_pid);
         self.members.remove(old);
+        self.ring.invalidate();
         let eager = self.config.eager_replication && self.config.replication > 1;
         let slot = self.peers.get_mut(new_pid).expect("just re-bound");
         slot.key = new.clone();

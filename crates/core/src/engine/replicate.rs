@@ -10,13 +10,33 @@ use crate::messages::{DiscoveryMsg, Envelope, NodeSeed, PeerMsg};
 use crate::protocol::{discovery, repair, Effects};
 use crate::replication::AntiEntropyReport;
 
+/// What [`Engine::repair_scan`] found.
+#[derive(Debug, Default)]
+pub(crate) struct RepairScan {
+    /// Dangling child links removed.
+    pub pruned_links: usize,
+    /// Nodes whose father is dead, in ring order.
+    pub orphans: Vec<Key>,
+    /// A node without a father, if any (the last one in ring order).
+    pub root: Option<Key>,
+}
+
 impl Engine {
+    /// Brings the follower planner up to date with the membership.
+    fn refresh_ring(&mut self) {
+        if self.ring.is_stale() {
+            self.ring.rebuild(&self.directory, self.members.iter());
+        }
+    }
+
     /// Eager replica maintenance: re-clones every node touched since
     /// the last flush onto its `k - 1` ring successors and
     /// garbage-collects copies of dissolved nodes. The synchronous
     /// pump calls this (then drains) after every public mutating
     /// operation, so replica state tracks the data plane without
-    /// waiting for the next anti-entropy pass. No-op at `k = 1` or
+    /// waiting for the next anti-entropy pass. Costs the touched labels
+    /// only: planning is a ring-position lookup per label, and the
+    /// membership is re-read only after it changed. No-op at `k = 1` or
     /// without eager replication.
     pub fn flush_replication<T: Transport>(&mut self, t: &mut T) {
         if self.config.replication <= 1
@@ -24,8 +44,12 @@ impl Engine {
         {
             return;
         }
+        #[cfg(test)]
+        if self.reference_scans {
+            return self.flush_replication_reference(t);
+        }
         let k = self.config.replication;
-        for (lid, fid) in std::mem::take(&mut self.dropped_replicas) {
+        for (lid, fid) in self.dropped_replicas.drain(..) {
             // A follower is live iff its peer id still has a slot.
             if let Some(slot) = self.peers.get(fid) {
                 t.deliver(Envelope::to_peer(
@@ -36,63 +60,56 @@ impl Engine {
                 ));
             }
         }
-        let mut touched_ids = std::mem::take(&mut self.touched);
-        // Render ids back to keys once, then sort lexicographically so
-        // the flush order (and thus the fingerprint) is id-assignment
-        // independent.
-        let mut touched: Vec<Key> = touched_ids
-            .iter()
-            .map(|&l| self.directory.key_of(l).clone())
-            .collect();
-        touched.sort();
+        let mut touched = std::mem::take(&mut self.touched);
+        // Lexicographic by label, so the flush order (and thus the
+        // fingerprint) is id-assignment independent.
+        let directory = &self.directory;
+        touched.sort_unstable_by(|&a, &b| directory.key_of(a).cmp(directory.key_of(b)));
         touched.dedup();
-        let peers: Vec<Key> = self.members.iter().cloned().collect();
-        for label in &touched {
-            let Some(primary) = self.directory.host_of(label).cloned() else {
+        self.refresh_ring();
+        for &lid in &touched {
+            let Some(hid) = self.directory.host_id(lid) else {
                 continue; // dissolved during the same drain
             };
-            let targets = repair::successors_of(&peers, &primary, k - 1);
-            let stale: Vec<Key> = self
-                .directory
-                .followers_of(label)
-                .filter(|f| !targets.contains(f))
-                .cloned()
-                .collect();
-            for f in stale {
-                if self.members.contains(&f) {
+            let label = self.directory.key_of(lid).clone();
+            let targets = self.ring.followers(&self.directory, hid, k - 1);
+            for &f in self.directory.follower_ids(lid) {
+                if targets.contains(&f) {
+                    continue;
+                }
+                if let Some(slot) = self.peers.get(f) {
                     t.deliver(Envelope::to_peer(
-                        f,
+                        slot.key.clone(),
                         PeerMsg::DropReplica {
                             label: label.clone(),
                         },
                     ));
                 }
             }
-            self.directory.set_followers(label, &targets);
+            if self.directory.follower_ids(lid) != targets {
+                self.directory.set_follower_ids(lid, targets);
+            }
             if targets.is_empty() {
                 continue;
             }
-            let env = {
-                let Some(shard) = self.shard(&primary) else {
-                    continue;
-                };
-                let Some(node) = shard.nodes.get(label) else {
-                    continue; // relocation still in flight
-                };
-                Envelope::to_peer(
-                    shard.peer.succ.clone(),
-                    PeerMsg::Replicate {
-                        primary: primary.clone(),
-                        ttl: (k - 1) as u32,
-                        seed: NodeSeed::of(node),
-                    },
-                )
+            let Some(shard) = self.peers.get(hid).and_then(|s| s.shard.as_ref()) else {
+                continue;
             };
-            t.deliver(env);
+            let Some(node) = shard.nodes.get(&label) else {
+                continue; // relocation still in flight
+            };
+            t.deliver(Envelope::to_peer(
+                shard.peer.succ.clone(),
+                PeerMsg::Replicate {
+                    primary: self.directory.key_of(hid).clone(),
+                    ttl: (k - 1) as u32,
+                    seed: NodeSeed::of(node),
+                },
+            ));
             self.repl_stats.eager_syncs += 1;
         }
-        touched_ids.clear();
-        self.touched = touched_ids; // hand the capacity back
+        touched.clear();
+        self.touched = touched; // hand the capacity back
     }
 
     /// The planning half of a self-healing anti-entropy pass over
@@ -101,47 +118,50 @@ impl Engine {
     /// is already converged under eager maintenance — kicks every peer
     /// with `SyncReplicas`. Returns the report and whether anything
     /// was enqueued (the runtime then drains and fills in
-    /// `messages_sent`). No-op at `k = 1`.
+    /// `messages_sent`). A converged pass reads every follower record
+    /// and every follower copy once, in id space, and writes nothing.
+    /// No-op at `k = 1`.
     pub fn anti_entropy_scan<T: Transport>(&mut self, t: &mut T) -> (AntiEntropyReport, bool) {
+        #[cfg(test)]
+        if self.reference_scans {
+            return self.anti_entropy_scan_reference(t);
+        }
         let k = self.config.replication;
         let mut report = AntiEntropyReport::default();
         if k <= 1 || self.members.len() <= 1 {
             return (report, false);
         }
         self.repl_stats.anti_entropy_passes += 1;
-        let peers: Vec<Key> = self.members.iter().cloned().collect();
-        let want = (k - 1).min(peers.len() - 1);
-        // Re-plan the follower sets over the current ring, then count
-        // the labels whose *planned* followers are missing a live copy
-        // — this catches crashed followers and placement displaced by
-        // joins alike.
-        repair::refresh_follower_records(&mut self.directory, &peers, k);
-        for (label, _) in self.directory.iter() {
-            let live_copies = self
-                .directory
-                .followers_of(label)
-                .filter(|f| {
-                    self.shard(f)
-                        .map(|s| s.replicas.contains_key(label))
-                        .unwrap_or(false)
-                })
-                .count();
-            if live_copies < want {
-                report.under_replicated += 1;
-            }
-        }
-        // GC copies whose label died or whose holder left the set
-        // (ring order: the drop envelopes are fingerprint-visible).
-        let mut drops: Vec<(Key, Key)> = Vec::new();
-        for (pid, shard) in self.shards() {
-            for rl in shard.replicas.keys() {
-                let keep = self.directory.contains(rl)
-                    && self.directory.followers_of(rl).any(|f| f == pid);
-                if !keep {
-                    drops.push((pid.clone(), rl.clone()));
+        let want = (k - 1).min(self.members.len() - 1) as u32;
+        // Re-plan the follower sets over the current ring: this catches
+        // crashed followers and placement displaced by joins alike.
+        self.refresh_ring();
+        repair::refresh_follower_records(&mut self.directory, &self.ring, k);
+        // One walk over every follower copy, in ring order (the drop
+        // envelopes are fingerprint-visible): a copy either counts
+        // toward its label's planned followers or is garbage — its
+        // label died or its holder left the set.
+        let mut live_copies = vec![0u32; self.directory.interned_len()];
+        let mut drops: Vec<(u32, Key)> = Vec::new();
+        for &pid in self.ring.ids() {
+            let Some(shard) = self.peers.get(pid).and_then(|s| s.shard.as_ref()) else {
+                continue;
+            };
+            for label in shard.replicas.keys() {
+                match self.directory.resolve(label) {
+                    Some((lid, _)) if self.directory.follower_ids(lid).contains(&pid) => {
+                        live_copies[lid as usize] += 1;
+                    }
+                    _ => drops.push((pid, label.clone())),
                 }
             }
         }
+        report.under_replicated = self
+            .directory
+            .live_ids()
+            .iter()
+            .filter(|&&lid| live_copies[lid as usize] < want)
+            .count();
         report.replicas_dropped = drops.len();
         // Converged pass: under eager maintenance the flush keeps copy
         // *content* fresh, so when every label has its full live
@@ -152,9 +172,10 @@ impl Engine {
             return (report, false);
         }
         for (pid, label) in drops {
-            t.deliver(Envelope::to_peer(pid, PeerMsg::DropReplica { label }));
+            let holder = self.directory.key_of(pid).clone();
+            t.deliver(Envelope::to_peer(holder, PeerMsg::DropReplica { label }));
         }
-        for p in &peers {
+        for p in &self.members {
             t.deliver(Envelope::to_peer(
                 p.clone(),
                 PeerMsg::SyncReplicas { k: k as u32 },
@@ -172,14 +193,51 @@ impl Engine {
         if k <= 1 || self.members.len() <= 1 {
             return false;
         }
-        let peers: Vec<Key> = self.members.iter().cloned().collect();
-        repair::refresh_follower_records(&mut self.directory, &peers, k);
+        self.refresh_ring();
+        repair::refresh_follower_records(&mut self.directory, &self.ring, k);
         t.broadcast(
-            peers
-                .into_iter()
-                .map(|p| Envelope::to_peer(p, PeerMsg::SyncReplicas { k: k as u32 })),
+            self.members
+                .iter()
+                .map(|p| Envelope::to_peer(p.clone(), PeerMsg::SyncReplicas { k: k as u32 })),
         );
         true
+    }
+
+    /// The scan half of crash repair ([`crate::system::DlptSystem::repair_tree`]):
+    /// prunes child links to dead nodes and collects the orphans (nodes
+    /// whose father is dead, in ring order) and the root. Liveness is a
+    /// directory probe per link; only nodes that actually hold a dead
+    /// child are rewritten and scheduled for re-replication.
+    pub(crate) fn repair_scan(&mut self) -> RepairScan {
+        #[cfg(test)]
+        if self.reference_scans {
+            return self.repair_scan_reference();
+        }
+        let eager = self.config.eager_replication && self.config.replication > 1;
+        let mut scan = RepairScan::default();
+        self.refresh_ring();
+        let directory = &self.directory;
+        for &pid in self.ring.ids() {
+            let Some(shard) = self.peers.get_mut(pid).and_then(|s| s.shard.as_mut()) else {
+                continue;
+            };
+            for node in shard.nodes.values_mut() {
+                if node.children.iter().any(|c| !directory.contains(c)) {
+                    let before = node.children.len();
+                    node.children.retain(|c| directory.contains(c));
+                    scan.pruned_links += before - node.children.len();
+                    if eager {
+                        self.touched.extend(directory.id_of(&node.label));
+                    }
+                }
+                match &node.father {
+                    None => scan.root = Some(node.label.clone()),
+                    Some(f) if !directory.contains(f) => scan.orphans.push(node.label.clone()),
+                    Some(_) => {}
+                }
+            }
+        }
+        scan
     }
 
     /// Serves a capacity-refused discovery visit from a live follower

@@ -99,23 +99,103 @@ pub fn on_promote_replica(shard: &mut PeerShard, label: &Key, fx: &mut Effects) 
     }
 }
 
-/// Recomputes and records the follower set of every live label over
-/// the current ring — the planning half of an anti-entropy pass,
-/// shared by all three runtimes so follower placement cannot drift
-/// between them. The transport kick (`SyncReplicas` to every peer) is
-/// runtime-specific. `peers` must be sorted ascending.
-pub fn refresh_follower_records(directory: &mut Directory, peers: &[Key], k: usize) {
-    let plans: Vec<(Key, Vec<Key>)> = directory
-        .iter()
-        .map(|(label, primary)| {
-            (
-                label.clone(),
-                successors_of(peers, primary, k.saturating_sub(1)),
-            )
-        })
-        .collect();
-    for (label, targets) in &plans {
-        directory.set_followers(label, targets);
+/// Sentinel ring position meaning "peer id is not a member".
+const OFF_RING: u32 = u32::MAX;
+
+/// The follower planner: the peer ring in interned-id space. A label's
+/// planned followers are a function of its *host's* ring position
+/// alone, so planning is a position lookup plus one slice of the ring —
+/// no `Key` comparison, no allocation — and every caller (the eager
+/// flush, both anti-entropy passes, all three runtimes) plans through
+/// this one type, so follower placement cannot drift between them.
+/// [`successors_of`] is the `Key`-level definition it is tested
+/// against.
+#[derive(Debug, Default)]
+pub struct RingPlan {
+    /// Member peer ids in ring order, stored twice back to back: any
+    /// wrapping run of successors is then one contiguous slice.
+    doubled: Vec<u32>,
+    /// Peer id → ring position ([`OFF_RING`] when not a member).
+    pos: Vec<u32>,
+    /// Set when the membership changed since the last rebuild.
+    stale: bool,
+}
+
+impl RingPlan {
+    /// Marks the plan out of date (the membership changed).
+    pub fn invalidate(&mut self) {
+        self.stale = true;
+    }
+
+    /// True when the membership changed since the last
+    /// [`RingPlan::rebuild`].
+    pub fn is_stale(&self) -> bool {
+        self.stale
+    }
+
+    /// Re-reads the ring from `members`, which must be ascending and
+    /// already interned in `directory`. Reuses the tables' allocations.
+    pub fn rebuild<'a>(&mut self, directory: &Directory, members: impl Iterator<Item = &'a Key>) {
+        let old = self.doubled.len() / 2;
+        for &pid in &self.doubled[..old] {
+            self.pos[pid as usize] = OFF_RING;
+        }
+        self.doubled.clear();
+        self.doubled.extend(members.map(|m| {
+            directory
+                .id_of(m)
+                .expect("members are interned when they join")
+        }));
+        let n = self.doubled.len();
+        self.doubled.extend_from_within(..);
+        if self.pos.len() < directory.interned_len() {
+            self.pos.resize(directory.interned_len(), OFF_RING);
+        }
+        for (i, &pid) in self.doubled[..n].iter().enumerate() {
+            self.pos[pid as usize] = i as u32;
+        }
+        self.stale = false;
+    }
+
+    /// Member peer ids in ring order.
+    pub fn ids(&self) -> &[u32] {
+        &self.doubled[..self.doubled.len() / 2]
+    }
+
+    /// The `count` ring successors of peer id `primary` — wrapping,
+    /// `primary` excluded, capped at the other members — exactly
+    /// [`successors_of`] in id space. A `primary` that is not a member
+    /// (it may just have crashed) is planned from the slot its key
+    /// would occupy, the one case that compares keys.
+    pub fn followers<'a>(&'a self, directory: &Directory, primary: u32, count: usize) -> &'a [u32] {
+        let ring = self.ids();
+        let n = ring.len();
+        let (start, others) = match self.pos.get(primary as usize) {
+            Some(&p) if p != OFF_RING => (p as usize + 1, n - 1),
+            _ => {
+                let key = directory.key_of(primary);
+                let at = ring.partition_point(|&m| directory.key_of(m) < key);
+                (at % n.max(1), n)
+            }
+        };
+        &self.doubled[start..start + count.min(others)]
+    }
+}
+
+/// Re-plans the follower set of every live label over the current ring
+/// — the planning half of an anti-entropy pass, shared by all three
+/// runtimes. The transport kick (`SyncReplicas` to every peer) is
+/// runtime-specific. Records are rewritten only where the plan differs,
+/// so a converged overlay is read, not written.
+pub fn refresh_follower_records(directory: &mut Directory, ring: &RingPlan, k: usize) {
+    let count = k.saturating_sub(1);
+    for i in 0..directory.len() {
+        let lid = directory.live_ids()[i];
+        let primary = directory.host_id(lid).expect("live labels have a host");
+        let planned = ring.followers(directory, primary, count);
+        if directory.follower_ids(lid) != planned {
+            directory.set_follower_ids(lid, planned);
+        }
     }
 }
 
@@ -271,5 +351,69 @@ mod tests {
         assert!(successors_of(&[], &k("M"), 2).is_empty());
         let one = vec![k("A")];
         assert!(successors_of(&one, &k("A"), 3).is_empty());
+    }
+
+    proptest::proptest! {
+        /// The id-space planner is `successors_of`, for every ring of
+        /// 1–12 peers and every primary: each member (the greatest one
+        /// wraps), and non-members below, between and above them.
+        #[test]
+        fn ring_plan_matches_successors_of(
+            members in proptest::collection::btree_set(0u8..40, 1..13),
+            outsiders in proptest::collection::vec(0u8..42, 1..6),
+        ) {
+            let name = |n: &u8| k(&format!("{n:02}"));
+            let peers: Vec<Key> = members.iter().map(name).collect();
+            let mut directory = Directory::new();
+            // Intern out of ring order: ids must not stand in for rank.
+            for p in peers.iter().rev() {
+                directory.intern(p);
+            }
+            let mut ring = RingPlan::default();
+            ring.rebuild(&directory, peers.iter());
+            let planned: Vec<&Key> = ring.ids().iter().map(|&p| directory.key_of(p)).collect();
+            proptest::prop_assert_eq!(planned, peers.iter().collect::<Vec<_>>());
+            let primaries: Vec<Key> = peers.iter().cloned().chain(outsiders.iter().map(name)).collect();
+            for primary in &primaries {
+                let pid = directory.intern(primary);
+                for kk in [1usize, 2, 3, 5] {
+                    let got: Vec<Key> = ring
+                        .followers(&directory, pid, kk - 1)
+                        .iter()
+                        .map(|&f| directory.key_of(f).clone())
+                        .collect();
+                    proptest::prop_assert_eq!(
+                        &got,
+                        &successors_of(&peers, primary, kk - 1),
+                        "primary {} k {}", primary, kk
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_plan_rebuild_forgets_departed_members() {
+        let mut directory = Directory::new();
+        let peers: Vec<Key> = ["A", "D", "M", "T"].iter().map(|s| k(s)).collect();
+        for p in &peers {
+            directory.intern(p);
+        }
+        let mut ring = RingPlan::default();
+        assert!(ring.followers(&directory, 0, 2).is_empty(), "empty ring");
+        ring.rebuild(&directory, peers.iter());
+        ring.invalidate();
+        assert!(ring.is_stale());
+        // D leaves: it is planned as an outsider from its old slot.
+        let rest: Vec<Key> = peers.iter().filter(|p| **p != k("D")).cloned().collect();
+        ring.rebuild(&directory, rest.iter());
+        assert!(!ring.is_stale());
+        let d = directory.id_of(&k("D")).unwrap();
+        let got: Vec<&Key> = ring
+            .followers(&directory, d, 3)
+            .iter()
+            .map(|&f| directory.key_of(f))
+            .collect();
+        assert_eq!(got, vec![&k("M"), &k("T"), &k("A")]);
     }
 }

@@ -593,40 +593,14 @@ impl DlptSystem {
     /// links. System-level surgery standing in for the re-registration
     /// traffic a deployment would see; see DESIGN.md.
     pub fn repair_tree(&mut self) -> RepairReport {
-        let mut report = RepairReport::default();
-        // 1. Prune children pointers to dead nodes.
-        let live: std::collections::BTreeSet<Key> =
-            self.engine.directory.labels().cloned().collect();
-        let mut touched: Vec<Key> = Vec::new();
-        for pid in self.engine.peer_ids() {
-            let Some(shard) = self.engine.shard_mut(&pid) else {
-                continue;
-            };
-            for node in shard.nodes.values_mut() {
-                let before = node.children.len();
-                node.children.retain(|c| live.contains(c));
-                if node.children.len() < before {
-                    touched.push(node.label.clone());
-                }
-                report.pruned_links += before - node.children.len();
-            }
-        }
-        for label in touched {
-            self.engine.mark_touched(&label);
-        }
-        // 2. Find orphans: nodes whose father is dead, plus a missing
-        //    root.
-        let mut orphans: Vec<Key> = Vec::new();
-        let mut root: Option<Key> = None;
-        for shard in self.engine.local_shards() {
-            for node in shard.nodes.values() {
-                match &node.father {
-                    None => root = Some(node.label.clone()),
-                    Some(f) if !live.contains(f) => orphans.push(node.label.clone()),
-                    Some(_) => {}
-                }
-            }
-        }
+        // Prune child links to dead nodes; find the orphans (nodes
+        // whose father is dead) and a surviving root.
+        let scan = self.engine.repair_scan();
+        let mut report = RepairReport {
+            pruned_links: scan.pruned_links,
+            ..RepairReport::default()
+        };
+        let (mut orphans, mut root) = (scan.orphans, scan.root);
         orphans.sort(); // lexicographic = ancestors first
         for o in orphans {
             match &root {

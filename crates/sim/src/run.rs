@@ -286,9 +286,10 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
             next_key += 1;
         }
 
-        // (5) Discovery requests.
-        let aggregate: u64 = sys
-            .peer_ids()
+        // (5) Discovery requests. They change no membership, so one
+        // snapshot of the ring serves the whole step.
+        let peer_ids = sys.peer_ids();
+        let aggregate: u64 = peer_ids
             .iter()
             .filter_map(|p| sys.shard(p))
             .map(|s| s.peer.capacity as u64)
@@ -296,7 +297,7 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
         let n_requests = (cfg.load * aggregate as f64 / cfg.route_cost.max(1.0)).round() as usize;
         let random_map = cfg
             .track_mapping_hops
-            .then(|| RandomMapping::new(&sys.peer_ids()));
+            .then(|| RandomMapping::new(&peer_ids));
 
         let hits_before = sys.cache_stats.hits;
         let stale_before = sys.cache_stats.stale_hits;
@@ -371,8 +372,7 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
         m.keys_inserted = next_key as u64;
         // One key registers on exactly one node, so the live count is
         // the total of the data sets (follower copies are kept apart).
-        m.keys_alive = sys
-            .peer_ids()
+        m.keys_alive = peer_ids
             .iter()
             .filter_map(|p| sys.shard(p))
             .flat_map(|s| s.nodes.values())
