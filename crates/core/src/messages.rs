@@ -122,6 +122,15 @@ impl NodeSeed {
         }
     }
 
+    /// True iff `node` already has exactly this seed's label, links
+    /// and data (load counters aside — they do not travel).
+    pub fn describes(&self, node: &NodeState) -> bool {
+        self.label == node.label
+            && self.father == node.father
+            && self.children.iter().eq(node.children.iter())
+            && self.data.iter().eq(node.data.iter())
+    }
+
     /// Materializes the node state this seed describes.
     pub fn into_state(self) -> NodeState {
         let mut n = NodeState::new(self.label);

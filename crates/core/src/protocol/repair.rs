@@ -81,7 +81,19 @@ pub fn on_replicate(
             },
         ));
     }
-    shard.replicas.insert(seed.label.clone(), seed.into_state());
+    match shard.replicas.get_mut(&seed.label) {
+        // Most refreshes carry a node some routed message merely
+        // passed through: same links, same data. The copy then keeps
+        // its sets and only restarts its counters, as a rebuilt copy
+        // would.
+        Some(copy) if seed.describes(copy) => {
+            copy.load = 0;
+            copy.prev_load = 0;
+        }
+        _ => {
+            shard.replicas.insert(seed.label.clone(), seed.into_state());
+        }
+    }
 }
 
 /// `<DropReplica, label>`: discard a follower copy (no-op if absent).
@@ -291,6 +303,29 @@ mod tests {
         let mut fx2 = Effects::default();
         on_replicate(&mut s, k("M"), 1, seed, &mut fx2);
         assert!(fx2.out.is_empty(), "ttl 1 is the last stop");
+    }
+
+    #[test]
+    fn replicate_refresh_equals_a_rebuilt_copy() {
+        let mut s = shard_with_ring("T", "M", "Z");
+        let mut fx = Effects::default();
+        let mut seed = NodeSeed {
+            label: k("E"),
+            father: Some(k("D")),
+            children: vec![k("E1"), k("E2")],
+            data: vec![k("E")],
+        };
+        on_replicate(&mut s, k("M"), 1, seed.clone(), &mut fx);
+        // A failover read charged the copy; an unchanged refresh keeps
+        // the sets but restarts the counters, like a fresh copy.
+        s.replicas.get_mut(&k("E")).unwrap().load = 7;
+        on_replicate(&mut s, k("M"), 1, seed.clone(), &mut fx);
+        assert_eq!(s.replicas[&k("E")], seed.clone().into_state());
+        // A changed node replaces the copy.
+        seed.children.pop();
+        seed.data.push(k("E9"));
+        on_replicate(&mut s, k("M"), 1, seed.clone(), &mut fx);
+        assert_eq!(s.replicas[&k("E")], seed.into_state());
     }
 
     #[test]
