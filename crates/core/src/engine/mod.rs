@@ -541,8 +541,9 @@ pub struct Engine {
     members: BTreeSet<Key>,
     /// `members` in interned-id space — the follower planner of the
     /// replication passes. Invalidated wherever `members` changes and
-    /// rebuilt on first use ([`Engine::ring_plan`]), so the per-write
-    /// replication flush never re-reads an unchanged membership.
+    /// rebuilt by the next pass that plans (`replicate.rs`), so the
+    /// per-write replication flush never re-reads an unchanged
+    /// membership.
     ring: repair::RingPlan,
     /// Node label → hosting peer (interned, incrementally ordered).
     pub(crate) directory: Directory,

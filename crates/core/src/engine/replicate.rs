@@ -22,13 +22,6 @@ pub(crate) struct RepairScan {
 }
 
 impl Engine {
-    /// Brings the follower planner up to date with the membership.
-    fn refresh_ring(&mut self) {
-        if self.ring.is_stale() {
-            self.ring.rebuild(&self.directory, self.members.iter());
-        }
-    }
-
     /// Eager replica maintenance: re-clones every node touched since
     /// the last flush onto its `k - 1` ring successors and
     /// garbage-collects copies of dissolved nodes. The synchronous
@@ -66,7 +59,7 @@ impl Engine {
         let directory = &self.directory;
         touched.sort_unstable_by(|&a, &b| directory.key_of(a).cmp(directory.key_of(b)));
         touched.dedup();
-        self.refresh_ring();
+        self.ring.refresh(&self.directory, self.members.iter());
         for &lid in &touched {
             let Some(hid) = self.directory.host_id(lid) else {
                 continue; // dissolved during the same drain
@@ -135,7 +128,7 @@ impl Engine {
         let want = (k - 1).min(self.members.len() - 1) as u32;
         // Re-plan the follower sets over the current ring: this catches
         // crashed followers and placement displaced by joins alike.
-        self.refresh_ring();
+        self.ring.refresh(&self.directory, self.members.iter());
         repair::refresh_follower_records(&mut self.directory, &self.ring, k);
         // One walk over every follower copy, in ring order (the drop
         // envelopes are fingerprint-visible): a copy either counts
@@ -193,7 +186,7 @@ impl Engine {
         if k <= 1 || self.members.len() <= 1 {
             return false;
         }
-        self.refresh_ring();
+        self.ring.refresh(&self.directory, self.members.iter());
         repair::refresh_follower_records(&mut self.directory, &self.ring, k);
         t.broadcast(
             self.members
@@ -215,7 +208,7 @@ impl Engine {
         }
         let eager = self.config.eager_replication && self.config.replication > 1;
         let mut scan = RepairScan::default();
-        self.refresh_ring();
+        self.ring.refresh(&self.directory, self.members.iter());
         let directory = &self.directory;
         for &pid in self.ring.ids() {
             let Some(shard) = self.peers.get_mut(pid).and_then(|s| s.shard.as_mut()) else {

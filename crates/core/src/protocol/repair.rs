@@ -129,25 +129,24 @@ pub struct RingPlan {
     doubled: Vec<u32>,
     /// Peer id → ring position ([`OFF_RING`] when not a member).
     pos: Vec<u32>,
-    /// Set when the membership changed since the last rebuild.
-    stale: bool,
+    /// Cleared when the membership changes; a stale plan re-reads the
+    /// ring on its next [`RingPlan::refresh`].
+    fresh: bool,
 }
 
 impl RingPlan {
     /// Marks the plan out of date (the membership changed).
     pub fn invalidate(&mut self) {
-        self.stale = true;
+        self.fresh = false;
     }
 
-    /// True when the membership changed since the last
-    /// [`RingPlan::rebuild`].
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
-    /// Re-reads the ring from `members`, which must be ascending and
-    /// already interned in `directory`. Reuses the tables' allocations.
-    pub fn rebuild<'a>(&mut self, directory: &Directory, members: impl Iterator<Item = &'a Key>) {
+    /// Re-reads the ring from `members` if it changed since the last
+    /// refresh. `members` must be ascending and already interned in
+    /// `directory`. Reuses the tables' allocations.
+    pub fn refresh<'a>(&mut self, directory: &Directory, members: impl Iterator<Item = &'a Key>) {
+        if self.fresh {
+            return;
+        }
         let old = self.doubled.len() / 2;
         for &pid in &self.doubled[..old] {
             self.pos[pid as usize] = OFF_RING;
@@ -166,7 +165,7 @@ impl RingPlan {
         for (i, &pid) in self.doubled[..n].iter().enumerate() {
             self.pos[pid as usize] = i as u32;
         }
-        self.stale = false;
+        self.fresh = true;
     }
 
     /// Member peer ids in ring order.
@@ -405,7 +404,7 @@ mod tests {
                 directory.intern(p);
             }
             let mut ring = RingPlan::default();
-            ring.rebuild(&directory, peers.iter());
+            ring.refresh(&directory, peers.iter());
             let planned: Vec<&Key> = ring.ids().iter().map(|&p| directory.key_of(p)).collect();
             proptest::prop_assert_eq!(planned, peers.iter().collect::<Vec<_>>());
             let primaries: Vec<Key> = peers.iter().cloned().chain(outsiders.iter().map(name)).collect();
@@ -428,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_plan_rebuild_forgets_departed_members() {
+    fn ring_plan_refresh_forgets_departed_members() {
         let mut directory = Directory::new();
         let peers: Vec<Key> = ["A", "D", "M", "T"].iter().map(|s| k(s)).collect();
         for p in &peers {
@@ -436,13 +435,14 @@ mod tests {
         }
         let mut ring = RingPlan::default();
         assert!(ring.followers(&directory, 0, 2).is_empty(), "empty ring");
-        ring.rebuild(&directory, peers.iter());
-        ring.invalidate();
-        assert!(ring.is_stale());
-        // D leaves: it is planned as an outsider from its old slot.
+        ring.refresh(&directory, peers.iter());
+        // D leaves: it is planned as an outsider from its old slot —
+        // once the plan is told the membership changed.
         let rest: Vec<Key> = peers.iter().filter(|p| **p != k("D")).cloned().collect();
-        ring.rebuild(&directory, rest.iter());
-        assert!(!ring.is_stale());
+        ring.refresh(&directory, rest.iter());
+        assert_eq!(ring.ids().len(), 4, "a fresh plan is not re-read");
+        ring.invalidate();
+        ring.refresh(&directory, rest.iter());
         let d = directory.id_of(&k("D")).unwrap();
         let got: Vec<&Key> = ring
             .followers(&directory, d, 3)
