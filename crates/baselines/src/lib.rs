@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # dlpt-baselines — the trie-structured comparators of Table 2
 //!
 //! Section 5 of the paper positions the DLPT against its two closest

@@ -48,7 +48,7 @@
 //!   `engine_dispatch` / `engine_dispatch_snapshot` ratio is the
 //!   snapshot-overhead gate: `bench_regress.py` fails above 5%;
 //! * `parallel_pump_discovery` — batched exact discovery through the
-//!   shared-nothing slice pump (`dlpt_core::engine::parallel`) at
+//!   route-then-commit pump (`dlpt_core::engine::parallel`) at
 //!   `--workers N` (default 4); the acceptance gate compares its op/s
 //!   against single-worker `sync_pump_discovery`. A `parallel_pump_w1`
 //!   / `_w2` / `_w4` / `_w8` sweep plus a derived
@@ -726,7 +726,7 @@ fn bench_engine_dispatch(scale: u64, mode: DispatchMode) -> Vec<BenchResult> {
 
 /// One worker count of the parallel-pump workload: the same overlay
 /// shape as `sync_pump_discovery`, pure exact queries, processed in
-/// 4096-request batches through the shared-nothing slice pump.
+/// 4096-request batches through the route-then-commit pump.
 fn pump_row(scale: u64, workers: usize, name: &'static str) -> BenchResult {
     let corpus = Corpus::grid();
     let keys: Vec<Key> = corpus.keys.iter().take(400).cloned().collect();

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # dlpt-bench — shared harness code for the reproduction binaries
 //! and criterion benches.
 //!

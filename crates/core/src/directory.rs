@@ -75,10 +75,9 @@ pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher
 /// entry point for every host change that *moves* ownership (balancer
 /// migration, crash promotion) as opposed to creating it (join,
 /// registration). The record names both sides of the transfer in
-/// interned-id space, so a consumer partitioned by peer id — a
-/// parallel-pump slice, a health row, a trace sink — can apply the
-/// move as a message between the two owners instead of re-deriving it
-/// from shared state.
+/// interned-id space, so a consumer partitioned by peer id — a health
+/// row, a trace sink — can apply the move as a message between the two
+/// owners instead of re-deriving it from shared state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Handoff {
     /// The transferred label's interned id.
@@ -235,8 +234,8 @@ impl Directory {
     /// explicit [`Handoff`] record describing the move. Semantically
     /// an [`Directory::insert`] (same epoch bump, same sorted-order
     /// maintenance) that additionally reports who lost the label —
-    /// the protocol-level "ownership handoff message" the engine's
-    /// migration and promotion paths route between per-peer slices.
+    /// the protocol-level "ownership handoff message" of the engine's
+    /// migration and promotion paths.
     pub fn handoff(&mut self, label: &Key, new_host: &Key) -> Handoff {
         let from = self
             .ids
@@ -249,15 +248,6 @@ impl Directory {
             from,
             to: self.hosts[lid as usize],
         }
-    }
-
-    /// Copies the current `id → host id` table into `into` (cleared
-    /// first). The parallel pump freezes this snapshot per batch so
-    /// each worker routes from its own table instead of probing shared
-    /// directory state per hop.
-    pub fn host_snapshot(&self, into: &mut Vec<u32>) {
-        into.clear();
-        into.extend_from_slice(&self.hosts);
     }
 
     /// Removes `label`; returns true iff it was present.
@@ -534,12 +524,6 @@ mod tests {
         let h = d.handoff(&k("101"), &k("P7"));
         assert_eq!(h.from, None);
         assert_eq!(d.host_of(&k("101")), Some(&k("P7")));
-        // A snapshot mirrors the table after the moves.
-        let mut snap = Vec::new();
-        d.host_snapshot(&mut snap);
-        assert_eq!(snap.len(), d.interned_len());
-        let lid = d.id_of(&k("101")).unwrap();
-        assert_eq!(snap[lid as usize], d.id_of(&k("P7")).unwrap());
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! per-peer [`RouteCache`]s and the replication bookkeeping, and
 //! processes every envelope through **one** state machine
 //! ([`Engine::deliver`]). What distinguishes the runtimes is only *how
-//! messages travel*, which the [`Transport`] trait abstracts:
+//! messages travel*, which the [`Transport`] trait abstracts (the batch
+//! pump, [`parallel::ParallelPump`], needs no transport: it routes
+//! read-only over `&Engine` and commits in request order):
 //!
 //! | Runtime | Transport | Delivery |
 //! |---|---|---|
 //! | [`crate::system::DlptSystem`] | [`FifoTransport`] | immediate FIFO |
 //! | `dlpt-net::sim::LatencyNet` | latency event queue | sampled delay |
 //! | `dlpt-net::threaded::ThreadedDlpt` | framed channels | encoded frames to peer threads |
-//! | [`parallel::ParallelPump`] | per-slice SPSC rings | credit-based quiescence |
 //!
 //! A transport only queues envelopes; it never interprets them. The
 //! engine in turn never schedules — it reports `Requeue` when a
@@ -55,7 +56,7 @@ use crate::messages::{
 use crate::metrics::SystemStats;
 use crate::node::NodeState;
 use crate::obs::health::{
-    imbalance_of, AuditCheck, HealthMonitor, MemoryFootprint, PeerHealth, Violation,
+    imbalance_of, AuditCheck, HealthMonitor, HealthTiming, MemoryFootprint, PeerHealth, Violation,
 };
 use crate::obs::{EventKind, MetricsRegistry, TraceEvent, TraceRing, Tracer};
 use crate::peer::PeerShard;
@@ -69,11 +70,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// How envelopes travel between the engine and the peers.
 ///
 /// Implementations queue envelopes for later processing — immediate
-/// FIFO, a latency-sampling event queue, encoded frames over crossbeam
-/// channels, or per-slice SPSC rings drained under credit-based
-/// quiescence. A transport never interprets an envelope: all protocol
-/// behaviour stays in the engine, which is what keeps the three
-/// runtimes equivalent.
+/// FIFO, a latency-sampling event queue or encoded frames over
+/// crossbeam channels. A transport never interprets an envelope: all
+/// protocol behaviour stays in the engine, which is what keeps the
+/// three runtimes equivalent.
 pub trait Transport {
     /// Queues one envelope for delivery.
     fn deliver(&mut self, env: Envelope);
@@ -102,9 +102,9 @@ pub trait Transport {
     /// uses: hop chaining ([`Engine::deliver`]) and inline termination
     /// of the eager cache-invalidation fan-out
     /// ([`Engine::queue_invalidations`]). Only the synchronous
-    /// [`FifoTransport`] says yes: modelled-latency, fault-injecting,
-    /// threaded and batched transports must observe every individual
-    /// hop and every invalidation message.
+    /// [`FifoTransport`] says yes: modelled-latency, fault-injecting
+    /// and threaded transports must observe every individual hop and
+    /// every invalidation message.
     fn synchronous(&self) -> bool {
         false
     }
@@ -594,37 +594,15 @@ pub struct Engine {
     /// retries). Preallocated here so recording never allocates; kept
     /// out of [`SystemStats`] for the same golden-fingerprint reason.
     pub metrics: MetricsRegistry,
-    /// Post-batch observability record from the parallel pump: slice
-    /// ownership and ring depth of the most recent batch, read by
-    /// [`Engine::collect_health`]. Empty (and cost-free) on engines
-    /// that never ran a parallel batch.
-    pub(crate) pump_health: PumpHealth,
+    /// How long the route and commit phases of the most recent
+    /// [`parallel::ParallelPump`] batch took, read by
+    /// [`Engine::collect_health`] into the snapshot's timing section.
+    pub(crate) pump_timing: HealthTiming,
     /// Routes the replication flush, the anti-entropy scan and the
     /// repair scan through their pre-id-native versions
     /// (`reference_scans`), for the equivalence tests.
     #[cfg(test)]
     pub(crate) reference_scans: bool,
-}
-
-/// What the parallel pump ([`parallel::ParallelPump`]) left behind
-/// after its most recent batch: which worker slice owned each peer and
-/// the deepest inter-worker SPSC ring occupancy observed. Kept on the
-/// engine (not the pump, which is stateless) so health snapshots can
-/// report slice balance; overwritten per batch, never consulted on the
-/// routing hot path. The slice fields are deterministic per
-/// `(seed, workers)`; `ring_peak` depends on thread interleaving and
-/// is reported in the snapshot's timing section only.
-#[derive(Debug, Clone, Default)]
-pub struct PumpHealth {
-    /// Interned peer id → owning worker slice index **plus one**
-    /// (0 = the peer was not part of the last parallel batch).
-    pub(crate) slice_of: Vec<u16>,
-    /// Worker-slice count of the last parallel batch (0 = none ran).
-    pub(crate) slices: u16,
-    /// Peak occupancy over every inter-worker SPSC ring of the last
-    /// parallel batch — how close the bounded mesh came to exerting
-    /// backpressure.
-    pub(crate) ring_peak: u32,
 }
 
 impl Engine {
@@ -651,7 +629,7 @@ impl Engine {
             duplicates_suppressed: 0,
             tracer: Tracer::Noop,
             metrics: MetricsRegistry::default(),
-            pump_health: PumpHealth::default(),
+            pump_timing: HealthTiming::default(),
             #[cfg(test)]
             reference_scans: false,
         }
@@ -775,48 +753,6 @@ impl Engine {
     /// The locally hosted shards in ring order.
     pub(crate) fn local_shards(&self) -> impl Iterator<Item = &PeerShard> + '_ {
         self.members.iter().filter_map(move |id| self.shard(id))
-    }
-
-    /// Number of locally hosted shards.
-    pub(crate) fn local_shard_count(&self) -> usize {
-        self.local_shards().count()
-    }
-
-    /// Detaches every locally hosted shard in ring order, keyed by the
-    /// peer's interned id, leaving the slots in place. The parallel
-    /// pump partitions the result into per-worker slices that *own*
-    /// their shards for the batch and hands each one back through
-    /// [`Engine::attach_shard`]. Id-keyed (not key-keyed) so slice
-    /// routing is an array index, never a map walk.
-    pub(crate) fn detach_shards(&mut self) -> Vec<(u32, PeerShard)> {
-        let mut out = Vec::with_capacity(self.members.len());
-        let ids: Vec<u32> = self
-            .members
-            .iter()
-            .filter_map(|id| self.directory.id_of(id))
-            .collect();
-        for pid in ids {
-            if let Some(slot) = self.peers.get_mut(pid) {
-                if let Some(shard) = slot.shard.take() {
-                    out.push((pid, shard));
-                }
-            }
-        }
-        out
-    }
-
-    /// Re-attaches one shard detached by [`Engine::detach_shards`].
-    /// The slot normally still exists (the directory is frozen while a
-    /// batch owns the shards); a vanished slot is re-created from the
-    /// interner so a failed batch can never strand a shard.
-    pub(crate) fn attach_shard(&mut self, pid: u32, shard: PeerShard) {
-        match self.peers.get_mut(pid) {
-            Some(slot) => slot.shard = Some(shard),
-            None => {
-                let id = self.directory.key_of(pid).clone();
-                self.insert_peer(id, Some(shard));
-            }
-        }
     }
 
     /// The delivery directory.
@@ -1328,24 +1264,41 @@ impl Engine {
     /// discovery message must still resolve its request; anything else
     /// is a hard error.
     pub fn fail_undeliverable(&mut self, env: Envelope) -> Result<()> {
-        self.stats.undeliverable += 1;
-        if let Message::Node(NodeMsg::Discovery(m)) = &env.msg {
-            if self.tracer.enabled() {
-                let mut ev = TraceEvent::new(EventKind::Drop, m.request_id, 0, 0, m.path.len());
-                ev.flags = 1;
-                self.tracer.emit(ev);
-            }
-            self.client_response(DiscoveryOutcome {
-                request_id: m.request_id,
-                satisfied: false,
-                dropped: true,
-                results: Vec::new(),
-                path: m.path.clone(),
-                pending_children: 0,
-            });
+        if let Message::Node(NodeMsg::Discovery(m)) = env.msg {
+            self.abandon_discovery(m.request_id, m.path);
             return Ok(());
         }
+        self.stats.undeliverable += 1;
         Err(DlptError::Undeliverable(format!("{:?}", env.to)))
+    }
+
+    /// Resolves the branch of request `request_id` whose discovery
+    /// message, having travelled `path`, found no node to deliver to.
+    fn abandon_discovery(&mut self, request_id: u64, path: Vec<Key>) {
+        self.stats.undeliverable += 1;
+        if self.tracer.enabled() {
+            let mut ev = TraceEvent::new(EventKind::Drop, request_id, 0, 0, path.len());
+            ev.flags = 1;
+            self.tracer.emit(ev);
+        }
+        self.client_response(dropped_outcome(request_id, path));
+    }
+
+    /// Resolves the branch of request `request_id` whose visit to node
+    /// `lid` an exhausted peer `hid` ignored (Section 4's capacity
+    /// model); `path` ends with the refused node.
+    fn refuse_visit(&mut self, request_id: u64, lid: u32, hid: u32, path: Vec<Key>) {
+        self.stats.discovery_drops += 1;
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::new(
+                EventKind::Drop,
+                request_id,
+                lid,
+                hid,
+                path.len(),
+            ));
+        }
+        self.client_response(dropped_outcome(request_id, path));
     }
 
     // ------------------------------------------------------------------
@@ -1574,27 +1527,9 @@ impl Engine {
                         } else {
                             m
                         };
-                        self.stats.discovery_drops += 1;
-                        let request_id = m.request_id;
                         let mut path = m.path;
                         path.push(label);
-                        if self.tracer.enabled() {
-                            self.tracer.emit(TraceEvent::new(
-                                EventKind::Drop,
-                                request_id,
-                                lid,
-                                hid,
-                                path.len(),
-                            ));
-                        }
-                        self.client_response(DiscoveryOutcome {
-                            request_id,
-                            satisfied: false,
-                            dropped: true,
-                            results: Vec::new(),
-                            path,
-                            pending_children: 0,
-                        });
+                        self.refuse_visit(m.request_id, lid, hid, path);
                         Ok(ChainStep::Step(Step::Done))
                     }
                     Gate::Delivered => {
@@ -2421,8 +2356,7 @@ impl Engine {
         snap.peers = self.members.len() as u64;
         snap.nodes = self.directory.len() as u64;
         snap.audit_violations = 0;
-        snap.slices = self.pump_health.slices as u64;
-        snap.timing.ring_peak = self.pump_health.ring_peak as u64;
+        snap.timing = self.pump_timing;
 
         // Per-peer rows in ring order; `scratch_rows` maps interned
         // peer id → row index so the directory pass below can attribute
@@ -2457,12 +2391,6 @@ impl Engine {
                 used,
                 capacity,
                 messages,
-                slice: self
-                    .pump_health
-                    .slice_of
-                    .get(pid as usize)
-                    .copied()
-                    .unwrap_or(0),
             });
         }
         for (_, host) in self.directory.iter() {
@@ -2560,6 +2488,19 @@ impl Engine {
         mon.prev_faults = *faults;
 
         snap.bytes = self.bytes_estimate();
+    }
+}
+
+/// The response resolving a discovery branch whose visit was refused
+/// or could not be delivered.
+fn dropped_outcome(request_id: u64, path: Vec<Key>) -> DiscoveryOutcome {
+    DiscoveryOutcome {
+        request_id,
+        satisfied: false,
+        dropped: true,
+        results: Vec::new(),
+        path,
+        pending_children: 0,
     }
 }
 

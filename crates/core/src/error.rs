@@ -35,12 +35,12 @@ pub enum DlptError {
         /// Budget that was exceeded.
         budget: usize,
     },
-    /// A parallel-pump worker died mid-round; the batch was abandoned
-    /// cleanly (surviving shards reassembled, in-flight requests
-    /// purged) instead of aborting the process.
+    /// A batch-pump route worker died; the batch was abandoned cleanly
+    /// (nothing committed, its registered requests released) instead
+    /// of aborting the process.
     WorkerFailed {
         /// Requests of the batch that had already resolved when the
-        /// pump collapsed.
+        /// pump collapsed — always 0: routing precedes the commit.
         completed: usize,
     },
 }
@@ -63,7 +63,7 @@ impl fmt::Display for DlptError {
             }
             DlptError::WorkerFailed { completed } => write!(
                 f,
-                "parallel-pump worker died mid-round; batch abandoned \
+                "batch-pump route worker died; batch abandoned \
                  ({completed} requests had already resolved)"
             ),
         }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # dlpt-core — the Distributed Lexicographic Placement Table
 //!
 //! This crate implements the primary contribution of Caron, Desprez &

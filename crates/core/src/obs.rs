@@ -15,13 +15,13 @@
 //!   buckets are preallocated at engine construction and recording is a
 //!   couple of integer ops, so there is nothing to switch off.
 //!
-//! Events carry the same `(round, worker, seq)` tag that the parallel
-//! pump uses to fold client responses deterministically, so traces from
-//! a sharded run merge into the exact order a sequential run would have
-//! produced. Exporters ([`write_jsonl`], [`write_chrome_trace`])
-//! serialise an event slice without consulting the directory — the
-//! output is a pure function of the events, hence byte-stable across
-//! repeats and worker counts.
+//! Every event is emitted on the thread that owns the engine — the
+//! batch pump's are emitted by its commit phase, in request order — so
+//! `seq` alone orders a trace; the `(round, worker)` fields of the
+//! schema are always `(0, 0)`. Exporters ([`write_jsonl`],
+//! [`write_chrome_trace`]) serialise an event slice without consulting
+//! the directory — the output is a pure function of the events, hence
+//! byte-stable across repeats and worker counts.
 
 pub mod health;
 
@@ -95,9 +95,9 @@ impl EventKind {
 /// One fixed-size trace record. Fields `a`/`b`/`depth` are
 /// kind-dependent (see [`EventKind`]); ids are interned u32s from the
 /// engine [`crate::directory::Directory`], so an event never clones a
-/// `Key`. `(round, worker, seq)` is the deterministic merge tag:
-/// sequential runtimes stamp `(0, 0, ring seq)`, the parallel pump
-/// stamps the same tag its response fold sorts by.
+/// `Key`. `seq` is stamped by the ring at emission and orders the
+/// trace; `round` and `worker` are kept for schema stability and are
+/// always 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Request id (low 32 bits of the engine's request counter).
@@ -106,7 +106,7 @@ pub struct TraceEvent {
     pub a: u32,
     /// Second kind-dependent operand (usually a peer id).
     pub b: u32,
-    /// Pump round the event was produced in (0 outside the pump).
+    /// Always 0; the field stays so the exported schema is stable.
     pub round: u32,
     /// Per-producer monotonic sequence number.
     pub seq: u32,
@@ -114,7 +114,7 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Kind-dependent flag bits.
     pub flags: u8,
-    /// Producing worker (0 outside the parallel pump).
+    /// Always 0; the field stays so the exported schema is stable.
     pub worker: u16,
     /// Kind-dependent depth / hop count, saturated at `u16::MAX`.
     pub depth: u16,
@@ -125,8 +125,8 @@ pub struct TraceEvent {
 const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 32);
 
 impl TraceEvent {
-    /// An untagged sequential event: `(round, worker)` = `(0, 0)`,
-    /// `seq` stamped by the ring at emission. `request` keeps the low
+    /// An event awaiting emission: `(round, worker)` = `(0, 0)`,
+    /// `seq` stamped by the ring. `request` keeps the low
     /// 32 bits of the engine's request counter; `depth` saturates.
     #[inline]
     pub fn new(kind: EventKind, request: u64, a: u32, b: u32, depth: usize) -> Self {
@@ -142,13 +142,6 @@ impl TraceEvent {
             depth: depth.min(u16::MAX as usize) as u16,
         }
     }
-}
-
-/// The deterministic merge key: events sort exactly like the parallel
-/// pump's response fold.
-#[inline]
-pub fn merge_key(ev: &TraceEvent) -> (u32, u16, u32) {
-    (ev.round, ev.worker, ev.seq)
 }
 
 /// Preallocated bounded event buffer. When full, the oldest event is
@@ -270,15 +263,6 @@ impl Tracer {
     pub fn emit(&mut self, mut ev: TraceEvent) {
         if let Tracer::Ring(ring) = self {
             ev.seq = ring.next_seq();
-            ring.push(ev);
-        }
-    }
-
-    /// Records an already-tagged event verbatim (parallel-pump workers
-    /// stamp their own `(round, worker, seq)`).
-    #[inline]
-    pub fn absorb(&mut self, ev: TraceEvent) {
-        if let Tracer::Ring(ring) = self {
             ring.push(ev);
         }
     }
@@ -563,7 +547,7 @@ mod tests {
         let got = t.drain();
         assert_eq!(got.len(), 2);
         assert_eq!((got[0].seq, got[1].seq), (0, 1));
-        // emit() keeps numbering across drains; absorb() does not stamp.
+        // emit() keeps numbering across drains.
         t.emit(ev(0));
         let got = t.drain();
         assert_eq!(got[0].seq, 2);

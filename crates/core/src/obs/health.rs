@@ -12,10 +12,9 @@
 //!   on demand or on a unit cadence. Collection is a pure read of
 //!   engine state (no counters in the hot path, no allocation once the
 //!   buffers are warm), so health-off runs are byte-identical to the
-//!   golden fingerprint and health-on runs are deterministic per
-//!   `(seed, workers)` — except for the [`HealthTiming`] section, which
-//!   holds what thread scheduling decides and is rendered apart, never
-//!   to be diffed.
+//!   golden fingerprint and health-on runs are deterministic per seed
+//!   — except for the [`HealthTiming`] section, which holds wall-clock
+//!   readings and is rendered apart, never to be diffed.
 //! * [`Violation`] / [`AuditCheck`] — the structured result vocabulary
 //!   of [`Engine::audit`](crate::engine::Engine::audit), which checks
 //!   directory↔slab↔trie↔replication cross-consistency and returns
@@ -53,12 +52,6 @@ pub struct PeerHealth {
     /// Messages handled since the last snapshot: discovery visits
     /// recorded on this peer's nodes and replicas in the current unit.
     pub messages: u64,
-    /// Worker-slice index (1-based) that owned this peer's shard in
-    /// the last parallel batch; 0 when no batch has run or the shard
-    /// was not partitioned (sequential pump only). Slices are
-    /// contiguous runs of the ring order, so this is deterministic per
-    /// `(seed, workers)`.
-    pub slice: u16,
 }
 
 /// Estimated resident bytes per engine component, from a deterministic
@@ -105,19 +98,20 @@ impl MemoryFootprint {
     }
 }
 
-/// The scheduling-dependent part of a snapshot: readings that differ
-/// between two runs of one `(seed, workers)` because they depend on how
-/// the OS interleaved the pump's worker threads. Rendered by
+/// The wall-clock part of a snapshot: readings that differ between two
+/// runs of one seed because they time the pump's phases. Rendered by
 /// [`HealthSnapshot::write_timing_jsonl_line`] /
 /// [`HealthSnapshot::write_timing_prometheus`] only, so nothing that
 /// compares runs ever sees it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthTiming {
-    /// Peak SPSC ring occupancy observed during the last parallel
-    /// batch (0 when only the sequential pump has run): how far ahead
-    /// of its receiver a sender got, which one core serialising the
-    /// workers hides and two cores do not.
-    pub ring_peak: u64,
+    /// Microseconds the last [`ParallelPump`](crate::ParallelPump)
+    /// batch spent routing (the parallel, read-only phase); 0 when
+    /// only the sequential pump has run.
+    pub route_us: u64,
+    /// Microseconds the same batch spent committing (the ordered
+    /// capacity replay and response fold on the calling thread).
+    pub commit_us: u64,
 }
 
 /// One filled system snapshot. Every buffer is preallocated by the
@@ -161,13 +155,9 @@ pub struct HealthSnapshot {
     /// Violations reported by the last `Engine::audit` pass, when the
     /// collector ran one (0 otherwise).
     pub audit_violations: u64,
-    /// Worker-slice count of the last parallel batch (0 when only the
-    /// sequential pump has run): `min(workers, local shards)`, a
-    /// function of the configuration, not of scheduling.
-    pub slices: u64,
     /// Memory accounting for the whole engine at snapshot time.
     pub bytes: MemoryFootprint,
-    /// What scheduling decides; excluded from every rendering above.
+    /// Wall-clock readings; excluded from every rendering above.
     pub timing: HealthTiming,
 }
 
@@ -286,7 +276,6 @@ impl HealthSnapshot {
              \"under_replicated\":{},\"cache_hits\":{},\"cache_stale\":{},\"cache_learned\":{},\
              \"lost\":{},\"duplicated\":{},\"reordered\":{},\"partition_dropped\":{},\
              \"dedup_suppressed\":{},\"retries\":{},\"requests_failed\":{},\"violations\":{},\
-             \"slices\":{},\
              \"bytes_total\":{},\"bytes_directory\":{},\"bytes_slab\":{},\"bytes_shards\":{},\
              \"bytes_caches\":{},\"bytes_per_node\":{:.1},\"bytes_per_peer\":{:.1},\
              \"depth_occupancy\":[",
@@ -311,7 +300,6 @@ impl HealthSnapshot {
             f.retries,
             f.requests_failed,
             self.audit_violations,
-            self.slices,
             self.bytes.total(),
             self.bytes.directory_bytes,
             self.bytes.slab_bytes,
@@ -333,8 +321,8 @@ impl HealthSnapshot {
             }
             let _ = write!(
                 out,
-                "[{},{},{},{},{},{}]",
-                p.peer, p.nodes, p.replicas, p.used, p.messages, p.slice
+                "[{},{},{},{},{}]",
+                p.peer, p.nodes, p.replicas, p.used, p.messages
             );
         }
         out.push_str("]}\n");
@@ -346,8 +334,8 @@ impl HealthSnapshot {
     pub fn write_timing_jsonl_line(&self, cfg: &str, run: u64, out: &mut String) {
         let _ = writeln!(
             out,
-            "{{\"cfg\":\"{}\",\"run\":{},\"unit\":{},\"ring_peak\":{}}}",
-            cfg, run, self.unit, self.timing.ring_peak
+            "{{\"cfg\":\"{}\",\"run\":{},\"unit\":{},\"route_us\":{},\"commit_us\":{}}}",
+            cfg, run, self.unit, self.timing.route_us, self.timing.commit_us
         );
     }
 
@@ -355,7 +343,7 @@ impl HealthSnapshot {
     /// `# TYPE` header per family, per-peer gauges labelled by interned
     /// id — deterministic for the same reason as the JSONL form.
     pub fn write_prometheus(&self, out: &mut String) {
-        let scalars: [(&str, f64); 11] = [
+        let scalars: [(&str, f64); 10] = [
             ("dlpt_peers", self.peers as f64),
             ("dlpt_nodes", self.nodes as f64),
             ("dlpt_max_depth", self.max_depth as f64),
@@ -366,7 +354,6 @@ impl HealthSnapshot {
             ("dlpt_audit_violations", self.audit_violations as f64),
             ("dlpt_bytes_total", self.bytes.total() as f64),
             ("dlpt_unit", self.unit as f64),
-            ("dlpt_pump_slices", self.slices as f64),
         ];
         for (name, v) in scalars {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v:.4}");
@@ -399,11 +386,12 @@ impl HealthSnapshot {
     /// Appends the [`HealthTiming`] section as Prometheus-style gauge
     /// text.
     pub fn write_timing_prometheus(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "# TYPE dlpt_pump_ring_peak gauge\ndlpt_pump_ring_peak {}",
-            self.timing.ring_peak
-        );
+        for (name, v) in [
+            ("dlpt_pump_route_us", self.timing.route_us),
+            ("dlpt_pump_commit_us", self.timing.commit_us),
+        ] {
+            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
+        }
     }
 }
 
@@ -458,19 +446,19 @@ mod tests {
                 peer: 0,
                 nodes: 3,
                 messages: 9,
-                slice: 1,
                 ..Default::default()
             },
             PeerHealth {
                 peer: 1,
                 nodes: 2,
                 messages: 3,
-                slice: 2,
                 ..Default::default()
             },
         ];
-        snap.slices = 2;
-        snap.timing.ring_peak = 7;
+        snap.timing = HealthTiming {
+            route_us: 7,
+            commit_us: 3,
+        };
         let mut a = String::new();
         let mut b = String::new();
         snap.write_jsonl_line("t", 0, &mut a);
@@ -479,26 +467,26 @@ mod tests {
         assert!(a.starts_with("{\"cfg\":\"t\",\"run\":0,\"unit\":3,"));
         assert!(a.ends_with("]}\n"));
         assert!(a.contains("\"depth_occupancy\":[1,2,2]"));
-        assert!(a.contains("\"slices\":2,\"bytes_total\""));
-        assert!(a.contains("\"peer_load\":[[0,3,0,0,9,1],[1,2,0,0,3,2]]"));
+        assert!(a.contains("\"violations\":0,\"bytes_total\""));
+        assert!(a.contains("\"peer_load\":[[0,3,0,0,9],[1,2,0,0,3]]"));
 
         let mut prom = String::new();
         snap.write_prometheus(&mut prom);
         assert!(prom.contains("dlpt_peers 2.0000"));
-        assert!(prom.contains("dlpt_pump_slices 2.0000"));
         assert!(prom.contains("dlpt_peer_nodes{peer=\"0\"} 3"));
 
         // The timing section renders apart, and only there.
-        assert!(!a.contains("ring_peak") && !prom.contains("ring_peak"));
+        assert!(!a.contains("_us") && !prom.contains("_us"));
         let mut timing = String::new();
         snap.write_timing_jsonl_line("t", 0, &mut timing);
         assert_eq!(
             timing,
-            "{\"cfg\":\"t\",\"run\":0,\"unit\":3,\"ring_peak\":7}\n"
+            "{\"cfg\":\"t\",\"run\":0,\"unit\":3,\"route_us\":7,\"commit_us\":3}\n"
         );
         timing.clear();
         snap.write_timing_prometheus(&mut timing);
-        assert!(timing.ends_with("dlpt_pump_ring_peak 7\n"));
+        assert!(timing.contains("dlpt_pump_route_us 7\n"));
+        assert!(timing.ends_with("dlpt_pump_commit_us 3\n"));
     }
 
     #[test]

@@ -491,13 +491,17 @@ impl DlptSystem {
         Ok(self.engine.finish_request(id))
     }
 
-    /// Runs a batch of discovery requests through the shared-nothing
-    /// multi-worker pump ([`crate::engine::parallel`]): entry nodes are
-    /// drawn from the system RNG exactly as [`DlptSystem::request`]
-    /// draws them, then the directory is partitioned into per-worker
-    /// slices exchanging envelopes over bounded SPSC rings with
-    /// credit-based quiescence. Outcomes are returned in input order;
-    /// with unbounded capacity they equal the sequential pump's.
+    /// Runs a batch of discovery requests through the route-then-commit
+    /// pump ([`crate::engine::parallel`]): entry nodes are drawn from
+    /// the system RNG exactly as [`DlptSystem::request`] draws them,
+    /// the requests are routed read-only over the frozen tree on up to
+    /// `workers` threads, and one ordered commit charges the capacity
+    /// counters in request order. Outcomes are returned in input order
+    /// and — like the counters, loads and trace the batch leaves behind
+    /// — equal what calling [`DlptSystem::request`] once per query
+    /// would produce, at every worker count. Two caveats: route caches
+    /// are consulted up front and taught afterwards, and a refused
+    /// visit is a drop (no replica failover at `k > 1`).
     pub fn discover_batch(
         &mut self,
         queries: Vec<QueryKind>,
@@ -1188,6 +1192,38 @@ mod tests {
         for s in PAPER_KEYS {
             assert!(sys2.lookup(&k(s)).satisfied, "{s}");
         }
+    }
+
+    /// A crash at `k = 1` leaves tree links to the lost labels until
+    /// `repair_tree` runs. A batch visit to one fails its request with
+    /// the outcome the sequential pump reaches once its requeue budget
+    /// is spent — only `stats.requeues` tells the two apart.
+    #[test]
+    fn batch_visits_to_lost_labels_fail_like_the_sequential_pump() {
+        let crashed = || {
+            let mut sys = binary_system(5, 13);
+            let victim = sys
+                .peer_ids()
+                .into_iter()
+                .find(|p| sys.shard(p).is_some_and(|s| s.node_count() > 0))
+                .unwrap();
+            assert!(!sys.crash_peer(&victim).unwrap().is_empty());
+            sys
+        };
+        let queries = || PAPER_KEYS.iter().cycle().take(24).map(|s| k(s));
+        let mut seq = crashed();
+        let want: Vec<_> = queries()
+            .map(|key| seq.request(QueryKind::Exact(key)).unwrap())
+            .collect();
+        let mut par = crashed();
+        let got = par
+            .discover_batch(queries().map(QueryKind::Exact).collect(), 3)
+            .unwrap();
+        assert_eq!(want, got);
+        assert!(got.iter().any(|o| o.dropped) && got.iter().any(|o| o.satisfied));
+        assert!(par.stats.undeliverable > 0 && seq.stats.requeues > par.stats.requeues);
+        seq.stats.requeues = par.stats.requeues;
+        assert_eq!(seq.stats, par.stats);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # dlpt-dht — a Chord distributed hash table
 //!
 //! The original DLPT design ([Caron, Desprez & Tedeschi, P2P 2006])

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # dlpt-net — transports for the DLPT protocol
 //!
 //! The protocol handlers in `dlpt-core::protocol` are pure functions

@@ -206,12 +206,13 @@ pub struct ExperimentConfig {
     /// upper tree.
     pub track_depth_hist: bool,
     /// Workers for the discovery phase: at `> 1` each unit's request
-    /// batch runs through the sharded parallel pump
+    /// batch runs through the route-then-commit pump
     /// (`dlpt_core::engine::parallel`) instead of one-at-a-time FIFO.
-    /// Entry draws and metrics are identical; under capacity pressure
-    /// the interleaving (and therefore which visits are refused) is
-    /// deterministic per `(seed, workers)` rather than per seed alone,
-    /// so committed CSVs stay at the default `1`.
+    /// The pump commits in request order, so with caching and
+    /// replication off every worker count reproduces the `1` metrics
+    /// unit for unit; with `cache_capacity > 0` a batch consults its
+    /// caches up front and with `replication > 1` it skips replica
+    /// failover, so committed CSVs stay at the default `1`.
     pub workers: usize,
     /// Probability that a faultable message (discovery, client
     /// response, cache invalidation) is lost in transit (fault

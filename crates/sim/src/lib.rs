@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # dlpt-sim — the paper's evaluation, as an executable harness
 //!
 //! Section 4 of the paper describes the simulator its results come

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # dlpt-workloads — workload generation for the DLPT experiments
 //!
 //! Section 4 of the paper: "The prefix trees are built with identifiers

@@ -8,18 +8,16 @@ Usage:
 
 Each line is one `HealthSnapshot` of one (config, run, unit) cell,
 with a fixed key order and fixed float precision so two seeded runs
-diff byte-identically. What thread scheduling decides (`ring_peak`, the
-peak SPSC ring depth of the parallel pump) is not in this file: the
-snapshot's timing section is written to a series of its own, which
-``--timing`` validates (same cells in the same order, non-negative
-ints) and which is never diffed. This tool enforces the schema: every line must
+diff byte-identically. What the wall clock decides (`route_us` and
+`commit_us`, the two phases of the batch pump's last batch) is not in
+this file: the snapshot's timing section is written to a series of its
+own, which ``--timing`` validates (same cells in the same order,
+non-negative ints) and which is never diffed. This tool enforces the schema: every line must
 be a JSON object with exactly the expected keys, correctly typed;
 `depth_occupancy` must be a list of non-negative ints summing to
 `nodes`; `peer_load` must be a list of `[peer, nodes, replicas, used,
-messages, slice]` rows whose count matches `peers` and whose node
-total matches `nodes` (`slice` is the 1-based worker-slice index of
-the last parallel batch, 0 when none ran); the byte columns must sum
-to `bytes_total`. Any violation prints the offending line and exits
+messages]` rows whose count matches `peers` and whose node total
+matches `nodes`; the byte columns must sum to `bytes_total`. Any violation prints the offending line and exits
 non-zero.
 
 ``--expect-zero-violations`` additionally fails if any snapshot
@@ -37,7 +35,7 @@ INT_KEYS = (
     "run", "unit", "peers", "nodes", "max_depth", "under_replicated",
     "cache_hits", "cache_stale", "cache_learned", "lost", "duplicated",
     "reordered", "partition_dropped", "dedup_suppressed", "retries",
-    "requests_failed", "violations", "slices",
+    "requests_failed", "violations",
     "bytes_total", "bytes_directory", "bytes_slab", "bytes_shards",
     "bytes_caches",
 )
@@ -45,7 +43,7 @@ FLOAT_KEYS = ("opt_depth", "imbalance", "gini", "bytes_per_node",
               "bytes_per_peer")
 LIST_KEYS = ("depth_occupancy", "peer_load")
 ALL_KEYS = set(INT_KEYS) | set(FLOAT_KEYS) | set(LIST_KEYS) | {"cfg"}
-TIMING_INT_KEYS = ("run", "unit", "ring_peak")
+TIMING_INT_KEYS = ("run", "unit", "route_us", "commit_us")
 
 
 def fail(lineno, line, why):
@@ -129,12 +127,12 @@ def main():
                      f"nodes is {snap['nodes']}")
             pl = snap["peer_load"]
             if not isinstance(pl, list) or any(
-                    not isinstance(row, list) or len(row) != 6 or
+                    not isinstance(row, list) or len(row) != 5 or
                     any(not isinstance(v, int) or v < 0 for v in row)
                     for row in pl):
                 fail(lineno, line,
                      "'peer_load' rows must be "
-                     "[peer, nodes, replicas, used, messages, slice]")
+                     "[peer, nodes, replicas, used, messages]")
             if len(pl) != snap["peers"]:
                 fail(lineno, line,
                      f"{len(pl)} peer_load rows, peers is {snap['peers']}")

@@ -20,11 +20,15 @@ a trace can be sanity-read without tooling. A line with an unknown
 line means the trace and this tool disagree about the event
 vocabulary, and every count in the summary would be suspect.
 
+``round`` and ``worker`` are always 0: every event, the batch pump's
+included, is emitted in order on the thread that owns the engine. The
+two fields stay so the schema is stable.
+
 ``--validate`` additionally enforces the schema — every line must be a
 JSON object with exactly the nine keys above, integer-valued except
 ``kind`` which must be a known name, and ``seq`` must be
 non-decreasing within each ``(round, worker)`` group (the engine's
-deterministic merge order). Any violation prints the offending line
+emission order). Any violation prints the offending line
 and exits non-zero; CI diffs two seeded runs on top of this.
 """
 

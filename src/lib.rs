@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # dlpt — Tree-structured peer-to-peer service discovery
 //!
 //! A full reproduction of **Caron, Desprez & Tedeschi, "Efficiency of

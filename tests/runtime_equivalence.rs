@@ -380,7 +380,9 @@ fn query_of(o: &Op) -> Option<QueryKind> {
 /// Drives the workload through one `DlptSystem`, batching queries.
 /// `workers = None` is the sequential reference (`request` per query at
 /// the flush point); `Some(w)` routes each flushed batch through the
-/// shared-nothing pump at `w` workers. Flush points — before every
+/// route-then-commit pump at `w` workers. Every peer joins with
+/// `capacity`, and no time unit is ever closed, so a small capacity
+/// piles refusals up over the workload. Flush points — before every
 /// mutation, at the mid-workload migration, and at the end — are
 /// identical in every arm, and both paths draw entry nodes from the
 /// system RNG in query order, so all arms consume the RNG identically.
@@ -395,6 +397,7 @@ fn drive_batched(
     ops: &[Op],
     initial_peers: usize,
     workers: Option<usize>,
+    capacity: u32,
 ) -> Observed {
     fn flush(
         sys: &mut DlptSystem,
@@ -422,7 +425,7 @@ fn drive_batched(
     }
 
     for i in 0..initial_peers {
-        sys.add_peer_with_id(peer_id(i), u32::MAX >> 1).unwrap();
+        sys.add_peer_with_id(peer_id(i), capacity).unwrap();
     }
     // Seed the tree so batches always have an entry node and the
     // migration below always has a label to move.
@@ -432,7 +435,7 @@ fn drive_batched(
     let mut next_peer = initial_peers;
     let mut results = Vec::new();
     let mut batch: Vec<QueryKind> = Vec::new();
-    let mut undo_migration: Option<(Key, Key)> = None;
+    let mut migrated: Option<Key> = None;
     let mid = ops.len() / 2;
     for (at, o) in ops.iter().enumerate() {
         if at == mid {
@@ -447,7 +450,7 @@ fn drive_batched(
             if let Some((label, home)) = moved {
                 if let Some(to) = sys.peer_ids().into_iter().rev().find(|p| *p != home) {
                     sys.migrate_node(&label, &to).unwrap();
-                    undo_migration = Some((label, home));
+                    migrated = Some(label);
                 }
             }
         }
@@ -458,8 +461,7 @@ fn drive_batched(
         flush(sys, workers, &mut batch, &mut results);
         match o {
             Op::Join => {
-                sys.add_peer_with_id(peer_id(next_peer), u32::MAX >> 1)
-                    .unwrap();
+                sys.add_peer_with_id(peer_id(next_peer), capacity).unwrap();
                 next_peer += 1;
             }
             Op::Insert(i) => sys.insert_data(key(*i)).unwrap(),
@@ -479,11 +481,12 @@ fn drive_batched(
         }
     }
     flush(sys, workers, &mut batch, &mut results);
-    // Hand the migrated node back so the final audit sees the
-    // canonical mapping (the node may have moved again via crash
-    // promotion or been deregistered — both make the undo moot).
-    if let Some((label, home)) = undo_migration {
-        if sys.directory().iter().any(|(l, _)| *l == label) && sys.peer_ids().contains(&home) {
+    // Hand the migrated node back to whichever peer the mapping rule
+    // designates by now (its old home may have crashed since), so the
+    // final audit sees the canonical mapping; a deregistered node
+    // makes the undo moot.
+    if let Some(label) = migrated {
+        if let Some(home) = sys.host_of(&label).and(sys.host_peer(&label)).cloned() {
             sys.migrate_node(&label, &home).unwrap();
         }
     }
@@ -501,40 +504,54 @@ fn drive_batched(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Shared-nothing pump arm: the same seeded workload — k = 2
-    /// crashes, route caches on, a mid-workload `migrate_node`
-    /// ownership handoff — driven through the sequential pump and
-    /// through `discover_batch` at workers ∈ {1, 2, 8} must agree on
-    /// placements and result sets, and every arm must audit clean.
+    /// Batch-pump arm: the same seeded workload — k = 2 crashes, route
+    /// caches on, a mid-workload `migrate_node` ownership handoff —
+    /// driven through the sequential pump and through `discover_batch`
+    /// at workers ∈ {1, 2, 8} must agree on placements and result
+    /// sets, and every arm must audit clean. Then the capacity-limited
+    /// arm: k = 1 and caches off (the pump contract's two caveats, so
+    /// crashes are left out — nothing could absorb them), every peer
+    /// at capacity 3; there the batches must equal the sequential pump
+    /// down to which visits were refused, i.e. in the full counters.
     #[test]
     fn parallel_worker_counts_agree_with_the_sequential_pump(
         ops in proptest::collection::vec(op(), 4..24),
         seed in 0u64..200,
         initial_peers in 4usize..6,
     ) {
-        let build = || {
-            DlptSystem::builder()
-                .seed(seed)
-                .peer_id_len(8)
-                .replication(2)
-                .cache_capacity(32)
-                .build()
-        };
-        let mut reference = build();
-        let expect = drive_batched(&mut reference, &ops, initial_peers, None);
-        reference.check_tree().unwrap();
-        let audit = reference.audit();
-        prop_assert!(audit.is_empty(), "sequential audits clean: {:?}", audit);
+        let calm: Vec<Op> = ops
+            .iter()
+            .filter(|o| !matches!(o, Op::Crash(_)))
+            .cloned()
+            .collect();
+        for (k, cache, capacity, ops) in [(2, 32, u32::MAX >> 1, &ops), (1, 0, 3, &calm)] {
+            let build = || {
+                DlptSystem::builder()
+                    .seed(seed)
+                    .peer_id_len(8)
+                    .replication(k)
+                    .cache_capacity(cache)
+                    .build()
+            };
+            let mut reference = build();
+            let expect = drive_batched(&mut reference, ops, initial_peers, None, capacity);
+            reference.check_tree().unwrap();
+            let audit = reference.audit();
+            prop_assert!(audit.is_empty(), "sequential audits clean: {:?}", audit);
 
-        for w in [1usize, 2, 8] {
-            let mut sys = build();
-            let got = drive_batched(&mut sys, &ops, initial_peers, Some(w));
-            sys.check_tree().unwrap();
-            let audit = sys.audit();
-            prop_assert!(audit.is_empty(), "workers={} audits clean: {:?}", w, audit);
-            prop_assert_eq!(&expect.placements, &got.placements,
-                "workers={} placements", w);
-            prop_assert_eq!(&expect.results, &got.results, "workers={} results", w);
+            for w in [1usize, 2, 8] {
+                let mut sys = build();
+                let got = drive_batched(&mut sys, ops, initial_peers, Some(w), capacity);
+                sys.check_tree().unwrap();
+                let audit = sys.audit();
+                prop_assert!(audit.is_empty(), "workers={} audits clean: {:?}", w, audit);
+                prop_assert_eq!(&expect.placements, &got.placements,
+                    "workers={} placements", w);
+                prop_assert_eq!(&expect.results, &got.results, "workers={} results", w);
+                if k == 1 {
+                    prop_assert_eq!(&reference.stats, &sys.stats, "workers={} counters", w);
+                }
+            }
         }
     }
 }
