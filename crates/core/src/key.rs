@@ -30,6 +30,12 @@ pub const KEY_INLINE_CAP: usize = 23;
 /// shared heap spill beyond [`KEY_INLINE_CAP`]. `Arc` (not `Box`) for
 /// the spill so cloning a long key is a reference-count bump, never a
 /// byte copy.
+///
+/// Invariant (the *canonical form*, checked by [`Key::is_canonical`]):
+/// inline padding is always zero — `buf[len..]` holds only `0x00` —
+/// and a spilled key is always longer than [`KEY_INLINE_CAP`], so a
+/// digit string has exactly one representation. Every constructor
+/// establishes it; the comparison paths rely on it.
 #[derive(Clone)]
 enum Repr {
     Inline { len: u8, buf: [u8; KEY_INLINE_CAP] },
@@ -82,20 +88,38 @@ impl Key {
     /// Builds an inline key whose digits are the first `len` bytes of a
     /// full-width window. The fixed-size copy compiles to a pair of
     /// vector moves instead of a variable-length `memcpy` call — the
-    /// wire decoder's hot path. Bytes past `len` are carried as
-    /// unspecified padding; every observable operation (`as_bytes`,
-    /// `Eq`, `Ord`, `Hash`, `Display`) reads only the first `len`
-    /// digits.
+    /// wire decoder's hot path. The window's bytes past `len` may hold
+    /// anything (the decoder passes raw wire bytes); they are zeroed
+    /// here, so the key is canonical.
     ///
     /// # Panics
-    /// Panics (debug) when `len > KEY_INLINE_CAP`.
+    /// Panics when `len > KEY_INLINE_CAP`.
     #[inline]
     pub fn from_inline_window(window: &[u8; KEY_INLINE_CAP], len: usize) -> Key {
-        debug_assert!(len <= KEY_INLINE_CAP);
+        assert!(len <= KEY_INLINE_CAP, "inline key of {len} digits");
+        let mut buf = [0u8; KEY_INLINE_CAP];
+        // Fixed trip count: compiles to a vector compare-and-mask.
+        for (i, (dst, &src)) in buf.iter_mut().zip(window).enumerate() {
+            *dst = if i < len { src } else { 0 };
+        }
         Key(Repr::Inline {
             len: len as u8,
-            buf: *window,
+            buf,
         })
+    }
+
+    /// True iff the representation invariant holds: inline padding is
+    /// all zero and a spilled key is longer than [`KEY_INLINE_CAP`].
+    /// Always true for a key built through this module; exposed so
+    /// tests can pin it per constructor and the comparison paths can
+    /// `debug_assert!` it.
+    pub fn is_canonical(&self) -> bool {
+        match &self.0 {
+            Repr::Inline { len, buf } => {
+                (*len as usize) <= KEY_INLINE_CAP && buf[*len as usize..].iter().all(|&b| b == 0)
+            }
+            Repr::Spill(a) => a.len() > KEY_INLINE_CAP,
+        }
     }
 
     /// True iff the digits are stored inline (no heap involvement).
@@ -157,6 +181,7 @@ impl Key {
 
     /// True iff `self` is a prefix of `other` (possibly equal).
     pub fn is_prefix_of(&self, other: &Key) -> bool {
+        debug_assert!(self.is_canonical() && other.is_canonical());
         other.as_bytes().starts_with(self.as_bytes())
     }
 
@@ -187,6 +212,7 @@ impl Key {
     /// routing hot path (which calls this per child scan) doesn't pay
     /// a per-byte loop.
     pub fn gcp_len(&self, other: &Key) -> usize {
+        debug_assert!(self.is_canonical() && other.is_canonical());
         let a = self.as_bytes();
         let b = other.as_bytes();
         let n = a.len().min(b.len());
@@ -246,6 +272,7 @@ impl Default for Key {
 impl PartialEq for Key {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
+        debug_assert!(self.is_canonical() && other.is_canonical());
         self.as_bytes() == other.as_bytes()
     }
 }
@@ -262,6 +289,7 @@ impl PartialOrd for Key {
 impl Ord for Key {
     #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        debug_assert!(self.is_canonical() && other.is_canonical());
         self.as_bytes().cmp(other.as_bytes())
     }
 }
@@ -476,6 +504,18 @@ mod tests {
         let rebuilt = Key::from_slice(spilled.as_bytes());
         assert_eq!(spilled, rebuilt);
         assert_eq!(spilled.cmp(&rebuilt), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn inline_window_padding_is_zeroed() {
+        // The decoder hands over raw wire bytes: whatever follows the
+        // digits in the window must not survive into the key.
+        let window = [0xA5u8; KEY_INLINE_CAP];
+        for len in 0..=KEY_INLINE_CAP {
+            let key = Key::from_inline_window(&window, len);
+            assert!(key.is_canonical(), "len {len}");
+            assert_eq!(key, Key::from_slice(&window[..len]));
+        }
     }
 
     #[test]
