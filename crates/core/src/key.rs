@@ -16,6 +16,7 @@
 //!   prefix of two identifiers.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -26,19 +27,128 @@ use std::sync::Arc;
 /// default `peer_id_len` is 16) — stays inline.
 pub const KEY_INLINE_CAP: usize = 23;
 
+/// Bytes of the inline form: the digits plus the length byte.
+const INLINE_BYTES: usize = KEY_INLINE_CAP + 1;
+
+/// The inline form: `KEY_INLINE_CAP` digit bytes, zero-padded, then
+/// the length in the last byte — three 8-byte words. Aligned so each
+/// word is one aligned load.
+#[derive(Clone, Copy)]
+#[repr(align(8))]
+struct Inline([u8; INLINE_BYTES]);
+
+/// The three words of an inline key, read big-endian, so that integer
+/// order on a word is lexicographic order on its eight bytes.
+type Words = [u64; 3];
+
+/// The length byte's place in the last word.
+const LEN_MASK: u64 = 0xFF;
+
+/// `PREFIX_MASK[n]` selects the first `n` digit bytes of [`Words`]
+/// (never the length byte). 32 rows so `n & 31` indexes it unchecked.
+const PREFIX_MASK: [Words; 32] = {
+    let mut table = [[0u64; 3]; 32];
+    let mut n = 0;
+    while n <= KEY_INLINE_CAP {
+        let mut w = 0;
+        while w < 3 {
+            let bytes = if n > 8 * w { n - 8 * w } else { 0 };
+            table[n][w] = if bytes >= 8 {
+                u64::MAX
+            } else {
+                !(u64::MAX >> (8 * bytes))
+            };
+            w += 1;
+        }
+        n += 1;
+    }
+    table
+};
+
+impl Inline {
+    const EMPTY: Inline = Inline([0; INLINE_BYTES]);
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0[KEY_INLINE_CAP] as usize
+    }
+
+    #[inline(always)]
+    fn digits(&self) -> &[u8] {
+        &self.0[..self.len()]
+    }
+
+    #[inline(always)]
+    fn words(&self) -> Words {
+        let (w0, rest) = self.0.split_first_chunk::<8>().expect("24 bytes");
+        let (w1, rest) = rest.split_first_chunk::<8>().expect("16 bytes");
+        let w2: &[u8; 8] = rest.try_into().expect("8 bytes");
+        [
+            u64::from_be_bytes(*w0),
+            u64::from_be_bytes(*w1),
+            u64::from_be_bytes(*w2),
+        ]
+    }
+
+    /// The first `len` bytes of `window` as an inline key; whatever
+    /// follows them in the window is zeroed.
+    #[inline(always)]
+    fn from_window(window: &[u8; KEY_INLINE_CAP], len: usize) -> Inline {
+        assert!(len <= KEY_INLINE_CAP, "inline key of {len} digits");
+        let mut out = Inline::EMPTY;
+        // Fixed trip count: compiles to a vector compare-and-mask.
+        for (i, (dst, &src)) in out.0.iter_mut().zip(window).enumerate() {
+            *dst = if i < len { src } else { 0 };
+        }
+        out.0[KEY_INLINE_CAP] = len as u8;
+        out
+    }
+
+    /// The full digit window, padding included.
+    #[inline(always)]
+    fn window(&self) -> &[u8; KEY_INLINE_CAP] {
+        self.0.first_chunk().expect("24 bytes")
+    }
+
+    /// Index of the first digit position at which the two zero-padded
+    /// windows differ; at least `KEY_INLINE_CAP` when none does.
+    #[inline(always)]
+    fn first_difference(&self, other: &Inline) -> usize {
+        let (a, b) = (self.words(), other.words());
+        let (x0, x1, x2) = (a[0] ^ b[0], a[1] ^ b[1], (a[2] ^ b[2]) & !LEN_MASK);
+        if x0 != 0 {
+            (x0.leading_zeros() / 8) as usize
+        } else if x1 != 0 {
+            8 + (x1.leading_zeros() / 8) as usize
+        } else {
+            16 + (x2.leading_zeros() / 8) as usize
+        }
+    }
+
+    /// True iff the first `self.len()` digit bytes of both windows
+    /// agree. A prefix test still has to compare the lengths: the
+    /// other key's padding matches any trailing `0x00` digits of ours.
+    #[inline(always)]
+    fn window_matches(&self, other: &Inline) -> bool {
+        let (a, b, m) = (self.words(), other.words(), PREFIX_MASK[self.len() & 31]);
+        ((a[0] ^ b[0]) & m[0]) | ((a[1] ^ b[1]) & m[1]) | ((a[2] ^ b[2]) & m[2]) == 0
+    }
+}
+
 /// Storage behind a [`Key`]: inline digits for the common short case,
 /// shared heap spill beyond [`KEY_INLINE_CAP`]. `Arc` (not `Box`) for
 /// the spill so cloning a long key is a reference-count bump, never a
 /// byte copy.
 ///
 /// Invariant (the *canonical form*, checked by [`Key::is_canonical`]):
-/// inline padding is always zero — `buf[len..]` holds only `0x00` —
-/// and a spilled key is always longer than [`KEY_INLINE_CAP`], so a
-/// digit string has exactly one representation. Every constructor
-/// establishes it; the comparison paths rely on it.
+/// inline padding is always zero — the digit bytes past the length
+/// hold only `0x00` — and a spilled key is always longer than
+/// [`KEY_INLINE_CAP`], so a digit string has exactly one
+/// representation. Every constructor establishes it; the word-wise
+/// comparison paths are only correct because of it.
 #[derive(Clone)]
 enum Repr {
-    Inline { len: u8, buf: [u8; KEY_INLINE_CAP] },
+    Inline(Inline),
     Spill(Arc<[u8]>),
 }
 
@@ -48,20 +158,21 @@ enum Repr {
 /// Identifiers up to [`KEY_INLINE_CAP`] digits — every service name and
 /// peer id in the shipped workloads — are stored inline, so cloning
 /// them (the routing hot path does it constantly) is a 32-byte memcpy
-/// with no allocation; longer keys spill to a shared heap buffer whose
-/// clone is a reference-count bump. All comparisons, hashing and
-/// formatting are defined over the digit string alone, so the two
-/// representations are observationally identical.
+/// with no allocation, and comparing two of them is three word
+/// operations (see the module docs); longer keys spill to a shared
+/// heap buffer whose clone is a reference-count bump. All comparisons,
+/// hashing and formatting are defined over the digit string alone, so
+/// the two representations are observationally identical.
 #[derive(Clone)]
 pub struct Key(Repr);
+
+// `results/footprint.csv` and every node's `bytes_estimate` count on it.
+const _: () = assert!(std::mem::size_of::<Key>() == 32);
 
 impl Key {
     /// The empty identifier `ε` (`|ε| = 0`), neutral for concatenation.
     pub fn epsilon() -> Self {
-        Key(Repr::Inline {
-            len: 0,
-            buf: [0; KEY_INLINE_CAP],
-        })
+        Key(Repr::Inline(Inline::EMPTY))
     }
 
     /// Builds a key from raw digit bytes.
@@ -74,12 +185,10 @@ impl Key {
     #[inline]
     pub fn from_slice(b: &[u8]) -> Self {
         if b.len() <= KEY_INLINE_CAP {
-            let mut buf = [0u8; KEY_INLINE_CAP];
-            buf[..b.len()].copy_from_slice(b);
-            Key(Repr::Inline {
-                len: b.len() as u8,
-                buf,
-            })
+            let mut inline = Inline::EMPTY;
+            inline.0[..b.len()].copy_from_slice(b);
+            inline.0[KEY_INLINE_CAP] = b.len() as u8;
+            Key(Repr::Inline(inline))
         } else {
             Key(Repr::Spill(Arc::from(b)))
         }
@@ -96,16 +205,7 @@ impl Key {
     /// Panics when `len > KEY_INLINE_CAP`.
     #[inline]
     pub fn from_inline_window(window: &[u8; KEY_INLINE_CAP], len: usize) -> Key {
-        assert!(len <= KEY_INLINE_CAP, "inline key of {len} digits");
-        let mut buf = [0u8; KEY_INLINE_CAP];
-        // Fixed trip count: compiles to a vector compare-and-mask.
-        for (i, (dst, &src)) in buf.iter_mut().zip(window).enumerate() {
-            *dst = if i < len { src } else { 0 };
-        }
-        Key(Repr::Inline {
-            len: len as u8,
-            buf,
-        })
+        Key(Repr::Inline(Inline::from_window(window, len)))
     }
 
     /// True iff the representation invariant holds: inline padding is
@@ -115,8 +215,8 @@ impl Key {
     /// `debug_assert!` it.
     pub fn is_canonical(&self) -> bool {
         match &self.0 {
-            Repr::Inline { len, buf } => {
-                (*len as usize) <= KEY_INLINE_CAP && buf[*len as usize..].iter().all(|&b| b == 0)
+            Repr::Inline(a) => {
+                a.len() <= KEY_INLINE_CAP && a.window()[a.len()..].iter().all(|&b| b == 0)
             }
             Repr::Spill(a) => a.len() > KEY_INLINE_CAP,
         }
@@ -124,14 +224,14 @@ impl Key {
 
     /// True iff the digits are stored inline (no heap involvement).
     pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline { .. })
+        matches!(self.0, Repr::Inline(_))
     }
 
     /// The underlying digits.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
-            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Inline(a) => a.digits(),
             Repr::Spill(a) => a,
         }
     }
@@ -140,7 +240,7 @@ impl Key {
     #[inline]
     pub fn len(&self) -> usize {
         match &self.0 {
-            Repr::Inline { len, .. } => *len as usize,
+            Repr::Inline(a) => a.len(),
             Repr::Spill(a) => a.len(),
         }
     }
@@ -154,13 +254,11 @@ impl Key {
     pub fn concat(&self, other: &Key) -> Key {
         let (a, b) = (self.as_bytes(), other.as_bytes());
         if a.len() + b.len() <= KEY_INLINE_CAP {
-            let mut buf = [0u8; KEY_INLINE_CAP];
-            buf[..a.len()].copy_from_slice(a);
-            buf[a.len()..a.len() + b.len()].copy_from_slice(b);
-            return Key(Repr::Inline {
-                len: (a.len() + b.len()) as u8,
-                buf,
-            });
+            let mut inline = Inline::EMPTY;
+            inline.0[..a.len()].copy_from_slice(a);
+            inline.0[a.len()..a.len() + b.len()].copy_from_slice(b);
+            inline.0[KEY_INLINE_CAP] = (a.len() + b.len()) as u8;
+            return Key(Repr::Inline(inline));
         }
         let mut v = Vec::with_capacity(a.len() + b.len());
         v.extend_from_slice(a);
@@ -174,21 +272,37 @@ impl Key {
     }
 
     /// The first `n` digits as a new key (`n` capped at `len`).
+    #[inline]
     pub fn truncated(&self, n: usize) -> Key {
-        let b = self.as_bytes();
-        Key::from_slice(&b[..n.min(b.len())])
+        match &self.0 {
+            // Masking the window: no variable-length copy.
+            Repr::Inline(a) => Key(Repr::Inline(Inline::from_window(
+                a.window(),
+                n.min(a.len()),
+            ))),
+            Repr::Spill(a) => Key::from_slice(&a[..n.min(a.len())]),
+        }
     }
 
     /// True iff `self` is a prefix of `other` (possibly equal).
+    #[inline]
     pub fn is_prefix_of(&self, other: &Key) -> bool {
         debug_assert!(self.is_canonical() && other.is_canonical());
-        other.as_bytes().starts_with(self.as_bytes())
+        match (&self.0, &other.0) {
+            (Repr::Inline(a), Repr::Inline(b)) => a.len() <= b.len() && a.window_matches(b),
+            _ => other.as_bytes().starts_with(self.as_bytes()),
+        }
     }
 
     /// True iff `self` is a *proper* prefix of `other`
     /// (prefix and `self != other`).
+    #[inline]
     pub fn is_proper_prefix_of(&self, other: &Key) -> bool {
-        self.len() < other.len() && self.is_prefix_of(other)
+        debug_assert!(self.is_canonical() && other.is_canonical());
+        match (&self.0, &other.0) {
+            (Repr::Inline(a), Repr::Inline(b)) => a.len() < b.len() && a.window_matches(b),
+            _ => self.len() < other.len() && other.as_bytes().starts_with(self.as_bytes()),
+        }
     }
 
     /// The paper's `Prefixes(k)`: all proper prefixes of `k`, from `ε`
@@ -207,12 +321,16 @@ impl Key {
     }
 
     /// Length of the greatest common prefix, `|GCP(self, other)|`,
-    /// without allocating. Compares in 8-byte chunks — `XOR` plus
-    /// `trailing_zeros` locates the first differing digit — so the
-    /// routing hot path (which calls this per child scan) doesn't pay
-    /// a per-byte loop.
+    /// without allocating. Two inline keys: `XOR` the words and count
+    /// the leading zero bytes of the first non-zero one (padding equal
+    /// to a real `0x00` digit is cut off by the shorter length).
+    /// Otherwise the same in 8-byte chunks over the digit slices.
+    #[inline]
     pub fn gcp_len(&self, other: &Key) -> usize {
         debug_assert!(self.is_canonical() && other.is_canonical());
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.0, &other.0) {
+            return a.first_difference(b).min(a.len()).min(b.len());
+        }
         let a = self.as_bytes();
         let b = other.as_bytes();
         let n = a.len().min(b.len());
@@ -273,7 +391,14 @@ impl PartialEq for Key {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
         debug_assert!(self.is_canonical() && other.is_canonical());
-        self.as_bytes() == other.as_bytes()
+        match (&self.0, &other.0) {
+            // The length byte is part of the last word.
+            (Repr::Inline(a), Repr::Inline(b)) => {
+                let (a, b) = (a.words(), b.words());
+                (a[0] ^ b[0]) | (a[1] ^ b[1]) | (a[2] ^ b[2]) == 0
+            }
+            _ => self.as_bytes() == other.as_bytes(),
+        }
     }
 }
 
@@ -281,16 +406,32 @@ impl Eq for Key {}
 
 impl PartialOrd for Key {
     #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Key {
     #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         debug_assert!(self.is_canonical() && other.is_canonical());
-        self.as_bytes().cmp(other.as_bytes())
+        match (&self.0, &other.0) {
+            // Zero-padded big-endian words order like the digit
+            // strings wherever those differ; when all 23 padded digits
+            // agree the shorter key is a prefix of the longer, and the
+            // length byte — lowest in the last word — says which.
+            (Repr::Inline(a), Repr::Inline(b)) => {
+                let (a, b) = (a.words(), b.words());
+                if a[0] != b[0] {
+                    a[0].cmp(&b[0])
+                } else if a[1] != b[1] {
+                    a[1].cmp(&b[1])
+                } else {
+                    a[2].cmp(&b[2])
+                }
+            }
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
     }
 }
 
@@ -358,12 +499,12 @@ impl AsRef<[u8]> for Key {
 /// meets `x` no later than `b` — i.e. `x ∈ (a, b]` circularly. When
 /// `a == b` the interval is the whole ring (every `x` qualifies),
 /// matching the one-peer case where that peer owns everything.
+#[inline]
 pub fn in_ring_interval(x: &Key, a: &Key, b: &Key) -> bool {
-    use std::cmp::Ordering::*;
     match a.cmp(b) {
-        Less => x > a && x <= b,
-        Greater => x > a || x <= b,
-        Equal => true,
+        Ordering::Less => x > a && x <= b,
+        Ordering::Greater => x > a || x <= b,
+        Ordering::Equal => true,
     }
 }
 
@@ -503,7 +644,7 @@ mod tests {
         // Equality and ordering ignore the representation.
         let rebuilt = Key::from_slice(spilled.as_bytes());
         assert_eq!(spilled, rebuilt);
-        assert_eq!(spilled.cmp(&rebuilt), std::cmp::Ordering::Equal);
+        assert_eq!(spilled.cmp(&rebuilt), Ordering::Equal);
     }
 
     #[test]
