@@ -53,9 +53,20 @@ impl Hasher for FxHasher {
         }
         self.0 = (self.0.rotate_left(5) ^ tail).wrapping_mul(FX_SEED);
     }
+    // One round per integer: without these the id-keyed maps (request
+    // ids, response digests) go through `write`'s chunk loop and pay
+    // its tail round on an empty remainder.
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(FX_SEED);
+    }
     #[inline]
     fn write_usize(&mut self, n: usize) {
-        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(FX_SEED);
+        self.write_u64(n as u64);
     }
     #[inline]
     fn finish(&self) -> u64 {

@@ -558,6 +558,13 @@ pub struct Engine {
     /// Reused effect buffers: one dispatch allocates nothing once the
     /// vectors have grown to the workload's high-water mark.
     scratch: Effects,
+    /// Host ids of the up/down visits the running dispatch has
+    /// delivered, entry visit first: while one [`Engine::deliver`]
+    /// chain (or one pump commit) walks a request's whole route this
+    /// is its `host_path` in id space, and [`Engine::assemble_outcome`]
+    /// maps it back instead of re-hashing every path label. Empty
+    /// between dispatches.
+    pub(crate) route_hosts: Vec<u32>,
     /// Whether the transport can lose/duplicate envelopes: gates the
     /// per-response idempotency digest and the per-request retry
     /// snapshot, so reliable (fault-off) runs pay for neither.
@@ -620,6 +627,7 @@ impl Engine {
             next_request: 1,
             root: None,
             scratch: Effects::default(),
+            route_hosts: Vec::new(),
             fault_recovery: false,
             touched: Vec::new(),
             dropped_replicas: Vec::new(),
@@ -712,6 +720,12 @@ impl Engine {
     /// Peer identifiers in ring order.
     pub fn peer_ids(&self) -> Vec<Key> {
         self.members.iter().cloned().collect()
+    }
+
+    /// The `i`-th peer identifier in ring order (`None` past the end):
+    /// a uniform draw over the ring without cloning it.
+    pub fn peer_at(&self, i: usize) -> Option<&Key> {
+        self.members.iter().nth(i)
     }
 
     /// True iff `id` is a live peer.
@@ -1038,7 +1052,7 @@ impl Engine {
                 }
             }
             if shortcut.is_none() && matches!(query, QueryKind::Exact(_)) {
-                self.learn.insert(id, (target, hid));
+                self.learn.insert(id, (target.into_owned(), hid));
             }
         }
         let env = match shortcut {
@@ -1167,12 +1181,24 @@ impl Engine {
         // byte-identical so stability is unobservable.
         results.sort_unstable();
         results.dedup();
-        let mut host_path: Vec<Key> = Vec::with_capacity(agg.best_path.len());
-        host_path.extend(
+        let hashed = || {
             agg.best_path
                 .iter()
-                .filter_map(|l| self.directory.host_of(l).cloned()),
-        );
+                .filter_map(|l| self.directory.host_of(l))
+        };
+        let mut host_path: Vec<Key> = Vec::with_capacity(agg.best_path.len());
+        if self.route_hosts.len() == agg.best_path.len() {
+            // This dispatch walked the whole route and nothing else
+            // ran in between: the hosts resolved per visit still hold.
+            host_path.extend(
+                self.route_hosts
+                    .iter()
+                    .map(|&h| self.directory.key_of(h).clone()),
+            );
+            debug_assert!(host_path.iter().eq(hashed()));
+        } else {
+            host_path.extend(hashed().cloned());
+        }
         let found = !results.is_empty() || satisfied;
         LookupOutcome {
             satisfied,
@@ -1343,6 +1369,7 @@ impl Engine {
             }
         };
         self.scratch = fx;
+        self.route_hosts.clear();
         res
     }
 
@@ -1476,6 +1503,14 @@ impl Engine {
                                 }
                                 discovery::VisitGate::Delivered => {
                                     stats.discovery_messages += 1;
+                                    // Visit number `hops` of a route
+                                    // this dispatch has followed from
+                                    // its entry (a gather branch
+                                    // arrives with an empty path and
+                                    // is alone in its dispatch).
+                                    if hops == self.route_hosts.len() {
+                                        self.route_hosts.push(hid);
+                                    }
                                     if self.tracer.enabled() {
                                         self.tracer.emit(TraceEvent::new(
                                             EventKind::Hop,
@@ -2771,6 +2806,8 @@ mod tests {
         assert_eq!(e.peer_count(), 2);
         assert!(e.contains_peer(&k("P1")));
         assert_eq!(e.peer_ids(), vec![k("P1"), k("P2")]);
+        assert_eq!(e.peer_at(1), Some(&k("P2")));
+        assert_eq!(e.peer_at(2), None);
         let shard = e.remove_member(&k("P1")).expect("shard returned");
         assert_eq!(shard.peer.id, k("P1"));
         assert_eq!(e.peer_count(), 1);

@@ -322,7 +322,19 @@ fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
         let mut deliver = |engine: &mut Engine, dead: &[bool], upto: usize| {
             while let Some(r) = replies.next_if(|r| r.at as usize <= upto) {
                 if !dead[r.from as usize] {
+                    // A report carrying its route hands the engine the
+                    // hosts routing already resolved for it.
+                    let mut cur = r.from as usize;
+                    if r.outcome.path.len() == visits[cur].hops as usize + 1 {
+                        engine.route_hosts.push(visits[cur].host);
+                        for _ in 0..visits[cur].hops {
+                            cur = visits[cur].parent as usize;
+                            engine.route_hosts.push(visits[cur].host);
+                        }
+                        engine.route_hosts.reverse();
+                    }
                     engine.client_response(r.outcome);
+                    engine.route_hosts.clear();
                 }
             }
         };

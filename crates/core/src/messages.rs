@@ -9,6 +9,7 @@
 
 use crate::key::Key;
 use crate::node::NodeState;
+use std::borrow::Cow;
 
 /// Where an envelope is delivered.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -156,12 +157,12 @@ pub enum QueryKind {
 impl QueryKind {
     /// The routing target: the label region the query must reach.
     /// Exact → the key; range → the GCP of the bounds; completion →
-    /// the prefix itself.
-    pub fn target(&self) -> Key {
+    /// the prefix itself. Borrowed from the query wherever it is one
+    /// of its keys — every hop asks, so only a range builds one.
+    pub fn target(&self) -> Cow<'_, Key> {
         match self {
-            QueryKind::Exact(k) => k.clone(),
-            QueryKind::Range(lo, hi) => lo.gcp(hi),
-            QueryKind::Complete(p) => p.clone(),
+            QueryKind::Exact(k) | QueryKind::Complete(k) => Cow::Borrowed(k),
+            QueryKind::Range(lo, hi) => Cow::Owned(lo.gcp(hi)),
         }
     }
 
@@ -395,9 +396,12 @@ mod tests {
 
     #[test]
     fn query_targets() {
-        assert_eq!(QueryKind::Exact(k("DGEMM")).target(), k("DGEMM"));
-        assert_eq!(QueryKind::Range(k("DGEMM"), k("DGEMV")).target(), k("DGEM"));
-        assert_eq!(QueryKind::Complete(k("S3L")).target(), k("S3L"));
+        assert_eq!(*QueryKind::Exact(k("DGEMM")).target(), k("DGEMM"));
+        assert_eq!(
+            *QueryKind::Range(k("DGEMM"), k("DGEMV")).target(),
+            k("DGEM")
+        );
+        assert_eq!(*QueryKind::Complete(k("S3L")).target(), k("S3L"));
     }
 
     #[test]

@@ -32,112 +32,104 @@ pub fn on_discovery(shard: &mut PeerShard, node_label: &Key, msg: DiscoveryMsg, 
     on_discovery_at(node, msg, fx);
 }
 
+/// Where one up/down visit sends the request next. Borrows only the
+/// node, so the decision outlives the target it was taken against.
+enum Route<'a> {
+    /// This node does not cover the target: climb to the father.
+    Up(&'a Key),
+    /// This node's label is the target.
+    Here,
+    /// Stay on the target's path: descend to this child.
+    Down(&'a Key),
+    /// The target's own node does not exist, but this child's whole
+    /// subtree extends the target region.
+    Below(&'a Key),
+    /// Only reachable at the root: the target region starts above the
+    /// whole tree, so the root's subtree is the covered region.
+    Above,
+    /// The target region is disjoint from every registered key: a
+    /// child shares a longer prefix but diverges before the target,
+    /// nothing extends it, or (root case) the labels diverge.
+    Empty,
+}
+
+/// The downward decision at `node` for a query whose routing target is
+/// `target`. The node is only inspected.
+fn route_down<'a>(node: &'a NodeState, target: &Key) -> Route<'a> {
+    if node.label == *target {
+        Route::Here
+    } else if node.label.is_proper_prefix_of(target) {
+        match node.child_extending(target) {
+            Some(q) if q.is_prefix_of(target) => Route::Down(q),
+            Some(q) if target.is_proper_prefix_of(q) => Route::Below(q),
+            _ => Route::Empty,
+        }
+    } else if target.is_proper_prefix_of(&node.label) {
+        Route::Above
+    } else {
+        Route::Empty
+    }
+}
+
 /// The routing core, over a borrowed node state. Split out of
 /// [`on_discovery`] so the capacity-failover path can serve the same
 /// visit from a follower replica copy (`protocol::repair`): routing
 /// only ever *reads* the node, so any up-to-date copy answers alike.
 pub fn on_discovery_at(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
-    // One label per visit, for hop accounting. Gather-phase branch
-    // visits skip it: their envelopes deliberately carry an empty path
-    // (the aggregator counts each partial as one visit via
-    // `len().max(1)`, and a one-label branch path can never beat the
-    // root report's routed path for `best_path`), so pushing into that
-    // empty vector would be the fan-out's only allocation.
-    if !matches!(msg.phase, RoutePhase::Gather) {
-        msg.path.push(node.label.clone());
+    // Gather-phase branch visits push no label: their envelopes
+    // deliberately carry an empty path (the aggregator counts each
+    // partial as one visit via `len().max(1)`, and a one-label branch
+    // path can never beat the root report's routed path for
+    // `best_path`), so pushing into that empty vector would be the
+    // fan-out's only allocation.
+    if matches!(msg.phase, RoutePhase::Gather) {
+        return gather(node, msg, fx);
     }
-    match msg.phase {
-        RoutePhase::Up => {
-            // One target computation serves the whole visit (the
-            // descent reuses it instead of re-deriving it).
-            let target = msg.query.target();
-            match &node.father {
-                // Only the father link of an upward forward is cloned
-                // (inline: a memcpy).
-                Some(f) if !node.label.is_prefix_of(&target) => {
-                    fx.send(Envelope::to_node(f.clone(), NodeMsg::Discovery(msg)));
-                }
-                _ => {
-                    // This node covers the target's region (or is the
-                    // root): switch to the descent.
-                    msg.phase = RoutePhase::Down;
-                    descend(node, msg, target, fx);
-                }
+    // One label per visit, for hop accounting.
+    msg.path.push(node.label.clone());
+    // One target serves the whole visit, borrowed from the query (only
+    // a range computes one); the decision is taken before the message
+    // moves on, so no hop clones it.
+    let route = {
+        let target = msg.query.target();
+        match &node.father {
+            Some(f) if msg.phase == RoutePhase::Up && !node.label.is_prefix_of(&target) => {
+                Route::Up(f)
             }
+            // This node covers the target's region (or is the root),
+            // or the request is already descending.
+            _ => route_down(node, &target),
         }
-        RoutePhase::Down => {
-            let target = msg.query.target();
-            descend(node, msg, target, fx)
+    };
+    let exact = matches!(msg.query, QueryKind::Exact(_));
+    // The single clone below is the label a forwarded envelope must
+    // own (inline: a memcpy).
+    match route {
+        Route::Up(f) => fx.send(Envelope::to_node(f.clone(), NodeMsg::Discovery(msg))),
+        Route::Down(q) => {
+            msg.phase = RoutePhase::Down;
+            fx.send(Envelope::to_node(q.clone(), NodeMsg::Discovery(msg)));
         }
-        RoutePhase::Gather => gather(node, msg, fx),
-    }
-}
-
-/// Downward phase: walk toward the node covering the query target
-/// (`target` is the caller's already-computed [`QueryKind::target`]).
-fn descend(node: &NodeState, mut msg: DiscoveryMsg, target: Key, fx: &mut Effects) {
-    // The node is only inspected; the single clone below is the child
-    // label a forwarded envelope must own.
-    if node.label == target {
-        at_covering_node(node, msg, fx);
-        return;
-    }
-    if node.label.is_proper_prefix_of(&target) {
-        match node.child_extending(&target).cloned() {
-            Some(q) if q.is_prefix_of(&target) => {
-                // Stay on the target's path.
-                msg.phase = RoutePhase::Down;
-                fx.send(Envelope::to_node(q, NodeMsg::Discovery(msg)));
-            }
-            Some(q) if target.is_proper_prefix_of(&q) => {
-                // The target's node does not exist but q's whole
-                // subtree extends the target region.
-                match msg.query {
-                    QueryKind::Exact(_) => finish_exact(msg, false, fx),
-                    _ => {
-                        msg.phase = RoutePhase::Gather;
-                        // The down-phase walk is complete; report it so
-                        // the aggregator owns the full route, and treat
-                        // the forward as one outstanding branch.
-                        let report = DiscoveryOutcome {
-                            request_id: msg.request_id,
-                            satisfied: true,
-                            dropped: false,
-                            results: Vec::new(),
-                            path: std::mem::take(&mut msg.path),
-                            pending_children: 1,
-                        };
-                        fx.send(Envelope::to_client(report.request_id, report));
-                        fx.send(Envelope::to_node(q, NodeMsg::Discovery(msg)));
-                    }
-                }
-            }
-            Some(_) | None => {
-                // Either a child shares a longer prefix but diverges
-                // before the target, or nothing extends it: the target
-                // region is empty.
-                match msg.query {
-                    QueryKind::Exact(_) => finish_exact(msg, false, fx),
-                    _ => finish_empty_region(msg, fx),
-                }
-            }
+        Route::Here => at_covering_node(node, msg, fx),
+        Route::Below(_) | Route::Above | Route::Empty if exact => finish_exact(msg, false, fx),
+        Route::Below(q) => {
+            msg.phase = RoutePhase::Gather;
+            // The down-phase walk is complete; report it so the
+            // aggregator owns the full route, and treat the forward as
+            // one outstanding branch.
+            let report = DiscoveryOutcome {
+                request_id: msg.request_id,
+                satisfied: true,
+                dropped: false,
+                results: Vec::new(),
+                path: std::mem::take(&mut msg.path),
+                pending_children: 1,
+            };
+            fx.send(Envelope::to_client(report.request_id, report));
+            fx.send(Envelope::to_node(q.clone(), NodeMsg::Discovery(msg)));
         }
-        return;
-    }
-    if target.is_proper_prefix_of(&node.label) {
-        // Only reachable at the root: the covering region starts above
-        // the whole tree, so the root's subtree is the covered region.
-        match msg.query {
-            QueryKind::Exact(_) => finish_exact(msg, false, fx),
-            _ => at_covering_node(node, msg, fx),
-        }
-        return;
-    }
-    // Divergence (root case): the target region is disjoint from every
-    // registered key.
-    match msg.query {
-        QueryKind::Exact(_) => finish_exact(msg, false, fx),
-        _ => finish_empty_region(msg, fx),
+        Route::Above => at_covering_node(node, msg, fx),
+        Route::Empty => finish_empty_region(msg, fx),
     }
 }
 
