@@ -244,11 +244,11 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
         // (3) Leaves (graceful; never the last peer).
         let leaves = cfg.churn.leaves(sys.peer_count(), &mut rng);
         for _ in 0..leaves {
-            let ids = sys.peer_ids();
-            if ids.len() <= 1 {
+            let n = sys.peer_count();
+            if n <= 1 {
                 break;
             }
-            let victim = ids[rng.gen_range(0..ids.len())].clone();
+            let victim = sys.peer_at(rng.gen_range(0..n)).expect("in range").clone();
             sys.leave_peer(&victim).expect("victim is live");
         }
 
@@ -258,11 +258,11 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
         let crashes = cfg.churn.crashes(sys.peer_count(), &mut rng);
         let mut crashed = 0u64;
         for _ in 0..crashes {
-            let ids = sys.peer_ids();
-            if ids.len() <= 1 {
+            let n = sys.peer_count();
+            if n <= 1 {
                 break;
             }
-            let victim = ids[rng.gen_range(0..ids.len())].clone();
+            let victim = sys.peer_at(rng.gen_range(0..n)).expect("in range").clone();
             sys.crash_peer(&victim).expect("victim is live");
             crashed += 1;
         }
