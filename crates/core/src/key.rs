@@ -290,7 +290,7 @@ impl Key {
         debug_assert!(self.is_canonical() && other.is_canonical());
         match (&self.0, &other.0) {
             (Repr::Inline(a), Repr::Inline(b)) => a.len() <= b.len() && a.window_matches(b),
-            _ => other.as_bytes().starts_with(self.as_bytes()),
+            _ => spilled::is_prefix(self, other),
         }
     }
 
@@ -301,7 +301,7 @@ impl Key {
         debug_assert!(self.is_canonical() && other.is_canonical());
         match (&self.0, &other.0) {
             (Repr::Inline(a), Repr::Inline(b)) => a.len() < b.len() && a.window_matches(b),
-            _ => self.len() < other.len() && other.as_bytes().starts_with(self.as_bytes()),
+            _ => self.len() < other.len() && spilled::is_prefix(self, other),
         }
     }
 
@@ -331,22 +331,7 @@ impl Key {
         if let (Repr::Inline(a), Repr::Inline(b)) = (&self.0, &other.0) {
             return a.first_difference(b).min(a.len()).min(b.len());
         }
-        let a = self.as_bytes();
-        let b = other.as_bytes();
-        let n = a.len().min(b.len());
-        let mut i = 0;
-        while i + 8 <= n {
-            let x = u64::from_le_bytes(a[i..i + 8].try_into().expect("8-byte window"))
-                ^ u64::from_le_bytes(b[i..i + 8].try_into().expect("8-byte window"));
-            if x != 0 {
-                return i + (x.trailing_zeros() / 8) as usize;
-            }
-            i += 8;
-        }
-        while i < n && a[i] == b[i] {
-            i += 1;
-        }
-        i
+        spilled::gcp_len(self, other)
     }
 
     /// Greatest common prefix of a whole collection (`GCP(w1, w2, …)`).
@@ -381,6 +366,50 @@ impl Key {
     }
 }
 
+/// The comparisons over digit slices, for pairs with a spilled key.
+/// Out of line, so that the word forms above stay small enough to
+/// inline into every map probe and tree walk.
+mod spilled {
+    use super::Key;
+    use std::cmp::Ordering;
+
+    #[cold]
+    pub(super) fn eq(a: &Key, b: &Key) -> bool {
+        a.as_bytes() == b.as_bytes()
+    }
+
+    #[cold]
+    pub(super) fn cmp(a: &Key, b: &Key) -> Ordering {
+        a.as_bytes().cmp(b.as_bytes())
+    }
+
+    #[cold]
+    pub(super) fn is_prefix(a: &Key, b: &Key) -> bool {
+        b.as_bytes().starts_with(a.as_bytes())
+    }
+
+    /// 8-byte chunks: `XOR` plus `trailing_zeros` locates the first
+    /// differing digit.
+    #[cold]
+    pub(super) fn gcp_len(a: &Key, b: &Key) -> usize {
+        let (a, b) = (a.as_bytes(), b.as_bytes());
+        let n = a.len().min(b.len());
+        let mut i = 0;
+        while i + 8 <= n {
+            let x = u64::from_le_bytes(a[i..i + 8].try_into().expect("8-byte window"))
+                ^ u64::from_le_bytes(b[i..i + 8].try_into().expect("8-byte window"));
+            if x != 0 {
+                return i + (x.trailing_zeros() / 8) as usize;
+            }
+            i += 8;
+        }
+        while i < n && a[i] == b[i] {
+            i += 1;
+        }
+        i
+    }
+}
+
 impl Default for Key {
     fn default() -> Self {
         Key::epsilon()
@@ -397,7 +426,7 @@ impl PartialEq for Key {
                 let (a, b) = (a.words(), b.words());
                 (a[0] ^ b[0]) | (a[1] ^ b[1]) | (a[2] ^ b[2]) == 0
             }
-            _ => self.as_bytes() == other.as_bytes(),
+            _ => spilled::eq(self, other),
         }
     }
 }
@@ -430,7 +459,7 @@ impl Ord for Key {
                     a[2].cmp(&b[2])
                 }
             }
-            _ => self.as_bytes().cmp(other.as_bytes()),
+            _ => spilled::cmp(self, other),
         }
     }
 }
