@@ -14,6 +14,47 @@
 //!   prefix of `k` including `ε`;
 //! * [`Key::gcp`] — the paper's `GCP(k1, k2)`, the greatest common
 //!   prefix of two identifiers.
+//!
+//! # Representation: a comparison kernel
+//!
+//! The whole protocol is prefix algebra over identifiers — every tree
+//! walk, map probe and ring test compares two of them — so the
+//! representation is chosen for comparing. A [`Key`] is 32 bytes. Up
+//! to [`KEY_INLINE_CAP`] = 23 digits it is stored *inline* as 24
+//! bytes, 8-aligned:
+//!
+//! ```text
+//! byte   0 ........ 7   8 ....... 15   16 ....... 22   23
+//!        d0 d1 ... d7   d8 ...  d15    d16 ...   d22   len
+//!        └─ word 0 ─┘   └─ word 1 ─┘   └──── word 2 ─────┘
+//! ```
+//!
+//! with the **canonical-padding invariant**: digit bytes at positions
+//! `>= len` are always `0x00` (every constructor guarantees it;
+//! [`Key::is_canonical`] checks it). Reading the three words
+//! big-endian makes integer order on a word equal to lexicographic
+//! order on its bytes, so on two inline keys
+//!
+//! * `Eq` is three word XORs (the length byte rides in word 2);
+//! * `Ord` compares the first differing word. Where the digit strings
+//!   differ inside their common length this is their order; where one
+//!   is a prefix of the other, the longer one's next digit is compared
+//!   against the padding `0x00` and wins unless it is itself `0x00` —
+//!   and then all digit bytes can agree (`"a"` vs `"a\0"`), the words
+//!   tie down to the last byte, and the length there orders the
+//!   shorter key first. So `0x00` digits order correctly without
+//!   being special-cased;
+//! * [`Key::is_prefix_of`] / [`Key::is_proper_prefix_of`] mask the XOR
+//!   to the prefix's length (one table row) and compare the lengths;
+//! * [`Key::gcp_len`] counts the leading zero bytes of the first
+//!   non-zero XOR word, capped by the shorter length;
+//! * [`in_ring_interval`] is three such `Ord`s.
+//!
+//! None of these calls into a library routine or loops. Longer keys
+//! *spill* to a shared `Arc<[u8]>` and every operation involving one
+//! falls back to the digit slices (out of line). A spilled key is
+//! always longer than any inline key, so a digit string has exactly
+//! one representation and the two never compare equal.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -40,9 +81,6 @@ struct Inline([u8; INLINE_BYTES]);
 /// The three words of an inline key, read big-endian, so that integer
 /// order on a word is lexicographic order on its eight bytes.
 type Words = [u64; 3];
-
-/// The length byte's place in the last word.
-const LEN_MASK: u64 = 0xFF;
 
 /// `PREFIX_MASK[n]` selects the first `n` digit bytes of [`Words`]
 /// (never the length byte). 32 rows so `n & 31` indexes it unchecked.
@@ -110,12 +148,14 @@ impl Inline {
         self.0.first_chunk().expect("24 bytes")
     }
 
-    /// Index of the first digit position at which the two zero-padded
-    /// windows differ; at least `KEY_INLINE_CAP` when none does.
+    /// Index of the first byte at which the two forms differ: a digit
+    /// position, `KEY_INLINE_CAP` when only the lengths do, one more
+    /// when nothing does. Never below the common prefix's length, so
+    /// callers cap it by the lengths.
     #[inline(always)]
     fn first_difference(&self, other: &Inline) -> usize {
         let (a, b) = (self.words(), other.words());
-        let (x0, x1, x2) = (a[0] ^ b[0], a[1] ^ b[1], (a[2] ^ b[2]) & !LEN_MASK);
+        let (x0, x1, x2) = (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2]);
         if x0 != 0 {
             (x0.leading_zeros() / 8) as usize
         } else if x1 != 0 {

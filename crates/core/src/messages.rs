@@ -44,6 +44,11 @@ pub struct Envelope {
     pub msg: Message,
 }
 
+// Every hop moves one of these through a queue: growing it is a cost
+// on the whole routing path, so a new variant or field that widens it
+// has to raise this ceiling on purpose.
+const _: () = assert!(std::mem::size_of::<Envelope>() <= 192);
+
 impl Envelope {
     /// Reassembles an envelope from its parts (used by runtimes that
     /// destructure for zero-clone dispatch and must requeue).

@@ -3,12 +3,37 @@
 //! reframing.
 
 use dlpt_core::key::Key;
-use dlpt_core::messages::{Envelope, NodeMsg, NodeSeed, PeerMsg};
+use dlpt_core::messages::{Address, Envelope, Message, NodeMsg, NodeSeed, PeerMsg};
 use dlpt_net::codec::{decode, encode};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Keys over arbitrary bytes, of every length around the inline
+    /// capacity, come back from the wire equal, canonical (the decoder
+    /// builds short keys from a window that reaches into the bytes
+    /// following them) and ordered as they went in.
+    #[test]
+    fn decoded_keys_are_canonical_and_keep_their_order(
+        a in proptest::collection::vec(any::<u8>(), 0..40),
+        b in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let (ka, kb) = (Key::from_slice(&a), Key::from_slice(&b));
+        let env = Envelope::to_node(ka.clone(), NodeMsg::DataInsertion { key: kb.clone() });
+        let back = decode(&encode(&env)).expect("well-formed frame");
+        prop_assert_eq!(&back, &env);
+        let Envelope { to: Address::Node(da), msg: Message::Node(NodeMsg::DataInsertion { key: db }) } = back
+        else {
+            panic!("decoded another message kind");
+        };
+        prop_assert!(da.is_canonical() && db.is_canonical());
+        prop_assert_eq!(da.as_bytes(), &a[..]);
+        prop_assert_eq!(db.as_bytes(), &b[..]);
+        prop_assert_eq!(da.cmp(&db), a.cmp(&b));
+        prop_assert_eq!(da.is_prefix_of(&db), b.starts_with(&a));
+        prop_assert_eq!(da.cmp(&kb), a.cmp(&b));
+    }
 
     /// Arbitrary bytes never panic the decoder.
     #[test]
