@@ -505,11 +505,20 @@ impl Ord for Key {
 }
 
 impl Hash for Key {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Hash exactly like `&[u8]` (and like the previous
-        // `Box<[u8]>`-backed Key), so inline and spilled keys with the
-        // same digits collide as required by `Eq`.
-        self.as_bytes().hash(state)
+        match &self.0 {
+            // The canonical form makes equal keys equal words, length
+            // included; a spilled key is never equal to an inline one,
+            // so the two arms need not agree with each other.
+            Repr::Inline(a) => {
+                let [w0, w1, w2] = a.words();
+                state.write_u64(w0);
+                state.write_u64(w1);
+                state.write_u64(w2);
+            }
+            Repr::Spill(a) => a.hash(state),
+        }
     }
 }
 

@@ -172,8 +172,10 @@ proptest! {
         }
     }
 
-    /// `Ord`/`Eq`/`Hash` agree with the byte-string model across the
-    /// inline/spill boundary, for every way of building the two keys.
+    /// `Ord`/`Eq` agree with the byte-string model across the
+    /// inline/spill boundary, for every way of building the two keys,
+    /// and equal keys hash equal. (A key need not hash like its digit
+    /// slice: nothing looks a `Key` map up by `&[u8]`.)
     #[test]
     fn ord_eq_hash_match_model((a, b) in pair(), seed in any::<usize>()) {
         for ka in &builds(&a, seed) {
@@ -186,9 +188,6 @@ proptest! {
                 }
             }
         }
-        // Keys hash exactly like their digit slices, so inline and
-        // spilled keys with equal digits always collide.
-        prop_assert_eq!(hash_of(&Key::from_slice(&a)), hash_of(&a.as_slice()));
     }
 
     /// The prefix algebra (`gcp`, `gcp_len`, `is_prefix_of`,
