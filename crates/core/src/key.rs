@@ -90,7 +90,7 @@ const PREFIX_MASK: [Words; 32] = {
     while n <= KEY_INLINE_CAP {
         let mut w = 0;
         while w < 3 {
-            let bytes = if n > 8 * w { n - 8 * w } else { 0 };
+            let bytes = n.saturating_sub(8 * w);
             table[n][w] = if bytes >= 8 {
                 u64::MAX
             } else {

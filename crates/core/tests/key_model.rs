@@ -112,7 +112,7 @@ fn model_in_ring(x: &[u8], a: &[u8], b: &[u8]) -> bool {
 /// The key with digits `v`, built through every constructor that can
 /// produce it; `seed` varies the split points.
 fn builds(v: &[u8], seed: usize) -> Vec<Key> {
-    let mut out = vec![Key::from_slice(v), Key::from_bytes(v.to_vec())];
+    let mut out = vec![Key::from_slice(v), Key::from_bytes(v), Key::from(v)];
     // concat of two parts
     let mid = seed % (v.len() + 1);
     out.push(Key::from_slice(&v[..mid]).concat(&Key::from_slice(&v[mid..])));
