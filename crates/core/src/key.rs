@@ -128,6 +128,16 @@ impl Inline {
         ]
     }
 
+    /// The digits `ab`, at most `KEY_INLINE_CAP` of them.
+    #[inline(always)]
+    fn concat(a: &[u8], b: &[u8]) -> Inline {
+        let mut out = Inline::EMPTY;
+        out.0[..a.len()].copy_from_slice(a);
+        out.0[a.len()..a.len() + b.len()].copy_from_slice(b);
+        out.0[KEY_INLINE_CAP] = (a.len() + b.len()) as u8;
+        out
+    }
+
     /// The first `len` bytes of `window` as an inline key; whatever
     /// follows them in the window is zeroed.
     #[inline(always)]
@@ -225,10 +235,7 @@ impl Key {
     #[inline]
     pub fn from_slice(b: &[u8]) -> Self {
         if b.len() <= KEY_INLINE_CAP {
-            let mut inline = Inline::EMPTY;
-            inline.0[..b.len()].copy_from_slice(b);
-            inline.0[KEY_INLINE_CAP] = b.len() as u8;
-            Key(Repr::Inline(inline))
+            Key(Repr::Inline(Inline::concat(b, &[])))
         } else {
             Key(Repr::Spill(Arc::from(b)))
         }
@@ -294,11 +301,7 @@ impl Key {
     pub fn concat(&self, other: &Key) -> Key {
         let (a, b) = (self.as_bytes(), other.as_bytes());
         if a.len() + b.len() <= KEY_INLINE_CAP {
-            let mut inline = Inline::EMPTY;
-            inline.0[..a.len()].copy_from_slice(a);
-            inline.0[a.len()..a.len() + b.len()].copy_from_slice(b);
-            inline.0[KEY_INLINE_CAP] = (a.len() + b.len()) as u8;
-            return Key(Repr::Inline(inline));
+            return Key(Repr::Inline(Inline::concat(a, b)));
         }
         let mut v = Vec::with_capacity(a.len() + b.len());
         v.extend_from_slice(a);
@@ -579,10 +582,11 @@ impl AsRef<[u8]> for Key {
 /// matching the one-peer case where that peer owns everything.
 #[inline]
 pub fn in_ring_interval(x: &Key, a: &Key, b: &Key) -> bool {
+    use std::cmp::Ordering::*;
     match a.cmp(b) {
-        Ordering::Less => x > a && x <= b,
-        Ordering::Greater => x > a || x <= b,
-        Ordering::Equal => true,
+        Less => x > a && x <= b,
+        Greater => x > a || x <= b,
+        Equal => true,
     }
 }
 

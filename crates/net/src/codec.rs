@@ -792,23 +792,4 @@ mod tests {
         );
         assert_eq!(decode(&encode(&env)).unwrap(), env);
     }
-
-    #[test]
-    fn decoded_short_keys_carry_no_wire_bytes_in_their_padding() {
-        // The address key's full-width window reaches into the bytes
-        // of the message that follows it on the wire.
-        let env = Envelope::to_node(
-            k("ab"),
-            NodeMsg::DataInsertion {
-                key: k("S3L_set_array_element"),
-            },
-        );
-        let Envelope { to, msg } = decode(&encode(&env)).unwrap();
-        let (Address::Node(label), Message::Node(NodeMsg::DataInsertion { key })) = (to, msg)
-        else {
-            panic!("decoded another message kind");
-        };
-        assert!(label.is_inline() && label.is_canonical());
-        assert!(key.is_inline() && key.is_canonical());
-    }
 }
