@@ -1,42 +1,50 @@
 #![forbid(unsafe_code)]
-//! # dlpt-bench — shared harness code for the reproduction binaries
-//! and criterion benches.
+//! # dlpt-bench — shared harness code for the reproduction binaries.
 //!
 //! Each figure/table of the paper has a binary in `src/bin/` that runs
 //! the full-scale experiment (`cargo run --release --bin fig4`), emits
-//! the series as CSV under `results/` and renders an ASCII chart; the
-//! criterion benches in `benches/` run scaled-down versions so
-//! `cargo bench` both times the machinery and re-checks the paper's
-//! orderings.
+//! the series as CSV under `results/` and renders an ASCII chart.
+//! Timing lives in the repo benchmark (`benchmark/`), not here.
 
 use dlpt_sim::config::ExperimentConfig;
 use dlpt_sim::report::{ascii_chart, results_dir, write_csv};
 use dlpt_sim::runner::{run_experiment, AveragedSeries};
 
-/// Scale factor parsed from `--scale N` (default 1 = paper scale).
-pub fn scale_from_args() -> usize {
+/// The value following the flag `name` on the command line, `None`
+/// when the flag is absent. A flag without a value is a usage error.
+fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--scale" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
+        if a == name {
+            return Some(args.next().unwrap_or_else(|| usage_exit(name, "")));
         }
     }
-    1
+    None
+}
+
+/// [`arg_value`] parsed as `T`; an unparsable value is a usage error,
+/// never a silent fall-back to the default.
+fn parsed_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
+    arg_value(name).map(|v| v.parse().unwrap_or_else(|_| usage_exit(name, &v)))
+}
+
+fn usage_exit(name: &str, value: &str) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    eprintln!("{bin}: bad value {value:?} for {name}");
+    eprintln!("usage: {bin} [--scale N] [--crash-rate X] [--trace PATH] [--health PATH]");
+    std::process::exit(2);
+}
+
+/// Scale factor parsed from `--scale N` (default 1 = paper scale).
+pub fn scale_from_args() -> usize {
+    parsed_arg::<usize>("--scale").map_or(1, |n| n.max(1))
 }
 
 /// Optional trace output path parsed from `--trace PATH`. `None` when
 /// absent — tracing stays off and the run is byte-identical to an
 /// untraced one.
 pub fn trace_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
+    arg_value("--trace").map(std::path::PathBuf::from)
 }
 
 /// Writes a drained trace as deterministic JSONL at `path` plus a
@@ -60,13 +68,7 @@ pub fn write_trace_files(
 /// `None` when absent — the observatory stays off and the run is
 /// byte-identical to an unobserved one.
 pub fn health_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--health" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
+    arg_value("--health").map(std::path::PathBuf::from)
 }
 
 /// Writes the accumulated health JSONL time series (one
@@ -100,13 +102,7 @@ pub fn write_health_files(
 /// crashing non-gracefully per unit). `None` when absent, so figures
 /// keep their paper-faithful crash-free churn by default.
 pub fn crash_rate_from_args() -> Option<f64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--crash-rate" {
-            return args.next().and_then(|v| v.parse::<f64>().ok());
-        }
-    }
-    None
+    parsed_arg("--crash-rate")
 }
 
 /// Applies an optional `--crash-rate` override to every curve.

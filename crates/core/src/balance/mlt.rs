@@ -23,6 +23,7 @@
 
 use super::{random_peer_id, LoadBalancer};
 use crate::key::Key;
+use crate::obs::health::AuditCheck;
 use crate::system::DlptSystem;
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -231,7 +232,13 @@ pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
     if new_p_id != p_id {
         sys.rename_peer(&p_id, new_p_id).expect("fresh id checked");
     }
-    debug_assert!(sys.check_mapping().is_ok(), "MLT must preserve the mapping");
+    // Only the class a boundary move is answerable for: the overlay may
+    // be mid-recovery in others (a crash leaves follower records stale
+    // until the next anti-entropy pass).
+    debug_assert!(
+        !sys.audit().iter().any(|v| v.check == AuditCheck::Mapping),
+        "MLT must preserve the mapping"
+    );
     true
 }
 
@@ -324,8 +331,7 @@ mod tests {
         sys.end_time_unit();
         let moved = rebalance_pair(&mut sys, &k("Z000"));
         assert!(moved, "boundary must move toward the strong peer");
-        sys.check_mapping().unwrap();
-        sys.check_ring().unwrap();
+        sys.assert_clean();
         // The strong peer now runs nodes.
         let strong_nodes = sys.shard(&k("Z000")).unwrap().node_count();
         assert!(strong_nodes > 0, "strong peer should host nodes now");
@@ -364,9 +370,7 @@ mod tests {
             }
             sys.end_time_unit();
             lb.before_unit(&mut sys, &mut rng);
-            sys.check_mapping().unwrap();
-            sys.check_ring().unwrap();
-            sys.check_tree().unwrap();
+            sys.assert_clean();
         }
     }
 }

@@ -36,6 +36,6 @@ mod tests {
         let id = lb.choose_join_id(&sys, &mut rng, 10);
         assert!(sys.shard(&id).is_none());
         sys.add_peer_with_id(id, 10).unwrap();
-        sys.check_ring().unwrap();
+        sys.assert_clean();
     }
 }

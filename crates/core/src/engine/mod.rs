@@ -34,6 +34,8 @@
 //! when responses can arrive out of order).
 
 #[cfg(test)]
+mod audit_corruption;
+#[cfg(test)]
 mod inline_invalidation;
 pub mod parallel;
 #[cfg(test)]
@@ -48,7 +50,6 @@ use crate::cache::{self, CacheStats, RouteCache};
 use crate::directory::{Directory, FxHashMap, FxHashSet};
 use crate::error::{DlptError, Result};
 use crate::key::Key;
-use crate::mapping::MappingViolation;
 use crate::messages::{
     Address, DiscoveryMsg, DiscoveryOutcome, Envelope, JoinPhase, Message, NodeMsg, NodeSeed,
     PeerMsg, QueryKind,
@@ -62,7 +63,7 @@ use crate::obs::{EventKind, MetricsRegistry, TraceEvent, TraceRing, Tracer};
 use crate::peer::PeerShard;
 use crate::protocol::{self, discovery, maintenance, repair, Effects};
 use crate::replication::ReplicationStats;
-use crate::trie::{PgcpTrie, TrieViolation};
+use crate::trie::PgcpTrie;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -71,7 +72,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 ///
 /// Implementations queue envelopes for later processing — immediate
 /// FIFO, a latency-sampling event queue or encoded frames over
-/// crossbeam channels. A transport never interprets an envelope: all
+/// per-peer channels. A transport never interprets an envelope: all
 /// protocol behaviour stays in the engine, which is what keeps the
 /// three runtimes equivalent.
 pub trait Transport {
@@ -1900,170 +1901,6 @@ impl Engine {
         Ok(lost)
     }
 
-    // ------------------------------------------------------------------
-    // Validation against the paper's invariants (local shards)
-    // ------------------------------------------------------------------
-
-    /// Test-only: verifies the peer slab's internal consistency — the
-    /// id→slot index, the occupied slots and the free list partition
-    /// the slab exactly, and every live slot's key interns back to the
-    /// id that maps to it (the no-aliasing property id reuse after a
-    /// rename depends on).
-    #[cfg(test)]
-    pub(crate) fn check_slab(&self) -> std::result::Result<(), String> {
-        use std::collections::HashSet;
-        let slab = &self.peers;
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut live = 0usize;
-        for (pid, &s) in slab.by_id.iter().enumerate() {
-            if s == SLOT_NONE {
-                continue;
-            }
-            live += 1;
-            let slot = slab
-                .slots
-                .get(s as usize)
-                .and_then(|o| o.as_ref())
-                .ok_or_else(|| format!("peer id {pid} maps to empty slot {s}"))?;
-            if !seen.insert(s) {
-                return Err(format!("slot {s} is referenced by two peer ids"));
-            }
-            match self.directory.id_of(&slot.key) {
-                Some(id) if id as usize == pid => {}
-                other => {
-                    return Err(format!(
-                        "slot {s} holds key {} which interns to {other:?}, \
-                         but is indexed under peer id {pid}",
-                        slot.key
-                    ));
-                }
-            }
-        }
-        let mut freed: HashSet<u32> = HashSet::new();
-        for &f in &slab.free {
-            if !freed.insert(f) {
-                return Err(format!("slot {f} appears twice on the free list"));
-            }
-            if seen.contains(&f) {
-                return Err(format!("slot {f} is both live and on the free list"));
-            }
-            if slab.slots.get(f as usize).is_none_or(|o| o.is_some()) {
-                return Err(format!("free slot {f} still holds a peer"));
-            }
-        }
-        if live + slab.free.len() != slab.slots.len() {
-            return Err(format!(
-                "slab leak: {live} live + {} free != {} slots",
-                slab.free.len(),
-                slab.slots.len()
-            ));
-        }
-        // Every live node label must resolve to a peer with a slot.
-        for (label, host) in self.directory.iter() {
-            let hid = self
-                .directory
-                .id_of(host)
-                .ok_or_else(|| format!("host {host} of {label} never interned"))?;
-            if !slab.contains(hid) {
-                return Err(format!("host {host} of {label} has no slab slot"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Verifies `host(n) = min {P : P >= n}` for every node.
-    pub fn check_mapping(&self) -> std::result::Result<(), MappingViolation> {
-        for (label, actual) in self.directory.iter() {
-            let expected = self.host_peer(label).expect("ring non-empty");
-            if actual != expected {
-                return Err(MappingViolation::WrongHost {
-                    node: label.clone(),
-                    actual: actual.clone(),
-                    expected: expected.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Verifies that every peer's pred/succ links agree with the ring
-    /// order of identifiers.
-    pub fn check_ring(&self) -> std::result::Result<(), MappingViolation> {
-        for (id, shard) in self.shards() {
-            let want_pred = self.ring_pred(id).expect("non-empty");
-            let want_succ = self.ring_succ(id).expect("non-empty");
-            if &shard.peer.pred != want_pred {
-                return Err(MappingViolation::BrokenRingLink {
-                    peer: id.clone(),
-                    detail: format!("pred is {}, ring order says {}", shard.peer.pred, want_pred),
-                });
-            }
-            if &shard.peer.succ != want_succ {
-                return Err(MappingViolation::BrokenRingLink {
-                    peer: id.clone(),
-                    detail: format!("succ is {}, ring order says {}", shard.peer.succ, want_succ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Verifies Definition 1 over the distributed tree: bidirectional
-    /// father/child links and pairwise-GCP labels.
-    pub fn check_tree(&self) -> std::result::Result<(), TrieViolation> {
-        for shard in self.local_shards() {
-            for node in shard.nodes.values() {
-                for d in &node.data {
-                    if d != &node.label {
-                        return Err(TrieViolation::DataLabelMismatch {
-                            node: node.label.clone(),
-                            data: d.clone(),
-                        });
-                    }
-                }
-                if let Some(f) = &node.father {
-                    let father = self
-                        .node(f)
-                        .ok_or_else(|| TrieViolation::BrokenParentLink {
-                            node: node.label.clone(),
-                        })?;
-                    if !father.children.contains(&node.label) {
-                        return Err(TrieViolation::BrokenParentLink {
-                            node: node.label.clone(),
-                        });
-                    }
-                }
-                let children: Vec<&Key> = node.children.iter().collect();
-                for c in &children {
-                    let child = self
-                        .node(c)
-                        .ok_or_else(|| TrieViolation::BrokenParentLink { node: (*c).clone() })?;
-                    if child.father.as_ref() != Some(&node.label) {
-                        return Err(TrieViolation::BrokenParentLink { node: (*c).clone() });
-                    }
-                    if !node.label.is_proper_prefix_of(c) {
-                        return Err(TrieViolation::ChildNotExtension {
-                            parent: node.label.clone(),
-                            child: (*c).clone(),
-                        });
-                    }
-                }
-                for (i, a) in children.iter().enumerate() {
-                    for b in &children[i + 1..] {
-                        if a.gcp_len(b) != node.label.len() {
-                            return Err(TrieViolation::PairGcpMismatch {
-                                parent: node.label.clone(),
-                                a: (*a).clone(),
-                                b: (*b).clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Builds the sequential oracle for the currently registered keys.
     /// A correct overlay has exactly the oracle's node labels.
     pub fn oracle(&self) -> PgcpTrie {
@@ -2118,8 +1955,8 @@ impl Engine {
         }
 
         // Slab integrity: id↔slot bijection, free-list partition, and
-        // key↔id agreement (the runtime twin of the test-only
-        // `check_slab`).
+        // key↔id agreement (the no-aliasing property id reuse after a
+        // rename depends on).
         let slab = &self.peers;
         let mut slot_owner: Vec<Option<u32>> = vec![None; slab.slots.len()];
         let mut live = 0usize;
@@ -2155,11 +1992,17 @@ impl Engine {
                 }
             }
         }
+        let mut freed = vec![false; slab.slots.len()];
         for &f in &slab.free {
             if slab.slots.get(f as usize).is_none_or(|o| o.is_some()) {
                 push(
                     AuditCheck::Slab,
                     format!("free slot {f} still holds a peer"),
+                );
+            } else if std::mem::replace(&mut freed[f as usize], true) {
+                push(
+                    AuditCheck::Slab,
+                    format!("slot {f} appears twice on the free list"),
                 );
             }
         }
@@ -2212,24 +2055,16 @@ impl Engine {
 
         // Ring links over locally hosted shards.
         for (id, shard) in self.shards() {
-            let (want_pred, want_succ) = (self.ring_pred(id), self.ring_succ(id));
-            if want_pred != Some(&shard.peer.pred) {
-                push(
-                    AuditCheck::Ring,
-                    format!(
-                        "{id}: pred is {}, ring order says {want_pred:?}",
-                        shard.peer.pred
-                    ),
-                );
-            }
-            if want_succ != Some(&shard.peer.succ) {
-                push(
-                    AuditCheck::Ring,
-                    format!(
-                        "{id}: succ is {}, ring order says {want_succ:?}",
-                        shard.peer.succ
-                    ),
-                );
+            for (link, have, want) in [
+                ("pred", &shard.peer.pred, self.ring_pred(id)),
+                ("succ", &shard.peer.succ, self.ring_succ(id)),
+            ] {
+                if want != Some(have) {
+                    push(
+                        AuditCheck::Ring,
+                        format!("{id}: {link} is {have}, ring order says {want:?}"),
+                    );
+                }
             }
         }
 
@@ -2273,6 +2108,20 @@ impl Engine {
                         push(
                             AuditCheck::Trie,
                             format!("{}: child {c} is not a proper extension", node.label),
+                        );
+                    }
+                }
+                // Siblings share exactly the parent label. Children are
+                // sorted, so a longer shared prefix anywhere shows up
+                // between some adjacent pair.
+                for (a, b) in node.children.iter().zip(node.children.iter().skip(1)) {
+                    if a.gcp_len(b) != node.label.len() {
+                        push(
+                            AuditCheck::Trie,
+                            format!(
+                                "{}: children {a} and {b} share a prefix other than it",
+                                node.label
+                            ),
                         );
                     }
                 }
@@ -2338,6 +2187,16 @@ impl Engine {
         }
 
         out
+    }
+
+    /// Panics, listing every [`Violation`], unless [`Engine::audit`]
+    /// comes back empty — the one assertion tests and examples make
+    /// about a quiescent overlay.
+    #[track_caller]
+    pub fn assert_clean(&self) {
+        let found = self.audit();
+        let lines: Vec<String> = found.iter().map(|v| format!("  {v}")).collect();
+        assert!(found.is_empty(), "audit found:\n{}", lines.join("\n"));
     }
 
     /// Estimated resident bytes of every engine component — the

@@ -8,12 +8,13 @@
 //!   partition the slab; no id aliases a recycled slot), and
 //! * the paper's ring invariant plus lookup correctness.
 //!
-//! This lives inside the engine module (not `tests/`) because the
-//! free-list invariants are about private state — `Engine::check_slab`
-//! inspects the slab directly.
+//! All three are sections of `Engine::audit`; this lives inside the
+//! engine module (not `tests/`) for `engine_ref` and the key pool the
+//! sibling test modules share.
 
 use crate::alphabet::Alphabet;
 use crate::key::Key;
+use crate::obs::health::AuditCheck;
 use crate::system::DlptSystem;
 use proptest::prelude::*;
 
@@ -61,25 +62,15 @@ pub(super) fn key_pool() -> Vec<Key> {
     pool
 }
 
-/// Every id ever interned still round-trips: `id_of(key_of(id)) == id`.
-fn assert_bijection(sys: &DlptSystem) {
-    let d = sys.engine_ref().directory();
-    for id in 0..d.interned_len() as u32 {
-        assert_eq!(
-            d.id_of(d.key_of(id)),
-            Some(id),
-            "intern round-trip broke for id {id}"
-        );
-    }
-}
-
-fn assert_slab_and_ring(sys: &DlptSystem) {
-    if let Err(msg) = sys.engine_ref().check_slab() {
-        panic!("slab violation: {msg}");
-    }
-    if let Err(v) = sys.engine_ref().check_ring() {
-        panic!("ring violation: {v:?}");
-    }
+/// `audit()` — interner round-trip, slab, ring, trie, caches — minus
+/// the two classes a step may legally leave open: `migrate_node` moves
+/// a node off its canonical host (the balancer would resolve it), and
+/// a crash leaves the victim in follower records until the next
+/// anti-entropy pass.
+fn assert_clean_mid_churn(sys: &DlptSystem) {
+    let mut found = sys.engine_ref().audit();
+    found.retain(|v| !matches!(v.check, AuditCheck::Mapping | AuditCheck::Replication));
+    assert!(found.is_empty(), "audit violations: {found:?}");
 }
 
 proptest! {
@@ -107,8 +98,7 @@ proptest! {
         // Seed one registration so lookups always have a tree to walk.
         sys.insert_data(pool[0].clone()).expect("seed registration");
         model.push(pool[0].clone());
-        assert_bijection(&sys);
-        assert_slab_and_ring(&sys);
+        assert_clean_mid_churn(&sys);
 
         for op in ops {
             match op {
@@ -185,12 +175,7 @@ proptest! {
                     }
                 }
             }
-            // The canonical `host(n) = min {P >= n}` mapping is
-            // deliberately not asserted: `migrate_node` leaves a legal
-            // transient the balancer would resolve. The bijection, the
-            // slab and routing behaviour must hold regardless.
-            assert_bijection(&sys);
-            assert_slab_and_ring(&sys);
+            assert_clean_mid_churn(&sys);
             let probes: Vec<Key> = model.iter().take(3).cloned().collect();
             for k in &probes {
                 prop_assert!(

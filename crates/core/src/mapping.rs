@@ -63,43 +63,6 @@ pub fn succ_of<'a>(peers: &'a BTreeSet<Key>, id: &Key) -> Option<&'a Key> {
         .or_else(|| peers.iter().next())
 }
 
-/// A violated mapping expectation, reported by validators in
-/// [`crate::system::DlptSystem`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MappingViolation {
-    /// Node `n` lives on `actual` but the rule demands `expected`.
-    WrongHost {
-        /// The node's label.
-        node: Key,
-        /// Peer currently hosting it.
-        actual: Key,
-        /// Peer the successor rule demands.
-        expected: Key,
-    },
-    /// A peer's `pred`/`succ` pointer disagrees with the ring order.
-    BrokenRingLink {
-        /// The peer with the bad pointer.
-        peer: Key,
-        /// Description of the bad link.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for MappingViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MappingViolation::WrongHost {
-                node,
-                actual,
-                expected,
-            } => write!(f, "node {node} hosted on {actual}, rule demands {expected}"),
-            MappingViolation::BrokenRingLink { peer, detail } => {
-                write!(f, "ring link broken at {peer}: {detail}")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

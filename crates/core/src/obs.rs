@@ -398,8 +398,8 @@ impl Histogram {
 }
 
 /// Per-engine registry of request-shape histograms. Preallocated at
-/// engine construction (~16 KiB), recorded into at request
-/// finalisation, and read back by `perf`'s percentile rows.
+/// engine construction (~16 KiB) and recorded into at request
+/// finalisation; read through [`crate::engine::Engine::metrics`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     /// Logical hops of the winning path per finished request.

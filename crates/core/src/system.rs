@@ -923,7 +923,7 @@ mod tests {
     fn bootstrap_builds_consistent_ring() {
         let sys = small_system(10);
         assert_eq!(sys.peer_count(), 10);
-        sys.check_ring().unwrap();
+        sys.assert_clean();
     }
 
     #[test]
@@ -931,8 +931,7 @@ mod tests {
         let sys = binary_system(4, 7);
         let oracle = sys.oracle();
         assert_eq!(sys.node_labels(), oracle.labels());
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
+        sys.assert_clean();
     }
 
     #[test]
@@ -943,8 +942,7 @@ mod tests {
         for seed in 2..10 {
             let sys = binary_system(4, seed);
             assert_eq!(sys.node_labels(), reference, "seed {seed}");
-            sys.check_tree().unwrap();
-            sys.check_mapping().unwrap();
+            sys.assert_clean();
         }
     }
 
@@ -979,9 +977,7 @@ mod tests {
         for _ in 0..5 {
             sys.add_peer(100).unwrap();
         }
-        sys.check_ring().unwrap();
-        sys.check_mapping().unwrap();
-        sys.check_tree().unwrap();
+        sys.assert_clean();
         assert_eq!(sys.peer_count(), 8);
     }
 
@@ -991,9 +987,7 @@ mod tests {
         let victims: Vec<Key> = sys.peer_ids().into_iter().take(3).collect();
         for v in victims {
             sys.leave_peer(&v).unwrap();
-            sys.check_ring().unwrap();
-            sys.check_mapping().unwrap();
-            sys.check_tree().unwrap();
+            sys.assert_clean();
         }
         assert_eq!(sys.peer_count(), 3);
         let mut sys2 = sys;
@@ -1019,8 +1013,7 @@ mod tests {
             }
         }
         assert_eq!(sys.node_labels(), labels);
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
+        sys.assert_clean();
         // No node may ever be its own father.
         for l in sys.node_labels() {
             let node = sys.node(&l).unwrap();
@@ -1035,8 +1028,7 @@ mod tests {
         // oracle built from the remaining two.
         sys.remove_data(&k("10101")).unwrap();
         sys.remove_data(&k("101111")).unwrap();
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
+        sys.assert_clean();
         assert_eq!(sys.node_labels(), sys.oracle().labels());
         assert!(!sys.lookup(&k("10101")).found);
         assert!(sys.lookup(&k("10111")).satisfied);
@@ -1076,8 +1068,7 @@ mod tests {
                     live.remove(n);
                 }
             }
-            sys.check_tree().unwrap();
-            sys.check_mapping().unwrap();
+            sys.assert_clean();
             let mut oracle = PgcpTrie::new();
             for n in &live {
                 oracle.insert(n.clone());
@@ -1092,8 +1083,7 @@ mod tests {
         for name in ["DGEMM", "DGEMV", "DTRSM", "S3L_mat_mult", "PSGESV"] {
             sys.insert_data(k(name)).unwrap();
         }
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
+        sys.assert_clean();
         assert_eq!(sys.node_labels(), sys.oracle().labels());
         let out = sys.complete(&k("DGE"));
         assert_eq!(out.results, vec![k("DGEMM"), k("DGEMV")]);
@@ -1162,8 +1152,7 @@ mod tests {
         if let Some(node_label) = shard.nodes.keys().next_back().cloned() {
             sys.rename_peer(&victim, node_label.clone()).unwrap();
             assert!(sys.shard(&node_label).is_some());
-            sys.check_ring().unwrap();
-            sys.check_mapping().unwrap();
+            sys.assert_clean();
         }
     }
 
@@ -1179,8 +1168,7 @@ mod tests {
         let lost = sys.crash_peer(&victim).unwrap();
         assert!(!lost.is_empty());
         sys.repair_tree();
-        sys.check_tree().unwrap();
-        sys.check_ring().unwrap();
+        sys.assert_clean();
         // Lost keys can be re-registered and found again.
         let mut sys2 = sys;
         for l in &lost {
@@ -1188,7 +1176,7 @@ mod tests {
             // reappear on their own as needed).
             sys2.insert_data(l.clone()).unwrap();
         }
-        sys2.check_tree().unwrap();
+        sys2.assert_clean();
         for s in PAPER_KEYS {
             assert!(sys2.lookup(&k(s)).satisfied, "{s}");
         }
@@ -1314,8 +1302,7 @@ mod tests {
     fn eager_replication_satisfies_invariant_without_anti_entropy() {
         let sys = replicated_system(6, 2, 71);
         sys.check_replication().unwrap();
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
+        sys.assert_clean();
         for label in sys.node_labels() {
             let hosts = sys.replica_hosts(&label);
             assert_eq!(hosts.len(), 2, "{label}: {hosts:?}");
@@ -1362,9 +1349,7 @@ mod tests {
         assert!(lost.is_empty(), "every node had a follower: {lost:?}");
         assert!(sys.repl_stats.promotions > 0);
         sys.repair_tree();
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
-        sys.check_ring().unwrap();
+        sys.assert_clean();
         for key in &keys {
             assert!(sys.lookup(key).satisfied, "{key}");
         }
@@ -1443,8 +1428,7 @@ mod tests {
         sys.leave_peer(&victim).unwrap();
         sys.anti_entropy().unwrap();
         sys.check_replication().unwrap();
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
+        sys.assert_clean();
     }
 
     fn cached_system(peers: usize, capacity: usize, seed: u64) -> DlptSystem {
@@ -1627,8 +1611,7 @@ mod tests {
             sys.insert_data(k(n)).unwrap();
         }
         assert_eq!(sys.node_labels(), sys.oracle().labels());
-        sys.check_tree().unwrap();
-        sys.check_mapping().unwrap();
+        sys.assert_clean();
         for n in &names {
             assert!(sys.lookup(&k(n)).satisfied, "{n}");
         }

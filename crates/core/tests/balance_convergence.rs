@@ -47,8 +47,7 @@ fn repeated_rebalancing_reaches_a_fixpoint() {
                 moved |= rebalance_pair(&mut sys, &id);
             }
         }
-        sys.check_mapping().unwrap();
-        sys.check_ring().unwrap();
+        sys.assert_clean();
         rounds += 1;
         if !moved {
             break;
@@ -62,7 +61,7 @@ fn repeated_rebalancing_reaches_a_fixpoint() {
     for id in sys.peer_ids() {
         assert!(!rebalance_pair(&mut sys, &id), "fixpoint must be stable");
     }
-    sys.check_tree().unwrap();
+    sys.assert_clean();
 }
 
 #[test]
@@ -96,7 +95,7 @@ fn fixpoint_throughput_dominates_initial_placement() {
         after >= before,
         "rebalancing must not lose hypothetical throughput ({before} -> {after})"
     );
-    sys.check_mapping().unwrap();
+    sys.assert_clean();
 }
 
 #[test]

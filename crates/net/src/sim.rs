@@ -379,8 +379,7 @@ mod tests {
                 oracle.labels(),
                 "seed {seed}: async construction must match the oracle"
             );
-            net.check_tree().unwrap();
-            net.check_mapping().unwrap();
+            net.assert_clean();
         }
     }
 
@@ -428,8 +427,7 @@ mod tests {
                     break;
                 }
             }
-            net.check_mapping().unwrap();
-            net.check_tree().unwrap();
+            net.assert_clean();
         }
         assert_eq!(net.peer_count(), 10);
     }
@@ -466,8 +464,7 @@ mod tests {
             .unwrap();
         let lost = net.crash_peer(&victim);
         assert!(lost.is_empty(), "{lost:?}");
-        net.check_tree().unwrap();
-        net.check_mapping().unwrap();
+        net.assert_clean();
         for k in KEYS {
             let (found, _) = net.lookup(&Key::from(k));
             assert!(found, "{k}");

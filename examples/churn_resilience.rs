@@ -44,9 +44,7 @@ fn main() {
             sys.leave_peer(&victim).unwrap();
             println!("round {round:>2}: peer {victim} left gracefully");
         }
-        sys.check_ring().expect("ring survives churn");
-        sys.check_mapping().expect("mapping survives churn");
-        sys.check_tree().expect("tree survives churn");
+        sys.assert_clean();
         let probe = services.choose(&mut rng).unwrap();
         assert!(sys.lookup(probe).satisfied, "{probe} must stay reachable");
     }
@@ -77,7 +75,7 @@ fn main() {
     for s in &services {
         sys.insert_data(s.clone()).unwrap(); // idempotent re-register
     }
-    sys.check_tree().expect("tree repaired");
+    sys.assert_clean();
     let mut satisfied = 0;
     for s in &services {
         sys.end_time_unit();

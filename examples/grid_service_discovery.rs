@@ -39,8 +39,7 @@ fn main() {
         sys.node_count(),
         sys.registered_keys().len()
     );
-    sys.check_tree().expect("PGCP invariant");
-    sys.check_mapping().expect("mapping invariant");
+    sys.assert_clean();
 
     // A solver needs a double-precision GEMM right now.
     let out = sys.lookup(&Key::from("DGEMM"));

@@ -52,8 +52,6 @@ fn main() {
     println!("range [DGEMM, DTRSM] -> {names:?}");
 
     // Every invariant of the paper holds at all times.
-    sys.check_tree().expect("PGCP tree invariant");
-    sys.check_mapping().expect("successor mapping invariant");
-    sys.check_ring().expect("ring links consistent");
+    sys.assert_clean();
     println!("invariants: tree OK, mapping OK, ring OK");
 }

@@ -51,7 +51,7 @@ fn main() {
         let nodes: Vec<String> = shard.nodes.keys().map(|k| k.to_string()).collect();
         println!("  peer {p}  runs {nodes:?}");
     }
-    sys.check_mapping().unwrap();
+    sys.assert_clean();
 
     // ----- Figure 3: one MLT step ---------------------------------------
     let mut sys = DlptSystem::builder().seed(3).peer_id_len(4).build();
@@ -72,7 +72,7 @@ fn main() {
     let moved = rebalance_pair(&mut sys, &strong);
     print_distribution("after ", &sys);
     println!("  boundary moved: {moved} (the weak peer keeps only what it can serve)");
-    sys.check_mapping().unwrap();
+    sys.assert_clean();
 }
 
 fn print_distribution(tag: &str, sys: &DlptSystem) {

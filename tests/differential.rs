@@ -84,8 +84,7 @@ proptest! {
             sys.registered_keys(),
             live.iter().cloned().collect::<Vec<_>>()
         );
-        prop_assert!(sys.check_tree().is_ok());
-        prop_assert!(sys.check_mapping().is_ok());
+        sys.assert_clean();
         for k in &live {
             prop_assert!(sys.lookup(k).satisfied, "live key {:?} lost", k);
         }

@@ -21,9 +21,7 @@ fn synchronous_runtime_matches_oracle_on_real_corpus() {
         oracle.insert(k.clone());
     }
     assert_eq!(sys.node_labels(), oracle.labels());
-    sys.check_tree().unwrap();
-    sys.check_mapping().unwrap();
-    sys.check_ring().unwrap();
+    sys.assert_clean();
 }
 
 #[test]
@@ -111,11 +109,10 @@ fn peers_joining_between_insertions_keep_everything_consistent() {
         sys.insert_data(k.clone()).unwrap();
         if i % 10 == 9 {
             sys.add_peer(1_000_000).unwrap();
-            sys.check_mapping().unwrap();
-            sys.check_ring().unwrap();
+            sys.assert_clean();
         }
     }
-    sys.check_tree().unwrap();
+    sys.assert_clean();
     assert_eq!(sys.peer_count(), 15);
     let oracle: PgcpTrie = {
         let mut t = PgcpTrie::new();
@@ -158,16 +155,48 @@ fn interleaved_churn_insert_query_stress() {
             _ => {}
         }
         if step % 50 == 49 {
-            sys.check_tree().unwrap();
-            sys.check_mapping().unwrap();
-            sys.check_ring().unwrap();
+            sys.assert_clean();
         }
     }
     // Final full audit.
-    sys.check_tree().unwrap();
-    sys.check_mapping().unwrap();
+    sys.assert_clean();
     for k in &registered {
         sys.end_time_unit();
         assert!(sys.lookup(k).satisfied, "{k}");
     }
+}
+
+/// Scatter/gather cost is fan-out breadth: a depth-1 completion visits
+/// an order of magnitude more nodes than a depth-2 one, and the visit
+/// count keeps falling as the prefix lengthens.
+#[test]
+fn depth1_completions_fan_out_over_most_of_the_tree() {
+    use rand::SeedableRng;
+    let keys: Vec<Key> = Corpus::grid().keys.into_iter().take(300).collect();
+    let mut net = LatencyNet::new(LatencyModel::Uniform(1, 30), 0xFA_0C);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA_22);
+    let mut chosen = std::collections::BTreeSet::new();
+    while chosen.len() < 16 {
+        let id = Alphabet::grid().random_id(&mut rng, 10);
+        if chosen.insert(id.clone()) {
+            net.add_peer(id);
+        }
+    }
+    for k in &keys {
+        net.insert_data(k.clone());
+    }
+    let mut visits_at = |depth: usize| {
+        let before = net.stats.discovery_messages;
+        for i in 0..25usize {
+            let (ok, _) = net.complete(&keys[(i * 37) % keys.len()].truncated(depth));
+            assert!(ok, "completion must reach its region");
+        }
+        net.stats.discovery_messages - before
+    };
+    let (d1, d2, d4) = (visits_at(1), visits_at(2), visits_at(4));
+    assert!(
+        d1 >= 5 * d2,
+        "depth 1 must fan out far wider (d1={d1}, d2={d2})"
+    );
+    assert!(d2 > d4, "fan-out must shrink with depth (d2={d2}, d4={d4})");
 }

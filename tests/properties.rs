@@ -60,8 +60,7 @@ proptest! {
             oracle.insert(k.clone());
         }
         prop_assert_eq!(sys.node_labels(), oracle.labels());
-        prop_assert!(sys.check_tree().is_ok());
-        prop_assert!(sys.check_mapping().is_ok());
+        sys.assert_clean();
     }
 
     /// Exact lookups find precisely the registered keys.
@@ -128,10 +127,9 @@ proptest! {
                 }
                 _ => {}
             }
-            prop_assert!(sys.check_mapping().is_ok());
-            prop_assert!(sys.check_ring().is_ok());
+            sys.assert_clean();
         }
-        prop_assert!(sys.check_tree().is_ok());
+        sys.assert_clean();
         for k in &keys {
             prop_assert!(sys.lookup(k).satisfied);
         }
@@ -186,8 +184,7 @@ proptest! {
             oracle.insert(k.clone());
         }
         prop_assert_eq!(sys.node_labels(), oracle.labels());
-        prop_assert!(sys.check_tree().is_ok());
-        prop_assert!(sys.check_mapping().is_ok());
+        sys.assert_clean();
         for k in &live {
             prop_assert!(sys.lookup(k).satisfied);
         }

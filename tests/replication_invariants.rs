@@ -37,8 +37,7 @@ fn repair(sys: &mut DlptSystem) {
 /// Replication invariant plus the structural invariants that must
 /// survive any crash/repair interleaving.
 fn assert_invariants(sys: &DlptSystem, k: usize) {
-    prop_assert!(sys.check_mapping().is_ok(), "{:?}", sys.check_mapping());
-    prop_assert!(sys.check_ring().is_ok(), "{:?}", sys.check_ring());
+    sys.assert_clean();
     prop_assert!(
         sys.check_replication().is_ok(),
         "{:?}",
@@ -135,7 +134,7 @@ proptest! {
             let out = sys.lookup(key);
             prop_assert!(out.satisfied, "{} lost after the sequence", key);
         }
-        prop_assert!(sys.check_tree().is_ok(), "{:?}", sys.check_tree());
+        sys.assert_clean();
     }
 
     /// The unreplicated system under the same discipline keeps its
@@ -173,9 +172,7 @@ proptest! {
                 }
             }
             sys.repair_tree();
-            prop_assert!(sys.check_mapping().is_ok(), "{:?}", sys.check_mapping());
-            prop_assert!(sys.check_ring().is_ok(), "{:?}", sys.check_ring());
-            prop_assert!(sys.check_tree().is_ok(), "{:?}", sys.check_tree());
+            sys.assert_clean();
         }
     }
 }

@@ -333,7 +333,6 @@ proptest! {
                 .build(),
         );
         let a = drive(&mut sync, &ops, initial_peers, k);
-        sync.0.check_tree().unwrap();
         let audit = Runtime::audit(&sync);
         prop_assert!(audit.is_empty(), "sync audits clean: {:?}", audit);
 
@@ -341,7 +340,6 @@ proptest! {
         latency.0.set_replication(k);
         latency.0.set_cache_capacity(cache);
         let b = drive(&mut latency, &ops, initial_peers, k);
-        latency.0.check_tree().unwrap();
         let audit = latency.audit();
         prop_assert!(audit.is_empty(), "latency audits clean: {:?}", audit);
 
@@ -535,14 +533,12 @@ proptest! {
             };
             let mut reference = build();
             let expect = drive_batched(&mut reference, ops, initial_peers, None, capacity);
-            reference.check_tree().unwrap();
             let audit = reference.audit();
             prop_assert!(audit.is_empty(), "sequential audits clean: {:?}", audit);
 
             for w in [1usize, 2, 8] {
                 let mut sys = build();
                 let got = drive_batched(&mut sys, ops, initial_peers, Some(w), capacity);
-                sys.check_tree().unwrap();
                 let audit = sys.audit();
                 prop_assert!(audit.is_empty(), "workers={} audits clean: {:?}", w, audit);
                 prop_assert_eq!(&expect.placements, &got.placements,
@@ -682,12 +678,10 @@ fn partition_heals_and_k2_ae_converges_on_all_three_runtimes() {
             .build(),
     );
     drive_partition_scenario(&mut sync, "sync");
-    sync.0.check_tree().unwrap();
 
     let mut latency = Latency(LatencyNet::new(LatencyModel::Constant(0), 12));
     latency.0.set_replication(2);
     drive_partition_scenario(&mut latency, "latency");
-    latency.0.check_tree().unwrap();
 
     let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), 13));
     threaded.0.set_replication(2);

@@ -3,7 +3,7 @@
 //! the batch pump included, whose commit phase emits in request order
 //! whatever the worker count. Two identical traced runs must serialize
 //! to byte-identical JSONL and chrome://tracing dumps, which is what
-//! lets CI diff two seeded `perf --smoke --trace` runs.
+//! lets CI diff two seeded `figA --scale 8 --trace` runs.
 
 use dlpt::core::messages::QueryKind;
 use dlpt::core::obs::{write_chrome_trace, write_jsonl};
