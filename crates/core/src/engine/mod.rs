@@ -31,10 +31,14 @@
 //! model (`charge_capacity`), eager replica maintenance
 //! (`eager_replication`) and whether request aggregation may finalize
 //! mid-drain or only at quiescence (`judge_at_quiescence`, required
-//! when responses can arrive out of order).
+//! when responses can arrive out of order). Fault injection and the
+//! recovery it makes necessary are the engine's too (`faults.rs`): one
+//! gate for everything emitted, one retry policy, both consequences of
+//! the installed [`FaultPlan`](crate::transport::FaultPlan).
 
 #[cfg(test)]
 mod audit_corruption;
+mod faults;
 #[cfg(test)]
 mod inline_invalidation;
 pub mod parallel;
@@ -50,6 +54,7 @@ use crate::cache::{self, CacheStats, RouteCache};
 use crate::directory::{Directory, FxHashMap, FxHashSet};
 use crate::error::{DlptError, Result};
 use crate::key::Key;
+use crate::mapping;
 use crate::messages::{
     Address, DiscoveryMsg, DiscoveryOutcome, Envelope, JoinPhase, Message, NodeMsg, NodeSeed,
     PeerMsg, QueryKind,
@@ -59,14 +64,17 @@ use crate::node::NodeState;
 use crate::obs::health::{
     imbalance_of, AuditCheck, HealthMonitor, HealthTiming, MemoryFootprint, PeerHealth, Violation,
 };
-use crate::obs::{EventKind, MetricsRegistry, TraceEvent, TraceRing, Tracer};
+use crate::obs::{EventKind, TraceEvent, TraceRing, Tracer};
 use crate::peer::PeerShard;
 use crate::protocol::{self, discovery, maintenance, repair, Effects};
 use crate::replication::ReplicationStats;
+use crate::transport::{FaultPlan, Faults};
 use crate::trie::PgcpTrie;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+pub use faults::REQUEST_RETRY_BUDGET;
 
 /// How envelopes travel between the engine and the peers.
 ///
@@ -79,59 +87,23 @@ pub trait Transport {
     /// Queues one envelope for delivery.
     fn deliver(&mut self, env: Envelope);
 
-    /// Queues an envelope for every element of `envs` — fan-out events
-    /// (cache invalidation, anti-entropy kicks). The default delivers
-    /// in iteration order; transports with a cheaper broadcast path
-    /// may override.
-    fn broadcast<I>(&mut self, envs: I)
-    where
-        I: IntoIterator<Item = Envelope>,
-        Self: Sized,
-    {
-        for env in envs {
-            self.deliver(env);
-        }
-    }
-
-    /// The transport's logical clock (0 for untimed FIFO transports).
-    fn now(&self) -> u64 {
-        0
-    }
-
     /// Whether queuing through this transport is immediate FIFO work
     /// the engine may equivalently run inline. It has exactly two
     /// uses: hop chaining ([`Engine::deliver`]) and inline termination
     /// of the eager cache-invalidation fan-out
     /// ([`Engine::queue_invalidations`]). Only the synchronous
-    /// [`FifoTransport`] says yes: modelled-latency, fault-injecting
-    /// and threaded transports must observe every individual hop and
-    /// every invalidation message.
+    /// [`FifoTransport`] says yes, and the engine takes it up only
+    /// while no fault plan is active: modelled-latency, fault-injecting
+    /// and threaded runs must observe every individual hop and every
+    /// invalidation message.
     fn synchronous(&self) -> bool {
         false
     }
 }
 
-/// A mutable reference to a transport is itself a transport — this is
-/// what lets decorators like
-/// [`FaultyTransport`](crate::transport::FaultyTransport) wrap a
-/// runtime-owned transport without taking ownership.
-impl<T: Transport> Transport for &mut T {
-    fn deliver(&mut self, env: Envelope) {
-        (**self).deliver(env);
-    }
-
-    fn now(&self) -> u64 {
-        (**self).now()
-    }
-
-    fn synchronous(&self) -> bool {
-        (**self).synchronous()
-    }
-}
-
 /// The immediate-FIFO transport of the synchronous pump: envelopes are
 /// appended to one queue and processed strictly in order. The `u32` is
-/// the per-envelope requeue count, owned by the pump's retry policy.
+/// the per-envelope requeue count, owned by the pump's requeue policy.
 #[derive(Debug, Default)]
 pub struct FifoTransport {
     /// The pending envelopes, front = next to deliver.
@@ -168,7 +140,8 @@ pub struct EngineConfig {
     /// threads): the outstanding-branch counter can transiently touch
     /// zero while a parent's response is still in flight. The
     /// synchronous pump finalizes eagerly instead (FIFO order makes
-    /// the transient impossible).
+    /// the transient impossible) — except while a reordering fault plan
+    /// is installed, when the engine judges late whatever this says.
     pub judge_at_quiescence: bool,
     /// Maintain replicas eagerly after every mutation
     /// ([`Engine::flush_replication`]); the asynchronous runtimes rely
@@ -265,9 +238,10 @@ struct GatherAgg {
     /// recovery is on so a lost branch can be re-issued verbatim.
     /// Fault-off runs never take the snapshot.
     retry: Option<Envelope>,
-    /// Fault-induced retries this request has been re-armed for.
-    /// Survives `rearm` (a retry must keep its own count) and resets
-    /// only when the slot is reused for a fresh request.
+    /// Fault-induced retries this request has been re-armed for, out
+    /// of [`REQUEST_RETRY_BUDGET`]. Survives `rearm` (a retry must keep
+    /// its own count) and resets only when the slot is reused for a
+    /// fresh request.
     attempts: u32,
 }
 
@@ -307,7 +281,6 @@ struct FinishedAgg {
     satisfied: bool,
     dropped: bool,
     responses: usize,
-    attempts: u32,
     results: Vec<Key>,
     best_path: Vec<Key>,
 }
@@ -346,10 +319,6 @@ impl GatherPool {
         &mut self.slots[i as usize]
     }
 
-    fn get(&self, id: u64) -> Option<&GatherAgg> {
-        self.index.get(&id).map(|&i| &self.slots[i as usize])
-    }
-
     fn get_mut(&mut self, id: u64) -> Option<&mut GatherAgg> {
         let &i = self.index.get(&id)?;
         Some(&mut self.slots[i as usize])
@@ -375,7 +344,6 @@ impl GatherPool {
             satisfied: agg.satisfied,
             dropped: agg.dropped,
             responses: agg.responses,
-            attempts: agg.attempts,
             results: std::mem::take(&mut agg.results),
             best_path: std::mem::take(&mut agg.best_path),
         };
@@ -516,6 +484,17 @@ pub enum Step {
     Requeue(Envelope),
 }
 
+/// The requeue budget in force on a ring of `peers`: `budget`, floored
+/// at twice the membership. A freshly seeded node walks the ring one
+/// hop per queue cycle before it lands
+/// (`protocol::data_insertion::on_host`), so an envelope waiting on it
+/// can legitimately requeue O(ring) times; the floor keeps a runtime's
+/// constant tight on small rings and gives large ones the headroom the
+/// walk needs.
+pub fn requeue_limit(budget: u32, peers: usize) -> u32 {
+    budget.max((peers as u32).saturating_mul(2))
+}
+
 /// Internal result of one dispatch step: either a terminal [`Step`] or
 /// the next hop of an exact-query chain, delivered inline by the
 /// [`Engine::deliver`] loop instead of round-tripping the transport.
@@ -566,10 +545,16 @@ pub struct Engine {
     /// maps it back instead of re-hashing every path label. Empty
     /// between dispatches.
     pub(crate) route_hosts: Vec<u32>,
-    /// Whether the transport can lose/duplicate envelopes: gates the
-    /// per-response idempotency digest and the per-request retry
-    /// snapshot, so reliable (fault-off) runs pay for neither.
+    /// The fault gate (`faults.rs`); inert by default.
+    faults: Faults,
+    /// Whether a fault plan or partition is active, i.e. envelopes can
+    /// be lost or duplicated: gates [`Engine::send`], the per-response
+    /// idempotency digest and the per-request retry snapshot, so
+    /// reliable (fault-off) runs pay one branch for the three.
     fault_recovery: bool,
+    /// Judge requests at quiescence only: the configured
+    /// [`EngineConfig::judge_at_quiescence`], or a reordering plan.
+    judge_late: bool,
     /// Label ids whose state changed since the last flush and whose
     /// replicas must be refreshed (eager replication only).
     pub(crate) touched: Vec<u32>,
@@ -598,10 +583,6 @@ pub struct Engine {
     /// fingerprint byte-identical (events live outside
     /// [`SystemStats`]).
     pub tracer: Tracer,
-    /// Always-on per-request shape histograms (hops, ticks, fan-out,
-    /// retries). Preallocated here so recording never allocates; kept
-    /// out of [`SystemStats`] for the same golden-fingerprint reason.
-    pub metrics: MetricsRegistry,
     /// How long the route and commit phases of the most recent
     /// [`parallel::ParallelPump`] batch took, read by
     /// [`Engine::collect_health`] into the snapshot's timing section.
@@ -617,6 +598,7 @@ impl Engine {
     /// An empty engine.
     pub fn new(config: EngineConfig) -> Self {
         Engine {
+            judge_late: config.judge_at_quiescence,
             config,
             peers: PeerSlab::default(),
             members: BTreeSet::new(),
@@ -629,6 +611,7 @@ impl Engine {
             root: None,
             scratch: Effects::default(),
             route_hosts: Vec::new(),
+            faults: Faults::new(FaultPlan::default()),
             fault_recovery: false,
             touched: Vec::new(),
             dropped_replicas: Vec::new(),
@@ -637,7 +620,6 @@ impl Engine {
             cache_stats: CacheStats::default(),
             duplicates_suppressed: 0,
             tracer: Tracer::Noop,
-            metrics: MetricsRegistry::default(),
             pump_timing: HealthTiming::default(),
             #[cfg(test)]
             reference_scans: false,
@@ -666,33 +648,9 @@ impl Engine {
         self.tracer.drain()
     }
 
-    /// The engine configuration.
-    pub fn engine_config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Reconfigures the replication factor `k` (clamped to ≥ 1).
     pub fn set_replication(&mut self, k: usize) {
         self.config.replication = k.max(1);
-    }
-
-    /// Switches between eager and quiescence-time request finalization
-    /// (see [`EngineConfig::judge_at_quiescence`]). The synchronous
-    /// pump flips this on while a reordering fault plan is active:
-    /// deferred responses break the FIFO parent-before-child ordering
-    /// its eager judging relies on.
-    pub fn set_judge_at_quiescence(&mut self, on: bool) {
-        self.config.judge_at_quiescence = on;
-    }
-
-    /// Tells the engine whether the transport can lose or duplicate
-    /// envelopes. On, each request keeps a retry snapshot of its entry
-    /// envelope ([`Engine::retry_envelope`]) and aggregation runs the
-    /// per-response idempotency digest; off (the default), reliable
-    /// runs pay for neither. Runtimes flip this alongside their fault
-    /// plan and partitions.
-    pub fn set_fault_recovery(&mut self, on: bool) {
-        self.fault_recovery = on;
     }
 
     /// Reconfigures the per-peer routing-shortcut cache capacity for
@@ -790,27 +748,17 @@ impl Engine {
     /// The peer the mapping rule designates for `label`:
     /// `min {P : P >= label}`, wrapping to the minimum.
     pub fn host_peer(&self, label: &Key) -> Option<&Key> {
-        self.members
-            .range::<Key, _>(label..)
-            .next()
-            .or_else(|| self.members.iter().next())
+        mapping::host_of(&self.members, label)
     }
 
     /// Ring predecessor of `id` over the current peer set (wrapping).
     fn ring_pred(&self, id: &Key) -> Option<&Key> {
-        self.members
-            .range::<Key, _>(..id)
-            .next_back()
-            .or_else(|| self.members.iter().next_back())
+        mapping::pred_of(&self.members, id)
     }
 
     /// Ring successor of `id` over the current peer set (wrapping).
     fn ring_succ(&self, id: &Key) -> Option<&Key> {
-        use std::ops::Bound;
-        self.members
-            .range::<Key, _>((Bound::Excluded(id), Bound::Unbounded))
-            .next()
-            .or_else(|| self.members.iter().next())
+        mapping::succ_of(&self.members, id)
     }
 
     /// Borrow a node's state wherever it is hosted (local shards).
@@ -1061,19 +1009,13 @@ impl Engine {
             None => discovery::entry_envelope(entry.clone(), id, query),
         };
         if self.fault_recovery {
-            // Only faultable transports can lose a branch; the retry
-            // snapshot is the one per-request clone they pay for it.
+            // Only an active gate can lose a branch; the retry snapshot
+            // ([`Engine::retry_origin`]) is the one per-request clone
+            // such runs pay for it.
             let agg = self.gathers.get_mut(id).expect("registered above");
             agg.retry = Some(env.clone());
         }
         Ok((id, env))
-    }
-
-    /// A clone of the entry envelope request `id` was admitted with —
-    /// the verbatim origin a runtime re-sends after fault-induced
-    /// loss. `None` unless fault recovery was on at admission.
-    pub fn retry_envelope(&self, id: u64) -> Option<Envelope> {
-        self.gathers.get(id)?.retry.clone()
     }
 
     /// Feeds one `ClientResponse` into the request's aggregation. With
@@ -1138,27 +1080,22 @@ impl Engine {
         if outcome.path.len() > agg.best_path.len() {
             agg.best_path = outcome.path;
         }
-        if !self.config.judge_at_quiescence && agg.outstanding <= 0 {
+        if !self.judge_late && agg.outstanding <= 0 {
             let fin = self
                 .gathers
                 .release(outcome.request_id)
                 .expect("present above");
             let satisfied = fin.satisfied && !fin.dropped;
-            let attempts = fin.attempts;
             let out = self.assemble_outcome(fin, satisfied);
-            self.record_finished(outcome.request_id, &out, attempts);
+            self.trace_finished(outcome.request_id, &out);
             self.finished.insert(outcome.request_id, out);
         }
     }
 
-    /// Feeds a finalized request into the metrics registry and emits
-    /// its terminal trace event. Called exactly once per request, at
-    /// eager finalization or at [`Engine::finish_request`].
-    fn record_finished(&mut self, id: u64, out: &LookupOutcome, attempts: u32) {
-        let hops = out.logical_hops() as u64;
-        let ticks = (out.path.len() + out.gather_visits) as u64;
-        self.metrics
-            .record_request(hops, ticks, out.gather_visits as u64, attempts as u64);
+    /// Emits a finalized request's terminal trace event. Called exactly
+    /// once per request, at eager finalization or at
+    /// [`Engine::finish_request`].
+    fn trace_finished(&mut self, id: u64, out: &LookupOutcome) {
         if self.tracer.enabled() {
             let kind = if out.satisfied {
                 EventKind::Satisfy
@@ -1237,45 +1174,23 @@ impl Engine {
     /// dropped, and no branch is still outstanding (the
     /// outstanding-branch counter can transiently touch zero while
     /// responses are in flight, so this must only be called once the
-    /// transport is drained). Applies the shortcut-learning intent.
+    /// transport is drained, and once [`Engine::retry_origin`] has
+    /// nothing left to re-send). A branch still outstanding now is
+    /// stranded for good: the outcome is the explicit failure, counted
+    /// in `requests_failed`. Applies the shortcut-learning intent.
     pub fn finish_request(&mut self, id: u64) -> LookupOutcome {
         let fin = self.gathers.release(id).expect("request was registered");
         let satisfied = fin.satisfied && !fin.dropped && fin.outstanding <= 0;
+        if fin.outstanding > 0 {
+            self.faults.stats.requests_failed += 1;
+        }
         match self.learn.remove(&id) {
             Some((target, host)) if satisfied => self.learn_shortcut(target, host),
             _ => {}
         }
-        let attempts = fin.attempts;
         let out = self.assemble_outcome(fin, satisfied);
-        self.record_finished(id, &out, attempts);
+        self.trace_finished(id, &out);
         out
-    }
-
-    /// Whether request `id` is still waiting on an outstanding branch
-    /// — i.e. a response was lost in transit and the request can only
-    /// terminate through a retry or an explicit failure. Only
-    /// meaningful once the transport has drained (mid-flight the
-    /// counter is legitimately positive).
-    pub fn retry_pending(&self, id: u64) -> bool {
-        self.gathers.get(id).is_some_and(|agg| agg.outstanding > 0)
-    }
-
-    /// Rearms request `id` for a retry after fault-induced loss: the
-    /// aggregation state is reset to exactly what
-    /// [`Engine::begin_request`] installed, idempotency filter
-    /// included — a retry legitimately re-delivers responses the
-    /// first attempt already applied, and they must count again. The
-    /// caller re-sends a clone of the original entry envelope.
-    pub fn reset_request_for_retry(&mut self, id: u64) {
-        if let Some(agg) = self.gathers.get_mut(id) {
-            agg.rearm();
-            agg.attempts += 1;
-            let attempt = agg.attempts;
-            if self.tracer.enabled() {
-                self.tracer
-                    .emit(TraceEvent::new(EventKind::Retry, id, attempt, 0, 0));
-            }
-        }
     }
 
     fn learn_shortcut(&mut self, target: Key, host: u32) {
@@ -1362,7 +1277,7 @@ impl Engine {
                     chained = true;
                 }
                 Ok(ChainStep::Step(Step::Requeue(e))) if chained => {
-                    t.deliver(e);
+                    self.send(t, e);
                     break Ok(Step::Done);
                 }
                 Ok(ChainStep::Step(s)) => break Ok(s),
@@ -1576,7 +1491,7 @@ impl Engine {
                         // Hop chaining (see `deliver`): hand the lone
                         // follow-up back to the dispatch loop instead
                         // of round-tripping it through the queue.
-                        if t.synchronous()
+                        if self.inline(t)
                             && fx.out.len() == 1
                             && fx.relocated.is_empty()
                             && fx.removed.is_empty()
@@ -1620,7 +1535,8 @@ impl Engine {
     /// its capacity intact so callers can reuse it allocation-free:
     /// relocations update the directory (and schedule re-replication),
     /// dissolutions drop the label, broadcast eager cache invalidation
-    /// and clear a dissolved root, outgoing envelopes enter `t`.
+    /// and clear a dissolved root, outgoing envelopes enter `t` through
+    /// the fault gate.
     pub fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
         let eager = self.config.eager_replication && self.config.replication > 1;
         for (label, host) in fx.relocated.drain(..) {
@@ -1649,7 +1565,7 @@ impl Engine {
             }
         }
         for env in fx.out.drain(..) {
-            t.deliver(env);
+            self.send(t, env);
         }
     }
 
@@ -1673,8 +1589,9 @@ impl Engine {
     /// such a transport each peer's cache is invalidated here, with the
     /// counters the queued deliveries would have bumped, instead of
     /// round-tripping one envelope per peer through the queue. Every
-    /// other transport gets the per-peer [`PeerMsg::InvalidateCached`]
-    /// broadcast, so a fault layer can still lose, delay or reorder it.
+    /// other transport — and every run behind an active fault gate,
+    /// which must be able to lose, delay or reorder it — gets the
+    /// per-peer [`PeerMsg::InvalidateCached`] broadcast.
     pub fn queue_invalidations<T: Transport>(&mut self, label: &Key, t: &mut T) {
         if self.config.cache_capacity == 0 {
             return;
@@ -1682,7 +1599,7 @@ impl Engine {
         let epoch = self.directory.epoch_of(label);
         let peers = self.members.len() as u64;
         self.cache_stats.invalidations_sent += peers;
-        if t.synchronous() {
+        if self.inline(t) {
             // Members and slab slots move in lockstep (`insert_peer`,
             // `remove_member`, `rename_shard`).
             self.cache_stats.invalidations_delivered += peers;
@@ -1691,16 +1608,15 @@ impl Engine {
             }
             return;
         }
-        let members = &self.members;
-        t.broadcast(members.iter().map(|p| {
-            Envelope::to_peer(
-                p.clone(),
-                PeerMsg::InvalidateCached {
-                    label: label.clone(),
-                    epoch,
-                },
-            )
-        }));
+        // The peer ids are cloned into the envelopes either way; the
+        // gate needs `&mut self` between them.
+        for p in self.peer_ids() {
+            let msg = PeerMsg::InvalidateCached {
+                label: label.clone(),
+                epoch,
+            };
+            self.send(t, Envelope::to_peer(p, msg));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2493,11 +2409,12 @@ mod tests {
             k("A"),
             PeerMsg::UpdateSuccessor { succ: k("B") },
         ));
-        t.broadcast(
-            [k("B"), k("C")]
-                .into_iter()
-                .map(|p| Envelope::to_peer(p, PeerMsg::UpdateSuccessor { succ: k("X") })),
-        );
+        for p in [k("B"), k("C")] {
+            t.deliver(Envelope::to_peer(
+                p,
+                PeerMsg::UpdateSuccessor { succ: k("X") },
+            ));
+        }
         let order: Vec<Address> = t.queue.iter().map(|(_, e)| e.to.clone()).collect();
         assert_eq!(
             order,
@@ -2507,7 +2424,7 @@ mod tests {
                 Address::peer(k("C"))
             ]
         );
-        assert_eq!(t.now(), 0);
+        assert!(t.synchronous());
     }
 
     fn report(id: u64, path: Vec<Key>, results: Vec<Key>, pending: u32) -> DiscoveryOutcome {
@@ -2529,7 +2446,7 @@ mod tests {
     #[test]
     fn duplicated_response_cannot_double_decrement_outstanding() {
         let mut e = cached_engine(0);
-        e.set_fault_recovery(true); // duplication implies a faulty transport
+        e.partition(k("Z"), k("ZZ")); // duplication implies an active gate
         e.directory.insert(k("DG"), k("P1"));
         let (id, _env) = e
             .begin_request(&k("DG"), QueryKind::Range(k("D"), k("E")))
@@ -2542,7 +2459,7 @@ mod tests {
         e.client_response(child);
         assert_eq!(e.duplicates_suppressed, 1);
         assert!(
-            e.take_finished(id).is_none() && e.retry_pending(id),
+            e.take_finished(id).is_none() && e.gathers.get_mut(id).unwrap().outstanding == 1,
             "one branch is genuinely still outstanding"
         );
         // The true second branch finally reports: now it finalizes,
@@ -2559,22 +2476,21 @@ mod tests {
     #[test]
     fn reset_request_for_retry_rearms_aggregation_and_filter() {
         let mut e = cached_engine(0);
-        e.set_fault_recovery(true); // retries only exist on faulty transports
+        e.partition(k("Z"), k("ZZ")); // retries only exist behind an active gate
         e.directory.insert(k("DG"), k("P1"));
         let (id, env) = e
             .begin_request(&k("DG"), QueryKind::Exact(k("DGEMM")))
             .unwrap();
-        assert_eq!(
-            e.retry_envelope(id),
-            Some(env),
-            "fault recovery keeps the origin snapshot for retries"
-        );
         let terminal = report(id, vec![k("DG")], vec![k("DGEMM")], 1);
         // First attempt: the node forwarded to one child whose report
         // was lost — the request is stuck outstanding.
         e.client_response(terminal.clone());
-        assert!(e.retry_pending(id));
-        e.reset_request_for_retry(id);
+        assert_eq!(
+            e.retry_origin(id),
+            Some(env),
+            "a stranded request re-sends its origin snapshot verbatim"
+        );
+        assert_eq!(e.fault_stats().retries, 1);
         // Second attempt re-delivers the same report plus the child's.
         e.client_response(terminal);
         e.client_response(report(id, vec![k("DG"), k("DGEMM")], Vec::new(), 0));

@@ -2,7 +2,10 @@
 //! eager replica maintenance, the anti-entropy passes, read failover,
 //! crash promotion and the replication invariant check. Split out of
 //! `engine/mod.rs` (one module per concern); the message handlers
-//! themselves live in [`crate::protocol::repair`].
+//! themselves live in [`crate::protocol::repair`]. Replication traffic
+//! is reliable-class ([`crate::transport::is_faultable`]): the fault
+//! gate would pass it without a draw, so it enters the transport
+//! directly.
 
 use super::{Engine, Transport};
 use crate::key::Key;
@@ -188,11 +191,12 @@ impl Engine {
         }
         self.ring.refresh(&self.directory, self.members.iter());
         repair::refresh_follower_records(&mut self.directory, &self.ring, k);
-        t.broadcast(
-            self.members
-                .iter()
-                .map(|p| Envelope::to_peer(p.clone(), PeerMsg::SyncReplicas { k: k as u32 })),
-        );
+        for p in &self.members {
+            t.deliver(Envelope::to_peer(
+                p.clone(),
+                PeerMsg::SyncReplicas { k: k as u32 },
+            ));
+        }
         true
     }
 

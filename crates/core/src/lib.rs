@@ -53,7 +53,10 @@ pub mod trie;
 pub use alphabet::Alphabet;
 pub use balance::{KChoices, LoadBalancer, MaxLocalThroughput, NoBalancing};
 pub use cache::{CacheStats, RouteCache, Shortcut};
-pub use engine::{parallel::ParallelPump, Engine, EngineConfig, FifoTransport, Step, Transport};
+pub use engine::{
+    parallel::ParallelPump, Engine, EngineConfig, FifoTransport, Step, Transport,
+    REQUEST_RETRY_BUDGET,
+};
 pub use error::{DlptError, Result};
 pub use key::Key;
 pub use messages::{Address, Envelope, Message, NodeMsg, PeerMsg, QueryKind};
@@ -61,9 +64,9 @@ pub use node::NodeState;
 pub use obs::health::{
     AuditCheck, HealthMonitor, HealthSnapshot, HealthTiming, MemoryFootprint, PeerHealth, Violation,
 };
-pub use obs::{EventKind, Histogram, MetricsRegistry, TraceEvent, TraceRing, Tracer};
+pub use obs::{EventKind, TraceEvent, TraceRing, Tracer};
 pub use peer::PeerState;
 pub use replication::{AntiEntropyReport, ReplicationStats};
 pub use system::{DlptSystem, LookupOutcome, SystemBuilder, SystemConfig};
-pub use transport::{FaultPlan, FaultStats, Faults, FaultyTransport};
+pub use transport::{FaultPlan, FaultStats};
 pub use trie::PgcpTrie;

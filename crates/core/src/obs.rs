@@ -1,19 +1,12 @@
-//! Request-scoped tracing and allocation-free metrics for the engine.
+//! Request-scoped tracing for the engine.
 //!
-//! Two cooperating facilities, both native to the interned-id engine:
-//!
-//! * **Tracing** ([`Tracer`], [`TraceEvent`]): fixed-size structured
-//!   events (≤ 32 bytes, u32 ids, never a `Key` clone) emitted from the
-//!   engine's admission / routing / gather / retry paths into a
-//!   preallocated ring buffer ([`TraceRing`]). Off by default: the
-//!   [`Tracer::Noop`] variant reduces every emission site to one
-//!   predictable branch, keeping the fault-off hot path allocation-free
-//!   and the golden determinism fingerprint byte-identical.
-//! * **Metrics** ([`MetricsRegistry`], [`Histogram`]): fixed-size
-//!   log-bucketed histograms of per-request hops, ticks, gather fan-out
-//!   and retry counts with p50/p90/p99 extraction. Always on — the
-//!   buckets are preallocated at engine construction and recording is a
-//!   couple of integer ops, so there is nothing to switch off.
+//! [`Tracer`] / [`TraceEvent`]: fixed-size structured events (≤ 32
+//! bytes, u32 ids, never a `Key` clone) emitted from the engine's
+//! admission / routing / gather / retry paths into a preallocated ring
+//! buffer ([`TraceRing`]). Off by default: the [`Tracer::Noop`] variant
+//! reduces every emission site to one predictable branch, keeping the
+//! fault-off hot path allocation-free and the golden determinism
+//! fingerprint byte-identical.
 //!
 //! Every event is emitted on the thread that owns the engine — the
 //! batch pump's are emitted by its commit phase, in request order — so
@@ -276,170 +269,6 @@ impl Tracer {
     }
 }
 
-/// Number of exact unit-width buckets at the bottom of a [`Histogram`].
-const EXACT: usize = 16;
-/// Sub-buckets per octave above the exact range.
-const SUBS: usize = 8;
-/// First octave covered by log-linear buckets (values `16..32`).
-const FIRST_OCTAVE: u32 = 4;
-/// Total bucket count: exact range + 8 sub-buckets for each of the
-/// octaves `4..=63`.
-const BUCKETS: usize = EXACT + (64 - FIRST_OCTAVE as usize) * SUBS;
-
-/// Fixed-size log-linear histogram over `u64` values.
-///
-/// Values below 16 get exact unit buckets; above that, each power-of-two
-/// octave is split into 8 equal sub-buckets, so any quantile read back
-/// from a bucket's lower bound is below the true value by less than
-/// 12.5% (`1/8` of the value, the sub-bucket width). All 496 buckets
-/// are preallocated at construction — recording is two shifts, a
-/// subtract and an increment, and never allocates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: vec![0; BUCKETS],
-            total: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram with every bucket preallocated.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bucket index of `v`.
-    #[inline]
-    fn index(v: u64) -> usize {
-        if v < EXACT as u64 {
-            v as usize
-        } else {
-            let octave = 63 - v.leading_zeros();
-            let sub = ((v >> (octave - 3)) - SUBS as u64) as usize;
-            EXACT + (octave - FIRST_OCTAVE) as usize * SUBS + sub
-        }
-    }
-
-    /// Lower bound of bucket `i` — the value quantiles report.
-    #[inline]
-    fn lower_bound(i: usize) -> u64 {
-        if i < EXACT {
-            i as u64
-        } else {
-            let octave = (i - EXACT) as u32 / SUBS as u32 + FIRST_OCTAVE;
-            let sub = ((i - EXACT) % SUBS) as u64;
-            (SUBS as u64 + sub) << (octave - 3)
-        }
-    }
-
-    /// Records one observation. Never allocates.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::index(v)] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of every bucket's lower bound weighted by its count — an
-    /// under-estimate of the true sum with the same ≤ 12.5% bound as
-    /// the quantiles.
-    pub fn approx_sum(&self) -> u64 {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c * Self::lower_bound(i))
-            .sum()
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) as the lower bound of the bucket
-    /// holding the rank-`⌊q·(n−1)⌋` observation; `None` when the
-    /// histogram is empty (a bucket-0 bound would be indistinguishable
-    /// from a real observation of 0). The reported value `r` satisfies
-    /// `r ≤ true ≤ r + r/8` (exact below 16).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (self.total - 1) as f64) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen > rank {
-                return Some(Self::lower_bound(i));
-            }
-        }
-        Some(Self::lower_bound(BUCKETS - 1))
-    }
-
-    /// Accumulates another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// Clears every bucket.
-    pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-    }
-}
-
-/// Per-engine registry of request-shape histograms. Preallocated at
-/// engine construction (~16 KiB) and recorded into at request
-/// finalisation; read through [`crate::engine::Engine::metrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    /// Logical hops of the winning path per finished request.
-    pub hops: Histogram,
-    /// Per-request work ticks: path length plus gather visits — the
-    /// engine-side proxy for how long the request stayed in flight.
-    pub ticks: Histogram,
-    /// Gather fan-out (partial reports folded) per finished request.
-    pub fanout: Histogram,
-    /// Retry attempts per finished request (0 on reliable transports).
-    pub retries: Histogram,
-}
-
-impl MetricsRegistry {
-    /// Records one finished request's shape.
-    #[inline]
-    pub fn record_request(&mut self, hops: u64, ticks: u64, fanout: u64, retries: u64) {
-        self.hops.record(hops);
-        self.ticks.record(ticks);
-        self.fanout.record(fanout);
-        self.retries.record(retries);
-    }
-
-    /// Accumulates another registry into this one.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        self.hops.merge(&other.hops);
-        self.ticks.merge(&other.ticks);
-        self.fanout.merge(&other.fanout);
-        self.retries.merge(&other.retries);
-    }
-
-    /// Clears every histogram.
-    pub fn reset(&mut self) {
-        self.hops.reset();
-        self.ticks.reset();
-        self.fanout.reset();
-        self.retries.reset();
-    }
-}
-
 /// Writes one event per line as flat JSON, in slice order. Pure
 /// function of the events — no directory access, no timestamps — so
 /// two identical runs produce byte-identical files.
@@ -497,7 +326,6 @@ pub fn write_chrome_trace<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn event_fits_in_32_bytes() {
@@ -554,101 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_is_exact_below_sixteen() {
-        let mut h = Histogram::new();
-        for v in 0..16u64 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.0), Some(0));
-        assert_eq!(h.quantile(1.0), Some(15));
-        assert_eq!(h.count(), 16);
-        assert_eq!(h.approx_sum(), (0..16).sum::<u64>());
-    }
-
-    #[test]
-    fn empty_histogram_has_no_quantiles() {
-        let h = Histogram::new();
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(
-                h.quantile(q),
-                None,
-                "empty histogram must report None at q={q}"
-            );
-        }
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.approx_sum(), 0);
-    }
-
-    #[test]
-    fn single_sample_dominates_every_quantile() {
-        let mut h = Histogram::new();
-        h.record(7);
-        for q in [0.0, 0.25, 0.5, 1.0] {
-            assert_eq!(h.quantile(q), Some(7));
-        }
-        // Above the exact range the single sample still owns every
-        // quantile, reported as its bucket's lower bound.
-        let mut h = Histogram::new();
-        h.record(1000);
-        let got = h.quantile(0.5).unwrap();
-        assert!(got <= 1000 && 1000 - got <= got / 8);
-        assert_eq!(h.quantile(0.0), h.quantile(1.0));
-    }
-
-    #[test]
-    fn top_bucket_saturates_without_overflow() {
-        let mut h = Histogram::new();
-        h.record(u64::MAX);
-        h.record(u64::MAX - 1);
-        // Both land in the final bucket; quantiles stay in range and
-        // report that bucket's lower bound.
-        let lb = Histogram::lower_bound(BUCKETS - 1);
-        assert_eq!(h.quantile(0.0), Some(lb));
-        assert_eq!(h.quantile(1.0), Some(lb));
-        assert_eq!(h.count(), 2);
-        // Mixing in a small sample keeps the order statistics sane.
-        h.record(1);
-        assert_eq!(h.quantile(0.0), Some(1));
-        assert_eq!(h.quantile(1.0), Some(lb));
-    }
-
-    #[test]
-    fn histogram_bucket_roundtrip_on_boundaries() {
-        for v in [0u64, 1, 15, 16, 17, 31, 32, 100, 1 << 20, u64::MAX] {
-            let i = Histogram::index(v);
-            assert!(i < BUCKETS, "index {i} out of range for {v}");
-            let lb = Histogram::lower_bound(i);
-            assert!(lb <= v, "lower bound {lb} above value {v}");
-            // Sub-bucket width is lb/(8+sub) ≤ lb/8.
-            assert!(
-                v - lb <= lb / 8,
-                "value {v} more than 12.5% above bucket bound {lb}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_and_reset() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(3);
-        b.record(300);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        a.reset();
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.quantile(0.5), None);
-
-        let mut r = MetricsRegistry::default();
-        r.record_request(2, 5, 1, 0);
-        let mut r2 = MetricsRegistry::default();
-        r2.merge(&r);
-        assert_eq!(r2.hops.count(), 1);
-        r2.reset();
-        assert_eq!(r2, MetricsRegistry::default());
-    }
-
-    #[test]
     fn exporters_are_deterministic_and_well_formed() {
         let events: Vec<TraceEvent> = (0..5).map(ev).collect();
         let mut a = Vec::new();
@@ -666,31 +399,5 @@ mod tests {
         assert!(chrome.trim_start().starts_with('['));
         assert!(chrome.trim_end().ends_with(']'));
         assert_eq!(chrome.matches("\"ph\":\"X\"").count(), 5);
-    }
-
-    proptest! {
-        /// The satellite bound: every histogram quantile sits within
-        /// 12.5% below the exact sort-based quantile of the same data.
-        #[test]
-        fn histogram_quantiles_track_exact_quantiles(
-            mut values in proptest::collection::vec(0u64..1_000_000, 1..400),
-            qs in proptest::collection::vec(0.0f64..=1.0, 1..8),
-        ) {
-            let mut h = Histogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            values.sort_unstable();
-            for q in qs {
-                let rank = (q * (values.len() - 1) as f64) as usize;
-                let exact = values[rank];
-                let got = h.quantile(q).expect("non-empty histogram has quantiles");
-                prop_assert!(got <= exact, "q={q}: histogram {got} above exact {exact}");
-                prop_assert!(
-                    exact - got <= got / 8,
-                    "q={q}: histogram {got} more than 12.5% below exact {exact}"
-                );
-            }
-        }
     }
 }

@@ -16,21 +16,29 @@
 
 use crate::alphabet::Alphabet;
 use crate::engine::{
-    empty_outcome, parallel::ParallelPump, Engine, EngineConfig, FifoTransport, Step,
+    empty_outcome, parallel::ParallelPump, requeue_limit, Engine, EngineConfig, FifoTransport, Step,
 };
 use crate::error::{DlptError, Result};
 use crate::key::Key;
-use crate::messages::{Address, Envelope, NodeMsg, QueryKind};
+use crate::messages::{Envelope, NodeMsg, QueryKind};
 use crate::node::NodeState;
 use crate::replication::AntiEntropyReport;
-use crate::transport::{FaultPlan, FaultStats, Faults, FaultyTransport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 pub use crate::engine::LookupOutcome;
 
-/// Tunables of the runtime.
+/// Upper bound on envelopes processed by one drain — a tripwire for
+/// routing loops, which the protocol makes impossible.
+const DRAIN_BUDGET: usize = 4_000_000;
+
+/// How many times one envelope may be requeued while its destination
+/// is still in flight, before the ring-size floor ([`requeue_limit`]).
+const REQUEUE_BUDGET: u32 = 256;
+
+/// Tunables of the runtime. Replication and caching are the engine's
+/// ([`Engine::set_replication`], [`Engine::set_cache_capacity`]).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Digit alphabet shared by peers, nodes and service keys.
@@ -41,32 +49,6 @@ pub struct SystemConfig {
     /// The default is effectively unbounded so functional use is never
     /// throttled; experiments set real capacities.
     pub default_capacity: u32,
-    /// Upper bound on envelopes processed by one drain — a tripwire
-    /// for routing loops, which the protocol makes impossible.
-    pub drain_budget: usize,
-    /// How many times one envelope may be requeued while its
-    /// destination is still in flight. The effective budget is floored
-    /// at twice the ring membership: a freshly seeded node walks the
-    /// ring one hop per queue cycle before it lands, so dependent
-    /// envelopes need O(ring) retries on large rings.
-    pub requeue_budget: u32,
-    /// Replication factor `k`: each tree node lives on its primary
-    /// (mapping-rule) host plus `k - 1` ring-successor followers
-    /// (`protocol::repair`). The default `1` disables replication
-    /// entirely — the runtime is then byte-identical to the
-    /// pre-replication system.
-    pub replication: usize,
-    /// Per-peer routing-shortcut cache capacity (`crate::cache`): hot
-    /// query targets learned from completed discoveries route in one
-    /// directory hop instead of the O(depth) up/down climb, validated
-    /// by per-label epochs. The default `0` disables caching entirely —
-    /// the runtime is then byte-identical to the pre-cache system.
-    pub cache_capacity: usize,
-    /// How many times one discovery request may be re-issued after
-    /// fault-induced loss left a branch outstanding at quiescence.
-    /// Only consulted when a [`FaultPlan`] is active; at exhaustion
-    /// the request fails explicitly (never hangs).
-    pub request_retry_budget: u32,
 }
 
 impl Default for SystemConfig {
@@ -75,11 +57,6 @@ impl Default for SystemConfig {
             alphabet: Alphabet::grid(),
             peer_id_len: 16,
             default_capacity: u32::MAX >> 1,
-            drain_budget: 4_000_000,
-            requeue_budget: 256,
-            replication: 1,
-            cache_capacity: 0,
-            request_retry_budget: 4,
         }
     }
 }
@@ -88,6 +65,8 @@ impl Default for SystemConfig {
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     config: SystemConfig,
+    replication: usize,
+    cache_capacity: usize,
     seed: u64,
     bootstrap_peers: usize,
 }
@@ -96,6 +75,8 @@ impl Default for SystemBuilder {
     fn default() -> Self {
         SystemBuilder {
             config: SystemConfig::default(),
+            replication: 1,
+            cache_capacity: 0,
             seed: 0xD1_97,
             bootstrap_peers: 0,
         }
@@ -124,15 +105,15 @@ impl SystemBuilder {
         self
     }
     /// Replication factor `k` (primary + `k - 1` followers; default 1 =
-    /// replication off).
+    /// replication off, byte-identical to the pre-replication system).
     pub fn replication(mut self, k: usize) -> Self {
-        self.config.replication = k.max(1);
+        self.replication = k;
         self
     }
     /// Per-peer routing-shortcut cache capacity (default 0 = caching
-    /// off).
+    /// off, byte-identical to the pre-cache system).
     pub fn cache_capacity(mut self, n: usize) -> Self {
-        self.config.cache_capacity = n;
+        self.cache_capacity = n;
         self
     }
     /// Joins `n` peers with random identifiers during `build`.
@@ -140,15 +121,12 @@ impl SystemBuilder {
         self.bootstrap_peers = n;
         self
     }
-    /// Overrides the whole configuration.
-    pub fn config(mut self, c: SystemConfig) -> Self {
-        self.config = c;
-        self
-    }
 
     /// Builds the system (and bootstraps peers if requested).
     pub fn build(self) -> DlptSystem {
         let mut sys = DlptSystem::new(self.config, self.seed);
+        sys.set_replication(self.replication);
+        sys.set_cache_capacity(self.cache_capacity);
         for _ in 0..self.bootstrap_peers {
             let cap = sys.config.default_capacity;
             sys.add_peer(cap).expect("bootstrap join cannot fail");
@@ -181,9 +159,6 @@ pub struct DlptSystem {
     engine: Engine,
     /// The immediate-FIFO queue this runtime drains to quiescence.
     pump: FifoTransport,
-    /// Fault-injection state ([`crate::transport`]); inert by default.
-    faults: Faults,
-    debug_drain: bool,
 }
 
 impl std::ops::Deref for DlptSystem {
@@ -203,18 +178,14 @@ impl DlptSystem {
     /// Creates an empty system.
     pub fn new(config: SystemConfig, seed: u64) -> Self {
         let engine = Engine::new(EngineConfig {
-            replication: config.replication,
-            cache_capacity: config.cache_capacity,
             charge_capacity: true,
-            judge_at_quiescence: false,
             eager_replication: true,
+            ..EngineConfig::default()
         });
         DlptSystem {
             rng: StdRng::seed_from_u64(seed),
             engine,
             pump: FifoTransport::default(),
-            faults: Faults::new(FaultPlan::default()),
-            debug_drain: std::env::var_os("DLPT_DEBUG_DRAIN").is_some(),
             config,
         }
     }
@@ -234,56 +205,6 @@ impl DlptSystem {
     #[cfg(test)]
     pub(crate) fn engine_ref(&self) -> &Engine {
         &self.engine
-    }
-
-    /// Reconfigures the replication factor `k` (clamped to ≥ 1),
-    /// keeping [`SystemConfig`] and the engine in sync. Shadows the
-    /// engine's setter so `config()` never reports a stale knob.
-    pub fn set_replication(&mut self, k: usize) {
-        self.config.replication = k.max(1);
-        self.engine.set_replication(k);
-    }
-
-    /// Reconfigures the per-peer routing-shortcut cache capacity
-    /// (0 = off) for existing peers and every peer joining later,
-    /// keeping [`SystemConfig`] and the engine in sync.
-    pub fn set_cache_capacity(&mut self, n: usize) {
-        self.config.cache_capacity = n;
-        self.engine.set_cache_capacity(n);
-    }
-
-    /// Installs a fault plan ([`crate::transport`]), resetting the
-    /// fault RNG, counters and partition. The default plan is fully
-    /// inert: the drain path is byte-identical to a system that never
-    /// called this.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        // Reordering breaks the FIFO parent-before-child response
-        // order the pump's eager judging relies on; finalize at
-        // quiescence instead while such a plan is installed.
-        self.engine.set_judge_at_quiescence(plan.reorder_rate > 0.0);
-        self.faults = Faults::new(plan);
-        self.engine.set_fault_recovery(self.faults.is_active());
-    }
-
-    /// Severs the lexicographic key range `[lo, hi)` for faultable
-    /// traffic until [`DlptSystem::heal_partition`].
-    pub fn partition(&mut self, lo: Key, hi: Key) {
-        self.faults.partition(lo, hi);
-        self.engine.set_fault_recovery(true);
-    }
-
-    /// Heals a partition installed by [`DlptSystem::partition`].
-    pub fn heal_partition(&mut self) {
-        self.faults.heal();
-        self.engine.set_fault_recovery(self.faults.is_active());
-    }
-
-    /// Combined fault counters: transport-level draws plus the
-    /// engine's suppressed duplicates.
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.faults.stats;
-        s.duplicates_suppressed += self.engine.duplicates_suppressed;
-        s
     }
 
     /// A uniformly random node label (the "random node of the tree"
@@ -449,46 +370,24 @@ impl DlptSystem {
     /// aggregation are the engine's — see
     /// [`Engine::begin_request`] for the route-cache flow.
     pub fn request_from(&mut self, entry: &Key, query: QueryKind) -> Result<LookupOutcome> {
-        let (id, env) = self.engine.begin_request(entry, query)?;
-        if !self.faults.is_active() {
+        let (id, mut env) = self.engine.begin_request(entry, query)?;
+        loop {
             self.enqueue(env);
             self.drain()?;
-            return self
-                .engine
-                .take_finished(id)
-                .ok_or(DlptError::Undeliverable(format!("request {id}")));
-        }
-        // Fault-tolerant path: a lost response leaves a branch
-        // outstanding at quiescence; re-issue the engine's retry
-        // snapshot of the original envelope up to the retry budget,
-        // then fail explicitly — a request never hangs and never
-        // silently vanishes.
-        self.enqueue(env);
-        self.drain()?;
-        let mut attempts = 0u32;
-        loop {
             if let Some(out) = self.engine.take_finished(id) {
                 return Ok(out);
             }
-            if !self.engine.retry_pending(id) || attempts >= self.config.request_retry_budget {
-                break;
+            // Not finalized at quiescence — a response was lost, or a
+            // reordering plan defers judging: re-send the origin while
+            // the engine's retry policy says so (immediately; the pump
+            // has no clock), then take the verdict, which is the
+            // explicit failure if a branch is still stranded. A request
+            // never hangs and never silently vanishes.
+            match self.engine.retry_origin(id) {
+                Some(origin) => env = origin,
+                None => return Ok(self.engine.finish_request(id)),
             }
-            attempts += 1;
-            self.faults.stats.retries += 1;
-            let origin = self
-                .engine
-                .retry_envelope(id)
-                .expect("fault recovery keeps the origin snapshot");
-            self.engine.reset_request_for_retry(id);
-            self.enqueue(origin);
-            self.drain()?;
         }
-        if self.engine.retry_pending(id) {
-            // Budget exhausted with a branch still stranded: the
-            // outcome below is the explicit failure.
-            self.faults.stats.requests_failed += 1;
-        }
-        Ok(self.engine.finish_request(id))
     }
 
     /// Runs a batch of discovery requests through the route-then-commit
@@ -540,16 +439,7 @@ impl DlptSystem {
     /// Moves one node to another peer, updating the directory. Used by
     /// the balancers; counted as balance traffic.
     pub fn migrate_node(&mut self, label: &Key, to: &Key) -> Result<()> {
-        // Unlike the other mutating entry points (whose emissions are
-        // all reliable-class), a migration broadcasts the faultable
-        // `InvalidateCached` — it must enter through the fault layer or
-        // a partition could never strand a stale shortcut.
-        if self.faults.is_active() {
-            let mut t = FaultyTransport::new(&mut self.pump, &mut self.faults);
-            self.engine.migrate_shard_node(label, to, &mut t)?;
-        } else {
-            self.engine.migrate_shard_node(label, to, &mut self.pump)?;
-        }
+        self.engine.migrate_shard_node(label, to, &mut self.pump)?;
         self.drain()?;
         self.flush_replication()
     }
@@ -760,6 +650,8 @@ impl DlptSystem {
     // The pump
     // ------------------------------------------------------------------
 
+    /// Injects an envelope at the back of the queue — past the fault
+    /// gate: the pump models only engine-emitted traffic as faultable.
     fn enqueue(&mut self, env: Envelope) {
         self.pump.queue.push_back((0, env));
     }
@@ -783,67 +675,32 @@ impl DlptSystem {
     }
 
     /// Processes the queue to quiescence through the engine's
-    /// dispatch.
+    /// dispatch. (To see the last dispatches before a failure, arm the
+    /// ring tracer: [`Engine::set_tracing`].)
     fn drain(&mut self) -> Result<()> {
-        let debug = self.debug_drain;
-        let mut trace: VecDeque<String> = VecDeque::new();
         let mut steps = 0usize;
-        while let Some((requeues, env)) = self.pump.queue.pop_front() {
-            steps += 1;
-            if steps > self.config.drain_budget {
-                if debug {
-                    eprintln!("drain budget exhausted; trace of last dispatches:");
-                    for line in &trace {
-                        eprintln!("  {line}");
-                    }
-                    eprintln!("current: {env:?}");
-                    if let Address::Node(l) = &env.to {
-                        if let Some(n) = self.engine.node(l) {
-                            eprintln!("node state: {n:?}");
-                            if let Some(f) = &n.father {
-                                eprintln!("father state: {:?}", self.engine.node(f));
-                            }
-                        }
-                    }
+        loop {
+            while let Some((requeues, env)) = self.pump.queue.pop_front() {
+                steps += 1;
+                if steps > DRAIN_BUDGET {
+                    return Err(DlptError::HopBudgetExhausted {
+                        budget: DRAIN_BUDGET,
+                    });
                 }
-                return Err(DlptError::HopBudgetExhausted {
-                    budget: self.config.drain_budget,
-                });
-            }
-            if debug {
-                trace.push_back(format!("{env:?}"));
-                if trace.len() > 30 {
-                    trace.pop_front();
+                if let Step::Requeue(env) = self.engine.deliver(&mut self.pump, env)? {
+                    self.requeue(requeues, env)?;
                 }
             }
-            let step = if self.faults.is_active() {
-                let mut t = FaultyTransport::new(&mut self.pump, &mut self.faults);
-                self.engine.deliver(&mut t, env)?
-            } else {
-                self.engine.deliver(&mut self.pump, env)?
-            };
-            match step {
-                Step::Done => {}
-                Step::Requeue(env) => self.requeue(requeues, env)?,
+            // Reorder-deferred envelopes are released at quiescence;
+            // they may fan out further, so drain until nothing is held.
+            if !self.engine.flush_deferred(&mut self.pump) {
+                return Ok(());
             }
         }
-        // Reorder-deferred envelopes are released at quiescence; they
-        // may fan out further, so drain again until nothing is held.
-        if self.faults.flush_deferred(&mut self.pump) {
-            return self.drain();
-        }
-        Ok(())
     }
 
     fn requeue(&mut self, requeues: u32, env: Envelope) -> Result<()> {
-        // A node seed in flight advances one ring hop per queue cycle
-        // (`protocol::data_insertion::on_host`), so an envelope waiting
-        // on that node can legitimately requeue O(ring) times before
-        // its destination lands. Floor the configured budget at twice
-        // the membership: the default stays tight on small rings while
-        // large rings get the headroom the walk actually needs.
-        let floor = (self.engine.peer_count() as u32).saturating_mul(2);
-        if requeues >= self.config.requeue_budget.max(floor) {
+        if requeues >= requeue_limit(REQUEUE_BUDGET, self.engine.peer_count()) {
             return self.engine.fail_undeliverable(env);
         }
         self.engine.stats.requeues += 1;
@@ -897,17 +754,15 @@ mod tests {
         // against the not-yet-installed node. A fixed budget fails
         // that insert once the ring outgrows it (first caught by
         // `Engine::audit` at ~2000 peers with the default 256, as two
-        // dangling trie pointers); the membership floor must absorb
-        // the wait even when the configured budget is zero.
+        // dangling trie pointers); the membership floor absorbs the
+        // wait.
+        assert_eq!(requeue_limit(REQUEUE_BUDGET, 24), 256);
+        assert_eq!(requeue_limit(REQUEUE_BUDGET, 2_000), 4_000);
         let mut sys = DlptSystem::builder()
+            .alphabet(Alphabet::binary())
             .seed(7)
+            .peer_id_len(10)
             .bootstrap_peers(24)
-            .config(SystemConfig {
-                alphabet: Alphabet::binary(),
-                peer_id_len: 10,
-                requeue_budget: 0,
-                ..SystemConfig::default()
-            })
             .build();
         for s in PAPER_KEYS {
             sys.insert_data(k(s)).unwrap();

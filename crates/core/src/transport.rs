@@ -1,12 +1,14 @@
-//! Fault injection as a transport decorator.
+//! Fault injection: the gate between the engine and any transport.
 //!
-//! [`FaultyTransport`] wraps any [`Transport`] — the synchronous FIFO
-//! pump, the discrete-event latency queue or the threaded frame
-//! channels — and injects seeded, deterministic message loss,
-//! duplication, reordering and healable partitions according to a
-//! [`FaultPlan`]. Nothing in the engine or the runtimes knows whether
-//! the transport underneath them is faulty; they only gain the retry
-//! and idempotency machinery that faults make necessary.
+//! [`Faults`] decides, per envelope, whether it reaches the
+//! [`Transport`] underneath — the synchronous FIFO pump, the
+//! discrete-event latency queue or the threaded frame channels —
+//! injecting seeded, deterministic message loss, duplication,
+//! reordering and healable partitions according to a [`FaultPlan`].
+//! The engine owns the one `Faults` of a runtime and asks it about
+//! everything it emits (`engine/faults.rs`, which also holds the retry
+//! and idempotency machinery that faults make necessary); the runtimes
+//! only decide how an envelope that passed travels.
 //!
 //! Determinism rules (what keeps the golden fingerprint byte-identical
 //! when faults are off, and lossy runs reproducible when they are on):
@@ -19,8 +21,8 @@
 //! 3. A partitioned destination drops the message without consuming a
 //!    draw (the partition is a deterministic predicate, not a coin).
 //! 4. An inert plan ([`FaultPlan::is_inert`]) delivers without
-//!    consuming a draw — a default-plan decorator is exactly the inner
-//!    transport.
+//!    consuming a draw — a default-plan gate is exactly the transport
+//!    behind it.
 //! 5. Otherwise exactly **one** uniform draw decides
 //!    loss / duplication / deferral / delivery.
 
@@ -130,15 +132,14 @@ enum Verdict {
 
 /// Owns the fault plan, its dedicated RNG, the deferred-envelope
 /// buffer and the (healable) partition. One `Faults` lives in each
-/// runtime; [`FaultyTransport`] borrows it per delivery so the same
-/// seeded draw stream spans the whole run.
+/// engine, so the same seeded draw stream spans the whole run.
 #[derive(Debug)]
-pub struct Faults {
+pub(crate) struct Faults {
     plan: FaultPlan,
     rng: StdRng,
     partition: Option<(Key, Key)>,
     deferred: VecDeque<Envelope>,
-    /// Counters incremented by fault draws and by the runtimes'
+    /// Counters incremented by fault draws and by the engine's
     /// retry/exhaustion paths.
     pub stats: FaultStats,
 }
@@ -155,14 +156,9 @@ impl Faults {
         }
     }
 
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Whether the fault layer can do anything at all. Runtimes gate
-    /// their retry loops and decorator wrapping on this so the
-    /// fault-off hot path is untouched.
+    /// Whether the fault layer can do anything at all. The engine
+    /// consults the gate only while this holds, so the fault-off hot
+    /// path is untouched.
     pub fn is_active(&self) -> bool {
         !self.plan.is_inert() || self.partition.is_some()
     }
@@ -171,18 +167,13 @@ impl Faults {
     /// messages addressed to a peer or node whose key falls in the
     /// range are dropped until [`heal`](Self::heal). Client-addressed
     /// responses pass (the client is not on the overlay).
-    pub fn partition(&mut self, lo: Key, hi: Key) {
+    pub fn sever(&mut self, lo: Key, hi: Key) {
         self.partition = Some((lo, hi));
     }
 
     /// Heals the partition; subsequent deliveries flow normally.
     pub fn heal(&mut self) {
         self.partition = None;
-    }
-
-    /// Whether a partition is currently severed.
-    pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some()
     }
 
     fn severed(&self, to: &Address) -> bool {
@@ -227,12 +218,25 @@ impl Faults {
         Verdict::Deliver
     }
 
+    /// The gate: forwards `env` to `inner` according to its verdict.
+    pub fn send<T: Transport>(&mut self, inner: &mut T, env: Envelope) {
+        match self.verdict(&env) {
+            Verdict::Deliver => inner.deliver(env),
+            Verdict::Drop => {}
+            Verdict::Duplicate => {
+                inner.deliver(env.clone());
+                inner.deliver(env);
+            }
+            Verdict::Defer => self.deferred.push_back(env),
+        }
+    }
+
     /// Releases every deferred envelope into `inner` (without a second
     /// fault draw: a deferred message is late, not lost twice — and
     /// redrawing could starve delivery forever, breaking the
     /// termination guarantee the retry loop relies on). Runtimes call
-    /// this when their queue runs dry and loop while it returns
-    /// `true`.
+    /// this (through the engine) when their queue runs dry and loop
+    /// while it returns `true`.
     pub fn flush_deferred<T: Transport>(&mut self, inner: &mut T) -> bool {
         if self.deferred.is_empty() {
             return false;
@@ -241,39 +245,6 @@ impl Faults {
             inner.deliver(env);
         }
         true
-    }
-}
-
-/// The decorator: a [`Transport`] that forwards to `inner` according
-/// to the fault draws of a borrowed [`Faults`].
-#[derive(Debug)]
-pub struct FaultyTransport<'f, T: Transport> {
-    inner: T,
-    faults: &'f mut Faults,
-}
-
-impl<'f, T: Transport> FaultyTransport<'f, T> {
-    /// Wraps `inner` with the fault state of `faults`.
-    pub fn new(inner: T, faults: &'f mut Faults) -> Self {
-        FaultyTransport { inner, faults }
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<'_, T> {
-    fn deliver(&mut self, env: Envelope) {
-        match self.faults.verdict(&env) {
-            Verdict::Deliver => self.inner.deliver(env),
-            Verdict::Drop => {}
-            Verdict::Duplicate => {
-                self.inner.deliver(env.clone());
-                self.inner.deliver(env);
-            }
-            Verdict::Defer => self.faults.deferred.push_back(env),
-        }
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.now()
     }
 }
 
@@ -323,11 +294,10 @@ mod tests {
     fn default_plan_is_inert_and_draws_no_randomness() {
         let mut faults = Faults::new(FaultPlan::default());
         let mut inner = FifoTransport::default();
-        let mut t = FaultyTransport::new(&mut inner, &mut faults);
         for i in 0..20 {
-            t.deliver(discovery_env("DG"));
-            t.deliver(response_env(i));
-            t.deliver(reliable_env());
+            faults.send(&mut inner, discovery_env("DG"));
+            faults.send(&mut inner, response_env(i));
+            faults.send(&mut inner, reliable_env());
         }
         assert_eq!(inner.queue.len(), 60);
         assert_eq!(faults.stats, FaultStats::default());
@@ -346,10 +316,9 @@ mod tests {
         };
         let mut faults = Faults::new(plan);
         let mut inner = FifoTransport::default();
-        let mut t = FaultyTransport::new(&mut inner, &mut faults);
         for _ in 0..10 {
-            t.deliver(discovery_env("DG"));
-            t.deliver(reliable_env());
+            faults.send(&mut inner, discovery_env("DG"));
+            faults.send(&mut inner, reliable_env());
         }
         assert_eq!(inner.queue.len(), 10, "mutations are modelled reliable");
         assert_eq!(faults.stats.lost, 10);
@@ -363,7 +332,7 @@ mod tests {
         };
         let mut faults = Faults::new(plan);
         let mut inner = FifoTransport::default();
-        FaultyTransport::new(&mut inner, &mut faults).deliver(response_env(3));
+        faults.send(&mut inner, response_env(3));
         assert_eq!(inner.queue.len(), 2);
         assert_eq!(inner.queue[0], inner.queue[1]);
         assert_eq!(faults.stats.duplicated, 1);
@@ -377,7 +346,7 @@ mod tests {
         };
         let mut faults = Faults::new(plan);
         let mut inner = FifoTransport::default();
-        FaultyTransport::new(&mut inner, &mut faults).deliver(discovery_env("DG"));
+        faults.send(&mut inner, discovery_env("DG"));
         assert!(inner.queue.is_empty());
         assert_eq!(faults.stats.reordered, 1);
         assert!(faults.flush_deferred(&mut inner));
@@ -388,20 +357,18 @@ mod tests {
     #[test]
     fn partition_severs_a_key_range_and_heals() {
         let mut faults = Faults::new(FaultPlan::default());
-        faults.partition(Key::from("D"), Key::from("E"));
+        faults.sever(Key::from("D"), Key::from("E"));
         assert!(faults.is_active(), "a partition alone activates faults");
         let mut inner = FifoTransport::default();
-        let mut t = FaultyTransport::new(&mut inner, &mut faults);
-        t.deliver(discovery_env("DG")); // in [D, E): severed
-        t.deliver(discovery_env("SG")); // outside: delivered
-        t.deliver(response_env(1)); // client-addressed: always passes
-        t.deliver(reliable_env()); // reliable class: partition does not apply
+        faults.send(&mut inner, discovery_env("DG")); // in [D, E): severed
+        faults.send(&mut inner, discovery_env("SG")); // outside: delivered
+        faults.send(&mut inner, response_env(1)); // client-addressed: always passes
+        faults.send(&mut inner, reliable_env()); // reliable class: partition does not apply
         assert_eq!(inner.queue.len(), 3);
         assert_eq!(faults.stats.partition_dropped, 1);
         faults.heal();
         assert!(!faults.is_active());
-        let mut t = FaultyTransport::new(&mut inner, &mut faults);
-        t.deliver(discovery_env("DG"));
+        faults.send(&mut inner, discovery_env("DG"));
         assert_eq!(inner.queue.len(), 4);
     }
 
@@ -416,9 +383,8 @@ mod tests {
         let run = || {
             let mut faults = Faults::new(plan);
             let mut inner = FifoTransport::default();
-            let mut t = FaultyTransport::new(&mut inner, &mut faults);
             for i in 0..200 {
-                t.deliver(response_env(i));
+                faults.send(&mut inner, response_env(i));
             }
             faults.flush_deferred(&mut inner);
             let stats = faults.stats;

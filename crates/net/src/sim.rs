@@ -18,10 +18,9 @@
 //! transiently zero the outstanding-branch counter.
 
 use crate::event::EventQueue;
-use dlpt_core::engine::{Engine, EngineConfig, Step, Transport};
+use dlpt_core::engine::{requeue_limit, Engine, EngineConfig, Step, Transport};
 use dlpt_core::key::Key;
-use dlpt_core::messages::{Envelope, QueryKind};
-use dlpt_core::transport::{FaultPlan, FaultStats, Faults, FaultyTransport};
+use dlpt_core::messages::{Envelope, NodeMsg, QueryKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,23 +42,29 @@ impl LatencyModel {
     }
 }
 
+/// How many times one envelope may be requeued while its destination
+/// is still in flight, before the ring-size floor ([`requeue_limit`]).
+const REQUEUE_BUDGET: u32 = 4096;
+
+/// Base delay of the exponential retry backoff (ticks): attempt `a`
+/// re-enters the event queue after `BACKOFF_BASE << a`.
+const BACKOFF_BASE: u64 = 8;
+
 /// The latency-queue transport: every delivered envelope is scheduled
 /// after a sampled delay, entering the same seeded event queue as
-/// everything else in flight.
-struct LatencyTransport<'a> {
-    queue: &'a mut EventQueue<(u32, Envelope)>,
+/// everything else in flight. The `u32` is the per-envelope requeue
+/// count.
+#[derive(Debug)]
+struct LatencyTransport {
+    queue: EventQueue<(u32, Envelope)>,
     latency: LatencyModel,
-    rng: &'a mut StdRng,
+    rng: StdRng,
 }
 
-impl Transport for LatencyTransport<'_> {
+impl Transport for LatencyTransport {
     fn deliver(&mut self, env: Envelope) {
-        let delay = self.latency.sample(self.rng);
+        let delay = self.latency.sample(&mut self.rng);
         self.queue.push_after(delay, (0, env));
-    }
-
-    fn now(&self) -> u64 {
-        self.queue.now()
     }
 }
 
@@ -69,19 +74,9 @@ impl Transport for LatencyTransport<'_> {
 #[derive(Debug)]
 pub struct LatencyNet {
     engine: Engine,
-    queue: EventQueue<(u32, Envelope)>,
-    latency: LatencyModel,
-    rng: StdRng,
-    requeue_budget: u32,
-    /// Fault-injection state (`dlpt_core::transport`); inert by
-    /// default.
-    faults: Faults,
-    /// Bounded per-request retries when faults are active; exhaustion
-    /// fails the request explicitly.
-    request_retry_budget: u32,
-    /// Base delay of the exponential retry backoff (ticks); attempt
-    /// `a` re-enters the event queue after `base << a`.
-    backoff_base: u64,
+    /// The event queue, its latency model and the runtime's one RNG
+    /// (delays, entry nodes).
+    net: LatencyTransport,
     /// Messages delivered so far.
     pub deliveries: u64,
 }
@@ -107,60 +102,20 @@ impl LatencyNet {
                 judge_at_quiescence: true,
                 ..EngineConfig::default()
             }),
-            queue: EventQueue::new(),
-            latency,
-            rng: StdRng::seed_from_u64(seed),
-            requeue_budget: 4096,
-            faults: Faults::new(FaultPlan::default()),
-            request_retry_budget: 4,
-            backoff_base: 8,
+            net: LatencyTransport {
+                queue: EventQueue::new(),
+                latency,
+                rng: StdRng::seed_from_u64(seed),
+            },
             deliveries: 0,
         }
     }
 
-    /// Installs a fault plan, resetting the fault RNG, counters and
-    /// partition. The default plan is fully inert.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Faults::new(plan);
-        self.engine.set_fault_recovery(self.faults.is_active());
-    }
-
-    /// Severs the lexicographic key range `[lo, hi)` for faultable
-    /// traffic until [`LatencyNet::heal_partition`].
-    pub fn partition(&mut self, lo: Key, hi: Key) {
-        self.faults.partition(lo, hi);
-        self.engine.set_fault_recovery(true);
-    }
-
-    /// Heals a partition installed by [`LatencyNet::partition`].
-    pub fn heal_partition(&mut self) {
-        self.faults.heal();
-        self.engine.set_fault_recovery(self.faults.is_active());
-    }
-
-    /// Combined fault counters: transport-level draws plus the
-    /// engine's suppressed duplicates.
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.faults.stats;
-        s.duplicates_suppressed += self.engine.duplicates_suppressed;
-        s
-    }
-
-    /// Schedules one externally injected envelope through the same
+    /// Schedules one externally injected envelope through the gate and
     /// transport the engine uses, so injected operations and
     /// engine-emitted traffic can never diverge in delivery policy.
     fn send(&mut self, env: Envelope) {
-        let inner = LatencyTransport {
-            queue: &mut self.queue,
-            latency: self.latency,
-            rng: &mut self.rng,
-        };
-        if self.faults.is_active() {
-            FaultyTransport::new(inner, &mut self.faults).deliver(env);
-        } else {
-            let mut inner = inner;
-            inner.deliver(env);
-        }
+        self.engine.send(&mut self.net, env);
     }
 
     /// Adds a peer, routing the join through the tree, and runs the
@@ -171,7 +126,7 @@ impl LatencyNet {
         if self.engine.peer_count() == 1 {
             return;
         }
-        let env = self.engine.join_envelope(&id, &mut self.rng);
+        let env = self.engine.join_envelope(&id, &mut self.net.rng);
         self.send(env);
         self.run_to_quiescence();
     }
@@ -179,17 +134,17 @@ impl LatencyNet {
     /// Registers a key and runs to quiescence.
     pub fn insert_data(&mut self, key: Key) {
         assert!(self.engine.peer_count() > 0, "need at least one peer");
-        let env = self.engine.insert_envelope(key, &mut self.rng);
+        let env = self.engine.insert_envelope(key, &mut self.net.rng);
         self.send(env);
         self.run_to_quiescence();
     }
 
     /// Deregisters a key and runs to quiescence.
     pub fn remove_data(&mut self, key: &Key) {
-        if let Some(entry) = self.engine.random_node(&mut self.rng) {
+        if let Some(entry) = self.engine.random_node(&mut self.net.rng) {
             self.send(Envelope::to_node(
                 entry,
-                dlpt_core::messages::NodeMsg::DataRemoval { key: key.clone() },
+                NodeMsg::DataRemoval { key: key.clone() },
             ));
             self.run_to_quiescence();
         }
@@ -211,7 +166,7 @@ impl LatencyNet {
     }
 
     fn request(&mut self, query: QueryKind) -> (bool, Vec<Key>) {
-        let Some(entry) = self.engine.random_node(&mut self.rng) else {
+        let Some(entry) = self.engine.random_node(&mut self.net.rng) else {
             return (false, Vec::new());
         };
         // Cache consult at the entry peer — the engine's shared flow;
@@ -223,36 +178,24 @@ impl LatencyNet {
             .expect("entry is a live node");
         self.send(env);
         self.run_to_quiescence();
+        // While the engine's retry policy says a branch is stranded,
+        // the origin goes back out with exponential backoff: straight
+        // into the event queue (past the gate), `BACKOFF_BASE <<
+        // attempt` ticks out, past everything the previous attempt
+        // scheduled.
+        let mut attempt = 0;
+        while let Some(origin) = self.engine.retry_origin(id) {
+            self.net
+                .queue
+                .push_after(BACKOFF_BASE << attempt, (0, origin));
+            attempt += 1;
+            self.run_to_quiescence();
+        }
         // Only judge completion once the network is drained: responses
         // arrive out of order here, so the outstanding-branch counter
         // can transiently touch zero while a parent's response (which
         // would raise it again via `pending_children`) is still in
         // flight.
-        if self.faults.is_active() {
-            // Fault-tolerant path: a branch left outstanding at
-            // quiescence means loss; re-issue the engine's retry
-            // snapshot with exponential backoff (the retry re-enters
-            // the event queue `base << attempt` ticks out, past
-            // everything the first attempt scheduled), then fail
-            // explicitly at budget exhaustion. Fault-off runs never
-            // take the snapshot, so they pay no per-request clone.
-            let mut attempts = 0u32;
-            while self.engine.retry_pending(id) && attempts < self.request_retry_budget {
-                self.faults.stats.retries += 1;
-                let origin = self
-                    .engine
-                    .retry_envelope(id)
-                    .expect("fault recovery keeps the origin snapshot");
-                self.engine.reset_request_for_retry(id);
-                let delay = self.backoff_base << attempts.min(16);
-                attempts += 1;
-                self.queue.push_after(delay, (0, origin));
-                self.run_to_quiescence();
-            }
-            if self.engine.retry_pending(id) {
-                self.faults.stats.requests_failed += 1;
-            }
-        }
         let out = self.engine.finish_request(id);
         (out.satisfied, out.results)
     }
@@ -261,50 +204,27 @@ impl LatencyNet {
     /// reordering fault held back past the queue).
     pub fn run_to_quiescence(&mut self) {
         loop {
-            while let Some((_, (requeues, env))) = self.queue.pop() {
+            while let Some((_, (requeues, env))) = self.net.queue.pop() {
                 self.deliveries += 1;
-                let inner = LatencyTransport {
-                    queue: &mut self.queue,
-                    latency: self.latency,
-                    rng: &mut self.rng,
+                let step = self.engine.deliver(&mut self.net, env);
+                let Step::Requeue(env) = step.expect("valid envelope") else {
+                    continue;
                 };
-                let step = if self.faults.is_active() {
-                    let mut t = FaultyTransport::new(inner, &mut self.faults);
-                    self.engine.deliver(&mut t, env).expect("valid envelope")
-                } else {
-                    let mut t = inner;
-                    self.engine.deliver(&mut t, env).expect("valid envelope")
-                };
-                match step {
-                    Step::Done => {}
-                    Step::Requeue(env) => {
-                        // Same ring-size floor as the synchronous
-                        // pump: a seed walking the ring takes O(ring)
-                        // hops to land, and every hop is one more
-                        // requeue for the envelopes waiting on it.
-                        let floor = (self.engine.peer_count() as u32).saturating_mul(2);
-                        if requeues >= self.requeue_budget.max(floor) {
-                            // A lost discovery message still resolves
-                            // its request (explicit failure); anything
-                            // else exhausting the budget is a routing
-                            // bug worth aborting on.
-                            self.engine
-                                .fail_undeliverable(env)
-                                .expect("only discovery traffic may exhaust the requeue budget");
-                            continue;
-                        }
-                        // Retry shortly; the message that creates the
-                        // destination is already in flight.
-                        self.queue.push_after(1, (requeues + 1, env));
-                    }
+                if requeues >= requeue_limit(REQUEUE_BUDGET, self.engine.peer_count()) {
+                    // A lost discovery message still resolves its
+                    // request (explicit failure); anything else
+                    // exhausting the budget is a routing bug worth
+                    // aborting on.
+                    self.engine
+                        .fail_undeliverable(env)
+                        .expect("only discovery traffic may exhaust the requeue budget");
+                    continue;
                 }
+                // Retry shortly; the message that creates the
+                // destination is already in flight.
+                self.net.queue.push_after(1, (requeues + 1, env));
             }
-            let mut inner = LatencyTransport {
-                queue: &mut self.queue,
-                latency: self.latency,
-                rng: &mut self.rng,
-            };
-            if !self.faults.flush_deferred(&mut inner) {
+            if !self.engine.flush_deferred(&mut self.net) {
                 break;
             }
         }
@@ -315,12 +235,7 @@ impl LatencyNet {
     /// the ring; the `Replicate` walks interleave arbitrarily with each
     /// other. Runs to quiescence. No-op at `k = 1`.
     pub fn anti_entropy(&mut self) {
-        let mut t = LatencyTransport {
-            queue: &mut self.queue,
-            latency: self.latency,
-            rng: &mut self.rng,
-        };
-        if self.engine.anti_entropy_kick(&mut t) {
+        if self.engine.anti_entropy_kick(&mut self.net) {
             self.run_to_quiescence();
         }
     }

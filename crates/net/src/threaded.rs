@@ -30,7 +30,6 @@ use dlpt_core::key::Key;
 use dlpt_core::messages::{Address, Envelope, Message, NodeMsg, PeerMsg, QueryKind};
 use dlpt_core::peer::PeerShard;
 use dlpt_core::protocol::{self, Effects};
-use dlpt_core::transport::{FaultPlan, FaultStats, Faults, FaultyTransport};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,16 +67,20 @@ pub struct ThreadedStats {
     pub frames_bounced: Mutex<u64>,
 }
 
+/// How many times one frame may be redelivered while its destination
+/// is still in flight, before the owning request is failed explicitly.
+const FRAME_RETRY_BUDGET: u32 = 10_000;
+
 /// The framed-channel transport: envelopes leaving the engine are
 /// encoded into wire frames on the router queue, from where they are
-/// dispatched to the owning peer thread.
-struct FrameTransport<'a> {
-    queue: &'a mut VecDeque<(u32, Bytes)>,
-}
+/// dispatched to the owning peer thread. The `u32` is the per-frame
+/// redelivery count.
+#[derive(Default)]
+struct FrameQueue(VecDeque<(u32, Bytes)>);
 
-impl Transport for FrameTransport<'_> {
+impl Transport for FrameQueue {
     fn deliver(&mut self, env: Envelope) {
-        self.queue.push_back((0, encode(&env)));
+        self.0.push_back((0, encode(&env)));
     }
 }
 
@@ -92,16 +95,10 @@ pub struct ThreadedDlpt {
     handles: Vec<JoinHandle<PeerShard>>,
     reply_tx: Sender<PeerReply>,
     reply_rx: Receiver<PeerReply>,
-    queue: VecDeque<(u32, Bytes)>,
+    queue: FrameQueue,
     inflight: usize,
     /// Shared counters.
     pub stats: Arc<ThreadedStats>,
-    retry_budget: u32,
-    /// Fault-injection layer interposed on the router queue.
-    faults: Faults,
-    /// Re-issues of a request whose gather was stranded by frame loss
-    /// (consulted only while a [`FaultPlan`] is active).
-    request_retry_budget: u32,
 }
 
 impl std::ops::Deref for ThreadedDlpt {
@@ -132,60 +129,18 @@ impl ThreadedDlpt {
             handles: Vec::new(),
             reply_tx,
             reply_rx,
-            queue: VecDeque::new(),
+            queue: FrameQueue::default(),
             inflight: 0,
             stats: Arc::new(ThreadedStats::default()),
-            retry_budget: 10_000,
-            faults: Faults::new(FaultPlan::default()),
-            request_retry_budget: 4,
         }
     }
 
-    /// Installs a fault plan on the router queue (resetting any prior
-    /// fault state). The default plan is fully inert.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Faults::new(plan);
-        self.engine.set_fault_recovery(self.faults.is_active());
-    }
-
-    /// Severs frames addressed to keys in `[lo, hi)` until
-    /// [`ThreadedDlpt::heal_partition`].
-    pub fn partition(&mut self, lo: Key, hi: Key) {
-        self.faults.partition(lo, hi);
-        self.engine.set_fault_recovery(true);
-    }
-
-    /// Lifts an active partition.
-    pub fn heal_partition(&mut self) {
-        self.faults.heal();
-        self.engine.set_fault_recovery(self.faults.is_active());
-    }
-
-    /// Fault-injection and recovery counters.
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut stats = self.faults.stats;
-        stats.duplicates_suppressed += self.engine.duplicates_suppressed;
-        stats
-    }
-
-    /// Caps per-frame redelivery attempts before the owning request is
-    /// failed explicitly (default `10_000`).
-    pub fn set_retry_budget(&mut self, budget: u32) {
-        self.retry_budget = budget;
-    }
-
-    /// Routes an envelope onto the router queue through the fault
-    /// layer (a no-op wrapper while the plan is inert).
-    fn push_env(&mut self, env: Envelope) {
-        let inner = FrameTransport {
-            queue: &mut self.queue,
-        };
-        if self.faults.is_active() {
-            FaultyTransport::new(inner, &mut self.faults).deliver(env);
-        } else {
-            let mut inner = inner;
-            inner.deliver(env);
-        }
+    /// Routes an injected envelope onto the router queue through the
+    /// engine's fault gate: this runtime models everything that
+    /// travels as a frame — entry and retry envelopes included — as
+    /// faultable.
+    fn send(&mut self, env: Envelope) {
+        self.engine.send(&mut self.queue, env);
     }
 
     /// One anti-entropy pass over the live threads: every peer receives
@@ -193,10 +148,7 @@ impl ThreadedDlpt {
     /// successors with `Replicate` frames — the full replication
     /// protocol exercised through the wire codec. No-op at `k = 1`.
     pub fn anti_entropy(&mut self) {
-        let mut t = FrameTransport {
-            queue: &mut self.queue,
-        };
-        if self.engine.anti_entropy_kick(&mut t) {
+        if self.engine.anti_entropy_kick(&mut self.queue) {
             self.run_to_quiescence();
         }
     }
@@ -248,7 +200,7 @@ impl ThreadedDlpt {
             Envelope::to_peer(succ, PeerMsg::UpdatePredecessor { pred }),
         ];
         for env in heal {
-            self.queue.push_back((0, encode(&env)));
+            self.queue.deliver(env);
         }
         // Fail over. The mapping rule's new host is the first live peer
         // at or after the label on the ring; promote there when the
@@ -277,13 +229,12 @@ impl ThreadedDlpt {
                 });
             match target {
                 Some(t) => {
-                    let env = Envelope::to_peer(
+                    self.queue.deliver(Envelope::to_peer(
                         t,
                         PeerMsg::PromoteReplica {
                             label: label.clone(),
                         },
-                    );
-                    self.queue.push_back((0, encode(&env)));
+                    ));
                 }
                 None => {
                     self.engine.directory_mut().remove(&label);
@@ -361,7 +312,7 @@ impl ThreadedDlpt {
             return;
         }
         let env = self.engine.join_envelope(&id, &mut self.rng);
-        self.push_env(env);
+        self.send(env);
         self.run_to_quiescence();
     }
 
@@ -370,7 +321,7 @@ impl ThreadedDlpt {
         let key = key.into();
         assert!(!self.peers.is_empty(), "need at least one peer");
         let env = self.engine.insert_envelope(key, &mut self.rng);
-        self.push_env(env);
+        self.send(env);
         self.run_to_quiescence();
     }
 
@@ -378,7 +329,7 @@ impl ThreadedDlpt {
     pub fn remove_data(&mut self, key: &Key) {
         if let Some(entry) = self.engine.random_node(&mut self.rng) {
             let env = Envelope::to_node(entry, NodeMsg::DataRemoval { key: key.clone() });
-            self.push_env(env);
+            self.send(env);
             self.run_to_quiescence();
         }
     }
@@ -410,30 +361,14 @@ impl ThreadedDlpt {
             .engine
             .begin_request(&entry, query)
             .expect("entry is a live node");
-        self.push_env(env);
+        self.send(env);
         self.run_to_quiescence();
-        if self.faults.is_active() {
-            // A branch still outstanding after the router drained means
-            // a frame was lost: re-issue the engine's retry snapshot of
-            // the origin envelope with a fresh aggregate, then fail
-            // explicitly at budget exhaustion. The threaded runtime has
-            // no clock, so the retry is immediate rather than backed
-            // off. Fault-off runs never take the snapshot.
-            let mut attempts = 0u32;
-            while self.engine.retry_pending(id) && attempts < self.request_retry_budget {
-                self.faults.stats.retries += 1;
-                let origin = self
-                    .engine
-                    .retry_envelope(id)
-                    .expect("fault recovery keeps the origin snapshot");
-                self.engine.reset_request_for_retry(id);
-                attempts += 1;
-                self.push_env(origin);
-                self.run_to_quiescence();
-            }
-            if self.engine.retry_pending(id) {
-                self.faults.stats.requests_failed += 1;
-            }
+        // While the engine's retry policy says a branch is stranded (a
+        // frame was lost), the origin goes back out as a frame like any
+        // other — immediately: the threaded runtime has no clock.
+        while let Some(origin) = self.engine.retry_origin(id) {
+            self.send(origin);
+            self.run_to_quiescence();
         }
         let out = self.engine.finish_request(id);
         (out.satisfied, out.results)
@@ -448,7 +383,7 @@ impl ThreadedDlpt {
     fn run_to_quiescence(&mut self) {
         let mut parked: VecDeque<(u32, Bytes)> = VecDeque::new();
         loop {
-            while let Some((retries, frame)) = self.queue.pop_front() {
+            while let Some((retries, frame)) = self.queue.0.pop_front() {
                 if let Some(deferred) = self.dispatch(retries, frame) {
                     parked.push_back(deferred);
                 }
@@ -456,38 +391,21 @@ impl ThreadedDlpt {
             if self.inflight == 0 {
                 // Frames a reordering fault held back re-enter the
                 // queue now ("late", never "lost twice").
-                {
-                    let mut t = FrameTransport {
-                        queue: &mut self.queue,
-                    };
-                    if self.faults.flush_deferred(&mut t) {
-                        continue;
-                    }
+                if self.engine.flush_deferred(&mut self.queue) {
+                    continue;
                 }
                 if parked.is_empty() {
                     return;
                 }
-                if self.faults.is_active() {
-                    // A lost frame can strand its descendants with no
-                    // destination ever materialising: fail their
-                    // requests explicitly instead of deadlocking.
-                    while let Some((_, frame)) = parked.pop_front() {
-                        self.faults.stats.frames_exhausted += 1;
-                        let env = decode(&frame).expect("self-produced");
-                        self.engine
-                            .fail_undeliverable(env)
-                            .expect("only discovery frames may strand under faults");
-                    }
-                    continue;
+                // Nothing in flight can unblock the parked frames: a
+                // lost frame (or a crash) stranded them with no
+                // destination ever materialising. Their requests fail
+                // explicitly; anything but discovery traffic parked
+                // here is a routing bug worth aborting on.
+                while let Some((retries, frame)) = parked.pop_front() {
+                    self.fail_frame(&frame, retries, "deadlock: nothing in flight");
                 }
-                // Nothing in flight can unblock the parked frames.
-                let (retries, frame) = parked.front().expect("non-empty");
-                let env = decode(frame).expect("self-produced");
-                panic!(
-                    "deadlock: {} frame(s) parked after {retries} rounds, first: {:?}",
-                    parked.len(),
-                    env.to
-                );
+                continue;
             }
             let reply = self.reply_rx.recv().expect("peer threads alive");
             self.inflight -= 1;
@@ -501,49 +419,36 @@ impl ThreadedDlpt {
                 relocated: reply.relocated,
                 removed: reply.removed,
             };
-            if self.faults.is_active() {
-                let inner = FrameTransport {
-                    queue: &mut self.queue,
-                };
-                let mut t = FaultyTransport::new(inner, &mut self.faults);
-                self.engine.apply(&mut fx, &mut t);
-                for f in reply.frames {
-                    let env = decode(&f).expect("self-produced");
-                    let inner = FrameTransport {
-                        queue: &mut self.queue,
-                    };
-                    FaultyTransport::new(inner, &mut self.faults).deliver(env);
-                }
-            } else {
-                let mut t = FrameTransport {
-                    queue: &mut self.queue,
-                };
-                self.engine.apply(&mut fx, &mut t);
-                for f in reply.frames {
-                    self.queue.push_back((0, f));
-                }
+            self.engine.apply(&mut fx, &mut self.queue);
+            // The peer's frames are engine-emitted traffic one thread
+            // removed: they pass the same gate.
+            for f in reply.frames {
+                self.send(decode(&f).expect("self-produced"));
             }
             if let Some((retries, frame)) = reply.undelivered {
-                if retries >= self.retry_budget {
-                    // Budget exhausted: record it and resolve the
-                    // owning request as an explicit failure instead of
-                    // aborting the router (frames that are not
-                    // discovery traffic still abort — exhausting the
-                    // budget there is a routing bug).
-                    self.faults.stats.frames_exhausted += 1;
-                    let env = decode(&frame).expect("self-produced");
-                    self.engine
-                        .fail_undeliverable(env)
-                        .expect("only discovery frames may exhaust the retry budget");
+                if retries >= FRAME_RETRY_BUDGET {
+                    self.fail_frame(&frame, retries, "frame retry budget exhausted");
                 } else {
-                    self.queue.push_back((retries + 1, frame));
+                    self.queue.0.push_back((retries + 1, frame));
                 }
             }
             // The directory may have changed: parked frames get
             // another chance.
             while let Some((retries, frame)) = parked.pop_front() {
-                self.queue.push_back((retries + 1, frame));
+                self.queue.0.push_back((retries + 1, frame));
             }
+        }
+    }
+
+    /// Gives up on a frame: it is counted (`frames_exhausted`) and the
+    /// request that owns it resolves as an explicit failure instead of
+    /// aborting the router. Frames that are not discovery traffic still
+    /// abort — giving up on one is a routing bug.
+    fn fail_frame(&mut self, frame: &Bytes, retries: u32, why: &str) {
+        let env = decode(frame).expect("self-produced");
+        let to = env.to.clone();
+        if self.engine.fail_frame(env).is_err() {
+            panic!("{why}: frame to {to:?} given up after {retries} rounds");
         }
     }
 

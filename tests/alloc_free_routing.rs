@@ -202,9 +202,13 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     );
 
     // ---- Phase 4: fault-off admission keeps no retry snapshot. -----
-    // The LatencyNet retry path re-sends a verbatim clone of the entry
-    // envelope; that snapshot is only worth paying for on a faulty
-    // transport, so admission defers it behind `fault_recovery`.
+    // The retry policy re-sends a verbatim clone of the entry envelope;
+    // that snapshot is only worth paying for behind an active fault
+    // gate, so admission takes it only while a plan or partition is
+    // installed. A partition over a key range nothing lives in arms
+    // the gate without ever dropping anything. A freshly admitted
+    // request has its one branch outstanding, so `retry_origin` hands
+    // back the snapshot exactly when there is one.
     let mut net = LatencyNet::new(LatencyModel::Constant(1), 11);
     for s in ["00000000", "01000000", "10000000", "11000000"] {
         net.add_peer(Key::from(s));
@@ -217,7 +221,11 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     // Warm both admission modes so the gather pool, learn map and
     // finished map sit at their high-water marks.
     for armed in [false, true, false] {
-        net.set_fault_recovery(armed);
+        if armed {
+            net.partition(Key::from("2"), Key::from("3"));
+        } else {
+            net.heal_partition();
+        }
         for _ in 0..8 {
             let (id, _env) = net.begin_request(&entry, probe.clone()).unwrap();
             net.finish_request(id);
@@ -226,18 +234,19 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     // Behaviour flip: the snapshot exists exactly when recovery is on.
     let (id, _env) = net.begin_request(&entry, probe.clone()).unwrap();
     assert!(
-        net.retry_envelope(id).is_none(),
+        net.retry_origin(id).is_none(),
         "fault-off admission must not keep a retry snapshot"
     );
     net.finish_request(id);
-    net.set_fault_recovery(true);
-    let (id, _env) = net.begin_request(&entry, probe.clone()).unwrap();
-    assert!(
-        net.retry_envelope(id).is_some(),
-        "fault recovery keeps the origin snapshot for retries"
+    net.partition(Key::from("2"), Key::from("3"));
+    let (id, env) = net.begin_request(&entry, probe.clone()).unwrap();
+    assert_eq!(
+        net.retry_origin(id),
+        Some(env),
+        "an active gate keeps the origin snapshot for retries"
     );
     net.finish_request(id);
-    net.set_fault_recovery(false);
+    net.heal_partition();
     // Allocation budget: a warm fault-off admission pays exactly the
     // entry envelope's pre-sized path buffer — any snapshot (or other
     // per-request bookkeeping) sneaking back in trips this.
@@ -258,9 +267,8 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     // The observability hooks are threaded through `deliver`,
     // `begin_request` and the gather fold; with the default
     // `Tracer::Noop` every emission site must gate *before*
-    // constructing an event, and the metrics registry must record into
-    // its preallocated histograms — so a warm routed request costs the
-    // same allocations it did before the tracer existed. The budget is
+    // constructing an event — so a warm routed request costs the same
+    // allocations it did before the tracer existed. The budget is
     // differential against Phase 2's own warm system: re-running the
     // deep lookup (after asserting the tracer really is off) must stay
     // within the same per-request envelope measured above.

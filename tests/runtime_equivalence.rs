@@ -11,7 +11,9 @@
 //! schedule differently) and anything capacity-related (only the sync
 //! pump charges capacity — kept unbounded here).
 
-use dlpt::core::{Alphabet, DlptSystem, FaultPlan, Key, QueryKind, Violation};
+use dlpt::core::{
+    Alphabet, DlptSystem, Engine, FaultPlan, Key, QueryKind, Violation, REQUEST_RETRY_BUDGET,
+};
 use dlpt::net::{LatencyModel, LatencyNet, ThreadedDlpt};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -72,8 +74,9 @@ struct Observed {
 }
 
 /// Drives `ops` through one runtime behind a tiny trait object-free
-/// adapter. `k` is the replication factor; `cache` the per-peer route
-/// cache capacity.
+/// adapter. What differs per runtime is how operations are issued;
+/// membership, placements, the fault gate and the invariant auditor
+/// are the engine's, reached through [`Runtime::engine`].
 trait Runtime {
     fn join(&mut self, id: Key);
     fn insert(&mut self, key: Key);
@@ -81,14 +84,32 @@ trait Runtime {
     fn query(&mut self, op: &Op) -> (bool, Vec<Key>);
     fn crash(&mut self, id: &Key);
     fn anti_entropy(&mut self);
-    fn peers(&self) -> Vec<Key>;
-    fn placements(&self) -> BTreeMap<Key, Key>;
-    fn set_faults(&mut self, plan: FaultPlan);
-    fn partition(&mut self, lo: Key, hi: Key);
-    fn heal(&mut self);
+    fn engine(&mut self) -> &mut Engine;
+
+    fn peers(&mut self) -> Vec<Key> {
+        self.engine().peer_ids()
+    }
+    fn placements(&mut self) -> BTreeMap<Key, Key> {
+        let directory = self.engine().directory();
+        directory
+            .iter()
+            .map(|(l, h)| (l.clone(), h.clone()))
+            .collect()
+    }
+    fn set_faults(&mut self, plan: FaultPlan) {
+        self.engine().set_fault_plan(plan);
+    }
+    fn partition(&mut self, lo: Key, hi: Key) {
+        self.engine().partition(lo, hi);
+    }
+    fn heal(&mut self) {
+        self.engine().heal_partition();
+    }
     /// Runs the engine's invariant auditor
     /// (directory↔slab↔trie↔replication cross-consistency).
-    fn audit(&self) -> Vec<Violation>;
+    fn audit(&mut self) -> Vec<Violation> {
+        self.engine().audit()
+    }
 }
 
 struct Sync(DlptSystem);
@@ -124,27 +145,8 @@ impl Runtime for Sync {
     fn anti_entropy(&mut self) {
         self.0.anti_entropy().unwrap();
     }
-    fn peers(&self) -> Vec<Key> {
-        self.0.peer_ids()
-    }
-    fn placements(&self) -> BTreeMap<Key, Key> {
-        self.0
-            .directory()
-            .iter()
-            .map(|(l, h)| (l.clone(), h.clone()))
-            .collect()
-    }
-    fn set_faults(&mut self, plan: FaultPlan) {
-        self.0.set_fault_plan(plan);
-    }
-    fn partition(&mut self, lo: Key, hi: Key) {
-        self.0.partition(lo, hi);
-    }
-    fn heal(&mut self) {
-        self.0.heal_partition();
-    }
-    fn audit(&self) -> Vec<Violation> {
-        self.0.audit()
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.0
     }
 }
 
@@ -180,27 +182,8 @@ impl Runtime for Latency {
     fn anti_entropy(&mut self) {
         self.0.anti_entropy();
     }
-    fn peers(&self) -> Vec<Key> {
-        self.0.peer_ids()
-    }
-    fn placements(&self) -> BTreeMap<Key, Key> {
-        self.0
-            .directory()
-            .iter()
-            .map(|(l, h)| (l.clone(), h.clone()))
-            .collect()
-    }
-    fn set_faults(&mut self, plan: FaultPlan) {
-        self.0.set_fault_plan(plan);
-    }
-    fn partition(&mut self, lo: Key, hi: Key) {
-        self.0.partition(lo, hi);
-    }
-    fn heal(&mut self) {
-        self.0.heal_partition();
-    }
-    fn audit(&self) -> Vec<Violation> {
-        self.0.audit()
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.0
     }
 }
 
@@ -236,27 +219,8 @@ impl Runtime for Threaded {
     fn anti_entropy(&mut self) {
         self.0.anti_entropy();
     }
-    fn peers(&self) -> Vec<Key> {
-        self.0.peer_ids()
-    }
-    fn placements(&self) -> BTreeMap<Key, Key> {
-        self.0
-            .directory()
-            .iter()
-            .map(|(l, h)| (l.clone(), h.clone()))
-            .collect()
-    }
-    fn set_faults(&mut self, plan: FaultPlan) {
-        self.0.set_fault_plan(plan);
-    }
-    fn partition(&mut self, lo: Key, hi: Key) {
-        self.0.partition(lo, hi);
-    }
-    fn heal(&mut self) {
-        self.0.heal_partition();
-    }
-    fn audit(&self) -> Vec<Violation> {
-        self.0.audit()
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.0
     }
 }
 
@@ -333,7 +297,7 @@ proptest! {
                 .build(),
         );
         let a = drive(&mut sync, &ops, initial_peers, k);
-        let audit = Runtime::audit(&sync);
+        let audit = Runtime::audit(&mut sync);
         prop_assert!(audit.is_empty(), "sync audits clean: {:?}", audit);
 
         let mut latency = Latency(LatencyNet::new(LatencyModel::Constant(0), seed ^ 0x5eed));
@@ -588,7 +552,7 @@ proptest! {
             sync.set_faults(plan(seed));
             let obs = drive(&mut sync, &ops, initial_peers, 1);
             let stats = sync.0.fault_stats();
-            let audit = Runtime::audit(&sync);
+            let audit = Runtime::audit(&mut sync);
             (obs, stats, audit)
         };
         let (a, a_stats, a_audit) = run_sync();
@@ -686,5 +650,46 @@ fn partition_heals_and_k2_ae_converges_on_all_three_runtimes() {
     let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), 13));
     threaded.0.set_replication(2);
     drive_partition_scenario(&mut threaded, "threaded");
+    threaded.0.shutdown();
+}
+
+/// Budget exhaustion as one contract: under total loss an exact lookup
+/// is re-issued exactly `REQUEST_RETRY_BUDGET` times, then completes
+/// unsatisfied as one counted, explicit failure — never a hang.
+fn drive_total_loss<R: Runtime>(rt: &mut R, name: &str) {
+    for i in 0..4 {
+        rt.join(peer_id(i));
+    }
+    for i in 0..6 {
+        rt.insert(key(i));
+    }
+    rt.set_faults(FaultPlan {
+        loss_rate: 1.0,
+        ..FaultPlan::default()
+    });
+    let (found, results) = rt.query(&Op::Lookup(0));
+    assert!(!found && results.is_empty(), "{name}: nothing can answer");
+    let stats = rt.engine().fault_stats();
+    println!(
+        "{name}: (retries, requests_failed) = ({}, {})",
+        stats.retries, stats.requests_failed
+    );
+    assert_eq!(
+        (stats.retries, stats.requests_failed),
+        (REQUEST_RETRY_BUDGET as u64, 1),
+        "{name}"
+    );
+}
+
+#[test]
+fn total_loss_exhausts_the_retry_budget_on_all_three_runtimes() {
+    let mut sync = Sync(DlptSystem::builder().seed(21).peer_id_len(8).build());
+    drive_total_loss(&mut sync, "sync");
+
+    let mut latency = Latency(LatencyNet::new(LatencyModel::Constant(0), 22));
+    drive_total_loss(&mut latency, "latency");
+
+    let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), 23));
+    drive_total_loss(&mut threaded, "threaded");
     threaded.0.shutdown();
 }
