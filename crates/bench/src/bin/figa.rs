@@ -4,9 +4,9 @@
 //!
 //! The paper's simulation assumes a perfect transport: no message is
 //! ever lost, duplicated or delayed past quiescence. This figure runs
-//! the same Section-4 loop over the seeded fault-injection layer
-//! (`dlpt_core::transport::FaultyTransport`) and measures what the
-//! request-retry machinery and the replication extension buy back:
+//! the same Section-4 loop behind the engine's seeded fault gate
+//! (`dlpt_core::transport`) and measures what the request-retry
+//! machinery and the replication extension buy back:
 //! every request still terminates, and with k = 2 + anti-entropy the
 //! registered keys stay ≥ 99% discoverable after the partition heals.
 //!

@@ -10,28 +10,52 @@ use dlpt_sim::config::ExperimentConfig;
 use dlpt_sim::report::{ascii_chart, results_dir, write_csv};
 use dlpt_sim::runner::{run_experiment, AveragedSeries};
 
+/// The flags the running binary reads (`--scale` everywhere, the rest
+/// by binary name); any other argument is a usage error.
+fn flags() -> Vec<&'static str> {
+    let bin = std::env::args().next().unwrap_or_default();
+    let mut flags = vec!["--scale"];
+    if bin.ends_with("fig5") {
+        flags.push("--crash-rate");
+    }
+    if bin.ends_with("figA") {
+        flags.push("--trace");
+    }
+    if bin.ends_with("figA") || bin.ends_with("figC") {
+        flags.push("--health");
+    }
+    flags
+}
+
 /// The value following the flag `name` on the command line, `None`
 /// when the flag is absent. A flag without a value is a usage error.
 fn arg_value(name: &str) -> Option<String> {
+    let mut found = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if !flags().contains(&a.as_str()) {
+            usage_exit(&a, "unknown argument");
+        }
+        let value = args
+            .next()
+            .unwrap_or_else(|| usage_exit(&a, "needs a value"));
         if a == name {
-            return Some(args.next().unwrap_or_else(|| usage_exit(name, "")));
+            found = Some(value);
         }
     }
-    None
+    found
 }
 
 /// [`arg_value`] parsed as `T`; an unparsable value is a usage error,
 /// never a silent fall-back to the default.
 fn parsed_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
-    arg_value(name).map(|v| v.parse().unwrap_or_else(|_| usage_exit(name, &v)))
+    arg_value(name).map(|v| v.parse().unwrap_or_else(|_| usage_exit(name, "bad value")))
 }
 
-fn usage_exit(name: &str, value: &str) -> ! {
+fn usage_exit(arg: &str, problem: &str) -> ! {
     let bin = std::env::args().next().unwrap_or_default();
-    eprintln!("{bin}: bad value {value:?} for {name}");
-    eprintln!("usage: {bin} [--scale N] [--crash-rate X] [--trace PATH] [--health PATH]");
+    eprintln!("{bin}: {arg}: {problem}");
+    eprintln!("usage: {bin} [{} VALUE]", flags().join(" VALUE] ["));
     std::process::exit(2);
 }
 

@@ -6,10 +6,10 @@
 //! shortcut changes nothing observable. This drives one seeded plan —
 //! registration churn, Zipf-skewed lookups, joins, leaves and
 //! `migrate_node` — through the sync pump twice: on the plain
-//! `FifoTransport`, and behind a `FaultyTransport` that can drop
-//! nothing (a partition over the empty key range `[ε, ε)` arms the
-//! decorator, which reports `synchronous() == false`, without severing
-//! any address). Outcomes, counters and every peer's cache must agree.
+//! `FifoTransport`, and behind a fault gate that can drop nothing (a
+//! partition over the empty key range `[ε, ε)` arms the gate, which
+//! rules inline work out, without severing any address). Outcomes,
+//! counters and every peer's cache must agree.
 //!
 //! It lives inside the engine module because the per-peer caches are
 //! private state.

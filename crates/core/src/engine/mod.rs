@@ -34,7 +34,7 @@
 //! when responses can arrive out of order). Fault injection and the
 //! recovery it makes necessary are the engine's too (`faults.rs`): one
 //! gate for everything emitted, one retry policy, both consequences of
-//! the installed [`FaultPlan`](crate::transport::FaultPlan).
+//! the installed [`FaultPlan`].
 
 #[cfg(test)]
 mod audit_corruption;

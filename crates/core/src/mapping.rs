@@ -30,19 +30,6 @@ pub fn host_of<'a>(peers: &'a BTreeSet<Key>, n: &Key) -> Option<&'a Key> {
         .or_else(|| peers.iter().next())
 }
 
-/// [`host_of`] over the key set of an ordered shard map (the shape the
-/// shard-owning runtimes keep) — same rule, no peer-set snapshot.
-pub fn host_over_shards<'a, V>(
-    shards: &'a std::collections::BTreeMap<Key, V>,
-    n: &Key,
-) -> Option<&'a Key> {
-    shards
-        .range::<Key, _>(n..)
-        .next()
-        .map(|(k, _)| k)
-        .or_else(|| shards.keys().next())
-}
-
 /// The predecessor of `id` in the ordered peer set, wrapping to the
 /// maximum; `None` for an empty set. When `id` is itself the only
 /// peer, its predecessor is itself.

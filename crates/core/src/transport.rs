@@ -1,14 +1,15 @@
 //! Fault injection: the gate between the engine and any transport.
 //!
-//! [`Faults`] decides, per envelope, whether it reaches the
+//! `Faults` decides, per envelope, whether it reaches the
 //! [`Transport`] underneath — the synchronous FIFO pump, the
 //! discrete-event latency queue or the threaded frame channels —
 //! injecting seeded, deterministic message loss, duplication,
 //! reordering and healable partitions according to a [`FaultPlan`].
 //! The engine owns the one `Faults` of a runtime and asks it about
-//! everything it emits (`engine/faults.rs`, which also holds the retry
-//! and idempotency machinery that faults make necessary); the runtimes
-//! only decide how an envelope that passed travels.
+//! everything it emits ([`Engine::send`](crate::engine::Engine::send);
+//! `engine/faults.rs` also holds the retry and idempotency machinery
+//! that faults make necessary); the runtimes only decide how an
+//! envelope that passed travels.
 //!
 //! Determinism rules (what keeps the golden fingerprint byte-identical
 //! when faults are off, and lossy runs reproducible when they are on):

@@ -266,7 +266,7 @@ fn tracing_on_reproduces_committed_golden_fingerprint_and_captures_events() {
 /// Fault-injection satellite, half one: the fault layer is *inert by
 /// default*. The scripted run never installs a plan, so no fault
 /// counter may move and the committed golden fingerprint must be
-/// reproduced byte for byte — the `FaultyTransport` wiring may not
+/// reproduced byte for byte — the engine's fault gate may not
 /// perturb a single RNG draw or counter of a fault-free system.
 #[test]
 fn fault_layer_off_reproduces_committed_golden_fingerprint() {
