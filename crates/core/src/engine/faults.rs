@@ -53,9 +53,7 @@ impl Engine {
     /// Everything the fault layer did: the gate's draws, suppressed
     /// duplicates, retries and explicit failures.
     pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.faults.stats;
-        s.duplicates_suppressed += self.duplicates_suppressed;
-        s
+        self.faults.stats
     }
 
     /// Sends one envelope into `t` through the fault gate — the one

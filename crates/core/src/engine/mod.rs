@@ -571,12 +571,6 @@ pub struct Engine {
     /// Caching counters (all zero at capacity 0; kept out of
     /// [`SystemStats`] for the same golden-fingerprint reason).
     pub cache_stats: CacheStats,
-    /// Duplicated client responses suppressed by the per-request
-    /// idempotency filter. On a reliable transport this stays zero —
-    /// and, like the replication and cache counters, it stays out of
-    /// [`SystemStats`] so the fault-free golden fingerprint is
-    /// byte-identical.
-    pub duplicates_suppressed: u64,
     /// Structured-event tracing hook ([`Tracer::Noop`] by default).
     /// Every emission site gates on [`Tracer::enabled`], so the off
     /// path costs one branch, allocates nothing, and leaves the golden
@@ -618,7 +612,6 @@ impl Engine {
             stats: SystemStats::default(),
             repl_stats: ReplicationStats::default(),
             cache_stats: CacheStats::default(),
-            duplicates_suppressed: 0,
             tracer: Tracer::Noop,
             pump_timing: HealthTiming::default(),
             #[cfg(test)]
@@ -1040,7 +1033,7 @@ impl Engine {
             // count and finalize the request with partial results.
             // (Reliable transports cannot duplicate — fault-off runs
             // skip the digest entirely.)
-            self.duplicates_suppressed += 1;
+            self.faults.stats.duplicates_suppressed += 1;
             if self.tracer.enabled() {
                 self.tracer.emit(TraceEvent::new(
                     EventKind::DedupSuppress,
@@ -2457,7 +2450,7 @@ mod tests {
         let child = report(id, vec![k("DG"), k("DGEMM")], vec![k("DGEMM")], 0);
         e.client_response(child.clone());
         e.client_response(child);
-        assert_eq!(e.duplicates_suppressed, 1);
+        assert_eq!(e.fault_stats().duplicates_suppressed, 1);
         assert!(
             e.take_finished(id).is_none() && e.gathers.get_mut(id).unwrap().outstanding == 1,
             "one branch is genuinely still outstanding"
@@ -2494,7 +2487,11 @@ mod tests {
         // Second attempt re-delivers the same report plus the child's.
         e.client_response(terminal);
         e.client_response(report(id, vec![k("DG"), k("DGEMM")], Vec::new(), 0));
-        assert_eq!(e.duplicates_suppressed, 0, "retry responses are fresh");
+        assert_eq!(
+            e.fault_stats().duplicates_suppressed,
+            0,
+            "retry responses are fresh"
+        );
         let out = e.take_finished(id).expect("finalized after retry");
         assert!(out.satisfied);
         assert_eq!(out.results, vec![k("DGEMM")]);

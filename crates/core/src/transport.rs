@@ -84,27 +84,13 @@ pub struct FaultStats {
     /// Duplicated client responses suppressed by the engine's
     /// per-request idempotency filter.
     pub duplicates_suppressed: u64,
-    /// Request retries issued by a runtime's bounded-retry loop.
+    /// Request retries issued under the engine's retry policy.
     pub retries: u64,
     /// Requests explicitly failed after exhausting their retry budget.
     pub requests_failed: u64,
     /// Frames failed explicitly at a runtime's frame-retry budget
     /// (previously a silent drop / process abort).
     pub frames_exhausted: u64,
-}
-
-impl FaultStats {
-    /// Adds `other` into `self`, field by field.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.lost += other.lost;
-        self.duplicated += other.duplicated;
-        self.reordered += other.reordered;
-        self.partition_dropped += other.partition_dropped;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.retries += other.retries;
-        self.requests_failed += other.requests_failed;
-        self.frames_exhausted += other.frames_exhausted;
-    }
 }
 
 /// The faultable message class: discovery traffic, its client
