@@ -1,0 +1,298 @@
+//! Membership and churn over locally hosted shards: peers join, leave,
+//! migrate a node, change identifier and crash here (shared by the
+//! sync and latency runtimes; the threaded router registers remote
+//! members). Split out of `engine/mod.rs`, one module per concern.
+
+use super::{Engine, PeerSlot, Transport};
+use crate::cache::RouteCache;
+use crate::error::{DlptError, Result};
+use crate::key::Key;
+use crate::messages::{Envelope, JoinPhase, NodeMsg, NodeSeed, PeerMsg};
+use crate::peer::PeerShard;
+use crate::protocol::maintenance;
+use rand::rngs::StdRng;
+
+impl Engine {
+    /// Registers a peer whose shard the engine hosts locally. The
+    /// runtime then routes the join itself ([`Engine::join_envelope`]).
+    pub fn add_local_shard(&mut self, id: Key, capacity: u32) {
+        let shard = PeerShard::new(id.clone(), capacity);
+        self.insert_peer(id, Some(shard));
+    }
+
+    /// Registers a peer whose shard lives elsewhere (peer threads).
+    pub fn add_member(&mut self, id: Key) {
+        self.insert_peer(id, None);
+    }
+
+    fn insert_peer(&mut self, id: Key, shard: Option<PeerShard>) {
+        let pid = self.directory.intern(&id);
+        self.peers.insert(
+            pid,
+            PeerSlot {
+                key: id.clone(),
+                shard,
+                cache: RouteCache::new(self.config.cache_capacity),
+            },
+        );
+        self.members.insert(id);
+        self.ring.invalidate();
+    }
+
+    /// Forgets a peer: membership, its entry-point cache, and its
+    /// local shard if any. Returns the shard.
+    pub fn remove_member(&mut self, id: &Key) -> Option<PeerShard> {
+        self.members.remove(id);
+        self.ring.invalidate();
+        let pid = self.directory.id_of(id)?;
+        self.peers.remove(pid)?.shard
+    }
+
+    /// The join envelope for peer `id` (which must already be a
+    /// member): route `<PeerJoin, P, 0>` through the tree from a random
+    /// node, or — before any tree exists — contact an arbitrary other
+    /// peer and let the ring walk of Algorithm 2 place it.
+    pub fn join_envelope(&mut self, id: &Key, rng: &mut StdRng) -> Envelope {
+        match self.random_node(rng) {
+            Some(entry) => Envelope::to_node(
+                entry,
+                NodeMsg::PeerJoin {
+                    joining: id.clone(),
+                    phase: JoinPhase::Up,
+                },
+            ),
+            None => {
+                let contact = self
+                    .members
+                    .iter()
+                    .find(|k| *k != id)
+                    .cloned()
+                    .expect("at least one other peer");
+                Envelope::to_peer(
+                    contact,
+                    PeerMsg::NewPredecessor {
+                        joining: id.clone(),
+                    },
+                )
+            }
+        }
+    }
+
+    /// The registration envelope for `key`: enter the tree at a random
+    /// node, or — before any tree exists — seed the first node through
+    /// the peer layer (the `Host` ring walk places it per the mapping
+    /// rule).
+    pub fn insert_envelope(&mut self, key: Key, rng: &mut StdRng) -> Envelope {
+        match self.random_node(rng) {
+            Some(entry) => Envelope::to_node(entry, NodeMsg::DataInsertion { key }),
+            None => {
+                let contact = self.members.iter().next().cloned().expect("non-empty ring");
+                Envelope::to_peer(
+                    contact,
+                    PeerMsg::Host {
+                        seed: NodeSeed {
+                            label: key.clone(),
+                            father: None,
+                            children: Vec::new(),
+                            data: vec![key],
+                        },
+                    },
+                )
+            }
+        }
+    }
+
+    /// Graceful departure: the peer hands its nodes to its successor
+    /// and splices itself out (Section 4's churn model). The hand-off
+    /// traffic enters `t`; the runtime drains afterwards.
+    pub fn leave_shard<T: Transport>(&mut self, id: &Key, t: &mut T) -> Result<()> {
+        let mut shard = self
+            .remove_member(id)
+            .ok_or_else(|| DlptError::UnknownPeer(id.to_string()))?;
+        if self.members.is_empty() {
+            // Last peer: the overlay disappears with it.
+            self.directory.clear();
+            self.root = None;
+            return Ok(());
+        }
+        let mut fx = std::mem::take(&mut self.scratch);
+        maintenance::leave(&mut shard, &mut fx);
+        self.stats.maintenance_messages += fx.out.len() as u64;
+        if self.config.eager_replication && self.config.replication > 1 {
+            // The departing peer's follower copies vanish with it; its
+            // hand-off therefore also kicks the affected primaries to
+            // re-clone, so a graceful leave never opens a
+            // single-failure data-loss window.
+            for label in shard.replicas.keys() {
+                let lid = self.directory.intern(label);
+                self.touched.push(lid);
+            }
+        }
+        self.apply(&mut fx, t);
+        self.scratch = fx;
+        Ok(())
+    }
+
+    /// Moves one node to another peer, updating the directory and
+    /// eagerly invalidating shortcuts through it. Used by the
+    /// balancers; counted as balance traffic. The runtime drains `t`
+    /// afterwards.
+    pub fn migrate_shard_node<T: Transport>(
+        &mut self,
+        label: &Key,
+        to: &Key,
+        t: &mut T,
+    ) -> Result<()> {
+        let from = self
+            .directory
+            .host_of(label)
+            .cloned()
+            .ok_or_else(|| DlptError::UnknownNode(label.to_string()))?;
+        if &from == to {
+            return Ok(());
+        }
+        if self.shard(to).is_none() {
+            return Err(DlptError::UnknownPeer(to.to_string()));
+        }
+        let node = self
+            .shard_mut(&from)
+            .expect("directory points at live peers")
+            .evict(label)
+            .expect("directory is consistent");
+        self.shard_mut(to).expect("checked").install(node);
+        // The directory records the move as an explicit ownership
+        // handoff from the old owner to the new one — the same
+        // evict/install pair above, restated in interned-id space for
+        // slice-partitioned consumers.
+        let handoff = self.directory.handoff(label, to);
+        debug_assert_eq!(
+            handoff.from,
+            self.directory.id_of(&from),
+            "handoff must name the evicted owner"
+        );
+        self.mark_touched(label);
+        self.stats.balance_migrations += 1;
+        // A migration stales every shortcut pointing at the old host.
+        self.queue_invalidations(label, t);
+        Ok(())
+    }
+
+    /// Changes a peer's identifier in place (the MLT boundary move).
+    /// Ring links of both neighbours, the directory entries of hosted
+    /// nodes, the membership set and the peer's entry-point cache all
+    /// follow.
+    pub fn rename_shard(&mut self, old: &Key, new: Key) -> Result<()> {
+        if old == &new {
+            return Ok(());
+        }
+        if self.members.contains(&new) {
+            return Err(DlptError::DuplicatePeer(new.to_string()));
+        }
+        let old_pid = self
+            .directory
+            .id_of(old)
+            .filter(|&p| self.peers.get(p).is_some_and(|s| s.shard.is_some()))
+            .ok_or_else(|| DlptError::UnknownPeer(old.to_string()))?;
+        let new_pid = self.directory.intern(&new);
+        // The slot — shard, entry-point cache, free-list position —
+        // survives the rename: only the id binding moves, so learned
+        // shortcuts and slab integrity carry over.
+        self.peers.rebind(old_pid, new_pid);
+        self.members.remove(old);
+        self.ring.invalidate();
+        let eager = self.config.eager_replication && self.config.replication > 1;
+        let slot = self.peers.get_mut(new_pid).expect("just re-bound");
+        slot.key = new.clone();
+        let shard = slot.shard.as_mut().expect("checked above");
+        let (pred, succ) = (shard.peer.pred.clone(), shard.peer.succ.clone());
+        shard.peer.id = new.clone();
+        if pred == *old {
+            shard.peer.pred = new.clone();
+        }
+        if succ == *old {
+            shard.peer.succ = new.clone();
+        }
+        let hosted: Vec<Key> = shard.nodes.keys().cloned().collect();
+        for label in hosted {
+            let lid = self.directory.insert(label, new.clone());
+            if eager {
+                self.touched.push(lid);
+            }
+        }
+        self.members.insert(new.clone());
+        if let Some(p) = self.shard_mut(&pred) {
+            if p.peer.succ == *old {
+                p.peer.succ = new.clone();
+            }
+        }
+        if let Some(s) = self.shard_mut(&succ) {
+            if s.peer.pred == *old {
+                s.peer.pred = new.clone();
+            }
+        }
+        self.stats.peer_renames += 1;
+        Ok(())
+    }
+
+    /// Non-graceful departure: the peer vanishes and the ring heals
+    /// around it. Without replication (`k = 1`) every node the peer ran
+    /// — and its registered data — is lost. With `k > 1` each lost node
+    /// fails over to a surviving follower copy (`protocol::repair`);
+    /// only nodes with no live replica are lost. Returns the labels of
+    /// the *lost* nodes.
+    pub fn crash_shard(&mut self, id: &Key) -> Result<Vec<Key>> {
+        let shard = self
+            .remove_member(id)
+            .ok_or_else(|| DlptError::UnknownPeer(id.to_string()))?;
+        let hosted: Vec<Key> = shard.nodes.keys().cloned().collect();
+        if self.members.is_empty() {
+            // Last peer: the overlay disappears with it.
+            self.directory.clear();
+            self.root = None;
+            self.stats.nodes_lost += hosted.len() as u64;
+            if self.config.replication > 1 {
+                self.repl_stats.unrecoverable_nodes += hosted.len() as u64;
+            }
+            return Ok(hosted);
+        }
+        // Failure-detector stand-in: neighbours notice and heal.
+        let (pred, succ) = (shard.peer.pred.clone(), shard.peer.succ.clone());
+        if let Some(p) = self.shard_mut(&pred) {
+            p.peer.succ = if succ == *id {
+                pred.clone()
+            } else {
+                succ.clone()
+            };
+        }
+        if let Some(s) = self.shard_mut(&succ) {
+            s.peer.pred = if pred == *id {
+                succ.clone()
+            } else {
+                pred.clone()
+            };
+        }
+        // Failover: promote surviving follower copies; lose the rest.
+        let mut lost = Vec::new();
+        for label in hosted {
+            if self.config.replication > 1 && self.promote_from_followers(&label) {
+                self.repl_stats.promotions += 1;
+            } else {
+                self.directory.remove(&label);
+                if self.config.replication > 1 {
+                    self.repl_stats.unrecoverable_nodes += 1;
+                }
+                lost.push(label);
+            }
+        }
+        self.stats.nodes_lost += lost.len() as u64;
+        if self
+            .root
+            .as_ref()
+            .map(|r| lost.contains(r))
+            .unwrap_or(false)
+        {
+            self.root = None;
+        }
+        Ok(lost)
+    }
+}

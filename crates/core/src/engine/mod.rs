@@ -36,11 +36,14 @@
 //! gate for everything emitted, one retry policy, both consequences of
 //! the installed [`FaultPlan`].
 
+mod audit;
 #[cfg(test)]
 mod audit_corruption;
 mod faults;
+mod health;
 #[cfg(test)]
 mod inline_invalidation;
+mod membership;
 pub mod parallel;
 #[cfg(test)]
 mod reference_scans;
@@ -56,17 +59,14 @@ use crate::error::{DlptError, Result};
 use crate::key::Key;
 use crate::mapping;
 use crate::messages::{
-    Address, DiscoveryMsg, DiscoveryOutcome, Envelope, JoinPhase, Message, NodeMsg, NodeSeed,
-    PeerMsg, QueryKind,
+    Address, DiscoveryMsg, DiscoveryOutcome, Envelope, Message, NodeMsg, PeerMsg, QueryKind,
 };
 use crate::metrics::SystemStats;
 use crate::node::NodeState;
-use crate::obs::health::{
-    imbalance_of, AuditCheck, HealthMonitor, HealthTiming, MemoryFootprint, PeerHealth, Violation,
-};
+use crate::obs::health::HealthTiming;
 use crate::obs::{EventKind, TraceEvent, TraceRing, Tracer};
 use crate::peer::PeerShard;
-use crate::protocol::{self, discovery, maintenance, repair, Effects};
+use crate::protocol::{self, discovery, repair, Effects};
 use crate::replication::ReplicationStats;
 use crate::transport::{FaultPlan, Faults};
 use crate::trie::PgcpTrie;
@@ -852,99 +852,6 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Membership
-    // ------------------------------------------------------------------
-
-    /// Registers a peer whose shard the engine hosts locally. The
-    /// runtime then routes the join itself ([`Engine::join_envelope`]).
-    pub fn add_local_shard(&mut self, id: Key, capacity: u32) {
-        let shard = PeerShard::new(id.clone(), capacity);
-        self.insert_peer(id, Some(shard));
-    }
-
-    /// Registers a peer whose shard lives elsewhere (peer threads).
-    pub fn add_member(&mut self, id: Key) {
-        self.insert_peer(id, None);
-    }
-
-    fn insert_peer(&mut self, id: Key, shard: Option<PeerShard>) {
-        let pid = self.directory.intern(&id);
-        self.peers.insert(
-            pid,
-            PeerSlot {
-                key: id.clone(),
-                shard,
-                cache: RouteCache::new(self.config.cache_capacity),
-            },
-        );
-        self.members.insert(id);
-        self.ring.invalidate();
-    }
-
-    /// Forgets a peer: membership, its entry-point cache, and its
-    /// local shard if any. Returns the shard.
-    pub fn remove_member(&mut self, id: &Key) -> Option<PeerShard> {
-        self.members.remove(id);
-        self.ring.invalidate();
-        let pid = self.directory.id_of(id)?;
-        self.peers.remove(pid)?.shard
-    }
-
-    /// The join envelope for peer `id` (which must already be a
-    /// member): route `<PeerJoin, P, 0>` through the tree from a random
-    /// node, or — before any tree exists — contact an arbitrary other
-    /// peer and let the ring walk of Algorithm 2 place it.
-    pub fn join_envelope(&mut self, id: &Key, rng: &mut StdRng) -> Envelope {
-        match self.random_node(rng) {
-            Some(entry) => Envelope::to_node(
-                entry,
-                NodeMsg::PeerJoin {
-                    joining: id.clone(),
-                    phase: JoinPhase::Up,
-                },
-            ),
-            None => {
-                let contact = self
-                    .members
-                    .iter()
-                    .find(|k| *k != id)
-                    .cloned()
-                    .expect("at least one other peer");
-                Envelope::to_peer(
-                    contact,
-                    PeerMsg::NewPredecessor {
-                        joining: id.clone(),
-                    },
-                )
-            }
-        }
-    }
-
-    /// The registration envelope for `key`: enter the tree at a random
-    /// node, or — before any tree exists — seed the first node through
-    /// the peer layer (the `Host` ring walk places it per the mapping
-    /// rule).
-    pub fn insert_envelope(&mut self, key: Key, rng: &mut StdRng) -> Envelope {
-        match self.random_node(rng) {
-            Some(entry) => Envelope::to_node(entry, NodeMsg::DataInsertion { key }),
-            None => {
-                let contact = self.members.iter().next().cloned().expect("non-empty ring");
-                Envelope::to_peer(
-                    contact,
-                    PeerMsg::Host {
-                        seed: NodeSeed {
-                            label: key.clone(),
-                            father: None,
-                            children: Vec::new(),
-                            data: vec![key],
-                        },
-                    },
-                )
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Requests (entry, aggregation, completion) — the discovery flow
     // ------------------------------------------------------------------
 
@@ -1612,204 +1519,6 @@ impl Engine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Churn over local shards (shared by the sync and latency runtimes)
-    // ------------------------------------------------------------------
-
-    /// Graceful departure: the peer hands its nodes to its successor
-    /// and splices itself out (Section 4's churn model). The hand-off
-    /// traffic enters `t`; the runtime drains afterwards.
-    pub fn leave_shard<T: Transport>(&mut self, id: &Key, t: &mut T) -> Result<()> {
-        let mut shard = self
-            .remove_member(id)
-            .ok_or_else(|| DlptError::UnknownPeer(id.to_string()))?;
-        if self.members.is_empty() {
-            // Last peer: the overlay disappears with it.
-            self.directory.clear();
-            self.root = None;
-            return Ok(());
-        }
-        let mut fx = std::mem::take(&mut self.scratch);
-        maintenance::leave(&mut shard, &mut fx);
-        self.stats.maintenance_messages += fx.out.len() as u64;
-        if self.config.eager_replication && self.config.replication > 1 {
-            // The departing peer's follower copies vanish with it; its
-            // hand-off therefore also kicks the affected primaries to
-            // re-clone, so a graceful leave never opens a
-            // single-failure data-loss window.
-            for label in shard.replicas.keys() {
-                let lid = self.directory.intern(label);
-                self.touched.push(lid);
-            }
-        }
-        self.apply(&mut fx, t);
-        self.scratch = fx;
-        Ok(())
-    }
-
-    /// Moves one node to another peer, updating the directory and
-    /// eagerly invalidating shortcuts through it. Used by the
-    /// balancers; counted as balance traffic. The runtime drains `t`
-    /// afterwards.
-    pub fn migrate_shard_node<T: Transport>(
-        &mut self,
-        label: &Key,
-        to: &Key,
-        t: &mut T,
-    ) -> Result<()> {
-        let from = self
-            .directory
-            .host_of(label)
-            .cloned()
-            .ok_or_else(|| DlptError::UnknownNode(label.to_string()))?;
-        if &from == to {
-            return Ok(());
-        }
-        if self.shard(to).is_none() {
-            return Err(DlptError::UnknownPeer(to.to_string()));
-        }
-        let node = self
-            .shard_mut(&from)
-            .expect("directory points at live peers")
-            .evict(label)
-            .expect("directory is consistent");
-        self.shard_mut(to).expect("checked").install(node);
-        // The directory records the move as an explicit ownership
-        // handoff from the old owner to the new one — the same
-        // evict/install pair above, restated in interned-id space for
-        // slice-partitioned consumers.
-        let handoff = self.directory.handoff(label, to);
-        debug_assert_eq!(
-            handoff.from,
-            self.directory.id_of(&from),
-            "handoff must name the evicted owner"
-        );
-        self.mark_touched(label);
-        self.stats.balance_migrations += 1;
-        // A migration stales every shortcut pointing at the old host.
-        self.queue_invalidations(label, t);
-        Ok(())
-    }
-
-    /// Changes a peer's identifier in place (the MLT boundary move).
-    /// Ring links of both neighbours, the directory entries of hosted
-    /// nodes, the membership set and the peer's entry-point cache all
-    /// follow.
-    pub fn rename_shard(&mut self, old: &Key, new: Key) -> Result<()> {
-        if old == &new {
-            return Ok(());
-        }
-        if self.members.contains(&new) {
-            return Err(DlptError::DuplicatePeer(new.to_string()));
-        }
-        let old_pid = self
-            .directory
-            .id_of(old)
-            .filter(|&p| self.peers.get(p).is_some_and(|s| s.shard.is_some()))
-            .ok_or_else(|| DlptError::UnknownPeer(old.to_string()))?;
-        let new_pid = self.directory.intern(&new);
-        // The slot — shard, entry-point cache, free-list position —
-        // survives the rename: only the id binding moves, so learned
-        // shortcuts and slab integrity carry over.
-        self.peers.rebind(old_pid, new_pid);
-        self.members.remove(old);
-        self.ring.invalidate();
-        let eager = self.config.eager_replication && self.config.replication > 1;
-        let slot = self.peers.get_mut(new_pid).expect("just re-bound");
-        slot.key = new.clone();
-        let shard = slot.shard.as_mut().expect("checked above");
-        let (pred, succ) = (shard.peer.pred.clone(), shard.peer.succ.clone());
-        shard.peer.id = new.clone();
-        if pred == *old {
-            shard.peer.pred = new.clone();
-        }
-        if succ == *old {
-            shard.peer.succ = new.clone();
-        }
-        let hosted: Vec<Key> = shard.nodes.keys().cloned().collect();
-        for label in hosted {
-            let lid = self.directory.insert(label, new.clone());
-            if eager {
-                self.touched.push(lid);
-            }
-        }
-        self.members.insert(new.clone());
-        if let Some(p) = self.shard_mut(&pred) {
-            if p.peer.succ == *old {
-                p.peer.succ = new.clone();
-            }
-        }
-        if let Some(s) = self.shard_mut(&succ) {
-            if s.peer.pred == *old {
-                s.peer.pred = new.clone();
-            }
-        }
-        self.stats.peer_renames += 1;
-        Ok(())
-    }
-
-    /// Non-graceful departure: the peer vanishes and the ring heals
-    /// around it. Without replication (`k = 1`) every node the peer ran
-    /// — and its registered data — is lost. With `k > 1` each lost node
-    /// fails over to a surviving follower copy (`protocol::repair`);
-    /// only nodes with no live replica are lost. Returns the labels of
-    /// the *lost* nodes.
-    pub fn crash_shard(&mut self, id: &Key) -> Result<Vec<Key>> {
-        let shard = self
-            .remove_member(id)
-            .ok_or_else(|| DlptError::UnknownPeer(id.to_string()))?;
-        let hosted: Vec<Key> = shard.nodes.keys().cloned().collect();
-        if self.members.is_empty() {
-            // Last peer: the overlay disappears with it.
-            self.directory.clear();
-            self.root = None;
-            self.stats.nodes_lost += hosted.len() as u64;
-            if self.config.replication > 1 {
-                self.repl_stats.unrecoverable_nodes += hosted.len() as u64;
-            }
-            return Ok(hosted);
-        }
-        // Failure-detector stand-in: neighbours notice and heal.
-        let (pred, succ) = (shard.peer.pred.clone(), shard.peer.succ.clone());
-        if let Some(p) = self.shard_mut(&pred) {
-            p.peer.succ = if succ == *id {
-                pred.clone()
-            } else {
-                succ.clone()
-            };
-        }
-        if let Some(s) = self.shard_mut(&succ) {
-            s.peer.pred = if pred == *id {
-                succ.clone()
-            } else {
-                pred.clone()
-            };
-        }
-        // Failover: promote surviving follower copies; lose the rest.
-        let mut lost = Vec::new();
-        for label in hosted {
-            if self.config.replication > 1 && self.promote_from_followers(&label) {
-                self.repl_stats.promotions += 1;
-            } else {
-                self.directory.remove(&label);
-                if self.config.replication > 1 {
-                    self.repl_stats.unrecoverable_nodes += 1;
-                }
-                lost.push(label);
-            }
-        }
-        self.stats.nodes_lost += lost.len() as u64;
-        if self
-            .root
-            .as_ref()
-            .map(|r| lost.contains(r))
-            .unwrap_or(false)
-        {
-            self.root = None;
-        }
-        Ok(lost)
-    }
-
     /// Builds the sequential oracle for the currently registered keys.
     /// A correct overlay has exactly the oracle's node labels.
     pub fn oracle(&self) -> PgcpTrie {
@@ -1833,465 +1542,6 @@ impl Engine {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // System-health observatory (`crate::obs::health`)
-    // ------------------------------------------------------------------
-
-    /// Audits directory↔slab↔trie↔replication cross-consistency and
-    /// returns every violation found instead of panicking, so fault and
-    /// partition scenarios can be audited mid-recovery. The checks are
-    /// read-only and cover what is *locally* verifiable: trie and ring
-    /// invariants are checked over locally hosted shards only (the
-    /// threaded runtime's engine is a router whose shards live on peer
-    /// threads), while directory, slab, mapping, replication-record and
-    /// cache-epoch checks run on every runtime. An empty result after
-    /// quiescence is the suite-wide invariant
-    /// (`tests/runtime_equivalence.rs`).
-    pub fn audit(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut push = |check: AuditCheck, detail: String| out.push(Violation { check, detail });
-
-        // Interner round-trip: every id resolves back to itself.
-        for id in 0..self.directory.interned_len() as u32 {
-            let k = self.directory.key_of(id);
-            if self.directory.id_of(k) != Some(id) {
-                push(
-                    AuditCheck::Directory,
-                    format!("interned id {id} ({k}) does not round-trip"),
-                );
-            }
-        }
-
-        // Slab integrity: id↔slot bijection, free-list partition, and
-        // key↔id agreement (the no-aliasing property id reuse after a
-        // rename depends on).
-        let slab = &self.peers;
-        let mut slot_owner: Vec<Option<u32>> = vec![None; slab.slots.len()];
-        let mut live = 0usize;
-        for (pid, &s) in slab.by_id.iter().enumerate() {
-            if s == SLOT_NONE {
-                continue;
-            }
-            live += 1;
-            match slab.slots.get(s as usize).and_then(|o| o.as_ref()) {
-                None => push(
-                    AuditCheck::Slab,
-                    format!("peer id {pid} maps to empty slot {s}"),
-                ),
-                Some(slot) => {
-                    if let Some(prev) = slot_owner[s as usize].replace(pid as u32) {
-                        push(
-                            AuditCheck::Slab,
-                            format!("slot {s} referenced by peer ids {prev} and {pid}"),
-                        );
-                    }
-                    if self.directory.id_of(&slot.key) != Some(pid as u32) {
-                        push(
-                            AuditCheck::Slab,
-                            format!("slot {s} holds {} but is indexed under id {pid}", slot.key),
-                        );
-                    }
-                    if !self.members.contains(&slot.key) {
-                        push(
-                            AuditCheck::Slab,
-                            format!("slot {s} peer {} is not a ring member", slot.key),
-                        );
-                    }
-                }
-            }
-        }
-        let mut freed = vec![false; slab.slots.len()];
-        for &f in &slab.free {
-            if slab.slots.get(f as usize).is_none_or(|o| o.is_some()) {
-                push(
-                    AuditCheck::Slab,
-                    format!("free slot {f} still holds a peer"),
-                );
-            } else if std::mem::replace(&mut freed[f as usize], true) {
-                push(
-                    AuditCheck::Slab,
-                    format!("slot {f} appears twice on the free list"),
-                );
-            }
-        }
-        if live + slab.free.len() != slab.slots.len() {
-            push(
-                AuditCheck::Slab,
-                format!(
-                    "slab leak: {live} live + {} free != {} slots",
-                    slab.free.len(),
-                    slab.slots.len()
-                ),
-            );
-        }
-        if live != self.members.len() {
-            push(
-                AuditCheck::Slab,
-                format!("{live} slab slots vs {} ring members", self.members.len()),
-            );
-        }
-
-        // Directory: every live label's host is a live member with a
-        // slab slot, and obeys the mapping rule host(n) = min{P >= n}.
-        for (label, host) in self.directory.iter() {
-            if !self.members.contains(host) {
-                push(
-                    AuditCheck::Directory,
-                    format!("host {host} of {label} is not a live member"),
-                );
-                continue;
-            }
-            match self.directory.id_of(host) {
-                Some(hid) if slab.contains(hid) => {}
-                _ => push(
-                    AuditCheck::Directory,
-                    format!("host {host} of {label} has no slab slot"),
-                ),
-            }
-            match self.host_peer(label) {
-                Some(expected) if expected == host => {}
-                Some(expected) => push(
-                    AuditCheck::Mapping,
-                    format!("{label} hosted by {host}, mapping rule says {expected}"),
-                ),
-                None => push(
-                    AuditCheck::Mapping,
-                    format!("{label} is live but the ring is empty"),
-                ),
-            }
-        }
-
-        // Ring links over locally hosted shards.
-        for (id, shard) in self.shards() {
-            for (link, have, want) in [
-                ("pred", &shard.peer.pred, self.ring_pred(id)),
-                ("succ", &shard.peer.succ, self.ring_succ(id)),
-            ] {
-                if want != Some(have) {
-                    push(
-                        AuditCheck::Ring,
-                        format!("{id}: {link} is {have}, ring order says {want:?}"),
-                    );
-                }
-            }
-        }
-
-        // PGCP trie invariants (Definition 1) over local shards.
-        for shard in self.local_shards() {
-            for node in shard.nodes.values() {
-                for d in &node.data {
-                    if d != &node.label {
-                        push(
-                            AuditCheck::Trie,
-                            format!("{}: data key {d} differs from label", node.label),
-                        );
-                    }
-                }
-                if let Some(f) = &node.father {
-                    match self.node(f) {
-                        None => push(
-                            AuditCheck::Trie,
-                            format!("{}: father {f} does not resolve", node.label),
-                        ),
-                        Some(father) if !father.children.contains(&node.label) => push(
-                            AuditCheck::Trie,
-                            format!("{}: father {f} does not list it as a child", node.label),
-                        ),
-                        Some(_) => {}
-                    }
-                }
-                for c in &node.children {
-                    match self.node(c) {
-                        None => push(
-                            AuditCheck::Trie,
-                            format!("{}: child {c} does not resolve", node.label),
-                        ),
-                        Some(child) if child.father.as_ref() != Some(&node.label) => push(
-                            AuditCheck::Trie,
-                            format!("{c}: father link does not point back to {}", node.label),
-                        ),
-                        Some(_) => {}
-                    }
-                    if !node.label.is_proper_prefix_of(c) {
-                        push(
-                            AuditCheck::Trie,
-                            format!("{}: child {c} is not a proper extension", node.label),
-                        );
-                    }
-                }
-                // Siblings share exactly the parent label. Children are
-                // sorted, so a longer shared prefix anywhere shows up
-                // between some adjacent pair.
-                for (a, b) in node.children.iter().zip(node.children.iter().skip(1)) {
-                    if a.gcp_len(b) != node.label.len() {
-                        push(
-                            AuditCheck::Trie,
-                            format!(
-                                "{}: children {a} and {b} share a prefix other than it",
-                                node.label
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Replication records: at most k − 1 followers per label, every
-        // recorded follower a live member. (Copy presence is anti-
-        // entropy's transient concern; the snapshot reports it as
-        // `under_replicated` rather than a violation.)
-        let k = self.config.replication;
-        if k > 1 {
-            for (label, host) in self.directory.iter() {
-                let lid = self.directory.id_of(label).expect("live label is interned");
-                let fids = self.directory.follower_ids(lid);
-                if fids.len() > k - 1 {
-                    push(
-                        AuditCheck::Replication,
-                        format!("{label}: {} followers recorded, k = {k}", fids.len()),
-                    );
-                }
-                for &f in fids {
-                    let fk = self.directory.key_of(f);
-                    if !self.members.contains(fk) {
-                        push(
-                            AuditCheck::Replication,
-                            format!("{label}: follower {fk} is not a live member"),
-                        );
-                    }
-                    if fk == host {
-                        push(
-                            AuditCheck::Replication,
-                            format!("{label}: primary {host} recorded as its own follower"),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Each cache's reverse index must agree with its slots, and
-        // shortcuts must reference epochs the directory has actually
-        // issued (stale is legal; from-the-future is not).
-        for m in &self.members {
-            let Some(pid) = self.directory.id_of(m) else {
-                continue;
-            };
-            let Some(slot) = slab.get(pid) else { continue };
-            if let Err(detail) = slot.cache.check_index() {
-                push(AuditCheck::Cache, format!("{m}: {detail}"));
-            }
-            for (target, sc) in slot.cache.iter_shortcuts() {
-                if sc.epoch > self.directory.epoch_of(&sc.label) {
-                    push(
-                        AuditCheck::Cache,
-                        format!(
-                            "{m}: shortcut for {target} carries epoch {} > directory epoch {}",
-                            sc.epoch,
-                            self.directory.epoch_of(&sc.label)
-                        ),
-                    );
-                }
-            }
-        }
-
-        out
-    }
-
-    /// Panics, listing every [`Violation`], unless [`Engine::audit`]
-    /// comes back empty — the one assertion tests and examples make
-    /// about a quiescent overlay.
-    #[track_caller]
-    pub fn assert_clean(&self) {
-        let found = self.audit();
-        let lines: Vec<String> = found.iter().map(|v| format!("  {v}")).collect();
-        assert!(found.is_empty(), "audit found:\n{}", lines.join("\n"));
-    }
-
-    /// Estimated resident bytes of every engine component — the
-    /// deterministic walk behind the snapshot's memory accounting.
-    /// Length-based (Vec capacities plus fixed per-entry map
-    /// estimates), so two seeded runs agree byte-for-byte; never
-    /// allocates.
-    pub fn bytes_estimate(&self) -> MemoryFootprint {
-        use std::mem::size_of;
-        let slab = &self.peers;
-        let slab_bytes = slab.by_id.capacity() * size_of::<u32>()
-            + slab.slots.capacity() * size_of::<Option<PeerSlot>>()
-            + slab.free.capacity() * size_of::<u32>()
-            // Ring membership: BTreeSet entry ≈ key + tree overhead.
-            + self.members.len() * (size_of::<Key>() + 16);
-        let mut shard_bytes = 0usize;
-        let mut cache_bytes = 0usize;
-        for slot in slab.slots.iter().flatten() {
-            cache_bytes += slot.cache.bytes_estimate();
-            if let Some(shard) = &slot.shard {
-                shard_bytes += node_map_bytes(&shard.nodes) + node_map_bytes(&shard.replicas);
-            }
-        }
-        MemoryFootprint {
-            directory_bytes: self.directory.bytes_estimate(),
-            slab_bytes,
-            shard_bytes,
-            cache_bytes,
-        }
-    }
-
-    /// Fills `mon`'s snapshot from current engine state: per-depth
-    /// occupancy, per-peer load in ring order, imbalance statistics,
-    /// replication health, cache/fault counter deltas and the memory
-    /// footprint. A pure read at a unit boundary (call *before*
-    /// [`Engine::end_time_unit`] rolls the per-unit load counters), so
-    /// health-off runs are untouched and health-on runs stay
-    /// deterministic; once the monitor's buffers are warm, collection
-    /// does not allocate. `faults` is the transport's cumulative
-    /// counter block (`FaultStats::default()` on reliable transports).
-    /// `snap.audit_violations` is reset to 0 — callers that also run
-    /// [`Engine::audit`] stamp the count afterwards.
-    pub fn collect_health(
-        &self,
-        unit: u64,
-        faults: &crate::transport::FaultStats,
-        mon: &mut HealthMonitor,
-    ) {
-        let snap = &mut mon.snap;
-        snap.unit = unit;
-        snap.peers = self.members.len() as u64;
-        snap.nodes = self.directory.len() as u64;
-        snap.audit_violations = 0;
-        snap.timing = self.pump_timing;
-
-        // Per-peer rows in ring order; `scratch_rows` maps interned
-        // peer id → row index so the directory pass below can attribute
-        // node counts without hashing.
-        snap.per_peer.clear();
-        mon.scratch_rows.clear();
-        mon.scratch_rows
-            .resize(self.directory.interned_len(), u32::MAX);
-        for m in &self.members {
-            let Some(pid) = self.directory.id_of(m) else {
-                continue;
-            };
-            mon.scratch_rows[pid as usize] = snap.per_peer.len() as u32;
-            let (replicas, used, capacity, messages) =
-                match self.peers.get(pid).and_then(|s| s.shard.as_ref()) {
-                    Some(shard) => {
-                        let msgs = shard.nodes.values().map(|n| n.load).sum::<u64>()
-                            + shard.replicas.values().map(|n| n.load).sum::<u64>();
-                        (
-                            shard.replicas.len() as u32,
-                            shard.peer.used,
-                            shard.peer.capacity,
-                            msgs,
-                        )
-                    }
-                    None => (0, 0, u32::MAX, 0),
-                };
-            snap.per_peer.push(PeerHealth {
-                peer: pid,
-                nodes: 0,
-                replicas,
-                used,
-                capacity,
-                messages,
-            });
-        }
-        for (_, host) in self.directory.iter() {
-            if let Some(hid) = self.directory.id_of(host) {
-                if let Some(&row) = mon.scratch_rows.get(hid as usize) {
-                    if row != u32::MAX {
-                        snap.per_peer[row as usize].nodes += 1;
-                    }
-                }
-            }
-        }
-
-        // Depth occupancy by walking father links (no memo map — the
-        // tree is shallow and this avoids allocating). Empty when no
-        // shard is hosted locally (threaded router engine).
-        snap.depth_occupancy.clear();
-        snap.max_depth = 0;
-        for shard in self.local_shards() {
-            for node in shard.nodes.values() {
-                let mut d = 0usize;
-                let mut cur = node.father.as_ref();
-                while let Some(f) = cur {
-                    d += 1;
-                    cur = self.node(f).and_then(|n| n.father.as_ref());
-                }
-                if d >= snap.depth_occupancy.len() {
-                    snap.depth_occupancy.resize(d + 1, 0);
-                }
-                snap.depth_occupancy[d] += 1;
-                snap.max_depth = snap.max_depth.max(d as u64);
-            }
-        }
-        snap.optimal_depth = if snap.nodes == 0 {
-            0.0
-        } else {
-            (snap.nodes as f64 + 1.0).log2()
-        };
-
-        mon.scratch_loads.clear();
-        mon.scratch_loads
-            .extend(snap.per_peer.iter().map(|p| p.messages));
-        let (imb, gini) = imbalance_of(&mut mon.scratch_loads);
-        snap.max_over_mean = imb;
-        snap.gini = gini;
-
-        // Replication health, read-only (anti-entropy's refresh pass
-        // mutates records; this one only counts): a label is under-
-        // replicated when fewer than min(k − 1, peers − 1) of its
-        // recorded followers are live and provably hold a copy (remote
-        // follower shards can't be inspected and count as holding).
-        snap.under_replicated = 0;
-        let k = self.config.replication;
-        if k > 1 && self.members.len() > 1 {
-            let want = (k - 1).min(self.members.len() - 1);
-            for (label, _) in self.directory.iter() {
-                let lid = self.directory.id_of(label).expect("live label is interned");
-                let live = self
-                    .directory
-                    .follower_ids(lid)
-                    .iter()
-                    .filter(|&&f| {
-                        let fk = self.directory.key_of(f);
-                        self.members.contains(fk)
-                            && self
-                                .shard(fk)
-                                .map(|s| s.replicas.contains_key(label))
-                                .unwrap_or(true)
-                    })
-                    .count();
-                if live < want {
-                    snap.under_replicated += 1;
-                }
-            }
-        }
-
-        let cs = &self.cache_stats;
-        snap.cache_hits = cs.hits.saturating_sub(mon.prev_cache.hits);
-        snap.cache_stale = cs.stale_hits.saturating_sub(mon.prev_cache.stale_hits);
-        snap.cache_learned = cs.learned.saturating_sub(mon.prev_cache.learned);
-        mon.prev_cache = cs.clone();
-
-        let p = &mon.prev_faults;
-        snap.faults = crate::transport::FaultStats {
-            lost: faults.lost.saturating_sub(p.lost),
-            duplicated: faults.duplicated.saturating_sub(p.duplicated),
-            reordered: faults.reordered.saturating_sub(p.reordered),
-            partition_dropped: faults.partition_dropped.saturating_sub(p.partition_dropped),
-            duplicates_suppressed: faults
-                .duplicates_suppressed
-                .saturating_sub(p.duplicates_suppressed),
-            retries: faults.retries.saturating_sub(p.retries),
-            requests_failed: faults.requests_failed.saturating_sub(p.requests_failed),
-            frames_exhausted: faults.frames_exhausted.saturating_sub(p.frames_exhausted),
-        };
-        mon.prev_faults = *faults;
-
-        snap.bytes = self.bytes_estimate();
-    }
 }
 
 /// The response resolving a discovery branch whose visit was refused
@@ -2305,36 +1555,6 @@ fn dropped_outcome(request_id: u64, path: Vec<Key>) -> DiscoveryOutcome {
         path,
         pending_children: 0,
     }
-}
-
-/// Heap bytes a spilled key owns (0 for inline keys).
-fn key_heap_bytes(k: &Key) -> usize {
-    if k.is_inline() {
-        0
-    } else {
-        k.len() + 16
-    }
-}
-
-/// Estimated bytes of one shard-side node map (`nodes` or `replicas`):
-/// a fixed per-entry B-tree estimate plus each node's child/data key
-/// sets and any spilled key heap.
-fn node_map_bytes(map: &BTreeMap<Key, NodeState>) -> usize {
-    use std::mem::size_of;
-    let mut bytes = map.len() * (size_of::<Key>() + size_of::<NodeState>() + 16);
-    for (label, node) in map {
-        bytes += key_heap_bytes(label) + key_heap_bytes(&node.label);
-        if let Some(f) = &node.father {
-            bytes += key_heap_bytes(f);
-        }
-        for set in [&node.children, &node.data] {
-            bytes += set.len() * (size_of::<Key>() + 16);
-            for c in set {
-                bytes += key_heap_bytes(c);
-            }
-        }
-    }
-    bytes
 }
 
 /// Per-kind delivery counters. Free functions over the stats struct
