@@ -232,9 +232,7 @@ pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
     if new_p_id != p_id {
         sys.rename_peer(&p_id, new_p_id).expect("fresh id checked");
     }
-    // Only the class a boundary move is answerable for: the overlay may
-    // be mid-recovery in others (a crash leaves follower records stale
-    // until the next anti-entropy pass).
+    // Only the class a boundary move is answerable for.
     debug_assert!(
         !sys.audit().iter().any(|v| v.check == AuditCheck::Mapping),
         "MLT must preserve the mapping"

@@ -64,7 +64,7 @@
 //!   [`synchronous`](crate::engine::Transport::synchronous) is true the
 //!   engine, which owns every cache, applies the invalidation to each
 //!   peer's cache inline instead of round-tripping 122 envelopes
-//!   through the queue ([`crate::engine::Engine::queue_invalidations`]).
+//!   through the queue (`Engine::queue_invalidations`).
 //!   Every other transport keeps the per-peer message, so its loss,
 //!   delay and reordering stay injectable.
 //!

@@ -81,25 +81,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// not required, deterministic membership is).
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// An explicit ownership-transfer record: the outcome of re-hosting
-/// one label. Produced by [`Directory::handoff`], which is the single
-/// entry point for every host change that *moves* ownership (balancer
-/// migration, crash promotion) as opposed to creating it (join,
-/// registration). The record names both sides of the transfer in
-/// interned-id space, so a consumer partitioned by peer id — a health
-/// row, a trace sink — can apply the move as a message between the two
-/// owners instead of re-deriving it from shared state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Handoff {
-    /// The transferred label's interned id.
-    pub label: u32,
-    /// The previous owner's peer id (`None` when the label was not
-    /// live — a promotion re-creating a crashed primary's entry).
-    pub from: Option<u32>,
-    /// The new owner's peer id.
-    pub to: u32,
-}
-
 /// An interned `label → host` table with incremental ordered access.
 #[derive(Debug, Default)]
 pub struct Directory {
@@ -241,26 +222,6 @@ impl Directory {
         lid
     }
 
-    /// Transfers ownership of `label` to `new_host` and returns the
-    /// explicit [`Handoff`] record describing the move. Semantically
-    /// an [`Directory::insert`] (same epoch bump, same sorted-order
-    /// maintenance) that additionally reports who lost the label —
-    /// the protocol-level "ownership handoff message" of the engine's
-    /// migration and promotion paths.
-    pub fn handoff(&mut self, label: &Key, new_host: &Key) -> Handoff {
-        let from = self
-            .ids
-            .get(label)
-            .map(|&lid| self.hosts[lid as usize])
-            .filter(|&h| h != NONE);
-        let lid = self.insert(label.clone(), new_host.clone());
-        Handoff {
-            label: lid,
-            from,
-            to: self.hosts[lid as usize],
-        }
-    }
-
     /// Removes `label`; returns true iff it was present.
     pub fn remove(&mut self, label: &Key) -> bool {
         let Some(&lid) = self.ids.get(label) else {
@@ -360,6 +321,23 @@ impl Directory {
         let rec = &mut self.followers[lid as usize];
         rec.clear();
         rec.extend_from_slice(hosts);
+    }
+
+    /// Rewrites peer id `pid` in every live label's follower record:
+    /// to `new` when the peer changed identifier (its copies moved with
+    /// it), away when it crashed (its copies died with it).
+    pub fn rebind_follower(&mut self, pid: u32, new: Option<u32>) {
+        for &lid in &self.sorted {
+            let record = &mut self.followers[lid as usize];
+            if let Some(at) = record.iter().position(|&f| f == pid) {
+                match new {
+                    Some(new) => record[at] = new,
+                    None => {
+                        record.remove(at);
+                    }
+                }
+            }
+        }
     }
 
     /// The live label ids, ascending by label — the id-level twin of
@@ -515,26 +493,6 @@ mod tests {
         d.bump_epoch(&k("777"));
         assert_eq!(d.epoch_of(&k("777")), 1);
         assert_eq!(d.live_epoch(&k("777")), None);
-    }
-
-    #[test]
-    fn handoff_reports_both_sides_and_bumps_the_epoch() {
-        let mut d = sample();
-        let before = d.live_epoch(&k("101")).expect("live");
-        let h = d.handoff(&k("101"), &k("P1"));
-        assert_eq!(h.label, d.id_of(&k("101")).unwrap());
-        assert_eq!(h.from, d.id_of(&k("P2")));
-        assert_eq!(h.to, d.id_of(&k("P1")).unwrap());
-        assert_eq!(d.host_of(&k("101")), Some(&k("P1")));
-        assert!(
-            d.live_epoch(&k("101")).unwrap() > before,
-            "a handoff is a structural event"
-        );
-        // Promoting a dead label reports no previous owner.
-        d.remove(&k("101"));
-        let h = d.handoff(&k("101"), &k("P7"));
-        assert_eq!(h.from, None);
-        assert_eq!(d.host_of(&k("101")), Some(&k("P7")));
     }
 
     #[test]

@@ -9,12 +9,9 @@ impl Engine {
     /// Audits directory↔slab↔trie↔replication cross-consistency and
     /// returns every violation found instead of panicking, so fault and
     /// partition scenarios can be audited mid-recovery. The checks are
-    /// read-only and cover what is *locally* verifiable: trie and ring
-    /// invariants are checked over locally hosted shards only (the
-    /// threaded runtime's engine is a router whose shards live on peer
-    /// threads), while directory, slab, mapping, replication-record and
-    /// cache-epoch checks run on every runtime. An empty result after
-    /// quiescence is the suite-wide invariant
+    /// read-only and the same on every runtime: directory, slab,
+    /// mapping, ring, trie, replication-record and cache-epoch. An
+    /// empty result after quiescence is the suite-wide invariant
     /// (`tests/runtime_equivalence.rs`).
     pub fn audit(&self) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -130,7 +127,7 @@ impl Engine {
             }
         }
 
-        // Ring links over locally hosted shards.
+        // Ring links.
         for (id, shard) in self.shards() {
             for (link, have, want) in [
                 ("pred", &shard.peer.pred, self.ring_pred(id)),
@@ -145,7 +142,7 @@ impl Engine {
             }
         }
 
-        // PGCP trie invariants (Definition 1) over local shards.
+        // PGCP trie invariants (Definition 1).
         for shard in self.local_shards() {
             for node in shard.nodes.values() {
                 for d in &node.data {

@@ -26,9 +26,7 @@ impl Engine {
         let mut cache_bytes = 0usize;
         for slot in slab.slots.iter().flatten() {
             cache_bytes += slot.cache.bytes_estimate();
-            if let Some(shard) = &slot.shard {
-                shard_bytes += node_map_bytes(&shard.nodes) + node_map_bytes(&shard.replicas);
-            }
+            shard_bytes += node_map_bytes(&slot.shard.nodes) + node_map_bytes(&slot.shard.replicas);
         }
         MemoryFootprint {
             directory_bytes: self.directory.bytes_estimate(),
@@ -69,32 +67,17 @@ impl Engine {
         mon.scratch_rows.clear();
         mon.scratch_rows
             .resize(self.directory.interned_len(), u32::MAX);
-        for m in &self.members {
-            let Some(pid) = self.directory.id_of(m) else {
-                continue;
-            };
+        for (m, shard) in self.shards() {
+            let pid = self.directory.id_of(m).expect("members are interned");
             mon.scratch_rows[pid as usize] = snap.per_peer.len() as u32;
-            let (replicas, used, capacity, messages) =
-                match self.peers.get(pid).and_then(|s| s.shard.as_ref()) {
-                    Some(shard) => {
-                        let msgs = shard.nodes.values().map(|n| n.load).sum::<u64>()
-                            + shard.replicas.values().map(|n| n.load).sum::<u64>();
-                        (
-                            shard.replicas.len() as u32,
-                            shard.peer.used,
-                            shard.peer.capacity,
-                            msgs,
-                        )
-                    }
-                    None => (0, 0, u32::MAX, 0),
-                };
             snap.per_peer.push(PeerHealth {
                 peer: pid,
                 nodes: 0,
-                replicas,
-                used,
-                capacity,
-                messages,
+                replicas: shard.replicas.len() as u32,
+                used: shard.peer.used,
+                capacity: shard.peer.capacity,
+                messages: shard.nodes.values().map(|n| n.load).sum::<u64>()
+                    + shard.replicas.values().map(|n| n.load).sum::<u64>(),
             });
         }
         for (_, host) in self.directory.iter() {
@@ -108,8 +91,7 @@ impl Engine {
         }
 
         // Depth occupancy by walking father links (no memo map — the
-        // tree is shallow and this avoids allocating). Empty when no
-        // shard is hosted locally (threaded router engine).
+        // tree is shallow and this avoids allocating).
         snap.depth_occupancy.clear();
         snap.max_depth = 0;
         for shard in self.local_shards() {
@@ -143,8 +125,7 @@ impl Engine {
         // Replication health, read-only (anti-entropy's refresh pass
         // mutates records; this one only counts): a label is under-
         // replicated when fewer than min(k − 1, peers − 1) of its
-        // recorded followers are live and provably hold a copy (remote
-        // follower shards can't be inspected and count as holding).
+        // recorded followers are live and hold a copy.
         snap.under_replicated = 0;
         let k = self.config.replication;
         if k > 1 && self.members.len() > 1 {
@@ -156,12 +137,9 @@ impl Engine {
                     .follower_ids(lid)
                     .iter()
                     .filter(|&&f| {
-                        let fk = self.directory.key_of(f);
-                        self.members.contains(fk)
-                            && self
-                                .shard(fk)
-                                .map(|s| s.replicas.contains_key(label))
-                                .unwrap_or(true)
+                        self.peers
+                            .get(f)
+                            .is_some_and(|s| s.shard.replicas.contains_key(label))
                     })
                     .count();
                 if live < want {

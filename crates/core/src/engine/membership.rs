@@ -1,7 +1,6 @@
-//! Membership and churn over locally hosted shards: peers join, leave,
-//! migrate a node, change identifier and crash here (shared by the
-//! sync and latency runtimes; the threaded router registers remote
-//! members). Split out of `engine/mod.rs`, one module per concern.
+//! Membership and churn: peers join, leave, migrate a node, change
+//! identifier and crash here, once for every runtime. Split out of
+//! `engine/mod.rs`, one module per concern.
 
 use super::{Engine, PeerSlot, Transport};
 use crate::cache::RouteCache;
@@ -13,25 +12,15 @@ use crate::protocol::maintenance;
 use rand::rngs::StdRng;
 
 impl Engine {
-    /// Registers a peer whose shard the engine hosts locally. The
-    /// runtime then routes the join itself ([`Engine::join_envelope`]).
+    /// Registers a peer and its (empty) shard. The runtime then routes
+    /// the join itself ([`Engine::join_envelope`]).
     pub fn add_local_shard(&mut self, id: Key, capacity: u32) {
-        let shard = PeerShard::new(id.clone(), capacity);
-        self.insert_peer(id, Some(shard));
-    }
-
-    /// Registers a peer whose shard lives elsewhere (peer threads).
-    pub fn add_member(&mut self, id: Key) {
-        self.insert_peer(id, None);
-    }
-
-    fn insert_peer(&mut self, id: Key, shard: Option<PeerShard>) {
         let pid = self.directory.intern(&id);
         self.peers.insert(
             pid,
             PeerSlot {
                 key: id.clone(),
-                shard,
+                shard: PeerShard::new(id.clone(), capacity),
                 cache: RouteCache::new(self.config.cache_capacity),
             },
         );
@@ -39,13 +28,13 @@ impl Engine {
         self.ring.invalidate();
     }
 
-    /// Forgets a peer: membership, its entry-point cache, and its
-    /// local shard if any. Returns the shard.
+    /// Forgets a peer — membership, entry-point cache, shard — and
+    /// returns the shard; `None` when `id` is not a member.
     pub fn remove_member(&mut self, id: &Key) -> Option<PeerShard> {
         self.members.remove(id);
         self.ring.invalidate();
         let pid = self.directory.id_of(id)?;
-        self.peers.remove(pid)?.shard
+        Some(self.peers.remove(pid)?.shard)
     }
 
     /// The join envelope for peer `id` (which must already be a
@@ -160,16 +149,7 @@ impl Engine {
             .evict(label)
             .expect("directory is consistent");
         self.shard_mut(to).expect("checked").install(node);
-        // The directory records the move as an explicit ownership
-        // handoff from the old owner to the new one — the same
-        // evict/install pair above, restated in interned-id space for
-        // slice-partitioned consumers.
-        let handoff = self.directory.handoff(label, to);
-        debug_assert_eq!(
-            handoff.from,
-            self.directory.id_of(&from),
-            "handoff must name the evicted owner"
-        );
+        self.directory.insert(label.clone(), to.clone());
         self.mark_touched(label);
         self.stats.balance_migrations += 1;
         // A migration stales every shortcut pointing at the old host.
@@ -191,19 +171,24 @@ impl Engine {
         let old_pid = self
             .directory
             .id_of(old)
-            .filter(|&p| self.peers.get(p).is_some_and(|s| s.shard.is_some()))
+            .filter(|&p| self.peers.contains(p))
             .ok_or_else(|| DlptError::UnknownPeer(old.to_string()))?;
         let new_pid = self.directory.intern(&new);
         // The slot — shard, entry-point cache, free-list position —
         // survives the rename: only the id binding moves, so learned
         // shortcuts and slab integrity carry over.
         self.peers.rebind(old_pid, new_pid);
+        if self.config.replication > 1 {
+            // The follower copies it holds for other labels keep their
+            // holder.
+            self.directory.rebind_follower(old_pid, Some(new_pid));
+        }
         self.members.remove(old);
         self.ring.invalidate();
         let eager = self.config.eager_replication && self.config.replication > 1;
         let slot = self.peers.get_mut(new_pid).expect("just re-bound");
         slot.key = new.clone();
-        let shard = slot.shard.as_mut().expect("checked above");
+        let shard = &mut slot.shard;
         let (pred, succ) = (shard.peer.pred.clone(), shard.peer.succ.clone());
         shard.peer.id = new.clone();
         if pred == *old {
@@ -283,6 +268,13 @@ impl Engine {
                 }
                 lost.push(label);
             }
+        }
+        if self.config.replication > 1 {
+            // The victim's follower copies died with it. Every reader
+            // skips a dead follower anyway; the records say so now
+            // instead of after the next anti-entropy pass.
+            let pid = self.directory.id_of(id).expect("members are interned");
+            self.directory.rebind_follower(pid, None);
         }
         self.stats.nodes_lost += lost.len() as u64;
         if self

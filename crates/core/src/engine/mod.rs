@@ -18,13 +18,13 @@
 //! |---|---|---|
 //! | [`crate::system::DlptSystem`] | [`FifoTransport`] | immediate FIFO |
 //! | `dlpt-net::sim::LatencyNet` | latency event queue | sampled delay |
-//! | `dlpt-net::threaded::ThreadedDlpt` | framed channels | encoded frames to peer threads |
+//! | `dlpt-net::threaded::ThreadedDlpt` | framed channels | encoded frames between peer threads, handled by `deliver` |
 //!
 //! A transport only queues envelopes; it never interprets them. The
 //! engine in turn never schedules — it reports `Requeue` when a
 //! destination is still in flight and lets the runtime decide whether
-//! to retry now (FIFO), one tick later (latency queue) or after the
-//! next peer reply (framed channels).
+//! to retry now (FIFO), one tick later (latency queue) or by bouncing
+//! the frame back to an inbox (framed channels).
 //!
 //! Behavioural knobs that used to be implicit in which runtime you
 //! picked are explicit [`EngineConfig`] flags: the Section-4 capacity
@@ -91,7 +91,7 @@ pub trait Transport {
     /// the engine may equivalently run inline. It has exactly two
     /// uses: hop chaining ([`Engine::deliver`]) and inline termination
     /// of the eager cache-invalidation fan-out
-    /// ([`Engine::queue_invalidations`]). Only the synchronous
+    /// (`Engine::queue_invalidations`). Only the synchronous
     /// [`FifoTransport`] says yes, and the engine takes it up only
     /// while no fault plan is active: modelled-latency, fault-injecting
     /// and threaded runs must observe every individual hop and every
@@ -361,9 +361,8 @@ const SLOT_NONE: u32 = u32::MAX;
 struct PeerSlot {
     /// The peer's identifier (renders ids back to keys at boundaries).
     key: Key,
-    /// The locally hosted shard; `None` for remote members (the
-    /// threaded runtime's shards live on peer threads).
-    shard: Option<PeerShard>,
+    /// The peer's shard.
+    shard: PeerShard,
     /// The peer's entry-point routing-shortcut cache.
     cache: RouteCache,
 }
@@ -508,11 +507,7 @@ enum ChainStep {
 pub struct Engine {
     config: EngineConfig,
     /// Per-peer state (shard + entry-point cache), slab-indexed by the
-    /// peer's interned id. The synchronous and discrete-event runtimes
-    /// keep every shard here; the threaded runtime's shards live on
-    /// peer threads and the slots carry `shard: None` (the engine then
-    /// serves as the router: directory, caches, aggregation,
-    /// membership).
+    /// peer's interned id.
     peers: PeerSlab,
     /// Every live peer, in ring (identifier) order — the broadcast
     /// domain and the canonical iteration order for anything that
@@ -690,16 +685,16 @@ impl Engine {
         self.directory.labels().cloned().collect()
     }
 
-    /// Borrow a peer shard (locally hosted runtimes only).
+    /// Borrow a live peer's shard.
     pub fn shard(&self, id: &Key) -> Option<&PeerShard> {
         let pid = self.directory.id_of(id)?;
-        self.peers.get(pid)?.shard.as_ref()
+        Some(&self.peers.get(pid)?.shard)
     }
 
-    /// Mutably borrow a peer shard (locally hosted runtimes only).
+    /// Mutably borrow a live peer's shard.
     pub(crate) fn shard_mut(&mut self, id: &Key) -> Option<&mut PeerShard> {
         let pid = self.directory.id_of(id)?;
-        self.peers.get_mut(pid)?.shard.as_mut()
+        Some(&mut self.peers.get_mut(pid)?.shard)
     }
 
     /// Mutably borrow a peer's entry-point route cache.
@@ -709,28 +704,22 @@ impl Engine {
         Some(&mut self.peers.get_mut(pid)?.cache)
     }
 
-    /// The locally hosted shards with their peer ids, in ring order.
+    /// Every shard with its peer id, in ring order.
     pub fn shards(&self) -> impl Iterator<Item = (&Key, &PeerShard)> + '_ {
-        self.members
-            .iter()
-            .filter_map(move |id| self.shard(id).map(|s| (id, s)))
+        self.members.iter().map(move |id| {
+            let shard = self.shard(id).expect("every member has a slot");
+            (id, shard)
+        })
     }
 
-    /// The locally hosted shards in ring order.
+    /// Every shard, in ring order.
     pub(crate) fn local_shards(&self) -> impl Iterator<Item = &PeerShard> + '_ {
-        self.members.iter().filter_map(move |id| self.shard(id))
+        self.shards().map(|(_, shard)| shard)
     }
 
     /// The delivery directory.
     pub fn directory(&self) -> &Directory {
         &self.directory
-    }
-
-    /// Mutable access to the delivery directory (runtimes that resolve
-    /// deliveries outside [`Engine::deliver`], e.g. the framed router,
-    /// bump epochs and heal entries through this).
-    pub fn directory_mut(&mut self) -> &mut Directory {
-        &mut self.directory
     }
 
     /// The peer hosting node `label`, per the delivery directory.
@@ -754,11 +743,11 @@ impl Engine {
         mapping::succ_of(&self.members, id)
     }
 
-    /// Borrow a node's state wherever it is hosted (local shards).
+    /// Borrow a node's state wherever it is hosted.
     pub fn node(&self, label: &Key) -> Option<&NodeState> {
         let lid = self.directory.id_of(label)?;
         let hid = self.directory.host_id(lid)?;
-        self.peers.get(hid)?.shard.as_ref()?.nodes.get(label)
+        self.peers.get(hid)?.shard.nodes.get(label)
     }
 
     /// Label of the current tree root.
@@ -766,7 +755,7 @@ impl Engine {
         self.root.as_ref()
     }
 
-    /// Depth of every live node (root = 0; local shards). Only live
+    /// Depth of every live node (root = 0). Only live
     /// labels appear: a node whose father is not a live node — a crash
     /// orphaned its subtree and [`crate::system::DlptSystem::repair_tree`]
     /// has not run yet — counts as a root of depth 0. Father links are
@@ -828,7 +817,7 @@ impl Engine {
             .collect()
     }
 
-    /// Every registered service key, ascending (local shards).
+    /// Every registered service key, ascending.
     pub fn registered_keys(&self) -> Vec<Key> {
         let mut out = Vec::new();
         for shard in self.local_shards() {
@@ -924,7 +913,7 @@ impl Engine {
     /// quiescence judging the runtime calls
     /// [`Engine::finish_request`] once drained. Responses for already
     /// finalized (or unknown) requests are dropped as stale.
-    pub fn client_response(&mut self, outcome: DiscoveryOutcome) {
+    pub(super) fn client_response(&mut self, outcome: DiscoveryOutcome) {
         let fault_recovery = self.fault_recovery;
         let Some(agg) = self.gathers.get_mut(outcome.request_id) else {
             return; // stale response after request already finalized
@@ -1248,13 +1237,9 @@ impl Engine {
                     }
                     _ => None,
                 };
-                let shard = self
-                    .peers
-                    .get_mut(pid)
-                    .and_then(|s| s.shard.as_mut())
-                    .expect("peer-addressed deliveries require a local shard");
+                let slot = self.peers.get_mut(pid).expect("checked above");
                 match msg {
-                    Message::Peer(m) => protocol::handle_peer_msg(shard, m, fx),
+                    Message::Peer(m) => protocol::handle_peer_msg(&mut slot.shard, m, fx),
                     _ => return Err(DlptError::Undeliverable(format!("{id}"))),
                 }
                 if let Some(label) = new_root {
@@ -1293,7 +1278,7 @@ impl Engine {
                 }
                 let stats = &mut self.stats;
                 let charge = self.config.charge_capacity;
-                let gate = match self.peers.get_mut(hid).and_then(|s| s.shard.as_mut()) {
+                let gate = match self.peers.get_mut(hid).map(|s| &mut s.shard) {
                     None => Gate::Requeue(msg),
                     Some(shard) => match msg {
                         // Capacity model (Section 4): a peer's capacity
@@ -1418,26 +1403,13 @@ impl Engine {
         }
     }
 
-    /// Delivers one eager-invalidation message to peer `id`'s cache —
-    /// the epoch guard (`shortcut.epoch <= epoch` evicts, fresher
-    /// re-learned entries survive) lives in
-    /// [`RouteCache::invalidate_label`] and nowhere else. Runtimes that
-    /// resolve peer frames outside [`Engine::deliver`] (the framed
-    /// router) terminate their invalidation frames here.
-    pub fn deliver_invalidation(&mut self, id: &Key, label: &Key, epoch: u64) {
-        self.cache_stats.invalidations_delivered += 1;
-        if let Some(slot) = self.directory.id_of(id).and_then(|p| self.peers.get_mut(p)) {
-            slot.cache.invalidate_label(label, epoch);
-        }
-    }
-
     /// Applies (and drains) the effect buffers, leaving `fx` empty with
     /// its capacity intact so callers can reuse it allocation-free:
     /// relocations update the directory (and schedule re-replication),
     /// dissolutions drop the label, broadcast eager cache invalidation
     /// and clear a dissolved root, outgoing envelopes enter `t` through
     /// the fault gate.
-    pub fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
+    pub(super) fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
         let eager = self.config.eager_replication && self.config.replication > 1;
         for (label, host) in fx.relocated.drain(..) {
             let lid = self.directory.insert(label, host);
@@ -1492,7 +1464,7 @@ impl Engine {
     /// other transport — and every run behind an active fault gate,
     /// which must be able to lose, delay or reorder it — gets the
     /// per-peer [`PeerMsg::InvalidateCached`] broadcast.
-    pub fn queue_invalidations<T: Transport>(&mut self, label: &Key, t: &mut T) {
+    pub(super) fn queue_invalidations<T: Transport>(&mut self, label: &Key, t: &mut T) {
         if self.config.cache_capacity == 0 {
             return;
         }
@@ -1534,11 +1506,9 @@ impl Engine {
     /// balancers (Section 3.3's "recent history").
     pub fn end_time_unit(&mut self) {
         for slot in self.peers.iter_slots_mut() {
-            if let Some(shard) = slot.shard.as_mut() {
-                shard.peer.roll_unit();
-                for node in shard.nodes.values_mut() {
-                    node.roll_unit();
-                }
+            slot.shard.peer.roll_unit();
+            for node in slot.shard.nodes.values_mut() {
+                node.roll_unit();
             }
         }
     }
@@ -1589,10 +1559,7 @@ fn is_replication_msg(msg: &Message) -> bool {
     matches!(
         msg,
         Message::Peer(
-            PeerMsg::SyncReplicas { .. }
-                | PeerMsg::Replicate { .. }
-                | PeerMsg::DropReplica { .. }
-                | PeerMsg::PromoteReplica { .. }
+            PeerMsg::SyncReplicas { .. } | PeerMsg::Replicate { .. } | PeerMsg::DropReplica { .. }
         )
     )
 }
@@ -1717,6 +1684,17 @@ mod tests {
         assert_eq!(out.results, vec![k("DGEMM")]);
     }
 
+    /// Delivers one `InvalidateCached` envelope to peer `id` through
+    /// [`Engine::deliver`], the way every runtime does.
+    fn invalidate(e: &mut Engine, id: &str, label: &str, epoch: u64) -> Step {
+        let msg = PeerMsg::InvalidateCached {
+            label: k(label),
+            epoch,
+        };
+        e.deliver(&mut FifoTransport::default(), Envelope::to_peer(k(id), msg))
+            .unwrap()
+    }
+
     /// Regression for the reordered-invalidation hazard the epoch guard
     /// exists for: an eager `InvalidateCached` broadcast that is
     /// delivered *after* the same label was re-learned at a fresher
@@ -1737,7 +1715,7 @@ mod tests {
             .insert(k("DGEMM"), fresh.clone());
         // A delayed invalidation from before the re-learn arrives last:
         // the epoch guard must spare the fresher entry.
-        e.deliver_invalidation(&k("P1"), &k("DGEMM"), stale_epoch);
+        invalidate(&mut e, "P1", "DGEMM", stale_epoch);
         assert_eq!(
             e.cache_mut(&k("P1")).unwrap().hit(&k("DGEMM")),
             Some(&fresh),
@@ -1745,14 +1723,13 @@ mod tests {
         );
         // An invalidation at the current epoch evicts.
         let now_epoch = e.directory.epoch_of(&k("DGEMM"));
-        e.deliver_invalidation(&k("P1"), &k("DGEMM"), now_epoch);
+        invalidate(&mut e, "P1", "DGEMM", now_epoch);
         assert_eq!(e.cache_mut(&k("P1")).unwrap().hit(&k("DGEMM")), None);
         assert_eq!(e.cache_stats.invalidations_delivered, 2);
     }
 
-    /// The same guard exercised through the wire path every runtime
-    /// shares: `InvalidateCached` envelopes delivered through
-    /// [`Engine::deliver`] terminate at the engine-owned caches.
+    /// `InvalidateCached` envelopes terminate at the engine-owned
+    /// caches, and only for live peers.
     #[test]
     fn invalidation_envelopes_terminate_at_the_engine_caches() {
         let mut e = cached_engine(8);
@@ -1760,35 +1737,12 @@ mod tests {
         let sc = cache::learned_shortcut(&e.directory, &k("DGEMM")).expect("live");
         e.cache_mut(&k("P1")).unwrap().insert(k("DGEMM"), sc);
         let epoch = e.directory.epoch_of(&k("DGEMM"));
-        let mut t = FifoTransport::default();
-        let step = e
-            .deliver(
-                &mut t,
-                Envelope::to_peer(
-                    k("P1"),
-                    PeerMsg::InvalidateCached {
-                        label: k("DGEMM"),
-                        epoch,
-                    },
-                ),
-            )
-            .unwrap();
+        let step = invalidate(&mut e, "P1", "DGEMM", epoch);
         assert!(matches!(step, Step::Done));
         assert_eq!(e.cache_stats.invalidations_delivered, 1);
         assert_eq!(e.cache_mut(&k("P1")).unwrap().hit(&k("DGEMM")), None);
         // Unknown peers requeue, exactly like any peer-addressed frame.
-        let step = e
-            .deliver(
-                &mut t,
-                Envelope::to_peer(
-                    k("NOPE"),
-                    PeerMsg::InvalidateCached {
-                        label: k("DGEMM"),
-                        epoch,
-                    },
-                ),
-            )
-            .unwrap();
+        let step = invalidate(&mut e, "NOPE", "DGEMM", epoch);
         assert!(matches!(step, Step::Requeue(_)));
     }
 
@@ -1803,10 +1757,12 @@ mod tests {
         let shard = e.remove_member(&k("P1")).expect("shard returned");
         assert_eq!(shard.peer.id, k("P1"));
         assert_eq!(e.peer_count(), 1);
-        // Remote membership: no shard, but a cache and a broadcast slot.
-        e.add_member(k("P9"));
+        assert!(e.shard(&k("P1")).is_none());
+        assert!(e.remove_member(&k("P1")).is_none(), "already gone");
+        // A later member gets a shard and a cache.
+        e.add_local_shard(k("P9"), 100);
         assert!(e.contains_peer(&k("P9")));
-        assert!(e.shard(&k("P9")).is_none());
-        assert!(e.remove_member(&k("P9")).is_none());
+        assert_eq!(e.shards().count(), e.peer_count());
+        assert!(e.cache_mut(&k("P9")).is_some());
     }
 }

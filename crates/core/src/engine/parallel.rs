@@ -26,7 +26,7 @@
 //!    `Hop` / `Drop` trace event. A refused visit reports the dropped
 //!    outcome the sequential dispatch would have synthesized and takes
 //!    its recorded descendants with it; surviving replies go to
-//!    [`Engine::client_response`] at their FIFO position.
+//!    `Engine::client_response` at their FIFO position.
 //!
 //! ## Determinism contract
 //!
@@ -61,11 +61,12 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-// The route phase shares `&Engine` across threads: a `Cell`/`Rc` added
-// to engine state must fail the build, not a test.
+// The route phase shares `&Engine` across threads and the threaded
+// runtime (`dlpt-net`) lends the engine to its peer threads: a
+// `Cell`/`Rc` added to engine state must fail the build, not a test.
 const _: fn() = || {
-    fn shared_across_route_workers<T: Sync>() {}
-    shared_across_route_workers::<Engine>();
+    fn shared_and_lent_across_threads<T: Sync + Send>() {}
+    shared_and_lent_across_threads::<Engine>();
 };
 
 /// A batch-mode discovery pump over `N` workers. See the module docs.
@@ -270,7 +271,7 @@ fn route_chunk(engine: &Engine, envs: Vec<Envelope>) -> Routed {
                         hops: m.path.len() as u32,
                     };
                     let hosted = engine.directory.resolve(&label).and_then(|(lid, hid)| {
-                        let node = engine.peers.get(hid)?.shard.as_ref()?.nodes.get(&label)?;
+                        let node = engine.peers.get(hid)?.shard.nodes.get(&label)?;
                         Some((lid, hid, node))
                     });
                     if let Some((lid, hid, node)) = hosted {
@@ -346,11 +347,7 @@ fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
                 dead[v] = true;
                 continue;
             }
-            let shard = engine
-                .peers
-                .get_mut(visit.host)
-                .and_then(|slot| slot.shard.as_mut());
-            let Some(shard) = shard else {
+            let Some(slot) = engine.peers.get_mut(visit.host) else {
                 dead[v] = true;
                 let path = path_before(&engine.directory, &visits, v);
                 engine.abandon_discovery(request, path);
@@ -361,7 +358,7 @@ fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
             if charge {
                 load[visit.label as usize] += 1;
             }
-            if !charge || shard.peer.try_accept() {
+            if !charge || slot.shard.peer.try_accept() {
                 engine.stats.discovery_messages += 1;
                 if engine.tracer.enabled() {
                     engine.tracer.emit(TraceEvent::new(
@@ -386,15 +383,10 @@ fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
             continue;
         }
         let label = engine.directory.key_of(lid as u32);
-        let node = engine.directory.host_id(lid as u32).and_then(|hid| {
-            engine
-                .peers
-                .get_mut(hid)?
-                .shard
-                .as_mut()?
-                .nodes
-                .get_mut(label)
-        });
+        let node = engine
+            .directory
+            .host_id(lid as u32)
+            .and_then(|hid| engine.peers.get_mut(hid)?.shard.nodes.get_mut(label));
         node.expect("a charged visit found its node").load += n as u64;
     }
 }

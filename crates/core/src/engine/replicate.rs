@@ -88,7 +88,7 @@ impl Engine {
             if targets.is_empty() {
                 continue;
             }
-            let Some(shard) = self.peers.get(hid).and_then(|s| s.shard.as_ref()) else {
+            let Some(shard) = self.peers.get(hid).map(|s| &s.shard) else {
                 continue;
             };
             let Some(node) = shard.nodes.get(&label) else {
@@ -108,8 +108,8 @@ impl Engine {
         self.touched = touched; // hand the capacity back
     }
 
-    /// The planning half of a self-healing anti-entropy pass over
-    /// *local* shards: re-plans follower sets, counts under-replicated
+    /// The planning half of a self-healing anti-entropy pass: re-plans
+    /// follower sets, counts under-replicated
     /// labels, garbage-collects stale copies and — unless the overlay
     /// is already converged under eager maintenance — kicks every peer
     /// with `SyncReplicas`. Returns the report and whether anything
@@ -140,10 +140,10 @@ impl Engine {
         let mut live_copies = vec![0u32; self.directory.interned_len()];
         let mut drops: Vec<(u32, Key)> = Vec::new();
         for &pid in self.ring.ids() {
-            let Some(shard) = self.peers.get(pid).and_then(|s| s.shard.as_ref()) else {
+            let Some(slot) = self.peers.get(pid) else {
                 continue;
             };
-            for label in shard.replicas.keys() {
+            for label in slot.shard.replicas.keys() {
                 match self.directory.resolve(label) {
                     Some((lid, _)) if self.directory.follower_ids(lid).contains(&pid) => {
                         live_copies[lid as usize] += 1;
@@ -215,10 +215,10 @@ impl Engine {
         self.ring.refresh(&self.directory, self.members.iter());
         let directory = &self.directory;
         for &pid in self.ring.ids() {
-            let Some(shard) = self.peers.get_mut(pid).and_then(|s| s.shard.as_mut()) else {
+            let Some(slot) = self.peers.get_mut(pid) else {
                 continue;
             };
-            for node in shard.nodes.values_mut() {
+            for node in slot.shard.nodes.values_mut() {
                 if node.children.iter().any(|c| !directory.contains(c)) {
                     let before = node.children.len();
                     node.children.retain(|c| directory.contains(c));
@@ -266,7 +266,7 @@ impl Engine {
 
     /// The distinct live peers currently holding a copy of `label`
     /// (primary first, then followers in ring order). Empty when the
-    /// label is not a live node. Local shards only.
+    /// label is not a live node.
     pub fn replica_hosts(&self, label: &Key) -> Vec<Key> {
         let mut out = Vec::new();
         if let Some(p) = self.directory.host_of(label) {
@@ -319,16 +319,7 @@ impl Engine {
         self.shard_mut(&target)
             .expect("mapping points at live peers")
             .install(copy);
-        // Ownership transfer as an explicit handoff record: when the
-        // crashed primary's entry is still present (the crash path
-        // promotes before pruning), the record names the dead owner;
-        // a re-insert after pruning carries no previous owner.
-        let handoff = self.directory.handoff(label, &target);
-        debug_assert_ne!(
-            handoff.from,
-            Some(handoff.to),
-            "promotion must move ownership off the crashed primary"
-        );
+        self.directory.insert(label.clone(), target.clone());
         // Keep the surviving follower records; the next anti-entropy
         // pass re-fills the set to k - 1.
         let remaining: Vec<Key> = self

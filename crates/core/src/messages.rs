@@ -336,13 +336,6 @@ pub enum PeerMsg {
         /// Label of the replica copy to drop.
         label: Key,
     },
-    /// Failover: the recipient promotes its follower copy of `label` to
-    /// an authoritative hosted node (its primary crashed). No-op if the
-    /// recipient holds no copy.
-    PromoteReplica {
-        /// Label of the replica copy to promote.
-        label: Key,
-    },
     /// Eager cache invalidation (caching extension, `dlpt_core::cache`):
     /// node `label` dissolved or migrated, so the recipient must drop
     /// every routing shortcut through it that was learned at or before

@@ -10,8 +10,7 @@
 //!
 //! Every event is emitted on the thread that owns the engine — the
 //! batch pump's are emitted by its commit phase, in request order — so
-//! `seq` alone orders a trace; the `(round, worker)` fields of the
-//! schema are always `(0, 0)`. Exporters ([`write_jsonl`],
+//! `seq` alone orders a trace. Exporters ([`write_jsonl`],
 //! [`write_chrome_trace`]) serialise an event slice without consulting
 //! the directory — the output is a pure function of the events, hence
 //! byte-stable across repeats and worker counts.
@@ -89,8 +88,7 @@ impl EventKind {
 /// kind-dependent (see [`EventKind`]); ids are interned u32s from the
 /// engine [`crate::directory::Directory`], so an event never clones a
 /// `Key`. `seq` is stamped by the ring at emission and orders the
-/// trace; `round` and `worker` are kept for schema stability and are
-/// always 0.
+/// trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Request id (low 32 bits of the engine's request counter).
@@ -99,16 +97,12 @@ pub struct TraceEvent {
     pub a: u32,
     /// Second kind-dependent operand (usually a peer id).
     pub b: u32,
-    /// Always 0; the field stays so the exported schema is stable.
-    pub round: u32,
-    /// Per-producer monotonic sequence number.
+    /// Monotonic sequence number.
     pub seq: u32,
     /// Event discriminant.
     pub kind: EventKind,
     /// Kind-dependent flag bits.
     pub flags: u8,
-    /// Always 0; the field stays so the exported schema is stable.
-    pub worker: u16,
     /// Kind-dependent depth / hop count, saturated at `u16::MAX`.
     pub depth: u16,
 }
@@ -118,20 +112,18 @@ pub struct TraceEvent {
 const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 32);
 
 impl TraceEvent {
-    /// An event awaiting emission: `(round, worker)` = `(0, 0)`,
-    /// `seq` stamped by the ring. `request` keeps the low
-    /// 32 bits of the engine's request counter; `depth` saturates.
+    /// An event awaiting emission: `seq` is stamped by the ring.
+    /// `request` keeps the low 32 bits of the engine's request counter;
+    /// `depth` saturates.
     #[inline]
     pub fn new(kind: EventKind, request: u64, a: u32, b: u32, depth: usize) -> Self {
         TraceEvent {
             request: request as u32,
             a,
             b,
-            round: 0,
             seq: 0,
             kind,
             flags: 0,
-            worker: 0,
             depth: depth.min(u16::MAX as usize) as u16,
         }
     }
@@ -276,15 +268,13 @@ pub fn write_jsonl<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Result<()>
     for ev in events {
         writeln!(
             w,
-            "{{\"req\":{},\"kind\":\"{}\",\"a\":{},\"b\":{},\"depth\":{},\"flags\":{},\"round\":{},\"worker\":{},\"seq\":{}}}",
+            "{{\"req\":{},\"kind\":\"{}\",\"a\":{},\"b\":{},\"depth\":{},\"flags\":{},\"seq\":{}}}",
             ev.request,
             ev.kind.name(),
             ev.a,
             ev.b,
             ev.depth,
             ev.flags,
-            ev.round,
-            ev.worker,
             ev.seq
         )?;
     }
@@ -292,9 +282,9 @@ pub fn write_jsonl<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Result<()>
 }
 
 /// Writes a chrome://tracing (Trace Event Format) JSON array: each
-/// request is a process (`pid`), each producing worker a thread
-/// (`tid`), and every trace event a 1-tick complete span (`ph:"X"`)
-/// whose timestamp is its deterministic merge position in the slice.
+/// request is a process (`pid`) of one thread (`tid` 0), and every
+/// trace event a 1-tick complete span (`ph:"X"`) whose timestamp is its
+/// position in the slice.
 /// Deterministic for the same reason as [`write_jsonl`].
 pub fn write_chrome_trace<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Result<()> {
     write!(w, "[")?;
@@ -304,18 +294,15 @@ pub fn write_chrome_trace<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Res
         }
         write!(
             w,
-            "\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":1,\
-             \"args\":{{\"a\":{},\"b\":{},\"depth\":{},\"flags\":{},\"round\":{},\"worker\":{},\"seq\":{}}}}}",
+            "\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":0,\"ts\":{},\"dur\":1,\
+             \"args\":{{\"a\":{},\"b\":{},\"depth\":{},\"flags\":{},\"seq\":{}}}}}",
             ev.kind.name(),
             ev.request,
-            ev.worker,
             ts,
             ev.a,
             ev.b,
             ev.depth,
             ev.flags,
-            ev.round,
-            ev.worker,
             ev.seq
         )?;
     }
@@ -337,11 +324,9 @@ mod tests {
             request: 1,
             a: 2,
             b: 3,
-            round: 0,
             seq,
             kind: EventKind::Hop,
             flags: 0,
-            worker: 0,
             depth: 4,
         }
     }

@@ -8,9 +8,7 @@
 //! [`PeerShard`] bundles a peer's control state with the node states it
 //! hosts. Protocol handlers receive exactly one `&mut PeerShard` —
 //! the type system thus guarantees a handler never reaches across the
-//! network, which is what makes the same handlers valid under the
-//! synchronous pump, the discrete-event simulator and the threaded
-//! runtime.
+//! network, although one engine hosts every shard in every runtime.
 
 use crate::key::Key;
 use crate::node::NodeState;

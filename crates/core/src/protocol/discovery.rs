@@ -269,37 +269,6 @@ pub fn entry_envelope(entry_node: Key, request_id: u64, query: QueryKind) -> Env
     )
 }
 
-/// Result of charging one discovery visit at delivery time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChargeOutcome {
-    /// The node is not hosted on this shard (in flight between peers);
-    /// nothing was charged — the runtime should retry later.
-    Missing,
-    /// The visit was accepted and charged.
-    Accepted,
-    /// The peer's capacity is exhausted; the offered load was still
-    /// recorded (`l_n` counts demand, per Section 4) but the request
-    /// must be ignored — the runtime synthesizes a dropped outcome.
-    Dropped,
-}
-
-/// Charge-and-count at delivery: one map probe doubles as the
-/// existence check, increments the node's offered-load counter (`l_n`)
-/// and consumes one unit of the peer's capacity. This is the single
-/// home of the capacity model's charging rule — runtimes must route
-/// every discovery delivery through it.
-pub fn charge_visit(shard: &mut PeerShard, node_label: &Key) -> ChargeOutcome {
-    let Some(node) = shard.nodes.get_mut(node_label) else {
-        return ChargeOutcome::Missing;
-    };
-    node.load += 1;
-    if shard.peer.try_accept() {
-        ChargeOutcome::Accepted
-    } else {
-        ChargeOutcome::Dropped
-    }
-}
-
 /// Result of [`deliver_visit`]: refusals hand the message back intact
 /// so the runtime can requeue or synthesize a dropped outcome.
 pub enum VisitGate {
@@ -313,10 +282,13 @@ pub enum VisitGate {
 }
 
 /// One-probe delivery for the runtime hot path: a single `nodes` probe
-/// serves the existence check, the capacity charge (when `charge` is
-/// set — same rule as [`charge_visit`]) and the routing visit itself,
-/// instead of a charge probe followed by a second lookup in
-/// [`on_discovery`].
+/// serves the existence check, the capacity charge and the routing
+/// visit itself. This is the one statement of the capacity model's
+/// charging rule (Section 4): with `charge` set, a visit to a hosted
+/// node counts toward its offered load `l_n` — demand, so refused
+/// visits count too — and consumes one unit of the peer's capacity; an
+/// exhausted peer ignores the visit. A node that is not hosted here
+/// charges nothing.
 #[inline]
 pub fn deliver_visit(
     shard: &mut PeerShard,
@@ -525,16 +497,20 @@ mod tests {
     fn charge_visit_counts_demand_even_when_dropped() {
         let mut s = paper_shard();
         s.peer.capacity = 1;
-        assert_eq!(charge_visit(&mut s, &k("101")), ChargeOutcome::Accepted);
-        assert_eq!(
-            charge_visit(&mut s, &k("101")),
-            ChargeOutcome::Dropped,
+        let mut fx = Effects::default();
+        let mut visit = |s: &mut PeerShard, label: &str| {
+            let m = msg(QueryKind::Exact(k("101")), RoutePhase::Up);
+            deliver_visit(s, &k(label), m, true, &mut fx)
+        };
+        assert!(matches!(visit(&mut s, "101"), VisitGate::Delivered));
+        assert!(
+            matches!(visit(&mut s, "101"), VisitGate::Dropped(_)),
             "capacity exhausted"
         );
         assert_eq!(s.nodes[&k("101")].load, 2, "offered load counts drops");
         assert_eq!(s.peer.dropped_this_unit, 1);
         // An absent node charges nothing, not even the peer.
-        assert_eq!(charge_visit(&mut s, &k("zzz")), ChargeOutcome::Missing);
+        assert!(matches!(visit(&mut s, "zzz"), VisitGate::Missing(_)));
         assert_eq!(s.peer.dropped_this_unit, 1);
     }
 

@@ -25,7 +25,7 @@ pub mod peer_join;
 pub mod repair;
 
 use crate::key::Key;
-use crate::messages::{Envelope, Message, NodeMsg, PeerMsg};
+use crate::messages::{Envelope, NodeMsg, PeerMsg};
 use crate::peer::PeerShard;
 
 /// Side effects of one handler invocation.
@@ -113,26 +113,10 @@ pub fn handle_peer_msg(shard: &mut PeerShard, msg: PeerMsg, fx: &mut Effects) {
             repair::on_replicate(shard, primary, ttl, seed, fx)
         }
         PeerMsg::DropReplica { label } => repair::on_drop_replica(shard, &label),
-        PeerMsg::PromoteReplica { label } => repair::on_promote_replica(shard, &label, fx),
         PeerMsg::InvalidateCached { .. } => {
             // Route-cache invalidation terminates at the engine, which
             // owns every per-peer cache (`crate::engine`) and applies
             // the epoch guard there; a shard has nothing to invalidate.
-        }
-    }
-}
-
-/// Convenience dispatcher over a full [`Message`]. Client responses are
-/// runtime-level and must not reach this function.
-pub fn handle(shard: &mut PeerShard, to_node: Option<&Key>, msg: Message, fx: &mut Effects) {
-    match msg {
-        Message::Node(m) => {
-            let label = to_node.expect("node message requires a node address");
-            handle_node_msg(shard, label, m, fx);
-        }
-        Message::Peer(m) => handle_peer_msg(shard, m, fx),
-        Message::ClientResponse(_) => {
-            unreachable!("client responses are consumed by the runtime")
         }
     }
 }

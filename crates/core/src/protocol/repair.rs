@@ -17,8 +17,8 @@
 //!   its `ttl` drains or it wraps back to the primary.
 //! * **Failover.** When the primary crashes, the first live follower
 //!   is — by the mapping rule — exactly the peer that should now host
-//!   the node, so promotion ([`PeerMsg::PromoteReplica`]) restores
-//!   both the data and the mapping invariant in one step. Exhausted
+//!   the node, so promotion (`Engine::crash_shard`) restores both
+//!   the data and the mapping invariant in one step. Exhausted
 //!   primaries can likewise serve reads from a follower copy (the
 //!   runtime charges the follower's capacity instead of dropping).
 //! * **Anti-entropy.** Each time unit the runtime kicks every peer
@@ -99,16 +99,6 @@ pub fn on_replicate(
 /// `<DropReplica, label>`: discard a follower copy (no-op if absent).
 pub fn on_drop_replica(shard: &mut PeerShard, label: &Key) {
     shard.replicas.remove(label);
-}
-
-/// `<PromoteReplica, label>`: the primary crashed — promote the local
-/// follower copy to an authoritative hosted node and report the
-/// relocation so the runtime's directory follows. No-op without a copy.
-pub fn on_promote_replica(shard: &mut PeerShard, label: &Key, fx: &mut Effects) {
-    if let Some(node) = shard.replicas.remove(label) {
-        fx.relocated.push((label.clone(), shard.peer.id.clone()));
-        shard.install(node);
-    }
 }
 
 /// Sentinel ring position meaning "peer id is not a member".
@@ -349,21 +339,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_and_promote_replica() {
+    fn drop_replica_removes_a_copy_and_tolerates_absence() {
         let mut s = shard_with_ring("T", "M", "Z");
-        let mut node = NodeState::new(k("E"));
-        node.data.insert(k("E"));
-        s.replicas.insert(k("E"), node);
-        let mut fx = Effects::default();
-        on_promote_replica(&mut s, &k("E"), &mut fx);
-        assert!(s.nodes.contains_key(&k("E")), "promoted to hosted");
-        assert!(s.replicas.is_empty());
-        assert_eq!(fx.relocated, vec![(k("E"), k("T"))]);
-        // Promote without a copy: silent no-op.
-        let mut fx2 = Effects::default();
-        on_promote_replica(&mut s, &k("ZZ"), &mut fx2);
-        assert!(fx2.relocated.is_empty());
-        // Drop removes a copy and tolerates absence.
         s.replicas.insert(k("F"), NodeState::new(k("F")));
         on_drop_replica(&mut s, &k("F"));
         on_drop_replica(&mut s, &k("F"));

@@ -19,7 +19,7 @@
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplicationStats {
     /// Replication protocol messages processed (`SyncReplicas`,
-    /// `Replicate`, `DropReplica`, `PromoteReplica`).
+    /// `Replicate`, `DropReplica`).
     pub replication_messages: u64,
     /// Labels re-cloned by the eager post-mutation sync.
     pub eager_syncs: u64,

@@ -98,7 +98,7 @@ pub struct FaultStats {
 /// retry/idempotency machinery can absorb. Mutations, joins and
 /// replication repair are modelled as reliable (their loss would not
 /// degrade the overlay, it would corrupt it: a half-applied insert or
-/// a lost `PromoteReplica` has no protocol-level recovery path).
+/// join has no protocol-level recovery path).
 pub fn is_faultable(msg: &Message) -> bool {
     matches!(
         msg,

@@ -216,10 +216,6 @@ fn put_peer_msg(buf: &mut BytesMut, m: &PeerMsg) {
             buf.put_u8(8);
             put_key(buf, label);
         }
-        PeerMsg::PromoteReplica { label } => {
-            buf.put_u8(9);
-            put_key(buf, label);
-        }
         PeerMsg::InvalidateCached { label, epoch } => {
             buf.put_u8(10);
             put_key(buf, label);
@@ -496,9 +492,7 @@ fn get_peer_msg(buf: &mut impl Buf) -> Result<PeerMsg> {
         8 => Ok(PeerMsg::DropReplica {
             label: get_key(buf)?,
         }),
-        9 => Ok(PeerMsg::PromoteReplica {
-            label: get_key(buf)?,
-        }),
+        // 9 was `PromoteReplica`: retired with the message, never reused.
         10 => {
             let label = get_key(buf)?;
             need(buf, 8, "invalidation epoch")?;
@@ -649,7 +643,6 @@ mod tests {
                 },
             ),
             Envelope::to_peer(k("P1"), PeerMsg::DropReplica { label: k("101") }),
-            Envelope::to_peer(k("P1"), PeerMsg::PromoteReplica { label: k("101") }),
             Envelope::to_peer(
                 k("P1"),
                 PeerMsg::InvalidateCached {
@@ -708,8 +701,7 @@ mod tests {
                     PeerMsg::SyncReplicas { .. } => 6,
                     PeerMsg::Replicate { .. } => 7,
                     PeerMsg::DropReplica { .. } => 8,
-                    PeerMsg::PromoteReplica { .. } => 9,
-                    PeerMsg::InvalidateCached { .. } => 10,
+                    PeerMsg::InvalidateCached { .. } => 9,
                 };
                 (addr, 1, v)
             }
@@ -722,7 +714,7 @@ mod tests {
     /// with the `match`es above (the compiler enforces the enums side;
     /// these constants enforce the sample-list side).
     const NODE_MSG_VARIANTS: u8 = 8;
-    const PEER_MSG_VARIANTS: u8 = 11;
+    const PEER_MSG_VARIANTS: u8 = 10;
 
     #[test]
     fn sample_list_is_exhaustive_over_all_variants() {

@@ -15,10 +15,10 @@
 //! * [`codec`] — a length-prefixed binary wire format for every
 //!   protocol message (what a deployment would put on TCP);
 //! * [`threaded::ThreadedDlpt`] — a live in-process runtime: every
-//!   peer is an OS thread, envelopes travel encoded over crossbeam
-//!   channels, and a router thread plays the role the delivery
-//!   directory plays in the simulator. This is the substitution for
-//!   the paper's never-evaluated Grid'5000 prototype (see DESIGN.md).
+//!   peer is an OS thread, envelopes travel encoded between their
+//!   inboxes, and the receiving thread hands each to the engine. This
+//!   is the substitution for the paper's never-evaluated Grid'5000
+//!   prototype (see DESIGN.md).
 
 pub mod codec;
 pub mod event;

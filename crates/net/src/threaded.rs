@@ -1,102 +1,213 @@
 //! The live threaded runtime: every peer is an OS thread.
 //!
 //! This is the workspace's substitution for the paper's Grid'5000
-//! prototype (announced as future work there): the same protocol
-//! handlers, but each peer shard owned by its own thread, envelopes
-//! travelling as encoded byte frames ([`crate::codec`]) over crossbeam
-//! channels. The router side is a thin adapter over the unified
-//! protocol engine (`dlpt_core::engine`): the engine owns the delivery
-//! directory, the per-peer route caches, membership and the
-//! scatter/gather aggregation, while the [`Engine`]'s transport is
-//! implemented by encoding envelopes into frames on the router queue.
-//! Shard-side protocol handling is `dlpt_core::protocol`, exactly as
-//! in the other runtimes — the peer threads never see runtime
-//! concerns.
+//! prototype (announced as future work there), and the third
+//! *transport* of the protocol engine (`dlpt_core::engine`): the engine
+//! hosts every shard, as it does for `DlptSystem` and
+//! [`crate::sim::LatencyNet`], and this runtime decides only how
+//! envelopes travel. One leaving the engine is encoded once
+//! ([`crate::codec`]) and sent to the inbox of the peer that hosts its
+//! destination; that peer's thread decodes the frame and hands it to
+//! [`Engine::deliver`] — the only handler entry — against the one
+//! engine all threads share behind one lock. The caller lends the
+//! engine to the threads while an operation runs and takes it back at
+//! quiescence, so between operations [`ThreadedDlpt`] dereferences to
+//! it like every other runtime (introspection, tracing, audit, health
+//! snapshots, the fault API).
 //!
-//! Scheduling is nondeterministic; the protocol's convergence is not.
-//! The tests build overlays under real thread interleavings and check
-//! the resulting tree against the sequential oracle.
+//! So every envelope kind crosses a thread boundary as a wire frame,
+//! delivery order is decided by the OS scheduler, and a peer's handlers
+//! run on that peer's thread. Scheduling is nondeterministic; the
+//! protocol's convergence is not: the tests build overlays under real
+//! interleavings and check the tree against the sequential oracle.
 //!
-//! Scope: joins, registrations and queries (the live operations a
-//! discovery service serves). Capacity accounting and churn are
-//! experiment-harness concerns and stay in `dlpt-sim`.
+//! Scope: joins, registrations, queries and crashes. Capacity
+//! accounting and churn stay in `dlpt-sim`.
 
 use crate::codec::{decode, encode};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlpt_core::alphabet::Alphabet;
-use dlpt_core::engine::{Engine, EngineConfig, Transport};
+use dlpt_core::engine::{requeue_limit, Engine, EngineConfig, Step, Transport};
 use dlpt_core::key::Key;
-use dlpt_core::messages::{Address, Envelope, Message, NodeMsg, PeerMsg, QueryKind};
+use dlpt_core::messages::{Address, Envelope, NodeMsg, QueryKind};
 use dlpt_core::peer::PeerShard;
-use dlpt_core::protocol::{self, Effects};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Message to a peer thread.
-enum ToPeer {
-    /// Deliver a frame; `retries` echoes back on failure.
-    Frame { retries: u32, frame: Bytes },
-    /// Terminate the thread.
-    Shutdown,
-}
-
-/// Reply from a peer thread to the router.
-struct PeerReply {
-    /// Encoded outgoing envelopes.
-    frames: Vec<Bytes>,
-    /// Directory updates.
-    relocated: Vec<(Key, Key)>,
-    /// Nodes that dissolved (removal protocol).
-    removed: Vec<Key>,
-    /// A frame the peer could not handle yet (node not hosted here),
-    /// with its retry count.
-    undelivered: Option<(u32, Bytes)>,
-}
 
 /// Counters shared with the peer threads.
 #[derive(Debug, Default)]
 pub struct ThreadedStats {
-    /// Frames handled by peer threads.
+    /// Frames peer threads handed to [`Engine::deliver`].
     pub frames_handled: Mutex<u64>,
-    /// Frames bounced back for retry.
+    /// Frames bounced back for redelivery (destination still in flight).
     pub frames_bounced: Mutex<u64>,
 }
 
 /// How many times one frame may be redelivered while its destination
-/// is still in flight, before the owning request is failed explicitly.
+/// is still in flight (floored by the ring size, [`requeue_limit`]),
+/// before the owning request is failed explicitly.
 const FRAME_RETRY_BUDGET: u32 = 10_000;
 
-/// The framed-channel transport: envelopes leaving the engine are
-/// encoded into wire frames on the router queue, from where they are
-/// dispatched to the owning peer thread. The `u32` is the per-frame
-/// redelivery count.
-#[derive(Default)]
-struct FrameQueue(VecDeque<(u32, Bytes)>);
+const HOME: &str = "the engine is home between operations";
+const LENT: &str = "the engine is lent to the peer threads while frames are in flight";
 
-impl Transport for FrameQueue {
+/// One wire frame in a peer's inbox, with its redelivery count.
+type Frame = (u32, Bytes);
+
+/// Where the engine emits while the hub lock is held; [`Hub::flush`]
+/// turns every envelope in it into a frame before the lock is released.
+#[derive(Default)]
+struct Outbox(Vec<Envelope>);
+
+impl Transport for Outbox {
     fn deliver(&mut self, env: Envelope) {
-        self.0.push_back((0, encode(&env)));
+        self.0.push(env);
+    }
+}
+
+/// What the caller and the peer threads share, behind one lock.
+#[derive(Default)]
+struct Hub {
+    /// The one engine, present only while an operation runs.
+    engine: Option<Engine>,
+    /// The inbox of every live peer; dropping one ends its thread.
+    inboxes: HashMap<Key, Sender<Frame>>,
+    /// Frames sent to an inbox and not yet handled: zero is quiescence.
+    inflight: usize,
+}
+
+/// The live peer whose thread carries a frame addressed to `to`: the
+/// host of a node, the peer itself, and — for client responses and for
+/// destinations no live peer hosts (yet) — the first peer of the ring,
+/// where [`Engine::deliver`] consumes or requeues them.
+fn carrier<'a>(engine: &'a Engine, to: &'a Address) -> &'a Key {
+    let host = match to {
+        Address::Node(label) => engine.host_of(label),
+        Address::Peer(id) => Some(id),
+        Address::Client(_) => None,
+    };
+    host.filter(|p| engine.contains_peer(p))
+        .or_else(|| engine.peer_at(0))
+        .expect("frames travel only while a peer is live")
+}
+
+impl Hub {
+    /// Sends one frame to the inbox of its [`carrier`].
+    fn post(&mut self, to: &Address, frame: Frame) {
+        let peer = carrier(self.engine.as_ref().expect(LENT), to);
+        self.inboxes[peer]
+            .send(frame)
+            .expect("a live peer's thread keeps its inbox open");
+        self.inflight += 1;
+    }
+
+    /// Frames what the engine emitted into `out` — one `encode` per
+    /// envelope — and, whenever that leaves nothing in flight, what a
+    /// reordering fault held back ("late", never "lost twice"). True at
+    /// quiescence.
+    fn flush(&mut self, out: &mut Outbox) -> bool {
+        loop {
+            for env in out.0.drain(..) {
+                self.post(&env.to, (0, encode(&env)));
+            }
+            if self.inflight > 0 {
+                return false;
+            }
+            if !self.engine.as_mut().expect(LENT).flush_deferred(out) {
+                return true;
+            }
+        }
+    }
+
+    /// One frame (decoded: `env`) popped by `me`'s thread. A
+    /// destination another live peer hosts by now is forwarded, not
+    /// handled; one that is still in flight bounces with its redelivery
+    /// count until the budget is spent, then fails explicitly — a
+    /// discovery frame resolves its request, giving up on anything else
+    /// is a routing bug worth aborting on. Returns whether it bounced.
+    fn handle(
+        &mut self,
+        me: &Key,
+        (retries, frame): Frame,
+        env: Envelope,
+        out: &mut Outbox,
+        stats: &ThreadedStats,
+    ) -> bool {
+        let engine = self.engine.as_mut().expect(LENT);
+        if carrier(engine, &env.to) != me {
+            self.post(&env.to, (retries, frame));
+            return false;
+        }
+        *stats.frames_handled.lock() += 1;
+        let Step::Requeue(env) = engine.deliver(out, env).expect("valid envelope") else {
+            return false;
+        };
+        if retries < requeue_limit(FRAME_RETRY_BUDGET, engine.peer_count()) {
+            *stats.frames_bounced.lock() += 1;
+            self.post(&env.to, (retries + 1, frame));
+            return true;
+        }
+        if let Err(e) = engine.fail_frame(env) {
+            panic!("frame given up after {retries} redeliveries: {e}");
+        }
+        false
+    }
+}
+
+/// The peer thread: pop a frame and decode it, handle it under the hub
+/// lock, frame what the engine emitted, and tell the caller when that
+/// was the last frame in flight. A panic travels to the caller over the
+/// same channel instead of stranding it there.
+fn peer_loop(
+    me: Key,
+    inbox: Receiver<Frame>,
+    hub: Arc<Mutex<Hub>>,
+    done: Sender<std::thread::Result<()>>,
+    stats: Arc<ThreadedStats>,
+) {
+    let run = AssertUnwindSafe(|| {
+        let mut out = Outbox::default();
+        while let Ok(frame) = inbox.recv() {
+            let env = decode(&frame.1).expect("inboxes carry frames `encode` produced");
+            let mut hub = hub.lock();
+            let bounced = hub.handle(&me, frame, env, &mut out, &stats);
+            hub.inflight -= 1;
+            if hub.flush(&mut out) {
+                let _ = done.send(Ok(()));
+            }
+            drop(hub);
+            if bounced {
+                // The frame that creates the destination is likely on
+                // another thread: let it have the core and the lock.
+                std::thread::yield_now();
+            }
+        }
+    });
+    if let Err(panic) = catch_unwind(run) {
+        let _ = done.send(Err(panic));
     }
 }
 
 /// A live DLPT overlay over OS threads. Dereferences to the underlying
-/// [`Engine`] for introspection (`node_labels`, `peer_count`, …) and
-/// the `cache_stats` counters.
+/// [`Engine`] for introspection (`node_labels`, `audit`, `take_trace`,
+/// …), configuration and the counters.
 pub struct ThreadedDlpt {
     alphabet: Alphabet,
     rng: StdRng,
-    engine: Engine,
-    peers: HashMap<Key, Sender<ToPeer>>,
-    handles: Vec<JoinHandle<PeerShard>>,
-    reply_tx: Sender<PeerReply>,
-    reply_rx: Receiver<PeerReply>,
-    queue: FrameQueue,
-    inflight: usize,
+    /// `None` only inside [`ThreadedDlpt::run_to_quiescence`].
+    engine: Option<Engine>,
+    hub: Arc<Mutex<Hub>>,
+    handles: Vec<JoinHandle<()>>,
+    /// Envelopes injected since the last operation ran.
+    out: Outbox,
+    done_tx: Sender<std::thread::Result<()>>,
+    done_rx: Receiver<std::thread::Result<()>>,
     /// Shared counters.
     pub stats: Arc<ThreadedStats>,
 }
@@ -104,197 +215,90 @@ pub struct ThreadedDlpt {
 impl std::ops::Deref for ThreadedDlpt {
     type Target = Engine;
     fn deref(&self) -> &Engine {
-        &self.engine
+        self.engine.as_ref().expect(HOME)
     }
 }
 
 impl std::ops::DerefMut for ThreadedDlpt {
     fn deref_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+        self.engine.as_mut().expect(HOME)
+    }
+}
+
+impl Drop for ThreadedDlpt {
+    fn drop(&mut self) {
+        // The threads hold the hub, the hub their inboxes: close them.
+        self.hub.lock().inboxes.clear();
     }
 }
 
 impl ThreadedDlpt {
     /// An empty live overlay.
     pub fn new(alphabet: Alphabet, seed: u64) -> Self {
-        let (reply_tx, reply_rx) = unbounded();
+        let (done_tx, done_rx) = unbounded();
         ThreadedDlpt {
             alphabet,
             rng: StdRng::seed_from_u64(seed),
-            engine: Engine::new(EngineConfig {
+            engine: Some(Engine::new(EngineConfig {
                 judge_at_quiescence: true,
                 ..EngineConfig::default()
-            }),
-            peers: HashMap::new(),
+            })),
+            hub: Arc::default(),
             handles: Vec::new(),
-            reply_tx,
-            reply_rx,
-            queue: FrameQueue::default(),
-            inflight: 0,
-            stats: Arc::new(ThreadedStats::default()),
+            out: Outbox::default(),
+            done_tx,
+            done_rx,
+            stats: Arc::default(),
         }
     }
 
-    /// Routes an injected envelope onto the router queue through the
-    /// engine's fault gate: this runtime models everything that
-    /// travels as a frame — entry and retry envelopes included — as
-    /// faultable.
+    /// Injects an envelope through the engine's fault gate: this
+    /// runtime models everything that travels as a frame — entry and
+    /// retry envelopes included — as faultable.
     fn send(&mut self, env: Envelope) {
-        self.engine.send(&mut self.queue, env);
+        self.engine.as_mut().expect(HOME).send(&mut self.out, env);
     }
 
-    /// One anti-entropy pass over the live threads: every peer receives
-    /// a `SyncReplicas` frame and re-clones its nodes onto its ring
-    /// successors with `Replicate` frames — the full replication
-    /// protocol exercised through the wire codec. No-op at `k = 1`.
+    /// Lends the engine to the peer threads, frames the injected
+    /// envelopes and blocks until no frame is in flight.
+    fn run_to_quiescence(&mut self) {
+        let mut hub = self.hub.lock();
+        hub.engine = self.engine.take();
+        let quiescent = hub.flush(&mut self.out);
+        drop(hub);
+        if !quiescent {
+            let done = self.done_rx.recv().expect("`done_tx` is alive");
+            if let Err(panic) = done {
+                resume_unwind(panic);
+            }
+        }
+        self.engine = self.hub.lock().engine.take();
+    }
+
+    /// One anti-entropy pass: every peer receives a `SyncReplicas` frame
+    /// and re-clones its nodes onto its ring successors with `Replicate`
+    /// frames — replication through the wire codec. No-op at `k = 1`.
     pub fn anti_entropy(&mut self) {
-        if self.engine.anti_entropy_kick(&mut self.queue) {
+        let engine = self.engine.as_mut().expect(HOME);
+        if engine.anti_entropy_kick(&mut self.out) {
             self.run_to_quiescence();
         }
     }
 
-    /// Simulated crash: the peer thread is killed without hand-off and
-    /// every node it hosted fails over to a follower copy via
-    /// `PromoteReplica` frames. The ring heals through
-    /// `UpdateSuccessor`/`UpdatePredecessor`. Returns the labels lost
-    /// (nodes with no surviving copy). Run
+    /// Simulated crash: the peer's thread ends without hand-off and
+    /// [`Engine::crash_shard`] heals the ring and fails its nodes over to
+    /// follower copies, as in every runtime. Returns the labels lost. Run
     /// [`ThreadedDlpt::anti_entropy`] beforehand for fresh copies.
     pub fn crash_peer(&mut self, id: &Key) -> Vec<Key> {
-        let Some(tx) = self.peers.remove(id) else {
-            return Vec::new();
-        };
-        // The thread exits without handing anything over — its shard
-        // state is discarded when the handle is joined at shutdown.
-        let _ = tx.send(ToPeer::Shutdown);
-        // Its entry-point cache dies with it; shortcuts other peers
-        // learned toward its nodes stale out via the epoch bumps the
-        // failover promotions and removals below perform.
-        self.engine.remove_member(id);
-        let hosted: Vec<Key> = self
-            .engine
-            .directory()
-            .iter()
-            .filter(|(_, host)| *host == id)
-            .map(|(label, _)| label.clone())
-            .collect();
-        if self.peers.is_empty() {
-            for l in &hosted {
-                self.engine.directory_mut().remove(l);
-            }
-            return hosted;
-        }
-        // Heal the ring: the router knows the identifier order.
-        let ids: Vec<Key> = self.engine.peer_ids();
-        let succ = ids.iter().find(|p| *p > id).unwrap_or(&ids[0]).clone();
-        let pred = ids
-            .iter()
-            .rev()
-            .find(|p| *p < id)
-            .unwrap_or(&ids[ids.len() - 1])
-            .clone();
-        let heal = [
-            Envelope::to_peer(
-                pred.clone(),
-                PeerMsg::UpdateSuccessor { succ: succ.clone() },
-            ),
-            Envelope::to_peer(succ, PeerMsg::UpdatePredecessor { pred }),
-        ];
-        for env in heal {
-            self.queue.deliver(env);
-        }
-        // Fail over. The mapping rule's new host is the first live peer
-        // at or after the label on the ring; promote there when the
-        // bookkeeping says it holds a copy (the common case — the first
-        // follower IS the crashed primary's successor). When a join
-        // slid in between primary and follower since the last sync, the
-        // rightful host has no copy yet: promote on the holder instead
-        // and let the next anti-entropy pass re-place the set (a
-        // transient mapping divergence, routed correctly through the
-        // directory either way).
-        let rightful =
-            |label: &Key| -> Key { ids.iter().find(|p| *p >= label).unwrap_or(&ids[0]).clone() };
-        let mut lost = Vec::new();
-        for label in hosted {
-            let want = rightful(&label);
-            let directory = self.engine.directory();
-            let target = directory
-                .followers_of(&label)
-                .any(|f| *f == want)
-                .then_some(want)
-                .or_else(|| {
-                    directory
-                        .followers_of(&label)
-                        .find(|f| self.peers.contains_key(*f))
-                        .cloned()
-                });
-            match target {
-                Some(t) => {
-                    self.queue.deliver(Envelope::to_peer(
-                        t,
-                        PeerMsg::PromoteReplica {
-                            label: label.clone(),
-                        },
-                    ));
-                }
-                None => {
-                    self.engine.directory_mut().remove(&label);
-                    lost.push(label);
-                }
-            }
-        }
-        self.run_to_quiescence();
-        // A follower without the copy (crash raced the sync) leaves the
-        // label pointing at the dead peer: count it lost.
-        let stale: Vec<Key> = self
-            .engine
-            .directory()
-            .iter()
-            .filter(|(_, host)| *host == id)
-            .map(|(label, _)| label.clone())
-            .collect();
-        for label in stale {
-            self.engine.directory_mut().remove(&label);
-            lost.push(label);
-        }
-        lost
-    }
-
-    /// Distinct live peers believed to hold a copy of `label` (primary
-    /// first, per the router's follower bookkeeping).
-    pub fn replica_hosts(&self, label: &Key) -> Vec<Key> {
-        let mut out = Vec::new();
-        if let Some(p) = self.engine.directory().host_of(label) {
-            if self.peers.contains_key(p) {
-                out.push(p.clone());
-            }
-        }
-        for f in self.engine.directory().followers_of(label) {
-            if self.peers.contains_key(f) && !out.contains(f) {
-                out.push(f.clone());
-            }
-        }
-        out
-    }
-
-    fn spawn_peer(&mut self, id: Key) {
-        let (tx, rx) = unbounded::<ToPeer>();
-        let reply = self.reply_tx.clone();
-        let stats = Arc::clone(&self.stats);
-        let shard_id = id.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("peer-{shard_id}"))
-            .spawn(move || peer_loop(PeerShard::new(shard_id, u32::MAX >> 1), rx, reply, stats))
-            .expect("spawn peer thread");
-        self.peers.insert(id.clone(), tx);
-        self.engine.add_member(id);
-        self.handles.push(handle);
+        self.hub.lock().inboxes.remove(id);
+        self.crash_shard(id).unwrap_or_default()
     }
 
     /// Joins a peer under a fresh random identifier; returns it.
     pub fn add_peer(&mut self) -> Key {
         let id = loop {
             let id = self.alphabet.random_id(&mut self.rng, 12);
-            if !self.peers.contains_key(&id) {
+            if !self.contains_peer(&id) {
                 break id;
             }
         };
@@ -302,32 +306,42 @@ impl ThreadedDlpt {
         id
     }
 
-    /// Joins a peer under a chosen identifier, routing through the
-    /// tree when one exists.
+    /// Joins a peer under a chosen identifier — its shard in the
+    /// engine, its inbox on a new thread — routing the join through
+    /// the tree when one exists.
     pub fn add_peer_with_id(&mut self, id: Key) {
-        assert!(!self.peers.contains_key(&id), "duplicate peer id");
-        let first = self.peers.is_empty();
-        self.spawn_peer(id.clone());
-        if first {
+        assert!(!self.contains_peer(&id), "duplicate peer id");
+        let (tx, rx) = unbounded();
+        let (me, hub) = (id.clone(), Arc::clone(&self.hub));
+        let (done, stats) = (self.done_tx.clone(), Arc::clone(&self.stats));
+        let handle = std::thread::Builder::new()
+            .name(format!("peer-{id}"))
+            .spawn(move || peer_loop(me, rx, hub, done, stats))
+            .expect("spawn peer thread");
+        self.handles.push(handle);
+        self.hub.lock().inboxes.insert(id.clone(), tx);
+        let engine = self.engine.as_mut().expect(HOME);
+        engine.add_local_shard(id.clone(), u32::MAX >> 1);
+        if engine.peer_count() == 1 {
             return;
         }
-        let env = self.engine.join_envelope(&id, &mut self.rng);
+        let env = engine.join_envelope(&id, &mut self.rng);
         self.send(env);
         self.run_to_quiescence();
     }
 
     /// Registers a service key.
     pub fn insert_data(&mut self, key: impl Into<Key>) {
-        let key = key.into();
-        assert!(!self.peers.is_empty(), "need at least one peer");
-        let env = self.engine.insert_envelope(key, &mut self.rng);
+        let engine = self.engine.as_mut().expect(HOME);
+        assert!(engine.peer_count() > 0, "need at least one peer");
+        let env = engine.insert_envelope(key.into(), &mut self.rng);
         self.send(env);
         self.run_to_quiescence();
     }
 
     /// Deregisters a service key.
     pub fn remove_data(&mut self, key: &Key) {
-        if let Some(entry) = self.engine.random_node(&mut self.rng) {
+        if let Some(entry) = self.engine.as_ref().expect(HOME).random_node(&mut self.rng) {
             let env = Envelope::to_node(entry, NodeMsg::DataRemoval { key: key.clone() });
             self.send(env);
             self.run_to_quiescence();
@@ -350,15 +364,13 @@ impl ThreadedDlpt {
     }
 
     fn request(&mut self, query: QueryKind) -> (bool, Vec<Key>) {
-        let Some(entry) = self.engine.random_node(&mut self.rng) else {
+        let engine = self.engine.as_mut().expect(HOME);
+        let Some(entry) = engine.random_node(&mut self.rng) else {
             return (false, Vec::new());
         };
         // Cache consult at the entry peer — the engine's shared
-        // hit/stale/learn flow; the router (the clients' access proxy)
-        // owns the caches, so consultation happens before the frame is
-        // cut.
-        let (id, env) = self
-            .engine
+        // hit/stale/learn flow, before the frame is cut.
+        let (id, env) = engine
             .begin_request(&entry, query)
             .expect("entry is a live node");
         self.send(env);
@@ -366,221 +378,34 @@ impl ThreadedDlpt {
         // While the engine's retry policy says a branch is stranded (a
         // frame was lost), the origin goes back out as a frame like any
         // other — immediately: the threaded runtime has no clock.
-        while let Some(origin) = self.engine.retry_origin(id) {
+        while let Some(origin) = self.retry_origin(id) {
             self.send(origin);
             self.run_to_quiescence();
         }
-        let out = self.engine.finish_request(id);
+        let out = self.finish_request(id);
         (out.satisfied, out.results)
     }
 
-    /// Pumps the router until no frame is queued or in flight.
-    ///
-    /// Frames whose destination is not resolvable yet (a node still in
-    /// flight between peers) are parked until the next peer reply —
-    /// only replies can change the directory, so spinning on the queue
-    /// would burn retries without progress.
-    fn run_to_quiescence(&mut self) {
-        let mut parked: VecDeque<(u32, Bytes)> = VecDeque::new();
-        loop {
-            while let Some((retries, frame)) = self.queue.0.pop_front() {
-                if let Some(deferred) = self.dispatch(retries, frame) {
-                    parked.push_back(deferred);
-                }
-            }
-            if self.inflight == 0 {
-                // Frames a reordering fault held back re-enter the
-                // queue now ("late", never "lost twice").
-                if self.engine.flush_deferred(&mut self.queue) {
-                    continue;
-                }
-                if parked.is_empty() {
-                    return;
-                }
-                // Nothing in flight can unblock the parked frames: a
-                // lost frame (or a crash) stranded them with no
-                // destination ever materialising. Their requests fail
-                // explicitly; anything but discovery traffic parked
-                // here is a routing bug worth aborting on.
-                while let Some((retries, frame)) = parked.pop_front() {
-                    self.fail_frame(&frame, retries, "deadlock: nothing in flight");
-                }
-                continue;
-            }
-            let reply = self.reply_rx.recv().expect("peer threads alive");
-            self.inflight -= 1;
-            // Route the peer's effects through the engine: directory
-            // updates, dissolution bookkeeping and the eager cache
-            // invalidation broadcast (one implementation for every
-            // runtime) — the broadcast frames land on the router queue
-            // and terminate at the engine-owned caches in `dispatch`.
-            let mut fx = Effects {
-                out: Vec::new(),
-                relocated: reply.relocated,
-                removed: reply.removed,
-            };
-            self.engine.apply(&mut fx, &mut self.queue);
-            // The peer's frames are engine-emitted traffic one thread
-            // removed: they pass the same gate.
-            for f in reply.frames {
-                self.send(decode(&f).expect("self-produced"));
-            }
-            if let Some((retries, frame)) = reply.undelivered {
-                if retries >= FRAME_RETRY_BUDGET {
-                    self.fail_frame(&frame, retries, "frame retry budget exhausted");
-                } else {
-                    self.queue.0.push_back((retries + 1, frame));
-                }
-            }
-            // The directory may have changed: parked frames get
-            // another chance.
-            while let Some((retries, frame)) = parked.pop_front() {
-                self.queue.0.push_back((retries + 1, frame));
-            }
-        }
-    }
-
-    /// Gives up on a frame: it is counted (`frames_exhausted`) and the
-    /// request that owns it resolves as an explicit failure instead of
-    /// aborting the router. Frames that are not discovery traffic still
-    /// abort — giving up on one is a routing bug.
-    fn fail_frame(&mut self, frame: &Bytes, retries: u32, why: &str) {
-        let env = decode(frame).expect("self-produced");
-        let to = env.to.clone();
-        if self.engine.fail_frame(env).is_err() {
-            panic!("{why}: frame to {to:?} given up after {retries} rounds");
-        }
-    }
-
-    /// Tries to deliver one frame. Returns the frame when its
-    /// destination cannot be resolved yet.
-    fn dispatch(&mut self, retries: u32, frame: Bytes) -> Option<(u32, Bytes)> {
-        let env = decode(&frame).expect("frames are self-produced");
-        match env.to {
-            Address::Client(_) => {
-                if let Message::ClientResponse(o) = env.msg {
-                    self.engine.client_response(o);
-                }
-                None
-            }
-            Address::Peer(id) => {
-                if let Message::Peer(PeerMsg::InvalidateCached { label, epoch }) = &env.msg {
-                    // The router owns the route caches, so invalidation
-                    // frames terminate here instead of at the shard —
-                    // same epoch-guarded handler as every runtime.
-                    self.engine.deliver_invalidation(&id, label, *epoch);
-                    return None;
-                }
-                match self.peers.get(&id) {
-                    Some(tx) => {
-                        tx.send(ToPeer::Frame { retries, frame })
-                            .expect("peer alive");
-                        self.inflight += 1;
-                        None
-                    }
-                    None => Some((retries, frame)),
-                }
-            }
-            Address::Node(label) => {
-                let structural = !matches!(&env.msg, Message::Node(NodeMsg::Discovery(_)));
-                let host = self.engine.directory().host_of(&label).cloned();
-                match host.as_ref().and_then(|h| self.peers.get(h)) {
-                    // A directory entry pointing at a crashed peer parks
-                    // the frame like an in-flight node would, instead of
-                    // panicking the router.
-                    Some(tx) => {
-                        tx.send(ToPeer::Frame { retries, frame })
-                            .expect("peer alive");
-                        self.inflight += 1;
-                        // A delivered non-discovery node frame may
-                        // mutate the node's structure: advance its
-                        // epoch so learned routing shortcuts
-                        // re-validate. Only on the actual hand-off —
-                        // a parked frame must not bump once per retry
-                        // (the other runtimes bump once, at delivery).
-                        if structural {
-                            self.engine.directory_mut().bump_epoch(&label);
-                        }
-                        None
-                    }
-                    None => Some((retries, frame)),
-                }
-            }
-        }
-    }
-
-    /// Stops every peer thread and returns their final shards
-    /// (for inspection/validation).
+    /// Ends every peer thread and returns the shards of the live peers
+    /// in ring order (for inspection/validation).
     pub fn shutdown(mut self) -> Vec<PeerShard> {
-        for tx in self.peers.values() {
-            let _ = tx.send(ToPeer::Shutdown);
+        self.hub.lock().inboxes.clear();
+        for h in self.handles.drain(..) {
+            h.join().expect("peer threads catch their own panics");
         }
-        self.handles
-            .drain(..)
-            .map(|h| h.join().expect("peer thread exits cleanly"))
-            .collect()
+        let ids = self.peer_ids();
+        ids.iter().filter_map(|id| self.remove_member(id)).collect()
     }
-}
-
-/// The peer thread: decode, handle, encode, reply.
-fn peer_loop(
-    mut shard: PeerShard,
-    rx: Receiver<ToPeer>,
-    reply: Sender<PeerReply>,
-    stats: Arc<ThreadedStats>,
-) -> PeerShard {
-    while let Ok(msg) = rx.recv() {
-        let (retries, frame) = match msg {
-            ToPeer::Shutdown => break,
-            ToPeer::Frame { retries, frame } => (retries, frame),
-        };
-        let env = decode(&frame).expect("router sends valid frames");
-        let mut fx = Effects::default();
-        let undelivered = match &env.msg {
-            Message::Node(_) => {
-                let Address::Node(label) = &env.to else {
-                    unreachable!("node message to node address")
-                };
-                if shard.nodes.contains_key(label) {
-                    let Message::Node(m) = env.msg else {
-                        unreachable!()
-                    };
-                    protocol::handle_node_msg(&mut shard, label, m, &mut fx);
-                    None
-                } else {
-                    // Not hosted here (migration or creation still in
-                    // flight): bounce back for retry.
-                    *stats.frames_bounced.lock() += 1;
-                    Some((retries, frame))
-                }
-            }
-            Message::Peer(_) => {
-                let Message::Peer(m) = env.msg else {
-                    unreachable!()
-                };
-                protocol::handle_peer_msg(&mut shard, m, &mut fx);
-                None
-            }
-            Message::ClientResponse(_) => None, // router handles these
-        };
-        *stats.frames_handled.lock() += 1;
-        let frames: Vec<Bytes> = fx.out.iter().map(encode).collect();
-        reply
-            .send(PeerReply {
-                frames,
-                relocated: fx.relocated,
-                removed: fx.removed,
-                undelivered,
-            })
-            .expect("router alive");
-    }
-    shard
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlpt_core::messages::{DiscoveryMsg, RoutePhase};
+    use dlpt_core::obs::health::HealthMonitor;
+    use dlpt_core::obs::EventKind;
     use dlpt_core::trie::PgcpTrie;
+    use std::time::Duration;
 
     const KEYS: [&str; 12] = [
         "DGEMM", "DGEMV", "DTRSM", "DTRMM", "SGEMM", "SGEMV", "S3L_fft", "S3L_sort", "PSGESV",
@@ -753,5 +578,95 @@ mod tests {
             assert_eq!(net.replica_hosts(&label).len(), 2, "{label}");
         }
         net.shutdown();
+    }
+
+    /// Frames reach [`Engine::deliver`]: the tracer sees every hop of a
+    /// lookup and a health snapshot measures the tree the engine hosts.
+    #[test]
+    fn lookups_are_traced_hop_by_hop_and_health_measures_the_tree() {
+        let mut net = live(9, 5, &KEYS);
+        net.set_tracing(4096);
+        let visits = |net: &Engine| net.stats.discovery_messages;
+        let before = visits(&net);
+        let (found, _) = net.lookup(&Key::from("ZTRSM"));
+        assert!(found);
+        let visited = visits(&net) - before;
+        let trace = net.take_trace();
+        let count = |kind| trace.iter().filter(|e| e.kind == kind).count() as u64;
+        let (admit, hop, satisfy) = (
+            count(EventKind::Admit),
+            count(EventKind::Hop),
+            count(EventKind::Satisfy),
+        );
+        println!("one lookup: admit={admit} hop={hop} satisfy={satisfy} visits={visited}");
+        assert!(visited >= 1);
+        assert_eq!((admit, hop, satisfy), (1, visited, 1));
+
+        let mut mon = HealthMonitor::new();
+        let faults = net.fault_stats();
+        net.collect_health(0, &faults, &mut mon);
+        assert!(!mon.snap.depth_occupancy.is_empty());
+        assert_eq!(
+            mon.snap.depth_occupancy.iter().sum::<u64>(),
+            net.node_count() as u64
+        );
+        net.shutdown();
+    }
+
+    /// Runs `f` on its own thread and fails, instead of hanging, when
+    /// it does not finish in time.
+    fn within_a_minute<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(catch_unwind(AssertUnwindSafe(f))));
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("watchdog: the operation hung")
+    }
+
+    #[test]
+    fn a_frame_for_a_label_that_never_appears_is_given_up_explicitly() {
+        let (out, exhausted, bounced) = within_a_minute(|| {
+            let mut net = live(10, 4, &KEYS[..6]);
+            let bounced = *net.stats.frames_bounced.lock();
+            let (entry, never) = (net.node_labels()[0].clone(), Key::from("NEVER"));
+            let query = QueryKind::Exact(never.clone());
+            let (id, _) = net.begin_request(&entry, query.clone()).unwrap();
+            let stray = DiscoveryMsg {
+                request_id: id,
+                query,
+                phase: RoutePhase::Up,
+                path: Vec::new(),
+            };
+            net.send(Envelope::to_node(never, NodeMsg::Discovery(stray)));
+            net.run_to_quiescence();
+            let out = net.finish_request(id);
+            let counts = (
+                net.fault_stats().frames_exhausted,
+                *net.stats.frames_bounced.lock() - bounced,
+            );
+            net.shutdown();
+            (out, counts.0, counts.1)
+        })
+        .expect("an exhausted discovery frame fails its request, not the runtime");
+        assert!(!out.satisfied && out.dropped, "{out:?}");
+        assert_eq!(exhausted, 1);
+        assert_eq!(bounced, u64::from(FRAME_RETRY_BUDGET));
+    }
+
+    #[test]
+    fn a_peer_thread_panic_reaches_the_caller() {
+        let panic = within_a_minute(|| {
+            let mut net = live(11, 3, &KEYS[..4]);
+            let mut hub = net.hub.lock();
+            let inbox = hub.inboxes.values().next().expect("three peers");
+            inbox.send((0, Bytes::from(vec![0xFF; 3]))).unwrap();
+            hub.inflight += 1;
+            drop(hub);
+            net.run_to_quiescence();
+        })
+        .expect_err("the undecodable frame panics its peer thread");
+        let msg = panic.downcast_ref::<String>().expect("an `expect` message");
+        assert!(msg.contains("inboxes carry frames"), "{msg}");
     }
 }

@@ -83,16 +83,22 @@ proptest! {
                 },
             ),
             Envelope::to_peer(Key::from(primary.as_str()), PeerMsg::DropReplica { label: Key::from(label.as_str()) }),
-            Envelope::to_peer(Key::from(primary.as_str()), PeerMsg::PromoteReplica { label: Key::from(label.as_str()) }),
         ];
-        for env in envs {
-            let frame = encode(&env);
-            prop_assert_eq!(&decode(&frame).unwrap(), &env);
+        for env in &envs {
+            let frame = encode(env);
+            prop_assert_eq!(&decode(&frame).unwrap(), env);
             let mut corrupted = frame.to_vec();
             let pos = pos_seed % corrupted.len();
             corrupted[pos] = val;
             let _ = decode(&corrupted); // error or envelope, never panic
         }
+        // Peer-message tag 9 (its message carried one key, like
+        // `DropReplica`) is retired: an error, never a panic or a reuse.
+        let mut retired = encode(&envs[2]).to_vec();
+        let tag = 4 + 1 + 2 + primary.len() + 1; // length, address, key, message kind
+        prop_assert_eq!(retired[tag], 8);
+        retired[tag] = 9;
+        prop_assert!(decode(&retired).is_err());
     }
 
     /// Cache-invalidation envelopes (`dlpt_core::cache`) round-trip for

@@ -7,29 +7,25 @@ Usage:
 Each line of the input is one fixed-shape event:
 
     {"req": N, "kind": "hop", "a": .., "b": .., "depth": ..,
-     "flags": .., "round": .., "worker": .., "seq": ..}
+     "flags": .., "seq": ..}
 
 ``kind`` is one of the engine's stable event names (admit, hop,
 cache_hit, cache_stale, cache_miss, branch_open, branch_close, retry,
 dedup_suppress, drop, satisfy, fail). The summary reports event counts
 for *all twelve* kinds (zero-filled — an absent counter and a zero
 counter read the same, so downstream diffs are shape-stable),
-per-request shape (events, hops, max depth) and the worker spread, so
-a trace can be sanity-read without tooling. A line with an unknown
+and per-request shape (events, hops, max depth), so a trace can be
+sanity-read without tooling. A line with an unknown
 ``kind`` always exits non-zero, with or without ``--validate``: such a
 line means the trace and this tool disagree about the event
 vocabulary, and every count in the summary would be suspect.
 
-``round`` and ``worker`` are always 0: every event, the batch pump's
-included, is emitted in order on the thread that owns the engine. The
-two fields stay so the schema is stable.
-
 ``--validate`` additionally enforces the schema — every line must be a
-JSON object with exactly the nine keys above, integer-valued except
+JSON object with exactly the seven keys above, integer-valued except
 ``kind`` which must be a known name, and ``seq`` must be
-non-decreasing within each ``(round, worker)`` group (the engine's
-emission order). Any violation prints the offending line
-and exits non-zero; CI diffs two seeded runs on top of this.
+non-decreasing (every event, the batch pump's included, is emitted in
+order under the engine's one owner). Any violation prints the offending
+line and exits non-zero; CI diffs two seeded runs on top of this.
 """
 
 import argparse
@@ -42,7 +38,7 @@ KINDS = {
     "branch_open", "branch_close", "retry", "dedup_suppress",
     "drop", "satisfy", "fail",
 }
-INT_KEYS = ("req", "a", "b", "depth", "flags", "round", "worker", "seq")
+INT_KEYS = ("req", "a", "b", "depth", "flags", "seq")
 ALL_KEYS = set(INT_KEYS) | {"kind"}
 
 
@@ -62,9 +58,7 @@ def main():
 
     kinds = Counter()
     per_req = defaultdict(lambda: {"events": 0, "hops": 0, "max_depth": 0})
-    workers = set()
-    rounds = set()
-    last_seq = {}
+    last_seq = -1
     n = 0
     with open(args.trace) as f:
         for lineno, line in enumerate(f, 1):
@@ -80,11 +74,9 @@ def main():
                 for k in INT_KEYS:
                     if not isinstance(ev[k], int) or ev[k] < 0:
                         fail(lineno, line, f"{k!r} must be a non-negative int")
-                group = (ev["round"], ev["worker"])
-                if last_seq.get(group, -1) > ev["seq"]:
-                    fail(lineno, line,
-                         f"seq went backwards within (round, worker) {group}")
-                last_seq[group] = ev["seq"]
+                if last_seq > ev["seq"]:
+                    fail(lineno, line, "seq went backwards")
+                last_seq = ev["seq"]
             if ev.get("kind") not in KINDS:
                 fail(lineno, line, f"unknown kind {ev.get('kind')!r}")
             n += 1
@@ -94,15 +86,12 @@ def main():
             if ev["kind"] == "hop":
                 r["hops"] += 1
             r["max_depth"] = max(r["max_depth"], ev["depth"])
-            workers.add(ev["worker"])
-            rounds.add(ev["round"])
 
     if args.validate and n == 0:
         print("trace-summary: empty trace", file=sys.stderr)
         sys.exit(1)
 
-    print(f"events: {n}  requests: {len(per_req)}  "
-          f"workers: {len(workers)}  rounds: {len(rounds)}")
+    print(f"events: {n}  requests: {len(per_req)}")
     for kind in sorted(KINDS):
         print(f"  {kind:<15} {kinds[kind]:>8}")
     if per_req:

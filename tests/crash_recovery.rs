@@ -2,7 +2,7 @@
 //! recovery through tree repair plus re-registration (the extension
 //! described in DESIGN.md).
 
-use dlpt::core::{AuditCheck, DlptSystem, Key};
+use dlpt::core::{DlptSystem, Key};
 use dlpt::workloads::corpus::Corpus;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -72,11 +72,8 @@ fn with_k2_any_single_crash_loses_zero_keys() {
         let lost = sys.crash_peer(&victim).unwrap();
         assert!(lost.is_empty(), "crashing {victim} lost {lost:?}");
         sys.repair_tree();
-        // Mid-recovery: until anti-entropy runs, follower records may
-        // still name the victim. Every other class must be whole.
-        let mut found = sys.audit();
-        found.retain(|v| v.check != AuditCheck::Replication);
-        assert!(found.is_empty(), "after failover: {found:?}");
+        // Right after fail-over, before any anti-entropy pass.
+        sys.assert_clean();
         for k in &keys {
             sys.end_time_unit();
             assert!(sys.lookup(k).satisfied, "{k} lost after crashing {victim}");

@@ -313,6 +313,8 @@ proptest! {
         let c = drive(&mut threaded, &ops, initial_peers, k);
         let audit = threaded.audit();
         prop_assert!(audit.is_empty(), "threaded audits clean: {:?}", audit);
+        // ... over every shard: the ring and trie classes iterate them.
+        prop_assert_eq!(threaded.0.shards().count(), threaded.0.peer_count());
 
         prop_assert_eq!(&a.placements, &b.placements, "sync vs latency placements");
         prop_assert_eq!(&a.placements, &c.placements, "sync vs threaded placements");
@@ -350,10 +352,9 @@ fn query_of(o: &Op) -> Option<QueryKind> {
 /// system RNG in query order, so all arms consume the RNG identically.
 ///
 /// The mid-workload churn exercises the ownership-handoff path twice:
-/// a node is migrated off its canonical host (an explicit
-/// `Directory::handoff`), the next batches run against the handed-off
-/// placement, and the node is later handed back so the final audit
-/// sees the canonical mapping.
+/// a node is migrated off its canonical host, the next batches run
+/// against the handed-off placement, and the node is later handed back
+/// so the final audit sees the canonical mapping.
 fn drive_batched(
     sys: &mut DlptSystem,
     ops: &[Op],
@@ -575,6 +576,7 @@ proptest! {
         prop_assert_eq!(c.results.len(), expected, "threaded: every query terminates");
         let c_audit = threaded.audit();
         prop_assert!(c_audit.is_empty(), "threaded audits clean after quiescence: {:?}", c_audit);
+        prop_assert_eq!(threaded.0.shards().count(), threaded.0.peer_count());
 
         // Mutations and joins travel the reliable class, so the tree
         // the runtimes build is unaffected by the fault plan.
@@ -630,6 +632,8 @@ fn drive_partition_scenario<R: Runtime>(rt: &mut R, name: &str) {
         audit.is_empty(),
         "{name}: engine must audit clean after heal + crash + AE: {audit:?}"
     );
+    let engine = rt.engine();
+    assert_eq!(engine.shards().count(), engine.peer_count(), "{name}");
 }
 
 #[test]

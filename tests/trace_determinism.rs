@@ -69,7 +69,6 @@ fn stories(events: &[TraceEvent]) -> Stories {
     use EventKind::*;
     let mut by_request = Stories::new();
     for e in events {
-        assert_eq!((e.round, e.worker), (0, 0), "{e:?}");
         if matches!(
             e.kind,
             Hop | Drop | BranchOpen | BranchClose | Satisfy | Fail
