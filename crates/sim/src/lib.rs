@@ -18,7 +18,7 @@
 //! | [`run`] | one seeded run — the five-step time-unit loop |
 //! | [`runner`] | parallel multi-run execution and averaging |
 //! | [`experiments`] | one constructor per figure/table of the paper |
-//! | [`report`] | CSV writers and ASCII charts for the harness binaries |
+//! | [`report`] | CSV writers and ASCII charts for `dlpt-bench` |
 //!
 //! Determinism: run `i` of an experiment is a pure function of
 //! `(config, base_seed + i)`; the thread pool only distributes work.

@@ -1,9 +1,8 @@
 //! Output: CSV series and ASCII charts.
 //!
-//! The harness binaries (`crates/bench/src/bin/fig*.rs`) regenerate
-//! the paper's figures as CSV files under `results/` plus an ASCII
-//! rendering on stdout, so the shapes can be inspected without any
-//! plotting stack.
+//! The reproduction binary (`dlpt-bench`) regenerates the paper's
+//! figures as CSV files under `results/` plus an ASCII rendering on
+//! stdout, so the shapes can be inspected without any plotting stack.
 
 use std::fmt::Write as _;
 use std::fs;

@@ -170,7 +170,7 @@ pub fn run_all(cfg: &ExperimentConfig) -> Vec<RunResult> {
 }
 
 /// Concatenates the per-run health JSONL series in run order — the
-/// file body the figure binaries write when `--health` is passed.
+/// file body `dlpt-bench figC`/`figA` write when `--health` is passed.
 /// Empty unless the config had `health_snapshots` set.
 pub fn health_jsonl(results: &[RunResult]) -> String {
     results.iter().map(|r| r.health.as_str()).collect()

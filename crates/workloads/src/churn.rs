@@ -65,7 +65,7 @@ impl ChurnModel {
     }
 
     /// Copy of this model with a different crash rate (the `figR`
-    /// sweep axis; also `fig5 --crash-rate`).
+    /// sweep axis).
     pub fn with_crash_rate(mut self, rate: f64) -> Self {
         self.crash_rate = rate.max(0.0);
         self
