@@ -75,6 +75,7 @@ use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 pub use faults::REQUEST_RETRY_BUDGET;
+pub use replicate::RepairReport;
 
 /// How envelopes travel between the engine and the peers.
 ///
@@ -757,8 +758,9 @@ impl Engine {
 
     /// Depth of every live node (root = 0). Only live
     /// labels appear: a node whose father is not a live node — a crash
-    /// orphaned its subtree and [`crate::system::DlptSystem::repair_tree`]
-    /// has not run yet — counts as a root of depth 0. Father links are
+    /// orphaned its subtree and the runtime's `repair_tree`
+    /// ([`Engine::repair_scan`]) has not run yet — counts as a root of
+    /// depth 0. Father links are
     /// resolved to interned ids once (two hashes per node), depths
     /// memoized along each father chain in id-indexed arrays, and the
     /// ordered map built in one pass: O(nodes) hashes and array steps,
@@ -1333,6 +1335,10 @@ impl Engine {
                         Message::Node(m) => {
                             if shard.nodes.contains_key(&label) {
                                 count_node_msg(stats, &m);
+                                // A node told it has no father is the root.
+                                if matches!(m, NodeMsg::SetFather { father: None }) {
+                                    self.root = Some(label.clone());
+                                }
                                 protocol::handle_node_msg(shard, &label, m, fx);
                                 Gate::DeliveredMutation
                             } else {
@@ -1534,6 +1540,7 @@ pub(crate) fn count_node_msg(stats: &mut SystemStats, m: &NodeMsg) {
     match m {
         NodeMsg::PeerJoin { .. } => stats.join_messages += 1,
         NodeMsg::DataInsertion { .. }
+        | NodeMsg::Reattach { .. }
         | NodeMsg::UpdateChild { .. }
         | NodeMsg::DataRemoval { .. }
         | NodeMsg::RemoveChild { .. }

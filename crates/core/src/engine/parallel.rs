@@ -42,9 +42,9 @@
 //! * Replica failover (the sequential capacity-refused read path at
 //!   `k > 1`) is not consulted — a refused visit is a drop, as in the
 //!   paper's capacity model.
-//! * A visit whose label is not live (a crash orphan awaiting
-//!   `repair_tree`) fails at once; the sequential pump first burns its
-//!   requeue budget (`stats.requeues`).
+//! * A visit to a label a crash removed (a link `repair_tree` has not
+//!   pruned or re-pointed yet) fails at once; the sequential pump first
+//!   burns its requeue budget (`stats.requeues`).
 //!
 //! The batch API is restricted to discovery: joins, registrations and
 //! churn stay on the sequential pump, which matches how the experiment

@@ -5,8 +5,7 @@
 //! `anti_entropy_scan` and `repair_scan` here; everything else is
 //! shared. Test-only: nothing outside `cfg(test)` reaches this module.
 
-use super::replicate::RepairScan;
-use super::{Engine, Transport};
+use super::{Engine, RepairReport, Transport};
 use crate::directory::Directory;
 use crate::key::Key;
 use crate::messages::{Envelope, NodeSeed, PeerMsg};
@@ -175,9 +174,9 @@ impl Engine {
 
     /// The scan half of the old `DlptSystem::repair_tree`: snapshot
     /// every live label, prune every node's child set against it, then
-    /// collect orphans and the root in a second pass.
-    pub(super) fn repair_scan_reference(&mut self) -> RepairScan {
-        let mut scan = RepairScan::default();
+    /// collect the orphans in a second pass.
+    pub(super) fn repair_scan_reference(&mut self) -> RepairReport {
+        let mut scan = RepairReport::default();
         let live: BTreeSet<Key> = self.directory.labels().cloned().collect();
         let mut touched: Vec<Key> = Vec::new();
         for pid in self.peer_ids() {
@@ -198,13 +197,12 @@ impl Engine {
         }
         for shard in self.local_shards() {
             for node in shard.nodes.values() {
-                match &node.father {
-                    None => scan.root = Some(node.label.clone()),
-                    Some(f) if !live.contains(f) => scan.orphans.push(node.label.clone()),
-                    Some(_) => {}
+                if node.father.as_ref().is_some_and(|f| !live.contains(f)) {
+                    scan.reattached.push(node.label.clone());
                 }
             }
         }
+        scan.reattached.sort();
         scan
     }
 }

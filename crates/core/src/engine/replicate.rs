@@ -1,27 +1,29 @@
 //! Replication orchestration (`protocol::repair`): the engine side of
 //! eager replica maintenance, the anti-entropy passes, read failover,
-//! crash promotion and the replication invariant check. Split out of
-//! `engine/mod.rs` (one module per concern); the message handlers
-//! themselves live in [`crate::protocol::repair`]. Replication traffic
-//! is reliable-class ([`crate::transport::is_faultable`]): the fault
-//! gate would pass it without a draw, so it enters the transport
-//! directly.
+//! crash promotion, crash repair and the replication invariant check.
+//! Split out of `engine/mod.rs` (one module per concern); the message
+//! handlers themselves live in [`crate::protocol::repair`] (and, for
+//! crash repair, [`crate::protocol::data_insertion`]). Replication
+//! traffic is reliable-class ([`crate::transport::is_faultable`]): the
+//! fault gate would pass it without a draw, so it enters the transport
+//! directly. Repair traffic is node messages like any insertion's and
+//! takes the gate ([`Engine::send`]), which passes it the same way.
 
 use super::{Engine, Transport};
 use crate::key::Key;
-use crate::messages::{DiscoveryMsg, Envelope, NodeSeed, PeerMsg};
+use crate::messages::{DiscoveryMsg, Envelope, NodeMsg, NodeSeed, PeerMsg};
 use crate::protocol::{discovery, repair, Effects};
 use crate::replication::AntiEntropyReport;
 
-/// What [`Engine::repair_scan`] found.
-#[derive(Debug, Default)]
-pub(crate) struct RepairScan {
+/// What crash repair found ([`Engine::repair_scan`]) and every
+/// runtime's `repair_tree` returns.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RepairReport {
     /// Dangling child links removed.
     pub pruned_links: usize,
-    /// Nodes whose father is dead, in ring order.
-    pub orphans: Vec<Key>,
-    /// A node without a father, if any (the last one in ring order).
-    pub root: Option<Key>,
+    /// The orphans re-attached — live nodes whose father died — in
+    /// label order, ancestors first.
+    pub reattached: Vec<Key>,
 }
 
 impl Engine {
@@ -200,18 +202,34 @@ impl Engine {
         true
     }
 
-    /// The scan half of crash repair ([`crate::system::DlptSystem::repair_tree`]):
-    /// prunes child links to dead nodes and collects the orphans (nodes
-    /// whose father is dead, in ring order) and the root. Liveness is a
+    /// Crash repair, as protocol traffic on every runtime: sends one
+    /// orphan from [`Engine::repair_scan`] back through the insertion
+    /// protocol — a `Reattach` entering at the root or, while the root
+    /// is dead, `SetFather { father: None }` making the orphan the root.
+    /// The runtime sends the orphans in the scan's order and quiesces
+    /// after each: an orphan's father link is dead until its
+    /// `SetFather` arrives, so no later orphan may route through it
+    /// before then.
+    pub fn send_orphan<T: Transport>(&mut self, t: &mut T, orphan: Key) {
+        let env = match self.root.clone() {
+            Some(root) => Envelope::to_node(root, NodeMsg::Reattach { label: orphan }),
+            None => Envelope::to_node(orphan, NodeMsg::SetFather { father: None }),
+        };
+        self.stats.nodes_reattached += 1;
+        self.send(t, env);
+    }
+
+    /// The scan half of crash repair: prunes child links to dead nodes
+    /// and lists the orphans for [`Engine::send_orphan`]. Liveness is a
     /// directory probe per link; only nodes that actually hold a dead
     /// child are rewritten and scheduled for re-replication.
-    pub(crate) fn repair_scan(&mut self) -> RepairScan {
+    pub fn repair_scan(&mut self) -> RepairReport {
         #[cfg(test)]
         if self.reference_scans {
             return self.repair_scan_reference();
         }
         let eager = self.config.eager_replication && self.config.replication > 1;
-        let mut scan = RepairScan::default();
+        let mut scan = RepairReport::default();
         self.ring.refresh(&self.directory, self.members.iter());
         let directory = &self.directory;
         for &pid in self.ring.ids() {
@@ -227,13 +245,12 @@ impl Engine {
                         self.touched.extend(directory.id_of(&node.label));
                     }
                 }
-                match &node.father {
-                    None => scan.root = Some(node.label.clone()),
-                    Some(f) if !directory.contains(f) => scan.orphans.push(node.label.clone()),
-                    Some(_) => {}
+                if node.father.as_ref().is_some_and(|f| !directory.contains(f)) {
+                    scan.reattached.push(node.label.clone());
                 }
             }
         }
+        scan.reattached.sort_unstable();
         scan
     }
 

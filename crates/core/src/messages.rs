@@ -257,6 +257,14 @@ pub enum NodeMsg {
         /// New father (`None` makes the recipient the root).
         father: Option<Key>,
     },
+    /// Crash repair (extension): `label` is a live node whose father
+    /// died. Routed exactly like `DataInsertion` of `label`; where that
+    /// would create the node, the existing one is linked in instead
+    /// (see `protocol::data_insertion`).
+    Reattach {
+        /// The node to link back into the tree, subtree and all.
+        label: Key,
+    },
     /// A discovery request visiting this node.
     Discovery(DiscoveryMsg),
 }

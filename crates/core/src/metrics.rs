@@ -9,7 +9,8 @@ pub struct SystemStats {
     /// `PeerJoin` / `NewPredecessor` / `YourInformation` /
     /// `UpdateSuccessor` / `UpdatePredecessor` messages processed.
     pub join_messages: u64,
-    /// `DataInsertion` / `UpdateChild` messages processed.
+    /// Tree-link messages processed: `DataInsertion`, `Reattach`,
+    /// `UpdateChild`, `DataRemoval`, `RemoveChild`, `SetFather`.
     pub insert_messages: u64,
     /// `SearchingHost` / `Host` messages processed.
     pub host_messages: u64,

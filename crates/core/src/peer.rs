@@ -86,9 +86,8 @@ pub struct PeerShard {
     /// registered-key enumeration — is untouched by replication.
     ///
     /// Routing-shortcut caches are *not* shard state: the engine owns
-    /// them per peer (`crate::engine`), because a peer's shard may run
-    /// on another thread while its entry-point cache must stay with
-    /// whoever admits requests.
+    /// them per peer (`crate::engine`) and consults them when it admits
+    /// a request, so no protocol handler ever sees a cache.
     pub replicas: BTreeMap<Key, NodeState>,
 }
 

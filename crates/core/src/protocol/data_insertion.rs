@@ -28,23 +28,53 @@
 //!   the ring until the label falls inside the receiving peer's arc,
 //!   making `host(n) = min {P : P >= n}` an invariant rather than an
 //!   assumption.
+//!
+//! ## Crash repair (extension)
+//!
+//! A crash at `k = 1` leaves live nodes whose father died. Each such
+//! orphan re-enters here as `<Reattach, o>`, routed by the same four
+//! cases from the root. Where insertion would create node `o`, the
+//! orphan — which keeps its host, data and subtree — receives only a
+//! `SetFather`; the links the four cases rewrite on other nodes, and
+//! any new common parent, travel exactly as they do for an insertion.
+//! The engine sends one orphan at a time (`Engine::send_orphan`).
 
 use crate::key::{in_ring_interval, Key};
 use crate::messages::{Envelope, NodeMsg, NodeSeed, PeerMsg};
 use crate::peer::PeerShard;
 use crate::protocol::Effects;
 
-/// Algorithm 3, lines 3.02–3.31: `<DataInsertion, k>` on node `p`.
-pub fn on_data_insertion(shard: &mut PeerShard, node_label: &Key, key: Key, fx: &mut Effects) {
+/// Algorithm 3, lines 3.02–3.31: `<DataInsertion, k>` on node `p` — or,
+/// with `orphan` set, `<Reattach, k>`: crash repair routes the live node
+/// `k`, whose father died, through the same four cases, and where
+/// insertion would create node `k` (`place`) it links the existing one.
+pub fn on_data_insertion(
+    shard: &mut PeerShard,
+    node_label: &Key,
+    key: Key,
+    orphan: bool,
+    fx: &mut Effects,
+) {
     let p = shard
         .nodes
         .get_mut(node_label)
         .expect("routed to hosted node");
     let p_label = p.label.clone();
+    // The message to pass on unchanged (routing never tells the two apart).
+    let onward = |key| {
+        if orphan {
+            NodeMsg::Reattach { label: key }
+        } else {
+            NodeMsg::DataInsertion { key }
+        }
+    };
 
-    // Case 1 (line 3.03): this is the node; register the datum.
+    // Case 1 (line 3.03): this is the node; register the datum (an
+    // orphan found in place is already linked).
     if p_label == key {
-        p.data.insert(key);
+        if !orphan {
+            p.data.insert(key);
+        }
         return;
     }
 
@@ -52,18 +82,12 @@ pub fn on_data_insertion(shard: &mut PeerShard, node_label: &Key, key: Key, fx: 
     if p_label.is_proper_prefix_of(&key) {
         if let Some(q) = p.child_extending(&key).cloned() {
             // Line 3.06: a child covers the key more precisely.
-            fx.send(Envelope::to_node(q, NodeMsg::DataInsertion { key }));
+            fx.send(Envelope::to_node(q, onward(key)));
         } else {
             // Lines 3.08–3.09: create the node as our child and start
             // the host search from ourselves.
-            let seed = NodeSeed {
-                label: key.clone(),
-                father: Some(p_label.clone()),
-                children: Vec::new(),
-                data: vec![key.clone()],
-            };
-            p.children.insert(key);
-            fx.send(Envelope::to_node(p_label, NodeMsg::SearchingHost { seed }));
+            p.children.insert(key.clone());
+            place(fx, orphan, p_label.clone(), key, Some(p_label), None);
         }
         return;
     }
@@ -74,14 +98,8 @@ pub fn on_data_insertion(shard: &mut PeerShard, node_label: &Key, key: Key, fx: 
             None => {
                 // Lines 3.11–3.13: we are the root; the key becomes the
                 // new root with us as its only child.
-                let seed = NodeSeed {
-                    label: key.clone(),
-                    father: None,
-                    children: vec![p_label.clone()],
-                    data: vec![key.clone()],
-                };
-                p.father = Some(key);
-                fx.send(Envelope::to_node(p_label, NodeMsg::SearchingHost { seed }));
+                p.father = Some(key.clone());
+                place(fx, orphan, p_label.clone(), key, None, Some(p_label));
             }
             Some(f) => {
                 if key.is_prefix_of(&f) {
@@ -90,29 +108,15 @@ pub fn on_data_insertion(shard: &mut PeerShard, node_label: &Key, key: Key, fx: 
                     // case happens when the key's node already exists
                     // and the request entered the tree below it — the
                     // father *is* the destination (case 1 there).
-                    fx.send(Envelope::to_node(f, NodeMsg::DataInsertion { key }));
+                    fx.send(Envelope::to_node(f, onward(key)));
                 } else {
                     // Lines 3.18–3.20: splice the new node between our
                     // father and us.
                     debug_assert!(f.is_proper_prefix_of(&key));
-                    let seed = NodeSeed {
-                        label: key.clone(),
-                        father: Some(f.clone()),
-                        children: vec![p_label.clone()],
-                        data: vec![key.clone()],
-                    };
                     p.father = Some(key.clone());
-                    fx.send(Envelope::to_node(
-                        f.clone(),
-                        NodeMsg::SearchingHost { seed },
-                    ));
-                    fx.send(Envelope::to_node(
-                        f,
-                        NodeMsg::UpdateChild {
-                            old: p_label,
-                            new: key,
-                        },
-                    ));
+                    let (old, new) = (p_label.clone(), key.clone());
+                    place(fx, orphan, f.clone(), key, Some(f.clone()), Some(p_label));
+                    fx.send(Envelope::to_node(f, NodeMsg::UpdateChild { old, new }));
                 }
             }
         }
@@ -126,57 +130,68 @@ pub fn on_data_insertion(shard: &mut PeerShard, node_label: &Key, key: Key, fx: 
         if g.len() <= f.len() {
             // Line 3.23: our father shares at least as much with the
             // key as we do — the divergence point is above us.
-            fx.send(Envelope::to_node(f.clone(), NodeMsg::DataInsertion { key }));
+            fx.send(Envelope::to_node(f.clone(), onward(key)));
             return;
         }
     }
     // Lines 3.24–3.31: create the common parent `g = GCP(p, k)` with
     // children {p, k}, and the node k itself (father corrected to g,
-    // see module docs).
+    // see module docs). The searches start at our father, or at us
+    // when we are the root (lines 3.25–3.26).
     let parent_seed = NodeSeed {
         label: g.clone(),
         father: father.clone(),
         children: vec![p_label.clone(), key.clone()],
         data: Vec::new(),
     };
-    let key_seed = NodeSeed {
-        label: key.clone(),
-        father: Some(g.clone()),
-        children: Vec::new(),
-        data: vec![key.clone()],
-    };
     p.father = Some(g.clone());
-    match father {
-        None => {
-            // Lines 3.25–3.26: we are the root; searches start at us.
-            fx.send(Envelope::to_node(
-                p_label.clone(),
-                NodeMsg::SearchingHost { seed: parent_seed },
-            ));
-            fx.send(Envelope::to_node(
-                p_label,
-                NodeMsg::SearchingHost { seed: key_seed },
-            ));
-        }
-        Some(f) => {
-            // Lines 3.27–3.30.
-            fx.send(Envelope::to_node(
-                f.clone(),
-                NodeMsg::SearchingHost { seed: parent_seed },
-            ));
-            fx.send(Envelope::to_node(
-                f.clone(),
-                NodeMsg::UpdateChild {
-                    old: p_label,
-                    new: g,
-                },
-            ));
-            fx.send(Envelope::to_node(
-                f,
-                NodeMsg::SearchingHost { seed: key_seed },
-            ));
-        }
+    let via = father.clone().unwrap_or_else(|| p_label.clone());
+    fx.send(Envelope::to_node(
+        via.clone(),
+        NodeMsg::SearchingHost { seed: parent_seed },
+    ));
+    if let Some(f) = father {
+        fx.send(Envelope::to_node(
+            f,
+            NodeMsg::UpdateChild {
+                old: p_label,
+                new: g.clone(),
+            },
+        ));
     }
+    place(fx, orphan, via, key, Some(g), None);
+}
+
+/// Puts node `key` where insertion decided it goes: under `father`, and
+/// above `child` if there is one. A new node travels to its host as a
+/// `SearchingHost` seed starting at `via`. An orphan already lives on
+/// its host with its subtree, so only its links travel: `SetFather`,
+/// and a `Reattach` of `child` from the orphan down.
+fn place(
+    fx: &mut Effects,
+    orphan: bool,
+    via: Key,
+    key: Key,
+    father: Option<Key>,
+    child: Option<Key>,
+) {
+    if orphan {
+        fx.send(Envelope::to_node(
+            key.clone(),
+            NodeMsg::SetFather { father },
+        ));
+        if let Some(label) = child {
+            fx.send(Envelope::to_node(key, NodeMsg::Reattach { label }));
+        }
+        return;
+    }
+    let seed = NodeSeed {
+        data: vec![key.clone()],
+        label: key,
+        father,
+        children: child.into_iter().collect(),
+    };
+    fx.send(Envelope::to_node(via, NodeMsg::SearchingHost { seed }));
 }
 
 /// Algorithm 3, lines 3.32–3.37: `<SearchingHost, (l, f, C, δ)>` on
@@ -263,7 +278,7 @@ mod tests {
         let mut s = shard("Z");
         s.install(NodeState::new(k("DGEMM")));
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("DGEMM"), k("DGEMM"), &mut fx);
+        on_data_insertion(&mut s, &k("DGEMM"), k("DGEMM"), false, &mut fx);
         assert!(fx.out.is_empty());
         assert!(s.nodes[&k("DGEMM")].data.contains(&k("DGEMM")));
     }
@@ -276,7 +291,7 @@ mod tests {
         n.children.insert(k("10111"));
         s.install(n);
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10"), k("101011"), &mut fx);
+        on_data_insertion(&mut s, &k("10"), k("101011"), false, &mut fx);
         let msgs = sent_to_node(&fx, "10101");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("101011")));
@@ -287,7 +302,7 @@ mod tests {
         let mut s = shard("Z");
         s.install(NodeState::new(k("10")));
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10"), k("1011"), &mut fx);
+        on_data_insertion(&mut s, &k("10"), k("1011"), false, &mut fx);
         // Child registered immediately (line 3.09).
         assert!(s.nodes[&k("10")].children.contains(&k("1011")));
         let msgs = sent_to_node(&fx, "10");
@@ -308,7 +323,7 @@ mod tests {
         let mut s = shard("Z");
         s.install(NodeState::new(k("10101")));
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10101"), k("10"), &mut fx);
+        on_data_insertion(&mut s, &k("10101"), k("10"), false, &mut fx);
         assert_eq!(s.nodes[&k("10101")].father, Some(k("10")));
         let msgs = sent_to_node(&fx, "10101");
         assert_eq!(msgs.len(), 1);
@@ -332,7 +347,7 @@ mod tests {
         n.father = Some(k("PDGELS"));
         s.install(n);
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("PDGELSD"), k("PDGELS"), &mut fx);
+        on_data_insertion(&mut s, &k("PDGELSD"), k("PDGELS"), false, &mut fx);
         let msgs = sent_to_node(&fx, "PDGELS");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("PDGELS")));
@@ -350,7 +365,7 @@ mod tests {
         n.father = Some(k("1010"));
         s.install(n);
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10101"), k("10"), &mut fx);
+        on_data_insertion(&mut s, &k("10101"), k("10"), false, &mut fx);
         let msgs = sent_to_node(&fx, "1010");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("10")));
@@ -363,7 +378,7 @@ mod tests {
         n.father = Some(k("1"));
         s.install(n);
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10101"), k("101"), &mut fx);
+        on_data_insertion(&mut s, &k("10101"), k("101"), false, &mut fx);
         assert_eq!(s.nodes[&k("10101")].father, Some(k("101")));
         let msgs = sent_to_node(&fx, "1");
         assert_eq!(msgs.len(), 2);
@@ -386,7 +401,7 @@ mod tests {
         let mut s = shard("Z");
         s.install(NodeState::new(k("01")));
         let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("01"), k("10101"), &mut fx);
+        on_data_insertion(&mut s, &k("01"), k("10101"), false, &mut fx);
         // Common parent ε with children {01, 10101}; new father set.
         assert_eq!(s.nodes[&k("01")].father, Some(Key::epsilon()));
         let msgs = sent_to_node(&fx, "01");
@@ -413,7 +428,7 @@ mod tests {
         s.install(n);
         let mut fx = Effects::default();
         // GCP(1010, 11) = 1, shorter than father 10 → go up.
-        on_data_insertion(&mut s, &k("1010"), k("11"), &mut fx);
+        on_data_insertion(&mut s, &k("1010"), k("11"), false, &mut fx);
         let msgs = sent_to_node(&fx, "10");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("11")));
@@ -427,7 +442,7 @@ mod tests {
         s.install(n);
         let mut fx = Effects::default();
         // GCP(10101, 10111) = 101, longer than father 1 → split here.
-        on_data_insertion(&mut s, &k("10101"), k("10111"), &mut fx);
+        on_data_insertion(&mut s, &k("10101"), k("10111"), false, &mut fx);
         assert_eq!(s.nodes[&k("10101")].father, Some(k("101")));
         let msgs = sent_to_node(&fx, "1");
         assert_eq!(msgs.len(), 3);
@@ -450,6 +465,40 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// An orphan takes the insertion routes, but is never re-created:
+    /// it is sent only its new links.
+    #[test]
+    fn orphans_receive_links_where_insertion_would_seed() {
+        let reattach = |father: Option<&str>, at: &str, orphan: &str| {
+            let mut s = shard("Z");
+            let mut n = NodeState::new(k(at));
+            n.father = father.map(k);
+            s.install(n);
+            let mut fx = Effects::default();
+            on_data_insertion(&mut s, &k(at), k(orphan), true, &mut fx);
+            (s, fx)
+        };
+        // Case 2: below us — we list it, it learns its father.
+        let (s, fx) = reattach(None, "10", "1011");
+        assert!(s.nodes[&k("10")].children.contains(&k("1011")));
+        let got = sent_to_node(&fx, "1011");
+        assert!(matches!(got[..], [NodeMsg::SetFather { father: Some(f) }] if f == &k("10")));
+        assert_eq!(fx.out.len(), 1);
+        // Case 3 at the root: it becomes the root and re-attaches us.
+        let (_, fx) = reattach(None, "10101", "10");
+        assert!(matches!(
+            sent_to_node(&fx, "10")[..],
+            [NodeMsg::SetFather { father: None }, NodeMsg::Reattach { label }] if label == &k("10101")
+        ));
+        // Case 4: the common parent is seeded as for any insertion.
+        let (_, fx) = reattach(Some("1"), "10101", "10111");
+        assert!(
+            matches!(sent_to_node(&fx, "1")[0], NodeMsg::SearchingHost { seed } if seed.label == k("101"))
+        );
+        let got = sent_to_node(&fx, "10111");
+        assert!(matches!(got[..], [NodeMsg::SetFather { father: Some(f) }] if f == &k("101")));
     }
 
     #[test]

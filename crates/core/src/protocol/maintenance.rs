@@ -5,9 +5,11 @@
 //! natural one under the successor mapping rule is implemented here: a
 //! leaving peer `L` transfers every node it runs to its successor
 //! (which is exactly where `host(n) = min {P : P >= n}` points once `L`
-//! is gone) and splices itself out of the ring. Non-graceful departure
-//! (crash) is a runtime-level operation with tree repair — see
-//! `DlptSystem::{crash_peer, repair_tree}`.
+//! is gone) and splices itself out of the ring. A crash hands nothing
+//! over: `Engine::crash_shard` heals the ring (and promotes follower
+//! copies at `k > 1`), and every runtime's `repair_tree` re-attaches
+//! the subtrees it orphaned through the insertion protocol
+//! ([`crate::protocol::data_insertion`]).
 
 use crate::key::Key;
 use crate::messages::{Envelope, PeerMsg};

@@ -13,6 +13,7 @@
 //! | Algorithm 1 (`PeerJoin`, on node `p`) | [`peer_join`] |
 //! | Algorithm 2 (`NewPredecessor`, on peer `Q`) | [`peer_join`] |
 //! | Algorithm 3 (`DataInsertion` / `SearchingHost`, on node `p`) | [`data_insertion`] |
+//! | Crash repair: an orphan re-enters through Algorithm 3 (extension) | [`data_insertion`] |
 //! | Section 2 discovery routing (exact / range / completion) | [`discovery`] |
 //! | Graceful departure hand-off (not spelled out in the paper) | [`maintenance`] |
 //! | k-replica placement + anti-entropy (extension, DESIGN.md) | [`repair`] |
@@ -70,7 +71,10 @@ pub fn handle_node_msg(shard: &mut PeerShard, node_label: &Key, msg: NodeMsg, fx
             peer_join::on_peer_join(shard, node_label, joining, phase, fx)
         }
         NodeMsg::DataInsertion { key } => {
-            data_insertion::on_data_insertion(shard, node_label, key, fx)
+            data_insertion::on_data_insertion(shard, node_label, key, false, fx)
+        }
+        NodeMsg::Reattach { label } => {
+            data_insertion::on_data_insertion(shard, node_label, label, true, fx)
         }
         NodeMsg::SearchingHost { seed } => {
             data_insertion::on_searching_host(shard, node_label, seed, fx)

@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-pub use crate::engine::LookupOutcome;
+pub use crate::engine::{LookupOutcome, RepairReport};
 
 /// Upper bound on envelopes processed by one drain — a tripwire for
 /// routing loops, which the protocol makes impossible.
@@ -133,17 +133,6 @@ impl SystemBuilder {
         }
         sys
     }
-}
-
-/// A report of what [`DlptSystem::repair_tree`] did after crashes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Dangling child links removed.
-    pub pruned_links: usize,
-    /// Orphaned subtree roots re-attached.
-    pub reattached: usize,
-    /// Structural nodes created while re-attaching.
-    pub created_nodes: usize,
 }
 
 /// The whole overlay in one process. See the module docs.
@@ -350,11 +339,7 @@ impl DlptSystem {
             NodeMsg::DataRemoval { key: key.clone() },
         ));
         self.drain()?;
-        self.flush_replication()?;
-        if self.engine.root().is_none() {
-            self.recompute_root();
-        }
-        Ok(())
+        self.flush_replication()
     }
 
     /// Issues a discovery request from a random entry node and runs it
@@ -458,7 +443,7 @@ impl DlptSystem {
     }
 
     // ------------------------------------------------------------------
-    // Replication (extension over the paper — see `protocol::repair`)
+    // Replication and crash repair (extensions over the paper)
     // ------------------------------------------------------------------
 
     /// One self-healing anti-entropy pass (`protocol::repair`): counts
@@ -479,171 +464,16 @@ impl DlptSystem {
         Ok(report)
     }
 
-    // ------------------------------------------------------------------
-    // Crash repair (extension over the paper)
-    // ------------------------------------------------------------------
-
-    /// Re-attaches subtrees orphaned by crashes and prunes dangling
-    /// links. System-level surgery standing in for the re-registration
-    /// traffic a deployment would see; see DESIGN.md.
+    /// Prunes the links crashes left dangling and re-attaches the
+    /// subtrees they orphaned, as insertion-protocol traffic
+    /// ([`Engine::send_orphan`]), one orphan per drain.
     pub fn repair_tree(&mut self) -> RepairReport {
-        // Prune child links to dead nodes; find the orphans (nodes
-        // whose father is dead) and a surviving root.
-        let scan = self.engine.repair_scan();
-        let mut report = RepairReport {
-            pruned_links: scan.pruned_links,
-            ..RepairReport::default()
-        };
-        let (mut orphans, mut root) = (scan.orphans, scan.root);
-        orphans.sort(); // lexicographic = ancestors first
-        for o in orphans {
-            match &root {
-                None => {
-                    self.set_father(&o, None);
-                    root = Some(o);
-                    report.reattached += 1;
-                }
-                Some(r) => {
-                    let r = r.clone();
-                    let created = self.reattach(&r, &o, &mut root);
-                    report.created_nodes += created;
-                    report.reattached += 1;
-                }
-            }
+        let report = self.engine.repair_scan();
+        for orphan in &report.reattached {
+            self.engine.send_orphan(&mut self.pump, orphan.clone());
+            self.drain().expect("repair traffic is reliable-class");
         }
-        self.engine.root = root;
-        self.engine.stats.nodes_reattached += report.reattached as u64;
         report
-    }
-
-    fn set_father(&mut self, label: &Key, father: Option<Key>) {
-        let host = self
-            .engine
-            .directory
-            .host_of(label)
-            .expect("live node")
-            .clone();
-        let node = self
-            .engine
-            .shard_mut(&host)
-            .expect("live")
-            .nodes
-            .get_mut(label)
-            .expect("live");
-        node.father = father;
-        self.engine.mark_touched(label);
-    }
-
-    fn add_child(&mut self, parent: &Key, child: Key) {
-        let host = self
-            .engine
-            .directory
-            .host_of(parent)
-            .expect("live node")
-            .clone();
-        let node = self
-            .engine
-            .shard_mut(&host)
-            .expect("live")
-            .nodes
-            .get_mut(parent)
-            .expect("live");
-        node.children.insert(child);
-        self.engine.mark_touched(parent);
-    }
-
-    fn replace_child_of(&mut self, parent: &Key, old: &Key, new: Key) {
-        let host = self
-            .engine
-            .directory
-            .host_of(parent)
-            .expect("live node")
-            .clone();
-        let node = self
-            .engine
-            .shard_mut(&host)
-            .expect("live")
-            .nodes
-            .get_mut(parent)
-            .expect("live");
-        node.replace_child(old, new);
-        self.engine.mark_touched(parent);
-    }
-
-    /// Creates a structural node directly on its mapped host (repair
-    /// path only).
-    fn create_structural(&mut self, label: Key, father: Option<Key>, children: Vec<Key>) {
-        let host = self
-            .engine
-            .host_peer(&label)
-            .expect("non-empty ring")
-            .clone();
-        let mut node = NodeState::new(label.clone());
-        node.father = father;
-        node.children = children.into_iter().collect();
-        self.engine.shard_mut(&host).expect("live").install(node);
-        self.engine.mark_touched(&label);
-        self.engine.directory.insert(label, host);
-    }
-
-    /// Walks from `root` and links the orphan `o` (whose own subtree is
-    /// intact) back into the tree, mirroring the four insertion cases.
-    /// Returns how many structural nodes were created.
-    fn reattach(&mut self, root: &Key, o: &Key, root_slot: &mut Option<Key>) -> usize {
-        let mut cur = root.clone();
-        loop {
-            let node = self.engine.node(&cur).expect("walk stays on live nodes");
-            let label = node.label.clone();
-            if &label == o {
-                // The orphan *is* this label — can't happen (labels are
-                // unique and o is unattached); treat as attached.
-                return 0;
-            }
-            if label.is_proper_prefix_of(o) {
-                match node.child_extending(o).cloned() {
-                    Some(q) if q.is_proper_prefix_of(o) => {
-                        cur = q;
-                    }
-                    Some(q) if o.is_proper_prefix_of(&q) => {
-                        // o slots between label and q.
-                        self.replace_child_of(&label, &q, o.clone());
-                        self.set_father(&q, Some(o.clone()));
-                        self.add_child(o, q);
-                        self.set_father(o, Some(label));
-                        return 0;
-                    }
-                    Some(q) => {
-                        // Sibling split under a new structural node.
-                        let g = q.gcp(o);
-                        self.replace_child_of(&label, &q, g.clone());
-                        self.set_father(&q, Some(g.clone()));
-                        self.set_father(o, Some(g.clone()));
-                        self.create_structural(g.clone(), Some(label), vec![q, o.clone()]);
-                        return 1;
-                    }
-                    None => {
-                        self.add_child(&label, o.clone());
-                        self.set_father(o, Some(label));
-                        return 0;
-                    }
-                }
-            } else if o.is_proper_prefix_of(&label) {
-                // Only at the root: o becomes the new root above it.
-                self.set_father(&label, Some(o.clone()));
-                self.add_child(o, label);
-                self.set_father(o, None);
-                *root_slot = Some(o.clone());
-                return 0;
-            } else {
-                // Divergent at the root: new structural root.
-                let g = label.gcp(o);
-                self.set_father(&label, Some(g.clone()));
-                self.set_father(o, Some(g.clone()));
-                self.create_structural(g.clone(), None, vec![label, o.clone()]);
-                *root_slot = Some(g);
-                return 1;
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -654,16 +484,6 @@ impl DlptSystem {
     /// gate: the pump models only engine-emitted traffic as faultable.
     fn enqueue(&mut self, env: Envelope) {
         self.pump.queue.push_back((0, env));
-    }
-
-    fn recompute_root(&mut self) {
-        let root = self
-            .engine
-            .local_shards()
-            .flat_map(|s| s.nodes.values())
-            .find(|n| n.father.is_none())
-            .map(|n| n.label.clone());
-        self.engine.root = root;
     }
 
     /// Eager replica maintenance after a mutating operation: the

@@ -13,11 +13,10 @@
 //! * [`mapping::RandomMapping`] reproduces the hash-based node→peer
 //!   placement of the original design — the "random mapping" curve of
 //!   Figure 9 that destroys lexicographic locality;
-//! * [`chord::ChordNetwork`] is a full Chord implementation (finger
-//!   tables, successor lists, join/leave/fail with stabilization,
-//!   iterative lookup with hop accounting, a key-value store) used as
-//!   the substrate of the PHT comparator in `dlpt-baselines`
-//!   (Table 2).
+//! * [`chord::ChordNetwork`] is the Chord its one reader needs (finger
+//!   tables, successor lists, joins with stabilization, iterative
+//!   lookup with hop accounting, a key-value store): the substrate of
+//!   the PHT comparator in `dlpt-baselines` (Table 2).
 //!
 //! Everything is deterministic and in-process: identifiers are 64-bit
 //! FNV-1a hashes ([`hash`]), the ring arithmetic lives in [`ring`].

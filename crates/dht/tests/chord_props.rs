@@ -1,5 +1,6 @@
 //! Property tests of the Chord substrate: routing always agrees with
-//! the ground-truth owner, under arbitrary memberships and churn.
+//! the ground-truth owner under arbitrary memberships, and the random
+//! mapping is total and stable.
 
 use dlpt_core::key::Key;
 use dlpt_dht::{ChordNetwork, RandomMapping};
@@ -26,41 +27,6 @@ proptest! {
         for t in targets {
             let res = net.find_successor(entry, t);
             prop_assert_eq!(Some(res.owner), net.owner_of(t));
-        }
-    }
-
-    /// Graceful churn never loses stored keys.
-    #[test]
-    fn graceful_churn_preserves_data(
-        ids in proptest::collection::btree_set(any::<u64>(), 4..20),
-        extra in proptest::collection::btree_set(any::<u64>(), 1..8),
-        n_keys in 1usize..30,
-    ) {
-        let mut net = ChordNetwork::new(4);
-        for id in &ids {
-            net.join(*id);
-        }
-        net.stabilize();
-        let entry = net.ids()[0];
-        for i in 0..n_keys {
-            net.put(entry, format!("K{i}").as_bytes(), vec![i as u8]);
-        }
-        // Join the extras, then remove the originals one by one.
-        for id in &extra {
-            net.join(*id);
-            net.stabilize();
-        }
-        for id in &ids {
-            if net.len() > 1 {
-                net.leave(*id);
-                net.stabilize();
-            }
-        }
-        prop_assert_eq!(net.stored_values(), n_keys);
-        let entry = net.ids()[0];
-        for i in 0..n_keys {
-            let (vals, _) = net.get(entry, format!("K{i}").as_bytes());
-            prop_assert_eq!(vals, Some(vec![vec![i as u8]]));
         }
     }
 

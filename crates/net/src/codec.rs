@@ -164,6 +164,10 @@ fn put_node_msg(buf: &mut BytesMut, m: &NodeMsg) {
             buf.put_u8(7);
             put_opt_key(buf, father);
         }
+        NodeMsg::Reattach { label } => {
+            buf.put_u8(8);
+            put_key(buf, label);
+        }
     }
 }
 
@@ -433,6 +437,9 @@ fn get_node_msg(buf: &mut impl Buf) -> Result<NodeMsg> {
         7 => Ok(NodeMsg::SetFather {
             father: get_opt_key(buf)?,
         }),
+        8 => Ok(NodeMsg::Reattach {
+            label: get_key(buf)?,
+        }),
         t => err(&format!("node msg tag {t}")),
     }
 }
@@ -590,6 +597,7 @@ mod tests {
                 },
             ),
             Envelope::to_node(k("10"), NodeMsg::SetFather { father: None }),
+            Envelope::to_node(k("10"), NodeMsg::Reattach { label: k("10101") }),
             Envelope::to_node(
                 k("10"),
                 NodeMsg::Discovery(DiscoveryMsg {
@@ -687,6 +695,7 @@ mod tests {
                     NodeMsg::DataRemoval { .. } => 5,
                     NodeMsg::RemoveChild { .. } => 6,
                     NodeMsg::SetFather { .. } => 7,
+                    NodeMsg::Reattach { .. } => 8,
                 };
                 (addr, 0, v)
             }
@@ -713,7 +722,7 @@ mod tests {
     /// the counts the exhaustiveness test checks against. Keep in sync
     /// with the `match`es above (the compiler enforces the enums side;
     /// these constants enforce the sample-list side).
-    const NODE_MSG_VARIANTS: u8 = 8;
+    const NODE_MSG_VARIANTS: u8 = 9;
     const PEER_MSG_VARIANTS: u8 = 10;
 
     #[test]

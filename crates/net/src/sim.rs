@@ -18,7 +18,7 @@
 //! transiently zero the outstanding-branch counter.
 
 use crate::event::EventQueue;
-use dlpt_core::engine::{requeue_limit, Engine, EngineConfig, Step, Transport};
+use dlpt_core::engine::{requeue_limit, Engine, EngineConfig, RepairReport, Step, Transport};
 use dlpt_core::key::Key;
 use dlpt_core::messages::{Envelope, NodeMsg, QueryKind};
 use rand::rngs::StdRng;
@@ -243,10 +243,23 @@ impl LatencyNet {
     /// Non-graceful departure: the peer vanishes with its state; the
     /// ring heals and every node it ran fails over to a surviving
     /// follower copy where one exists. Returns the labels actually
-    /// lost. Run [`LatencyNet::anti_entropy`] beforehand (for fresh
-    /// copies) and afterwards (to restore `k`).
+    /// lost; [`LatencyNet::repair_tree`] re-attaches what they orphaned.
+    /// Run [`LatencyNet::anti_entropy`] beforehand (for fresh copies)
+    /// and afterwards (to restore `k`). Panics on an unknown `id`.
     pub fn crash_peer(&mut self, id: &Key) -> Vec<Key> {
-        self.engine.crash_shard(id).unwrap_or_default()
+        self.engine.crash_shard(id).expect("crash of a live peer")
+    }
+
+    /// Crash repair ([`Engine::send_orphan`]): each orphaned subtree
+    /// re-enters through the insertion protocol under latency, one
+    /// orphan per run to quiescence.
+    pub fn repair_tree(&mut self) -> RepairReport {
+        let report = self.engine.repair_scan();
+        for orphan in &report.reattached {
+            self.engine.send_orphan(&mut self.net, orphan.clone());
+            self.run_to_quiescence();
+        }
+        report
     }
 }
 
@@ -448,13 +461,31 @@ mod tests {
 
     #[test]
     fn unreplicated_crash_loses_the_hosted_nodes() {
-        let mut net = build(LatencyModel::Constant(1), 31, 6, &KEYS);
-        let victim = net
-            .shards()
-            .max_by_key(|(_, s)| s.node_count())
-            .map(|(id, _)| id.clone())
-            .unwrap();
-        let lost = net.crash_peer(&victim);
-        assert!(!lost.is_empty(), "k = 1 must lose the hosted nodes");
+        for latency in [LatencyModel::Constant(1), LatencyModel::Uniform(1, 40)] {
+            let mut net = build(latency, 36, 6, &KEYS);
+            let victim = net
+                .shards()
+                .max_by_key(|(_, s)| s.node_count())
+                .map(|(id, _)| id.clone())
+                .unwrap();
+            let lost = net.crash_peer(&victim);
+            assert!(!lost.is_empty(), "k = 1 must lose the hosted nodes");
+            // Repair heals the tree under latency; servers re-register.
+            assert!(!net.repair_tree().reattached.is_empty());
+            net.assert_clean();
+            for k in KEYS {
+                net.insert_data(Key::from(k));
+            }
+            net.assert_clean();
+            for k in KEYS {
+                assert!(net.lookup(&Key::from(k)).0, "{k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "crash of a live peer")]
+    fn crashing_an_unknown_peer_panics() {
+        build(LatencyModel::Constant(1), 47, 3, &KEYS[..2]).crash_peer(&Key::from("NOPE"));
     }
 }

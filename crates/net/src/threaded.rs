@@ -21,14 +21,14 @@
 //! protocol's convergence is not: the tests build overlays under real
 //! interleavings and check the tree against the sequential oracle.
 //!
-//! Scope: joins, registrations, queries and crashes. Capacity
-//! accounting and churn stay in `dlpt-sim`.
+//! Scope: joins, registrations, queries, crashes and their repair.
+//! Capacity accounting and churn stay in `dlpt-sim`.
 
 use crate::codec::{decode, encode};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlpt_core::alphabet::Alphabet;
-use dlpt_core::engine::{requeue_limit, Engine, EngineConfig, Step, Transport};
+use dlpt_core::engine::{requeue_limit, Engine, EngineConfig, RepairReport, Step, Transport};
 use dlpt_core::key::Key;
 use dlpt_core::messages::{Address, Envelope, NodeMsg, QueryKind};
 use dlpt_core::peer::PeerShard;
@@ -287,11 +287,27 @@ impl ThreadedDlpt {
 
     /// Simulated crash: the peer's thread ends without hand-off and
     /// [`Engine::crash_shard`] heals the ring and fails its nodes over to
-    /// follower copies, as in every runtime. Returns the labels lost. Run
+    /// follower copies, as in every runtime. Returns the labels lost;
+    /// [`ThreadedDlpt::repair_tree`] re-attaches what they orphaned. Run
     /// [`ThreadedDlpt::anti_entropy`] beforehand for fresh copies.
+    /// Panics on an unknown `id`.
     pub fn crash_peer(&mut self, id: &Key) -> Vec<Key> {
+        let lost = self.crash_shard(id).expect("crash of a live peer");
         self.hub.lock().inboxes.remove(id);
-        self.crash_shard(id).unwrap_or_default()
+        lost
+    }
+
+    /// Crash repair ([`Engine::send_orphan`]): each orphaned subtree
+    /// re-enters through the insertion protocol as frames between the
+    /// peer threads, one orphan per run to quiescence.
+    pub fn repair_tree(&mut self) -> RepairReport {
+        let report = self.repair_scan();
+        for orphan in &report.reattached {
+            let engine = self.engine.as_mut().expect(HOME);
+            engine.send_orphan(&mut self.out, orphan.clone());
+            self.run_to_quiescence();
+        }
+        report
     }
 
     /// Joins a peer under a fresh random identifier; returns it.
@@ -578,6 +594,33 @@ mod tests {
             assert_eq!(net.replica_hosts(&label).len(), 2, "{label}");
         }
         net.shutdown();
+    }
+
+    #[test]
+    fn unreplicated_crash_heals_through_repair_frames() {
+        let mut net = live(14, 6, &KEYS);
+        let victim = net
+            .shards()
+            .max_by_key(|(_, s)| s.node_count())
+            .map(|(id, _)| id.clone())
+            .unwrap();
+        assert!(!net.crash_peer(&victim).is_empty(), "k = 1 loses nodes");
+        assert!(!net.repair_tree().reattached.is_empty());
+        net.assert_clean();
+        for k in KEYS {
+            net.insert_data(k);
+        }
+        net.assert_clean();
+        for k in KEYS {
+            assert!(net.lookup(&Key::from(k)).0, "{k}");
+        }
+        net.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "crash of a live peer")]
+    fn crashing_an_unknown_peer_panics() {
+        live(13, 3, &KEYS[..2]).crash_peer(&Key::from("NOPE"));
     }
 
     /// Frames reach [`Engine::deliver`]: the tracer sees every hop of a

@@ -65,12 +65,16 @@ fn main() {
         lost.len()
     );
 
-    // Repair re-attaches orphaned subtrees; lost *data* needs
-    // re-registration by its servers (the paper's model).
+    // Repair re-attaches orphaned subtrees through the insertion
+    // protocol; lost *data* needs re-registration by its servers (the
+    // paper's model).
+    let nodes = sys.node_count();
     let report = sys.repair_tree();
     println!(
         "repair: {} orphans re-attached, {} structural nodes created, {} dangling links pruned",
-        report.reattached, report.created_nodes, report.pruned_links
+        report.reattached.len(),
+        sys.node_count() - nodes,
+        report.pruned_links
     );
     for s in &services {
         sys.insert_data(s.clone()).unwrap(); // idempotent re-register

@@ -3,9 +3,9 @@
 //! `LatencyNet` and the threaded `ThreadedDlpt` — are *the same
 //! protocol* under different transports. Driving one seeded workload
 //! (joins, registrations, discoveries of every kind, removals, crashes
-//! under `k = 2` replication, cache on/off) through all three must
-//! yield identical node placements and identical discovery result
-//! sets.
+//! — repaired at `k = 1`, failed over at `k = 2` — cache on/off)
+//! through all three must yield identical node placements and
+//! identical discovery result sets.
 //!
 //! What may legitimately differ: message/hop counts (transports
 //! schedule differently) and anything capacity-related (only the sync
@@ -37,8 +37,9 @@ enum Op {
     Complete(u8),
     /// Range over the sorted pair of two pool keys.
     Range(u8, u8),
-    /// Crash the `i % live`-th peer (replicated configs only; wrapped
-    /// in anti-entropy passes so all runtimes fail over identically).
+    /// Crash the `i % live`-th peer: repaired at `k = 1`, wrapped in
+    /// anti-entropy passes at `k = 2` so all runtimes fail over
+    /// identically.
     Crash(u8),
 }
 
@@ -61,9 +62,13 @@ fn key(i: u8) -> Key {
 }
 
 /// Deterministic, collision-free peer identifier pool (valid in the
-/// grid alphabet).
+/// grid alphabet), spread over the key pool's range so every peer hosts
+/// part of the tree.
 fn peer_id(i: usize) -> Key {
-    Key::from(format!("P{i:03}X"))
+    Key::from(format!(
+        "{}{i:03}",
+        ["D", "S", "P", "Z", "DT", "SG", "C"][i % 7]
+    ))
 }
 
 /// The observable state the three runtimes must agree on.
@@ -82,7 +87,8 @@ trait Runtime {
     fn insert(&mut self, key: Key);
     fn remove(&mut self, key: &Key);
     fn query(&mut self, op: &Op) -> (bool, Vec<Key>);
-    fn crash(&mut self, id: &Key);
+    fn crash(&mut self, id: &Key) -> Vec<Key>;
+    fn repair(&mut self);
     fn anti_entropy(&mut self);
     fn engine(&mut self) -> &mut Engine;
 
@@ -138,9 +144,11 @@ impl Runtime for Sync {
         };
         (out.satisfied, out.results)
     }
-    fn crash(&mut self, id: &Key) {
-        let lost = self.0.crash_peer(id).unwrap();
-        assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
+    fn crash(&mut self, id: &Key) -> Vec<Key> {
+        self.0.crash_peer(id).unwrap()
+    }
+    fn repair(&mut self) {
+        self.0.repair_tree();
     }
     fn anti_entropy(&mut self) {
         self.0.anti_entropy().unwrap();
@@ -175,9 +183,11 @@ impl Runtime for Latency {
             _ => unreachable!(),
         }
     }
-    fn crash(&mut self, id: &Key) {
-        let lost = self.0.crash_peer(id);
-        assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
+    fn crash(&mut self, id: &Key) -> Vec<Key> {
+        self.0.crash_peer(id)
+    }
+    fn repair(&mut self) {
+        self.0.repair_tree();
     }
     fn anti_entropy(&mut self) {
         self.0.anti_entropy();
@@ -212,9 +222,11 @@ impl Runtime for Threaded {
             _ => unreachable!(),
         }
     }
-    fn crash(&mut self, id: &Key) {
-        let lost = self.0.crash_peer(id);
-        assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
+    fn crash(&mut self, id: &Key) -> Vec<Key> {
+        self.0.crash_peer(id)
+    }
+    fn repair(&mut self) {
+        self.0.repair_tree();
     }
     fn anti_entropy(&mut self) {
         self.0.anti_entropy();
@@ -234,7 +246,7 @@ fn ordered(a: u8, b: u8) -> (Key, Key) {
 }
 
 /// Runs the workload, returning every query result plus the final
-/// placements. Crashes only fire when replication can absorb them.
+/// placements. Crashes fire once at least 4 peers are live.
 fn drive<R: Runtime>(rt: &mut R, ops: &[Op], initial_peers: usize, k: usize) -> Observed {
     for i in 0..initial_peers {
         rt.join(peer_id(i));
@@ -251,17 +263,23 @@ fn drive<R: Runtime>(rt: &mut R, ops: &[Op], initial_peers: usize, k: usize) -> 
             Op::Remove(i) => rt.remove(&key(*i)),
             Op::Lookup(_) | Op::Complete(_) | Op::Range(_, _) => results.push(rt.query(o)),
             Op::Crash(i) => {
-                // Only when a follower copy of every hosted node can
-                // exist: k = 2 and at least 3 survivors.
                 let peers = rt.peers();
-                if k < 2 || peers.len() < 4 {
+                if peers.len() < 4 {
                     continue;
                 }
                 let victim = peers[*i as usize % peers.len()].clone();
+                if k < 2 {
+                    // The hosted nodes are lost; repair re-attaches
+                    // what they orphaned, as protocol traffic.
+                    rt.crash(&victim);
+                    rt.repair();
+                    continue;
+                }
                 // Fresh copies in, crash, redundancy restored — the
                 // same fail-over path in every runtime.
                 rt.anti_entropy();
-                rt.crash(&victim);
+                let lost = rt.crash(&victim);
+                assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
                 rt.anti_entropy();
             }
         }
@@ -620,7 +638,7 @@ fn drive_partition_scenario<R: Runtime>(rt: &mut R, name: &str) {
     // A crash after the heal: redundancy must have survived the cut
     // (replication traffic rides the reliable class).
     let victim = rt.peers()[2].clone();
-    rt.crash(&victim);
+    assert!(rt.crash(&victim).is_empty(), "{name}: k = 2 loses nothing");
     rt.anti_entropy();
     for i in 0..KEY_POOL.len() {
         let (found, results) = rt.query(&Op::Lookup(i as u8));
