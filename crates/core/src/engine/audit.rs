@@ -206,7 +206,7 @@ impl Engine {
         // recorded follower a live member. (Copy presence is anti-
         // entropy's transient concern; the snapshot reports it as
         // `under_replicated` rather than a violation.)
-        let k = self.config.replication;
+        let k = self.replication;
         if k > 1 {
             for (label, host) in self.directory.iter() {
                 let lid = self.directory.id_of(label).expect("live label is interned");

@@ -30,9 +30,7 @@ impl Engine {
     /// inert: the delivery path is byte-identical to an engine that
     /// never called this.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        // Deferred responses break the parent-before-child order eager
-        // judging relies on: finalize at quiescence while reordering.
-        self.judge_late = self.config.judge_at_quiescence || plan.reorder_rate > 0.0;
+        self.reordering = plan.reorder_rate > 0.0;
         self.faults = Faults::new(plan);
         self.fault_recovery = self.faults.is_active();
     }
@@ -114,8 +112,8 @@ impl Engine {
 
     /// [`Engine::fail_undeliverable`] for a runtime that moves encoded
     /// frames: also counts the frame in `frames_exhausted`.
-    pub fn fail_frame(&mut self, env: Envelope) -> Result<()> {
+    pub fn fail_frame<T: Transport>(&mut self, t: &T, env: Envelope) -> Result<()> {
         self.faults.stats.frames_exhausted += 1;
-        self.fail_undeliverable(env)
+        self.fail_undeliverable(t, env)
     }
 }

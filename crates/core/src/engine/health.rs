@@ -127,7 +127,7 @@ impl Engine {
         // replicated when fewer than min(k − 1, peers − 1) of its
         // recorded followers are live and hold a copy.
         snap.under_replicated = 0;
-        let k = self.config.replication;
+        let k = self.replication;
         if k > 1 && self.members.len() > 1 {
             let want = (k - 1).min(self.members.len() - 1);
             for (label, _) in self.directory.iter() {

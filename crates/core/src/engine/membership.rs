@@ -6,7 +6,8 @@ use super::{Engine, PeerSlot, Transport};
 use crate::cache::RouteCache;
 use crate::error::{DlptError, Result};
 use crate::key::Key;
-use crate::messages::{Envelope, JoinPhase, NodeMsg, NodeSeed, PeerMsg};
+use crate::messages::{Envelope, JoinPhase, NodeMsg, PeerMsg};
+use crate::node::NodeState;
 use crate::peer::PeerShard;
 use crate::protocol::maintenance;
 use rand::rngs::StdRng;
@@ -14,14 +15,14 @@ use rand::rngs::StdRng;
 impl Engine {
     /// Registers a peer and its (empty) shard. The runtime then routes
     /// the join itself ([`Engine::join_envelope`]).
-    pub fn add_local_shard(&mut self, id: Key, capacity: u32) {
+    pub(crate) fn add_local_shard(&mut self, id: Key, capacity: u32) {
         let pid = self.directory.intern(&id);
         self.peers.insert(
             pid,
             PeerSlot {
                 key: id.clone(),
                 shard: PeerShard::new(id.clone(), capacity),
-                cache: RouteCache::new(self.config.cache_capacity),
+                cache: RouteCache::new(self.cache_capacity),
             },
         );
         self.members.insert(id);
@@ -41,7 +42,7 @@ impl Engine {
     /// member): route `<PeerJoin, P, 0>` through the tree from a random
     /// node, or — before any tree exists — contact an arbitrary other
     /// peer and let the ring walk of Algorithm 2 place it.
-    pub fn join_envelope(&mut self, id: &Key, rng: &mut StdRng) -> Envelope {
+    pub(crate) fn join_envelope(&mut self, id: &Key, rng: &mut StdRng) -> Envelope {
         match self.random_node(rng) {
             Some(entry) => Envelope::to_node(
                 entry,
@@ -67,34 +68,23 @@ impl Engine {
         }
     }
 
-    /// The registration envelope for `key`: enter the tree at a random
-    /// node, or — before any tree exists — seed the first node through
-    /// the peer layer (the `Host` ring walk places it per the mapping
-    /// rule).
-    pub fn insert_envelope(&mut self, key: Key, rng: &mut StdRng) -> Envelope {
-        match self.random_node(rng) {
-            Some(entry) => Envelope::to_node(entry, NodeMsg::DataInsertion { key }),
-            None => {
-                let contact = self.members.iter().next().cloned().expect("non-empty ring");
-                Envelope::to_peer(
-                    contact,
-                    PeerMsg::Host {
-                        seed: NodeSeed {
-                            label: key.clone(),
-                            father: None,
-                            children: Vec::new(),
-                            data: vec![key],
-                        },
-                    },
-                )
-            }
-        }
+    /// The first registration: there is no tree to route through yet,
+    /// so `key`'s node becomes the root, installed on the peer the
+    /// mapping rule designates. The ring must be non-empty.
+    pub(crate) fn install_root(&mut self, key: Key) {
+        let host = self.host_peer(&key).expect("non-empty ring").clone();
+        let mut node = NodeState::new(key.clone());
+        node.data.insert(key.clone());
+        self.shard_mut(&host).expect("host exists").install(node);
+        self.directory.insert(key.clone(), host);
+        self.mark_touched(&key);
+        self.root = Some(key);
     }
 
     /// Graceful departure: the peer hands its nodes to its successor
     /// and splices itself out (Section 4's churn model). The hand-off
     /// traffic enters `t`; the runtime drains afterwards.
-    pub fn leave_shard<T: Transport>(&mut self, id: &Key, t: &mut T) -> Result<()> {
+    pub(crate) fn leave_shard<T: Transport>(&mut self, id: &Key, t: &mut T) -> Result<()> {
         let mut shard = self
             .remove_member(id)
             .ok_or_else(|| DlptError::UnknownPeer(id.to_string()))?;
@@ -107,7 +97,7 @@ impl Engine {
         let mut fx = std::mem::take(&mut self.scratch);
         maintenance::leave(&mut shard, &mut fx);
         self.stats.maintenance_messages += fx.out.len() as u64;
-        if self.config.eager_replication && self.config.replication > 1 {
+        if self.replication > 1 {
             // The departing peer's follower copies vanish with it; its
             // hand-off therefore also kicks the affected primaries to
             // re-clone, so a graceful leave never opens a
@@ -126,7 +116,7 @@ impl Engine {
     /// eagerly invalidating shortcuts through it. Used by the
     /// balancers; counted as balance traffic. The runtime drains `t`
     /// afterwards.
-    pub fn migrate_shard_node<T: Transport>(
+    pub(crate) fn migrate_shard_node<T: Transport>(
         &mut self,
         label: &Key,
         to: &Key,
@@ -161,7 +151,7 @@ impl Engine {
     /// Ring links of both neighbours, the directory entries of hosted
     /// nodes, the membership set and the peer's entry-point cache all
     /// follow.
-    pub fn rename_shard(&mut self, old: &Key, new: Key) -> Result<()> {
+    pub(crate) fn rename_shard(&mut self, old: &Key, new: Key) -> Result<()> {
         if old == &new {
             return Ok(());
         }
@@ -178,14 +168,14 @@ impl Engine {
         // survives the rename: only the id binding moves, so learned
         // shortcuts and slab integrity carry over.
         self.peers.rebind(old_pid, new_pid);
-        if self.config.replication > 1 {
+        if self.replication > 1 {
             // The follower copies it holds for other labels keep their
             // holder.
             self.directory.rebind_follower(old_pid, Some(new_pid));
         }
         self.members.remove(old);
         self.ring.invalidate();
-        let eager = self.config.eager_replication && self.config.replication > 1;
+        let replicated = self.replication > 1;
         let slot = self.peers.get_mut(new_pid).expect("just re-bound");
         slot.key = new.clone();
         let shard = &mut slot.shard;
@@ -200,7 +190,7 @@ impl Engine {
         let hosted: Vec<Key> = shard.nodes.keys().cloned().collect();
         for label in hosted {
             let lid = self.directory.insert(label, new.clone());
-            if eager {
+            if replicated {
                 self.touched.push(lid);
             }
         }
@@ -225,7 +215,7 @@ impl Engine {
     /// fails over to a surviving follower copy (`protocol::repair`);
     /// only nodes with no live replica are lost. Returns the labels of
     /// the *lost* nodes.
-    pub fn crash_shard(&mut self, id: &Key) -> Result<Vec<Key>> {
+    pub(crate) fn crash_shard(&mut self, id: &Key) -> Result<Vec<Key>> {
         let shard = self
             .remove_member(id)
             .ok_or_else(|| DlptError::UnknownPeer(id.to_string()))?;
@@ -235,7 +225,7 @@ impl Engine {
             self.directory.clear();
             self.root = None;
             self.stats.nodes_lost += hosted.len() as u64;
-            if self.config.replication > 1 {
+            if self.replication > 1 {
                 self.repl_stats.unrecoverable_nodes += hosted.len() as u64;
             }
             return Ok(hosted);
@@ -259,17 +249,17 @@ impl Engine {
         // Failover: promote surviving follower copies; lose the rest.
         let mut lost = Vec::new();
         for label in hosted {
-            if self.config.replication > 1 && self.promote_from_followers(&label) {
+            if self.replication > 1 && self.promote_from_followers(&label) {
                 self.repl_stats.promotions += 1;
             } else {
                 self.directory.remove(&label);
-                if self.config.replication > 1 {
+                if self.replication > 1 {
                     self.repl_stats.unrecoverable_nodes += 1;
                 }
                 lost.push(label);
             }
         }
-        if self.config.replication > 1 {
+        if self.replication > 1 {
             // The victim's follower copies died with it. Every reader
             // skips a dead follower anyway; the records say so now
             // instead of after the next anti-entropy pass.

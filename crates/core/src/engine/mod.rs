@@ -1,24 +1,20 @@
 //! The runtime-agnostic protocol engine.
 //!
-//! Before this module existed the workspace maintained three
-//! hand-mirrored copies of the DLPT driver loop — the synchronous pump
-//! in [`crate::system::DlptSystem`], the discrete-event `LatencyNet`
-//! and the threaded `ThreadedDlpt` in `dlpt-net` — and every
-//! cross-cutting subsystem (replication flush, cache invalidation)
-//! had to be re-implemented three times. [`Engine`] collapses them:
-//! it owns the per-peer shards, the delivery [`Directory`], the
+//! [`Engine`] owns the per-peer shards, the delivery [`Directory`], the
 //! per-peer [`RouteCache`]s and the replication bookkeeping, and
 //! processes every envelope through **one** state machine
-//! ([`Engine::deliver`]). What distinguishes the runtimes is only *how
-//! messages travel*, which the [`Transport`] trait abstracts (the batch
-//! pump, [`parallel::ParallelPump`], needs no transport: it routes
-//! read-only over `&Engine` and commits in request order):
+//! ([`Engine::deliver`]); the operations that inject envelopes and
+//! drain them are written once as well ([`crate::overlay::Overlay`]).
+//! What distinguishes the runtimes is only *how messages travel*: the
+//! [`Transport`] a [`Driver`](crate::overlay::Driver) queues into (the
+//! batch pump, [`parallel::ParallelPump`], needs no transport: it
+//! routes read-only over `&Engine` and commits in request order):
 //!
-//! | Runtime | Transport | Delivery |
+//! | Runtime | Driver | Delivery |
 //! |---|---|---|
-//! | [`crate::system::DlptSystem`] | [`FifoTransport`] | immediate FIFO |
-//! | `dlpt-net::sim::LatencyNet` | latency event queue | sampled delay |
-//! | `dlpt-net::threaded::ThreadedDlpt` | framed channels | encoded frames between peer threads, handled by `deliver` |
+//! | [`crate::system::DlptSystem`] | [`crate::system::Pump`] | immediate FIFO |
+//! | `dlpt-net::sim::LatencyNet` | `LatencyDriver` (event queue) | sampled delay |
+//! | `dlpt-net::threaded::ThreadedDlpt` | `FrameDriver` (framed channels) | encoded frames between peer threads, handled by `deliver` |
 //!
 //! A transport only queues envelopes; it never interprets them. The
 //! engine in turn never schedules — it reports `Requeue` when a
@@ -26,15 +22,13 @@
 //! to retry now (FIFO), one tick later (latency queue) or by bouncing
 //! the frame back to an inbox (framed channels).
 //!
-//! Behavioural knobs that used to be implicit in which runtime you
-//! picked are explicit [`EngineConfig`] flags: the Section-4 capacity
-//! model (`charge_capacity`), eager replica maintenance
-//! (`eager_replication`) and whether request aggregation may finalize
-//! mid-drain or only at quiescence (`judge_at_quiescence`, required
-//! when responses can arrive out of order). Fault injection and the
-//! recovery it makes necessary are the engine's too (`faults.rs`): one
-//! gate for everything emitted, one retry policy, both consequences of
-//! the installed [`FaultPlan`].
+//! No behaviour depends on the runtime: every visit charges Section 4's
+//! capacity model, every mutation is followed by the eager replica
+//! flush, and whether a request may finalize mid-drain is derived from
+//! the transport ([`Transport::synchronous`]) and the fault plan. Fault
+//! injection and the recovery it makes necessary are the engine's too
+//! (`faults.rs`): one gate for everything emitted, one retry policy,
+//! both consequences of the installed [`FaultPlan`].
 
 mod audit;
 #[cfg(test)]
@@ -88,15 +82,18 @@ pub trait Transport {
     /// Queues one envelope for delivery.
     fn deliver(&mut self, env: Envelope);
 
-    /// Whether queuing through this transport is immediate FIFO work
-    /// the engine may equivalently run inline. It has exactly two
-    /// uses: hop chaining ([`Engine::deliver`]) and inline termination
-    /// of the eager cache-invalidation fan-out
-    /// (`Engine::queue_invalidations`). Only the synchronous
-    /// [`FifoTransport`] says yes, and the engine takes it up only
-    /// while no fault plan is active: modelled-latency, fault-injecting
-    /// and threaded runs must observe every individual hop and every
-    /// invalidation message.
+    /// Whether queuing through this transport is immediate FIFO work.
+    /// It has exactly three uses: hop chaining ([`Engine::deliver`]),
+    /// inline termination of the eager cache-invalidation fan-out
+    /// (`Engine::queue_invalidations`) — both taken up only while no
+    /// fault plan is active, since fault-injecting runs must observe
+    /// every hop and every invalidation — and eager judging: FIFO order
+    /// delivers a parent's response before its children's, so only here
+    /// may a request finalize the moment no branch is outstanding, and
+    /// only while no plan reorders. Everywhere else responses arrive out
+    /// of order, the outstanding-branch counter can transiently touch
+    /// zero, and requests are judged at quiescence
+    /// ([`Engine::finish_request`]).
     fn synchronous(&self) -> bool {
         false
     }
@@ -118,48 +115,6 @@ impl Transport for FifoTransport {
 
     fn synchronous(&self) -> bool {
         true
-    }
-}
-
-/// Behavioural configuration of an [`Engine`].
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Replication factor `k`: each tree node lives on its primary
-    /// (mapping-rule) host plus `k - 1` ring-successor followers
-    /// (`protocol::repair`). `1` disables replication entirely.
-    pub replication: usize,
-    /// Per-peer routing-shortcut cache capacity ([`crate::cache`]);
-    /// `0` disables caching entirely.
-    pub cache_capacity: usize,
-    /// Model Section 4's per-unit peer capacity: every discovery visit
-    /// charges the hosting peer and exhausted peers ignore visits.
-    /// The asynchronous runtimes leave this off — capacity is an
-    /// experiment-harness concern there.
-    pub charge_capacity: bool,
-    /// Judge request completion only once the network is quiescent.
-    /// Required when responses arrive out of order (latency queue,
-    /// threads): the outstanding-branch counter can transiently touch
-    /// zero while a parent's response is still in flight. The
-    /// synchronous pump finalizes eagerly instead (FIFO order makes
-    /// the transient impossible) — except while a reordering fault plan
-    /// is installed, when the engine judges late whatever this says.
-    pub judge_at_quiescence: bool,
-    /// Maintain replicas eagerly after every mutation
-    /// ([`Engine::flush_replication`]); the asynchronous runtimes rely
-    /// on periodic anti-entropy alone and keep this off, so the
-    /// touched-label bookkeeping stays empty there.
-    pub eager_replication: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            replication: 1,
-            cache_capacity: 0,
-            charge_capacity: false,
-            judge_at_quiescence: false,
-            eager_replication: false,
-        }
     }
 }
 
@@ -506,7 +461,13 @@ enum ChainStep {
 /// The unified DLPT runtime state machine. See the module docs.
 #[derive(Debug)]
 pub struct Engine {
-    config: EngineConfig,
+    /// Replication factor `k`: each tree node lives on its primary
+    /// (mapping-rule) host plus `k - 1` ring-successor followers
+    /// (`protocol::repair`). `1` disables replication entirely.
+    replication: usize,
+    /// Per-peer routing-shortcut cache capacity ([`crate::cache`]);
+    /// `0` disables caching entirely.
+    cache_capacity: usize,
     /// Per-peer state (shard + entry-point cache), slab-indexed by the
     /// peer's interned id.
     peers: PeerSlab,
@@ -548,15 +509,15 @@ pub struct Engine {
     /// idempotency digest and the per-request retry snapshot, so
     /// reliable (fault-off) runs pay one branch for the three.
     fault_recovery: bool,
-    /// Judge requests at quiescence only: the configured
-    /// [`EngineConfig::judge_at_quiescence`], or a reordering plan.
-    judge_late: bool,
+    /// Whether the installed plan reorders: deferred responses break the
+    /// parent-before-child order eager judging relies on, so requests
+    /// are judged at quiescence on every transport.
+    reordering: bool,
     /// Label ids whose state changed since the last flush and whose
-    /// replicas must be refreshed (eager replication only).
+    /// replicas must be refreshed (`k > 1` only).
     pub(crate) touched: Vec<u32>,
     /// `(label id, follower peer id)` pairs whose copies must be
-    /// garbage-collected because the node dissolved (eager replication
-    /// only).
+    /// garbage-collected because the node dissolved (`k > 1` only).
     dropped_replicas: Vec<(u32, u32)>,
     /// Runtime counters.
     pub stats: SystemStats,
@@ -584,12 +545,13 @@ pub struct Engine {
     pub(crate) reference_scans: bool,
 }
 
-impl Engine {
-    /// An empty engine.
-    pub fn new(config: EngineConfig) -> Self {
+impl Default for Engine {
+    /// An empty engine: `k = 1`, caching off, no fault plan.
+    fn default() -> Self {
         Engine {
-            judge_late: config.judge_at_quiescence,
-            config,
+            replication: 1,
+            cache_capacity: 0,
+            reordering: false,
             peers: PeerSlab::default(),
             members: BTreeSet::new(),
             ring: repair::RingPlan::default(),
@@ -614,7 +576,9 @@ impl Engine {
             reference_scans: false,
         }
     }
+}
 
+impl Engine {
     /// Switches structured-event tracing on with a ring buffer of
     /// `capacity` events (0 switches it off). The ring is fully
     /// preallocated here; emission never allocates afterwards.
@@ -639,13 +603,13 @@ impl Engine {
 
     /// Reconfigures the replication factor `k` (clamped to ≥ 1).
     pub fn set_replication(&mut self, k: usize) {
-        self.config.replication = k.max(1);
+        self.replication = k.max(1);
     }
 
     /// Reconfigures the per-peer routing-shortcut cache capacity for
     /// existing peers and every peer joining later (0 = off).
     pub fn set_cache_capacity(&mut self, n: usize) {
-        self.config.cache_capacity = n;
+        self.cache_capacity = n;
         for slot in self.peers.iter_slots_mut() {
             slot.cache.set_capacity(n);
         }
@@ -759,7 +723,7 @@ impl Engine {
     /// Depth of every live node (root = 0). Only live
     /// labels appear: a node whose father is not a live node — a crash
     /// orphaned its subtree and the runtime's `repair_tree`
-    /// ([`Engine::repair_scan`]) has not run yet — counts as a root of
+    /// (`Engine::repair_scan`) has not run yet — counts as a root of
     /// depth 0. Father links are
     /// resolved to interned ids once (two hashes per node), depths
     /// memoized along each father chain in id-indexed arrays, and the
@@ -870,7 +834,7 @@ impl Engine {
                 .emit(TraceEvent::new(EventKind::Admit, id, lid, hid, 0));
         }
         let mut shortcut: Option<Key> = None;
-        if self.config.cache_capacity > 0 {
+        if self.cache_capacity > 0 {
             let target = query.target();
             let (hits0, stale0) = (self.cache_stats.hits, self.cache_stats.stale_hits);
             if let Some(slot) = self.peers.get_mut(hid) {
@@ -909,13 +873,21 @@ impl Engine {
         Ok((id, env))
     }
 
+    /// Whether a request may finalize mid-drain on `t`: only on a
+    /// synchronous transport, and only while no plan reorders (see
+    /// [`Transport::synchronous`]).
+    #[inline]
+    fn judges_eagerly<T: Transport>(&self, t: &T) -> bool {
+        t.synchronous() && !self.reordering
+    }
+
     /// Feeds one `ClientResponse` into the request's aggregation. With
-    /// eager judging (the synchronous pump) the request finalizes into
-    /// the finished set the moment no branch is outstanding; at
-    /// quiescence judging the runtime calls
+    /// `eager` judging ([`Engine::judges_eagerly`]) the request
+    /// finalizes into the finished set the moment no branch is
+    /// outstanding; otherwise the runtime calls
     /// [`Engine::finish_request`] once drained. Responses for already
     /// finalized (or unknown) requests are dropped as stale.
-    pub(super) fn client_response(&mut self, outcome: DiscoveryOutcome) {
+    pub(super) fn client_response(&mut self, outcome: DiscoveryOutcome, eager: bool) {
         let fault_recovery = self.fault_recovery;
         let Some(agg) = self.gathers.get_mut(outcome.request_id) else {
             return; // stale response after request already finalized
@@ -971,7 +943,7 @@ impl Engine {
         if outcome.path.len() > agg.best_path.len() {
             agg.best_path = outcome.path;
         }
-        if !self.judge_late && agg.outstanding <= 0 {
+        if eager && agg.outstanding <= 0 {
             let fin = self
                 .gathers
                 .release(outcome.request_id)
@@ -1093,12 +1065,13 @@ impl Engine {
         }
     }
 
-    /// Abandons an envelope whose requeue budget is exhausted. A lost
-    /// discovery message must still resolve its request; anything else
-    /// is a hard error.
-    pub fn fail_undeliverable(&mut self, env: Envelope) -> Result<()> {
+    /// Abandons an envelope whose requeue budget on `t` is exhausted. A
+    /// lost discovery message must still resolve its request; anything
+    /// else is a hard error.
+    pub fn fail_undeliverable<T: Transport>(&mut self, t: &T, env: Envelope) -> Result<()> {
         if let Message::Node(NodeMsg::Discovery(m)) = env.msg {
-            self.abandon_discovery(m.request_id, m.path);
+            let eager = self.judges_eagerly(t);
+            self.abandon_discovery(m.request_id, m.path, eager);
             return Ok(());
         }
         self.stats.undeliverable += 1;
@@ -1107,20 +1080,20 @@ impl Engine {
 
     /// Resolves the branch of request `request_id` whose discovery
     /// message, having travelled `path`, found no node to deliver to.
-    fn abandon_discovery(&mut self, request_id: u64, path: Vec<Key>) {
+    fn abandon_discovery(&mut self, request_id: u64, path: Vec<Key>, eager: bool) {
         self.stats.undeliverable += 1;
         if self.tracer.enabled() {
             let mut ev = TraceEvent::new(EventKind::Drop, request_id, 0, 0, path.len());
             ev.flags = 1;
             self.tracer.emit(ev);
         }
-        self.client_response(dropped_outcome(request_id, path));
+        self.client_response(dropped_outcome(request_id, path), eager);
     }
 
     /// Resolves the branch of request `request_id` whose visit to node
     /// `lid` an exhausted peer `hid` ignored (Section 4's capacity
     /// model); `path` ends with the refused node.
-    fn refuse_visit(&mut self, request_id: u64, lid: u32, hid: u32, path: Vec<Key>) {
+    fn refuse_visit(&mut self, request_id: u64, lid: u32, hid: u32, path: Vec<Key>, eager: bool) {
         self.stats.discovery_drops += 1;
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::new(
@@ -1131,7 +1104,7 @@ impl Engine {
                 path.len(),
             ));
         }
-        self.client_response(dropped_outcome(request_id, path));
+        self.client_response(dropped_outcome(request_id, path), eager);
     }
 
     // ------------------------------------------------------------------
@@ -1193,7 +1166,8 @@ impl Engine {
         match to {
             Address::Client(_) => {
                 if let Message::ClientResponse(outcome) = msg {
-                    self.client_response(outcome);
+                    let eager = self.judges_eagerly(t);
+                    self.client_response(outcome, eager);
                     Ok(ChainStep::Step(Step::Done))
                 } else {
                     Err(DlptError::Undeliverable("client".into()))
@@ -1279,7 +1253,6 @@ impl Engine {
                     Dropped(DiscoveryMsg),
                 }
                 let stats = &mut self.stats;
-                let charge = self.config.charge_capacity;
                 let gate = match self.peers.get_mut(hid).map(|s| &mut s.shard) {
                     None => Gate::Requeue(msg),
                     Some(shard) => match msg {
@@ -1291,14 +1264,12 @@ impl Engine {
                         // balancing matter (Section 3.3) — so every
                         // visit charges the hosting peer one unit and
                         // counts toward the node's offered load l_n.
-                        // The asynchronous runtimes leave capacity to
-                        // the experiment harness and skip the charge.
                         Message::Node(NodeMsg::Discovery(m)) => {
                             let exact = matches!(m.query, QueryKind::Exact(_));
                             // Two register moves, captured before the
                             // visit takes ownership of the message.
                             let (req, hops) = (m.request_id, m.path.len());
-                            match discovery::deliver_visit(shard, &label, m, charge, fx) {
+                            match discovery::deliver_visit(shard, &label, m, fx) {
                                 // In flight between shards (hand-off
                                 // under way): try later.
                                 discovery::VisitGate::Missing(m) => {
@@ -1358,7 +1329,7 @@ impl Engine {
                     Gate::Dropped(m) => {
                         // Failover: a follower copy with spare capacity
                         // can serve the read the primary refused.
-                        let m = if self.config.replication > 1 {
+                        let m = if self.replication > 1 {
                             match self.failover_read(&label, m, fx) {
                                 None => {
                                     self.apply(fx, t);
@@ -1371,7 +1342,8 @@ impl Engine {
                         };
                         let mut path = m.path;
                         path.push(label);
-                        self.refuse_visit(m.request_id, lid, hid, path);
+                        let eager = self.judges_eagerly(t);
+                        self.refuse_visit(m.request_id, lid, hid, path, eager);
                         Ok(ChainStep::Step(Step::Done))
                     }
                     Gate::Delivered => {
@@ -1394,7 +1366,7 @@ impl Engine {
                         Ok(ChainStep::Step(Step::Done))
                     }
                     Gate::DeliveredMutation => {
-                        if self.config.eager_replication && self.config.replication > 1 {
+                        if self.replication > 1 {
                             self.touched.push(lid);
                         }
                         // Any non-discovery node message may have
@@ -1416,15 +1388,15 @@ impl Engine {
     /// and clear a dissolved root, outgoing envelopes enter `t` through
     /// the fault gate.
     pub(super) fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
-        let eager = self.config.eager_replication && self.config.replication > 1;
+        let replicated = self.replication > 1;
         for (label, host) in fx.relocated.drain(..) {
             let lid = self.directory.insert(label, host);
-            if eager {
+            if replicated {
                 self.touched.push(lid);
             }
         }
         for label in fx.removed.drain(..) {
-            if eager {
+            if replicated {
                 // The node dissolved: schedule its copies for GC
                 // (before the removal clears the follower record).
                 if let Some(lid) = self.directory.id_of(&label) {
@@ -1448,9 +1420,9 @@ impl Engine {
     }
 
     /// Records that `label`'s state changed and its replicas are stale
-    /// (no-op unless eagerly replicating).
+    /// (no-op at `k = 1`).
     pub(crate) fn mark_touched(&mut self, label: &Key) {
-        if self.config.eager_replication && self.config.replication > 1 {
+        if self.replication > 1 {
             let lid = self.directory.intern(label);
             self.touched.push(lid);
         }
@@ -1471,7 +1443,7 @@ impl Engine {
     /// which must be able to lose, delay or reorder it — gets the
     /// per-peer [`PeerMsg::InvalidateCached`] broadcast.
     pub(super) fn queue_invalidations<T: Transport>(&mut self, label: &Key, t: &mut T) {
-        if self.config.cache_capacity == 0 {
+        if self.cache_capacity == 0 {
             return;
         }
         let epoch = self.directory.epoch_of(label);
@@ -1580,10 +1552,8 @@ mod tests {
     }
 
     fn cached_engine(capacity: usize) -> Engine {
-        let mut e = Engine::new(EngineConfig {
-            cache_capacity: capacity,
-            ..EngineConfig::default()
-        });
+        let mut e = Engine::default();
+        e.set_cache_capacity(capacity);
         e.add_local_shard(k("P1"), 100);
         e.add_local_shard(k("P2"), 100);
         e
@@ -1639,11 +1609,11 @@ mod tests {
             .begin_request(&k("DG"), QueryKind::Range(k("D"), k("E")))
             .unwrap();
         // The gather root reports and fans out to two children.
-        e.client_response(report(id, vec![k("DG")], Vec::new(), 2));
+        e.client_response(report(id, vec![k("DG")], Vec::new(), 2), true);
         // One child's report arrives twice (duplicated in transit).
         let child = report(id, vec![k("DG"), k("DGEMM")], vec![k("DGEMM")], 0);
-        e.client_response(child.clone());
-        e.client_response(child);
+        e.client_response(child.clone(), true);
+        e.client_response(child, true);
         assert_eq!(e.fault_stats().duplicates_suppressed, 1);
         assert!(
             e.take_finished(id).is_none() && e.gathers.get_mut(id).unwrap().outstanding == 1,
@@ -1651,7 +1621,10 @@ mod tests {
         );
         // The true second branch finally reports: now it finalizes,
         // complete.
-        e.client_response(report(id, vec![k("DG"), k("DT")], vec![k("DTRSM")], 0));
+        e.client_response(
+            report(id, vec![k("DG"), k("DT")], vec![k("DTRSM")], 0),
+            true,
+        );
         let out = e.take_finished(id).expect("all branches accounted");
         assert!(out.satisfied);
         assert_eq!(out.results, vec![k("DGEMM"), k("DTRSM")]);
@@ -1671,7 +1644,7 @@ mod tests {
         let terminal = report(id, vec![k("DG")], vec![k("DGEMM")], 1);
         // First attempt: the node forwarded to one child whose report
         // was lost — the request is stuck outstanding.
-        e.client_response(terminal.clone());
+        e.client_response(terminal.clone(), true);
         assert_eq!(
             e.retry_origin(id),
             Some(env),
@@ -1679,8 +1652,8 @@ mod tests {
         );
         assert_eq!(e.fault_stats().retries, 1);
         // Second attempt re-delivers the same report plus the child's.
-        e.client_response(terminal);
-        e.client_response(report(id, vec![k("DG"), k("DGEMM")], Vec::new(), 0));
+        e.client_response(terminal, true);
+        e.client_response(report(id, vec![k("DG"), k("DGEMM")], Vec::new(), 0), true);
         assert_eq!(
             e.fault_stats().duplicates_suppressed,
             0,

@@ -191,9 +191,8 @@ impl ParallelPump {
             let out = if let Some(out) = engine.take_finished(id) {
                 out
             } else if engine.gathers.contains(id) {
-                // Quiescence-judging engines never eagerly finalize;
-                // every reply is in, so judging now is exactly what
-                // `judge_at_quiescence` asks for.
+                // A reordering plan rules eager finalization out; every
+                // reply is in, so judging now is judging at quiescence.
                 engine.finish_request(id)
             } else {
                 return Err(DlptError::Undeliverable(format!("request {id}")));
@@ -310,7 +309,9 @@ fn path_before(directory: &Directory, visits: &[Visit], v: usize) -> Vec<Key> {
 /// aggregation, then applies the offered-load deltas with one node
 /// probe per distinct label.
 fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
-    let charge = engine.config.charge_capacity;
+    // The pump is synchronous: requests are judged eagerly unless the
+    // plan reorders (`Engine::judges_eagerly`).
+    let eager = !engine.reordering;
     let mut load = vec![0u32; engine.directory.interned_len()];
     let mut requests = ids.iter();
     let mut request = 0u64;
@@ -334,7 +335,7 @@ fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
                         }
                         engine.route_hosts.reverse();
                     }
-                    engine.client_response(r.outcome);
+                    engine.client_response(r.outcome, eager);
                     engine.route_hosts.clear();
                 }
             }
@@ -350,15 +351,13 @@ fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
             let Some(slot) = engine.peers.get_mut(visit.host) else {
                 dead[v] = true;
                 let path = path_before(&engine.directory, &visits, v);
-                engine.abandon_discovery(request, path);
+                engine.abandon_discovery(request, path, eager);
                 continue;
             };
             // Section 4's charging rule (`discovery::deliver_visit`):
             // demand counts toward `l_n` even when the peer refuses.
-            if charge {
-                load[visit.label as usize] += 1;
-            }
-            if !charge || slot.shard.peer.try_accept() {
+            load[visit.label as usize] += 1;
+            if slot.shard.peer.try_accept() {
                 engine.stats.discovery_messages += 1;
                 if engine.tracer.enabled() {
                     engine.tracer.emit(TraceEvent::new(
@@ -373,7 +372,7 @@ fn commit(engine: &mut Engine, ids: &[u64], routed: Vec<Routed>) {
                 dead[v] = true;
                 let mut path = path_before(&engine.directory, &visits, v);
                 path.push(engine.directory.key_of(visit.label).clone());
-                engine.refuse_visit(request, visit.label, visit.host, path);
+                engine.refuse_visit(request, visit.label, visit.host, path, eager);
             }
         }
         deliver(engine, &dead, visits.len());
@@ -532,18 +531,20 @@ mod tests {
         assert!(sys.cache_stats.hits > 0, "{:?}", sys.cache_stats);
     }
 
-    /// Regression: the pump must also serve engines configured like
-    /// the asynchronous runtimes (`judge_at_quiescence`), which never
-    /// eagerly finalize — the epilogue judges their still-registered
-    /// gathers once every reply is in instead of erroring out.
+    /// Regression: the pump must also serve engines that judge at
+    /// quiescence (a reordering plan is installed), which never eagerly
+    /// finalize — the epilogue judges their still-registered gathers
+    /// once every reply is in instead of erroring out.
     #[test]
     fn quiescence_judging_engines_run_batches_and_learn_shortcuts() {
-        use crate::engine::{Engine, EngineConfig};
+        use crate::engine::Engine;
         use crate::node::NodeState;
-        let mut e = Engine::new(EngineConfig {
-            judge_at_quiescence: true,
-            cache_capacity: 16,
-            ..EngineConfig::default()
+        use crate::transport::FaultPlan;
+        let mut e = Engine::default();
+        e.set_cache_capacity(16);
+        e.set_fault_plan(FaultPlan {
+            reorder_rate: 1.0,
+            ..FaultPlan::default()
         });
         e.add_local_shard(k("PAAA"), 100);
         e.add_local_shard(k("ZAAA"), 100);

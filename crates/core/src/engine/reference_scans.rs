@@ -32,12 +32,10 @@ fn refresh_follower_records_reference(directory: &mut Directory, peers: &[Key], 
 
 impl Engine {
     pub(super) fn flush_replication_reference<T: Transport>(&mut self, t: &mut T) {
-        if self.config.replication <= 1
-            || (self.touched.is_empty() && self.dropped_replicas.is_empty())
-        {
+        if self.replication <= 1 || (self.touched.is_empty() && self.dropped_replicas.is_empty()) {
             return;
         }
-        let k = self.config.replication;
+        let k = self.replication;
         for (lid, fid) in std::mem::take(&mut self.dropped_replicas) {
             // A follower is live iff its peer id still has a slot.
             if let Some(slot) = self.peers.get(fid) {
@@ -112,7 +110,7 @@ impl Engine {
         &mut self,
         t: &mut T,
     ) -> (AntiEntropyReport, bool) {
-        let k = self.config.replication;
+        let k = self.replication;
         let mut report = AntiEntropyReport::default();
         if k <= 1 || self.members.len() <= 1 {
             return (report, false);
@@ -152,11 +150,10 @@ impl Engine {
             }
         }
         report.replicas_dropped = drops.len();
-        // Converged pass: under eager maintenance the flush keeps copy
-        // *content* fresh, so when every label has its full live
-        // follower set and nothing needs GC the blanket re-clone would
-        // be pure steady-state traffic — skip it. (Runtimes without
-        // the eager path always re-clone: `anti_entropy_kick`.)
+        // Converged pass: the eager flush keeps copy *content* fresh,
+        // so when every label has its full live follower set and
+        // nothing needs GC the blanket re-clone would be pure
+        // steady-state traffic — skip it.
         if report.under_replicated == 0 && drops.is_empty() {
             return (report, false);
         }

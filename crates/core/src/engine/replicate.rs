@@ -15,8 +15,8 @@ use crate::messages::{DiscoveryMsg, Envelope, NodeMsg, NodeSeed, PeerMsg};
 use crate::protocol::{discovery, repair, Effects};
 use crate::replication::AntiEntropyReport;
 
-/// What crash repair found ([`Engine::repair_scan`]) and every
-/// runtime's `repair_tree` returns.
+/// What crash repair found
+/// ([`Overlay::repair_tree`](crate::overlay::Overlay::repair_tree)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairReport {
     /// Dangling child links removed.
@@ -29,24 +29,22 @@ pub struct RepairReport {
 impl Engine {
     /// Eager replica maintenance: re-clones every node touched since
     /// the last flush onto its `k - 1` ring successors and
-    /// garbage-collects copies of dissolved nodes. The synchronous
-    /// pump calls this (then drains) after every public mutating
-    /// operation, so replica state tracks the data plane without
-    /// waiting for the next anti-entropy pass. Costs the touched labels
-    /// only: planning is a ring-position lookup per label, and the
-    /// membership is re-read only after it changed. No-op at `k = 1` or
-    /// without eager replication.
-    pub fn flush_replication<T: Transport>(&mut self, t: &mut T) {
-        if self.config.replication <= 1
-            || (self.touched.is_empty() && self.dropped_replicas.is_empty())
-        {
+    /// garbage-collects copies of dissolved nodes. Every runtime calls
+    /// this (then drains) after every public mutating operation
+    /// ([`crate::overlay::Overlay`]), so replica state tracks the data
+    /// plane without waiting for the next anti-entropy pass. Costs the
+    /// touched labels only: planning is a ring-position lookup per
+    /// label, and the membership is re-read only after it changed.
+    /// No-op at `k = 1`.
+    pub(crate) fn flush_replication<T: Transport>(&mut self, t: &mut T) {
+        if self.replication <= 1 || (self.touched.is_empty() && self.dropped_replicas.is_empty()) {
             return;
         }
         #[cfg(test)]
         if self.reference_scans {
             return self.flush_replication_reference(t);
         }
-        let k = self.config.replication;
+        let k = self.replication;
         for (lid, fid) in self.dropped_replicas.drain(..) {
             // A follower is live iff its peer id still has a slot.
             if let Some(slot) = self.peers.get(fid) {
@@ -113,18 +111,21 @@ impl Engine {
     /// The planning half of a self-healing anti-entropy pass: re-plans
     /// follower sets, counts under-replicated
     /// labels, garbage-collects stale copies and — unless the overlay
-    /// is already converged under eager maintenance — kicks every peer
+    /// is already converged — kicks every peer
     /// with `SyncReplicas`. Returns the report and whether anything
     /// was enqueued (the runtime then drains and fills in
     /// `messages_sent`). A converged pass reads every follower record
     /// and every follower copy once, in id space, and writes nothing.
     /// No-op at `k = 1`.
-    pub fn anti_entropy_scan<T: Transport>(&mut self, t: &mut T) -> (AntiEntropyReport, bool) {
+    pub(crate) fn anti_entropy_scan<T: Transport>(
+        &mut self,
+        t: &mut T,
+    ) -> (AntiEntropyReport, bool) {
         #[cfg(test)]
         if self.reference_scans {
             return self.anti_entropy_scan_reference(t);
         }
-        let k = self.config.replication;
+        let k = self.replication;
         let mut report = AntiEntropyReport::default();
         if k <= 1 || self.members.len() <= 1 {
             return (report, false);
@@ -161,11 +162,10 @@ impl Engine {
             .filter(|&&lid| live_copies[lid as usize] < want)
             .count();
         report.replicas_dropped = drops.len();
-        // Converged pass: under eager maintenance the flush keeps copy
-        // *content* fresh, so when every label has its full live
-        // follower set and nothing needs GC the blanket re-clone would
-        // be pure steady-state traffic — skip it. (Runtimes without
-        // the eager path always re-clone: `anti_entropy_kick`.)
+        // Converged pass: the eager flush keeps copy *content* fresh,
+        // so when every label has its full live follower set and
+        // nothing needs GC the blanket re-clone would be pure
+        // steady-state traffic — skip it.
         if report.under_replicated == 0 && drops.is_empty() {
             return (report, false);
         }
@@ -182,26 +182,6 @@ impl Engine {
         (report, true)
     }
 
-    /// The simple anti-entropy pass of the asynchronous runtimes (no
-    /// eager flush to lean on): re-plan the follower records, then kick
-    /// every peer with `SyncReplicas` so each re-clones its nodes along
-    /// the ring. The runtime drains afterwards. No-op at `k = 1`.
-    pub fn anti_entropy_kick<T: Transport>(&mut self, t: &mut T) -> bool {
-        let k = self.config.replication;
-        if k <= 1 || self.members.len() <= 1 {
-            return false;
-        }
-        self.ring.refresh(&self.directory, self.members.iter());
-        repair::refresh_follower_records(&mut self.directory, &self.ring, k);
-        for p in &self.members {
-            t.deliver(Envelope::to_peer(
-                p.clone(),
-                PeerMsg::SyncReplicas { k: k as u32 },
-            ));
-        }
-        true
-    }
-
     /// Crash repair, as protocol traffic on every runtime: sends one
     /// orphan from [`Engine::repair_scan`] back through the insertion
     /// protocol — a `Reattach` entering at the root or, while the root
@@ -210,7 +190,7 @@ impl Engine {
     /// after each: an orphan's father link is dead until its
     /// `SetFather` arrives, so no later orphan may route through it
     /// before then.
-    pub fn send_orphan<T: Transport>(&mut self, t: &mut T, orphan: Key) {
+    pub(crate) fn send_orphan<T: Transport>(&mut self, t: &mut T, orphan: Key) {
         let env = match self.root.clone() {
             Some(root) => Envelope::to_node(root, NodeMsg::Reattach { label: orphan }),
             None => Envelope::to_node(orphan, NodeMsg::SetFather { father: None }),
@@ -223,12 +203,12 @@ impl Engine {
     /// and lists the orphans for [`Engine::send_orphan`]. Liveness is a
     /// directory probe per link; only nodes that actually hold a dead
     /// child are rewritten and scheduled for re-replication.
-    pub fn repair_scan(&mut self) -> RepairReport {
+    pub(crate) fn repair_scan(&mut self) -> RepairReport {
         #[cfg(test)]
         if self.reference_scans {
             return self.repair_scan_reference();
         }
-        let eager = self.config.eager_replication && self.config.replication > 1;
+        let replicated = self.replication > 1;
         let mut scan = RepairReport::default();
         self.ring.refresh(&self.directory, self.members.iter());
         let directory = &self.directory;
@@ -241,7 +221,7 @@ impl Engine {
                     let before = node.children.len();
                     node.children.retain(|c| directory.contains(c));
                     scan.pruned_links += before - node.children.len();
-                    if eager {
+                    if replicated {
                         self.touched.extend(directory.id_of(&node.label));
                     }
                 }
@@ -353,7 +333,7 @@ impl Engine {
     /// `min(k, |P|)` distinct live replica hosts. Trivially true at
     /// `k = 1` (the mapping invariant covers the single copy).
     pub fn check_replication(&self) -> std::result::Result<(), String> {
-        let k = self.config.replication;
+        let k = self.replication;
         if k <= 1 {
             return Ok(());
         }

@@ -9,7 +9,7 @@
 //! * the paper's ring invariant plus lookup correctness.
 //!
 //! All three are sections of `Engine::audit`; this lives inside the
-//! engine module (not `tests/`) for `engine_ref` and the key pool the
+//! engine module (not `tests/`) for the key pool the
 //! sibling test modules share.
 
 use crate::alphabet::Alphabet;
@@ -67,7 +67,7 @@ pub(super) fn key_pool() -> Vec<Key> {
 /// `migrate_node` moves a node off its canonical host (the balancer
 /// would resolve it).
 fn assert_clean_mid_churn(sys: &DlptSystem) {
-    let mut found = sys.engine_ref().audit();
+    let mut found = sys.audit();
     found.retain(|v| v.check != AuditCheck::Mapping);
     assert!(found.is_empty(), "audit violations: {found:?}");
 }
@@ -92,7 +92,7 @@ proptest! {
             .default_capacity(100_000) // capacity refusals are not under test
             .bootstrap_peers(4)
             .build();
-        let mut peers: Vec<Key> = sys.engine_ref().peer_ids();
+        let mut peers: Vec<Key> = sys.peer_ids();
         let mut model: Vec<Key> = Vec::new();
         // Seed one registration so lookups always have a tree to walk.
         sys.insert_data(pool[0].clone()).expect("seed registration");
@@ -136,7 +136,7 @@ proptest! {
                     let at = i as usize % peers.len();
                     let old = peers[at].clone();
                     let (pred, succ) = {
-                        let sh = sys.engine_ref().shard(&old).expect("live peer");
+                        let sh = sys.shard(&old).expect("live peer");
                         (sh.peer.pred.clone(), sh.peer.succ.clone())
                     };
                     let new = if pred < old {

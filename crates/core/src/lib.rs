@@ -11,7 +11,8 @@
 //!   in-memory structure ([`trie::PgcpTrie`], used as a correctness
 //!   oracle and local engine) and as a **distributed overlay**
 //!   ([`system::DlptSystem`]) whose logical nodes are spread over a
-//!   bidirectional ring of peers;
+//!   bidirectional ring of peers, its operations written once over a
+//!   delivery [`overlay::Driver`];
 //! * the **self-contained mapping** that replaces the original DHT
 //!   layer: a logical node `n` is always hosted by the lowest peer whose
 //!   identifier is `>= n` ([`mapping`]), and peer joins are routed
@@ -43,6 +44,7 @@ pub mod messages;
 pub mod metrics;
 pub mod node;
 pub mod obs;
+pub mod overlay;
 pub mod peer;
 pub mod protocol;
 pub mod replication;
@@ -54,8 +56,7 @@ pub use alphabet::Alphabet;
 pub use balance::{KChoices, LoadBalancer, MaxLocalThroughput, NoBalancing};
 pub use cache::{CacheStats, RouteCache, Shortcut};
 pub use engine::{
-    parallel::ParallelPump, Engine, EngineConfig, FifoTransport, Step, Transport,
-    REQUEST_RETRY_BUDGET,
+    parallel::ParallelPump, Engine, FifoTransport, Step, Transport, REQUEST_RETRY_BUDGET,
 };
 pub use error::{DlptError, Result};
 pub use key::Key;
@@ -65,6 +66,7 @@ pub use obs::health::{
     AuditCheck, HealthMonitor, HealthSnapshot, HealthTiming, MemoryFootprint, PeerHealth, Violation,
 };
 pub use obs::{EventKind, TraceEvent, TraceRing, Tracer};
+pub use overlay::{Driver, Overlay};
 pub use peer::PeerState;
 pub use replication::{AntiEntropyReport, ReplicationStats};
 pub use system::{DlptSystem, LookupOutcome, SystemBuilder, SystemConfig};

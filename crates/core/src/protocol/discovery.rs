@@ -274,7 +274,7 @@ pub fn entry_envelope(entry_node: Key, request_id: u64, query: QueryKind) -> Env
 pub enum VisitGate {
     /// The node is not hosted here (hand-off in flight): retry later.
     Missing(DiscoveryMsg),
-    /// Charged (when requested) and routed.
+    /// Charged and routed.
     Delivered,
     /// The peer's capacity is exhausted; offered load was recorded but
     /// the request must be ignored (Section 4's model).
@@ -284,27 +284,23 @@ pub enum VisitGate {
 /// One-probe delivery for the runtime hot path: a single `nodes` probe
 /// serves the existence check, the capacity charge and the routing
 /// visit itself. This is the one statement of the capacity model's
-/// charging rule (Section 4): with `charge` set, a visit to a hosted
-/// node counts toward its offered load `l_n` — demand, so refused
-/// visits count too — and consumes one unit of the peer's capacity; an
-/// exhausted peer ignores the visit. A node that is not hosted here
-/// charges nothing.
+/// charging rule (Section 4): a visit to a hosted node counts toward
+/// its offered load `l_n` — demand, so refused visits count too — and
+/// consumes one unit of the peer's capacity; an exhausted peer ignores
+/// the visit. A node that is not hosted here charges nothing.
 #[inline]
 pub fn deliver_visit(
     shard: &mut PeerShard,
     node_label: &Key,
     msg: DiscoveryMsg,
-    charge: bool,
     fx: &mut Effects,
 ) -> VisitGate {
     let Some(node) = shard.nodes.get_mut(node_label) else {
         return VisitGate::Missing(msg);
     };
-    if charge {
-        node.load += 1;
-        if !shard.peer.try_accept() {
-            return VisitGate::Dropped(msg);
-        }
+    node.load += 1;
+    if !shard.peer.try_accept() {
+        return VisitGate::Dropped(msg);
     }
     on_discovery_at(node, msg, fx);
     VisitGate::Delivered
@@ -500,7 +496,7 @@ mod tests {
         let mut fx = Effects::default();
         let mut visit = |s: &mut PeerShard, label: &str| {
             let m = msg(QueryKind::Exact(k("101")), RoutePhase::Up);
-            deliver_visit(s, &k(label), m, true, &mut fx)
+            deliver_visit(s, &k(label), m, &mut fx)
         };
         assert!(matches!(visit(&mut s, "101"), VisitGate::Delivered));
         assert!(

@@ -1,31 +1,24 @@
-//! The synchronous DLPT runtime: a thin facade over the unified
-//! [`crate::engine`] with an immediate-FIFO transport.
+//! The synchronous DLPT runtime: the [`Overlay`] whose driver is an
+//! immediate FIFO queue.
 //!
-//! [`DlptSystem`] owns an [`Engine`] (per-peer shards, delivery
-//! directory, route caches, replication bookkeeping — see the engine
-//! docs) plus the pieces that make the runtime *synchronous*: one
-//! seeded RNG, a strict FIFO queue ([`FifoTransport`]) and a drain
-//! loop that runs every operation to quiescence before returning.
-//! Protocol logic lives entirely in [`crate::protocol`]; envelope
-//! dispatch, capacity charging (Section 4's model) and scatter/gather
-//! aggregation live in the engine, shared with the asynchronous
-//! runtimes in `dlpt-net`. Processing is strictly FIFO and all
-//! randomness comes from one seeded generator, so every run is a pure
-//! function of (operations, seed) — the property the experiment
-//! harness relies on for its 30/50/100-run averages.
+//! [`DlptSystem`] is the shared operation surface ([`crate::overlay`])
+//! over [`Pump`]: one seeded RNG, a strict FIFO queue
+//! ([`FifoTransport`]) and a drain loop that runs every operation to
+//! quiescence before returning. Protocol logic lives entirely in
+//! [`crate::protocol`]; envelope dispatch, capacity charging (Section
+//! 4's model) and scatter/gather aggregation live in the engine, shared
+//! with the asynchronous runtimes in `dlpt-net`. Processing is strictly
+//! FIFO and all randomness comes from one seeded generator, so every
+//! run is a pure function of (operations, seed) — the property the
+//! experiment harness relies on for its 30/50/100-run averages.
 
 use crate::alphabet::Alphabet;
-use crate::engine::{
-    empty_outcome, parallel::ParallelPump, requeue_limit, Engine, EngineConfig, FifoTransport, Step,
-};
+use crate::engine::{requeue_limit, Engine, FifoTransport, Step, Transport};
 use crate::error::{DlptError, Result};
-use crate::key::Key;
-use crate::messages::{Envelope, NodeMsg, QueryKind};
-use crate::node::NodeState;
-use crate::replication::AntiEntropyReport;
+use crate::messages::Envelope;
+use crate::overlay::{Driver, Overlay};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 
 pub use crate::engine::{LookupOutcome, RepairReport};
 
@@ -37,7 +30,7 @@ const DRAIN_BUDGET: usize = 4_000_000;
 /// is still in flight, before the ring-size floor ([`requeue_limit`]).
 const REQUEUE_BUDGET: u32 = 256;
 
-/// Tunables of the runtime. Replication and caching are the engine's
+/// Tunables of a runtime. Replication and caching are the engine's
 /// ([`Engine::set_replication`], [`Engine::set_cache_capacity`]).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -128,415 +121,99 @@ impl SystemBuilder {
         sys.set_replication(self.replication);
         sys.set_cache_capacity(self.cache_capacity);
         for _ in 0..self.bootstrap_peers {
-            let cap = sys.config.default_capacity;
+            let cap = sys.config().default_capacity;
             sys.add_peer(cap).expect("bootstrap join cannot fail");
         }
         sys
     }
 }
 
-/// The whole overlay in one process. See the module docs.
-///
-/// Dereferences to the underlying [`Engine`], so introspection
-/// (`peer_count`, `node_labels`, `host_of`, …), the invariant checks
-/// and the `stats` / `repl_stats` / `cache_stats` counters are the
-/// engine's — shared verbatim with the asynchronous runtimes.
-#[derive(Debug)]
-pub struct DlptSystem {
-    config: SystemConfig,
-    rng: StdRng,
-    engine: Engine,
-    /// The immediate-FIFO queue this runtime drains to quiescence.
-    pump: FifoTransport,
-}
-
-impl std::ops::Deref for DlptSystem {
-    type Target = Engine;
-    fn deref(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl std::ops::DerefMut for DlptSystem {
-    fn deref_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-}
+/// The whole overlay in one process, run by the synchronous [`Pump`].
+/// See the module docs.
+pub type DlptSystem = Overlay<Pump>;
 
 impl DlptSystem {
     /// Creates an empty system.
     pub fn new(config: SystemConfig, seed: u64) -> Self {
-        let engine = Engine::new(EngineConfig {
-            charge_capacity: true,
-            eager_replication: true,
-            ..EngineConfig::default()
-        });
-        DlptSystem {
+        let pump = Pump {
+            fifo: FifoTransport::default(),
             rng: StdRng::seed_from_u64(seed),
-            engine,
-            pump: FifoTransport::default(),
-            config,
-        }
+        };
+        Overlay::with_driver(config, pump)
     }
 
     /// Starts a builder.
     pub fn builder() -> SystemBuilder {
         SystemBuilder::default()
     }
+}
 
-    /// The runtime configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
+/// The synchronous driver: the immediate-FIFO queue and the system RNG.
+#[derive(Debug)]
+pub struct Pump {
+    fifo: FifoTransport,
+    rng: StdRng,
+}
+
+impl Transport for Pump {
+    fn deliver(&mut self, env: Envelope) {
+        self.fifo.deliver(env);
     }
 
-    /// Test-only view of the underlying engine, for slab/directory
-    /// invariant checks that need more than the public facade.
-    #[cfg(test)]
-    pub(crate) fn engine_ref(&self) -> &Engine {
-        &self.engine
+    fn synchronous(&self) -> bool {
+        true
+    }
+}
+
+impl Driver for Pump {
+    /// Appends to the queue past the fault gate: the pump models only
+    /// engine-emitted traffic as faultable.
+    fn inject(&mut self, _: &mut Engine, env: Envelope) {
+        self.fifo.deliver(env);
     }
 
-    /// A uniformly random node label (the "random node of the tree"
-    /// every request and registration enters through). O(1) over the
-    /// directory's sorted table — no cache to rebuild.
-    pub fn random_node(&mut self) -> Option<Key> {
-        self.engine.random_node(&mut self.rng)
-    }
-
-    /// Draws a fresh peer identifier not colliding with existing ones.
-    pub fn draw_peer_id(&mut self) -> Key {
-        loop {
-            let id = self
-                .config
-                .alphabet
-                .random_id(&mut self.rng, self.config.peer_id_len);
-            if !self.engine.contains_peer(&id) {
-                return id;
-            }
-        }
-    }
-
-    /// Access to the system RNG (experiments thread all randomness
-    /// through the system for reproducibility).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    // ------------------------------------------------------------------
-    // Peer membership
-    // ------------------------------------------------------------------
-
-    /// Joins a peer under a freshly drawn random identifier.
-    pub fn add_peer(&mut self, capacity: u32) -> Result<Key> {
-        let id = self.draw_peer_id();
-        self.add_peer_with_id(id.clone(), capacity)?;
-        Ok(id)
-    }
-
-    /// Joins a peer under the given identifier, routing the join
-    /// through the tree (Algorithms 1 and 2) when the overlay is
-    /// already populated.
-    pub fn add_peer_with_id(&mut self, id: Key, capacity: u32) -> Result<()> {
-        self.config.alphabet.validate(&id)?;
-        if self.engine.contains_peer(&id) {
-            return Err(DlptError::DuplicatePeer(id.to_string()));
-        }
-        self.engine.add_local_shard(id.clone(), capacity);
-        if self.engine.peer_count() == 1 {
-            return Ok(());
-        }
-        let env = self.engine.join_envelope(&id, &mut self.rng);
-        self.enqueue(env);
-        self.drain()?;
-        self.flush_replication()
-    }
-
-    /// Graceful departure: the peer hands its nodes to its successor
-    /// and splices itself out (Section 4's churn model).
-    pub fn leave_peer(&mut self, id: &Key) -> Result<()> {
-        self.engine.leave_shard(id, &mut self.pump)?;
-        self.drain()?;
-        self.flush_replication()
-    }
-
-    /// Non-graceful departure: the peer vanishes and the ring heals
-    /// around it. Without replication (`k = 1`) every node the peer ran
-    /// — and its registered data — is lost. With `k > 1` each lost node
-    /// fails over to a surviving follower copy (`protocol::repair`);
-    /// only nodes with no live replica are lost. Returns the labels of
-    /// the *lost* nodes. Call [`DlptSystem::repair_tree`] afterwards to
-    /// re-attach any orphaned subtrees.
-    pub fn crash_peer(&mut self, id: &Key) -> Result<Vec<Key>> {
-        self.engine.crash_shard(id)
-    }
-
-    // ------------------------------------------------------------------
-    // Data plane
-    // ------------------------------------------------------------------
-
-    /// Registers a service key, entering the tree at a random node
-    /// (Algorithm 3).
-    pub fn insert_data(&mut self, key: impl Into<Key>) -> Result<()> {
-        let key = key.into();
-        match self.random_node() {
-            Some(entry) => self.insert_data_at(&entry, key),
-            None => self.insert_first(key),
-        }
-    }
-
-    /// Registers a service key entering at a chosen node.
-    pub fn insert_data_at(&mut self, entry: &Key, key: impl Into<Key>) -> Result<()> {
-        let key = key.into();
-        self.config.alphabet.validate(&key)?;
-        if self.engine.peer_count() == 0 {
-            return Err(DlptError::EmptyRing);
-        }
-        if !self.engine.directory.contains(entry) {
-            return Err(DlptError::UnknownNode(entry.to_string()));
-        }
-        self.enqueue(Envelope::to_node(
-            entry.clone(),
-            NodeMsg::DataInsertion { key },
-        ));
-        self.drain()?;
-        self.flush_replication()
-    }
-
-    /// First registration: creates the root node directly on the peer
-    /// the mapping rule designates (there is no tree to route through
-    /// yet).
-    fn insert_first(&mut self, key: Key) -> Result<()> {
-        self.config.alphabet.validate(&key)?;
-        if self.engine.peer_count() == 0 {
-            return Err(DlptError::EmptyRing);
-        }
-        let host = self.engine.host_peer(&key).expect("non-empty ring").clone();
-        let mut node = NodeState::new(key.clone());
-        node.data.insert(key.clone());
-        self.engine
-            .shard_mut(&host)
-            .expect("host exists")
-            .install(node);
-        self.engine.directory.insert(key.clone(), host);
-        self.engine.mark_touched(&key);
-        self.engine.root = Some(key);
-        self.flush_replication()
-    }
-
-    /// Deregisters a service key (extension over the paper — see
-    /// `protocol::data_removal`). Nodes left redundant dissolve, so
-    /// the overlay keeps converging to the sequential oracle of the
-    /// remaining keys. No-op if the key is absent.
-    pub fn remove_data(&mut self, key: &Key) -> Result<()> {
-        if self.engine.peer_count() == 0 {
-            return Err(DlptError::EmptyRing);
-        }
-        let Some(entry) = self.random_node() else {
-            return Ok(()); // empty tree: nothing registered
-        };
-        self.enqueue(Envelope::to_node(
-            entry,
-            NodeMsg::DataRemoval { key: key.clone() },
-        ));
-        self.drain()?;
-        self.flush_replication()
-    }
-
-    /// Issues a discovery request from a random entry node and runs it
-    /// to completion.
-    pub fn request(&mut self, query: QueryKind) -> Result<LookupOutcome> {
-        let entry = self.random_node().ok_or(DlptError::EmptyTree)?;
-        self.request_from(&entry, query)
-    }
-
-    /// Issues a discovery request from a chosen entry node.
-    ///
-    /// Cache consultation, shortcut learning and scatter/gather
-    /// aggregation are the engine's — see
-    /// [`Engine::begin_request`] for the route-cache flow.
-    pub fn request_from(&mut self, entry: &Key, query: QueryKind) -> Result<LookupOutcome> {
-        let (id, mut env) = self.engine.begin_request(entry, query)?;
-        loop {
-            self.enqueue(env);
-            self.drain()?;
-            if let Some(out) = self.engine.take_finished(id) {
-                return Ok(out);
-            }
-            // Not finalized at quiescence — a response was lost, or a
-            // reordering plan defers judging: re-send the origin while
-            // the engine's retry policy says so (immediately; the pump
-            // has no clock), then take the verdict, which is the
-            // explicit failure if a branch is still stranded. A request
-            // never hangs and never silently vanishes.
-            match self.engine.retry_origin(id) {
-                Some(origin) => env = origin,
-                None => return Ok(self.engine.finish_request(id)),
-            }
-        }
-    }
-
-    /// Runs a batch of discovery requests through the route-then-commit
-    /// pump ([`crate::engine::parallel`]): entry nodes are drawn from
-    /// the system RNG exactly as [`DlptSystem::request`] draws them,
-    /// the requests are routed read-only over the frozen tree on up to
-    /// `workers` threads, and one ordered commit charges the capacity
-    /// counters in request order. Outcomes are returned in input order
-    /// and — like the counters, loads and trace the batch leaves behind
-    /// — equal what calling [`DlptSystem::request`] once per query
-    /// would produce, at every worker count. Two caveats: route caches
-    /// are consulted up front and taught afterwards, and a refused
-    /// visit is a drop (no replica failover at `k > 1`).
-    pub fn discover_batch(
-        &mut self,
-        queries: Vec<QueryKind>,
-        workers: usize,
-    ) -> Result<Vec<LookupOutcome>> {
-        let mut requests = Vec::with_capacity(queries.len());
-        for query in queries {
-            let entry = self.random_node().ok_or(DlptError::EmptyTree)?;
-            requests.push((entry, query));
-        }
-        ParallelPump::new(workers).run_batch(&mut self.engine, requests)
-    }
-
-    /// Exact lookup of one key.
-    pub fn lookup(&mut self, key: &Key) -> LookupOutcome {
-        self.request(QueryKind::Exact(key.clone()))
-            .unwrap_or_else(|_| empty_outcome())
-    }
-
-    /// Range query over `[lo, hi]`.
-    pub fn range(&mut self, lo: &Key, hi: &Key) -> LookupOutcome {
-        self.request(QueryKind::Range(lo.clone(), hi.clone()))
-            .unwrap_or_else(|_| empty_outcome())
-    }
-
-    /// Automatic completion of a partial search string.
-    pub fn complete(&mut self, prefix: &Key) -> LookupOutcome {
-        self.request(QueryKind::Complete(prefix.clone()))
-            .unwrap_or_else(|_| empty_outcome())
-    }
-
-    // ------------------------------------------------------------------
-    // Load-balancing support (used by `crate::balance`)
-    // ------------------------------------------------------------------
-
-    /// Moves one node to another peer, updating the directory. Used by
-    /// the balancers; counted as balance traffic.
-    pub fn migrate_node(&mut self, label: &Key, to: &Key) -> Result<()> {
-        self.engine.migrate_shard_node(label, to, &mut self.pump)?;
-        self.drain()?;
-        self.flush_replication()
-    }
-
-    /// Changes a peer's identifier in place (the MLT boundary move:
-    /// "finding the best distribution is equivalent to find the best
-    /// position of P moving along the ring"). Ring links of both
-    /// neighbours and the directory entries of hosted nodes follow.
-    pub fn rename_peer(&mut self, old: &Key, new: Key) -> Result<()> {
-        if old == &new {
-            return Ok(());
-        }
-        self.config.alphabet.validate(&new)?;
-        self.engine.rename_shard(old, new)?;
-        self.flush_replication()
-    }
-
-    // ------------------------------------------------------------------
-    // Replication and crash repair (extensions over the paper)
-    // ------------------------------------------------------------------
-
-    /// One self-healing anti-entropy pass (`protocol::repair`): counts
-    /// nodes whose live follower set is short of `min(k - 1, |P| - 1)`,
-    /// garbage-collects stale copies, refreshes the follower
-    /// bookkeeping, then kicks every peer with `SyncReplicas` so each
-    /// re-clones its nodes along the ring. Run once per time unit to
-    /// converge the overlay back to the replication invariant after
-    /// crashes and leaves. No-op at `k = 1`.
-    pub fn anti_entropy(&mut self) -> Result<AntiEntropyReport> {
-        let (mut report, kicked) = self.engine.anti_entropy_scan(&mut self.pump);
-        if !kicked {
-            return Ok(report);
-        }
-        let before = self.engine.repl_stats.replication_messages;
-        self.drain()?;
-        report.messages_sent = (self.engine.repl_stats.replication_messages - before) as usize;
-        Ok(report)
-    }
-
-    /// Prunes the links crashes left dangling and re-attaches the
-    /// subtrees they orphaned, as insertion-protocol traffic
-    /// ([`Engine::send_orphan`]), one orphan per drain.
-    pub fn repair_tree(&mut self) -> RepairReport {
-        let report = self.engine.repair_scan();
-        for orphan in &report.reattached {
-            self.engine.send_orphan(&mut self.pump, orphan.clone());
-            self.drain().expect("repair traffic is reliable-class");
-        }
-        report
-    }
-
-    // ------------------------------------------------------------------
-    // The pump
-    // ------------------------------------------------------------------
-
-    /// Injects an envelope at the back of the queue — past the fault
-    /// gate: the pump models only engine-emitted traffic as faultable.
-    fn enqueue(&mut self, env: Envelope) {
-        self.pump.queue.push_back((0, env));
-    }
-
-    /// Eager replica maintenance after a mutating operation: the
-    /// engine enqueues the re-clone traffic, the pump drains it.
-    /// No-op at `k = 1`.
-    fn flush_replication(&mut self) -> Result<()> {
-        self.engine.flush_replication(&mut self.pump);
-        self.drain()
-    }
-
-    /// Processes the queue to quiescence through the engine's
-    /// dispatch. (To see the last dispatches before a failure, arm the
+    /// Processes the queue through the engine's dispatch, requeueing a
+    /// not-yet-resolvable destination at the back until the budget is
+    /// spent. (To see the last dispatches before a failure, arm the
     /// ring tracer: [`Engine::set_tracing`].)
-    fn drain(&mut self) -> Result<()> {
+    fn quiesce(&mut self, engine: &mut Engine) -> Result<()> {
         let mut steps = 0usize;
         loop {
-            while let Some((requeues, env)) = self.pump.queue.pop_front() {
+            while let Some((requeues, env)) = self.fifo.queue.pop_front() {
                 steps += 1;
                 if steps > DRAIN_BUDGET {
                     return Err(DlptError::HopBudgetExhausted {
                         budget: DRAIN_BUDGET,
                     });
                 }
-                if let Step::Requeue(env) = self.engine.deliver(&mut self.pump, env)? {
-                    self.requeue(requeues, env)?;
+                let Step::Requeue(env) = engine.deliver(self, env)? else {
+                    continue;
+                };
+                if requeues >= requeue_limit(REQUEUE_BUDGET, engine.peer_count()) {
+                    engine.fail_undeliverable(self, env)?;
+                    continue;
                 }
+                engine.stats.requeues += 1;
+                self.fifo.queue.push_back((requeues + 1, env));
             }
             // Reorder-deferred envelopes are released at quiescence;
             // they may fan out further, so drain until nothing is held.
-            if !self.engine.flush_deferred(&mut self.pump) {
+            if !engine.flush_deferred(self) {
                 return Ok(());
             }
         }
     }
 
-    fn requeue(&mut self, requeues: u32, env: Envelope) -> Result<()> {
-        if requeues >= requeue_limit(REQUEUE_BUDGET, self.engine.peer_count()) {
-            return self.engine.fail_undeliverable(env);
-        }
-        self.engine.stats.requeues += 1;
-        self.pump.queue.push_back((requeues + 1, env));
-        Ok(())
-    }
-
-    /// Depth of every live node (root = 0); see [`Engine::depth_map`].
-    pub fn depth_map(&self) -> BTreeMap<Key, u32> {
-        self.engine.depth_map()
+    fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheStats;
+    use crate::key::Key;
+    use crate::messages::QueryKind;
     use crate::replication::ReplicationStats;
     use crate::trie::PgcpTrie;
 

@@ -1,37 +1,37 @@
 //! The live threaded runtime: every peer is an OS thread.
 //!
 //! This is the workspace's substitution for the paper's Grid'5000
-//! prototype (announced as future work there), and the third
-//! *transport* of the protocol engine (`dlpt_core::engine`): the engine
-//! hosts every shard, as it does for `DlptSystem` and
-//! [`crate::sim::LatencyNet`], and this runtime decides only how
+//! prototype (announced as future work there): the shared operation
+//! surface of `dlpt_core` ([`Overlay`]) over a [`FrameDriver`]. The
+//! engine hosts every shard, as it does for `DlptSystem` and
+//! [`crate::sim::LatencyNet`], and this driver decides only how
 //! envelopes travel. One leaving the engine is encoded once
 //! ([`crate::codec`]) and sent to the inbox of the peer that hosts its
 //! destination; that peer's thread decodes the frame and hands it to
 //! [`Engine::deliver`] — the only handler entry — against the one
-//! engine all threads share behind one lock. The caller lends the
-//! engine to the threads while an operation runs and takes it back at
-//! quiescence, so between operations [`ThreadedDlpt`] dereferences to
-//! it like every other runtime (introspection, tracing, audit, health
-//! snapshots, the fault API).
+//! engine all threads share behind one lock. An operation lends the
+//! engine to the threads by swapping it into the hub and swaps it back
+//! at quiescence, so between operations [`ThreadedDlpt`] dereferences
+//! to it like every other runtime (introspection, tracing, audit,
+//! health snapshots, the fault API).
 //!
 //! So every envelope kind crosses a thread boundary as a wire frame,
 //! delivery order is decided by the OS scheduler, and a peer's handlers
 //! run on that peer's thread. Scheduling is nondeterministic; the
 //! protocol's convergence is not: the tests build overlays under real
 //! interleavings and check the tree against the sequential oracle.
-//!
-//! Scope: joins, registrations, queries, crashes and their repair.
-//! Capacity accounting and churn stay in `dlpt-sim`.
 
 use crate::codec::{decode, encode};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlpt_core::alphabet::Alphabet;
-use dlpt_core::engine::{requeue_limit, Engine, EngineConfig, RepairReport, Step, Transport};
+use dlpt_core::engine::{requeue_limit, Engine, Step, Transport};
+use dlpt_core::error::Result;
 use dlpt_core::key::Key;
-use dlpt_core::messages::{Address, Envelope, NodeMsg, QueryKind};
+use dlpt_core::messages::{Address, Envelope};
+use dlpt_core::overlay::{Driver, Overlay};
 use dlpt_core::peer::PeerShard;
+use dlpt_core::system::SystemConfig;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,9 +54,6 @@ pub struct ThreadedStats {
 /// before the owning request is failed explicitly.
 const FRAME_RETRY_BUDGET: u32 = 10_000;
 
-const HOME: &str = "the engine is home between operations";
-const LENT: &str = "the engine is lent to the peer threads while frames are in flight";
-
 /// One wire frame in a peer's inbox, with its redelivery count.
 type Frame = (u32, Bytes);
 
@@ -74,8 +71,9 @@ impl Transport for Outbox {
 /// What the caller and the peer threads share, behind one lock.
 #[derive(Default)]
 struct Hub {
-    /// The one engine, present only while an operation runs.
-    engine: Option<Engine>,
+    /// The engine the threads deliver into: the overlay's while an
+    /// operation runs, a spare empty one in between.
+    engine: Engine,
     /// The inbox of every live peer; dropping one ends its thread.
     inboxes: HashMap<Key, Sender<Frame>>,
     /// Frames sent to an inbox and not yet handled: zero is quiescence.
@@ -100,7 +98,7 @@ fn carrier<'a>(engine: &'a Engine, to: &'a Address) -> &'a Key {
 impl Hub {
     /// Sends one frame to the inbox of its [`carrier`].
     fn post(&mut self, to: &Address, frame: Frame) {
-        let peer = carrier(self.engine.as_ref().expect(LENT), to);
+        let peer = carrier(&self.engine, to);
         self.inboxes[peer]
             .send(frame)
             .expect("a live peer's thread keeps its inbox open");
@@ -119,7 +117,7 @@ impl Hub {
             if self.inflight > 0 {
                 return false;
             }
-            if !self.engine.as_mut().expect(LENT).flush_deferred(out) {
+            if !self.engine.flush_deferred(out) {
                 return true;
             }
         }
@@ -139,12 +137,12 @@ impl Hub {
         out: &mut Outbox,
         stats: &ThreadedStats,
     ) -> bool {
-        let engine = self.engine.as_mut().expect(LENT);
-        if carrier(engine, &env.to) != me {
+        if carrier(&self.engine, &env.to) != me {
             self.post(&env.to, (retries, frame));
             return false;
         }
         *stats.frames_handled.lock() += 1;
+        let engine = &mut self.engine;
         let Step::Requeue(env) = engine.deliver(out, env).expect("valid envelope") else {
             return false;
         };
@@ -153,7 +151,7 @@ impl Hub {
             self.post(&env.to, (retries + 1, frame));
             return true;
         }
-        if let Err(e) = engine.fail_frame(env) {
+        if let Err(e) = engine.fail_frame(out, env) {
             panic!("frame given up after {retries} redeliveries: {e}");
         }
         false
@@ -194,41 +192,90 @@ fn peer_loop(
     }
 }
 
-/// A live DLPT overlay over OS threads. Dereferences to the underlying
-/// [`Engine`] for introspection (`node_labels`, `audit`, `take_trace`,
-/// …), configuration and the counters.
-pub struct ThreadedDlpt {
-    alphabet: Alphabet,
+/// The threaded driver: the hub the peer threads share, their handles,
+/// the envelopes injected since the last quiescence and the RNG.
+pub struct FrameDriver {
     rng: StdRng,
-    /// `None` only inside [`ThreadedDlpt::run_to_quiescence`].
-    engine: Option<Engine>,
     hub: Arc<Mutex<Hub>>,
     handles: Vec<JoinHandle<()>>,
-    /// Envelopes injected since the last operation ran.
     out: Outbox,
     done_tx: Sender<std::thread::Result<()>>,
     done_rx: Receiver<std::thread::Result<()>>,
+    stats: Arc<ThreadedStats>,
+}
+
+impl Drop for FrameDriver {
+    fn drop(&mut self) {
+        // The threads hold the hub, the hub their inboxes: close them.
+        self.hub.lock().inboxes.clear();
+    }
+}
+
+impl Transport for FrameDriver {
+    fn deliver(&mut self, env: Envelope) {
+        self.out.0.push(env);
+    }
+}
+
+impl Driver for FrameDriver {
+    /// Lends the engine to the peer threads, gives every live peer a
+    /// thread (and ends those of peers gone since), frames the queued
+    /// envelopes and blocks until no frame is in flight.
+    fn quiesce(&mut self, engine: &mut Engine) -> Result<()> {
+        let mut guard = self.hub.lock();
+        let hub = &mut *guard;
+        std::mem::swap(&mut hub.engine, engine);
+        hub.inboxes.retain(|id, _| hub.engine.contains_peer(id));
+        for (id, _) in hub.engine.shards() {
+            if hub.inboxes.contains_key(id) {
+                continue;
+            }
+            let (tx, rx) = unbounded();
+            let (me, shared) = (id.clone(), Arc::clone(&self.hub));
+            let (done, stats) = (self.done_tx.clone(), Arc::clone(&self.stats));
+            let handle = std::thread::Builder::new()
+                .name(format!("peer-{id}"))
+                .spawn(move || peer_loop(me, rx, shared, done, stats))
+                .expect("spawn peer thread");
+            self.handles.push(handle);
+            hub.inboxes.insert(id.clone(), tx);
+        }
+        let quiescent = hub.flush(&mut self.out);
+        drop(guard);
+        if !quiescent {
+            let done = self.done_rx.recv().expect("`done_tx` is alive");
+            if let Err(panic) = done {
+                resume_unwind(panic);
+            }
+        }
+        std::mem::swap(&mut self.hub.lock().engine, engine);
+        Ok(())
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
+}
+
+/// A live DLPT overlay over OS threads. Dereferences to its [`Overlay`]
+/// — the operations every runtime shares — and through it to the
+/// engine.
+pub struct ThreadedDlpt {
+    overlay: Overlay<FrameDriver>,
     /// Shared counters.
     pub stats: Arc<ThreadedStats>,
 }
 
 impl std::ops::Deref for ThreadedDlpt {
-    type Target = Engine;
-    fn deref(&self) -> &Engine {
-        self.engine.as_ref().expect(HOME)
+    type Target = Overlay<FrameDriver>;
+    fn deref(&self) -> &Self::Target {
+        &self.overlay
     }
 }
 
 impl std::ops::DerefMut for ThreadedDlpt {
-    fn deref_mut(&mut self) -> &mut Engine {
-        self.engine.as_mut().expect(HOME)
-    }
-}
-
-impl Drop for ThreadedDlpt {
-    fn drop(&mut self) {
-        // The threads hold the hub, the hub their inboxes: close them.
-        self.hub.lock().inboxes.clear();
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.overlay
     }
 }
 
@@ -236,188 +283,68 @@ impl ThreadedDlpt {
     /// An empty live overlay.
     pub fn new(alphabet: Alphabet, seed: u64) -> Self {
         let (done_tx, done_rx) = unbounded();
-        ThreadedDlpt {
-            alphabet,
+        let stats = Arc::<ThreadedStats>::default();
+        let driver = FrameDriver {
             rng: StdRng::seed_from_u64(seed),
-            engine: Some(Engine::new(EngineConfig {
-                judge_at_quiescence: true,
-                ..EngineConfig::default()
-            })),
             hub: Arc::default(),
             handles: Vec::new(),
             out: Outbox::default(),
             done_tx,
             done_rx,
-            stats: Arc::default(),
+            stats: Arc::clone(&stats),
+        };
+        let config = SystemConfig {
+            alphabet,
+            peer_id_len: 12,
+            ..SystemConfig::default()
+        };
+        ThreadedDlpt {
+            overlay: Overlay::with_driver(config, driver),
+            stats,
         }
     }
 
-    /// Injects an envelope through the engine's fault gate: this
-    /// runtime models everything that travels as a frame — entry and
-    /// retry envelopes included — as faultable.
-    fn send(&mut self, env: Envelope) {
-        self.engine.as_mut().expect(HOME).send(&mut self.out, env);
-    }
-
-    /// Lends the engine to the peer threads, frames the injected
-    /// envelopes and blocks until no frame is in flight.
-    fn run_to_quiescence(&mut self) {
-        let mut hub = self.hub.lock();
-        hub.engine = self.engine.take();
-        let quiescent = hub.flush(&mut self.out);
-        drop(hub);
-        if !quiescent {
-            let done = self.done_rx.recv().expect("`done_tx` is alive");
-            if let Err(panic) = done {
-                resume_unwind(panic);
-            }
-        }
-        self.engine = self.hub.lock().engine.take();
-    }
-
-    /// One anti-entropy pass: every peer receives a `SyncReplicas` frame
-    /// and re-clones its nodes onto its ring successors with `Replicate`
-    /// frames — replication through the wire codec. No-op at `k = 1`.
-    pub fn anti_entropy(&mut self) {
-        let engine = self.engine.as_mut().expect(HOME);
-        if engine.anti_entropy_kick(&mut self.out) {
-            self.run_to_quiescence();
-        }
-    }
-
-    /// Simulated crash: the peer's thread ends without hand-off and
-    /// [`Engine::crash_shard`] heals the ring and fails its nodes over to
-    /// follower copies, as in every runtime. Returns the labels lost;
-    /// [`ThreadedDlpt::repair_tree`] re-attaches what they orphaned. Run
-    /// [`ThreadedDlpt::anti_entropy`] beforehand for fresh copies.
-    /// Panics on an unknown `id`.
-    pub fn crash_peer(&mut self, id: &Key) -> Vec<Key> {
-        let lost = self.crash_shard(id).expect("crash of a live peer");
-        self.hub.lock().inboxes.remove(id);
-        lost
-    }
-
-    /// Crash repair ([`Engine::send_orphan`]): each orphaned subtree
-    /// re-enters through the insertion protocol as frames between the
-    /// peer threads, one orphan per run to quiescence.
-    pub fn repair_tree(&mut self) -> RepairReport {
-        let report = self.repair_scan();
-        for orphan in &report.reattached {
-            let engine = self.engine.as_mut().expect(HOME);
-            engine.send_orphan(&mut self.out, orphan.clone());
-            self.run_to_quiescence();
-        }
-        report
-    }
-
-    /// Joins a peer under a fresh random identifier; returns it.
+    /// Joins a peer with unbounded capacity under a fresh random
+    /// identifier; returns it.
     pub fn add_peer(&mut self) -> Key {
-        let id = loop {
-            let id = self.alphabet.random_id(&mut self.rng, 12);
-            if !self.contains_peer(&id) {
-                break id;
-            }
-        };
-        self.add_peer_with_id(id.clone());
-        id
+        let capacity = self.config().default_capacity;
+        self.overlay
+            .add_peer(capacity)
+            .expect("a freshly drawn id joins")
     }
 
-    /// Joins a peer under a chosen identifier — its shard in the
-    /// engine, its inbox on a new thread — routing the join through
-    /// the tree when one exists.
-    pub fn add_peer_with_id(&mut self, id: Key) {
-        assert!(!self.contains_peer(&id), "duplicate peer id");
-        let (tx, rx) = unbounded();
-        let (me, hub) = (id.clone(), Arc::clone(&self.hub));
-        let (done, stats) = (self.done_tx.clone(), Arc::clone(&self.stats));
-        let handle = std::thread::Builder::new()
-            .name(format!("peer-{id}"))
-            .spawn(move || peer_loop(me, rx, hub, done, stats))
-            .expect("spawn peer thread");
-        self.handles.push(handle);
-        self.hub.lock().inboxes.insert(id.clone(), tx);
-        let engine = self.engine.as_mut().expect(HOME);
-        engine.add_local_shard(id.clone(), u32::MAX >> 1);
-        if engine.peer_count() == 1 {
-            return;
-        }
-        let env = engine.join_envelope(&id, &mut self.rng);
-        self.send(env);
-        self.run_to_quiescence();
-    }
-
-    /// Registers a service key.
+    /// Registers a service key; panics on an empty ring.
     pub fn insert_data(&mut self, key: impl Into<Key>) {
-        let engine = self.engine.as_mut().expect(HOME);
-        assert!(engine.peer_count() > 0, "need at least one peer");
-        let env = engine.insert_envelope(key.into(), &mut self.rng);
-        self.send(env);
-        self.run_to_quiescence();
+        self.overlay
+            .insert_data(key)
+            .expect("registration on a live ring");
     }
 
-    /// Deregisters a service key.
-    pub fn remove_data(&mut self, key: &Key) {
-        if let Some(entry) = self.engine.as_ref().expect(HOME).random_node(&mut self.rng) {
-            let env = Envelope::to_node(entry, NodeMsg::DataRemoval { key: key.clone() });
-            self.send(env);
-            self.run_to_quiescence();
-        }
-    }
-
-    /// Exact lookup; returns `(found, results)`.
+    /// Exact lookup; returns `(satisfied, results)`.
     pub fn lookup(&mut self, key: &Key) -> (bool, Vec<Key>) {
-        self.request(QueryKind::Exact(key.clone()))
-    }
-
-    /// Automatic completion of a partial string.
-    pub fn complete(&mut self, prefix: &Key) -> (bool, Vec<Key>) {
-        self.request(QueryKind::Complete(prefix.clone()))
-    }
-
-    /// Range query over `[lo, hi]`.
-    pub fn range(&mut self, lo: &Key, hi: &Key) -> (bool, Vec<Key>) {
-        self.request(QueryKind::Range(lo.clone(), hi.clone()))
-    }
-
-    fn request(&mut self, query: QueryKind) -> (bool, Vec<Key>) {
-        let engine = self.engine.as_mut().expect(HOME);
-        let Some(entry) = engine.random_node(&mut self.rng) else {
-            return (false, Vec::new());
-        };
-        // Cache consult at the entry peer — the engine's shared
-        // hit/stale/learn flow, before the frame is cut.
-        let (id, env) = engine
-            .begin_request(&entry, query)
-            .expect("entry is a live node");
-        self.send(env);
-        self.run_to_quiescence();
-        // While the engine's retry policy says a branch is stranded (a
-        // frame was lost), the origin goes back out as a frame like any
-        // other — immediately: the threaded runtime has no clock.
-        while let Some(origin) = self.retry_origin(id) {
-            self.send(origin);
-            self.run_to_quiescence();
-        }
-        let out = self.finish_request(id);
+        let out = self.overlay.lookup(key);
         (out.satisfied, out.results)
     }
 
     /// Ends every peer thread and returns the shards of the live peers
     /// in ring order (for inspection/validation).
-    pub fn shutdown(mut self) -> Vec<PeerShard> {
-        self.hub.lock().inboxes.clear();
-        for h in self.handles.drain(..) {
+    pub fn shutdown(self) -> Vec<PeerShard> {
+        let (mut engine, mut driver) = self.overlay.into_parts();
+        driver.hub.lock().inboxes.clear();
+        for h in driver.handles.drain(..) {
             h.join().expect("peer threads catch their own panics");
         }
-        let ids = self.peer_ids();
-        ids.iter().filter_map(|id| self.remove_member(id)).collect()
+        let ids = engine.peer_ids();
+        ids.iter()
+            .filter_map(|id| engine.remove_member(id))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlpt_core::messages::{DiscoveryMsg, RoutePhase};
+    use dlpt_core::messages::{DiscoveryMsg, NodeMsg, QueryKind, RoutePhase};
     use dlpt_core::obs::health::HealthMonitor;
     use dlpt_core::obs::EventKind;
     use dlpt_core::trie::PgcpTrie;
@@ -463,12 +390,12 @@ mod tests {
         }
         let (found, _) = net.lookup(&Key::from("NOPE"));
         assert!(!found);
-        let (ok, results) = net.complete(&Key::from("S3L"));
-        assert!(ok);
-        assert_eq!(results.len(), 2);
-        let (ok, results) = net.range(&Key::from("D"), &Key::from("E"));
-        assert!(ok);
-        assert_eq!(results.len(), 4);
+        let out = net.complete(&Key::from("S3L"));
+        assert!(out.satisfied);
+        assert_eq!(out.results.len(), 2);
+        let out = net.range(&Key::from("D"), &Key::from("E"));
+        assert!(out.satisfied);
+        assert_eq!(out.results.len(), 4);
         net.shutdown();
     }
 
@@ -510,7 +437,7 @@ mod tests {
     fn anti_entropy_places_replicas_on_live_threads() {
         let mut net = live(5, 5, &KEYS);
         net.set_replication(2);
-        net.anti_entropy();
+        net.anti_entropy().unwrap();
         let labels = net.node_labels();
         for label in &labels {
             assert_eq!(net.replica_hosts(label).len(), 2, "{label}");
@@ -553,7 +480,7 @@ mod tests {
             assert!(net.lookup(&victim).0);
         }
         assert!(net.cache_stats.hits > 0, "cache must be warm");
-        net.remove_data(&victim);
+        net.remove_data(&victim).unwrap();
         assert!(net.cache_stats.invalidations_delivered > 0);
         for _ in 0..6 {
             let (found, results) = net.lookup(&victim);
@@ -568,7 +495,7 @@ mod tests {
     fn crashed_thread_fails_over_without_losing_keys() {
         let mut net = live(6, 6, &KEYS);
         net.set_replication(2);
-        net.anti_entropy();
+        net.anti_entropy().unwrap();
         // Crash the thread hosting the most nodes.
         let mut by_host: std::collections::HashMap<Key, usize> = std::collections::HashMap::new();
         for label in net.node_labels() {
@@ -580,7 +507,7 @@ mod tests {
             .max_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
             .map(|(id, _)| id)
             .unwrap();
-        let lost = net.crash_peer(&victim);
+        let lost = net.crash_peer(&victim).unwrap();
         assert!(lost.is_empty(), "{lost:?}");
         assert_eq!(net.peer_count(), 5);
         for k in KEYS {
@@ -589,7 +516,7 @@ mod tests {
             assert_eq!(results, vec![Key::from(k)]);
         }
         // Redundancy is restored by the next pass.
-        net.anti_entropy();
+        net.anti_entropy().unwrap();
         for label in net.node_labels() {
             assert_eq!(net.replica_hosts(&label).len(), 2, "{label}");
         }
@@ -604,7 +531,10 @@ mod tests {
             .max_by_key(|(_, s)| s.node_count())
             .map(|(id, _)| id.clone())
             .unwrap();
-        assert!(!net.crash_peer(&victim).is_empty(), "k = 1 loses nodes");
+        assert!(
+            !net.crash_peer(&victim).unwrap().is_empty(),
+            "k = 1 loses nodes"
+        );
         assert!(!net.repair_tree().reattached.is_empty());
         net.assert_clean();
         for k in KEYS {
@@ -615,12 +545,6 @@ mod tests {
             assert!(net.lookup(&Key::from(k)).0, "{k}");
         }
         net.shutdown();
-    }
-
-    #[test]
-    #[should_panic(expected = "crash of a live peer")]
-    fn crashing_an_unknown_peer_panics() {
-        live(13, 3, &KEYS[..2]).crash_peer(&Key::from("NOPE"));
     }
 
     /// Frames reach [`Engine::deliver`]: the tracer sees every hop of a
@@ -681,15 +605,13 @@ mod tests {
                 phase: RoutePhase::Up,
                 path: Vec::new(),
             };
-            net.send(Envelope::to_node(never, NodeMsg::Discovery(stray)));
-            net.run_to_quiescence();
-            let out = net.finish_request(id);
-            let counts = (
-                net.fault_stats().frames_exhausted,
-                *net.stats.frames_bounced.lock() - bounced,
-            );
-            net.shutdown();
-            (out, counts.0, counts.1)
+            let stray = Envelope::to_node(never, NodeMsg::Discovery(stray));
+            let (mut engine, mut driver) = net.overlay.into_parts();
+            driver.inject(&mut engine, stray);
+            driver.quiesce(&mut engine).unwrap();
+            let bounced = *driver.stats.frames_bounced.lock() - bounced;
+            let out = engine.finish_request(id);
+            (out, engine.fault_stats().frames_exhausted, bounced)
         })
         .expect("an exhausted discovery frame fails its request, not the runtime");
         assert!(!out.satisfied && out.dropped, "{out:?}");
@@ -700,13 +622,13 @@ mod tests {
     #[test]
     fn a_peer_thread_panic_reaches_the_caller() {
         let panic = within_a_minute(|| {
-            let mut net = live(11, 3, &KEYS[..4]);
-            let mut hub = net.hub.lock();
+            let (mut engine, mut driver) = live(11, 3, &KEYS[..4]).overlay.into_parts();
+            let mut hub = driver.hub.lock();
             let inbox = hub.inboxes.values().next().expect("three peers");
             inbox.send((0, Bytes::from(vec![0xFF; 3]))).unwrap();
             hub.inflight += 1;
             drop(hub);
-            net.run_to_quiescence();
+            driver.quiesce(&mut engine).unwrap();
         })
         .expect_err("the undecodable frame panics its peer thread");
         let msg = panic.downcast_ref::<String>().expect("an `expect` message");

@@ -42,14 +42,15 @@ fn main() {
         let (found, _) = net.lookup(&Key::from(probe));
         println!("lookup {probe}: found={found}");
     }
-    let (_, s3l) = net.complete(&Key::from("S3L"));
+    let s3l = net.complete(&Key::from("S3L")).results;
     println!(
         "complete 'S3L' -> {:?}",
         s3l.iter().map(|k| k.to_string()).collect::<Vec<_>>()
     );
 
     // Deregistration works live too.
-    net.remove_data(&Key::from("S3L_sort"));
+    net.remove_data(&Key::from("S3L_sort"))
+        .expect("the ring is live");
     let (found, _) = net.lookup(&Key::from("S3L_sort"));
     println!("after removal, lookup S3L_sort: found={found}");
 

@@ -1,18 +1,20 @@
-//! Runtime-equivalence property: the unified engine means the three
-//! runtimes — the synchronous pump, the (zero-latency) discrete-event
-//! `LatencyNet` and the threaded `ThreadedDlpt` — are *the same
-//! protocol* under different transports. Driving one seeded workload
-//! (joins, registrations, discoveries of every kind, removals, crashes
-//! — repaired at `k = 1`, failed over at `k = 2` — cache on/off)
-//! through all three must yield identical node placements and
-//! identical discovery result sets.
+//! Runtime-equivalence property: the runtimes — the synchronous pump,
+//! the (zero-latency) discrete-event `LatencyNet` and the threaded
+//! `ThreadedDlpt` — are *the same protocol* under different drivers,
+//! and share one operation surface (`Overlay`). Driving one seeded
+//! workload (joins, graceful leaves, registrations, discoveries of
+//! every kind, removals, crashes — repaired at `k = 1`, failed over at
+//! `k = 2` — cache on/off) through all three must yield identical node
+//! placements and identical discovery result sets, and the same misuse
+//! must fail with the same error.
 //!
-//! What may legitimately differ: message/hop counts (transports
-//! schedule differently) and anything capacity-related (only the sync
-//! pump charges capacity — kept unbounded here).
+//! What may legitimately differ: message/hop counts (drivers schedule
+//! differently). Every runtime charges capacity; peers join unbounded
+//! here.
 
 use dlpt::core::{
-    Alphabet, DlptSystem, Engine, FaultPlan, Key, QueryKind, Violation, REQUEST_RETRY_BUDGET,
+    Alphabet, DlptError, DlptSystem, Driver, FaultPlan, Key, Overlay, QueryKind,
+    REQUEST_RETRY_BUDGET,
 };
 use dlpt::net::{LatencyModel, LatencyNet, ThreadedDlpt};
 use proptest::prelude::*;
@@ -27,6 +29,8 @@ const KEY_POOL: [&str; 16] = [
 enum Op {
     /// Join a fresh peer (identifier drawn from a deterministic pool).
     Join,
+    /// Gracefully retire the `i % live`-th peer.
+    Leave(u8),
     /// Register `KEY_POOL[i % len]`.
     Insert(u8),
     /// Deregister `KEY_POOL[i % len]`.
@@ -46,6 +50,7 @@ enum Op {
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Join),
+        any::<u8>().prop_map(Op::Leave),
         any::<u8>().prop_map(Op::Insert),
         any::<u8>().prop_map(Op::Insert), // bias toward growth
         any::<u8>().prop_map(Op::Remove),
@@ -78,164 +83,6 @@ struct Observed {
     results: Vec<(bool, Vec<Key>)>,
 }
 
-/// Drives `ops` through one runtime behind a tiny trait object-free
-/// adapter. What differs per runtime is how operations are issued;
-/// membership, placements, the fault gate and the invariant auditor
-/// are the engine's, reached through [`Runtime::engine`].
-trait Runtime {
-    fn join(&mut self, id: Key);
-    fn insert(&mut self, key: Key);
-    fn remove(&mut self, key: &Key);
-    fn query(&mut self, op: &Op) -> (bool, Vec<Key>);
-    fn crash(&mut self, id: &Key) -> Vec<Key>;
-    fn repair(&mut self);
-    fn anti_entropy(&mut self);
-    fn engine(&mut self) -> &mut Engine;
-
-    fn peers(&mut self) -> Vec<Key> {
-        self.engine().peer_ids()
-    }
-    fn placements(&mut self) -> BTreeMap<Key, Key> {
-        let directory = self.engine().directory();
-        directory
-            .iter()
-            .map(|(l, h)| (l.clone(), h.clone()))
-            .collect()
-    }
-    fn set_faults(&mut self, plan: FaultPlan) {
-        self.engine().set_fault_plan(plan);
-    }
-    fn partition(&mut self, lo: Key, hi: Key) {
-        self.engine().partition(lo, hi);
-    }
-    fn heal(&mut self) {
-        self.engine().heal_partition();
-    }
-    /// Runs the engine's invariant auditor
-    /// (directory↔slab↔trie↔replication cross-consistency).
-    fn audit(&mut self) -> Vec<Violation> {
-        self.engine().audit()
-    }
-}
-
-struct Sync(DlptSystem);
-impl Runtime for Sync {
-    fn join(&mut self, id: Key) {
-        self.0.add_peer_with_id(id, u32::MAX >> 1).unwrap();
-    }
-    fn insert(&mut self, key: Key) {
-        self.0.insert_data(key).unwrap();
-    }
-    fn remove(&mut self, key: &Key) {
-        self.0.remove_data(key).unwrap();
-    }
-    fn query(&mut self, op: &Op) -> (bool, Vec<Key>) {
-        let out = match op {
-            Op::Lookup(i) => self.0.lookup(&key(*i)),
-            Op::Complete(i) => {
-                let k = key(*i);
-                self.0.complete(&k.truncated(2.min(k.len())))
-            }
-            Op::Range(a, b) => {
-                let (lo, hi) = ordered(*a, *b);
-                self.0.range(&lo, &hi)
-            }
-            _ => unreachable!(),
-        };
-        (out.satisfied, out.results)
-    }
-    fn crash(&mut self, id: &Key) -> Vec<Key> {
-        self.0.crash_peer(id).unwrap()
-    }
-    fn repair(&mut self) {
-        self.0.repair_tree();
-    }
-    fn anti_entropy(&mut self) {
-        self.0.anti_entropy().unwrap();
-    }
-    fn engine(&mut self) -> &mut Engine {
-        &mut self.0
-    }
-}
-
-struct Latency(LatencyNet);
-impl Runtime for Latency {
-    fn join(&mut self, id: Key) {
-        self.0.add_peer(id);
-    }
-    fn insert(&mut self, key: Key) {
-        self.0.insert_data(key);
-    }
-    fn remove(&mut self, key: &Key) {
-        self.0.remove_data(key);
-    }
-    fn query(&mut self, op: &Op) -> (bool, Vec<Key>) {
-        match op {
-            Op::Lookup(i) => self.0.lookup(&key(*i)),
-            Op::Complete(i) => {
-                let k = key(*i);
-                self.0.complete(&k.truncated(2.min(k.len())))
-            }
-            Op::Range(a, b) => {
-                let (lo, hi) = ordered(*a, *b);
-                self.0.range(&lo, &hi)
-            }
-            _ => unreachable!(),
-        }
-    }
-    fn crash(&mut self, id: &Key) -> Vec<Key> {
-        self.0.crash_peer(id)
-    }
-    fn repair(&mut self) {
-        self.0.repair_tree();
-    }
-    fn anti_entropy(&mut self) {
-        self.0.anti_entropy();
-    }
-    fn engine(&mut self) -> &mut Engine {
-        &mut self.0
-    }
-}
-
-struct Threaded(ThreadedDlpt);
-impl Runtime for Threaded {
-    fn join(&mut self, id: Key) {
-        self.0.add_peer_with_id(id);
-    }
-    fn insert(&mut self, key: Key) {
-        self.0.insert_data(key);
-    }
-    fn remove(&mut self, key: &Key) {
-        self.0.remove_data(key);
-    }
-    fn query(&mut self, op: &Op) -> (bool, Vec<Key>) {
-        match op {
-            Op::Lookup(i) => self.0.lookup(&key(*i)),
-            Op::Complete(i) => {
-                let k = key(*i);
-                self.0.complete(&k.truncated(2.min(k.len())))
-            }
-            Op::Range(a, b) => {
-                let (lo, hi) = ordered(*a, *b);
-                self.0.range(&lo, &hi)
-            }
-            _ => unreachable!(),
-        }
-    }
-    fn crash(&mut self, id: &Key) -> Vec<Key> {
-        self.0.crash_peer(id)
-    }
-    fn repair(&mut self) {
-        self.0.repair_tree();
-    }
-    fn anti_entropy(&mut self) {
-        self.0.anti_entropy();
-    }
-    fn engine(&mut self) -> &mut Engine {
-        &mut self.0
-    }
-}
-
 fn ordered(a: u8, b: u8) -> (Key, Key) {
     let (x, y) = (key(a), key(b));
     if x <= y {
@@ -245,47 +92,89 @@ fn ordered(a: u8, b: u8) -> (Key, Key) {
     }
 }
 
+/// One op translated to the query it issues (`None` for mutations).
+fn query_of(o: &Op) -> Option<QueryKind> {
+    match o {
+        Op::Lookup(i) => Some(QueryKind::Exact(key(*i))),
+        Op::Complete(i) => {
+            let k = key(*i);
+            Some(QueryKind::Complete(k.truncated(2.min(k.len()))))
+        }
+        Op::Range(a, b) => {
+            let (lo, hi) = ordered(*a, *b);
+            Some(QueryKind::Range(lo, hi))
+        }
+        _ => None,
+    }
+}
+
+/// `(satisfied, results)` of one query; an empty tree is a miss.
+fn ask<D: Driver>(rt: &mut Overlay<D>, query: QueryKind) -> (bool, Vec<Key>) {
+    match rt.request(query) {
+        Ok(out) => (out.satisfied, out.results),
+        Err(e) => {
+            assert_eq!(e, DlptError::EmptyTree);
+            (false, Vec::new())
+        }
+    }
+}
+
+fn join<D: Driver>(rt: &mut Overlay<D>, id: Key) {
+    rt.add_peer_with_id(id, u32::MAX >> 1).unwrap();
+}
+
+fn placements<D: Driver>(rt: &Overlay<D>) -> BTreeMap<Key, Key> {
+    rt.directory()
+        .iter()
+        .map(|(l, h)| (l.clone(), h.clone()))
+        .collect()
+}
+
 /// Runs the workload, returning every query result plus the final
-/// placements. Crashes fire once at least 4 peers are live.
-fn drive<R: Runtime>(rt: &mut R, ops: &[Op], initial_peers: usize, k: usize) -> Observed {
+/// placements. Leaves and crashes fire once at least 4 peers are live.
+fn drive<D: Driver>(rt: &mut Overlay<D>, ops: &[Op], initial_peers: usize, k: usize) -> Observed {
     for i in 0..initial_peers {
-        rt.join(peer_id(i));
+        join(rt, peer_id(i));
     }
     let mut next_peer = initial_peers;
     let mut results = Vec::new();
     for o in ops {
+        if let Some(q) = query_of(o) {
+            results.push(ask(rt, q));
+            continue;
+        }
+        let peers = rt.peer_ids();
         match o {
             Op::Join => {
-                rt.join(peer_id(next_peer));
+                join(rt, peer_id(next_peer));
                 next_peer += 1;
             }
-            Op::Insert(i) => rt.insert(key(*i)),
-            Op::Remove(i) => rt.remove(&key(*i)),
-            Op::Lookup(_) | Op::Complete(_) | Op::Range(_, _) => results.push(rt.query(o)),
-            Op::Crash(i) => {
-                let peers = rt.peers();
-                if peers.len() < 4 {
-                    continue;
-                }
-                let victim = peers[*i as usize % peers.len()].clone();
+            Op::Insert(i) => rt.insert_data(key(*i)).unwrap(),
+            Op::Remove(i) => rt.remove_data(&key(*i)).unwrap(),
+            Op::Leave(i) if peers.len() >= 4 => {
+                rt.leave_peer(&peers[*i as usize % peers.len()]).unwrap();
+            }
+            Op::Crash(i) if peers.len() >= 4 => {
+                let victim = &peers[*i as usize % peers.len()];
                 if k < 2 {
                     // The hosted nodes are lost; repair re-attaches
                     // what they orphaned, as protocol traffic.
-                    rt.crash(&victim);
-                    rt.repair();
+                    rt.crash_peer(victim).unwrap();
+                    rt.repair_tree();
                     continue;
                 }
                 // Fresh copies in, crash, redundancy restored — the
                 // same fail-over path in every runtime.
-                rt.anti_entropy();
-                let lost = rt.crash(&victim);
+                rt.anti_entropy().unwrap();
+                let lost = rt.crash_peer(victim).unwrap();
                 assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
-                rt.anti_entropy();
+                rt.anti_entropy().unwrap();
             }
+            _ => {}
         }
     }
     Observed {
-        placements: rt.placements(),
+        placements: placements(rt),
         results,
     }
 }
@@ -306,57 +195,83 @@ proptest! {
         let k = if replicated { 2 } else { 1 };
         let cache = if cached { 32 } else { 0 };
 
-        let mut sync = Sync(
-            DlptSystem::builder()
-                .seed(seed)
-                .peer_id_len(8)
-                .replication(k)
-                .cache_capacity(cache)
-                .build(),
-        );
+        let mut sync = DlptSystem::builder()
+            .seed(seed)
+            .peer_id_len(8)
+            .replication(k)
+            .cache_capacity(cache)
+            .build();
         let a = drive(&mut sync, &ops, initial_peers, k);
-        let audit = Runtime::audit(&mut sync);
+        let audit = sync.audit();
         prop_assert!(audit.is_empty(), "sync audits clean: {:?}", audit);
 
-        let mut latency = Latency(LatencyNet::new(LatencyModel::Constant(0), seed ^ 0x5eed));
-        latency.0.set_replication(k);
-        latency.0.set_cache_capacity(cache);
+        let mut latency = LatencyNet::new(LatencyModel::Constant(0), seed ^ 0x5eed);
+        latency.set_replication(k);
+        latency.set_cache_capacity(cache);
         let b = drive(&mut latency, &ops, initial_peers, k);
         let audit = latency.audit();
         prop_assert!(audit.is_empty(), "latency audits clean: {:?}", audit);
 
-        let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), seed ^ 0x7eed));
-        threaded.0.set_replication(k);
-        threaded.0.set_cache_capacity(cache);
+        let mut threaded = ThreadedDlpt::new(Alphabet::grid(), seed ^ 0x7eed);
+        threaded.set_replication(k);
+        threaded.set_cache_capacity(cache);
         let c = drive(&mut threaded, &ops, initial_peers, k);
         let audit = threaded.audit();
         prop_assert!(audit.is_empty(), "threaded audits clean: {:?}", audit);
         // ... over every shard: the ring and trie classes iterate them.
-        prop_assert_eq!(threaded.0.shards().count(), threaded.0.peer_count());
+        prop_assert_eq!(threaded.shards().count(), threaded.peer_count());
 
         prop_assert_eq!(&a.placements, &b.placements, "sync vs latency placements");
         prop_assert_eq!(&a.placements, &c.placements, "sync vs threaded placements");
         prop_assert_eq!(&a.results, &b.results, "sync vs latency results");
         prop_assert_eq!(&a.results, &c.results, "sync vs threaded results");
-        threaded.0.shutdown();
+        threaded.shutdown();
     }
 }
 
-/// One op translated to the query it contributes to a batch (`None`
-/// for mutations).
-fn query_of(o: &Op) -> Option<QueryKind> {
-    match o {
-        Op::Lookup(i) => Some(QueryKind::Exact(key(*i))),
-        Op::Complete(i) => {
-            let k = key(*i);
-            Some(QueryKind::Complete(k.truncated(2.min(k.len()))))
-        }
-        Op::Range(a, b) => {
-            let (lo, hi) = ordered(*a, *b);
-            Some(QueryKind::Range(lo, hi))
-        }
-        _ => None,
-    }
+/// One row per misuse, in order: what is attempted and the error it
+/// gets, through the shared verbs on a fresh overlay.
+fn misuse<D: Driver>(rt: &mut Overlay<D>) -> Vec<(&'static str, DlptError)> {
+    let mut rows = vec![
+        (
+            "insert on an empty ring",
+            rt.insert_data(key(0)).unwrap_err(),
+        ),
+        (
+            "remove on an empty ring",
+            rt.remove_data(&key(0)).unwrap_err(),
+        ),
+        (
+            "crash of an unknown peer",
+            rt.crash_peer(&peer_id(9)).unwrap_err(),
+        ),
+    ];
+    join(rt, peer_id(0));
+    let duplicate = rt.add_peer_with_id(peer_id(0), 1).unwrap_err();
+    rows.push(("duplicate peer id", duplicate));
+    rows
+}
+
+#[test]
+fn misuse_fails_with_the_same_error_on_every_runtime() {
+    let want = vec![
+        ("insert on an empty ring", DlptError::EmptyRing),
+        ("remove on an empty ring", DlptError::EmptyRing),
+        (
+            "crash of an unknown peer",
+            DlptError::UnknownPeer(peer_id(9).to_string()),
+        ),
+        (
+            "duplicate peer id",
+            DlptError::DuplicatePeer(peer_id(0).to_string()),
+        ),
+    ];
+    assert_eq!(misuse(&mut DlptSystem::builder().build()), want, "sync");
+    let mut latency = LatencyNet::new(LatencyModel::Constant(0), 1);
+    assert_eq!(misuse(&mut latency), want, "latency");
+    let mut threaded = ThreadedDlpt::new(Alphabet::grid(), 2);
+    assert_eq!(misuse(&mut threaded), want, "threaded");
+    threaded.shutdown();
 }
 
 /// Drives the workload through one `DlptSystem`, batching queries.
@@ -447,12 +362,16 @@ fn drive_batched(
             }
             Op::Insert(i) => sys.insert_data(key(*i)).unwrap(),
             Op::Remove(i) => sys.remove_data(&key(*i)).unwrap(),
-            Op::Crash(i) => {
+            Op::Leave(i) | Op::Crash(i) => {
                 let peers = sys.peer_ids();
                 if peers.len() < 4 {
                     continue;
                 }
                 let victim = peers[*i as usize % peers.len()].clone();
+                if matches!(o, Op::Leave(_)) {
+                    sys.leave_peer(&victim).unwrap();
+                    continue;
+                }
                 sys.anti_entropy().unwrap();
                 let lost = sys.crash_peer(&victim).unwrap();
                 assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
@@ -567,41 +486,38 @@ proptest! {
         let expected = query_count(&ops);
 
         let run_sync = || {
-            let mut sync = Sync(DlptSystem::builder().seed(seed).peer_id_len(8).build());
-            sync.set_faults(plan(seed));
+            let mut sync = DlptSystem::builder().seed(seed).peer_id_len(8).build();
+            sync.set_fault_plan(plan(seed));
             let obs = drive(&mut sync, &ops, initial_peers, 1);
-            let stats = sync.0.fault_stats();
-            let audit = Runtime::audit(&mut sync);
-            (obs, stats, audit)
+            (obs, sync.audit())
         };
-        let (a, a_stats, a_audit) = run_sync();
+        let (a, a_audit) = run_sync();
         prop_assert_eq!(a.results.len(), expected, "sync: every query terminates");
         prop_assert!(a_audit.is_empty(), "sync audits clean after quiescence: {:?}", a_audit);
-        let (a2, _, _) = run_sync();
+        let (a2, _) = run_sync();
         prop_assert_eq!(&a.results, &a2.results, "seeded lossy sync reproduces");
         prop_assert_eq!(&a.placements, &a2.placements);
 
-        let mut latency = Latency(LatencyNet::new(LatencyModel::Constant(0), seed ^ 0x5eed));
-        latency.set_faults(plan(seed ^ 0x10));
+        let mut latency = LatencyNet::new(LatencyModel::Constant(0), seed ^ 0x5eed);
+        latency.set_fault_plan(plan(seed ^ 0x10));
         let b = drive(&mut latency, &ops, initial_peers, 1);
         prop_assert_eq!(b.results.len(), expected, "latency: every query terminates");
         let b_audit = latency.audit();
         prop_assert!(b_audit.is_empty(), "latency audits clean after quiescence: {:?}", b_audit);
 
-        let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), seed ^ 0x7eed));
-        threaded.set_faults(plan(seed ^ 0x20));
+        let mut threaded = ThreadedDlpt::new(Alphabet::grid(), seed ^ 0x7eed);
+        threaded.set_fault_plan(plan(seed ^ 0x20));
         let c = drive(&mut threaded, &ops, initial_peers, 1);
         prop_assert_eq!(c.results.len(), expected, "threaded: every query terminates");
         let c_audit = threaded.audit();
         prop_assert!(c_audit.is_empty(), "threaded audits clean after quiescence: {:?}", c_audit);
-        prop_assert_eq!(threaded.0.shards().count(), threaded.0.peer_count());
+        prop_assert_eq!(threaded.shards().count(), threaded.peer_count());
 
         // Mutations and joins travel the reliable class, so the tree
         // the runtimes build is unaffected by the fault plan.
         prop_assert_eq!(&a.placements, &b.placements, "faults never touch placements");
         prop_assert_eq!(&a.placements, &c.placements, "faults never touch placements");
-        let _ = a_stats;
-        threaded.0.shutdown();
+        threaded.shutdown();
     }
 }
 
@@ -609,20 +525,20 @@ proptest! {
 /// a key range, observe routed requests resolving (never hanging),
 /// heal, and require k = 2 + anti-entropy to converge back to fully
 /// correct lookups — including across a post-heal crash.
-fn drive_partition_scenario<R: Runtime>(rt: &mut R, name: &str) {
+fn drive_partition_scenario<D: Driver>(rt: &mut Overlay<D>, name: &str) {
     for i in 0..5 {
-        rt.join(peer_id(i));
+        join(rt, peer_id(i));
     }
     for i in 0..KEY_POOL.len() {
-        rt.insert(key(i as u8));
+        rt.insert_data(key(i as u8)).unwrap();
     }
-    rt.anti_entropy();
+    rt.anti_entropy().unwrap();
     // Sever ["D", "K"): lookups toward that range fail explicitly
     // while the rest of the tree keeps answering.
     rt.partition(Key::from("D"), Key::from("K"));
     let mut severed_failures = 0;
     for i in 0..KEY_POOL.len() {
-        let (found, results) = rt.query(&Op::Lookup(i as u8));
+        let (found, results) = ask(rt, QueryKind::Exact(key(i as u8)));
         if found {
             assert_eq!(results, vec![key(i as u8)], "{name}: wrong result for {i}");
         } else {
@@ -633,15 +549,16 @@ fn drive_partition_scenario<R: Runtime>(rt: &mut R, name: &str) {
         severed_failures > 0,
         "{name}: the partition must fail some lookups"
     );
-    rt.heal();
-    rt.anti_entropy();
+    rt.heal_partition();
+    rt.anti_entropy().unwrap();
     // A crash after the heal: redundancy must have survived the cut
     // (replication traffic rides the reliable class).
-    let victim = rt.peers()[2].clone();
-    assert!(rt.crash(&victim).is_empty(), "{name}: k = 2 loses nothing");
-    rt.anti_entropy();
+    let victim = rt.peer_ids()[2].clone();
+    let lost = rt.crash_peer(&victim).unwrap();
+    assert!(lost.is_empty(), "{name}: k = 2 loses nothing");
+    rt.anti_entropy().unwrap();
     for i in 0..KEY_POOL.len() {
-        let (found, results) = rt.query(&Op::Lookup(i as u8));
+        let (found, results) = ask(rt, QueryKind::Exact(key(i as u8)));
         assert!(found, "{name}: key {i} must be found after the heal");
         assert_eq!(results, vec![key(i as u8)], "{name}: wrong result for {i}");
     }
@@ -650,48 +567,45 @@ fn drive_partition_scenario<R: Runtime>(rt: &mut R, name: &str) {
         audit.is_empty(),
         "{name}: engine must audit clean after heal + crash + AE: {audit:?}"
     );
-    let engine = rt.engine();
-    assert_eq!(engine.shards().count(), engine.peer_count(), "{name}");
+    assert_eq!(rt.shards().count(), rt.peer_count(), "{name}");
 }
 
 #[test]
 fn partition_heals_and_k2_ae_converges_on_all_three_runtimes() {
-    let mut sync = Sync(
-        DlptSystem::builder()
-            .seed(11)
-            .peer_id_len(8)
-            .replication(2)
-            .build(),
-    );
+    let mut sync = DlptSystem::builder()
+        .seed(11)
+        .peer_id_len(8)
+        .replication(2)
+        .build();
     drive_partition_scenario(&mut sync, "sync");
 
-    let mut latency = Latency(LatencyNet::new(LatencyModel::Constant(0), 12));
-    latency.0.set_replication(2);
+    let mut latency = LatencyNet::new(LatencyModel::Constant(0), 12);
+    latency.set_replication(2);
     drive_partition_scenario(&mut latency, "latency");
 
-    let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), 13));
-    threaded.0.set_replication(2);
+    let mut threaded = ThreadedDlpt::new(Alphabet::grid(), 13);
+    threaded.set_replication(2);
     drive_partition_scenario(&mut threaded, "threaded");
-    threaded.0.shutdown();
+    threaded.shutdown();
 }
 
 /// Budget exhaustion as one contract: under total loss an exact lookup
 /// is re-issued exactly `REQUEST_RETRY_BUDGET` times, then completes
 /// unsatisfied as one counted, explicit failure — never a hang.
-fn drive_total_loss<R: Runtime>(rt: &mut R, name: &str) {
+fn drive_total_loss<D: Driver>(rt: &mut Overlay<D>, name: &str) {
     for i in 0..4 {
-        rt.join(peer_id(i));
+        join(rt, peer_id(i));
     }
     for i in 0..6 {
-        rt.insert(key(i));
+        rt.insert_data(key(i)).unwrap();
     }
-    rt.set_faults(FaultPlan {
+    rt.set_fault_plan(FaultPlan {
         loss_rate: 1.0,
         ..FaultPlan::default()
     });
-    let (found, results) = rt.query(&Op::Lookup(0));
+    let (found, results) = ask(rt, QueryKind::Exact(key(0)));
     assert!(!found && results.is_empty(), "{name}: nothing can answer");
-    let stats = rt.engine().fault_stats();
+    let stats = rt.fault_stats();
     println!(
         "{name}: (retries, requests_failed) = ({}, {})",
         stats.retries, stats.requests_failed
@@ -705,13 +619,13 @@ fn drive_total_loss<R: Runtime>(rt: &mut R, name: &str) {
 
 #[test]
 fn total_loss_exhausts_the_retry_budget_on_all_three_runtimes() {
-    let mut sync = Sync(DlptSystem::builder().seed(21).peer_id_len(8).build());
+    let mut sync = DlptSystem::builder().seed(21).peer_id_len(8).build();
     drive_total_loss(&mut sync, "sync");
 
-    let mut latency = Latency(LatencyNet::new(LatencyModel::Constant(0), 22));
+    let mut latency = LatencyNet::new(LatencyModel::Constant(0), 22);
     drive_total_loss(&mut latency, "latency");
 
-    let mut threaded = Threaded(ThreadedDlpt::new(Alphabet::grid(), 23));
+    let mut threaded = ThreadedDlpt::new(Alphabet::grid(), 23);
     drive_total_loss(&mut threaded, "threaded");
-    threaded.0.shutdown();
+    threaded.shutdown();
 }
