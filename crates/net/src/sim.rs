@@ -385,4 +385,14 @@ mod tests {
             }
         }
     }
+
+    /// Crashing a peer the ring does not hold is refused with
+    /// [`DlptError::UnknownPeer`]; a caller that insists on success panics.
+    #[test]
+    #[should_panic(expected = "crash of a live peer: UnknownPeer(\"NOPE\")")]
+    fn crashing_an_unknown_peer_panics() {
+        build(LatencyModel::Constant(1), 47, 3, &KEYS[..2])
+            .crash_peer(&Key::from("NOPE"))
+            .expect("crash of a live peer");
+    }
 }

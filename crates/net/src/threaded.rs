@@ -547,6 +547,16 @@ mod tests {
         net.shutdown();
     }
 
+    /// Crashing a peer the ring does not hold is refused with
+    /// [`DlptError::UnknownPeer`]; a caller that insists on success panics.
+    #[test]
+    #[should_panic(expected = "crash of a live peer: UnknownPeer(\"NOPE\")")]
+    fn crashing_an_unknown_peer_panics() {
+        live(13, 3, &KEYS[..2])
+            .crash_peer(&Key::from("NOPE"))
+            .expect("crash of a live peer");
+    }
+
     /// Frames reach [`Engine::deliver`]: the tracer sees every hop of a
     /// lookup and a health snapshot measures the tree the engine hosts.
     #[test]
