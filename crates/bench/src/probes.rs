@@ -111,7 +111,7 @@ fn queries(seed: u64, keys: &[Key], n: usize) -> Vec<QueryKind> {
             15 => {
                 let a = rng.gen_range(0..keys.len());
                 let b = rng.gen_range(0..keys.len());
-                QueryKind::Range(keys[a.min(b)].clone(), keys[a.max(b)].clone())
+                QueryKind::range(keys[a.min(b)].clone(), keys[a.max(b)].clone())
             }
             _ => QueryKind::Exact(keys[rng.gen_range(0..keys.len())].clone()),
         })

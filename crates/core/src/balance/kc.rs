@@ -39,8 +39,8 @@ impl KChoices {
 
     /// Scores one candidate identifier; higher is better.
     pub fn score_candidate(sys: &DlptSystem, candidate: &Key, capacity: u32) -> u64 {
-        // The would-be successor straight off the ordered shard map —
-        // no peer-set snapshot per candidate.
+        // The would-be successor straight off the ordered peer set —
+        // no snapshot of it per candidate.
         let Some(succ) = sys.host_peer(candidate) else {
             return 0;
         };

@@ -48,9 +48,11 @@ fn siblings_sharing_more_than_the_father_label_are_one_trie_violation() {
     for o in &orphans {
         node_mut(&mut sys, o).father = Some(top.clone());
     }
-    let children = &mut node_mut(&mut sys, &top).children;
-    assert!(children.remove(&mid));
-    children.extend(orphans);
+    let node = node_mut(&mut sys, &top);
+    assert!(node.remove_child(&mid));
+    for o in orphans {
+        node.add_child(o);
+    }
     assert_eq!(classes(&sys), [AuditCheck::Trie], "{:?}", sys.audit());
 }
 

@@ -4,9 +4,8 @@
 
 use super::{Engine, PeerSlot};
 use crate::key::Key;
-use crate::node::NodeState;
 use crate::obs::health::{imbalance_of, HealthMonitor, MemoryFootprint, PeerHealth};
-use std::collections::BTreeMap;
+use crate::peer::NodeMap;
 
 impl Engine {
     /// Estimated resident bytes of every engine component — the
@@ -183,18 +182,18 @@ fn key_heap_bytes(k: &Key) -> usize {
 }
 
 /// Estimated bytes of one shard-side node map (`nodes` or `replicas`):
-/// a fixed per-entry B-tree estimate plus each node's child/data key
-/// sets and any spilled key heap.
-fn node_map_bytes(map: &BTreeMap<Key, NodeState>) -> usize {
+/// the map's own slab, hash index and order vector by capacity, plus
+/// each node's child/data vectors by capacity and any spilled key heap.
+fn node_map_bytes(map: &NodeMap) -> usize {
     use std::mem::size_of;
-    let mut bytes = map.len() * (size_of::<Key>() + size_of::<NodeState>() + 16);
-    for (label, node) in map {
-        bytes += key_heap_bytes(label) + key_heap_bytes(&node.label);
+    let mut bytes = map.heap_bytes();
+    for node in map.values() {
+        bytes += key_heap_bytes(&node.label);
         if let Some(f) = &node.father {
             bytes += key_heap_bytes(f);
         }
         for set in [&node.children, &node.data] {
-            bytes += set.len() * (size_of::<Key>() + 16);
+            bytes += set.capacity() * size_of::<Key>();
             for c in set {
                 bytes += key_heap_bytes(c);
             }

@@ -74,7 +74,7 @@ impl Engine {
     pub(crate) fn install_root(&mut self, key: Key) {
         let host = self.host_peer(&key).expect("non-empty ring").clone();
         let mut node = NodeState::new(key.clone());
-        node.data.insert(key.clone());
+        node.add_datum(key.clone());
         self.shard_mut(&host).expect("host exists").install(node);
         self.directory.insert(key.clone(), host);
         self.mark_touched(&key);

@@ -1606,7 +1606,7 @@ mod tests {
         e.partition(k("Z"), k("ZZ")); // duplication implies an active gate
         e.directory.insert(k("DG"), k("P1"));
         let (id, _env) = e
-            .begin_request(&k("DG"), QueryKind::Range(k("D"), k("E")))
+            .begin_request(&k("DG"), QueryKind::range(k("D"), k("E")))
             .unwrap();
         // The gather root reports and fans out to two children.
         e.client_response(report(id, vec![k("DG")], Vec::new(), 2), true);

@@ -425,7 +425,7 @@ mod tests {
         }
         qs.push(QueryKind::Exact(k("MISSING")));
         qs.push(QueryKind::Complete(k("S3L")));
-        qs.push(QueryKind::Range(k("D"), k("E")));
+        qs.push(QueryKind::range(k("D"), k("E")));
         qs
     }
 
@@ -549,7 +549,7 @@ mod tests {
         e.add_local_shard(k("PAAA"), 100);
         e.add_local_shard(k("ZAAA"), 100);
         let mut node = NodeState::new(k("DGEMM"));
-        node.data.insert(k("DGEMM"));
+        node.add_datum(k("DGEMM"));
         let host = e.host_peer(&k("DGEMM")).unwrap().clone();
         e.shard_mut(&host).unwrap().install(node);
         e.directory.insert(k("DGEMM"), host);

@@ -95,7 +95,7 @@ impl Engine {
                     PeerMsg::Replicate {
                         primary: primary.clone(),
                         ttl: (k - 1) as u32,
-                        seed: NodeSeed::of(node),
+                        seed: Box::new(NodeSeed::of(node)),
                     },
                 )
             };
@@ -180,14 +180,14 @@ impl Engine {
             let Some(shard) = self.shard_mut(&pid) else {
                 continue;
             };
-            for node in shard.nodes.values_mut() {
+            shard.nodes.visit_mut(|node| {
                 let before = node.children.len();
                 node.children.retain(|c| live.contains(c));
                 if node.children.len() < before {
                     touched.push(node.label.clone());
                 }
                 scan.pruned_links += before - node.children.len();
-            }
+            });
         }
         for label in touched {
             self.mark_touched(&label);

@@ -99,7 +99,7 @@ impl Engine {
                 PeerMsg::Replicate {
                     primary: self.directory.key_of(hid).clone(),
                     ttl: (k - 1) as u32,
-                    seed: NodeSeed::of(node),
+                    seed: Box::new(NodeSeed::of(node)),
                 },
             ));
             self.repl_stats.eager_syncs += 1;
@@ -216,7 +216,8 @@ impl Engine {
             let Some(slot) = self.peers.get_mut(pid) else {
                 continue;
             };
-            for node in slot.shard.nodes.values_mut() {
+            // Label order: `touched` feeds the re-replication sends.
+            slot.shard.nodes.visit_mut(|node| {
                 if node.children.iter().any(|c| !directory.contains(c)) {
                     let before = node.children.len();
                     node.children.retain(|c| directory.contains(c));
@@ -228,7 +229,7 @@ impl Engine {
                 if node.father.as_ref().is_some_and(|f| !directory.contains(f)) {
                     scan.reattached.push(node.label.clone());
                 }
-            }
+            });
         }
         scan.reattached.sort_unstable();
         scan

@@ -8,8 +8,9 @@
 //! the threaded live runtime (`dlpt-net`).
 
 use crate::key::Key;
-use crate::node::NodeState;
+use crate::node::{key_set, NodeState};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Where an envelope is delivered.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -44,10 +45,16 @@ pub struct Envelope {
     pub msg: Message,
 }
 
-// Every hop moves one of these through a queue: growing it is a cost
-// on the whole routing path, so a new variant or field that widens it
-// has to raise this ceiling on purpose.
-const _: () = assert!(std::mem::size_of::<Envelope>() <= 192);
+// Every hop moves one of these by value, several times (effect buffer
+// → transport queue → dispatch). Up to 128 bytes x86-64 copies it
+// inline; past that each move is a `memcpy` call. The pump's queue
+// entry — a `u32` requeue count beside the envelope — must fit too, so
+// the envelope itself stays at 120. Cold, fat payloads therefore travel
+// boxed (node seeds, join hand-offs) or shared (range bounds), and a
+// variant that widens the envelope past this ceiling has to be boxed
+// too.
+const _: () = assert!(std::mem::size_of::<Envelope>() <= 128);
+const _: () = assert!(std::mem::size_of::<(u32, Envelope)>() <= 128);
 
 impl Envelope {
     /// Reassembles an envelope from its parts (used by runtimes that
@@ -123,8 +130,8 @@ impl NodeSeed {
         NodeSeed {
             label: node.label.clone(),
             father: node.father.clone(),
-            children: node.children.iter().cloned().collect(),
-            data: node.data.iter().cloned().collect(),
+            children: node.children.clone(),
+            data: node.data.clone(),
         }
     }
 
@@ -133,16 +140,17 @@ impl NodeSeed {
     pub fn describes(&self, node: &NodeState) -> bool {
         self.label == node.label
             && self.father == node.father
-            && self.children.iter().eq(node.children.iter())
-            && self.data.iter().eq(node.data.iter())
+            && self.children == node.children
+            && self.data == node.data
     }
 
-    /// Materializes the node state this seed describes.
+    /// Materializes the node state this seed describes (children and
+    /// data become sets, whatever order the seed lists them in).
     pub fn into_state(self) -> NodeState {
         let mut n = NodeState::new(self.label);
         n.father = self.father;
-        n.children = self.children.into_iter().collect();
-        n.data = self.data.into_iter().collect();
+        n.children = key_set(self.children);
+        n.data = key_set(self.data);
         n
     }
 }
@@ -153,13 +161,20 @@ impl NodeSeed {
 pub enum QueryKind {
     /// Exact lookup of one key.
     Exact(Key),
-    /// All keys in the inclusive interval `[lo, hi]`.
-    Range(Key, Key),
+    /// All keys in the inclusive interval `[lo, hi]`. Shared, so the
+    /// query stays two words wide and a gather's per-branch clone does
+    /// not allocate; build it with [`QueryKind::range`].
+    Range(Arc<(Key, Key)>),
     /// All keys extending a partial search string.
     Complete(Key),
 }
 
 impl QueryKind {
+    /// The range query over the inclusive interval `[lo, hi]`.
+    pub fn range(lo: Key, hi: Key) -> Self {
+        QueryKind::Range(Arc::new((lo, hi)))
+    }
+
     /// The routing target: the label region the query must reach.
     /// Exact → the key; range → the GCP of the bounds; completion →
     /// the prefix itself. Borrowed from the query wherever it is one
@@ -167,7 +182,7 @@ impl QueryKind {
     pub fn target(&self) -> Cow<'_, Key> {
         match self {
             QueryKind::Exact(k) | QueryKind::Complete(k) => Cow::Borrowed(k),
-            QueryKind::Range(lo, hi) => Cow::Owned(lo.gcp(hi)),
+            QueryKind::Range(r) => Cow::Owned(r.0.gcp(&r.1)),
         }
     }
 
@@ -175,7 +190,7 @@ impl QueryKind {
     pub fn matches(&self, key: &Key) -> bool {
         match self {
             QueryKind::Exact(k) => key == k,
-            QueryKind::Range(lo, hi) => key >= lo && key <= hi,
+            QueryKind::Range(r) => key >= &r.0 && key <= &r.1,
             QueryKind::Complete(p) => p.is_prefix_of(key),
         }
     }
@@ -226,8 +241,9 @@ pub enum NodeMsg {
     /// Algorithm 3 lines 3.32–3.35: `<SearchingHost, (l, f, C, δ)>` —
     /// descends to the highest node `<=` the new label.
     SearchingHost {
-        /// The new node's state in flight.
-        seed: NodeSeed,
+        /// The new node's state in flight (boxed: see the envelope
+        /// size ceiling).
+        seed: Box<NodeSeed>,
     },
     /// `<UpdateChild, (old, new)>`: replace `old` by `new` in the
     /// recipient's child set.
@@ -285,8 +301,9 @@ pub enum PeerMsg {
         pred: Key,
         /// The new peer's successor.
         succ: Key,
-        /// The nodes handed over (`ν_P = {n ∈ ν_Q : n <= P}`).
-        nodes: Vec<NodeState>,
+        /// The nodes handed over (`ν_P = {n ∈ ν_Q : n <= P}`; boxed,
+        /// as in [`NodeMsg::SearchingHost`]).
+        nodes: Box<Vec<NodeState>>,
     },
     /// `<UpdateSuccessor, P>` — the recipient's successor is now `P`
     /// (Algorithm 2 line 2.09).
@@ -306,8 +323,9 @@ pub enum PeerMsg {
     /// paper leaves open between the host-search endpoint and the
     /// mapping rule.
     Host {
-        /// The new node's state in flight.
-        seed: NodeSeed,
+        /// The new node's state in flight (boxed, as in
+        /// [`NodeMsg::SearchingHost`]).
+        seed: Box<NodeSeed>,
     },
     /// Graceful departure hand-off: the leaving predecessor transfers
     /// its nodes and its predecessor link to the recipient.
@@ -335,8 +353,9 @@ pub enum PeerMsg {
         primary: Key,
         /// Remaining follower copies to place (this one included).
         ttl: u32,
-        /// Snapshot of the node being replicated.
-        seed: NodeSeed,
+        /// Snapshot of the node being replicated (boxed, as in
+        /// [`NodeMsg::SearchingHost`]).
+        seed: Box<NodeSeed>,
     },
     /// Discard the follower copy of `label` (the node dissolved, or the
     /// replica set moved elsewhere on the ring).
@@ -404,7 +423,7 @@ mod tests {
     fn query_targets() {
         assert_eq!(*QueryKind::Exact(k("DGEMM")).target(), k("DGEMM"));
         assert_eq!(
-            *QueryKind::Range(k("DGEMM"), k("DGEMV")).target(),
+            *QueryKind::range(k("DGEMM"), k("DGEMV")).target(),
             k("DGEM")
         );
         assert_eq!(*QueryKind::Complete(k("S3L")).target(), k("S3L"));
@@ -412,7 +431,7 @@ mod tests {
 
     #[test]
     fn query_matching() {
-        let range = QueryKind::Range(k("B"), k("D"));
+        let range = QueryKind::range(k("B"), k("D"));
         assert!(range.matches(&k("B")));
         assert!(range.matches(&k("CC")));
         assert!(range.matches(&k("D")));
@@ -451,6 +470,17 @@ mod tests {
             pending_children: 0,
         };
         assert_eq!(o.logical_hops(), 2);
+    }
+
+    #[test]
+    fn seed_children_become_a_set() {
+        let seed = NodeSeed {
+            label: k("1"),
+            father: None,
+            children: vec![k("11"), k("10"), k("11")],
+            data: vec![],
+        };
+        assert_eq!(seed.into_state().children, vec![k("10"), k("11")]);
     }
 
     #[test]

@@ -8,23 +8,28 @@
 //! to its predecessor").
 
 use crate::key::Key;
-use std::collections::BTreeSet;
+use std::fmt;
 
 /// A logical vertex of the distributed PGCP tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct NodeState {
     /// The node's label — also its identifier in the space `I`.
     pub label: Key,
     /// Father link `f_n` (`None` for the root).
     pub father: Option<Key>,
-    /// Child labels `C_n`, kept sorted (routing picks
-    /// `Max{q ∈ C_p : q <= target}` in `O(log)` time).
-    pub children: BTreeSet<Key>,
-    /// Data set `δ_n`: service keys registered on this node. By the
-    /// placement rule a key is stored on the node sharing its label, so
-    /// the set is `{label}` when the service is registered and empty
-    /// for purely structural nodes.
-    pub data: BTreeSet<Key>,
+    /// Child labels `C_n`: a set, kept as an ascending `Vec` without
+    /// duplicates (at most one child per alphabet digit in a PGCP
+    /// tree, so one short contiguous slice). Edit it through
+    /// [`NodeState::add_child`] / [`NodeState::remove_child`] or keep
+    /// it sorted; routing's [`NodeState::max_child_le`] binary-searches
+    /// it.
+    pub children: Vec<Key>,
+    /// Data set `δ_n`: service keys registered on this node, ascending
+    /// and without duplicates like `children`. By the placement rule a
+    /// key is stored on the node sharing its label, so the set is
+    /// `{label}` when the service is registered and empty for purely
+    /// structural nodes.
+    pub data: Vec<Key>,
     /// Requests received during the *current* time unit (`l_n` while
     /// it accumulates). Counts offered demand, including requests the
     /// hosting peer had to ignore for lack of capacity.
@@ -33,14 +38,67 @@ pub struct NodeState {
     pub prev_load: u64,
 }
 
+// `Debug` prints `children` and `data` as the sets they are (`{..}`),
+// the form the committed golden fingerprints pin.
+impl fmt::Debug for NodeState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Set<'a>(&'a [Key]);
+        impl fmt::Debug for Set<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        f.debug_struct("NodeState")
+            .field("label", &self.label)
+            .field("father", &self.father)
+            .field("children", &Set(&self.children))
+            .field("data", &Set(&self.data))
+            .field("load", &self.load)
+            .field("prev_load", &self.prev_load)
+            .finish()
+    }
+}
+
+/// Inserts `k` into the ascending, duplicate-free `set`. Returns false
+/// when it was already there.
+fn insert_sorted(set: &mut Vec<Key>, k: Key) -> bool {
+    match set.binary_search(&k) {
+        Ok(_) => false,
+        Err(at) => {
+            set.insert(at, k);
+            true
+        }
+    }
+}
+
+/// Removes `k` from the ascending, duplicate-free `set`. Returns false
+/// when it was absent.
+fn remove_sorted(set: &mut Vec<Key>, k: &Key) -> bool {
+    match set.binary_search(k) {
+        Ok(at) => {
+            set.remove(at);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// Sorts `keys` and drops duplicates: the set form `children` and
+/// `data` are kept in, from any list.
+pub fn key_set(mut keys: Vec<Key>) -> Vec<Key> {
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
 impl NodeState {
     /// A fresh node with the given label and no links.
     pub fn new(label: Key) -> Self {
         NodeState {
             label,
             father: None,
-            children: BTreeSet::new(),
-            data: BTreeSet::new(),
+            children: Vec::new(),
+            data: Vec::new(),
             load: 0,
             prev_load: 0,
         }
@@ -57,15 +115,44 @@ impl NodeState {
         self.father.is_none()
     }
 
+    /// Adds child `c`; false if it was already a child.
+    pub fn add_child(&mut self, c: Key) -> bool {
+        insert_sorted(&mut self.children, c)
+    }
+
+    /// Drops child `c`; false if it was not a child.
+    pub fn remove_child(&mut self, c: &Key) -> bool {
+        remove_sorted(&mut self.children, c)
+    }
+
+    /// Registers datum `k`; false if it was already registered.
+    pub fn add_datum(&mut self, k: Key) -> bool {
+        insert_sorted(&mut self.data, k)
+    }
+
+    /// Deregisters datum `k`; false if it was not registered.
+    pub fn remove_datum(&mut self, k: &Key) -> bool {
+        remove_sorted(&mut self.data, k)
+    }
+
     /// The child with the greatest label `<= target`, i.e.
     /// `Max({q ∈ C_p : q <= target})` from Algorithms 1 and 3.
     pub fn max_child_le(&self, target: &Key) -> Option<&Key> {
-        self.children.range::<Key, _>(..=target).next_back()
+        let end = self.children.partition_point(|c| c <= target);
+        end.checked_sub(1).map(|i| &self.children[i])
+    }
+
+    /// The child with the greatest label `< target` (the host search
+    /// of Algorithm 3 descends strictly below the new label).
+    pub fn max_child_lt(&self, target: &Key) -> Option<&Key> {
+        let end = self.children.partition_point(|c| c < target);
+        end.checked_sub(1).map(|i| &self.children[i])
     }
 
     /// The unique child sharing a strictly longer prefix with `target`
     /// than this node's own label does (children diverge pairwise right
-    /// after the label, so at most one qualifies).
+    /// after the label, so at most one qualifies). Where several do —
+    /// a transient child set mid-repair — the least qualifying label.
     pub fn child_extending(&self, target: &Key) -> Option<&Key> {
         let own = self.label.gcp_len(target);
         // A child qualifies iff it shares the target's first `own + 1`
@@ -98,8 +185,8 @@ impl NodeState {
     /// Replaces child `old` by `new` (the `UpdateChild` message); no-op
     /// if `old` is absent.
     pub fn replace_child(&mut self, old: &Key, new: Key) {
-        if self.children.remove(old) {
-            self.children.insert(new);
+        if self.remove_child(old) {
+            self.add_child(new);
         }
     }
 
@@ -122,7 +209,7 @@ mod tests {
     fn node_with_children(label: &str, children: &[&str]) -> NodeState {
         let mut n = NodeState::new(k(label));
         for c in children {
-            n.children.insert(k(c));
+            n.add_child(k(c));
         }
         n
     }
@@ -174,7 +261,7 @@ mod tests {
         let mut n = NodeState::new(k("101"));
         assert!(n.is_structural());
         assert!(n.is_root());
-        n.data.insert(k("101"));
+        n.add_datum(k("101"));
         n.father = Some(k("10"));
         assert!(!n.is_structural());
         assert!(!n.is_root());

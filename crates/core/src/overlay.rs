@@ -326,7 +326,7 @@ impl<D: Driver> Overlay<D> {
 
     /// Range query over `[lo, hi]`.
     pub fn range(&mut self, lo: &Key, hi: &Key) -> LookupOutcome {
-        self.request(QueryKind::Range(lo.clone(), hi.clone()))
+        self.request(QueryKind::range(lo.clone(), hi.clone()))
             .unwrap_or_else(|_| empty_outcome())
     }
 

@@ -9,10 +9,14 @@
 //! hosts. Protocol handlers receive exactly one `&mut PeerShard` —
 //! the type system thus guarantees a handler never reaches across the
 //! network, although one engine hosts every shard in every runtime.
+//!
+//! A shard's nodes live in a [`NodeMap`]: a hash probe per hop, label
+//! order kept beside it for the walks that need ring order.
 
+use crate::directory::FxHasher;
 use crate::key::Key;
 use crate::node::NodeState;
-use std::collections::BTreeMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// Control state of one peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +83,7 @@ pub struct PeerShard {
     pub peer: PeerState,
     /// Hosted nodes, keyed (and ordered) by label. Ring-segment
     /// reasoning (load balancing, hand-offs) relies on this ordering.
-    pub nodes: BTreeMap<Key, NodeState>,
+    pub nodes: NodeMap,
     /// Follower copies of nodes whose primary is another peer
     /// (replication extension, `protocol::repair`). Kept apart from
     /// `nodes` so every single-copy invariant — mapping, tree links,
@@ -88,7 +92,7 @@ pub struct PeerShard {
     /// Routing-shortcut caches are *not* shard state: the engine owns
     /// them per peer (`crate::engine`) and consults them when it admits
     /// a request, so no protocol handler ever sees a cache.
-    pub replicas: BTreeMap<Key, NodeState>,
+    pub replicas: NodeMap,
 }
 
 impl PeerShard {
@@ -96,14 +100,14 @@ impl PeerShard {
     pub fn new(id: Key, capacity: u32) -> Self {
         PeerShard {
             peer: PeerState::solitary(id, capacity),
-            nodes: BTreeMap::new(),
-            replicas: BTreeMap::new(),
+            nodes: NodeMap::default(),
+            replicas: NodeMap::default(),
         }
     }
 
     /// Installs a node on this shard.
     pub fn install(&mut self, node: NodeState) {
-        self.nodes.insert(node.label.clone(), node);
+        self.nodes.insert(node);
     }
 
     /// Removes and returns a node.
@@ -125,6 +129,227 @@ impl PeerShard {
     /// Number of follower copies this peer keeps for other primaries.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
+    }
+}
+
+/// Node states keyed by label — the storage behind
+/// [`PeerShard::nodes`] and [`PeerShard::replicas`].
+///
+/// The mapping rule piles the tree onto a few peers (at 100 peers the
+/// busiest hosts hundreds of nodes), and every hop probes its host's
+/// map once or more, so a probe is one hash and one slab index rather
+/// than a tree walk. Three parts:
+///
+/// * `slab`: the node states, dense, in no particular order (a removal
+///   moves the last state into the hole);
+/// * `index`: label → slab slot, open addressing with linear probing
+///   over `u64` entries — the slot in the low half, the high half of
+///   the label's hash in the high half, so a probe reads one small
+///   array and compares a label only on a hash match (the label itself
+///   lives in the slab, where the probe lands anyway);
+/// * `order`: the slots in ascending label order, kept by binary
+///   search on insert and remove.
+///
+/// Every ordered read (`keys`, `values`, [`NodeMap::visit_mut`])
+/// walks `order`, so slab and index order never reach anything
+/// observable; only [`NodeMap::values_mut`], whose callers touch each
+/// node alone, walks the slab directly.
+#[derive(Debug, Clone, Default)]
+pub struct NodeMap {
+    slab: Vec<NodeState>,
+    index: Vec<u64>,
+    order: Vec<u32>,
+}
+
+/// A free `index` entry (no slot reaches `u32::MAX`).
+const FREE: u64 = u64::MAX;
+
+/// The slot half of an `index` entry; the other half is the label
+/// hash's high half.
+const SLOT: u64 = u32::MAX as u64;
+
+fn hash_of(label: &Key) -> u64 {
+    BuildHasherDefault::<FxHasher>::default().hash_one(label)
+}
+
+impl NodeMap {
+    /// Number of nodes held.
+    pub fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// True iff no node is held.
+    pub fn is_empty(&self) -> bool {
+        self.slab.is_empty()
+    }
+
+    /// The node labelled `label`.
+    pub fn get(&self, label: &Key) -> Option<&NodeState> {
+        let slot = self.find(label).ok()?.1;
+        Some(&self.slab[slot])
+    }
+
+    /// The node labelled `label`, mutably. Its label must not change.
+    pub fn get_mut(&mut self, label: &Key) -> Option<&mut NodeState> {
+        let slot = self.find(label).ok()?.1;
+        Some(&mut self.slab[slot])
+    }
+
+    /// True iff a node labelled `label` is held.
+    pub fn contains_key(&self, label: &Key) -> bool {
+        self.find(label).is_ok()
+    }
+
+    /// Stores `node` under its own label, returning the state it
+    /// replaces.
+    pub fn insert(&mut self, node: NodeState) -> Option<NodeState> {
+        if let Ok((_, slot)) = self.find(&node.label) {
+            return Some(std::mem::replace(&mut self.slab[slot], node));
+        }
+        let slot = self.slab.len();
+        let rank = self.rank(&node.label).expect_err("label is not indexed");
+        self.order.insert(rank, slot as u32);
+        self.slab.push(node);
+        // Keep the index at most half full.
+        if 2 * self.slab.len() > self.index.len() {
+            self.rebuild_index((2 * self.index.len()).max(8));
+        } else {
+            self.index_slot(slot);
+        }
+        None
+    }
+
+    /// Removes and returns the node labelled `label`.
+    pub fn remove(&mut self, label: &Key) -> Option<NodeState> {
+        let (at, slot) = self.find(label).ok()?;
+        self.unindex(at);
+        let rank = self.rank(label).expect("indexed labels are ordered");
+        self.order.remove(rank);
+        let last = self.slab.len() - 1;
+        if slot != last {
+            // `swap_remove` moves the last state into the hole: repoint
+            // its index entry and its place in the order.
+            let moved = &self.slab[last].label;
+            let (entry, _) = self.find(moved).expect("indexed");
+            self.index[entry] = self.index[entry] & !SLOT | slot as u64;
+            let rank = self.rank(moved).expect("indexed labels are ordered");
+            self.order[rank] = slot as u32;
+        }
+        Some(self.slab.swap_remove(slot))
+    }
+
+    /// Labels in ascending order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &Key> + ExactSizeIterator + '_ {
+        self.values().map(|n| &n.label)
+    }
+
+    /// Node states in ascending label order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &NodeState> + ExactSizeIterator + '_ {
+        self.order.iter().map(|&s| &self.slab[s as usize])
+    }
+
+    /// Calls `f` on every node in ascending label order. `f` must not
+    /// change a label.
+    pub fn visit_mut(&mut self, mut f: impl FnMut(&mut NodeState)) {
+        for &s in &self.order {
+            f(&mut self.slab[s as usize]);
+        }
+    }
+
+    /// Every node state, mutably, in *no* particular order — for edits
+    /// that touch each node alone. Labels must not change.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut NodeState> + '_ {
+        self.slab.iter_mut()
+    }
+
+    /// Heap bytes of the three parts, by capacity. Node-owned heap
+    /// (child and data vectors, spilled keys) is the caller's to add.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slab.capacity() * size_of::<NodeState>()
+            + self.index.capacity() * size_of::<u64>()
+            + self.order.capacity() * size_of::<u32>()
+    }
+
+    /// Where an entry's probe starts: the top bits of its hash (a
+    /// multiplicative hash mixes its high bits best).
+    fn home(&self, entry_or_hash: u64) -> usize {
+        (entry_or_hash >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// `Ok((entry position, slot))` of `label`, or `Err(free position)`
+    /// where it would be indexed.
+    #[inline]
+    fn find(&self, label: &Key) -> Result<(usize, usize), usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let hash = hash_of(label);
+        let mask = self.index.len() - 1;
+        let mut at = self.home(hash);
+        loop {
+            let e = self.index[at];
+            if e == FREE {
+                return Err(at);
+            }
+            let slot = (e & SLOT) as usize;
+            if (e ^ hash) & !SLOT == 0 && self.slab[slot].label == *label {
+                return Ok((at, slot));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Frees entry `at`, shifting later entries of its probe run back
+    /// so every entry stays reachable from its home without tombstones.
+    fn unindex(&mut self, at: usize) {
+        let mask = self.index.len() - 1;
+        let (mut hole, mut next) = (at, at);
+        loop {
+            next = (next + 1) & mask;
+            let e = self.index[next];
+            if e == FREE {
+                break;
+            }
+            // The entry may fill the hole iff the hole lies on its
+            // probe path, i.e. between its home and where it sits.
+            let home = self.home(e);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.index[hole] = e;
+                hole = next;
+            }
+        }
+        self.index[hole] = FREE;
+    }
+
+    /// Indexes `slot`, whose label is not indexed yet.
+    fn index_slot(&mut self, slot: usize) {
+        let label = &self.slab[slot].label;
+        let at = self.find(label).expect_err("labels are unique");
+        self.index[at] = hash_of(label) & !SLOT | slot as u64;
+    }
+
+    /// Re-indexes every slot into `len` (a power of two) entries.
+    fn rebuild_index(&mut self, len: usize) {
+        self.index.clear();
+        self.index.resize(len, FREE);
+        for slot in 0..self.slab.len() {
+            self.index_slot(slot);
+        }
+    }
+
+    /// Position of `label` in `order` (`Err`: where it would go).
+    fn rank(&self, label: &Key) -> Result<usize, usize> {
+        self.order
+            .binary_search_by(|&s| self.slab[s as usize].label.cmp(label))
+    }
+}
+
+impl std::ops::Index<&Key> for NodeMap {
+    type Output = NodeState;
+
+    fn index(&self, label: &Key) -> &NodeState {
+        self.get(label).expect("label is held")
     }
 }
 

@@ -73,7 +73,7 @@ pub fn on_data_insertion(
     // orphan found in place is already linked).
     if p_label == key {
         if !orphan {
-            p.data.insert(key);
+            p.add_datum(key);
         }
         return;
     }
@@ -86,7 +86,7 @@ pub fn on_data_insertion(
         } else {
             // Lines 3.08–3.09: create the node as our child and start
             // the host search from ourselves.
-            p.children.insert(key.clone());
+            p.add_child(key.clone());
             place(fx, orphan, p_label.clone(), key, Some(p_label), None);
         }
         return;
@@ -148,7 +148,9 @@ pub fn on_data_insertion(
     let via = father.clone().unwrap_or_else(|| p_label.clone());
     fx.send(Envelope::to_node(
         via.clone(),
-        NodeMsg::SearchingHost { seed: parent_seed },
+        NodeMsg::SearchingHost {
+            seed: Box::new(parent_seed),
+        },
     ));
     if let Some(f) = father {
         fx.send(Envelope::to_node(
@@ -191,7 +193,12 @@ fn place(
         father,
         children: child.into_iter().collect(),
     };
-    fx.send(Envelope::to_node(via, NodeMsg::SearchingHost { seed }));
+    fx.send(Envelope::to_node(
+        via,
+        NodeMsg::SearchingHost {
+            seed: Box::new(seed),
+        },
+    ));
 }
 
 /// Algorithm 3, lines 3.32–3.37: `<SearchingHost, (l, f, C, δ)>` on
@@ -200,16 +207,12 @@ fn place(
 pub fn on_searching_host(
     shard: &mut PeerShard,
     node_label: &Key,
-    seed: NodeSeed,
+    seed: Box<NodeSeed>,
     fx: &mut Effects,
 ) {
     let p = shard.nodes.get(node_label).expect("routed to hosted node");
     // Strictly below `l` (see module docs on line 3.33).
-    let next = p
-        .children
-        .range::<Key, _>(..&seed.label)
-        .next_back()
-        .cloned();
+    let next = p.max_child_lt(&seed.label).cloned();
     match next {
         Some(q) => fx.send(Envelope::to_node(q, NodeMsg::SearchingHost { seed })),
         None => fx.send(Envelope::to_peer(
@@ -222,7 +225,7 @@ pub fn on_searching_host(
 /// Line 3.37 endpoint with the ring-forwarding guard: install the node
 /// if its label falls in this peer's arc `(pred, id]`, otherwise pass
 /// the seed along the ring toward its true host.
-pub fn on_host(shard: &mut PeerShard, seed: NodeSeed, fx: &mut Effects) {
+pub fn on_host(shard: &mut PeerShard, seed: Box<NodeSeed>, fx: &mut Effects) {
     let me = shard.peer.id.clone();
     if in_ring_interval(&seed.label, &shard.peer.pred, &me) {
         fx.relocated.push((seed.label.clone(), me));
@@ -250,13 +253,13 @@ mod tests {
         Key::from(s)
     }
 
-    fn seed(label: &str) -> NodeSeed {
-        NodeSeed {
+    fn seed(label: &str) -> Box<NodeSeed> {
+        Box::new(NodeSeed {
             label: k(label),
             father: None,
             children: Vec::new(),
             data: Vec::new(),
-        }
+        })
     }
 
     fn shard(peer: &str) -> PeerShard {
@@ -287,8 +290,8 @@ mod tests {
     fn case2_forwards_to_extending_child() {
         let mut s = shard("Z");
         let mut n = NodeState::new(k("10"));
-        n.children.insert(k("10101"));
-        n.children.insert(k("10111"));
+        n.add_child(k("10101"));
+        n.add_child(k("10111"));
         s.install(n);
         let mut fx = Effects::default();
         on_data_insertion(&mut s, &k("10"), k("101011"), false, &mut fx);
@@ -507,8 +510,8 @@ mod tests {
         let mut n = NodeState::new(k("101"));
         // Children include the label being created ("10111") — the
         // strict `<` must skip it (deviation for line 3.33).
-        n.children.insert(k("10101"));
-        n.children.insert(k("10111"));
+        n.add_child(k("10101"));
+        n.add_child(k("10111"));
         s.install(n);
         let mut fx = Effects::default();
         on_searching_host(&mut s, &k("101"), seed("10111"), &mut fx);

@@ -30,7 +30,7 @@ pub fn on_data_removal(shard: &mut PeerShard, node_label: &Key, key: Key, fx: &m
     let p_label = p.label.clone();
 
     if p_label == key {
-        p.data.remove(&key);
+        p.remove_datum(&key);
         dissolve_if_redundant(shard, &p_label, fx);
         return;
     }
@@ -62,7 +62,7 @@ pub fn on_remove_child(shard: &mut PeerShard, node_label: &Key, child: Key, fx: 
         .nodes
         .get_mut(node_label)
         .expect("routed to hosted node");
-    p.children.remove(&child);
+    p.remove_child(&child);
     let label = p.label.clone();
     dissolve_if_redundant(shard, &label, fx);
 }
@@ -76,7 +76,7 @@ fn dissolve_if_redundant(shard: &mut PeerShard, label: &Key, fx: &mut Effects) {
         return;
     }
     let father = node.father.clone();
-    let only_child = node.children.iter().next().cloned();
+    let only_child = node.children.first().cloned();
     match (father, only_child) {
         (father, Some(c)) => {
             // Lift the only child into our place.
@@ -128,10 +128,10 @@ mod tests {
             let mut n = NodeState::new(k(label));
             n.father = father.map(k);
             for c in *children {
-                n.children.insert(k(c));
+                n.add_child(k(c));
             }
             if *data {
-                n.data.insert(k(label));
+                n.add_datum(k(label));
             }
             s.install(n);
         }

@@ -236,7 +236,8 @@ fn gather(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
 fn subtree_may_match(query: &QueryKind, child: &Key) -> bool {
     match query {
         QueryKind::Exact(k) => child.is_prefix_of(k),
-        QueryKind::Range(lo, hi) => {
+        QueryKind::Range(r) => {
+            let (lo, hi) = &**r;
             // All subtree keys are >= child and start with child.
             if child > hi {
                 return false;
@@ -331,10 +332,10 @@ mod tests {
             let mut n = NodeState::new(k(label));
             n.father = father.map(k);
             for c in *children {
-                n.children.insert(k(c));
+                n.add_child(k(c));
             }
             if *has_data {
-                n.data.insert(k(label));
+                n.add_datum(k(label));
             }
             s.install(n);
         }
@@ -460,7 +461,7 @@ mod tests {
     fn range_query_collects_interval() {
         let mut s = paper_shard();
         let (sat, results, _, _) =
-            run_to_completion(&mut s, "01", QueryKind::Range(k("10"), k("10111")));
+            run_to_completion(&mut s, "01", QueryKind::range(k("10"), k("10111")));
         assert!(sat);
         assert_eq!(results, vec![k("10101"), k("10111")]);
     }
@@ -469,7 +470,7 @@ mod tests {
     fn range_query_covering_everything() {
         let mut s = paper_shard();
         let (sat, results, _, _) =
-            run_to_completion(&mut s, "10111", QueryKind::Range(k("0"), k("2")));
+            run_to_completion(&mut s, "10111", QueryKind::range(k("0"), k("2")));
         assert!(sat);
         assert_eq!(results, vec![k("01"), k("10101"), k("10111"), k("101111")]);
     }
@@ -519,15 +520,15 @@ mod tests {
         ));
         assert!(!subtree_may_match(&QueryKind::Complete(k("11")), &k("101")));
         assert!(subtree_may_match(
-            &QueryKind::Range(k("10"), k("11")),
+            &QueryKind::range(k("10"), k("11")),
             &k("101")
         ));
         assert!(!subtree_may_match(
-            &QueryKind::Range(k("102"), k("11")),
+            &QueryKind::range(k("102"), k("11")),
             &k("101")
         ));
         assert!(subtree_may_match(
-            &QueryKind::Range(k("1010"), k("1011")),
+            &QueryKind::range(k("1010"), k("1011")),
             &k("101")
         ));
     }

@@ -106,7 +106,7 @@ pub fn handle_peer_msg(shard: &mut PeerShard, msg: PeerMsg, fx: &mut Effects) {
     match msg {
         PeerMsg::NewPredecessor { joining } => peer_join::on_new_predecessor(shard, joining, fx),
         PeerMsg::YourInformation { pred, succ, nodes } => {
-            peer_join::on_your_information(shard, pred, succ, nodes, fx)
+            peer_join::on_your_information(shard, pred, succ, *nodes, fx)
         }
         PeerMsg::UpdateSuccessor { succ } => shard.peer.succ = succ,
         PeerMsg::UpdatePredecessor { pred } => shard.peer.pred = pred,

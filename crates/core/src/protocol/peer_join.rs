@@ -130,7 +130,7 @@ pub fn on_new_predecessor(shard: &mut PeerShard, joining: Key, fx: &mut Effects)
         PeerMsg::YourInformation {
             pred: pred.clone(),
             succ: q_id.clone(),
-            nodes: handed,
+            nodes: Box::new(handed),
         },
     ));
     // Line 2.09: tell pred_Q its successor changed. When we are alone
@@ -193,8 +193,8 @@ mod tests {
         {
             let n = s.nodes.get_mut(&k("0")).unwrap();
             n.father = Some(Key::epsilon());
-            n.children.insert(k("00"));
-            n.children.insert(k("0X"));
+            n.add_child(k("00"));
+            n.add_child(k("0X"));
         }
         let mut fx = Effects::default();
         on_peer_join(&mut s, &k("0"), k("0XYZ"), JoinPhase::Up, &mut fx);

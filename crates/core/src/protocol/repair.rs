@@ -53,7 +53,7 @@ pub fn on_sync_replicas(shard: &mut PeerShard, k: u32, fx: &mut Effects) {
             PeerMsg::Replicate {
                 primary: primary.clone(),
                 ttl: k - 1,
-                seed: NodeSeed::of(node),
+                seed: Box::new(NodeSeed::of(node)),
             },
         ));
     }
@@ -65,7 +65,7 @@ pub fn on_replicate(
     shard: &mut PeerShard,
     primary: Key,
     ttl: u32,
-    seed: NodeSeed,
+    seed: Box<NodeSeed>,
     fx: &mut Effects,
 ) {
     if shard.peer.id == primary {
@@ -91,7 +91,7 @@ pub fn on_replicate(
             copy.prev_load = 0;
         }
         _ => {
-            shard.replicas.insert(seed.label.clone(), seed.into_state());
+            shard.replicas.insert(seed.into_state());
         }
     }
 }
@@ -286,11 +286,11 @@ mod tests {
             children: vec![],
             data: vec![k("E")],
         };
-        on_replicate(&mut s, k("M"), 2, seed.clone(), &mut fx);
+        on_replicate(&mut s, k("M"), 2, seed.clone().into(), &mut fx);
         assert!(s.replicas.contains_key(&k("E")));
         assert_eq!(fx.out.len(), 1, "ttl 2 forwards once more");
         let mut fx2 = Effects::default();
-        on_replicate(&mut s, k("M"), 1, seed, &mut fx2);
+        on_replicate(&mut s, k("M"), 1, seed.into(), &mut fx2);
         assert!(fx2.out.is_empty(), "ttl 1 is the last stop");
     }
 
@@ -304,16 +304,16 @@ mod tests {
             children: vec![k("E1"), k("E2")],
             data: vec![k("E")],
         };
-        on_replicate(&mut s, k("M"), 1, seed.clone(), &mut fx);
+        on_replicate(&mut s, k("M"), 1, seed.clone().into(), &mut fx);
         // A failover read charged the copy; an unchanged refresh keeps
         // the sets but restarts the counters, like a fresh copy.
         s.replicas.get_mut(&k("E")).unwrap().load = 7;
-        on_replicate(&mut s, k("M"), 1, seed.clone(), &mut fx);
+        on_replicate(&mut s, k("M"), 1, seed.clone().into(), &mut fx);
         assert_eq!(s.replicas[&k("E")], seed.clone().into_state());
         // A changed node replaces the copy.
         seed.children.pop();
         seed.data.push(k("E9"));
-        on_replicate(&mut s, k("M"), 1, seed.clone(), &mut fx);
+        on_replicate(&mut s, k("M"), 1, seed.clone().into(), &mut fx);
         assert_eq!(s.replicas[&k("E")], seed.into_state());
     }
 
@@ -329,19 +329,19 @@ mod tests {
             children: vec![],
             data: vec![],
         };
-        on_replicate(&mut s, k("M"), 5, seed.clone(), &mut fx);
+        on_replicate(&mut s, k("M"), 5, seed.clone().into(), &mut fx);
         assert!(s.replicas.contains_key(&k("E")));
         assert!(fx.out.is_empty(), "successor is the primary: stop");
         // And the primary itself silently drops a fully wrapped walk.
         let mut p = shard_with_ring("M", "T", "T");
-        on_replicate(&mut p, k("M"), 5, seed, &mut fx);
+        on_replicate(&mut p, k("M"), 5, seed.into(), &mut fx);
         assert!(p.replicas.is_empty());
     }
 
     #[test]
     fn drop_replica_removes_a_copy_and_tolerates_absence() {
         let mut s = shard_with_ring("T", "M", "Z");
-        s.replicas.insert(k("F"), NodeState::new(k("F")));
+        s.replicas.insert(NodeState::new(k("F")));
         on_drop_replica(&mut s, &k("F"));
         on_drop_replica(&mut s, &k("F"));
         assert!(s.replicas.is_empty());

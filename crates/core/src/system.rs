@@ -501,7 +501,8 @@ mod tests {
         // Rename to an id still inside (pred, victim]'s arc-safe zone:
         // use a node label hosted by the victim if any, else skip.
         let shard = sys.shard(&victim).unwrap();
-        if let Some(node_label) = shard.nodes.keys().next_back().cloned() {
+        let last = shard.nodes.keys().next_back().cloned();
+        if let Some(node_label) = last {
             sys.rename_peer(&victim, node_label.clone()).unwrap();
             assert!(sys.shard(&node_label).is_some());
             sys.assert_clean();

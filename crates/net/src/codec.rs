@@ -18,7 +18,7 @@ use dlpt_core::messages::{
     Address, DiscoveryMsg, DiscoveryOutcome, Envelope, JoinPhase, Message, NodeMsg, NodeSeed,
     PeerMsg, QueryKind, RoutePhase,
 };
-use dlpt_core::node::NodeState;
+use dlpt_core::node::{key_set, NodeState};
 
 /// Decoding failure: truncated frame or unknown tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,10 +94,10 @@ fn put_query(buf: &mut BytesMut, q: &QueryKind) {
             buf.put_u8(0);
             put_key(buf, k);
         }
-        QueryKind::Range(lo, hi) => {
+        QueryKind::Range(r) => {
             buf.put_u8(1);
-            put_key(buf, lo);
-            put_key(buf, hi);
+            put_key(buf, &r.0);
+            put_key(buf, &r.1);
         }
         QueryKind::Complete(p) => {
             buf.put_u8(2);
@@ -182,7 +182,7 @@ fn put_peer_msg(buf: &mut BytesMut, m: &PeerMsg) {
             put_key(buf, pred);
             put_key(buf, succ);
             buf.put_u32_le(nodes.len() as u32);
-            for n in nodes {
+            for n in nodes.iter() {
                 put_node_state(buf, n);
             }
         }
@@ -345,28 +345,28 @@ fn get_node_state(buf: &mut impl Buf) -> Result<NodeState> {
     let label = get_key(buf)?;
     let mut n = NodeState::new(label);
     n.father = get_opt_key(buf)?;
-    n.children = get_keys(buf)?.into_iter().collect();
-    n.data = get_keys(buf)?.into_iter().collect();
+    n.children = key_set(get_keys(buf)?);
+    n.data = key_set(get_keys(buf)?);
     need(buf, 16, "node load counters")?;
     n.load = buf.get_u64_le();
     n.prev_load = buf.get_u64_le();
     Ok(n)
 }
 
-fn get_seed(buf: &mut impl Buf) -> Result<NodeSeed> {
-    Ok(NodeSeed {
+fn get_seed(buf: &mut impl Buf) -> Result<Box<NodeSeed>> {
+    Ok(Box::new(NodeSeed {
         label: get_key(buf)?,
         father: get_opt_key(buf)?,
         children: get_keys(buf)?,
         data: get_keys(buf)?,
-    })
+    }))
 }
 
 fn get_query(buf: &mut impl Buf) -> Result<QueryKind> {
     need(buf, 1, "query tag")?;
     match buf.get_u8() {
         0 => Ok(QueryKind::Exact(get_key(buf)?)),
-        1 => Ok(QueryKind::Range(get_key(buf)?, get_key(buf)?)),
+        1 => Ok(QueryKind::range(get_key(buf)?, get_key(buf)?)),
         2 => Ok(QueryKind::Complete(get_key(buf)?)),
         t => err(&format!("query tag {t}")),
     }
@@ -459,7 +459,11 @@ fn get_peer_msg(buf: &mut impl Buf) -> Result<PeerMsg> {
             for _ in 0..n {
                 nodes.push(get_node_state(buf)?);
             }
-            Ok(PeerMsg::YourInformation { pred, succ, nodes })
+            Ok(PeerMsg::YourInformation {
+                pred,
+                succ,
+                nodes: Box::new(nodes),
+            })
         }
         2 => Ok(PeerMsg::UpdateSuccessor {
             succ: get_key(buf)?,
@@ -557,8 +561,8 @@ mod tests {
     fn sample_envelopes() -> Vec<Envelope> {
         let mut node = NodeState::new(k("101"));
         node.father = Some(Key::epsilon());
-        node.children.insert(k("10101"));
-        node.data.insert(k("101"));
+        node.add_child(k("10101"));
+        node.add_datum(k("101"));
         node.load = 7;
         node.prev_load = 3;
         vec![
@@ -573,12 +577,12 @@ mod tests {
             Envelope::to_node(
                 k("10"),
                 NodeMsg::SearchingHost {
-                    seed: NodeSeed {
+                    seed: Box::new(NodeSeed {
                         label: k("101"),
                         father: Some(k("10")),
                         children: vec![k("10101"), k("10111")],
                         data: vec![k("101")],
-                    },
+                    }),
                 },
             ),
             Envelope::to_node(
@@ -602,7 +606,7 @@ mod tests {
                 k("10"),
                 NodeMsg::Discovery(DiscoveryMsg {
                     request_id: 42,
-                    query: QueryKind::Range(k("A"), k("Z")),
+                    query: QueryKind::range(k("A"), k("Z")),
                     phase: RoutePhase::Gather,
                     path: vec![k("ε-no"), k("10")],
                 }),
@@ -613,7 +617,7 @@ mod tests {
                 PeerMsg::YourInformation {
                     pred: k("P0"),
                     succ: k("P2"),
-                    nodes: vec![node.clone()],
+                    nodes: Box::new(vec![node.clone()]),
                 },
             ),
             Envelope::to_peer(k("P1"), PeerMsg::UpdateSuccessor { succ: k("P2") }),
@@ -621,12 +625,12 @@ mod tests {
             Envelope::to_peer(
                 k("P1"),
                 PeerMsg::Host {
-                    seed: NodeSeed {
+                    seed: Box::new(NodeSeed {
                         label: Key::epsilon(),
                         father: None,
                         children: vec![],
                         data: vec![],
-                    },
+                    }),
                 },
             ),
             Envelope::to_peer(
@@ -642,12 +646,12 @@ mod tests {
                 PeerMsg::Replicate {
                     primary: k("P0"),
                     ttl: 2,
-                    seed: NodeSeed {
+                    seed: Box::new(NodeSeed {
                         label: k("101"),
                         father: Some(k("10")),
                         children: vec![k("10101")],
                         data: vec![k("101")],
-                    },
+                    }),
                 },
             ),
             Envelope::to_peer(k("P1"), PeerMsg::DropReplica { label: k("101") }),

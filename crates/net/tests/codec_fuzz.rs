@@ -74,12 +74,12 @@ proptest! {
                 PeerMsg::Replicate {
                     primary: Key::from(primary.as_str()),
                     ttl,
-                    seed: NodeSeed {
+                    seed: Box::new(NodeSeed {
                         label: Key::from(label.as_str()),
                         father: Some(Key::from(primary.as_str())),
                         children: vec![Key::from(label.as_str())],
                         data: vec![Key::from(label.as_str())],
-                    },
+                    }),
                 },
             ),
             Envelope::to_peer(Key::from(primary.as_str()), PeerMsg::DropReplica { label: Key::from(label.as_str()) }),

@@ -201,6 +201,37 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
          {wide_allocs} allocs, {chain_visits} partials cost {chain_allocs}"
     );
 
+    // The same pair as range queries over the same four keys each. A
+    // range's bounds are shared, not copied, into every branch's
+    // `query.clone()`, so fanning out wider must not allocate either.
+    let chain = QueryKind::range(Key::from("000"), Key::from("000000"));
+    let wide = QueryKind::range(Key::from("11000"), Key::from("11111"));
+    for _ in 0..32 {
+        assert!(sys.request_from(&entry, chain.clone()).unwrap().satisfied);
+        assert!(sys.request_from(&entry, wide.clone()).unwrap().satisfied);
+    }
+    let gather = |sys: &mut DlptSystem, query: &QueryKind| {
+        let mut visits = 0;
+        for _ in 0..ROUNDS {
+            let out = sys.request_from(&entry, query.clone()).unwrap();
+            assert!(out.satisfied && out.results.len() == 4);
+            visits += out.gather_visits;
+        }
+        visits
+    };
+    let (chain_allocs, chain_visits) = count(|| gather(&mut sys, &chain));
+    let (wide_allocs, wide_visits) = count(|| gather(&mut sys, &wide));
+    assert!(
+        wide_visits > chain_visits,
+        "workload sanity: the wide range must gather across more nodes \
+         ({wide_visits} vs {chain_visits} partial reports)"
+    );
+    assert!(
+        wide_allocs.abs_diff(chain_allocs) <= JITTER,
+        "extra range branches must not allocate: {wide_visits} partials cost \
+         {wide_allocs} allocs, {chain_visits} partials cost {chain_allocs}"
+    );
+
     // ---- Phase 4: fault-off admission keeps no retry snapshot. -----
     // The retry policy re-sends a verbatim clone of the entry envelope;
     // that snapshot is only worth paying for behind an active fault

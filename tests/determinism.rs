@@ -47,7 +47,7 @@ fn scripted_run_with_cache(seed: u64, cache: usize) -> (DlptSystem, Vec<LookupOu
     }
     outcomes.push(sys.request(QueryKind::Complete(Key::from("S3L"))).unwrap());
     outcomes.push(
-        sys.request(QueryKind::Range(Key::from("D"), Key::from("E")))
+        sys.request(QueryKind::range(Key::from("D"), Key::from("E")))
             .unwrap(),
     );
     sys.end_time_unit();
@@ -240,7 +240,7 @@ fn tracing_on_reproduces_committed_golden_fingerprint_and_captures_events() {
         }
         outcomes.push(sys.request(QueryKind::Complete(Key::from("S3L"))).unwrap());
         outcomes.push(
-            sys.request(QueryKind::Range(Key::from("D"), Key::from("E")))
+            sys.request(QueryKind::range(Key::from("D"), Key::from("E")))
                 .unwrap(),
         );
         sys.end_time_unit();

@@ -102,7 +102,7 @@ fn query_of(o: &Op) -> Option<QueryKind> {
         }
         Op::Range(a, b) => {
             let (lo, hi) = ordered(*a, *b);
-            Some(QueryKind::Range(lo, hi))
+            Some(QueryKind::range(lo, hi))
         }
         _ => None,
     }

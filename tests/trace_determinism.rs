@@ -109,7 +109,7 @@ fn batch_stories_equal_the_sequential_twins_request_by_request() {
             .map(|k| QueryKind::Exact(Key::from(*k)))
             .collect();
         qs.insert(3, QueryKind::Complete(Key::from("S3L")));
-        qs.insert(9, QueryKind::Range(Key::from("D"), Key::from("Q")));
+        qs.insert(9, QueryKind::range(Key::from("D"), Key::from("Q")));
         qs.push(QueryKind::Exact(Key::from("MISSING")));
         qs
     };
