@@ -9,8 +9,13 @@
 //! key is *interned* once and identified by a `u32`; the directory
 //! itself is
 //!
-//! * `hosts`: a flat `id → host-id` array giving O(1) exact lookups
-//!   (one hash of the label, no byte-string tree walk), and
+//! * `recs`: a flat `id → LabelRec` array giving O(1) exact lookups
+//!   (one hash of the label, no byte-string tree walk). One 16-byte
+//!   record holds everything a hop reads: the host id, the slot the
+//!   node last sat in on that host's `NodeMap` slab, and the label's
+//!   cache epoch. The slot is a *hint*: the node map checks it against
+//!   the label before trusting it, so a stale slot costs one ordinary
+//!   hash probe and nothing else;
 //! * `sorted`: the live label ids in lexicographic order, maintained
 //!   incrementally (binary search over `u32` ids) on
 //!   join/leave/migrate, giving ordered iteration and O(1) uniform
@@ -27,6 +32,41 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sentinel host id meaning "label not present".
 const NONE: u32 = u32::MAX;
+
+/// Slot hint meaning "not known": past every slab, so the node map
+/// goes straight to its hash probe without reading a slot.
+const NO_SLOT: u32 = u32::MAX;
+
+/// What a hop needs of one label, in one 16-byte read.
+#[derive(Debug, Clone, Copy)]
+struct LabelRec {
+    /// Id of the hosting peer's key, or [`NONE`] when the label is not
+    /// currently a live node label.
+    host: u32,
+    /// Where the node last sat in its host's `NodeMap` slab — a hint,
+    /// validated by the map and rewritten by the hop that finds the
+    /// node elsewhere. Keeping it exact would mean reporting every
+    /// slab move (`swap_remove`, migration, rename) out of handlers
+    /// that only see their own shard.
+    slot: u32,
+    /// Structural epoch of the label (caching extension,
+    /// `dlpt_core::cache`). Bumped on every host change, removal and
+    /// node-state mutation, so a routing shortcut learned at epoch `e`
+    /// is provably fresh iff the label is live at epoch `e`. Epochs are
+    /// pure bookkeeping — never printed, compared or serialized — so
+    /// they cannot perturb the cache-off golden fingerprint.
+    epoch: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<LabelRec>() == 16);
+
+impl LabelRec {
+    const DEAD: LabelRec = LabelRec {
+        host: NONE,
+        slot: NO_SLOT,
+        epoch: 0,
+    };
+}
 
 /// FxHash (the rustc hasher): multiply-xor over machine words. Keys
 /// are short, trusted identifiers, so DoS-resistant SipHash is pure
@@ -88,22 +128,14 @@ pub struct Directory {
     keys: Vec<Key>,
     /// Reverse map key → id (cheap to key by `Key`: clones are inline).
     ids: FxHashMap<Key, u32>,
-    /// Per key-id: id of the hosting peer's key, or [`NONE`] when the
-    /// key is not currently a live node label.
-    hosts: Vec<u32>,
+    /// Per key-id: host, slot hint and epoch.
+    recs: Vec<LabelRec>,
     /// Live label ids, ascending by digit string.
     sorted: Vec<u32>,
     /// Per key-id: peer ids of the follower replica hosts (replication
     /// extension; empty at k = 1, which keeps the table cost-free for
     /// unreplicated overlays).
     followers: Vec<Vec<u32>>,
-    /// Per key-id: structural epoch of the label (caching extension,
-    /// `dlpt_core::cache`). Bumped on every host change, removal and
-    /// node-state mutation, so a routing shortcut learned at epoch `e`
-    /// is provably fresh iff the label is live at epoch `e`. Epochs are
-    /// pure bookkeeping — never printed, compared or serialized — so
-    /// they cannot perturb the cache-off golden fingerprint.
-    epochs: Vec<u64>,
 }
 
 impl Directory {
@@ -131,11 +163,22 @@ impl Directory {
             return id;
         }
         let id = self.keys.len() as u32;
-        self.keys.push(k.clone());
-        self.hosts.push(NONE);
-        self.followers.push(Vec::new());
-        self.epochs.push(0);
         self.ids.insert(k.clone(), id);
+        if self.keys.len() == self.keys.capacity() {
+            // The per-id arrays grow together, in the id map's steps:
+            // one reservation each, sized to the ids the map can take.
+            // Each doubling on its own left holes the allocator then
+            // filled with the map itself, and the peak RSS of the
+            // `lookup_zipf_cached` benchmark rose by a quarter
+            // (EXPERIMENTS.md §Memory footprint).
+            let room = self.ids.capacity() - self.keys.len();
+            self.keys.reserve_exact(room);
+            self.recs.reserve_exact(room);
+            self.followers.reserve_exact(room);
+        }
+        self.keys.push(k.clone());
+        self.recs.push(LabelRec::DEAD);
+        self.followers.push(Vec::new());
         id
     }
 
@@ -158,22 +201,30 @@ impl Directory {
         self.keys.len()
     }
 
-    /// Resolves a live label to `(label id, host id)` with a single
-    /// hash — the delivery hot path's one-stop lookup. `None` when the
-    /// label is unknown or not currently live.
+    /// Resolves a live label to `(label id, host id, slot hint)` with
+    /// a single hash and one record read — the delivery hot path's
+    /// one-stop lookup. The slot is only a hint for the host's
+    /// `NodeMap::find`. `None` when the label is unknown or not
+    /// currently live.
     #[inline]
-    pub fn resolve(&self, label: &Key) -> Option<(u32, u32)> {
+    pub fn resolve(&self, label: &Key) -> Option<(u32, u32, u32)> {
         let &lid = self.ids.get(label)?;
-        match self.hosts[lid as usize] {
-            NONE => None,
-            hid => Some((lid, hid)),
+        match self.recs[lid as usize] {
+            LabelRec { host: NONE, .. } => None,
+            LabelRec { host, slot, .. } => Some((lid, host, slot)),
         }
+    }
+
+    /// Records where label id `lid`'s node was last found on its host.
+    #[inline]
+    pub fn set_slot(&mut self, lid: u32, slot: u32) {
+        self.recs[lid as usize].slot = slot;
     }
 
     /// The host id of a live label id (`None` when dissolved).
     #[inline]
     pub fn host_id(&self, lid: u32) -> Option<u32> {
-        match self.hosts[lid as usize] {
+        match self.recs[lid as usize].host {
             NONE => None,
             hid => Some(hid),
         }
@@ -191,14 +242,14 @@ impl Directory {
     pub fn contains(&self, label: &Key) -> bool {
         self.ids
             .get(label)
-            .map(|&id| self.hosts[id as usize] != NONE)
+            .map(|&id| self.recs[id as usize].host != NONE)
             .unwrap_or(false)
     }
 
     /// The hosting peer of `label`, if the label is live.
     pub fn host_of(&self, label: &Key) -> Option<&Key> {
         let &id = self.ids.get(label)?;
-        match self.hosts[id as usize] {
+        match self.recs[id as usize].host {
             NONE => None,
             host => Some(&self.keys[host as usize]),
         }
@@ -211,14 +262,19 @@ impl Directory {
     pub fn insert(&mut self, label: Key, host: Key) -> u32 {
         let lid = self.intern(&label);
         let hid = self.intern(&host);
-        if self.hosts[lid as usize] == NONE {
+        if self.recs[lid as usize].host == NONE {
             let at = self
                 .rank(&label)
                 .expect_err("absent label cannot be in sorted order");
             self.sorted.insert(at, lid);
         }
-        self.hosts[lid as usize] = hid;
-        self.epochs[lid as usize] += 1;
+        let rec = &mut self.recs[lid as usize];
+        if rec.host != hid {
+            // A slot on the old host says nothing about the new one.
+            rec.slot = NO_SLOT;
+        }
+        rec.host = hid;
+        rec.epoch += 1;
         lid
     }
 
@@ -227,12 +283,13 @@ impl Directory {
         let Some(&lid) = self.ids.get(label) else {
             return false;
         };
-        if self.hosts[lid as usize] == NONE {
+        let rec = &mut self.recs[lid as usize];
+        if rec.host == NONE {
             return false;
         }
-        self.hosts[lid as usize] = NONE;
+        rec.host = NONE;
+        rec.epoch += 1;
         self.followers[lid as usize].clear();
-        self.epochs[lid as usize] += 1;
         let at = self.rank(label).expect("live label is in sorted order");
         self.sorted.remove(at);
         true
@@ -241,9 +298,10 @@ impl Directory {
     /// Drops every label (the interner itself is retained).
     pub fn clear(&mut self) {
         for &id in &self.sorted {
-            self.hosts[id as usize] = NONE;
+            let rec = &mut self.recs[id as usize];
+            rec.host = NONE;
+            rec.epoch += 1;
             self.followers[id as usize].clear();
-            self.epochs[id as usize] += 1;
         }
         self.sorted.clear();
     }
@@ -253,25 +311,23 @@ impl Directory {
     /// the label so the bump survives a remove/re-insert window.
     pub fn bump_epoch(&mut self, label: &Key) {
         let lid = self.intern(label);
-        self.epochs[lid as usize] += 1;
+        self.recs[lid as usize].epoch += 1;
     }
 
     /// Advances the epoch of an already interned label by id — the
     /// hot-path twin of [`Directory::bump_epoch`] (no hash).
     #[inline]
     pub fn bump_epoch_id(&mut self, lid: u32) {
-        self.epochs[lid as usize] += 1;
+        self.recs[lid as usize].epoch += 1;
     }
 
     /// The current epoch of `label` *iff* it is a live node label —
     /// the single probe a cache-hit validation needs. `None` when the
     /// label is unknown or dissolved.
     pub fn live_epoch(&self, label: &Key) -> Option<u64> {
-        let &id = self.ids.get(label)?;
-        if self.hosts[id as usize] == NONE {
-            None
-        } else {
-            Some(self.epochs[id as usize])
+        match self.recs[*self.ids.get(label)? as usize] {
+            LabelRec { host: NONE, .. } => None,
+            LabelRec { epoch, .. } => Some(epoch),
         }
     }
 
@@ -281,7 +337,7 @@ impl Directory {
     pub fn epoch_of(&self, label: &Key) -> u64 {
         self.ids
             .get(label)
-            .map(|&id| self.epochs[id as usize])
+            .map(|&id| self.recs[id as usize].epoch)
             .unwrap_or(0)
     }
 
@@ -360,17 +416,16 @@ impl Directory {
     }
 
     /// Estimated resident bytes of the directory tables: interned key
-    /// storage (plus spilled key heap), the id map, host/sorted/epoch
-    /// arrays and follower records. Vec capacities are counted (they
+    /// storage (plus spilled key heap), the id map, the record and
+    /// sorted arrays and follower records. Vec capacities are counted (they
     /// are a deterministic function of the insertion history); the id
     /// map uses a fixed per-entry estimate so the result never depends
     /// on hash-table growth policy details.
     pub fn bytes_estimate(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.keys.capacity() * size_of::<Key>()
-            + self.hosts.capacity() * size_of::<u32>()
+            + self.recs.capacity() * size_of::<LabelRec>()
             + self.sorted.capacity() * size_of::<u32>()
-            + self.epochs.capacity() * size_of::<u64>()
             + self.followers.capacity() * size_of::<Vec<u32>>();
         for f in &self.followers {
             bytes += f.capacity() * size_of::<u32>();
@@ -384,12 +439,27 @@ impl Directory {
         bytes + self.ids.len() * (size_of::<Key>() + size_of::<u32>() + 8)
     }
 
+    /// Overwrites every slot hint with an arbitrary one — right,
+    /// another node's, or past any slab — for tests that prove hints
+    /// never change behaviour.
+    #[cfg(test)]
+    pub(crate) fn scramble_slot_hints(&mut self, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for rec in &mut self.recs {
+            rec.slot = match rng.gen_range(0..4) {
+                0 => u32::MAX,
+                _ => rng.gen_range(0..64),
+            };
+        }
+    }
+
     /// `(label, host)` pairs, ascending by label.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Key, &Key)> + '_ {
         self.sorted.iter().map(|&id| {
             (
                 &self.keys[id as usize],
-                &self.keys[self.hosts[id as usize] as usize],
+                &self.keys[self.recs[id as usize].host as usize],
             )
         })
     }

@@ -46,6 +46,8 @@ mod replicate;
 mod scan_equivalence;
 #[cfg(test)]
 mod slab_props;
+#[cfg(test)]
+mod slot_hints;
 
 use crate::cache::{self, CacheStats, RouteCache};
 use crate::directory::{Directory, FxHashMap, FxHashSet};
@@ -450,14 +452,6 @@ pub fn requeue_limit(budget: u32, peers: usize) -> u32 {
     budget.max((peers as u32).saturating_mul(2))
 }
 
-/// Internal result of one dispatch step: either a terminal [`Step`] or
-/// the next hop of an exact-query chain, delivered inline by the
-/// [`Engine::deliver`] loop instead of round-tripping the transport.
-enum ChainStep {
-    Step(Step),
-    Chain(Envelope),
-}
-
 /// The unified DLPT runtime state machine. See the module docs.
 #[derive(Debug)]
 pub struct Engine {
@@ -710,9 +704,9 @@ impl Engine {
 
     /// Borrow a node's state wherever it is hosted.
     pub fn node(&self, label: &Key) -> Option<&NodeState> {
-        let lid = self.directory.id_of(label)?;
-        let hid = self.directory.host_id(lid)?;
-        self.peers.get(hid)?.shard.nodes.get(label)
+        let (_, hid, hint) = self.directory.resolve(label)?;
+        let nodes = &self.peers.get(hid)?.shard.nodes;
+        Some(nodes.at(nodes.find(label, hint)?))
     }
 
     /// Label of the current tree root.
@@ -823,7 +817,7 @@ impl Engine {
     /// the entry peer a fresh shortcut at completion
     /// ([`Engine::take_finished`] / [`Engine::finish_request`]).
     pub fn begin_request(&mut self, entry: &Key, query: QueryKind) -> Result<(u64, Envelope)> {
-        let Some((lid, hid)) = self.directory.resolve(entry) else {
+        let Some((lid, hid, _)) = self.directory.resolve(entry) else {
             return Err(DlptError::UnknownNode(entry.to_string()));
         };
         let id = self.next_request;
@@ -1120,45 +1114,141 @@ impl Engine {
     ///
     /// Hop chaining: on a [synchronous](Transport::synchronous)
     /// transport, an exact-query discovery visit whose only effect is
-    /// the next hop (one envelope, no relocations) runs that hop
-    /// inline instead of round-tripping it through the queue. An exact
-    /// query has exactly one envelope in flight, so the chained run
-    /// performs the identical state-change sequence the queued run
-    /// would — it only skips the push/pop. A chained hop that cannot
-    /// deliver yet re-enters the transport exactly as an unchained
-    /// forward would have (a fresh queued envelope, not a requeue of
-    /// its ancestor).
+    /// the next hop runs that hop inline instead of round-tripping it
+    /// through the queue, and a visit whose only effect is the
+    /// client's report delivers that report inline. An exact query has
+    /// exactly one envelope in flight, so the chained run performs the
+    /// identical state-change sequence the queued run would — it only
+    /// skips the push/pop. A chained hop that cannot deliver yet
+    /// re-enters the transport exactly as an unchained forward would
+    /// have (a fresh queued envelope, not a requeue of its ancestor).
     pub fn deliver<T: Transport>(&mut self, t: &mut T, env: Envelope) -> Result<Step> {
         // The scratch effect buffer is checked out once for the whole
         // chain, not once per hop.
         let mut fx = std::mem::take(&mut self.scratch);
-        let mut env = env;
-        let mut chained = false;
-        let res = loop {
-            match self.deliver_step(t, env, &mut fx) {
-                Ok(ChainStep::Chain(next)) => {
-                    env = next;
-                    chained = true;
-                }
-                Ok(ChainStep::Step(Step::Requeue(e))) if chained => {
-                    self.send(t, e);
-                    break Ok(Step::Done);
-                }
-                Ok(ChainStep::Step(s)) => break Ok(s),
-                Err(e) => break Err(e),
-            }
+        let res = match env {
+            Envelope {
+                to: Address::Node(label),
+                msg: Message::Node(NodeMsg::Discovery(m)),
+            } => self.deliver_visits(t, label, m, &mut fx),
+            env => self.deliver_step(t, env, &mut fx),
         };
         self.scratch = fx;
         self.route_hosts.clear();
         res
     }
 
+    /// Delivers a discovery message to node `label`, and on to the
+    /// next node while hops chain (see [`Engine::deliver`]). The chain
+    /// owns the destination and the message and rewrites both in
+    /// place: a chained hop builds no envelope.
+    fn deliver_visits<T: Transport>(
+        &mut self,
+        t: &mut T,
+        mut label: Key,
+        mut m: DiscoveryMsg,
+        fx: &mut Effects,
+    ) -> Result<Step> {
+        let exact = matches!(m.query, QueryKind::Exact(_));
+        let mut chained = false;
+        loop {
+            // One directory probe resolves label id, host id and the
+            // node's slot hint; a hinted visit then probes no hash.
+            // Capacity model (Section 4): a peer's capacity bounds the
+            // requests it can process per unit, and processing includes
+            // routing — "the upper a node is, the more times it will be
+            // visited by a request" is exactly what makes load
+            // balancing matter (Section 3.3) — so every visit charges
+            // the hosting peer one unit and counts toward the node's
+            // offered load l_n.
+            let hosted = self.directory.resolve(&label).and_then(|(lid, hid, hint)| {
+                let shard = &mut self.peers.get_mut(hid)?.shard;
+                Some((lid, hid, hint, shard))
+            });
+            let (hops, req) = (m.path.len(), m.request_id);
+            let gate = match hosted {
+                None => None,
+                Some((lid, hid, mut slot, shard)) => {
+                    match discovery::deliver_visit(shard, &label, &mut slot, &mut m, fx) {
+                        // In flight between shards (hand-off under
+                        // way): try later.
+                        discovery::VisitGate::Missing => None,
+                        gate => {
+                            self.directory.set_slot(lid, slot);
+                            Some((lid, hid, gate))
+                        }
+                    }
+                }
+            };
+            let Some((lid, hid, gate)) = gate else {
+                let env = Envelope::to_node(label, NodeMsg::Discovery(m));
+                if chained {
+                    self.send(t, env);
+                    return Ok(Step::Done);
+                }
+                return Ok(Step::Requeue(env));
+            };
+            let next = match gate {
+                discovery::VisitGate::Delivered(next) => next,
+                _ => {
+                    // Failover: a follower copy with spare capacity
+                    // can serve the read the primary refused.
+                    if self.replication > 1 {
+                        match self.failover_read(&label, m, fx) {
+                            None => {
+                                self.apply(fx, t);
+                                return Ok(Step::Done);
+                            }
+                            Some(back) => m = back,
+                        }
+                    }
+                    let mut path = m.path;
+                    path.push(label);
+                    let eager = self.judges_eagerly(t);
+                    self.refuse_visit(m.request_id, lid, hid, path, eager);
+                    return Ok(Step::Done);
+                }
+            };
+            self.stats.discovery_messages += 1;
+            // Visit number `hops` of a route this dispatch has followed
+            // from its entry (a gather branch arrives with an empty
+            // path and is alone in its dispatch).
+            if hops == self.route_hosts.len() {
+                self.route_hosts.push(hid);
+            }
+            if self.tracer.enabled() {
+                self.tracer
+                    .emit(TraceEvent::new(EventKind::Hop, req, lid, hid, hops));
+            }
+            if exact && self.inline(t) && fx.relocated.is_empty() && fx.removed.is_empty() {
+                match next {
+                    Some(next) if fx.out.is_empty() => {
+                        label = next;
+                        chained = true;
+                        continue;
+                    }
+                    None if fx.out.len() == 1 => {
+                        let report = fx.out.pop().expect("length checked");
+                        return self.deliver_step(t, report, fx);
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(next) = next {
+                fx.send(Envelope::to_node(next, NodeMsg::Discovery(m)));
+            }
+            self.apply(fx, t);
+            return Ok(Step::Done);
+        }
+    }
+
+    /// Processes one envelope that is not a discovery visit.
     fn deliver_step<T: Transport>(
         &mut self,
         t: &mut T,
         env: Envelope,
         fx: &mut Effects,
-    ) -> Result<ChainStep> {
+    ) -> Result<Step> {
         // Destructure: addresses are matched by move, so the hot path
         // clones no `Address` (a requeue rebuilds the envelope from the
         // owned parts).
@@ -1168,7 +1258,7 @@ impl Engine {
                 if let Message::ClientResponse(outcome) = msg {
                     let eager = self.judges_eagerly(t);
                     self.client_response(outcome, eager);
-                    Ok(ChainStep::Step(Step::Done))
+                    Ok(Step::Done)
                 } else {
                     Err(DlptError::Undeliverable("client".into()))
                 }
@@ -1181,10 +1271,7 @@ impl Engine {
                     .id_of(&id)
                     .filter(|&p| self.peers.contains(p))
                 else {
-                    return Ok(ChainStep::Step(Step::Requeue(Envelope::to_address(
-                        Address::Peer(id),
-                        msg,
-                    ))));
+                    return Ok(Step::Requeue(Envelope::to_address(Address::Peer(id), msg)));
                 };
                 // Replication and cache traffic are counted apart so
                 // the k = 1 / cache-off system's stats stay
@@ -1202,7 +1289,7 @@ impl Engine {
                     if let Some(slot) = self.peers.get_mut(pid) {
                         slot.cache.invalidate_label(&label, epoch);
                     }
-                    return Ok(ChainStep::Step(Step::Done));
+                    return Ok(Step::Done);
                 } else {
                     count_message(&mut self.stats, &msg);
                 }
@@ -1224,159 +1311,38 @@ impl Engine {
                     }
                 }
                 self.apply(fx, t);
-                Ok(ChainStep::Step(Step::Done))
+                Ok(Step::Done)
             }
             Address::Node(label) => {
-                // One directory probe resolves label id + host id; the
-                // host's shard is then a flat slab index away (the old
-                // path paid two `BTreeMap` walks and a `Key` clone).
-                let Some((lid, hid)) = self.directory.resolve(&label) else {
-                    return Ok(ChainStep::Step(Step::Requeue(Envelope::to_address(
-                        Address::Node(label),
-                        msg,
-                    ))));
+                let Message::Node(m) = msg else {
+                    return Err(DlptError::Undeliverable(format!("{label}: {msg:?}")));
                 };
-                // One shard probe serves the whole delivery: the
-                // existence check, the capacity charge and the handler
-                // run under a single borrow; requeues and capacity
-                // drops exit with the message intact.
-                enum Gate {
-                    Delivered,
-                    /// Delivered an exact-query discovery visit — the
-                    /// one delivery kind eligible for hop chaining.
-                    DeliveredExact,
-                    /// Delivered a node message that may have mutated
-                    /// the node's state (epoch advances, replicas must
-                    /// refresh).
-                    DeliveredMutation,
-                    Requeue(Message),
-                    Dropped(DiscoveryMsg),
-                }
-                let stats = &mut self.stats;
-                let gate = match self.peers.get_mut(hid).map(|s| &mut s.shard) {
-                    None => Gate::Requeue(msg),
-                    Some(shard) => match msg {
-                        // Capacity model (Section 4): a peer's capacity
-                        // bounds the requests it can process per unit,
-                        // and processing includes routing — "the upper
-                        // a node is, the more times it will be visited
-                        // by a request" is exactly what makes load
-                        // balancing matter (Section 3.3) — so every
-                        // visit charges the hosting peer one unit and
-                        // counts toward the node's offered load l_n.
-                        Message::Node(NodeMsg::Discovery(m)) => {
-                            let exact = matches!(m.query, QueryKind::Exact(_));
-                            // Two register moves, captured before the
-                            // visit takes ownership of the message.
-                            let (req, hops) = (m.request_id, m.path.len());
-                            match discovery::deliver_visit(shard, &label, m, fx) {
-                                // In flight between shards (hand-off
-                                // under way): try later.
-                                discovery::VisitGate::Missing(m) => {
-                                    Gate::Requeue(Message::Node(NodeMsg::Discovery(m)))
-                                }
-                                discovery::VisitGate::Delivered => {
-                                    stats.discovery_messages += 1;
-                                    // Visit number `hops` of a route
-                                    // this dispatch has followed from
-                                    // its entry (a gather branch
-                                    // arrives with an empty path and
-                                    // is alone in its dispatch).
-                                    if hops == self.route_hosts.len() {
-                                        self.route_hosts.push(hid);
-                                    }
-                                    if self.tracer.enabled() {
-                                        self.tracer.emit(TraceEvent::new(
-                                            EventKind::Hop,
-                                            req,
-                                            lid,
-                                            hid,
-                                            hops,
-                                        ));
-                                    }
-                                    if exact {
-                                        Gate::DeliveredExact
-                                    } else {
-                                        Gate::Delivered
-                                    }
-                                }
-                                discovery::VisitGate::Dropped(m) => Gate::Dropped(m),
-                            }
-                        }
-                        Message::Node(m) => {
-                            if shard.nodes.contains_key(&label) {
-                                count_node_msg(stats, &m);
-                                // A node told it has no father is the root.
-                                if matches!(m, NodeMsg::SetFather { father: None }) {
-                                    self.root = Some(label.clone());
-                                }
-                                protocol::handle_node_msg(shard, &label, m, fx);
-                                Gate::DeliveredMutation
-                            } else {
-                                Gate::Requeue(Message::Node(m))
-                            }
-                        }
-                        other => {
-                            return Err(DlptError::Undeliverable(format!("{label}: {other:?}")));
-                        }
-                    },
+                // The slot hint spares the existence check its hash
+                // probe; the handler then probes once.
+                let hosted = self.directory.resolve(&label).and_then(|(lid, hid, hint)| {
+                    let shard = &mut self.peers.get_mut(hid)?.shard;
+                    let slot = shard.nodes.find(&label, hint)?;
+                    Some((lid, slot, shard))
+                });
+                let Some((lid, slot, shard)) = hosted else {
+                    return Ok(Step::Requeue(Envelope::to_node(label, m)));
                 };
-                match gate {
-                    Gate::Requeue(msg) => Ok(ChainStep::Step(Step::Requeue(Envelope::to_address(
-                        Address::Node(label),
-                        msg,
-                    )))),
-                    Gate::Dropped(m) => {
-                        // Failover: a follower copy with spare capacity
-                        // can serve the read the primary refused.
-                        let m = if self.replication > 1 {
-                            match self.failover_read(&label, m, fx) {
-                                None => {
-                                    self.apply(fx, t);
-                                    return Ok(ChainStep::Step(Step::Done));
-                                }
-                                Some(m) => m,
-                            }
-                        } else {
-                            m
-                        };
-                        let mut path = m.path;
-                        path.push(label);
-                        let eager = self.judges_eagerly(t);
-                        self.refuse_visit(m.request_id, lid, hid, path, eager);
-                        Ok(ChainStep::Step(Step::Done))
-                    }
-                    Gate::Delivered => {
-                        self.apply(fx, t);
-                        Ok(ChainStep::Step(Step::Done))
-                    }
-                    Gate::DeliveredExact => {
-                        // Hop chaining (see `deliver`): hand the lone
-                        // follow-up back to the dispatch loop instead
-                        // of round-tripping it through the queue.
-                        if self.inline(t)
-                            && fx.out.len() == 1
-                            && fx.relocated.is_empty()
-                            && fx.removed.is_empty()
-                        {
-                            let next = fx.out.pop().expect("length checked");
-                            return Ok(ChainStep::Chain(next));
-                        }
-                        self.apply(fx, t);
-                        Ok(ChainStep::Step(Step::Done))
-                    }
-                    Gate::DeliveredMutation => {
-                        if self.replication > 1 {
-                            self.touched.push(lid);
-                        }
-                        // Any non-discovery node message may have
-                        // mutated the node's structure: advance its
-                        // epoch so learned shortcuts re-validate.
-                        self.directory.bump_epoch_id(lid);
-                        self.apply(fx, t);
-                        Ok(ChainStep::Step(Step::Done))
-                    }
+                count_node_msg(&mut self.stats, &m);
+                // A node told it has no father is the root.
+                if matches!(m, NodeMsg::SetFather { father: None }) {
+                    self.root = Some(label.clone());
                 }
+                protocol::handle_node_msg(shard, &label, m, fx);
+                self.directory.set_slot(lid, slot);
+                if self.replication > 1 {
+                    self.touched.push(lid);
+                }
+                // Any non-discovery node message may have mutated the
+                // node's structure: advance its epoch so learned
+                // shortcuts re-validate.
+                self.directory.bump_epoch_id(lid);
+                self.apply(fx, t);
+                Ok(Step::Done)
             }
         }
     }

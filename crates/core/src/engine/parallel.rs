@@ -269,10 +269,13 @@ fn route_chunk(engine: &Engine, envs: Vec<Envelope>) -> Routed {
                         parent,
                         hops: m.path.len() as u32,
                     };
-                    let hosted = engine.directory.resolve(&label).and_then(|(lid, hid)| {
-                        let node = engine.peers.get(hid)?.shard.nodes.get(&label)?;
-                        Some((lid, hid, node))
-                    });
+                    let hosted = engine
+                        .directory
+                        .resolve(&label)
+                        .and_then(|(lid, hid, hint)| {
+                            let nodes = &engine.peers.get(hid)?.shard.nodes;
+                            Some((lid, hid, nodes.at(nodes.find(&label, hint)?)))
+                        });
                     if let Some((lid, hid, node)) = hosted {
                         (visit.label, visit.host) = (lid, hid);
                         discovery::on_discovery_at(node, m, &mut fx);

@@ -148,7 +148,7 @@ impl Engine {
             };
             for label in slot.shard.replicas.keys() {
                 match self.directory.resolve(label) {
-                    Some((lid, _)) if self.directory.follower_ids(lid).contains(&pid) => {
+                    Some((lid, _, _)) if self.directory.follower_ids(lid).contains(&pid) => {
                         live_copies[lid as usize] += 1;
                     }
                     _ => drops.push((pid, label.clone())),

@@ -45,14 +45,15 @@ pub struct Envelope {
     pub msg: Message,
 }
 
-// Every hop moves one of these by value, several times (effect buffer
-// → transport queue → dispatch). Up to 128 bytes x86-64 copies it
-// inline; past that each move is a `memcpy` call. The pump's queue
-// entry — a `u32` requeue count beside the envelope — must fit too, so
-// the envelope itself stays at 120. Cold, fat payloads therefore travel
-// boxed (node seeds, join hand-offs) or shared (range bounds), and a
-// variant that widens the envelope past this ceiling has to be boxed
-// too.
+// Every queued hop moves one of these by value, several times (effect
+// buffer → transport queue → dispatch); a chained exact hop builds none
+// (`Engine::deliver` rewrites the message in place). Up to 128 bytes
+// x86-64 copies it inline; past that each move is a `memcpy` call. The
+// pump's queue entry — a `u32` requeue count beside the envelope — must
+// fit too, so the envelope itself stays at 120. Cold, fat payloads
+// therefore travel boxed (node seeds, join hand-offs) or shared (range
+// bounds), and a variant that widens the envelope past this ceiling has
+// to be boxed too.
 const _: () = assert!(std::mem::size_of::<Envelope>() <= 128);
 const _: () = assert!(std::mem::size_of::<(u32, Envelope)>() <= 128);
 

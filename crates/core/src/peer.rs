@@ -10,8 +10,9 @@
 //! the type system thus guarantees a handler never reaches across the
 //! network, although one engine hosts every shard in every runtime.
 //!
-//! A shard's nodes live in a [`NodeMap`]: a hash probe per hop, label
-//! order kept beside it for the walks that need ring order.
+//! A shard's nodes live in a [`NodeMap`]: a slot hint or one hash probe
+//! per hop, label order kept beside it for the walks that need ring
+//! order.
 
 use crate::directory::FxHasher;
 use crate::key::Key;
@@ -136,9 +137,11 @@ impl PeerShard {
 /// [`PeerShard::nodes`] and [`PeerShard::replicas`].
 ///
 /// The mapping rule piles the tree onto a few peers (at 100 peers the
-/// busiest hosts hundreds of nodes), and every hop probes its host's
-/// map once or more, so a probe is one hash and one slab index rather
-/// than a tree walk. Three parts:
+/// busiest hosts hundreds of nodes), and every hop looks its node up in
+/// its host's map, so a lookup is one hash and one slab index rather
+/// than a tree walk — or, when the caller knows where the node sat last
+/// ([`NodeMap::find`]'s hint, which the directory keeps per label), one
+/// label compare. Three parts:
 ///
 /// * `slab`: the node states, dense, in no particular order (a removal
 ///   moves the last state into the hole);
@@ -183,27 +186,51 @@ impl NodeMap {
         self.slab.is_empty()
     }
 
+    /// The slot of the node labelled `label`: `hint` itself when that
+    /// slot holds it — one label compare on a line the lookup loads
+    /// anyway — else the hash probe's answer. Any hint is safe: a stale
+    /// or out-of-range one costs exactly the probe.
+    #[inline]
+    pub fn find(&self, label: &Key, hint: u32) -> Option<u32> {
+        match self.slab.get(hint as usize) {
+            Some(n) if n.label == *label => Some(hint),
+            _ => self.probe(label).ok().map(|(_, slot)| slot as u32),
+        }
+    }
+
+    /// The node in `slot`, as [`NodeMap::find`] returned it.
+    #[inline]
+    pub fn at(&self, slot: u32) -> &NodeState {
+        &self.slab[slot as usize]
+    }
+
+    /// The node in `slot`, mutably. Its label must not change.
+    #[inline]
+    pub fn at_mut(&mut self, slot: u32) -> &mut NodeState {
+        &mut self.slab[slot as usize]
+    }
+
     /// The node labelled `label`.
     pub fn get(&self, label: &Key) -> Option<&NodeState> {
-        let slot = self.find(label).ok()?.1;
+        let slot = self.probe(label).ok()?.1;
         Some(&self.slab[slot])
     }
 
     /// The node labelled `label`, mutably. Its label must not change.
     pub fn get_mut(&mut self, label: &Key) -> Option<&mut NodeState> {
-        let slot = self.find(label).ok()?.1;
+        let slot = self.probe(label).ok()?.1;
         Some(&mut self.slab[slot])
     }
 
     /// True iff a node labelled `label` is held.
     pub fn contains_key(&self, label: &Key) -> bool {
-        self.find(label).is_ok()
+        self.probe(label).is_ok()
     }
 
     /// Stores `node` under its own label, returning the state it
     /// replaces.
     pub fn insert(&mut self, node: NodeState) -> Option<NodeState> {
-        if let Ok((_, slot)) = self.find(&node.label) {
+        if let Ok((_, slot)) = self.probe(&node.label) {
             return Some(std::mem::replace(&mut self.slab[slot], node));
         }
         let slot = self.slab.len();
@@ -221,7 +248,7 @@ impl NodeMap {
 
     /// Removes and returns the node labelled `label`.
     pub fn remove(&mut self, label: &Key) -> Option<NodeState> {
-        let (at, slot) = self.find(label).ok()?;
+        let (at, slot) = self.probe(label).ok()?;
         self.unindex(at);
         let rank = self.rank(label).expect("indexed labels are ordered");
         self.order.remove(rank);
@@ -230,7 +257,7 @@ impl NodeMap {
             // `swap_remove` moves the last state into the hole: repoint
             // its index entry and its place in the order.
             let moved = &self.slab[last].label;
-            let (entry, _) = self.find(moved).expect("indexed");
+            let (entry, _) = self.probe(moved).expect("indexed");
             self.index[entry] = self.index[entry] & !SLOT | slot as u64;
             let rank = self.rank(moved).expect("indexed labels are ordered");
             self.order[rank] = slot as u32;
@@ -277,10 +304,10 @@ impl NodeMap {
         (entry_or_hash >> (64 - self.index.len().trailing_zeros())) as usize
     }
 
-    /// `Ok((entry position, slot))` of `label`, or `Err(free position)`
-    /// where it would be indexed.
+    /// The hash probe: `Ok((entry position, slot))` of `label`, or
+    /// `Err(free position)` where it would be indexed.
     #[inline]
-    fn find(&self, label: &Key) -> Result<(usize, usize), usize> {
+    fn probe(&self, label: &Key) -> Result<(usize, usize), usize> {
         if self.index.is_empty() {
             return Err(0);
         }
@@ -325,7 +352,7 @@ impl NodeMap {
     /// Indexes `slot`, whose label is not indexed yet.
     fn index_slot(&mut self, slot: usize) {
         let label = &self.slab[slot].label;
-        let at = self.find(label).expect_err("labels are unique");
+        let at = self.probe(label).expect_err("labels are unique");
         self.index[at] = hash_of(label) & !SLOT | slot as u64;
     }
 

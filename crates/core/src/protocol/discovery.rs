@@ -71,11 +71,17 @@ fn route_down<'a>(node: &'a NodeState, target: &Key) -> Route<'a> {
     }
 }
 
-/// The routing core, over a borrowed node state. Split out of
-/// [`on_discovery`] so the capacity-failover path can serve the same
-/// visit from a follower replica copy (`protocol::repair`): routing
-/// only ever *reads* the node, so any up-to-date copy answers alike.
-pub fn on_discovery_at(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
+/// The routing core, over a borrowed node state: one visit of `msg`
+/// at `node`. The node is only read, so the capacity-failover path can
+/// serve the same visit from a follower replica copy
+/// (`protocol::repair`). Returns the label the request moves on to —
+/// up to the father, down to a child, or below the target into a
+/// gather — with `msg` rewritten for that hop, so a caller that owns
+/// the message can forward it without building an envelope. Every
+/// other output (reports, gather branches) goes to `fx`, ahead of the
+/// forward. A visit that ends the route returns `None` and leaves
+/// `msg` spent: its path has moved into the report.
+pub fn route_visit(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) -> Option<Key> {
     // Gather-phase branch visits push no label: their envelopes
     // deliberately carry an empty path (the aggregator counts each
     // partial as one visit via `len().max(1)`, and a one-label branch
@@ -83,13 +89,14 @@ pub fn on_discovery_at(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects
     // `best_path`), so pushing into that empty vector would be the
     // fan-out's only allocation.
     if matches!(msg.phase, RoutePhase::Gather) {
-        return gather(node, msg, fx);
+        gather(node, msg, fx);
+        return None;
     }
     // One label per visit, for hop accounting.
     msg.path.push(node.label.clone());
     // One target serves the whole visit, borrowed from the query (only
     // a range computes one); the decision is taken before the message
-    // moves on, so no hop clones it.
+    // is rewritten, so no hop clones it.
     let route = {
         let target = msg.query.target();
         match &node.father {
@@ -102,13 +109,13 @@ pub fn on_discovery_at(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects
         }
     };
     let exact = matches!(msg.query, QueryKind::Exact(_));
-    // The single clone below is the label a forwarded envelope must
-    // own (inline: a memcpy).
+    // The single clone below is the label the next hop is addressed
+    // to (inline: a memcpy).
     match route {
-        Route::Up(f) => fx.send(Envelope::to_node(f.clone(), NodeMsg::Discovery(msg))),
+        Route::Up(f) => return Some(f.clone()),
         Route::Down(q) => {
             msg.phase = RoutePhase::Down;
-            fx.send(Envelope::to_node(q.clone(), NodeMsg::Discovery(msg)));
+            return Some(q.clone());
         }
         Route::Here => at_covering_node(node, msg, fx),
         Route::Below(_) | Route::Above | Route::Empty if exact => finish_exact(msg, false, fx),
@@ -126,15 +133,25 @@ pub fn on_discovery_at(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects
                 pending_children: 1,
             };
             fx.send(Envelope::to_client(report.request_id, report));
-            fx.send(Envelope::to_node(q.clone(), NodeMsg::Discovery(msg)));
+            return Some(q.clone());
         }
         Route::Above => at_covering_node(node, msg, fx),
         Route::Empty => finish_empty_region(msg, fx),
     }
+    None
+}
+
+/// [`route_visit`] for callers that hand the forward to a queue: the
+/// next hop, if any, becomes an envelope in `fx` behind the visit's
+/// other output.
+pub fn on_discovery_at(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
+    if let Some(next) = route_visit(node, &mut msg, fx) {
+        fx.send(Envelope::to_node(next, NodeMsg::Discovery(msg)));
+    }
 }
 
 /// The request reached the node covering its target region.
-fn at_covering_node(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
+fn at_covering_node(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) {
     match &msg.query {
         QueryKind::Exact(k) => {
             let found = node.data.contains(k);
@@ -150,7 +167,7 @@ fn at_covering_node(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
 }
 
 /// Terminal report for an exact query.
-fn finish_exact(msg: DiscoveryMsg, found: bool, fx: &mut Effects) {
+fn finish_exact(msg: &mut DiscoveryMsg, found: bool, fx: &mut Effects) {
     let key = match &msg.query {
         QueryKind::Exact(k) => k.clone(),
         _ => unreachable!("finish_exact on non-exact query"),
@@ -160,7 +177,7 @@ fn finish_exact(msg: DiscoveryMsg, found: bool, fx: &mut Effects) {
         satisfied: found,
         dropped: false,
         results: if found { vec![key] } else { Vec::new() },
-        path: msg.path,
+        path: std::mem::take(&mut msg.path),
         pending_children: 0,
     };
     fx.send(Envelope::to_client(outcome.request_id, outcome));
@@ -169,13 +186,13 @@ fn finish_exact(msg: DiscoveryMsg, found: bool, fx: &mut Effects) {
 /// Terminal report for a range/completion query whose target region is
 /// provably empty. The walk still "reached its final destination" in
 /// the paper's sense — there was nothing to find.
-fn finish_empty_region(msg: DiscoveryMsg, fx: &mut Effects) {
+fn finish_empty_region(msg: &mut DiscoveryMsg, fx: &mut Effects) {
     let outcome = DiscoveryOutcome {
         request_id: msg.request_id,
         satisfied: true,
         dropped: false,
         results: Vec::new(),
-        path: msg.path,
+        path: std::mem::take(&mut msg.path),
         pending_children: 0,
     };
     fx.send(Envelope::to_client(outcome.request_id, outcome));
@@ -193,7 +210,7 @@ fn finish_empty_region(msg: DiscoveryMsg, fx: &mut Effects) {
 /// synchronously (capacity drop) would otherwise finalize the request
 /// before this node's `pending_children` raise the counter, discarding
 /// every surviving result as stale.
-fn gather(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
+fn gather(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) {
     let results: Vec<Key> = node
         .data
         .iter()
@@ -270,19 +287,22 @@ pub fn entry_envelope(entry_node: Key, request_id: u64, query: QueryKind) -> Env
     )
 }
 
-/// Result of [`deliver_visit`]: refusals hand the message back intact
-/// so the runtime can requeue or synthesize a dropped outcome.
+/// Result of [`deliver_visit`]. The message stays with the caller,
+/// so refusals carry nothing: it can requeue or report a drop from
+/// what it already holds.
 pub enum VisitGate {
     /// The node is not hosted here (hand-off in flight): retry later.
-    Missing(DiscoveryMsg),
-    /// Charged and routed.
-    Delivered,
+    Missing,
+    /// Charged and routed; the next hop's label, as [`route_visit`]
+    /// returned it.
+    Delivered(Option<Key>),
     /// The peer's capacity is exhausted; offered load was recorded but
     /// the request must be ignored (Section 4's model).
-    Dropped(DiscoveryMsg),
+    Dropped,
 }
 
-/// One-probe delivery for the runtime hot path: a single `nodes` probe
+/// One-lookup delivery for the runtime hot path: a single `nodes`
+/// lookup — `slot` is the hint, and comes back as the node's slot —
 /// serves the existence check, the capacity charge and the routing
 /// visit itself. This is the one statement of the capacity model's
 /// charging rule (Section 4): a visit to a hosted node counts toward
@@ -293,18 +313,20 @@ pub enum VisitGate {
 pub fn deliver_visit(
     shard: &mut PeerShard,
     node_label: &Key,
-    msg: DiscoveryMsg,
+    slot: &mut u32,
+    msg: &mut DiscoveryMsg,
     fx: &mut Effects,
 ) -> VisitGate {
-    let Some(node) = shard.nodes.get_mut(node_label) else {
-        return VisitGate::Missing(msg);
+    let Some(found) = shard.nodes.find(node_label, *slot) else {
+        return VisitGate::Missing;
     };
+    *slot = found;
+    let node = shard.nodes.at_mut(found);
     node.load += 1;
     if !shard.peer.try_accept() {
-        return VisitGate::Dropped(msg);
+        return VisitGate::Dropped;
     }
-    on_discovery_at(node, msg, fx);
-    VisitGate::Delivered
+    VisitGate::Delivered(route_visit(node, msg, fx))
 }
 
 #[cfg(test)]
@@ -496,18 +518,18 @@ mod tests {
         s.peer.capacity = 1;
         let mut fx = Effects::default();
         let mut visit = |s: &mut PeerShard, label: &str| {
-            let m = msg(QueryKind::Exact(k("101")), RoutePhase::Up);
-            deliver_visit(s, &k(label), m, &mut fx)
+            let (mut m, mut hint) = (msg(QueryKind::Exact(k("101")), RoutePhase::Up), u32::MAX);
+            deliver_visit(s, &k(label), &mut hint, &mut m, &mut fx)
         };
-        assert!(matches!(visit(&mut s, "101"), VisitGate::Delivered));
+        assert!(matches!(visit(&mut s, "101"), VisitGate::Delivered(None)));
         assert!(
-            matches!(visit(&mut s, "101"), VisitGate::Dropped(_)),
+            matches!(visit(&mut s, "101"), VisitGate::Dropped),
             "capacity exhausted"
         );
         assert_eq!(s.nodes[&k("101")].load, 2, "offered load counts drops");
         assert_eq!(s.peer.dropped_this_unit, 1);
         // An absent node charges nothing, not even the peer.
-        assert!(matches!(visit(&mut s, "zzz"), VisitGate::Missing(_)));
+        assert!(matches!(visit(&mut s, "zzz"), VisitGate::Missing));
         assert_eq!(s.peer.dropped_this_unit, 1);
     }
 

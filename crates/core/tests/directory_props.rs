@@ -64,7 +64,7 @@ fn assert_matches_model(d: &Directory, model: &BTreeMap<Key, Key>) {
         assert_eq!(d.label_at(i), label);
         assert!(d.contains(label));
         assert_eq!(d.host_of(label), model.get(label));
-        let (lid, hid) = d.resolve(label).expect("live label resolves");
+        let (lid, hid, _) = d.resolve(label).expect("live label resolves");
         assert_eq!(d.key_of(lid), label, "resolve returned an aliased label id");
         assert_eq!(
             d.key_of(hid),

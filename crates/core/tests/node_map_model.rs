@@ -7,7 +7,10 @@
 //! `BTreeMap<Key, NodeState>` — the representation it replaced — and
 //! compares every answer: what `insert`/`remove` return, every probe,
 //! `len`, and the order of `keys`/`values` and of the ordered
-//! mutable visit. Labels come from a small universe so operations
+//! mutable visit. After every step, `find` is asked for the step's
+//! label under every slot hint from 0 to two past the slab — the
+//! right slot, other nodes' slots, slots out of range — and must name
+//! the very node `get` returns. Labels come from a small universe so operations
 //! collide: replacements, removals of present and absent labels, and
 //! removals of the last slab slot and of a middle one all happen in
 //! every run, and the index grows and shifts entries back on removal.
@@ -88,12 +91,26 @@ fn assert_same(map: &NodeMap, model: &BTreeMap<Key, NodeState>) {
     assert_eq!(map.keys().len(), model.len());
 }
 
+/// `find` under every hint in `0..len + 2` lands on exactly the node
+/// `get` returns (the same slab slot, not merely an equal state).
+fn assert_hints(map: &NodeMap, label: &Key) {
+    let want = map.get(label).map(|n| n as *const NodeState);
+    for hint in 0..map.len() as u32 + 2 {
+        let got = map.find(label, hint).map(|s| map.at(s) as *const NodeState);
+        assert_eq!(got, want, "find({label}, hint {hint})");
+    }
+}
+
 /// Runs `ops` against both and compares after every step.
 fn run(ops: &[Op]) {
     let labels = universe();
     let mut map = NodeMap::default();
     let mut model: BTreeMap<Key, NodeState> = BTreeMap::new();
-    for &op in ops {
+    for (i, &op) in ops.iter().enumerate() {
+        let touched = match op {
+            Op::Insert(l, _) | Op::Remove(l) | Op::Probe(l, _) => l,
+            Op::VisitMut | Op::ValuesMut => i % labels.len(),
+        };
         match op {
             Op::Insert(l, v) => {
                 let label = &labels[l];
@@ -145,10 +162,12 @@ fn run(ops: &[Op]) {
             }
         }
         assert_same(&map, &model);
+        assert_hints(&map, &labels[touched]);
     }
     // Every label of the universe, present or not, probes alike.
     for label in &labels {
         assert_eq!(map.get(label), model.get(label), "final get {label}");
+        assert_hints(&map, label);
     }
 }
 

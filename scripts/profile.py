@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Leaf-PC sampling profiler: where a command spends its time, by symbol.
 
-    scripts/profile.py [--hz 800] [--seconds 10] [--top 25] -- CMD [ARGS...]
+    scripts/profile.py [--hz 800] [--seconds 10] [--top 25] [--pcs N] -- CMD [ARGS...]
 
 Runs CMD, stops its main thread HZ times a second through ptrace
 (PTRACE_SEIZE + PTRACE_INTERRUPT, so other threads keep running and no
 signal reaches the program), reads the program counter and lets it go.
 After SECONDS (or when CMD exits) it kills CMD and prints one row per
-symbol: samples, share of all samples, symbol.
+symbol: samples, share of all samples, symbol. With `--pcs N` it then
+prints the N hottest instructions as `symbol+0xOFFSET  (ADDRESS)`, the
+link-time address last because generic functions share a demangled
+name across instantiations — the way to find the stall inside a large
+inlined function (disassemble around ADDRESS with `objdump -d
+--start-address=...`).
 
 Symbolization is per ELF load segment: a PC inside a mapping of
 /proc/PID/maps becomes a file offset, the PT_LOAD segment holding that
@@ -24,7 +29,7 @@ and are a family, not a function. Only the standard library, `nm` and
 Example (the repo benchmark's plain lookup path, release build):
 
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
-    scripts/profile.py --seconds 10 -- \\
+    scripts/profile.py --seconds 10 --pcs 10 -- \\
         benchmark/target/release/dlpt-benchmark --workload lookup_uniform --seconds 30
 """
 import argparse
@@ -90,18 +95,22 @@ class Elf:
                 out.append((int(f[0], 16), name))
         return out
 
-    def name(self, file_off):
+    def locate(self, file_off):
+        """`(symbol, link-time address, offset into the symbol)` of a
+        file offset; address and offset None when no symbol covers
+        it."""
         vaddr = None
         for off, va, size in self.loads:
             if off <= file_off < off + size:
                 vaddr = file_off - off + va
                 break
         if vaddr is None:
-            return f"{self.short}:?"
+            return f"{self.short}:?", None, None
         i = bisect.bisect_right(self.addrs, vaddr) - 1
         if i < 0:
-            return f"{self.short}:?"
-        return f"libc:{self.names[i]}" if self.libc else self.names[i]
+            return f"{self.short}:?", None, None
+        name = f"libc:{self.names[i]}" if self.libc else self.names[i]
+        return name, vaddr, vaddr - self.addrs[i]
 
 
 def run(cmd):
@@ -154,18 +163,22 @@ def sample(pid, hz, seconds):
 
 
 def symbolize(pcs, maps):
+    """Samples per symbol and per instruction (`symbol+0xOFFSET`, then
+    the link-time address: generic functions share a demangled name
+    across instantiations)."""
     elves = {}
-    counts = collections.Counter()
-    for pc in pcs:
+    counts, at = collections.Counter(), collections.Counter()
+    for pc, n in collections.Counter(pcs).items():
+        name, vaddr, offset = "[anonymous]", None, None
         for lo, hi, off, path in maps:
             if lo <= pc < hi:
                 if path not in elves:
                     elves[path] = Elf(path)
-                counts[elves[path].name(pc - lo + off)] += 1
+                name, vaddr, offset = elves[path].locate(pc - lo + off)
                 break
-        else:
-            counts["[anonymous]"] += 1
-    return counts
+        counts[name] += n
+        at[name if offset is None else f"{name}+{offset:#x}  ({vaddr:#x})"] += n
+    return counts, at
 
 
 def main():
@@ -173,6 +186,8 @@ def main():
     ap.add_argument("--hz", type=float, default=800)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--pcs", type=int, default=0, metavar="N",
+                    help="also print the N hottest instructions")
     ap.add_argument("cmd", nargs=argparse.REMAINDER)
     a = ap.parse_args()
     cmd = a.cmd[1:] if a.cmd[:1] == ["--"] else a.cmd
@@ -188,12 +203,16 @@ def main():
         child.wait()
     if not pcs:
         sys.exit("profile.py: no samples (did the command exit at once?)")
-    counts = symbolize(pcs, maps)
+    counts, at = symbolize(pcs, maps)
     total = sum(counts.values())
     print(f"{total} samples at {a.hz:g} Hz of: {' '.join(cmd)}")
     print(f"{'samples':>8} {'share':>7}  symbol")
     for name, n in counts.most_common(a.top):
         print(f"{n:>8} {100.0 * n / total:>6.1f}%  {name}")
+    if a.pcs > 0:
+        print(f"\n{'samples':>8} {'share':>7}  instruction")
+        for name, n in at.most_common(a.pcs):
+            print(f"{n:>8} {100.0 * n / total:>6.1f}%  {name}")
 
 
 if __name__ == "__main__":
