@@ -39,47 +39,17 @@
 //!    up/down route; the cache can therefore never change a result,
 //!    only the route taken to compute it.
 //!
-//! ## What eager invalidation costs
-//!
-//! Epoch checks make invalidation lazy and free. When a node dissolves
-//! or migrates, every shortcut through its label is a guaranteed stale
-//! hit, so the engine additionally tells every peer to drop it
-//! ([`crate::messages::PeerMsg::InvalidateCached`]) before anyone pays
-//! the fallback. That is one invalidation per peer per event, and
-//! registration churn makes the events common: on the benchmark's
-//! `register_churn` workload (100 peers, capacity 256) a write —
-//! `remove_data` + `insert_data` — delivers 122 invalidations. Sent as
-//! 122 envelopes through the synchronous pump, each ending in a walk of
-//! the receiving peer's whole LRU list, the broadcast was ~18 µs of a
-//! ~28 µs write: `remove_data` took 24.4 µs beside `insert_data`
-//! (which dissolves nothing) at 5.4 µs. Two things make it cost what
-//! it does — drop at most one entry per peer:
-//!
-//! * [`RouteCache`] keeps a reverse index `label → slots` (its one
-//!   hash index, serving a key both as target and as label), so
-//!   [`RouteCache::invalidate_label`] is one hash probe plus the epoch
-//!   check on the (usually zero or one) slots routing through the
-//!   label, and allocates nothing;
-//! * on a transport whose
-//!   [`synchronous`](crate::engine::Transport::synchronous) is true the
-//!   engine, which owns every cache, applies the invalidation to each
-//!   peer's cache inline instead of round-tripping 122 envelopes
-//!   through the queue (`Engine::queue_invalidations`).
-//!   Every other transport keeps the per-peer message, so its loss,
-//!   delay and reordering stay injectable.
-//!
-//! With both, `remove_data` on that workload takes 5.6 µs beside
-//! `insert_data` at 5.0 µs, and the workload runs 2.6× the operations
-//! per second (DESIGN.md §Caching & invalidation has the method).
+//! Staleness has this one mechanism: nothing tells a peer that a
+//! label it cached dissolved or moved; its next hit on the label finds
+//! out and pays the fallback once.
 //!
 //! With capacity 0 (the default) the cache is fully inert: no entries,
-//! no messages, no counters — the system is byte-identical to the
-//! uncached golden fingerprint.
+//! no counters — the system is byte-identical to the uncached golden
+//! fingerprint.
 
 use crate::directory::{Directory, FxHashMap};
 use crate::key::Key;
 use crate::messages::{DiscoveryMsg, Envelope, NodeMsg, QueryKind, RoutePhase};
-use std::collections::hash_map;
 
 /// Sentinel index meaning "no neighbour" in the intrusive lists.
 const NIL: u32 = u32::MAX;
@@ -103,56 +73,29 @@ pub struct Shortcut {
     pub epoch: u64,
 }
 
-/// One slot: a member of the LRU list and of the chain of slots whose
-/// shortcut routes through the same label.
+/// One slot: a member of the LRU list (or of the free list, through
+/// `next`).
 #[derive(Debug, Clone)]
 struct Slot {
     target: Key,
     shortcut: Shortcut,
     prev: u32,
     next: u32,
-    /// Neighbours in the chain of slots sharing `shortcut.label`
-    /// ([`Entry::chain`]).
-    label_prev: u32,
-    label_next: u32,
 }
-
-/// What the index knows about one key, in both roles a key can play.
-/// An exact lookup teaches `label == target`, so one entry usually
-/// serves both and the reverse index costs no map entries of its own.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// As a query target: the slot caching its shortcut (NIL if none).
-    slot: u32,
-    /// As a shortcut label: the first of the chain of live slots
-    /// routing through it (NIL if none).
-    chain: u32,
-}
-
-const VACANT: Entry = Entry {
-    slot: NIL,
-    chain: NIL,
-};
 
 /// A fixed-capacity LRU map `query target → Shortcut`.
 ///
 /// Implemented as an index-based intrusive doubly-linked list over a
 /// slot vector plus a hash index, so hits, inserts and evictions are
 /// all O(1) and fully deterministic (the iteration order of the
-/// internal map is never observed). The same index is the reverse
-/// index `label → slots`: it names the head of a second intrusive
-/// chain through the slots routing via each label, which makes eager
-/// invalidation O(entries through that label). Capacity 0 disables the
-/// cache entirely.
+/// internal map is never observed). Capacity 0 disables the cache
+/// entirely.
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     capacity: usize,
     slots: Vec<Slot>,
-    /// key → its slot as a target, its chain as a label. An entry
-    /// lives while either is set.
-    index: FxHashMap<Key, Entry>,
-    /// Number of cached shortcuts (live slots).
-    len: usize,
+    /// Target → its live slot; one entry per cached shortcut.
+    index: FxHashMap<Key, u32>,
     /// Most-recently-used slot (NIL when empty).
     head: u32,
     /// Least-recently-used slot (NIL when empty).
@@ -178,7 +121,6 @@ impl RouteCache {
             capacity,
             slots: Vec::new(),
             index: FxHashMap::default(),
-            len: 0,
             head: NIL,
             tail: NIL,
             free: NIL,
@@ -188,7 +130,7 @@ impl RouteCache {
     /// Reconfigures the capacity; shrinking evicts from the LRU end.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        while self.len > self.capacity {
+        while self.len() > self.capacity {
             self.evict_lru();
         }
     }
@@ -200,12 +142,12 @@ impl RouteCache {
 
     /// Number of cached shortcuts.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// True iff no shortcuts are cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// Looks up `target`, promoting the entry to most-recently-used.
@@ -224,7 +166,7 @@ impl RouteCache {
 
     /// The slot caching `target`'s shortcut.
     fn slot_of(&self, target: &Key) -> Option<u32> {
-        self.index.get(target).map(|e| e.slot).filter(|&i| i != NIL)
+        self.index.get(target).copied()
     }
 
     /// Inserts (or refreshes) the shortcut for `target`, evicting the
@@ -234,19 +176,12 @@ impl RouteCache {
             return;
         }
         if let Some(i) = self.slot_of(&target) {
-            let relabel = self.slots[i as usize].shortcut.label != shortcut.label;
-            if relabel {
-                self.unlink_label(i);
-            }
             self.slots[i as usize].shortcut = shortcut;
-            if relabel {
-                self.link_label(i);
-            }
             self.unlink(i);
             self.push_front(i);
             return;
         }
-        if self.len >= self.capacity {
+        if self.len() >= self.capacity {
             self.evict_lru();
         }
         let slot = Slot {
@@ -254,8 +189,6 @@ impl RouteCache {
             shortcut,
             prev: NIL,
             next: NIL,
-            label_prev: NIL,
-            label_next: NIL,
         };
         let i = if self.free != NIL {
             let i = self.free;
@@ -266,9 +199,7 @@ impl RouteCache {
             self.slots.push(slot);
             (self.slots.len() - 1) as u32
         };
-        self.index.entry(target).or_insert(VACANT).slot = i;
-        self.len += 1;
-        self.link_label(i);
+        self.index.insert(target, i);
         self.push_front(i);
     }
 
@@ -281,26 +212,6 @@ impl RouteCache {
             }
             None => false,
         }
-    }
-
-    /// Drops every shortcut routing through node `label` whose epoch is
-    /// `<= epoch` (the eager-invalidation handler: later-learned
-    /// shortcuts already carry a fresher epoch and survive a reordered
-    /// invalidation). Returns how many entries were dropped. One probe
-    /// of the index, then only the slots routing through `label` are
-    /// visited; never allocates.
-    pub fn invalidate_label(&mut self, label: &Key, epoch: u64) -> usize {
-        let mut dropped = 0;
-        let mut i = self.index.get(label).map_or(NIL, |e| e.chain);
-        while i != NIL {
-            let next = self.slots[i as usize].label_next;
-            if self.slots[i as usize].shortcut.epoch <= epoch {
-                self.remove_slot(i);
-                dropped += 1;
-            }
-            i = next;
-        }
-        dropped
     }
 
     /// Live `(target, shortcut)` entries in most-recently-used order
@@ -324,7 +235,7 @@ impl RouteCache {
     pub fn bytes_estimate(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.slots.capacity() * size_of::<Slot>()
-            + self.index.len() * (size_of::<(Key, Entry)>() + 8);
+            + self.index.len() * (size_of::<(Key, u32)>() + 8);
         for (target, sc) in self.iter_shortcuts() {
             for k in [target, &sc.label, &sc.host] {
                 if !k.is_inline() {
@@ -339,64 +250,32 @@ impl RouteCache {
     pub fn clear(&mut self) {
         self.index.clear();
         self.slots.clear();
-        self.len = 0;
         self.free = NIL;
         self.head = NIL;
         self.tail = NIL;
     }
 
-    /// Checks that the index and both intrusive lists describe the same
-    /// set of live slots; the error says what disagrees. Read-only, for
+    /// Checks that the index and the LRU list describe the same set of
+    /// live slots; the error says what disagrees. Read-only, for
     /// [`crate::engine::Engine::audit`] and the model test.
     pub fn check_index(&self) -> Result<(), String> {
-        let slot_of = |key: &Key| self.index.get(key).map_or(NIL, |e| e.slot);
         let mut live = 0usize;
         let mut i = self.head;
         while i != NIL {
             let s = &self.slots[i as usize];
-            if slot_of(&s.target) != i {
+            if self.index.get(&s.target) != Some(&i) {
                 return Err(format!("listed target {} is not indexed", s.target));
             }
             live += 1;
-            if live > self.len {
+            if live > self.len() {
                 break;
             }
             i = s.next;
         }
-        if live != self.len {
-            return Err(format!("{live}+ listed slots, len {}", self.len));
-        }
-        // Listed slots are indexed at distinct targets, so `live`
-        // entries with a slot means no entry names a dead one. Every
-        // chain member is a live slot under the right label, so chains
-        // are disjoint, and a repeat within one would never end:
-        // `live` members in total covers each live slot exactly once.
-        let (mut targets, mut chained) = (0usize, 0usize);
-        for (key, e) in &self.index {
-            if e.slot == NIL && e.chain == NIL {
-                return Err(format!("vacant entry kept for {key}"));
-            }
-            targets += (e.slot != NIL) as usize;
-            let (mut prev, mut j) = (NIL, e.chain);
-            while j != NIL {
-                let s = &self.slots[j as usize];
-                if s.shortcut.label != *key || s.label_prev != prev {
-                    return Err(format!("chain of {key} is broken at slot {j}"));
-                }
-                if slot_of(&s.target) != j {
-                    return Err(format!("chain of {key} holds dead slot {j}"));
-                }
-                chained += 1;
-                if chained > live {
-                    return Err(format!("chain of {key} does not terminate"));
-                }
-                (prev, j) = (j, s.label_next);
-            }
-        }
-        if targets != live || chained != live {
-            return Err(format!(
-                "{targets} indexed targets, {chained} chained slots, {live} live"
-            ));
+        // Listed slots are indexed at distinct targets, so an index of
+        // exactly `live` entries names no dead slot.
+        if live != self.len() {
+            return Err(format!("{live}+ listed slots, {} indexed", self.len()));
         }
         Ok(())
     }
@@ -407,57 +286,12 @@ impl RouteCache {
         }
     }
 
-    /// Removes the live slot `i` by index — no key clone, no probe to
-    /// find what the caller already holds — and recycles it.
+    /// Removes the live slot `i` by index and recycles it.
     fn remove_slot(&mut self, i: u32) {
         self.unlink(i);
-        self.unlink_label(i);
-        Self::edit_entry(&mut self.index, &self.slots[i as usize].target, |e| {
-            e.slot = NIL
-        });
+        self.index.remove(&self.slots[i as usize].target);
         self.slots[i as usize].next = self.free;
         self.free = i;
-        self.len -= 1;
-    }
-
-    /// Edits `key`'s entry, dropping it once it names neither a slot
-    /// nor a chain.
-    fn edit_entry(index: &mut FxHashMap<Key, Entry>, key: &Key, edit: impl FnOnce(&mut Entry)) {
-        // One probe for the edit and the removal; the clone it costs is
-        // a 32-byte copy for every key the workloads generate.
-        let hash_map::Entry::Occupied(mut e) = index.entry(key.clone()) else {
-            unreachable!("a live slot's keys are indexed");
-        };
-        edit(e.get_mut());
-        if e.get().slot == NIL && e.get().chain == NIL {
-            e.remove();
-        }
-    }
-
-    /// Pushes slot `i` onto the front of its label's chain.
-    fn link_label(&mut self, i: u32) {
-        let label = self.slots[i as usize].shortcut.label.clone();
-        let e = self.index.entry(label).or_insert(VACANT);
-        let old_head = std::mem::replace(&mut e.chain, i);
-        self.slots[i as usize].label_prev = NIL;
-        self.slots[i as usize].label_next = old_head;
-        if old_head != NIL {
-            self.slots[old_head as usize].label_prev = i;
-        }
-    }
-
-    /// Takes slot `i` out of its label's chain.
-    fn unlink_label(&mut self, i: u32) {
-        let s = &self.slots[i as usize];
-        let (prev, next) = (s.label_prev, s.label_next);
-        if prev != NIL {
-            self.slots[prev as usize].label_next = next;
-        } else {
-            Self::edit_entry(&mut self.index, &s.shortcut.label, |e| e.chain = next);
-        }
-        if next != NIL {
-            self.slots[next as usize].label_prev = prev;
-        }
     }
 
     fn unlink(&mut self, i: u32) {
@@ -569,10 +403,10 @@ pub struct CacheStats {
     pub stale_hits: u64,
     /// Shortcuts learned from satisfied discovery responses.
     pub learned: u64,
-    /// `InvalidateCached` messages put on the wire by eager
-    /// invalidation.
-    pub invalidations_sent: u64,
-    /// `InvalidateCached` messages delivered to a peer's cache.
+    /// Always 0: nothing invalidates a cache but its own stale hits
+    /// (counted in `stale_hits`). Kept because the benchmark's ledger
+    /// and `dlpt-sim`'s `UnitMetrics::cache_invalidations` still read
+    /// it.
     pub invalidations_delivered: u64,
 }
 
@@ -654,24 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_label_respects_epochs() {
-        let mut c = RouteCache::new(8);
-        // Three targets routing through label "10": two learned at
-        // epoch 3, one re-learned later at epoch 7.
-        c.insert(k("101"), sc("10", "P1", 3));
-        c.insert(k("102"), sc("10", "P1", 3));
-        c.insert(k("103"), sc("10", "P2", 7));
-        c.insert(k("2"), sc("2", "P3", 3));
-        assert_eq!(c.invalidate_label(&k("10"), 5), 2);
-        assert!(c.hit(&k("101")).is_none());
-        assert!(c.hit(&k("102")).is_none());
-        assert!(c.hit(&k("103")).is_some(), "fresher epoch survives");
-        assert!(c.hit(&k("2")).is_some(), "other labels untouched");
-        assert_eq!(c.invalidate_label(&k("10"), 7), 1);
-        assert!(c.hit(&k("103")).is_none());
-    }
-
-    #[test]
     fn shrinking_capacity_evicts_lru_first() {
         let mut c = RouteCache::new(4);
         for (i, t) in ["A", "B", "C", "D"].iter().enumerate() {
@@ -725,7 +541,7 @@ mod tests {
         c.insert(k("A"), sc("A", "P", 1));
         c.insert(k("B"), sc("B", "P", 1));
         c.insert(k("C"), sc("C", "P", 1)); // evicts A
-        assert_eq!(c.invalidate_label(&k("B"), 1), 1, "walk terminates");
+        assert!(c.remove(&k("B")), "walk terminates");
         assert!(c.hit(&k("A")).is_none());
         assert!(c.hit(&k("C")).is_some());
     }

@@ -235,7 +235,7 @@ impl Engine {
             }
         }
 
-        // Each cache's reverse index must agree with its slots, and
+        // Each cache's index must agree with its slots, and
         // shortcuts must reference epochs the directory has actually
         // issued (stale is legal; from-the-future is not).
         for m in &self.members {

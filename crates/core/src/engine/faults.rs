@@ -68,7 +68,7 @@ impl Engine {
 
     /// Whether work queued into `t` may run inline instead
     /// ([`Transport::synchronous`]): never behind an active gate, which
-    /// must see every individual hop and invalidation.
+    /// must see every individual hop.
     #[inline]
     pub(super) fn inline<T: Transport>(&self, t: &T) -> bool {
         t.synchronous() && !self.fault_recovery

@@ -112,16 +112,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Moves one node to another peer, updating the directory and
-    /// eagerly invalidating shortcuts through it. Used by the
-    /// balancers; counted as balance traffic. The runtime drains `t`
-    /// afterwards.
-    pub(crate) fn migrate_shard_node<T: Transport>(
-        &mut self,
-        label: &Key,
-        to: &Key,
-        t: &mut T,
-    ) -> Result<()> {
+    /// Moves one node to another peer, updating the directory (whose
+    /// host change bumps the label's epoch, staling every shortcut
+    /// through it). Used by the balancers; counted as balance traffic.
+    pub(crate) fn migrate_shard_node(&mut self, label: &Key, to: &Key) -> Result<()> {
         let from = self
             .directory
             .host_of(label)
@@ -142,8 +136,6 @@ impl Engine {
         self.directory.insert(label.clone(), to.clone());
         self.mark_touched(label);
         self.stats.balance_migrations += 1;
-        // A migration stales every shortcut pointing at the old host.
-        self.queue_invalidations(label, t);
         Ok(())
     }
 

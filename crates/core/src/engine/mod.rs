@@ -35,8 +35,6 @@ mod audit;
 mod audit_corruption;
 mod faults;
 mod health;
-#[cfg(test)]
-mod inline_invalidation;
 mod membership;
 pub mod parallel;
 #[cfg(test)]
@@ -85,17 +83,15 @@ pub trait Transport {
     fn deliver(&mut self, env: Envelope);
 
     /// Whether queuing through this transport is immediate FIFO work.
-    /// It has exactly three uses: hop chaining ([`Engine::deliver`]),
-    /// inline termination of the eager cache-invalidation fan-out
-    /// (`Engine::queue_invalidations`) — both taken up only while no
-    /// fault plan is active, since fault-injecting runs must observe
-    /// every hop and every invalidation — and eager judging: FIFO order
-    /// delivers a parent's response before its children's, so only here
-    /// may a request finalize the moment no branch is outstanding, and
-    /// only while no plan reorders. Everywhere else responses arrive out
-    /// of order, the outstanding-branch counter can transiently touch
-    /// zero, and requests are judged at quiescence
-    /// ([`Engine::finish_request`]).
+    /// It has exactly two uses: hop chaining ([`Engine::deliver`]),
+    /// taken up only while no fault plan is active, since
+    /// fault-injecting runs must observe every hop — and eager judging:
+    /// FIFO order delivers a parent's response before its children's,
+    /// so only here may a request finalize the moment no branch is
+    /// outstanding, and only while no plan reorders. Everywhere else
+    /// responses arrive out of order, the outstanding-branch counter
+    /// can transiently touch zero, and requests are judged at
+    /// quiescence ([`Engine::finish_request`]).
     fn synchronous(&self) -> bool {
         false
     }
@@ -1109,8 +1105,8 @@ impl Engine {
     /// dispatch every runtime used to mirror. Capacity charging,
     /// per-kind counters, discovery handling with replica failover,
     /// epoch bumps for structural mutations, and effect application
-    /// (directory updates, cache invalidation, outgoing messages
-    /// through `t`) all happen here.
+    /// (directory updates, outgoing messages through `t`) all happen
+    /// here.
     ///
     /// Hop chaining: on a [synchronous](Transport::synchronous)
     /// transport, an exact-query discovery visit whose only effect is
@@ -1273,23 +1269,10 @@ impl Engine {
                 else {
                     return Ok(Step::Requeue(Envelope::to_address(Address::Peer(id), msg)));
                 };
-                // Replication and cache traffic are counted apart so
-                // the k = 1 / cache-off system's stats stay
-                // byte-identical.
+                // Replication traffic is counted apart so the k = 1
+                // system's stats stay byte-identical.
                 if is_replication_msg(&msg) {
                     self.repl_stats.replication_messages += 1;
-                } else if let Message::Peer(PeerMsg::InvalidateCached { label, epoch }) = msg {
-                    // The engine owns the route caches, so the eager
-                    // invalidation broadcast terminates here — the one
-                    // epoch-guarded handler all runtimes share
-                    // (`RouteCache::invalidate_label` spares entries
-                    // re-learned at a fresher epoch, so reordered
-                    // deliveries are harmless).
-                    self.cache_stats.invalidations_delivered += 1;
-                    if let Some(slot) = self.peers.get_mut(pid) {
-                        slot.cache.invalidate_label(&label, epoch);
-                    }
-                    return Ok(Step::Done);
                 } else {
                     count_message(&mut self.stats, &msg);
                 }
@@ -1350,9 +1333,9 @@ impl Engine {
     /// Applies (and drains) the effect buffers, leaving `fx` empty with
     /// its capacity intact so callers can reuse it allocation-free:
     /// relocations update the directory (and schedule re-replication),
-    /// dissolutions drop the label, broadcast eager cache invalidation
-    /// and clear a dissolved root, outgoing envelopes enter `t` through
-    /// the fault gate.
+    /// dissolutions drop the label (which stales every shortcut through
+    /// it) and clear a dissolved root, outgoing envelopes enter `t`
+    /// through the fault gate.
     pub(super) fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
         let replicated = self.replication > 1;
         for (label, host) in fx.relocated.drain(..) {
@@ -1372,10 +1355,6 @@ impl Engine {
                 }
             }
             self.directory.remove(&label);
-            // Every shortcut through the dead label is now a
-            // guaranteed stale hit, so dropping them eagerly beats
-            // paying the fallback.
-            self.queue_invalidations(&label, t);
             if self.root.as_ref() == Some(&label) {
                 self.root = None; // recomputed by the runtime
             }
@@ -1391,47 +1370,6 @@ impl Engine {
         if self.replication > 1 {
             let lid = self.directory.intern(label);
             self.touched.push(lid);
-        }
-    }
-
-    /// Eager invalidation of `label` on every live peer's cache (no-op
-    /// with caching off). Called on dissolutions and migrations, while
-    /// the per-hit epoch check covers everything else lazily.
-    ///
-    /// Inline termination: the engine owns every [`RouteCache`] and
-    /// terminates `InvalidateCached` itself ([`Engine::deliver`]), and
-    /// nothing consults or teaches a cache while a
-    /// [synchronous](Transport::synchronous) transport drains. So on
-    /// such a transport each peer's cache is invalidated here, with the
-    /// counters the queued deliveries would have bumped, instead of
-    /// round-tripping one envelope per peer through the queue. Every
-    /// other transport — and every run behind an active fault gate,
-    /// which must be able to lose, delay or reorder it — gets the
-    /// per-peer [`PeerMsg::InvalidateCached`] broadcast.
-    pub(super) fn queue_invalidations<T: Transport>(&mut self, label: &Key, t: &mut T) {
-        if self.cache_capacity == 0 {
-            return;
-        }
-        let epoch = self.directory.epoch_of(label);
-        let peers = self.members.len() as u64;
-        self.cache_stats.invalidations_sent += peers;
-        if self.inline(t) {
-            // Members and slab slots move in lockstep (`insert_peer`,
-            // `remove_member`, `rename_shard`).
-            self.cache_stats.invalidations_delivered += peers;
-            for slot in self.peers.iter_slots_mut() {
-                slot.cache.invalidate_label(label, epoch);
-            }
-            return;
-        }
-        // The peer ids are cloned into the envelopes either way; the
-        // gate needs `&mut self` between them.
-        for p in self.peer_ids() {
-            let msg = PeerMsg::InvalidateCached {
-                label: label.clone(),
-                epoch,
-            };
-            self.send(t, Envelope::to_peer(p, msg));
         }
     }
 
@@ -1628,68 +1566,6 @@ mod tests {
         let out = e.take_finished(id).expect("finalized after retry");
         assert!(out.satisfied);
         assert_eq!(out.results, vec![k("DGEMM")]);
-    }
-
-    /// Delivers one `InvalidateCached` envelope to peer `id` through
-    /// [`Engine::deliver`], the way every runtime does.
-    fn invalidate(e: &mut Engine, id: &str, label: &str, epoch: u64) -> Step {
-        let msg = PeerMsg::InvalidateCached {
-            label: k(label),
-            epoch,
-        };
-        e.deliver(&mut FifoTransport::default(), Envelope::to_peer(k(id), msg))
-            .unwrap()
-    }
-
-    /// Regression for the reordered-invalidation hazard the epoch guard
-    /// exists for: an eager `InvalidateCached` broadcast that is
-    /// delivered *after* the same label was re-learned at a fresher
-    /// epoch must spare the fresher shortcut — while an invalidation
-    /// carrying the current (or a later) epoch evicts it.
-    #[test]
-    fn reordered_invalidation_spares_fresher_relearned_entries() {
-        let mut e = cached_engine(8);
-        // A live label at some epoch, with a learned shortcut on P1.
-        e.directory.insert(k("DGEMM"), k("P2"));
-        e.directory.bump_epoch(&k("DGEMM"));
-        let stale_epoch = e.directory.epoch_of(&k("DGEMM"));
-        // The label mutates (epoch advances) and P1 re-learns it fresh.
-        e.directory.bump_epoch(&k("DGEMM"));
-        let fresh = cache::learned_shortcut(&e.directory, &k("DGEMM")).expect("live");
-        e.cache_mut(&k("P1"))
-            .unwrap()
-            .insert(k("DGEMM"), fresh.clone());
-        // A delayed invalidation from before the re-learn arrives last:
-        // the epoch guard must spare the fresher entry.
-        invalidate(&mut e, "P1", "DGEMM", stale_epoch);
-        assert_eq!(
-            e.cache_mut(&k("P1")).unwrap().hit(&k("DGEMM")),
-            Some(&fresh),
-            "reordered stale invalidation must spare the re-learned shortcut"
-        );
-        // An invalidation at the current epoch evicts.
-        let now_epoch = e.directory.epoch_of(&k("DGEMM"));
-        invalidate(&mut e, "P1", "DGEMM", now_epoch);
-        assert_eq!(e.cache_mut(&k("P1")).unwrap().hit(&k("DGEMM")), None);
-        assert_eq!(e.cache_stats.invalidations_delivered, 2);
-    }
-
-    /// `InvalidateCached` envelopes terminate at the engine-owned
-    /// caches, and only for live peers.
-    #[test]
-    fn invalidation_envelopes_terminate_at_the_engine_caches() {
-        let mut e = cached_engine(8);
-        e.directory.insert(k("DGEMM"), k("P2"));
-        let sc = cache::learned_shortcut(&e.directory, &k("DGEMM")).expect("live");
-        e.cache_mut(&k("P1")).unwrap().insert(k("DGEMM"), sc);
-        let epoch = e.directory.epoch_of(&k("DGEMM"));
-        let step = invalidate(&mut e, "P1", "DGEMM", epoch);
-        assert!(matches!(step, Step::Done));
-        assert_eq!(e.cache_stats.invalidations_delivered, 1);
-        assert_eq!(e.cache_mut(&k("P1")).unwrap().hit(&k("DGEMM")), None);
-        // Unknown peers requeue, exactly like any peer-addressed frame.
-        let step = invalidate(&mut e, "NOPE", "DGEMM", epoch);
-        assert!(matches!(step, Step::Requeue(_)));
     }
 
     #[test]

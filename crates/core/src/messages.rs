@@ -364,21 +364,6 @@ pub enum PeerMsg {
         /// Label of the replica copy to drop.
         label: Key,
     },
-    /// Eager cache invalidation (caching extension, `dlpt_core::cache`):
-    /// node `label` dissolved or migrated, so the recipient must drop
-    /// every routing shortcut through it that was learned at or before
-    /// `epoch`. Purely an optimization — the per-hit epoch check
-    /// already catches stale shortcuts lazily — sent on dissolutions
-    /// and migrations, one per peer (`dlpt_core::cache` states what
-    /// that costs); a synchronous transport never carries it, the
-    /// engine applies it inline.
-    InvalidateCached {
-        /// Label whose shortcuts are stale.
-        label: Key,
-        /// The label's epoch after the mutation; fresher shortcuts
-        /// (re-learned since) survive a late or reordered invalidation.
-        epoch: u64,
-    },
 }
 
 /// Terminal result of a discovery request, or one partial report of a

@@ -203,7 +203,7 @@ pub enum AuditCheck {
     /// Replication bookkeeping: follower counts ≤ k − 1, followers
     /// live.
     Replication,
-    /// Route caches: reverse index consistent with the slots,
+    /// Route caches: index consistent with the slots,
     /// shortcuts reference plausible (non-future) epochs.
     Cache,
 }

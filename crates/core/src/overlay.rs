@@ -205,8 +205,7 @@ impl<D: Driver> Overlay<D> {
     /// Moves one node to another peer. Used by the balancers; counted
     /// as balance traffic.
     pub fn migrate_node(&mut self, label: &Key, to: &Key) -> Result<()> {
-        self.engine
-            .migrate_shard_node(label, to, &mut self.driver)?;
+        self.engine.migrate_shard_node(label, to)?;
         self.settle()
     }
 

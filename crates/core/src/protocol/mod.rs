@@ -117,10 +117,5 @@ pub fn handle_peer_msg(shard: &mut PeerShard, msg: PeerMsg, fx: &mut Effects) {
             repair::on_replicate(shard, primary, ttl, seed, fx)
         }
         PeerMsg::DropReplica { label } => repair::on_drop_replica(shard, &label),
-        PeerMsg::InvalidateCached { .. } => {
-            // Route-cache invalidation terminates at the engine, which
-            // owns every per-peer cache (`crate::engine`) and applies
-            // the epoch guard there; a shard has nothing to invalidate.
-        }
     }
 }

@@ -29,7 +29,7 @@
 
 use crate::engine::Transport;
 use crate::key::Key;
-use crate::messages::{Address, Envelope, Message, NodeMsg, PeerMsg};
+use crate::messages::{Address, Envelope, Message, NodeMsg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -93,18 +93,16 @@ pub struct FaultStats {
     pub frames_exhausted: u64,
 }
 
-/// The faultable message class: discovery traffic, its client
-/// responses, and cache invalidations — the messages whose loss the
-/// retry/idempotency machinery can absorb. Mutations, joins and
-/// replication repair are modelled as reliable (their loss would not
-/// degrade the overlay, it would corrupt it: a half-applied insert or
-/// join has no protocol-level recovery path).
+/// The faultable message class: discovery traffic and its client
+/// responses — the messages whose loss the retry/idempotency machinery
+/// can absorb. Mutations, joins and replication repair are modelled as
+/// reliable (their loss would not degrade the overlay, it would corrupt
+/// it: a half-applied insert or join has no protocol-level recovery
+/// path).
 pub fn is_faultable(msg: &Message) -> bool {
     matches!(
         msg,
-        Message::Node(NodeMsg::Discovery(_))
-            | Message::ClientResponse(_)
-            | Message::Peer(PeerMsg::InvalidateCached { .. })
+        Message::Node(NodeMsg::Discovery(_)) | Message::ClientResponse(_)
     )
 }
 

@@ -1,22 +1,18 @@
-//! Property test of `RouteCache` (ISSUE 12): under arbitrary
-//! insert / refresh / hit / remove / `invalidate_label` /
-//! `set_capacity` / `clear` sequences the cache must agree with a naive
-//! `Vec<(target, Shortcut)>` LRU — same MRU order, same return values —
-//! and its reverse index `label → slots` must describe exactly the live
-//! slots after every step. The index is what eager invalidation trusts
-//! instead of walking the whole list: an entry it misses survives an
-//! invalidation it should not, a dead one it keeps corrupts a reused
-//! slot.
+//! Property test of `RouteCache`: under arbitrary insert / refresh /
+//! hit / remove / `set_capacity` / `clear` sequences the cache must
+//! agree with a naive `Vec<(target, Shortcut)>` LRU — same MRU order,
+//! same return values — and its index `target → slot` must describe
+//! exactly the live slots after every step: an entry it misses is a
+//! shortcut that can never hit again, a dead one it keeps corrupts a
+//! reused slot.
 
 use dlpt_core::cache::{RouteCache, Shortcut};
 use dlpt_core::key::Key;
 use proptest::prelude::*;
 
-/// Six targets over four labels: several targets route through one
-/// label, refreshes change a target's label, and freed slots are reused
-/// within a few steps. Two of the labels are targets too — what exact
-/// lookups teach (`label == target`), and one key playing both roles
-/// for different slots — since both roles share one index entry.
+/// Six targets over four labels: refreshes change a target's label,
+/// and freed slots are reused within a few steps. Two of the labels are
+/// targets too — what exact lookups teach (`label == target`).
 fn target() -> impl Strategy<Value = Key> {
     (0u8..6).prop_map(|i| Key::from_bytes([b'T', b'0' + i]))
 }
@@ -30,7 +26,6 @@ enum Op {
     Insert(Key, Key, u64),
     Hit(Key),
     Remove(Key),
-    Invalidate(Key, u64),
     SetCapacity(usize),
     Clear,
 }
@@ -44,8 +39,6 @@ fn op() -> impl Strategy<Value = Op> {
         target().prop_map(Op::Hit),
         target().prop_map(Op::Hit),
         target().prop_map(Op::Remove),
-        (label(), 0u64..6).prop_map(|(l, e)| Op::Invalidate(l, e)),
-        (label(), 0u64..6).prop_map(|(l, e)| Op::Invalidate(l, e)),
         (0usize..6).prop_map(Op::SetCapacity),
         Just(Op::Clear),
     ]
@@ -92,13 +85,6 @@ impl Model {
             None => false,
         }
     }
-
-    fn invalidate_label(&mut self, label: &Key, epoch: u64) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|(_, sc)| !(sc.label == *label && sc.epoch <= epoch));
-        before - self.entries.len()
-    }
 }
 
 proptest! {
@@ -123,13 +109,6 @@ proptest! {
                 }
                 Op::Remove(target) => {
                     prop_assert_eq!(cache.remove(&target), model.remove(&target));
-                }
-                Op::Invalidate(label, epoch) => {
-                    prop_assert_eq!(
-                        cache.invalidate_label(&label, epoch),
-                        model.invalidate_label(&label, epoch),
-                        "dropped count after {:?}", op
-                    );
                 }
                 Op::SetCapacity(n) => {
                     cache.set_capacity(n);

@@ -220,11 +220,6 @@ fn put_peer_msg(buf: &mut BytesMut, m: &PeerMsg) {
             buf.put_u8(8);
             put_key(buf, label);
         }
-        PeerMsg::InvalidateCached { label, epoch } => {
-            buf.put_u8(10);
-            put_key(buf, label);
-            buf.put_u64_le(*epoch);
-        }
     }
 }
 
@@ -504,14 +499,7 @@ fn get_peer_msg(buf: &mut impl Buf) -> Result<PeerMsg> {
             label: get_key(buf)?,
         }),
         // 9 was `PromoteReplica`: retired with the message, never reused.
-        10 => {
-            let label = get_key(buf)?;
-            need(buf, 8, "invalidation epoch")?;
-            Ok(PeerMsg::InvalidateCached {
-                label,
-                epoch: buf.get_u64_le(),
-            })
-        }
+        // 10 was `InvalidateCached`: retired with the message, never reused.
         t => err(&format!("peer msg tag {t}")),
     }
 }
@@ -655,13 +643,6 @@ mod tests {
                 },
             ),
             Envelope::to_peer(k("P1"), PeerMsg::DropReplica { label: k("101") }),
-            Envelope::to_peer(
-                k("P1"),
-                PeerMsg::InvalidateCached {
-                    label: k("101"),
-                    epoch: 0xDEAD_BEEF_u64,
-                },
-            ),
             Envelope::to_client(
                 9,
                 DiscoveryOutcome {
@@ -714,7 +695,6 @@ mod tests {
                     PeerMsg::SyncReplicas { .. } => 6,
                     PeerMsg::Replicate { .. } => 7,
                     PeerMsg::DropReplica { .. } => 8,
-                    PeerMsg::InvalidateCached { .. } => 9,
                 };
                 (addr, 1, v)
             }
@@ -727,7 +707,7 @@ mod tests {
     /// with the `match`es above (the compiler enforces the enums side;
     /// these constants enforce the sample-list side).
     const NODE_MSG_VARIANTS: u8 = 9;
-    const PEER_MSG_VARIANTS: u8 = 10;
+    const PEER_MSG_VARIANTS: u8 = 9;
 
     #[test]
     fn sample_list_is_exhaustive_over_all_variants() {

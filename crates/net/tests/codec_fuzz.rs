@@ -64,6 +64,7 @@ proptest! {
         primary in "[01]{1,12}",
         label in "[01]{1,12}",
         ttl in 0u32..16,
+        epoch in any::<u64>(),
         pos_seed in any::<usize>(),
         val in any::<u8>(),
     ) {
@@ -92,43 +93,20 @@ proptest! {
             corrupted[pos] = val;
             let _ = decode(&corrupted); // error or envelope, never panic
         }
-        // Peer-message tag 9 (its message carried one key, like
-        // `DropReplica`) is retired: an error, never a panic or a reuse.
-        let mut retired = encode(&envs[2]).to_vec();
+        // Peer-message tags 9 and 10 are retired: an error, never a
+        // panic or a reuse. 9's message carried one key, like
+        // `DropReplica`; 10's carried a key and a `u64` epoch, which
+        // `epoch` appends.
+        let drop_frame = encode(&envs[2]).to_vec();
         let tag = 4 + 1 + 2 + primary.len() + 1; // length, address, key, message kind
-        prop_assert_eq!(retired[tag], 8);
-        retired[tag] = 9;
-        prop_assert!(decode(&retired).is_err());
-    }
-
-    /// Cache-invalidation envelopes (`dlpt_core::cache`) round-trip for
-    /// arbitrary labels/epochs and survive single-byte corruption
-    /// without panicking.
-    #[test]
-    fn cache_invalidation_envelopes_roundtrip_and_corrupt_safely(
-        peer in "[01]{1,12}",
-        label in "[01]{1,12}",
-        epoch in any::<u64>(),
-        pos_seed in any::<usize>(),
-        val in any::<u8>(),
-    ) {
-        let envs = vec![
-            Envelope::to_peer(
-                Key::from(peer.as_str()),
-                PeerMsg::InvalidateCached { label: Key::from(label.as_str()), epoch },
-            ),
-            Envelope::to_peer(
-                Key::from(peer.as_str()),
-                PeerMsg::InvalidateCached { label: Key::epsilon(), epoch },
-            ),
-        ];
-        for env in envs {
-            let frame = encode(&env);
-            prop_assert_eq!(&decode(&frame).unwrap(), &env);
-            let mut corrupted = frame.to_vec();
-            let pos = pos_seed % corrupted.len();
-            corrupted[pos] = val;
-            let _ = decode(&corrupted); // error or envelope, never panic
+        prop_assert_eq!(drop_frame[tag], 8);
+        let mut with_epoch = drop_frame.clone();
+        with_epoch.extend_from_slice(&epoch.to_le_bytes());
+        let body = (with_epoch.len() - 4) as u32;
+        with_epoch[..4].copy_from_slice(&body.to_le_bytes());
+        for (mut retired, retired_tag) in [(drop_frame, 9), (with_epoch, 10)] {
+            retired[tag] = retired_tag;
+            prop_assert!(decode(&retired).is_err(), "tag {}", retired_tag);
         }
     }
 

@@ -215,7 +215,7 @@ pub struct ExperimentConfig {
     /// failover, so committed CSVs stay at the default `1`.
     pub workers: usize,
     /// Probability that a faultable message (discovery, client
-    /// response, cache invalidation) is lost in transit (fault
+    /// response) is lost in transit (fault
     /// extension, `figA`). `0.0` (the default) keeps the transport
     /// byte-identical to the fault-free system.
     pub loss_rate: f64,

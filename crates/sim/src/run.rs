@@ -82,7 +82,9 @@ pub struct UnitMetrics {
     pub dedup_suppressed: u64,
     /// Routing shortcuts learned this unit (caching extension).
     pub cache_learned: u64,
-    /// Eager cache invalidations delivered this unit.
+    /// Cache invalidations delivered this unit
+    /// ([`dlpt_core::cache::CacheStats::invalidations_delivered`]):
+    /// always 0, kept for the benchmark and `figC.csv`.
     pub cache_invalidations: u64,
     /// Total visible work this unit
     /// ([`dlpt_core::metrics::SystemStats::total_work`]): delivered

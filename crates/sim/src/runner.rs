@@ -65,8 +65,9 @@ pub struct AveragedSeries {
     /// Steady-state routing shortcuts learned per run (averaged;
     /// caching extension, `figC`).
     pub steady_cache_learned: f64,
-    /// Steady-state eager cache invalidations delivered per run
-    /// (averaged).
+    /// Steady-state cache invalidations delivered per run (averaged).
+    /// Always 0 since stale shortcuts are only evicted on their own
+    /// hits; kept for `figC.csv`'s `invalidations` column.
     pub steady_cache_invalidations: f64,
     /// Steady-state total visible work per run (averaged) —
     /// `SystemStats::total_work`, i.e. delivered messages plus drops,

@@ -375,36 +375,41 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
          {ring_allocs} before"
     );
 
-    // ---- Phase 7: cache hits and eager invalidation never allocate. -
-    // A write under a warm cache invalidates on every peer (~120 times
-    // at 100 peers), so `invalidate_label` is as hot as a hop: it
-    // follows the reverse index and recycles slots through the
-    // intrusive free list, where it once collected a `Vec<Key>` per
-    // call. Four targets per label, so every call drops a whole chain.
-    use dlpt::core::cache::{RouteCache, Shortcut};
+    // ---- Phase 7: cache hits and stale-hit evictions never allocate.
+    // Nothing tells a peer's cache that a label dissolved or moved: the
+    // next consult of a shortcut whose label epoch has moved finds it
+    // stale and evicts it, so after a write under a warm cache
+    // `consult`'s stale path runs as often as a hit. Four targets per
+    // label; bumping every label's epoch stales all of them.
+    use dlpt::core::cache::{self, CacheStats, RouteCache};
+    use dlpt::core::directory::Directory;
     let targets: Vec<Key> = (0..64).map(|i| Key::from(format!("T{i:02}"))).collect();
     let labels: Vec<Key> = (0..16).map(|i| Key::from(format!("L{i:02}"))).collect();
+    let mut directory = Directory::new();
+    for l in &labels {
+        directory.insert(l.clone(), Key::from("P"));
+    }
     let mut cache = RouteCache::new(targets.len());
     for (i, t) in targets.iter().enumerate() {
-        let sc = Shortcut {
-            label: labels[i / 4].clone(),
-            host: Key::from("P"),
-            epoch: 1,
-        };
+        let sc = cache::learned_shortcut(&directory, &labels[i / 4]).expect("live label");
         cache.insert(t.clone(), sc);
     }
-    let (cache_allocs, dropped) = count(|| {
+    let mut stats = CacheStats::default();
+    let (cache_allocs, ()) = count(|| {
         for t in &targets {
             assert!(cache.hit(t).is_some());
         }
-        labels
-            .iter()
-            .map(|l| cache.invalidate_label(l, 1))
-            .sum::<usize>()
+        for l in &labels {
+            directory.bump_epoch(l);
+        }
+        for t in &targets {
+            assert!(cache::consult(&mut cache, &directory, t, &mut stats).is_none());
+        }
     });
-    assert_eq!(dropped, targets.len());
+    assert_eq!(stats.stale_hits, targets.len() as u64);
+    assert!(cache.is_empty(), "every stale shortcut is evicted");
     assert!(
         cache_allocs <= JITTER,
-        "cache hits and invalidations must not allocate: {cache_allocs} allocs"
+        "cache hits and stale-hit evictions must not allocate: {cache_allocs} allocs"
     );
 }

@@ -194,13 +194,11 @@ proptest! {
         }
     }
 
-    /// The invalidation-idempotence property: duplicating and delaying
-    /// faultable messages — the epoch-guarded `InvalidateCached`
-    /// broadcasts included — must be completely unobservable. A
-    /// duplicated or late invalidation can never evict a fresher
-    /// re-learned shortcut into returning a wrong answer: every lookup,
-    /// the final tree and the final key set match a fault-free twin
-    /// driven by the same seed.
+    /// Duplicating and delaying faultable messages must be completely
+    /// unobservable under a warm cache: a duplicated or late response
+    /// can never teach or validate a shortcut into returning a wrong
+    /// answer. Every lookup, the final tree and the final key set
+    /// match a fault-free twin driven by the same seed.
     #[test]
     fn duplicated_and_delayed_invalidations_change_nothing_observable(
         ops in proptest::collection::vec(op(), 1..40),
@@ -247,12 +245,10 @@ fn partition_stale_scenario(seed: u64) -> bool {
         assert!(sys.lookup(&key).found);
     }
     // Move the key's node to another peer: every learned shortcut to
-    // it is now stale (epoch bumped, host changed). The '1' half of
-    // the key space is severed FIRST (binary alphabet, so the cut
-    // takes out both the `far` subtree and every peer whose
-    // identifier starts with '1') — the epoch-bump invalidation
-    // broadcast cannot reach the severed peers, so their cached
-    // shortcut to `key` stays stale until consulted.
+    // it is now stale (epoch bumped, host changed) until consulted.
+    // The '1' half of the key space is severed first (binary
+    // alphabet, so the cut takes out both the `far` subtree and every
+    // peer whose identifier starts with '1').
     let host = sys.host_of(&key).expect("node exists").clone();
     let to = sys
         .peer_ids()
