@@ -1,21 +1,23 @@
 //! The interned delivery directory: node label → hosting peer.
 //!
-//! The synchronous runtime resolves every node-addressed envelope
-//! through this table, so it sits on the routing hot path. The previous
-//! representation — a `BTreeMap<Key, Key>` plus a full `Vec<Key>`
-//! rebuild whenever `random_node` ran after a change — made each
-//! delivery walk a B-tree comparing variable-length byte strings and
-//! made each membership change O(nodes) in clones. Here every distinct
-//! key is *interned* once and identified by a `u32`; the directory
-//! itself is
+//! Every node-addressed envelope is resolved through this table, so it
+//! sits on the routing hot path: by label (one hash) for anything
+//! addressed by `Key`, by interned id (no hash) for a chained hop over
+//! a tree link whose node memoised the id (`node::NodeState`). The
+//! previous representation — a `BTreeMap<Key, Key>` plus a full
+//! `Vec<Key>` rebuild whenever `random_node` ran after a change — made
+//! each delivery walk a B-tree comparing variable-length byte strings
+//! and made each membership change O(nodes) in clones. Here every
+//! distinct key is *interned* once and identified by a `u32`; the
+//! directory itself is
 //!
 //! * `recs`: a flat `id → LabelRec` array giving O(1) exact lookups
-//!   (one hash of the label, no byte-string tree walk). One 16-byte
-//!   record holds everything a hop reads: the host id, the slot the
-//!   node last sat in on that host's `NodeMap` slab, and the label's
-//!   cache epoch. The slot is a *hint*: the node map checks it against
-//!   the label before trusting it, so a stale slot costs one ordinary
-//!   hash probe and nothing else;
+//!   (one hash of the label, none given its id; no byte-string tree
+//!   walk). One 16-byte record holds everything a hop reads: the host
+//!   id, the slot the node last sat in on that host's `NodeMap` slab,
+//!   and the label's cache epoch. The slot is a *hint*: the node map
+//!   checks it against the label before trusting it, so a stale slot
+//!   costs one ordinary hash probe and nothing else;
 //! * `sorted`: the live label ids in lexicographic order, maintained
 //!   incrementally (binary search over `u32` ids) on
 //!   join/leave/migrate, giving ordered iteration and O(1) uniform
@@ -24,7 +26,9 @@
 //! Interned keys are never freed: the id space grows with the number of
 //! *distinct* labels and peers ever seen, which for the service-
 //! discovery workloads is bounded by the corpus and churn population.
-//! That trade buys clone-free lookups everywhere else.
+//! That trade buys clone-free lookups everywhere else, and it is what
+//! lets a tree link memoise its label's id: the id keeps naming that
+//! label for the directory's whole lifetime.
 
 use crate::key::Key;
 use std::collections::HashMap;
@@ -202,13 +206,22 @@ impl Directory {
     }
 
     /// Resolves a live label to `(label id, host id, slot hint)` with
-    /// a single hash and one record read — the delivery hot path's
-    /// one-stop lookup. The slot is only a hint for the host's
+    /// a single hash and one record read: the lookup of every hop
+    /// addressed by `Key` (client entry, cache shortcuts, queued
+    /// envelopes, and a chained hop over a link whose id is not yet
+    /// memoised). The slot is only a hint for the host's
     /// `NodeMap::find`. `None` when the label is unknown or not
     /// currently live.
     #[inline]
     pub fn resolve(&self, label: &Key) -> Option<(u32, u32, u32)> {
-        let &lid = self.ids.get(label)?;
+        self.resolve_id(*self.ids.get(label)?)
+    }
+
+    /// [`Directory::resolve`] for a label already known by id: one
+    /// record read, no hash — the lookup of a chained hop over a tree
+    /// link whose id the node has memoised.
+    #[inline]
+    pub fn resolve_id(&self, lid: u32) -> Option<(u32, u32, u32)> {
         match self.recs[lid as usize] {
             LabelRec { host: NONE, .. } => None,
             LabelRec { host, slot, .. } => Some((lid, host, slot)),

@@ -10,7 +10,8 @@ impl Engine {
     /// returns every violation found instead of panicking, so fault and
     /// partition scenarios can be audited mid-recovery. The checks are
     /// read-only and the same on every runtime: directory, slab,
-    /// mapping, ring, trie, replication-record and cache-epoch. An
+    /// mapping, ring, trie, link-id, replication-record and
+    /// cache-epoch. An
     /// empty result after quiescence is the suite-wide invariant
     /// (`tests/runtime_equivalence.rs`).
     pub fn audit(&self) -> Vec<Violation> {
@@ -153,26 +154,26 @@ impl Engine {
                         );
                     }
                 }
-                if let Some(f) = &node.father {
+                if let Some(f) = node.father() {
                     match self.node(f) {
                         None => push(
                             AuditCheck::Trie,
                             format!("{}: father {f} does not resolve", node.label),
                         ),
-                        Some(father) if !father.children.contains(&node.label) => push(
+                        Some(father) if !father.children().contains(&node.label) => push(
                             AuditCheck::Trie,
                             format!("{}: father {f} does not list it as a child", node.label),
                         ),
                         Some(_) => {}
                     }
                 }
-                for c in &node.children {
+                for c in node.children() {
                     match self.node(c) {
                         None => push(
                             AuditCheck::Trie,
                             format!("{}: child {c} does not resolve", node.label),
                         ),
-                        Some(child) if child.father.as_ref() != Some(&node.label) => push(
+                        Some(child) if child.father() != Some(&node.label) => push(
                             AuditCheck::Trie,
                             format!("{c}: father link does not point back to {}", node.label),
                         ),
@@ -188,12 +189,32 @@ impl Engine {
                 // Siblings share exactly the parent label. Children are
                 // sorted, so a longer shared prefix anywhere shows up
                 // between some adjacent pair.
-                for (a, b) in node.children.iter().zip(node.children.iter().skip(1)) {
+                for (a, b) in node.children().iter().zip(node.children().iter().skip(1)) {
                     if a.gcp_len(b) != node.label.len() {
                         push(
                             AuditCheck::Trie,
                             format!(
                                 "{}: children {a} and {b} share a prefix other than it",
+                                node.label
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+
+        // Link ids: a memoised id names its link's label. Primaries and
+        // follower copies alike, since a promoted copy keeps its memos.
+        for shard in self.local_shards() {
+            for node in shard.nodes.values().chain(shard.replicas.values()) {
+                for (link, id) in node.memoised_links() {
+                    let named = ((id as usize) < self.directory.interned_len())
+                        .then(|| self.directory.key_of(id));
+                    if named != Some(link) {
+                        push(
+                            AuditCheck::LinkIds,
+                            format!(
+                                "{}: link {link} memoises id {id}, which names {named:?}",
                                 node.label
                             ),
                         );

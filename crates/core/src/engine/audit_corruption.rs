@@ -1,12 +1,12 @@
 //! `Engine::audit` is the only implementation of the structural
 //! invariants, so each check needs a state that trips it and nothing
-//! else. These two are the ones no protocol path can produce: sibling
-//! labels sharing more than their father's label, and a slab slot
-//! listed twice on the free list.
+//! else. These three are the ones no protocol path can produce: sibling
+//! labels sharing more than their father's label, a slab slot listed
+//! twice on the free list, and a link memoising another label's id.
 
 use crate::alphabet::Alphabet;
 use crate::key::Key;
-use crate::node::NodeState;
+use crate::node::{Link, NodeState};
 use crate::obs::health::AuditCheck;
 use crate::system::DlptSystem;
 
@@ -46,7 +46,7 @@ fn siblings_sharing_more_than_the_father_label_are_one_trie_violation() {
     sys.shard_mut(&mid_host).unwrap().nodes.remove(&mid);
     sys.directory.remove(&mid);
     for o in &orphans {
-        node_mut(&mut sys, o).father = Some(top.clone());
+        node_mut(&mut sys, o).set_father(Some(top.clone()));
     }
     let node = node_mut(&mut sys, &top);
     assert!(node.remove_child(&mid));
@@ -69,4 +69,19 @@ fn a_slot_freed_twice_is_one_slab_violation() {
     assert_eq!(sys.peers.free.len(), 2);
     sys.peers.free[1] = sys.peers.free[0];
     assert_eq!(classes(&sys), [AuditCheck::Slab], "{:?}", sys.audit());
+}
+
+#[test]
+fn a_link_memoising_another_labels_id_is_one_link_id_violation() {
+    // 1 → {10 → {100, 101}, 12}: 100's father link names 10, but its
+    // memo says 12. Routing would follow it to the wrong node; every
+    // other check reads the labels and sees a sound tree.
+    let mut sys = healthy(&["100", "101", "12"]);
+    let wrong = sys.directory.id_of(&Key::from("12")).expect("interned");
+    node_mut(&mut sys, &Key::from("100")).remember_link_id(Link::Father, wrong);
+    assert_eq!(classes(&sys), [AuditCheck::LinkIds], "{:?}", sys.audit());
+    // The right id is no violation.
+    let right = sys.directory.id_of(&Key::from("10")).expect("interned");
+    node_mut(&mut sys, &Key::from("100")).remember_link_id(Link::Father, right);
+    sys.assert_clean();
 }

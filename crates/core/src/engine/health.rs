@@ -96,10 +96,10 @@ impl Engine {
         for shard in self.local_shards() {
             for node in shard.nodes.values() {
                 let mut d = 0usize;
-                let mut cur = node.father.as_ref();
+                let mut cur = node.father();
                 while let Some(f) = cur {
                     d += 1;
-                    cur = self.node(f).and_then(|n| n.father.as_ref());
+                    cur = self.node(f).and_then(|n| n.father());
                 }
                 if d >= snap.depth_occupancy.len() {
                     snap.depth_occupancy.resize(d + 1, 0);
@@ -183,20 +183,15 @@ fn key_heap_bytes(k: &Key) -> usize {
 
 /// Estimated bytes of one shard-side node map (`nodes` or `replicas`):
 /// the map's own slab, hash index and order vector by capacity, plus
-/// each node's child/data vectors by capacity and any spilled key heap.
+/// each node's child, child-id and data vectors by capacity and any
+/// spilled key heap.
 fn node_map_bytes(map: &NodeMap) -> usize {
-    use std::mem::size_of;
     let mut bytes = map.heap_bytes();
     for node in map.values() {
-        bytes += key_heap_bytes(&node.label);
-        if let Some(f) = &node.father {
-            bytes += key_heap_bytes(f);
-        }
-        for set in [&node.children, &node.data] {
-            bytes += set.capacity() * size_of::<Key>();
-            for c in set {
-                bytes += key_heap_bytes(c);
-            }
+        bytes += node.vec_heap_bytes();
+        let keys = node.children().iter().chain(&node.data);
+        for k in keys.chain(node.father()).chain([&node.label]) {
+            bytes += key_heap_bytes(k);
         }
     }
     bytes

@@ -35,13 +35,11 @@ mod audit;
 mod audit_corruption;
 mod faults;
 mod health;
+#[cfg(test)]
+mod link_ids;
 mod membership;
 pub mod parallel;
-#[cfg(test)]
-mod reference_scans;
 mod replicate;
-#[cfg(test)]
-mod scan_equivalence;
 #[cfg(test)]
 mod slab_props;
 #[cfg(test)]
@@ -528,11 +526,6 @@ pub struct Engine {
     /// [`parallel::ParallelPump`] batch took, read by
     /// [`Engine::collect_health`] into the snapshot's timing section.
     pub(crate) pump_timing: HealthTiming,
-    /// Routes the replication flush, the anti-entropy scan and the
-    /// repair scan through their pre-id-native versions
-    /// (`reference_scans`), for the equivalence tests.
-    #[cfg(test)]
-    pub(crate) reference_scans: bool,
 }
 
 impl Default for Engine {
@@ -562,8 +555,6 @@ impl Default for Engine {
             cache_stats: CacheStats::default(),
             tracer: Tracer::Noop,
             pump_timing: HealthTiming::default(),
-            #[cfg(test)]
-            reference_scans: false,
         }
     }
 }
@@ -739,7 +730,7 @@ impl Engine {
                     .id_of(&node.label)
                     .expect("hosted nodes are interned when they are placed");
                 depth[lid as usize] = UNSET;
-                if let Some(fid) = node.father.as_ref().and_then(|f| self.directory.id_of(f)) {
+                if let Some(fid) = node.father().and_then(|f| self.directory.id_of(f)) {
                     father[lid as usize] = fid;
                 }
                 nodes.push(lid);
@@ -1137,7 +1128,11 @@ impl Engine {
     /// Delivers a discovery message to node `label`, and on to the
     /// next node while hops chain (see [`Engine::deliver`]). The chain
     /// owns the destination and the message and rewrites both in
-    /// place: a chained hop builds no envelope.
+    /// place: a chained hop builds no envelope, and it follows the tree
+    /// link it took by the label id the node memoised on that link, so
+    /// it probes no hash. The first hop over a link since its last edit
+    /// fills the memo with one [`Directory::id_of`]; the entry hop is
+    /// addressed by `Key` and resolved like any queued envelope.
     fn deliver_visits<T: Transport>(
         &mut self,
         t: &mut T,
@@ -1145,11 +1140,17 @@ impl Engine {
         mut m: DiscoveryMsg,
         fx: &mut Effects,
     ) -> Result<Step> {
-        let exact = matches!(m.query, QueryKind::Exact(_));
+        // Only exact queries on an inline transport chain, and then
+        // every forward does: an exact visit that moves on emits
+        // nothing else.
+        let chains = matches!(m.query, QueryKind::Exact(_)) && self.inline(t);
         let mut chained = false;
+        // `label`'s id, when the link this chain arrived over had it.
+        let mut known: Option<u32> = None;
         loop {
-            // One directory probe resolves label id, host id and the
-            // node's slot hint; a hinted visit then probes no hash.
+            // The directory record gives host id and the node's slot
+            // hint: by id when the link memoised it, else by one hash
+            // of the label. A hinted visit then probes no hash either.
             // Capacity model (Section 4): a peer's capacity bounds the
             // requests it can process per unit, and processing includes
             // routing — "the upper a node is, the more times it will be
@@ -1157,7 +1158,11 @@ impl Engine {
             // balancing matter (Section 3.3) — so every visit charges
             // the hosting peer one unit and counts toward the node's
             // offered load l_n.
-            let hosted = self.directory.resolve(&label).and_then(|(lid, hid, hint)| {
+            let located = match known {
+                Some(lid) => self.directory.resolve_id(lid),
+                None => self.directory.resolve(&label),
+            };
+            let hosted = located.and_then(|(lid, hid, hint)| {
                 let shard = &mut self.peers.get_mut(hid)?.shard;
                 Some((lid, hid, hint, shard))
             });
@@ -1171,6 +1176,21 @@ impl Engine {
                         discovery::VisitGate::Missing => None,
                         gate => {
                             self.directory.set_slot(lid, slot);
+                            if let (true, discovery::VisitGate::Delivered(Some((next, link)))) =
+                                (chains, &gate)
+                            {
+                                // A memo, not a hint: only an edit of
+                                // the link changes what it names, and
+                                // every edit clears it.
+                                let node = shard.nodes.at_mut(slot);
+                                known = node.link_id(*link);
+                                if known.is_none() {
+                                    known = self.directory.id_of(next);
+                                    if let Some(id) = known {
+                                        node.remember_link_id(*link, id);
+                                    }
+                                }
+                            }
                             Some((lid, hid, gate))
                         }
                     }
@@ -1216,9 +1236,9 @@ impl Engine {
                 self.tracer
                     .emit(TraceEvent::new(EventKind::Hop, req, lid, hid, hops));
             }
-            if exact && self.inline(t) && fx.relocated.is_empty() && fx.removed.is_empty() {
+            if chains && fx.relocated.is_empty() && fx.removed.is_empty() {
                 match next {
-                    Some(next) if fx.out.is_empty() => {
+                    Some((next, _)) if fx.out.is_empty() => {
                         label = next;
                         chained = true;
                         continue;
@@ -1230,7 +1250,7 @@ impl Engine {
                     _ => {}
                 }
             }
-            if let Some(next) = next {
+            if let Some((next, _)) = next {
                 fx.send(Envelope::to_node(next, NodeMsg::Discovery(m)));
             }
             self.apply(fx, t);

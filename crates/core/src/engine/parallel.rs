@@ -2,7 +2,7 @@
 //! with cores and answers exactly like the sequential `request` loop.
 //!
 //! During a discovery batch the tree is frozen and routing only *reads*
-//! it ([`discovery::on_discovery_at`] takes `&NodeState`): the node set
+//! it ([`discovery::route_visit`] takes `&NodeState`): the node set
 //! a query visits is a function of the tree alone. The one
 //! order-dependent piece of state is each peer's `used < capacity`
 //! counter. [`ParallelPump::run_batch`] therefore runs in two phases
@@ -244,7 +244,10 @@ fn abandon(engine: &mut Engine, ids: &[u64]) {
 
 /// Routes one chunk: each request's FIFO drain over the frozen tree,
 /// every visit taken as accepted. An exact query's lone follow-up is
-/// chained in place, exactly like [`Engine::deliver`]'s hop chaining.
+/// chained in place, exactly like [`Engine::deliver`]'s hop chaining,
+/// and follows the label id its link memoised when it has one. The
+/// pump only reads the tree, so a link without one costs a hash of
+/// the label and stays unresolved.
 fn route_chunk(engine: &Engine, envs: Vec<Envelope>) -> Routed {
     let mut out = Routed {
         visits: Vec::with_capacity(envs.len() * 12),
@@ -253,15 +256,18 @@ fn route_chunk(engine: &Engine, envs: Vec<Envelope>) -> Routed {
     let mut fx = Effects::default();
     let mut queue: VecDeque<(u32, Envelope)> = VecDeque::new();
     for env in envs {
-        let mut next = Some((ENTRY, env));
-        while let Some((parent, env)) = next.take().or_else(|| queue.pop_front()) {
+        // `(parent visit, envelope, destination label id if known)`.
+        let mut next = Some((ENTRY, env, None));
+        let queued = |(parent, env)| (parent, env, None);
+        while let Some((parent, env, known)) = next.take().or_else(|| queue.pop_front().map(queued))
+        {
             match (env.to, env.msg) {
                 (Address::Client(_), Message::ClientResponse(outcome)) => out.replies.push(Reply {
                     from: parent,
                     at: out.visits.len() as u32,
                     outcome,
                 }),
-                (Address::Node(label), Message::Node(NodeMsg::Discovery(m))) => {
+                (Address::Node(label), Message::Node(NodeMsg::Discovery(mut m))) => {
                     let v = out.visits.len() as u32;
                     let mut visit = Visit {
                         label: UNROUTABLE,
@@ -269,20 +275,32 @@ fn route_chunk(engine: &Engine, envs: Vec<Envelope>) -> Routed {
                         parent,
                         hops: m.path.len() as u32,
                     };
-                    let hosted = engine
-                        .directory
-                        .resolve(&label)
-                        .and_then(|(lid, hid, hint)| {
-                            let nodes = &engine.peers.get(hid)?.shard.nodes;
-                            Some((lid, hid, nodes.at(nodes.find(&label, hint)?)))
-                        });
+                    let located = match known {
+                        Some(lid) => engine.directory.resolve_id(lid),
+                        None => engine.directory.resolve(&label),
+                    };
+                    let hosted = located.and_then(|(lid, hid, hint)| {
+                        let nodes = &engine.peers.get(hid)?.shard.nodes;
+                        Some((lid, hid, nodes.at(nodes.find(&label, hint)?)))
+                    });
                     if let Some((lid, hid, node)) = hosted {
                         (visit.label, visit.host) = (lid, hid);
-                        discovery::on_discovery_at(node, m, &mut fx);
-                        if queue.is_empty() && fx.out.len() == 1 {
-                            next = fx.out.pop().map(|e| (v, e));
-                        } else {
-                            queue.extend(fx.out.drain(..).map(|e| (v, e)));
+                        let forward = discovery::route_visit(node, &mut m, &mut fx);
+                        let envelope = |to| Envelope::to_node(to, NodeMsg::Discovery(m));
+                        match forward {
+                            Some((to, link)) if queue.is_empty() && fx.out.is_empty() => {
+                                next = Some((v, envelope(to), node.link_id(link)));
+                            }
+                            forward => {
+                                if let Some((to, _)) = forward {
+                                    fx.send(envelope(to));
+                                }
+                                if queue.is_empty() && fx.out.len() == 1 {
+                                    next = fx.out.pop().map(|e| (v, e, None));
+                                } else {
+                                    queue.extend(fx.out.drain(..).map(|e| (v, e)));
+                                }
+                            }
                         }
                     }
                     out.visits.push(visit);

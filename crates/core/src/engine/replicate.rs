@@ -40,10 +40,6 @@ impl Engine {
         if self.replication <= 1 || (self.touched.is_empty() && self.dropped_replicas.is_empty()) {
             return;
         }
-        #[cfg(test)]
-        if self.reference_scans {
-            return self.flush_replication_reference(t);
-        }
         let k = self.replication;
         for (lid, fid) in self.dropped_replicas.drain(..) {
             // A follower is live iff its peer id still has a slot.
@@ -121,10 +117,6 @@ impl Engine {
         &mut self,
         t: &mut T,
     ) -> (AntiEntropyReport, bool) {
-        #[cfg(test)]
-        if self.reference_scans {
-            return self.anti_entropy_scan_reference(t);
-        }
         let k = self.replication;
         let mut report = AntiEntropyReport::default();
         if k <= 1 || self.members.len() <= 1 {
@@ -204,10 +196,6 @@ impl Engine {
     /// directory probe per link; only nodes that actually hold a dead
     /// child are rewritten and scheduled for re-replication.
     pub(crate) fn repair_scan(&mut self) -> RepairReport {
-        #[cfg(test)]
-        if self.reference_scans {
-            return self.repair_scan_reference();
-        }
         let replicated = self.replication > 1;
         let mut scan = RepairReport::default();
         self.ring.refresh(&self.directory, self.members.iter());
@@ -218,15 +206,15 @@ impl Engine {
             };
             // Label order: `touched` feeds the re-replication sends.
             slot.shard.nodes.visit_mut(|node| {
-                if node.children.iter().any(|c| !directory.contains(c)) {
-                    let before = node.children.len();
-                    node.children.retain(|c| directory.contains(c));
-                    scan.pruned_links += before - node.children.len();
+                if node.children().iter().any(|c| !directory.contains(c)) {
+                    let before = node.children().len();
+                    node.retain_children(|c| directory.contains(c));
+                    scan.pruned_links += before - node.children().len();
                     if replicated {
                         self.touched.extend(directory.id_of(&node.label));
                     }
                 }
-                if node.father.as_ref().is_some_and(|f| !directory.contains(f)) {
+                if node.father().is_some_and(|f| !directory.contains(f)) {
                     scan.reattached.push(node.label.clone());
                 }
             });

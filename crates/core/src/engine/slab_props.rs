@@ -8,15 +8,19 @@
 //!   partition the slab; no id aliases a recycled slot), and
 //! * the paper's ring invariant plus lookup correctness.
 //!
-//! All three are sections of `Engine::audit`; this lives inside the
-//! engine module (not `tests/`) for the key pool the
-//! sibling test modules share.
+//! All three are sections of `Engine::audit`. Beside them,
+//! [`Engine::depth_map`](crate::engine::Engine::depth_map) is checked
+//! against the recursive father-chain definition, including the
+//! post-crash, pre-repair state in which subtrees hang off dead
+//! fathers. This lives inside the engine module (not `tests/`) for the
+//! key pool the sibling test modules share.
 
 use crate::alphabet::Alphabet;
 use crate::key::Key;
 use crate::obs::health::AuditCheck;
 use crate::system::DlptSystem;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One churn step; indices are resolved against the live peer list /
 /// key pool at execution time so every generated sequence is valid.
@@ -186,6 +190,54 @@ proptest! {
             let absent = Key::from("22222");
             prop_assert!(!sys.lookup(&absent).satisfied);
             sys.end_time_unit();
+        }
+    }
+
+    #[test]
+    fn depth_map_is_the_father_chain_depth_of_live_nodes(
+        seed in any::<u64>(),
+        keys in proptest::collection::vec(any::<u16>(), 1..40),
+        crashes in proptest::collection::vec(any::<u16>(), 0..4),
+    ) {
+        let pool = key_pool();
+        // k = 1: every crash loses its nodes and orphans their subtrees.
+        let mut sys = DlptSystem::builder()
+            .alphabet(Alphabet::new(b"012", "prop"))
+            .seed(seed)
+            .peer_id_len(6)
+            .default_capacity(100_000)
+            .bootstrap_peers(5)
+            .build();
+        for i in keys {
+            sys.insert_data(pool[i as usize % pool.len()].clone())
+                .expect("registration");
+        }
+        for i in crashes {
+            let peers = sys.peer_ids();
+            if peers.len() > 2 {
+                sys.crash_peer(&peers[i as usize % peers.len()]).expect("crash");
+            }
+        }
+        // Before the repair: fathers may be dead. After: one tree.
+        for repaired in [false, true] {
+            if repaired {
+                sys.repair_tree();
+            }
+            fn depth(sys: &DlptSystem, label: &Key) -> u32 {
+                match sys.node(label).and_then(|n| n.father()) {
+                    Some(f) if sys.node(f).is_some() => depth(sys, f) + 1,
+                    _ => 0,
+                }
+            }
+            let want: BTreeMap<Key, u32> = sys
+                .node_labels()
+                .into_iter()
+                .map(|l| {
+                    let d = depth(&sys, &l);
+                    (l, d)
+                })
+                .collect();
+            prop_assert_eq!(sys.depth_map(), want, "repaired: {}", repaired);
         }
     }
 }

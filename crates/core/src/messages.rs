@@ -130,8 +130,8 @@ impl NodeSeed {
     pub fn of(node: &NodeState) -> Self {
         NodeSeed {
             label: node.label.clone(),
-            father: node.father.clone(),
-            children: node.children.clone(),
+            father: node.father().cloned(),
+            children: node.children().to_vec(),
             data: node.data.clone(),
         }
     }
@@ -140,8 +140,8 @@ impl NodeSeed {
     /// and data (load counters aside — they do not travel).
     pub fn describes(&self, node: &NodeState) -> bool {
         self.label == node.label
-            && self.father == node.father
-            && self.children == node.children
+            && self.father.as_ref() == node.father()
+            && self.children == node.children()
             && self.data == node.data
     }
 
@@ -149,8 +149,8 @@ impl NodeSeed {
     /// data become sets, whatever order the seed lists them in).
     pub fn into_state(self) -> NodeState {
         let mut n = NodeState::new(self.label);
-        n.father = self.father;
-        n.children = key_set(self.children);
+        n.set_father(self.father);
+        n.set_children(self.children);
         n.data = key_set(self.data);
         n
     }
@@ -440,8 +440,8 @@ mod tests {
         };
         let n = seed.into_state();
         assert_eq!(n.label, k("101"));
-        assert_eq!(n.father, Some(Key::epsilon()));
-        assert_eq!(n.children.len(), 2);
+        assert_eq!(n.father(), Some(&Key::epsilon()));
+        assert_eq!(n.children().len(), 2);
         assert!(n.data.contains(&k("101")));
     }
 
@@ -466,7 +466,7 @@ mod tests {
             children: vec![k("11"), k("10"), k("11")],
             data: vec![],
         };
-        assert_eq!(seed.into_state().children, vec![k("10"), k("11")]);
+        assert_eq!(seed.into_state().children(), [k("10"), k("11")]);
     }
 
     #[test]

@@ -206,6 +206,8 @@ pub enum AuditCheck {
     /// Route caches: index consistent with the slots,
     /// shortcuts reference plausible (non-future) epochs.
     Cache,
+    /// Tree links: every memoised label id names its link's label.
+    LinkIds,
 }
 
 impl AuditCheck {
@@ -219,6 +221,7 @@ impl AuditCheck {
             AuditCheck::Trie => "trie",
             AuditCheck::Replication => "replication",
             AuditCheck::Cache => "cache",
+            AuditCheck::LinkIds => "link_ids",
         }
     }
 }

@@ -10,9 +10,9 @@
 //! the type system thus guarantees a handler never reaches across the
 //! network, although one engine hosts every shard in every runtime.
 //!
-//! A shard's nodes live in a [`NodeMap`]: a slot hint or one hash probe
-//! per hop, label order kept beside it for the walks that need ring
-//! order.
+//! A shard's nodes live in a [`NodeMap`]: a slot hint, or one hash
+//! probe when the hint is stale, per hop; label order kept beside it
+//! for the walks that need ring order.
 
 use crate::directory::FxHasher;
 use crate::key::Key;
@@ -138,10 +138,10 @@ impl PeerShard {
 ///
 /// The mapping rule piles the tree onto a few peers (at 100 peers the
 /// busiest hosts hundreds of nodes), and every hop looks its node up in
-/// its host's map, so a lookup is one hash and one slab index rather
-/// than a tree walk — or, when the caller knows where the node sat last
-/// ([`NodeMap::find`]'s hint, which the directory keeps per label), one
-/// label compare. Three parts:
+/// its host's map. A hop knows where the node sat last
+/// ([`NodeMap::find`]'s hint, which the directory keeps per label), so
+/// the lookup is one label compare; a stale hint costs one hash and one
+/// slab index rather than a tree walk. Three parts:
 ///
 /// * `slab`: the node states, dense, in no particular order (a removal
 ///   moves the last state into the hole);

@@ -94,11 +94,11 @@ pub fn on_data_insertion(
 
     // Case 3 (lines 3.10–3.20): the sought node is an ancestor.
     if key.is_proper_prefix_of(&p_label) {
-        match p.father.clone() {
+        match p.father().cloned() {
             None => {
                 // Lines 3.11–3.13: we are the root; the key becomes the
                 // new root with us as its only child.
-                p.father = Some(key.clone());
+                p.set_father(Some(key.clone()));
                 place(fx, orphan, p_label.clone(), key, None, Some(p_label));
             }
             Some(f) => {
@@ -113,7 +113,7 @@ pub fn on_data_insertion(
                     // Lines 3.18–3.20: splice the new node between our
                     // father and us.
                     debug_assert!(f.is_proper_prefix_of(&key));
-                    p.father = Some(key.clone());
+                    p.set_father(Some(key.clone()));
                     let (old, new) = (p_label.clone(), key.clone());
                     place(fx, orphan, f.clone(), key, Some(f.clone()), Some(p_label));
                     fx.send(Envelope::to_node(f, NodeMsg::UpdateChild { old, new }));
@@ -125,7 +125,7 @@ pub fn on_data_insertion(
 
     // Case 4 (lines 3.21–3.31): the key diverges from us.
     let g = p_label.gcp(&key);
-    let father = p.father.clone();
+    let father = p.father().cloned();
     if let Some(f) = father.as_ref() {
         if g.len() <= f.len() {
             // Line 3.23: our father shares at least as much with the
@@ -144,7 +144,7 @@ pub fn on_data_insertion(
         children: vec![p_label.clone(), key.clone()],
         data: Vec::new(),
     };
-    p.father = Some(g.clone());
+    p.set_father(Some(g.clone()));
     let via = father.clone().unwrap_or_else(|| p_label.clone());
     fx.send(Envelope::to_node(
         via.clone(),
@@ -307,7 +307,7 @@ mod tests {
         let mut fx = Effects::default();
         on_data_insertion(&mut s, &k("10"), k("1011"), false, &mut fx);
         // Child registered immediately (line 3.09).
-        assert!(s.nodes[&k("10")].children.contains(&k("1011")));
+        assert!(s.nodes[&k("10")].children().contains(&k("1011")));
         let msgs = sent_to_node(&fx, "10");
         assert_eq!(msgs.len(), 1);
         match msgs[0] {
@@ -327,7 +327,7 @@ mod tests {
         s.install(NodeState::new(k("10101")));
         let mut fx = Effects::default();
         on_data_insertion(&mut s, &k("10101"), k("10"), false, &mut fx);
-        assert_eq!(s.nodes[&k("10101")].father, Some(k("10")));
+        assert_eq!(s.nodes[&k("10101")].father(), Some(&k("10")));
         let msgs = sent_to_node(&fx, "10101");
         assert_eq!(msgs.len(), 1);
         match msgs[0] {
@@ -347,7 +347,7 @@ mod tests {
         // (a duplicate seed would carry father == label and loop).
         let mut s = shard("Z");
         let mut n = NodeState::new(k("PDGELSD"));
-        n.father = Some(k("PDGELS"));
+        n.set_father(Some(k("PDGELS")));
         s.install(n);
         let mut fx = Effects::default();
         on_data_insertion(&mut s, &k("PDGELSD"), k("PDGELS"), false, &mut fx);
@@ -355,8 +355,8 @@ mod tests {
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("PDGELS")));
         assert_eq!(
-            s.nodes[&k("PDGELSD")].father,
-            Some(k("PDGELS")),
+            s.nodes[&k("PDGELSD")].father(),
+            Some(&k("PDGELS")),
             "father untouched"
         );
     }
@@ -365,7 +365,7 @@ mod tests {
     fn case3_routes_up_when_key_prefixes_father() {
         let mut s = shard("Z");
         let mut n = NodeState::new(k("10101"));
-        n.father = Some(k("1010"));
+        n.set_father(Some(k("1010")));
         s.install(n);
         let mut fx = Effects::default();
         on_data_insertion(&mut s, &k("10101"), k("10"), false, &mut fx);
@@ -378,11 +378,11 @@ mod tests {
     fn case3_splices_between_father_and_node() {
         let mut s = shard("Z");
         let mut n = NodeState::new(k("10101"));
-        n.father = Some(k("1"));
+        n.set_father(Some(k("1")));
         s.install(n);
         let mut fx = Effects::default();
         on_data_insertion(&mut s, &k("10101"), k("101"), false, &mut fx);
-        assert_eq!(s.nodes[&k("10101")].father, Some(k("101")));
+        assert_eq!(s.nodes[&k("10101")].father(), Some(&k("101")));
         let msgs = sent_to_node(&fx, "1");
         assert_eq!(msgs.len(), 2);
         match msgs[0] {
@@ -406,7 +406,7 @@ mod tests {
         let mut fx = Effects::default();
         on_data_insertion(&mut s, &k("01"), k("10101"), false, &mut fx);
         // Common parent ε with children {01, 10101}; new father set.
-        assert_eq!(s.nodes[&k("01")].father, Some(Key::epsilon()));
+        assert_eq!(s.nodes[&k("01")].father(), Some(&Key::epsilon()));
         let msgs = sent_to_node(&fx, "01");
         assert_eq!(msgs.len(), 2);
         match (&msgs[0], &msgs[1]) {
@@ -427,7 +427,7 @@ mod tests {
     fn case4_routes_up_when_divergence_is_above_father() {
         let mut s = shard("Z");
         let mut n = NodeState::new(k("1010"));
-        n.father = Some(k("10"));
+        n.set_father(Some(k("10")));
         s.install(n);
         let mut fx = Effects::default();
         // GCP(1010, 11) = 1, shorter than father 10 → go up.
@@ -441,12 +441,12 @@ mod tests {
     fn case4_sibling_split_below_father() {
         let mut s = shard("Z");
         let mut n = NodeState::new(k("10101"));
-        n.father = Some(k("1"));
+        n.set_father(Some(k("1")));
         s.install(n);
         let mut fx = Effects::default();
         // GCP(10101, 10111) = 101, longer than father 1 → split here.
         on_data_insertion(&mut s, &k("10101"), k("10111"), false, &mut fx);
-        assert_eq!(s.nodes[&k("10101")].father, Some(k("101")));
+        assert_eq!(s.nodes[&k("10101")].father(), Some(&k("101")));
         let msgs = sent_to_node(&fx, "1");
         assert_eq!(msgs.len(), 3);
         match msgs[0] {
@@ -477,7 +477,7 @@ mod tests {
         let reattach = |father: Option<&str>, at: &str, orphan: &str| {
             let mut s = shard("Z");
             let mut n = NodeState::new(k(at));
-            n.father = father.map(k);
+            n.set_father(father.map(k));
             s.install(n);
             let mut fx = Effects::default();
             on_data_insertion(&mut s, &k(at), k(orphan), true, &mut fx);
@@ -485,7 +485,7 @@ mod tests {
         };
         // Case 2: below us — we list it, it learns its father.
         let (s, fx) = reattach(None, "10", "1011");
-        assert!(s.nodes[&k("10")].children.contains(&k("1011")));
+        assert!(s.nodes[&k("10")].children().contains(&k("1011")));
         let got = sent_to_node(&fx, "1011");
         assert!(matches!(got[..], [NodeMsg::SetFather { father: Some(f) }] if f == &k("10")));
         assert_eq!(fx.out.len(), 1);

@@ -44,7 +44,7 @@ pub fn on_data_removal(shard: &mut PeerShard, node_label: &Key, key: Key, fx: &m
     // The owner is not below us: climb. (Both the `key prefixes us`
     // and the divergence case end up at an ancestor; if the key is
     // absent the walk stops harmlessly at the root region.)
-    let father = p.father.clone();
+    let father = p.father().cloned();
     if let Some(f) = father {
         let own = p_label.gcp_len(&key);
         if key.is_prefix_of(&f) || own <= f.len() {
@@ -72,11 +72,11 @@ pub fn on_remove_child(shard: &mut PeerShard, node_label: &Key, child: Key, fx: 
 /// children or carry data).
 fn dissolve_if_redundant(shard: &mut PeerShard, label: &Key, fx: &mut Effects) {
     let node = shard.nodes.get(label).expect("present");
-    if !node.data.is_empty() || node.children.len() >= 2 {
+    if !node.data.is_empty() || node.children().len() >= 2 {
         return;
     }
-    let father = node.father.clone();
-    let only_child = node.children.first().cloned();
+    let father = node.father().cloned();
+    let only_child = node.children().first().cloned();
     match (father, only_child) {
         (father, Some(c)) => {
             // Lift the only child into our place.
@@ -126,7 +126,7 @@ mod tests {
         let mut s = PeerShard::new(k("ZZZZ"), 1000);
         for (label, father, children, data) in nodes {
             let mut n = NodeState::new(k(label));
-            n.father = father.map(k);
+            n.set_father(father.map(k));
             for c in *children {
                 n.add_child(k(c));
             }

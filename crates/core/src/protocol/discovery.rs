@@ -22,7 +22,7 @@
 
 use crate::key::Key;
 use crate::messages::{DiscoveryMsg, DiscoveryOutcome, Envelope, NodeMsg, QueryKind, RoutePhase};
-use crate::node::NodeState;
+use crate::node::{Link, NodeState};
 use crate::peer::PeerShard;
 use crate::protocol::Effects;
 
@@ -34,16 +34,17 @@ pub fn on_discovery(shard: &mut PeerShard, node_label: &Key, msg: DiscoveryMsg, 
 
 /// Where one up/down visit sends the request next. Borrows only the
 /// node, so the decision outlives the target it was taken against.
+/// Children are named by their index in the node's child set.
 enum Route<'a> {
     /// This node does not cover the target: climb to the father.
     Up(&'a Key),
     /// This node's label is the target.
     Here,
     /// Stay on the target's path: descend to this child.
-    Down(&'a Key),
+    Down(usize),
     /// The target's own node does not exist, but this child's whole
     /// subtree extends the target region.
-    Below(&'a Key),
+    Below(usize),
     /// Only reachable at the root: the target region starts above the
     /// whole tree, so the root's subtree is the covered region.
     Above,
@@ -59,9 +60,9 @@ fn route_down<'a>(node: &'a NodeState, target: &Key) -> Route<'a> {
     if node.label == *target {
         Route::Here
     } else if node.label.is_proper_prefix_of(target) {
-        match node.child_extending(target) {
-            Some(q) if q.is_prefix_of(target) => Route::Down(q),
-            Some(q) if target.is_proper_prefix_of(q) => Route::Below(q),
+        match node.child_extending_at(target) {
+            Some(i) if node.children()[i].is_prefix_of(target) => Route::Down(i),
+            Some(i) if target.is_proper_prefix_of(&node.children()[i]) => Route::Below(i),
             _ => Route::Empty,
         }
     } else if target.is_proper_prefix_of(&node.label) {
@@ -76,12 +77,17 @@ fn route_down<'a>(node: &'a NodeState, target: &Key) -> Route<'a> {
 /// serve the same visit from a follower replica copy
 /// (`protocol::repair`). Returns the label the request moves on to —
 /// up to the father, down to a child, or below the target into a
-/// gather — with `msg` rewritten for that hop, so a caller that owns
-/// the message can forward it without building an envelope. Every
-/// other output (reports, gather branches) goes to `fx`, ahead of the
-/// forward. A visit that ends the route returns `None` and leaves
-/// `msg` spent: its path has moved into the report.
-pub fn route_visit(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) -> Option<Key> {
+/// gather — and the link it followed, with `msg` rewritten for that
+/// hop, so a caller that owns the message can forward it without
+/// building an envelope. Every other output (reports, gather branches)
+/// goes to `fx`, ahead of the forward. A visit that ends the route
+/// returns `None` and leaves `msg` spent: its path has moved into the
+/// report.
+pub fn route_visit(
+    node: &NodeState,
+    msg: &mut DiscoveryMsg,
+    fx: &mut Effects,
+) -> Option<(Key, Link)> {
     // Gather-phase branch visits push no label: their envelopes
     // deliberately carry an empty path (the aggregator counts each
     // partial as one visit via `len().max(1)`, and a one-label branch
@@ -99,7 +105,7 @@ pub fn route_visit(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) -
     // is rewritten, so no hop clones it.
     let route = {
         let target = msg.query.target();
-        match &node.father {
+        match node.father() {
             Some(f) if msg.phase == RoutePhase::Up && !node.label.is_prefix_of(&target) => {
                 Route::Up(f)
             }
@@ -111,15 +117,16 @@ pub fn route_visit(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) -
     let exact = matches!(msg.query, QueryKind::Exact(_));
     // The single clone below is the label the next hop is addressed
     // to (inline: a memcpy).
+    let child = |i: usize| Some((node.children()[i].clone(), Link::Child(i as u32)));
     match route {
-        Route::Up(f) => return Some(f.clone()),
-        Route::Down(q) => {
+        Route::Up(f) => return Some((f.clone(), Link::Father)),
+        Route::Down(i) => {
             msg.phase = RoutePhase::Down;
-            return Some(q.clone());
+            return child(i);
         }
         Route::Here => at_covering_node(node, msg, fx),
         Route::Below(_) | Route::Above | Route::Empty if exact => finish_exact(msg, false, fx),
-        Route::Below(q) => {
+        Route::Below(i) => {
             msg.phase = RoutePhase::Gather;
             // The down-phase walk is complete; report it so the
             // aggregator owns the full route, and treat the forward as
@@ -133,7 +140,7 @@ pub fn route_visit(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) -
                 pending_children: 1,
             };
             fx.send(Envelope::to_client(report.request_id, report));
-            return Some(q.clone());
+            return child(i);
         }
         Route::Above => at_covering_node(node, msg, fx),
         Route::Empty => finish_empty_region(msg, fx),
@@ -145,7 +152,7 @@ pub fn route_visit(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) -
 /// next hop, if any, becomes an envelope in `fx` behind the visit's
 /// other output.
 pub fn on_discovery_at(node: &NodeState, mut msg: DiscoveryMsg, fx: &mut Effects) {
-    if let Some(next) = route_visit(node, &mut msg, fx) {
+    if let Some((next, _)) = route_visit(node, &mut msg, fx) {
         fx.send(Envelope::to_node(next, NodeMsg::Discovery(msg)));
     }
 }
@@ -223,7 +230,7 @@ fn gather(node: &NodeState, msg: &mut DiscoveryMsg, fx: &mut Effects) {
     // splice shifts at most fan-out envelopes — cheaper than running
     // the prune predicate twice.
     let mark = fx.out.len();
-    for c in node.children.iter() {
+    for c in node.children().iter() {
         if !subtree_may_match(&msg.query, c) {
             continue;
         }
@@ -293,9 +300,9 @@ pub fn entry_envelope(entry_node: Key, request_id: u64, query: QueryKind) -> Env
 pub enum VisitGate {
     /// The node is not hosted here (hand-off in flight): retry later.
     Missing,
-    /// Charged and routed; the next hop's label, as [`route_visit`]
-    /// returned it.
-    Delivered(Option<Key>),
+    /// Charged and routed; the next hop's label and link, as
+    /// [`route_visit`] returned them.
+    Delivered(Option<(Key, Link)>),
     /// The peer's capacity is exhausted; offered load was recorded but
     /// the request must be ignored (Section 4's model).
     Dropped,
@@ -352,7 +359,7 @@ mod tests {
         ];
         for (label, father, children, has_data) in spec {
             let mut n = NodeState::new(k(label));
-            n.father = father.map(k);
+            n.set_father(father.map(k));
             for c in *children {
                 n.add_child(k(c));
             }

@@ -95,7 +95,7 @@ pub fn handle_node_msg(shard: &mut PeerShard, node_label: &Key, msg: NodeMsg, fx
                 .nodes
                 .get_mut(node_label)
                 .expect("checked by debug_assert");
-            node.father = father;
+            node.set_father(father);
         }
         NodeMsg::Discovery(msg) => discovery::on_discovery(shard, node_label, msg, fx),
     }

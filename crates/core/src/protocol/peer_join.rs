@@ -43,7 +43,7 @@ pub fn on_peer_join(
         let node = shard.nodes.get(node_label).expect("routed to hosted node");
         (
             node.label.clone(),
-            node.father.clone(),
+            node.father().cloned(),
             node.max_child_le(&joining).cloned(),
         )
     };
@@ -179,7 +179,10 @@ mod tests {
     #[test]
     fn up_phase_climbs_to_father() {
         let mut s = shard_with_nodes("Z", &["1010"]);
-        s.nodes.get_mut(&k("1010")).unwrap().father = Some(k("10"));
+        s.nodes
+            .get_mut(&k("1010"))
+            .unwrap()
+            .set_father(Some(k("10")));
         let mut fx = Effects::default();
         on_peer_join(&mut s, &k("1010"), k("0XYZ"), JoinPhase::Up, &mut fx);
         assert_eq!(fx.out.len(), 1);
@@ -192,7 +195,7 @@ mod tests {
         let mut s = shard_with_nodes("Z", &["0"]);
         {
             let n = s.nodes.get_mut(&k("0")).unwrap();
-            n.father = Some(Key::epsilon());
+            n.set_father(Some(Key::epsilon()));
             n.add_child(k("00"));
             n.add_child(k("0X"));
         }
@@ -206,7 +209,7 @@ mod tests {
     #[test]
     fn descent_hands_over_to_peer_layer_at_bottom() {
         let mut s = shard_with_nodes("Z", &["0X"]);
-        s.nodes.get_mut(&k("0X")).unwrap().father = Some(k("0"));
+        s.nodes.get_mut(&k("0X")).unwrap().set_father(Some(k("0")));
         let mut fx = Effects::default();
         on_peer_join(&mut s, &k("0X"), k("0XYZ"), JoinPhase::Down, &mut fx);
         assert_eq!(fx.out.len(), 1);

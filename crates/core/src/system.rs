@@ -369,7 +369,7 @@ mod tests {
         // No node may ever be its own father.
         for l in sys.node_labels() {
             let node = sys.node(&l).unwrap();
-            assert_ne!(node.father.as_ref(), Some(&l), "{l} is its own father");
+            assert_ne!(node.father(), Some(&l), "{l} is its own father");
         }
     }
 
@@ -938,7 +938,7 @@ mod tests {
         for (label, d) in &depths {
             let mut cur = label.clone();
             let mut walked = 0u32;
-            while let Some(f) = sys.node(&cur).unwrap().father.clone() {
+            while let Some(f) = sys.node(&cur).unwrap().father().cloned() {
                 walked += 1;
                 cur = f;
             }

@@ -255,7 +255,7 @@ proptest! {
                     prop_assert_eq!(n.remove_datum(&labels[d]), data.remove(&labels[d]));
                 }
             }
-            prop_assert!(n.children.iter().eq(children.iter()));
+            prop_assert!(n.children().iter().eq(children.iter()));
             prop_assert!(n.data.iter().eq(data.iter()));
         }
         for t in targets {

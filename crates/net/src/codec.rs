@@ -55,7 +55,7 @@ fn put_key(buf: &mut BytesMut, k: &Key) {
     buf.put_slice(k.as_bytes());
 }
 
-fn put_opt_key(buf: &mut BytesMut, k: &Option<Key>) {
+fn put_opt_key(buf: &mut BytesMut, k: Option<&Key>) {
     match k {
         Some(k) => {
             buf.put_u8(1);
@@ -74,8 +74,8 @@ fn put_keys<'a>(buf: &mut BytesMut, ks: impl ExactSizeIterator<Item = &'a Key>) 
 
 fn put_node_state(buf: &mut BytesMut, n: &NodeState) {
     put_key(buf, &n.label);
-    put_opt_key(buf, &n.father);
-    put_keys(buf, n.children.iter());
+    put_opt_key(buf, n.father());
+    put_keys(buf, n.children().iter());
     put_keys(buf, n.data.iter());
     buf.put_u64_le(n.load);
     buf.put_u64_le(n.prev_load);
@@ -83,7 +83,7 @@ fn put_node_state(buf: &mut BytesMut, n: &NodeState) {
 
 fn put_seed(buf: &mut BytesMut, s: &NodeSeed) {
     put_key(buf, &s.label);
-    put_opt_key(buf, &s.father);
+    put_opt_key(buf, s.father.as_ref());
     put_keys(buf, s.children.iter());
     put_keys(buf, s.data.iter());
 }
@@ -162,7 +162,7 @@ fn put_node_msg(buf: &mut BytesMut, m: &NodeMsg) {
         }
         NodeMsg::SetFather { father } => {
             buf.put_u8(7);
-            put_opt_key(buf, father);
+            put_opt_key(buf, father.as_ref());
         }
         NodeMsg::Reattach { label } => {
             buf.put_u8(8);
@@ -339,8 +339,8 @@ fn get_keys(buf: &mut impl Buf) -> Result<Vec<Key>> {
 fn get_node_state(buf: &mut impl Buf) -> Result<NodeState> {
     let label = get_key(buf)?;
     let mut n = NodeState::new(label);
-    n.father = get_opt_key(buf)?;
-    n.children = key_set(get_keys(buf)?);
+    n.set_father(get_opt_key(buf)?);
+    n.set_children(get_keys(buf)?);
     n.data = key_set(get_keys(buf)?);
     need(buf, 16, "node load counters")?;
     n.load = buf.get_u64_le();
@@ -548,7 +548,7 @@ mod tests {
 
     fn sample_envelopes() -> Vec<Envelope> {
         let mut node = NodeState::new(k("101"));
-        node.father = Some(Key::epsilon());
+        node.set_father(Some(Key::epsilon()));
         node.add_child(k("10101"));
         node.add_datum(k("101"));
         node.load = 7;

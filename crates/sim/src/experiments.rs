@@ -404,7 +404,7 @@ pub fn table2_measure(peers: usize, keys: usize, lookups: usize, seed: u64) -> V
                 2 + s
                     .nodes
                     .values()
-                    .map(|n| n.children.len() + usize::from(n.father.is_some()))
+                    .map(|n| n.children().len() + usize::from(n.father().is_some()))
                     .sum::<usize>()
             })
             .sum();
