@@ -18,11 +18,12 @@
 //!
 //! The sweep itself is the pure function [`best_split`], exhaustively
 //! property-tested; [`rebalance_pair`] applies the chosen boundary by
-//! migrating nodes and renaming `P` (`DlptSystem::rename_peer`), which
-//! preserves the successor-mapping invariant by construction.
+//! moving the nodes between the old and the new boundary as one run
+//! and renaming `P` (`DlptSystem::rename_peer`), which preserves the
+//! successor-mapping invariant by construction.
 
 use super::{random_peer_id, LoadBalancer};
-use crate::key::Key;
+use crate::key::{in_ring_interval, Key};
 use crate::obs::health::AuditCheck;
 use crate::system::DlptSystem;
 use rand::seq::SliceRandom;
@@ -136,25 +137,48 @@ pub fn best_split(loads: &[u64], cap_p: u64, cap_s: u64, current: usize) -> Spli
     best
 }
 
-/// Sorts labels into circular order starting just above `start`:
-/// ascending labels greater than `start`, then (wrapping) ascending
-/// labels at or below it.
+/// Puts ascending labels into circular order starting just above
+/// `start`: the labels greater than `start`, then (wrapping) those at
+/// or below it. [`NodeMap::values`](crate::peer::NodeMap::values)
+/// yields them ascending already, so one rotation at the partition
+/// point does it.
 pub fn circular_from(mut labels: Vec<(Key, u64)>, start: &Key) -> Vec<(Key, u64)> {
-    labels.sort_by(|a, b| a.0.cmp(&b.0));
+    debug_assert!(
+        labels.windows(2).all(|w| w[0].0 < w[1].0),
+        "labels must be ascending"
+    );
     let pivot = labels.partition_point(|(l, _)| l <= start);
     labels.rotate_left(pivot);
     labels
 }
 
-/// Runs one MLT step on peer `s_id` and its predecessor. Returns true
-/// iff the boundary moved.
-pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
-    let Some(s_shard) = sys.shard(s_id) else {
-        return false;
-    };
+/// A boundary move [`rebalance_pair`] chose for a peer `S` and its
+/// predecessor `P`.
+#[derive(Debug)]
+pub(crate) struct BoundaryMove {
+    /// `P`'s identifier before the move.
+    pub p_id: Key,
+    /// `P`'s predecessor `Q`.
+    pub q_id: Key,
+    /// `ν_P ∪ ν_S` with last-unit loads, in circular order over
+    /// `(Q, S]`: `union[..current]` is `P`'s, the rest `S`'s.
+    pub union: Vec<(Key, u64)>,
+    /// `|ν_P|`, the boundary now.
+    pub current: usize,
+    /// The boundary after the move: `union[..split]` ends on `P`.
+    pub split: usize,
+    /// `P`'s identifier after the move.
+    pub new_p_id: Key,
+}
+
+/// Chooses the boundary move for `s_id` and its predecessor: the best
+/// split of [`best_split`] that leaves `P` a free identifier. `None`
+/// when nothing should move. Reads only.
+pub(crate) fn plan_pair(sys: &DlptSystem, s_id: &Key) -> Option<BoundaryMove> {
+    let s_shard = sys.shard(s_id)?;
     let p_id = s_shard.peer.pred.clone();
     if &p_id == s_id {
-        return false; // alone on the ring
+        return None; // alone on the ring
     }
     let cap_s = s_shard.peer.capacity as u64;
     let s_nodes: Vec<(Key, u64)> = s_shard
@@ -162,9 +186,7 @@ pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
         .values()
         .map(|n| (n.label.clone(), n.prev_load))
         .collect();
-    let Some(p_shard) = sys.shard(&p_id) else {
-        return false;
-    };
+    let p_shard = sys.shard(&p_id)?;
     let cap_p = p_shard.peer.capacity as u64;
     let q_id = p_shard.peer.pred.clone();
     let p_nodes: Vec<(Key, u64)> = p_shard
@@ -174,24 +196,20 @@ pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
         .collect();
 
     // Combined sequence in circular order over (Q, S].
-    let mut union = circular_from(p_nodes.clone(), &q_id);
+    let mut union = circular_from(p_nodes, &q_id);
     let current = union.len();
     union.extend(circular_from(s_nodes, &p_id));
     if union.is_empty() {
-        return false;
+        return None;
     }
     let loads: Vec<u64> = union.iter().map(|(_, l)| *l).collect();
-    let eval = best_split(&loads, cap_p, cap_s, current);
-    let mut split = eval.split;
-    if split == current {
-        return false;
-    }
+    let mut split = best_split(&loads, cap_p, cap_s, current).split;
     // The boundary identifier P must move to. split == 0 parks P just
     // above Q; if no identifier fits there, fall back to keeping one
     // node.
     let new_p_id = loop {
         if split == current {
-            return false;
+            return None;
         }
         if split == 0 {
             match sys.config().alphabet.id_between(&q_id, &union[0].0) {
@@ -215,22 +233,46 @@ pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
         }
         break cand;
     };
+    Some(BoundaryMove {
+        p_id,
+        q_id,
+        union,
+        current,
+        split,
+        new_p_id,
+    })
+}
 
-    // Apply: first the migrations, then the rename.
-    for (label, _) in union[..split].iter() {
-        let host = sys.host_of(label).cloned();
-        if host.as_ref() == Some(s_id) {
-            sys.migrate_node(label, &p_id).expect("both peers live");
-        }
+/// Runs one MLT step on peer `s_id` and its predecessor. Returns true
+/// iff the boundary moved.
+///
+/// The nodes between the old and the new boundary change hands as one
+/// run (`Overlay::migrate_run`): `S`'s `union[current..split]` to
+/// `P`, or `P`'s `union[split..current]` to `S`. The union says which
+/// peer holds each node, so no host is looked up; the run is the ring
+/// interval from the node (or peer) before it to its last node, which
+/// is exactly that stretch of the circular order. Then `P` takes its
+/// new identifier (`DlptSystem::rename_peer`).
+pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
+    let Some(m) = plan_pair(sys, s_id) else {
+        return false;
+    };
+    let moved = if m.split > m.current {
+        let last = &m.union[m.split - 1].0;
+        sys.migrate_run(s_id, &m.p_id, |l| in_ring_interval(l, &m.p_id, last))
+    } else {
+        let before = match m.split {
+            0 => &m.q_id,
+            split => &m.union[split - 1].0,
+        };
+        let last = &m.union[m.current - 1].0;
+        sys.migrate_run(&m.p_id, s_id, |l| in_ring_interval(l, before, last))
     }
-    for (label, _) in union[split..].iter() {
-        let host = sys.host_of(label).cloned();
-        if host.as_ref() == Some(&p_id) {
-            sys.migrate_node(label, s_id).expect("both peers live");
-        }
-    }
-    if new_p_id != p_id {
-        sys.rename_peer(&p_id, new_p_id).expect("fresh id checked");
+    .expect("both peers live");
+    debug_assert_eq!(moved, m.split.abs_diff(m.current), "the run is the slice");
+    if m.new_p_id != m.p_id {
+        sys.rename_peer(&m.p_id, m.new_p_id)
+            .expect("fresh id checked");
     }
     // Only the class a boundary move is answerable for.
     debug_assert!(

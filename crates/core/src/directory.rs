@@ -275,9 +275,25 @@ impl Directory {
     pub fn insert(&mut self, label: Key, host: Key) -> u32 {
         let lid = self.intern(&label);
         let hid = self.intern(&host);
+        self.host_at(lid, hid);
+        lid
+    }
+
+    /// [`Directory::insert`] for a host already interned as `hid`: one
+    /// hash (the label's) instead of two. Every relocation of a
+    /// hand-off goes to one host, so its id is interned once per run.
+    pub fn insert_at(&mut self, label: &Key, hid: u32) -> u32 {
+        let lid = self.intern(label);
+        self.host_at(lid, hid);
+        lid
+    }
+
+    /// Makes `hid` the host of label id `lid`, ordering the label if it
+    /// was not live, and advances its epoch.
+    fn host_at(&mut self, lid: u32, hid: u32) {
         if self.recs[lid as usize].host == NONE {
             let at = self
-                .rank(&label)
+                .rank(&self.keys[lid as usize])
                 .expect_err("absent label cannot be in sorted order");
             self.sorted.insert(at, lid);
         }
@@ -288,7 +304,6 @@ impl Directory {
         }
         rec.host = hid;
         rec.epoch += 1;
-        lid
     }
 
     /// Removes `label`; returns true iff it was present.

@@ -112,31 +112,60 @@ impl Engine {
         Ok(())
     }
 
-    /// Moves one node to another peer, updating the directory (whose
-    /// host change bumps the label's epoch, staling every shortcut
-    /// through it). Used by the balancers; counted as balance traffic.
+    /// Moves one node to another peer: the one-label case of
+    /// [`Engine::migrate_run`]. Used by the balancers; counted as
+    /// balance traffic.
     pub(crate) fn migrate_shard_node(&mut self, label: &Key, to: &Key) -> Result<()> {
         let from = self
             .directory
             .host_of(label)
             .cloned()
             .ok_or_else(|| DlptError::UnknownNode(label.to_string()))?;
-        if &from == to {
-            return Ok(());
+        self.migrate_run(&from, to, |l| l == label).map(drop)
+    }
+
+    /// Moves the nodes of `from` whose labels `pick` selects to `to`
+    /// as one run — the MLT boundary move, where "a prefix of the
+    /// combined node sequence" changes hands — and returns how many
+    /// moved. One drain of `from`'s map, one extend of `to`'s, and per
+    /// moved label one directory update (one hash: `to` is interned
+    /// once), whose host change bumps the label's epoch and stales
+    /// every shortcut through it. Each node counts as one balance
+    /// migration.
+    pub(crate) fn migrate_run(
+        &mut self,
+        from: &Key,
+        to: &Key,
+        pick: impl FnMut(&Key) -> bool,
+    ) -> Result<usize> {
+        let live = |id: &Key| self.directory.id_of(id).filter(|&p| self.peers.contains(p));
+        let from_pid = live(from).ok_or_else(|| DlptError::UnknownPeer(from.to_string()))?;
+        let to_pid = live(to).ok_or_else(|| DlptError::UnknownPeer(to.to_string()))?;
+        if from_pid == to_pid {
+            return Ok(0);
         }
-        if self.shard(to).is_none() {
-            return Err(DlptError::UnknownPeer(to.to_string()));
+        let run = self
+            .peers
+            .get_mut(from_pid)
+            .expect("checked")
+            .shard
+            .nodes
+            .drain_where(pick);
+        for node in &run {
+            let lid = self.directory.insert_at(&node.label, to_pid);
+            if self.replication > 1 {
+                self.touched.push(lid);
+            }
         }
-        let node = self
-            .shard_mut(&from)
-            .expect("directory points at live peers")
-            .evict(label)
-            .expect("directory is consistent");
-        self.shard_mut(to).expect("checked").install(node);
-        self.directory.insert(label.clone(), to.clone());
-        self.mark_touched(label);
-        self.stats.balance_migrations += 1;
-        Ok(())
+        let moved = run.len();
+        self.stats.balance_migrations += moved as u64;
+        self.peers
+            .get_mut(to_pid)
+            .expect("checked")
+            .shard
+            .nodes
+            .extend(run);
+        Ok(moved)
     }
 
     /// Changes a peer's identifier in place (the MLT boundary move).
@@ -179,9 +208,9 @@ impl Engine {
         if succ == *old {
             shard.peer.succ = new.clone();
         }
-        let hosted: Vec<Key> = shard.nodes.keys().cloned().collect();
-        for label in hosted {
-            let lid = self.directory.insert(label, new.clone());
+        // One hash per hosted label: the new id is interned already.
+        for label in shard.nodes.keys() {
+            let lid = self.directory.insert_at(label, new_pid);
             if replicated {
                 self.touched.push(lid);
             }

@@ -41,6 +41,8 @@ mod membership;
 pub mod parallel;
 mod replicate;
 #[cfg(test)]
+mod run_moves;
+#[cfg(test)]
 mod slab_props;
 #[cfg(test)]
 mod slot_hints;
@@ -1358,8 +1360,18 @@ impl Engine {
     /// through the fault gate.
     pub(super) fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
         let replicated = self.replication > 1;
+        // A hand-off relocates a whole run to one host: intern it once.
+        let mut last_host: Option<(Key, u32)> = None;
         for (label, host) in fx.relocated.drain(..) {
-            let lid = self.directory.insert(label, host);
+            let hid = match &last_host {
+                Some((h, hid)) if *h == host => *hid,
+                _ => {
+                    let hid = self.directory.intern(&host);
+                    last_host = Some((host, hid));
+                    hid
+                }
+            };
+            let lid = self.directory.insert_at(&label, hid);
             if replicated {
                 self.touched.push(lid);
             }

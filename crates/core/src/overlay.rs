@@ -122,7 +122,7 @@ impl<D: Driver> Overlay<D> {
 
     /// Runs the injected traffic to quiescence, then the eager replica
     /// flush it made necessary.
-    fn settle(&mut self) -> Result<()> {
+    pub(crate) fn settle(&mut self) -> Result<()> {
         self.driver.quiesce(&mut self.engine)?;
         self.engine.flush_replication(&mut self.driver);
         self.driver.quiesce(&mut self.engine)
@@ -207,6 +207,20 @@ impl<D: Driver> Overlay<D> {
     pub fn migrate_node(&mut self, label: &Key, to: &Key) -> Result<()> {
         self.engine.migrate_shard_node(label, to)?;
         self.settle()
+    }
+
+    /// Moves the nodes of `from` whose labels `pick` selects to `to` as
+    /// one run ([`Engine::migrate_run`]), then settles once. Returns
+    /// how many moved.
+    pub(crate) fn migrate_run(
+        &mut self,
+        from: &Key,
+        to: &Key,
+        pick: impl FnMut(&Key) -> bool,
+    ) -> Result<usize> {
+        let moved = self.engine.migrate_run(from, to, pick)?;
+        self.settle()?;
+        Ok(moved)
     }
 
     /// Changes a peer's identifier in place (the MLT boundary move:

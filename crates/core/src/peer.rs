@@ -153,6 +153,14 @@ impl PeerShard {
 /// * `order`: the slots in ascending label order, kept by binary
 ///   search on insert and remove.
 ///
+/// Ownership changes move *runs*: a join takes the arc `(pred_Q, P]`,
+/// a leave hands over all of `ν_L`, an MLT step slides the boundary
+/// over a stretch of the ring. [`NodeMap::drain_where`] and
+/// [`NodeMap::extend`] move such a run in one pass over `order` and
+/// the index plus one hash per moved node, where a `remove`/`insert`
+/// loop would pay two binary searches, a memmove of `order` and two
+/// probes per node.
+///
 /// Every ordered read (`keys`, `values`, [`NodeMap::visit_mut`])
 /// walks `order`, so slab and index order never reach anything
 /// observable; only [`NodeMap::values_mut`], whose callers touch each
@@ -230,19 +238,14 @@ impl NodeMap {
     /// Stores `node` under its own label, returning the state it
     /// replaces.
     pub fn insert(&mut self, node: NodeState) -> Option<NodeState> {
-        if let Ok((_, slot)) = self.probe(&node.label) {
-            return Some(std::mem::replace(&mut self.slab[slot], node));
+        if let Some(old) = self.put(node) {
+            return Some(old);
         }
-        let slot = self.slab.len();
-        let rank = self.rank(&node.label).expect_err("label is not indexed");
+        let slot = self.slab.len() - 1;
+        let rank = self
+            .rank(&self.slab[slot].label)
+            .expect_err("a new label is not ordered yet");
         self.order.insert(rank, slot as u32);
-        self.slab.push(node);
-        // Keep the index at most half full.
-        if 2 * self.slab.len() > self.index.len() {
-            self.rebuild_index((2 * self.index.len()).max(8));
-        } else {
-            self.index_slot(slot);
-        }
         None
     }
 
@@ -263,6 +266,124 @@ impl NodeMap {
             self.order[rank] = slot as u32;
         }
         Some(self.slab.swap_remove(slot))
+    }
+
+    /// Removes every node whose label `pick` selects and returns them
+    /// in ascending label order: the giving side of a hand-off. One
+    /// pass over `order` picks them, in order, so no `rank` is needed;
+    /// each picked label is hashed once to leave the index; the kept
+    /// nodes above the slab's new end move down into the picked slots
+    /// below it, and one sweep over `index` and `order` repoints them.
+    /// No kept node is hashed or compared.
+    pub fn drain_where(&mut self, mut pick: impl FnMut(&Key) -> bool) -> Vec<NodeState> {
+        let slab = &self.slab;
+        let mut picked = Vec::new();
+        self.order.retain(|&s| {
+            let take = pick(&slab[s as usize].label);
+            if take {
+                picked.push(s);
+            }
+            !take
+        });
+        if picked.is_empty() {
+            return Vec::new();
+        }
+        let len = self.slab.len();
+        let keep = len - picked.len();
+        if keep == 0 {
+            self.index.fill(FREE);
+        } else {
+            for &s in &picked {
+                let (at, _) = self
+                    .probe(&self.slab[s as usize].label)
+                    .expect("held labels are indexed");
+                self.unindex(at);
+            }
+        }
+        // Per tail slot (`keep..len`, by offset): whether it is picked,
+        // the hole its kept node moves down to, and the run position of
+        // the picked node that ends there.
+        let mut tail_picked = vec![false; len - keep];
+        for &s in &picked {
+            if s as usize >= keep {
+                tail_picked[s as usize - keep] = true;
+            }
+        }
+        let mut moved_to = vec![0u32; len - keep];
+        let mut run_pos = vec![0u32; len - keep];
+        let mut kept_tail = (keep..len).filter(|&t| !tail_picked[t - keep]);
+        let mut moved = false;
+        for (pos, &s) in picked.iter().enumerate() {
+            let mut at = s as usize;
+            if at < keep {
+                // There are as many kept tail slots as picked slots
+                // below `keep`.
+                let t = kept_tail.next().expect("a kept tail slot per hole");
+                self.slab.swap(at, t);
+                moved_to[t - keep] = at as u32;
+                moved = true;
+                at = t;
+            }
+            run_pos[at - keep] = pos as u32;
+        }
+        let mut run = self.slab.split_off(keep);
+        for i in 0..run.len() {
+            while run_pos[i] as usize != i {
+                let j = run_pos[i] as usize;
+                run.swap(i, j);
+                run_pos.swap(i, j);
+            }
+        }
+        if moved {
+            for e in &mut self.index {
+                let slot = (*e & SLOT) as usize;
+                if *e != FREE && slot >= keep {
+                    *e = *e & !SLOT | moved_to[slot - keep] as u64;
+                }
+            }
+            for s in &mut self.order {
+                if *s as usize >= keep {
+                    *s = moved_to[*s as usize - keep];
+                }
+            }
+        }
+        run
+    }
+
+    /// Stores every node of `run` as [`NodeMap::insert`] would one by
+    /// one (a held label's state is replaced), but places the new
+    /// labels in `order` with one merge instead of a `rank` each: the
+    /// receiving side of a hand-off. `run` may come in any order; a
+    /// drained run is ascending, which the sort passes in one scan.
+    pub fn extend(&mut self, run: Vec<NodeState>) {
+        let first = self.slab.len();
+        for node in run {
+            self.put(node);
+        }
+        let (slab, order) = (&self.slab, &mut self.order);
+        let label = |s: u32| &slab[s as usize].label;
+        let mut fresh: Vec<u32> = (first as u32..slab.len() as u32).collect();
+        fresh.sort_by(|&a, &b| label(a).cmp(label(b)));
+        // Room pushed one entry at a time, so `order`'s capacity grows
+        // exactly as per-node inserts would grow it; then merge from
+        // the back.
+        let mut i = order.len();
+        for _ in &fresh {
+            order.push(0);
+        }
+        let mut j = fresh.len();
+        for w in (0..order.len()).rev() {
+            if j == 0 {
+                break;
+            }
+            if i > 0 && label(order[i - 1]) > label(fresh[j - 1]) {
+                i -= 1;
+                order[w] = order[i];
+            } else {
+                j -= 1;
+                order[w] = fresh[j];
+            }
+        }
     }
 
     /// Labels in ascending order.
@@ -308,10 +429,15 @@ impl NodeMap {
     /// `Err(free position)` where it would be indexed.
     #[inline]
     fn probe(&self, label: &Key) -> Result<(usize, usize), usize> {
+        self.probe_hashed(label, hash_of(label))
+    }
+
+    /// [`NodeMap::probe`] for a label whose hash is known.
+    #[inline]
+    fn probe_hashed(&self, label: &Key, hash: u64) -> Result<(usize, usize), usize> {
         if self.index.is_empty() {
             return Err(0);
         }
-        let hash = hash_of(label);
         let mask = self.index.len() - 1;
         let mut at = self.home(hash);
         loop {
@@ -349,19 +475,44 @@ impl NodeMap {
         self.index[hole] = FREE;
     }
 
-    /// Indexes `slot`, whose label is not indexed yet.
-    fn index_slot(&mut self, slot: usize) {
-        let label = &self.slab[slot].label;
-        let at = self.probe(label).expect_err("labels are unique");
-        self.index[at] = hash_of(label) & !SLOT | slot as u64;
+    /// Stores `node` in the slab and the index but not in `order`:
+    /// `Some` state it replaced, or `None` when it went to the new last
+    /// slot. One hash.
+    fn put(&mut self, node: NodeState) -> Option<NodeState> {
+        let hash = hash_of(&node.label);
+        if let Ok((_, slot)) = self.probe_hashed(&node.label, hash) {
+            return Some(std::mem::replace(&mut self.slab[slot], node));
+        }
+        let slot = self.slab.len();
+        self.slab.push(node);
+        // Keep the index at most half full.
+        if 2 * self.slab.len() > self.index.len() {
+            self.grow_index((2 * self.index.len()).max(8));
+        }
+        self.place(hash & !SLOT | slot as u64);
+        None
     }
 
-    /// Re-indexes every slot into `len` (a power of two) entries.
-    fn rebuild_index(&mut self, len: usize) {
-        self.index.clear();
-        self.index.resize(len, FREE);
-        for slot in 0..self.slab.len() {
-            self.index_slot(slot);
+    /// Stores `entry`, whose label is not indexed, at the first free
+    /// position from its home.
+    fn place(&mut self, entry: u64) {
+        let mask = self.index.len() - 1;
+        let mut at = self.home(entry);
+        while self.index[at] != FREE {
+            at = (at + 1) & mask;
+        }
+        self.index[at] = entry;
+    }
+
+    /// Re-indexes into `len` (a power of two) entries. An entry carries
+    /// its hash's high half, which is all a home needs, so no label is
+    /// hashed again.
+    fn grow_index(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.index, vec![FREE; len]);
+        for e in old {
+            if e != FREE {
+                self.place(e);
+            }
         }
     }
 

@@ -20,6 +20,10 @@ use crate::protocol::Effects;
 /// Emits the departure messages for the peer owning `shard` and drains
 /// its nodes. After this the runtime must drop the shard.
 ///
+/// `ν_L` changes hands as one run, in label order: one drain of the
+/// whole map (no per-node removal), and the successor stores it with
+/// one [`NodeMap::extend`](crate::peer::NodeMap::extend).
+///
 /// * `<TakeOver, (pred_L, ν_L)>` → successor;
 /// * `<UpdateSuccessor, succ_L>` → predecessor.
 pub fn leave(shard: &mut PeerShard, fx: &mut Effects) {
@@ -30,11 +34,9 @@ pub fn leave(shard: &mut PeerShard, fx: &mut Effects) {
         // Last peer of the system: nothing to hand over to.
         return;
     }
-    let labels: Vec<Key> = shard.nodes.keys().cloned().collect();
-    let mut nodes = Vec::with_capacity(labels.len());
-    for l in &labels {
-        fx.relocated.push((l.clone(), succ.clone()));
-        nodes.push(shard.evict(l).expect("listed"));
+    let nodes = shard.nodes.drain_where(|_| true);
+    for n in &nodes {
+        fx.relocated.push((n.label.clone(), succ.clone()));
     }
     fx.send(Envelope::to_peer(
         succ.clone(),
@@ -46,7 +48,8 @@ pub fn leave(shard: &mut PeerShard, fx: &mut Effects) {
     fx.send(Envelope::to_peer(pred, PeerMsg::UpdateSuccessor { succ }));
 }
 
-/// `<TakeOver, (pred, ν)>` on the successor of a leaving peer.
+/// `<TakeOver, (pred, ν)>` on the successor of a leaving peer: `ν`
+/// joins its shard as one run.
 pub fn on_take_over(shard: &mut PeerShard, pred: Key, nodes: Vec<NodeState>, _fx: &mut Effects) {
     if pred == shard.peer.id {
         // The leaver was the only other peer: both links collapse to
@@ -57,9 +60,7 @@ pub fn on_take_over(shard: &mut PeerShard, pred: Key, nodes: Vec<NodeState>, _fx
     } else {
         shard.peer.pred = pred;
     }
-    for n in nodes {
-        shard.install(n);
-    }
+    shard.nodes.extend(nodes);
 }
 
 #[cfg(test)]

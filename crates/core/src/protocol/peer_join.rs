@@ -93,7 +93,12 @@ fn descend(
     }
 }
 
-/// Algorithm 2: `<NewPredecessor, P>` on peer `Q`.
+/// Algorithm 2: `<NewPredecessor, P>` on peer `Q`. The split hands
+/// `ν_P` over as one run: a single
+/// [`NodeMap::drain_where`](crate::peer::NodeMap::drain_where) over
+/// `Q`'s label order selects the arc, and `P` stores it with one
+/// [`NodeMap::extend`](crate::peer::NodeMap::extend)
+/// ([`on_your_information`]).
 pub fn on_new_predecessor(shard: &mut PeerShard, joining: Key, fx: &mut Effects) {
     let q_id = shard.peer.id.clone();
     if joining == q_id {
@@ -110,18 +115,12 @@ pub fn on_new_predecessor(shard: &mut PeerShard, joining: Key, fx: &mut Effects)
     }
     // Lines 2.05–2.10: P becomes our predecessor. Hand over every node
     // in the arc (pred_Q, P] — exactly `ν_P = {n ∈ ν_Q : n <= P}` of
-    // line 2.06, phrased circularly.
-    let handed_labels: Vec<Key> = shard
+    // line 2.06, phrased circularly — as one run, in label order.
+    let handed = shard
         .nodes
-        .keys()
-        .filter(|n| in_ring_interval(n, &pred, &joining))
-        .cloned()
-        .collect();
-    let mut handed: Vec<NodeState> = Vec::with_capacity(handed_labels.len());
-    for l in &handed_labels {
-        let node = shard.evict(l).expect("label was just listed");
-        fx.relocated.push((l.clone(), joining.clone()));
-        handed.push(node);
+        .drain_where(|n| in_ring_interval(n, &pred, &joining));
+    for n in &handed {
+        fx.relocated.push((n.label.clone(), joining.clone()));
     }
     // When we were alone, pred == q_id and both of P's links point at
     // us — the same expression covers both cases.
@@ -144,7 +143,8 @@ pub fn on_new_predecessor(shard: &mut PeerShard, joining: Key, fx: &mut Effects)
     shard.peer.pred = joining; // line 2.10
 }
 
-/// `<YourInformation, (pred, succ, ν)>` on the joining peer.
+/// `<YourInformation, (pred, succ, ν)>` on the joining peer: `ν`
+/// joins its (empty) shard as one run.
 pub fn on_your_information(
     shard: &mut PeerShard,
     pred: Key,
@@ -154,9 +154,7 @@ pub fn on_your_information(
 ) {
     shard.peer.pred = pred;
     shard.peer.succ = succ;
-    for n in nodes {
-        shard.install(n);
-    }
+    shard.nodes.extend(nodes);
 }
 
 #[cfg(test)]

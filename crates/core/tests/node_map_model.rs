@@ -15,6 +15,12 @@
 //! removals of the last slab slot and of a middle one all happen in
 //! every run, and the index grows and shifts entries back on removal.
 //! A few labels are longer than the inline key capacity (heap-spilled).
+//! The run operations of a hand-off are in the mix: `drain_where`
+//! (over a label interval or an arbitrary subset) must return exactly
+//! the model's selected entries in ascending order, and `extend` (a
+//! run of absent labels, ascending or descending, often growing the
+//! index) must leave the map equal to the model; after either, every
+//! label of the universe is probed under every hint.
 //!
 //! The sorted child/data vectors of [`NodeState`] are checked the same
 //! way against a `BTreeSet`: the set edits, `max_child_le`,
@@ -59,6 +65,40 @@ enum Op {
     Probe(usize, u64),
     VisitMut,
     ValuesMut,
+    /// `drain_where` over a selection of the universe.
+    Drain(Pick),
+    /// `extend` with the absent labels of a mask over the universe,
+    /// ascending or (`true`) descending.
+    Extend(u64, u64, bool),
+}
+
+/// Which labels a drain takes.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// Labels between two universe labels, both ends included.
+    Between(usize, usize),
+    /// Universe positions set in a 128-bit mask (two halves).
+    Mask(u64, u64),
+}
+
+impl Pick {
+    fn takes(self, labels: &[Key], label: &Key) -> bool {
+        match self {
+            Pick::Between(a, b) => {
+                let (lo, hi) = (&labels[a], &labels[b]);
+                lo.min(hi) <= label && label <= lo.max(hi)
+            }
+            Pick::Mask(low, high) => in_mask(labels, label, low, high),
+        }
+    }
+}
+
+fn in_mask(labels: &[Key], label: &Key, low: u64, high: u64) -> bool {
+    let i = labels
+        .iter()
+        .position(|l| l == label)
+        .expect("universe label");
+    (if i < 64 { low >> i } else { high >> (i - 64) }) & 1 == 1
 }
 
 fn op(labels: usize) -> impl Strategy<Value = Op> {
@@ -69,6 +109,9 @@ fn op(labels: usize) -> impl Strategy<Value = Op> {
         (0..labels, 0u64..1000).prop_map(|(l, v)| Op::Probe(l, v)),
         Just(Op::VisitMut),
         Just(Op::ValuesMut),
+        (0..labels, 0..labels).prop_map(|(a, b)| Op::Drain(Pick::Between(a, b))),
+        (any::<u64>(), any::<u64>()).prop_map(|(l, h)| Op::Drain(Pick::Mask(l, h))),
+        (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(l, h, r)| Op::Extend(l, h, r)),
     ]
 }
 
@@ -91,6 +134,13 @@ fn assert_same(map: &NodeMap, model: &BTreeMap<Key, NodeState>) {
     assert_eq!(map.keys().len(), model.len());
 }
 
+/// The ordered mutable visit against the model (it changes nothing).
+fn assert_visit_order(map: &mut NodeMap, model: &BTreeMap<Key, NodeState>) {
+    let mut seen = Vec::new();
+    map.visit_mut(|n| seen.push(n.label.clone()));
+    assert!(seen.iter().eq(model.keys()), "visit order");
+}
+
 /// `find` under every hint in `0..len + 2` lands on exactly the node
 /// `get` returns (the same slab slot, not merely an equal state).
 fn assert_hints(map: &NodeMap, label: &Key) {
@@ -109,7 +159,7 @@ fn run(ops: &[Op]) {
     for (i, &op) in ops.iter().enumerate() {
         let touched = match op {
             Op::Insert(l, _) | Op::Remove(l) | Op::Probe(l, _) => l,
-            Op::VisitMut | Op::ValuesMut => i % labels.len(),
+            _ => i % labels.len(),
         };
         match op {
             Op::Insert(l, v) => {
@@ -160,9 +210,41 @@ fn run(ops: &[Op]) {
                     n.roll_unit();
                 }
             }
+            Op::Drain(pick) => {
+                let got = map.drain_where(|l| pick.takes(&labels, l));
+                let taken: Vec<Key> = model
+                    .keys()
+                    .filter(|l| pick.takes(&labels, l))
+                    .cloned()
+                    .collect();
+                let want: Vec<NodeState> = taken
+                    .iter()
+                    .map(|l| model.remove(l).expect("listed"))
+                    .collect();
+                assert_eq!(got, want, "drain {pick:?}");
+            }
+            Op::Extend(low, high, descending) => {
+                let mut run: Vec<NodeState> = labels
+                    .iter()
+                    .filter(|l| in_mask(&labels, l, low, high) && !model.contains_key(l))
+                    .map(|l| node(l, low ^ high))
+                    .collect();
+                run.sort_by(|a, b| a.label.cmp(&b.label));
+                if descending {
+                    run.reverse();
+                }
+                for n in &run {
+                    model.insert(n.label.clone(), n.clone());
+                }
+                map.extend(run);
+            }
         }
         assert_same(&map, &model);
-        assert_hints(&map, &labels[touched]);
+        assert_visit_order(&mut map, &model);
+        match op {
+            Op::Drain(_) | Op::Extend(..) => labels.iter().for_each(|l| assert_hints(&map, l)),
+            _ => assert_hints(&map, &labels[touched]),
+        }
     }
     // Every label of the universe, present or not, probes alike.
     for label in &labels {
@@ -291,6 +373,44 @@ fn removing_the_last_and_a_middle_slot() {
     ops.push(Op::Remove(at(k("0"))));
     ops.push(Op::VisitMut);
     ops.extend((0..labels.len()).map(|l| Op::Probe(l, 5)));
+    run(&ops);
+}
+
+/// Runs at the edges, with slab slots in insertion order: a drain that
+/// takes nothing, one that takes the last slot, one whose slots
+/// interleave with kept ones (kept tail nodes move down into both
+/// holes), an extend that grows the index from 16 to 256 entries, a
+/// drain of everything and an extend into the emptied map.
+#[test]
+fn runs_at_the_edges() {
+    let labels = universe();
+    let mask = |keys: &[&str]| {
+        let (mut low, mut high) = (0u64, 0u64);
+        for s in keys {
+            let i = labels.iter().position(|l| *l == Key::from(*s)).unwrap();
+            if i < 64 {
+                low |= 1 << i;
+            } else {
+                high |= 1 << (i - 64);
+            }
+        }
+        Pick::Mask(low, high)
+    };
+    let at = |s: &str| labels.iter().position(|l| *l == Key::from(s)).unwrap();
+    let mut ops: Vec<Op> = ["0", "1", "00", "01", "10", "11"]
+        .iter()
+        .map(|s| Op::Insert(at(s), 1))
+        .collect();
+    ops.push(Op::Drain(mask(&[])));
+    // "11" sits in the last slot.
+    ops.push(Op::Drain(mask(&["11"])));
+    // Slots 0 and 2 go; "01" and "10" (slots 3 and 4) fill them.
+    ops.push(Op::Drain(mask(&["0", "00"])));
+    ops.push(Op::Extend(u64::MAX, u64::MAX, false));
+    ops.push(Op::Drain(mask(&["0", "00", "000", "0000", "00000"])));
+    ops.push(Op::Drain(Pick::Mask(u64::MAX, u64::MAX)));
+    ops.push(Op::Extend(u64::MAX, 0, true));
+    ops.push(Op::Drain(Pick::Between(at("01"), at("1"))));
     run(&ops);
 }
 
