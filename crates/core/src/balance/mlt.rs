@@ -25,6 +25,7 @@
 use super::{random_peer_id, LoadBalancer};
 use crate::key::{in_ring_interval, Key};
 use crate::obs::health::AuditCheck;
+use crate::overlay::{Driver, Overlay};
 use crate::system::DlptSystem;
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -174,7 +175,7 @@ pub(crate) struct BoundaryMove {
 /// Chooses the boundary move for `s_id` and its predecessor: the best
 /// split of [`best_split`] that leaves `P` a free identifier. `None`
 /// when nothing should move. Reads only.
-pub(crate) fn plan_pair(sys: &DlptSystem, s_id: &Key) -> Option<BoundaryMove> {
+pub(crate) fn plan_pair<D: Driver>(sys: &Overlay<D>, s_id: &Key) -> Option<BoundaryMove> {
     let s_shard = sys.shard(s_id)?;
     let p_id = s_shard.peer.pred.clone();
     if &p_id == s_id {
@@ -253,7 +254,7 @@ pub(crate) fn plan_pair(sys: &DlptSystem, s_id: &Key) -> Option<BoundaryMove> {
 /// interval from the node (or peer) before it to its last node, which
 /// is exactly that stretch of the circular order. Then `P` takes its
 /// new identifier (`DlptSystem::rename_peer`).
-pub fn rebalance_pair(sys: &mut DlptSystem, s_id: &Key) -> bool {
+pub fn rebalance_pair<D: Driver>(sys: &mut Overlay<D>, s_id: &Key) -> bool {
     let Some(m) = plan_pair(sys, s_id) else {
         return false;
     };

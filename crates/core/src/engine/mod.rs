@@ -46,6 +46,8 @@ mod run_moves;
 mod slab_props;
 #[cfg(test)]
 mod slot_hints;
+#[cfg(test)]
+mod write_chains;
 
 use crate::cache::{self, CacheStats, RouteCache};
 use crate::directory::{Directory, FxHashMap, FxHashSet};
@@ -56,7 +58,7 @@ use crate::messages::{
     Address, DiscoveryMsg, DiscoveryOutcome, Envelope, Message, NodeMsg, PeerMsg, QueryKind,
 };
 use crate::metrics::SystemStats;
-use crate::node::NodeState;
+use crate::node::{Link, NodeState};
 use crate::obs::health::HealthTiming;
 use crate::obs::{EventKind, TraceEvent, TraceRing, Tracer};
 use crate::peer::PeerShard;
@@ -83,8 +85,9 @@ pub trait Transport {
     fn deliver(&mut self, env: Envelope);
 
     /// Whether queuing through this transport is immediate FIFO work.
-    /// It has exactly two uses: hop chaining ([`Engine::deliver`]),
-    /// taken up only while no fault plan is active, since
+    /// It has exactly two uses: hop chaining ([`Engine::deliver`]: an
+    /// exact lookup's hops, and with [`Transport::idle`] every lone
+    /// forward), taken up only while no fault plan is active, since
     /// fault-injecting runs must observe every hop — and eager judging:
     /// FIFO order delivers a parent's response before its children's,
     /// so only here may a request finalize the moment no branch is
@@ -93,6 +96,14 @@ pub trait Transport {
     /// can transiently touch zero, and requests are judged at
     /// quiescence ([`Engine::finish_request`]).
     fn synchronous(&self) -> bool {
+        false
+    }
+
+    /// Whether nothing is queued, so that an envelope queued now would
+    /// be the next one delivered. A synchronous transport that reports
+    /// it lets a delivery whose only effect is one envelope run that
+    /// envelope inline ([`Engine::deliver`]).
+    fn idle(&self) -> bool {
         false
     }
 }
@@ -113,6 +124,10 @@ impl Transport for FifoTransport {
 
     fn synchronous(&self) -> bool {
         true
+    }
+
+    fn idle(&self) -> bool {
+        self.queue.is_empty()
     }
 }
 
@@ -528,6 +543,12 @@ pub struct Engine {
     /// [`parallel::ParallelPump`] batch took, read by
     /// [`Engine::collect_health`] into the snapshot's timing section.
     pub(crate) pump_timing: HealthTiming,
+    /// Messages processed under the running [`Engine::with_hop_budget`]
+    /// — every delivery attempt, chained hops included.
+    hops: usize,
+    /// The most messages the running drain may process (unbounded
+    /// outside [`Engine::with_hop_budget`]).
+    hop_budget: usize,
 }
 
 impl Default for Engine {
@@ -557,6 +578,8 @@ impl Default for Engine {
             cache_stats: CacheStats::default(),
             tracer: Tracer::Noop,
             pump_timing: HealthTiming::default(),
+            hops: 0,
+            hop_budget: usize::MAX,
         }
     }
 }
@@ -1094,6 +1117,37 @@ impl Engine {
     // The state machine
     // ------------------------------------------------------------------
 
+    /// Runs `drain` with at most `budget` messages processed, and fails
+    /// it with [`DlptError::HopBudgetExhausted`] past that — the
+    /// tripwire for routing cycles, which the protocol makes
+    /// impossible. Every delivery attempt counts, whether the runtime
+    /// popped it or a chain ran it inline: a cycle inside one chain
+    /// never returns to the runtime's loop, so only the engine can
+    /// count it.
+    pub fn with_hop_budget<R>(
+        &mut self,
+        budget: usize,
+        drain: impl FnOnce(&mut Engine) -> Result<R>,
+    ) -> Result<R> {
+        let outer = (self.hops, self.hop_budget);
+        (self.hops, self.hop_budget) = (0, budget);
+        let res = drain(self);
+        (self.hops, self.hop_budget) = outer;
+        res
+    }
+
+    /// Counts one delivery attempt against the hop budget.
+    #[inline]
+    fn count_hop(&mut self) -> Result<()> {
+        self.hops += 1;
+        if self.hops > self.hop_budget {
+            return Err(DlptError::HopBudgetExhausted {
+                budget: self.hop_budget,
+            });
+        }
+        Ok(())
+    }
+
     /// Processes one envelope: the single implementation of the
     /// dispatch every runtime used to mirror. Capacity charging,
     /// per-kind counters, discovery handling with replica failover,
@@ -1102,15 +1156,28 @@ impl Engine {
     /// here.
     ///
     /// Hop chaining: on a [synchronous](Transport::synchronous)
-    /// transport, an exact-query discovery visit whose only effect is
-    /// the next hop runs that hop inline instead of round-tripping it
-    /// through the queue, and a visit whose only effect is the
-    /// client's report delivers that report inline. An exact query has
-    /// exactly one envelope in flight, so the chained run performs the
-    /// identical state-change sequence the queued run would — it only
-    /// skips the push/pop. A chained hop that cannot deliver yet
-    /// re-enters the transport exactly as an unchained forward would
-    /// have (a fresh queued envelope, not a requeue of its ancestor).
+    /// transport with no fault plan, a delivery whose only effect is
+    /// the next envelope runs that envelope inline instead of
+    /// round-tripping it through the queue. Two chains do so:
+    ///
+    /// * an exact-query discovery visit's next hop, and the client's
+    ///   report of its last visit (`deliver_visits`): an exact query
+    ///   has exactly one envelope in flight;
+    /// * any other step's lone envelope, unless it is a discovery
+    ///   visit or a client response, while the transport is
+    ///   [idle](Transport::idle) (`deliver_step`): the forwards of
+    ///   registrations, removals, crash repair, the host search and
+    ///   joins. Queued, that envelope would have been the next one
+    ///   delivered.
+    ///
+    /// Either way the chained run performs the identical state-change
+    /// sequence the queued run would — it only skips the push and the
+    /// pop. A chained hop follows the tree link it took by the label
+    /// id its node memoised on that link ([`follow_link`]), so it
+    /// probes no hash; one that cannot deliver yet re-enters the
+    /// transport exactly as an unchained forward would have (a fresh
+    /// queued envelope, not a requeue of its ancestor). Chained hops
+    /// count against the hop budget ([`Engine::with_hop_budget`]).
     pub fn deliver<T: Transport>(&mut self, t: &mut T, env: Envelope) -> Result<Step> {
         // The scratch effect buffer is checked out once for the whole
         // chain, not once per hop.
@@ -1127,14 +1194,24 @@ impl Engine {
         res
     }
 
+    /// What becomes of `env` when its destination does not resolve yet
+    /// (peer unknown, node in flight between shards): the runtime
+    /// requeues the envelope it handed in, while a chained hop enters
+    /// the transport fresh, as the forward it stands for would have.
+    fn not_yet<T: Transport>(&mut self, t: &mut T, env: Envelope, chained: bool) -> Step {
+        if chained {
+            self.send(t, env);
+            return Step::Done;
+        }
+        Step::Requeue(env)
+    }
+
     /// Delivers a discovery message to node `label`, and on to the
     /// next node while hops chain (see [`Engine::deliver`]). The chain
     /// owns the destination and the message and rewrites both in
-    /// place: a chained hop builds no envelope, and it follows the tree
-    /// link it took by the label id the node memoised on that link, so
-    /// it probes no hash. The first hop over a link since its last edit
-    /// fills the memo with one [`Directory::id_of`]; the entry hop is
-    /// addressed by `Key` and resolved like any queued envelope.
+    /// place: a chained hop builds no envelope, and it resolves the
+    /// next node through the link it took ([`follow_link`]). The entry
+    /// hop is addressed by `Key` and resolved like any queued envelope.
     fn deliver_visits<T: Transport>(
         &mut self,
         t: &mut T,
@@ -1150,6 +1227,7 @@ impl Engine {
         // `label`'s id, when the link this chain arrived over had it.
         let mut known: Option<u32> = None;
         loop {
+            self.count_hop()?;
             // The directory record gives host id and the node's slot
             // hint: by id when the link memoised it, else by one hash
             // of the label. A hinted visit then probes no hash either.
@@ -1181,17 +1259,8 @@ impl Engine {
                             if let (true, discovery::VisitGate::Delivered(Some((next, link)))) =
                                 (chains, &gate)
                             {
-                                // A memo, not a hint: only an edit of
-                                // the link changes what it names, and
-                                // every edit clears it.
                                 let node = shard.nodes.at_mut(slot);
-                                known = node.link_id(*link);
-                                if known.is_none() {
-                                    known = self.directory.id_of(next);
-                                    if let Some(id) = known {
-                                        node.remember_link_id(*link, id);
-                                    }
-                                }
+                                known = follow_link(&self.directory, node, *link, next);
                             }
                             Some((lid, hid, gate))
                         }
@@ -1200,11 +1269,7 @@ impl Engine {
             };
             let Some((lid, hid, gate)) = gate else {
                 let env = Envelope::to_node(label, NodeMsg::Discovery(m));
-                if chained {
-                    self.send(t, env);
-                    return Ok(Step::Done);
-                }
-                return Ok(Step::Requeue(env));
+                return Ok(self.not_yet(t, env, chained));
             };
             let next = match gate {
                 discovery::VisitGate::Delivered(next) => next,
@@ -1247,7 +1312,7 @@ impl Engine {
                     }
                     None if fx.out.len() == 1 => {
                         let report = fx.out.pop().expect("length checked");
-                        return self.deliver_step(t, report, fx);
+                        return self.deliver_report(t, report.msg);
                     }
                     _ => {}
                 }
@@ -1260,105 +1325,161 @@ impl Engine {
         }
     }
 
-    /// Processes one envelope that is not a discovery visit.
+    /// Delivers a message addressed to the client: a discovery branch's
+    /// report, into its request's aggregation.
+    #[inline]
+    fn deliver_report<T: Transport>(&mut self, t: &T, msg: Message) -> Result<Step> {
+        let Message::ClientResponse(outcome) = msg else {
+            return Err(DlptError::Undeliverable("client".into()));
+        };
+        let eager = self.judges_eagerly(t);
+        self.client_response(outcome, eager);
+        Ok(Step::Done)
+    }
+
+    /// Processes one envelope that is not a discovery visit, and on to
+    /// the next while steps chain (see [`Engine::deliver`]). A node
+    /// message's handler works on the slot resolved here and reports
+    /// the link its lone forward followed, by which the chained hop
+    /// resolves its node.
     fn deliver_step<T: Transport>(
         &mut self,
         t: &mut T,
         env: Envelope,
         fx: &mut Effects,
     ) -> Result<Step> {
+        let chains = self.inline(t);
         // Destructure: addresses are matched by move, so the hot path
         // clones no `Address` (a requeue rebuilds the envelope from the
         // owned parts).
-        let Envelope { to, msg } = env;
-        match to {
-            Address::Client(_) => {
-                if let Message::ClientResponse(outcome) = msg {
-                    let eager = self.judges_eagerly(t);
-                    self.client_response(outcome, eager);
-                    Ok(Step::Done)
-                } else {
-                    Err(DlptError::Undeliverable("client".into()))
-                }
-            }
-            Address::Peer(id) => {
-                // One interner probe replaces the `BTreeSet` membership
-                // walk: a peer is live iff its id has a slab slot.
-                let Some(pid) = self
-                    .directory
-                    .id_of(&id)
-                    .filter(|&p| self.peers.contains(p))
-                else {
-                    return Ok(Step::Requeue(Envelope::to_address(Address::Peer(id), msg)));
-                };
-                // Replication traffic is counted apart so the k = 1
-                // system's stats stay byte-identical.
-                if is_replication_msg(&msg) {
-                    self.repl_stats.replication_messages += 1;
-                } else {
-                    count_message(&mut self.stats, &msg);
-                }
-                // Track a freshly created root before the seed moves.
-                let new_root = match &msg {
-                    Message::Peer(PeerMsg::Host { seed }) if seed.father.is_none() => {
-                        Some(seed.label.clone())
+        let Envelope { mut to, mut msg } = env;
+        let mut chained = false;
+        // The id of `to`'s label, when the link this chain arrived over
+        // had it.
+        let mut known: Option<u32> = None;
+        loop {
+            self.count_hop()?;
+            // The host id and slot of the node whose handler ran, and
+            // the link its lone forward took.
+            let mut followed: Option<(u32, u32, Link)> = None;
+            match to {
+                Address::Client(_) => return self.deliver_report(t, msg),
+                Address::Peer(id) => {
+                    // One interner probe replaces the `BTreeSet`
+                    // membership walk: a peer is live iff its id has a
+                    // slab slot.
+                    let Some(pid) = self
+                        .directory
+                        .id_of(&id)
+                        .filter(|&p| self.peers.contains(p))
+                    else {
+                        let env = Envelope::to_address(Address::Peer(id), msg);
+                        return Ok(self.not_yet(t, env, chained));
+                    };
+                    // Replication traffic is counted apart so the k = 1
+                    // system's stats stay byte-identical.
+                    if is_replication_msg(&msg) {
+                        self.repl_stats.replication_messages += 1;
+                    } else {
+                        count_message(&mut self.stats, &msg);
                     }
-                    _ => None,
-                };
-                let slot = self.peers.get_mut(pid).expect("checked above");
-                match msg {
-                    Message::Peer(m) => protocol::handle_peer_msg(&mut slot.shard, m, fx),
-                    _ => return Err(DlptError::Undeliverable(format!("{id}"))),
+                    // Track a freshly created root before the seed moves.
+                    let new_root = match &msg {
+                        Message::Peer(PeerMsg::Host { seed }) if seed.father.is_none() => {
+                            Some(seed.label.clone())
+                        }
+                        _ => None,
+                    };
+                    let slot = self.peers.get_mut(pid).expect("checked above");
+                    match msg {
+                        Message::Peer(m) => protocol::handle_peer_msg(&mut slot.shard, m, fx),
+                        _ => return Err(DlptError::Undeliverable(format!("{id}"))),
+                    }
+                    if let Some(label) = new_root {
+                        if fx.relocated.iter().any(|(l, _)| l == &label) {
+                            self.root = Some(label);
+                        }
+                    }
                 }
-                if let Some(label) = new_root {
-                    if fx.relocated.iter().any(|(l, _)| l == &label) {
+                Address::Node(label) => {
+                    let Message::Node(m) = msg else {
+                        return Err(DlptError::Undeliverable(format!("{label}: {msg:?}")));
+                    };
+                    // As in `deliver_visits`: the record by id or by
+                    // one hash, then the hinted slot, which the handler
+                    // takes instead of probing.
+                    let located = match known {
+                        Some(lid) => self.directory.resolve_id(lid),
+                        None => self.directory.resolve(&label),
+                    };
+                    let hosted = located.and_then(|(lid, hid, hint)| {
+                        let shard = &mut self.peers.get_mut(hid)?.shard;
+                        let slot = shard.nodes.find(&label, hint)?;
+                        Some((lid, hid, slot, shard))
+                    });
+                    let Some((lid, hid, slot, shard)) = hosted else {
+                        let env = Envelope::to_node(label, m);
+                        return Ok(self.not_yet(t, env, chained));
+                    };
+                    count_node_msg(&mut self.stats, &m);
+                    // A node told it has no father is the root.
+                    if matches!(m, NodeMsg::SetFather { father: None }) {
                         self.root = Some(label);
                     }
+                    let link = protocol::dispatch_node_msg(shard, slot, m, fx);
+                    self.directory.set_slot(lid, slot);
+                    if self.replication > 1 {
+                        self.touched.push(lid);
+                    }
+                    // Any non-discovery node message may have mutated
+                    // the node's structure: advance its epoch so
+                    // learned shortcuts re-validate.
+                    self.directory.bump_epoch_id(lid);
+                    followed = link.map(|link| (hid, slot, link));
                 }
-                self.apply(fx, t);
-                Ok(Step::Done)
             }
-            Address::Node(label) => {
-                let Message::Node(m) = msg else {
-                    return Err(DlptError::Undeliverable(format!("{label}: {msg:?}")));
-                };
-                // The slot hint spares the existence check its hash
-                // probe; the handler then probes once.
-                let hosted = self.directory.resolve(&label).and_then(|(lid, hid, hint)| {
-                    let shard = &mut self.peers.get_mut(hid)?.shard;
-                    let slot = shard.nodes.find(&label, hint)?;
-                    Some((lid, slot, shard))
-                });
-                let Some((lid, slot, shard)) = hosted else {
-                    return Ok(Step::Requeue(Envelope::to_node(label, m)));
-                };
-                count_node_msg(&mut self.stats, &m);
-                // A node told it has no father is the root.
-                if matches!(m, NodeMsg::SetFather { father: None }) {
-                    self.root = Some(label.clone());
-                }
-                protocol::handle_node_msg(shard, &label, m, fx);
-                self.directory.set_slot(lid, slot);
-                if self.replication > 1 {
-                    self.touched.push(lid);
-                }
-                // Any non-discovery node message may have mutated the
-                // node's structure: advance its epoch so learned
-                // shortcuts re-validate.
-                self.directory.bump_epoch_id(lid);
+            let lone = chains
+                && fx.out.len() == 1
+                && t.idle()
+                && !matches!(
+                    fx.out[0].msg,
+                    Message::Node(NodeMsg::Discovery(_)) | Message::ClientResponse(_)
+                );
+            if !lone {
                 self.apply(fx, t);
-                Ok(Step::Done)
+                return Ok(Step::Done);
             }
+            self.apply_moves(fx);
+            let next = fx.out.pop().expect("length checked");
+            known = match (followed, &next.to) {
+                (Some((hid, slot, link)), Address::Node(label)) => {
+                    let shard = &mut self.peers.get_mut(hid).expect("handler's host").shard;
+                    follow_link(&self.directory, shard.nodes.at_mut(slot), link, label)
+                }
+                _ => None,
+            };
+            Envelope { to, msg } = next;
+            chained = true;
         }
     }
 
     /// Applies (and drains) the effect buffers, leaving `fx` empty with
     /// its capacity intact so callers can reuse it allocation-free:
-    /// relocations update the directory (and schedule re-replication),
-    /// dissolutions drop the label (which stales every shortcut through
-    /// it) and clear a dissolved root, outgoing envelopes enter `t`
+    /// relocations and dissolutions go to the directory
+    /// ([`Engine::apply_moves`]), then outgoing envelopes enter `t`
     /// through the fault gate.
     pub(super) fn apply<T: Transport>(&mut self, fx: &mut Effects, t: &mut T) {
+        self.apply_moves(fx);
+        for env in fx.out.drain(..) {
+            self.send(t, env);
+        }
+    }
+
+    /// Drains `fx`'s relocations and dissolutions into the directory:
+    /// relocations update it (and schedule re-replication),
+    /// dissolutions drop the label (which stales every shortcut
+    /// through it) and clear a dissolved root.
+    fn apply_moves(&mut self, fx: &mut Effects) {
         let replicated = self.replication > 1;
         // A hand-off relocates a whole run to one host: intern it once.
         let mut last_host: Option<(Key, u32)> = None;
@@ -1390,9 +1511,6 @@ impl Engine {
             if self.root.as_ref() == Some(&label) {
                 self.root = None; // recomputed by the runtime
             }
-        }
-        for env in fx.out.drain(..) {
-            self.send(t, env);
         }
     }
 
@@ -1426,6 +1544,21 @@ impl Engine {
             }
         }
     }
+}
+
+/// The label id of `next`, which `node` reaches over `link`: the id
+/// memoised on the link, or — on the first hop over the link since its
+/// last edit — one [`Directory::id_of`], which fills the memo. A memo,
+/// not a hint: only an edit of the link changes what it names, and
+/// every edit clears it. `None` when `next` was never interned.
+#[inline(always)]
+fn follow_link(directory: &Directory, node: &mut NodeState, link: Link, next: &Key) -> Option<u32> {
+    if let Some(id) = node.link_id(link) {
+        return Some(id);
+    }
+    let id = directory.id_of(next)?;
+    node.remember_link_id(link, id);
+    Some(id)
 }
 
 /// The response resolving a discovery branch whose visit was refused
@@ -1518,6 +1651,7 @@ mod tests {
             ]
         );
         assert!(t.synchronous());
+        assert!(!t.idle() && FifoTransport::default().idle());
     }
 
     fn report(id: u64, path: Vec<Key>, results: Vec<Key>, pending: u32) -> DiscoveryOutcome {

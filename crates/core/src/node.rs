@@ -266,15 +266,27 @@ impl NodeState {
     /// The child with the greatest label `<= target`, i.e.
     /// `Max({q ∈ C_p : q <= target})` from Algorithms 1 and 3.
     pub fn max_child_le(&self, target: &Key) -> Option<&Key> {
-        let end = self.children.partition_point(|c| c <= target);
-        end.checked_sub(1).map(|i| &self.children[i])
+        self.max_child_le_at(target).map(|i| &self.children[i])
+    }
+
+    /// The index in [`NodeState::children`] of
+    /// [`NodeState::max_child_le`]'s child.
+    pub fn max_child_le_at(&self, target: &Key) -> Option<usize> {
+        self.children
+            .partition_point(|c| c <= target)
+            .checked_sub(1)
     }
 
     /// The child with the greatest label `< target` (the host search
     /// of Algorithm 3 descends strictly below the new label).
     pub fn max_child_lt(&self, target: &Key) -> Option<&Key> {
-        let end = self.children.partition_point(|c| c < target);
-        end.checked_sub(1).map(|i| &self.children[i])
+        self.max_child_lt_at(target).map(|i| &self.children[i])
+    }
+
+    /// The index in [`NodeState::children`] of
+    /// [`NodeState::max_child_lt`]'s child.
+    pub fn max_child_lt_at(&self, target: &Key) -> Option<usize> {
+        self.children.partition_point(|c| c < target).checked_sub(1)
     }
 
     /// The unique child sharing a strictly longer prefix with `target`

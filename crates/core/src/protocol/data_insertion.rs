@@ -41,24 +41,24 @@
 
 use crate::key::{in_ring_interval, Key};
 use crate::messages::{Envelope, NodeMsg, NodeSeed, PeerMsg};
+use crate::node::Link;
 use crate::peer::PeerShard;
 use crate::protocol::Effects;
 
-/// Algorithm 3, lines 3.02–3.31: `<DataInsertion, k>` on node `p` — or,
-/// with `orphan` set, `<Reattach, k>`: crash repair routes the live node
-/// `k`, whose father died, through the same four cases, and where
-/// insertion would create node `k` (`place`) it links the existing one.
+/// Algorithm 3, lines 3.02–3.31: `<DataInsertion, k>` on node `p`, in
+/// `slot` — or, with `orphan` set, `<Reattach, k>`: crash repair routes
+/// the live node `k`, whose father died, through the same four cases,
+/// and where insertion would create node `k` (`place`) it links the
+/// existing one. Returns the link a pure forward followed (cases 2, 3
+/// and 4 when they only route).
 pub fn on_data_insertion(
     shard: &mut PeerShard,
-    node_label: &Key,
+    slot: u32,
     key: Key,
     orphan: bool,
     fx: &mut Effects,
-) {
-    let p = shard
-        .nodes
-        .get_mut(node_label)
-        .expect("routed to hosted node");
+) -> Option<Link> {
+    let p = shard.nodes.at_mut(slot);
     let p_label = p.label.clone();
     // The message to pass on unchanged (routing never tells the two apart).
     let onward = |key| {
@@ -75,21 +75,22 @@ pub fn on_data_insertion(
         if !orphan {
             p.add_datum(key);
         }
-        return;
+        return None;
     }
 
     // Case 2 (lines 3.04–3.09): the key belongs in our subtree.
     if p_label.is_proper_prefix_of(&key) {
-        if let Some(q) = p.child_extending(&key).cloned() {
+        if let Some(i) = p.child_extending_at(&key) {
             // Line 3.06: a child covers the key more precisely.
+            let q = p.children()[i].clone();
             fx.send(Envelope::to_node(q, onward(key)));
-        } else {
-            // Lines 3.08–3.09: create the node as our child and start
-            // the host search from ourselves.
-            p.add_child(key.clone());
-            place(fx, orphan, p_label.clone(), key, Some(p_label), None);
+            return Some(Link::Child(i as u32));
         }
-        return;
+        // Lines 3.08–3.09: create the node as our child and start the
+        // host search from ourselves.
+        p.add_child(key.clone());
+        place(fx, orphan, p_label.clone(), key, Some(p_label), None);
+        return None;
     }
 
     // Case 3 (lines 3.10–3.20): the sought node is an ancestor.
@@ -109,31 +110,31 @@ pub fn on_data_insertion(
                     // and the request entered the tree below it — the
                     // father *is* the destination (case 1 there).
                     fx.send(Envelope::to_node(f, onward(key)));
-                } else {
-                    // Lines 3.18–3.20: splice the new node between our
-                    // father and us.
-                    debug_assert!(f.is_proper_prefix_of(&key));
-                    p.set_father(Some(key.clone()));
-                    let (old, new) = (p_label.clone(), key.clone());
-                    place(fx, orphan, f.clone(), key, Some(f.clone()), Some(p_label));
-                    fx.send(Envelope::to_node(f, NodeMsg::UpdateChild { old, new }));
+                    return Some(Link::Father);
                 }
+                // Lines 3.18–3.20: splice the new node between our
+                // father and us.
+                debug_assert!(f.is_proper_prefix_of(&key));
+                p.set_father(Some(key.clone()));
+                let (old, new) = (p_label.clone(), key.clone());
+                place(fx, orphan, f.clone(), key, Some(f.clone()), Some(p_label));
+                fx.send(Envelope::to_node(f, NodeMsg::UpdateChild { old, new }));
             }
         }
-        return;
+        return None;
     }
 
     // Case 4 (lines 3.21–3.31): the key diverges from us.
-    let g = p_label.gcp(&key);
-    let father = p.father().cloned();
-    if let Some(f) = father.as_ref() {
-        if g.len() <= f.len() {
+    if let Some(f) = p.father() {
+        if p_label.gcp_len(&key) <= f.len() {
             // Line 3.23: our father shares at least as much with the
             // key as we do — the divergence point is above us.
             fx.send(Envelope::to_node(f.clone(), onward(key)));
-            return;
+            return Some(Link::Father);
         }
     }
+    let g = p_label.gcp(&key);
+    let father = p.father().cloned();
     // Lines 3.24–3.31: create the common parent `g = GCP(p, k)` with
     // children {p, k}, and the node k itself (father corrected to g,
     // see module docs). The searches start at our father, or at us
@@ -162,6 +163,7 @@ pub fn on_data_insertion(
         ));
     }
     place(fx, orphan, via, key, Some(g), None);
+    None
 }
 
 /// Puts node `key` where insertion decided it goes: under `father`, and
@@ -202,23 +204,30 @@ fn place(
 }
 
 /// Algorithm 3, lines 3.32–3.37: `<SearchingHost, (l, f, C, δ)>` on
-/// node `p` — descend toward the highest node strictly below `l`, then
-/// hand the seed to the peer layer.
+/// node `p`, in `slot` — descend toward the highest node strictly below
+/// `l` (returning the child link taken), then hand the seed to the peer
+/// layer.
 pub fn on_searching_host(
     shard: &mut PeerShard,
-    node_label: &Key,
+    slot: u32,
     seed: Box<NodeSeed>,
     fx: &mut Effects,
-) {
-    let p = shard.nodes.get(node_label).expect("routed to hosted node");
+) -> Option<Link> {
+    let p = shard.nodes.at(slot);
     // Strictly below `l` (see module docs on line 3.33).
-    let next = p.max_child_lt(&seed.label).cloned();
-    match next {
-        Some(q) => fx.send(Envelope::to_node(q, NodeMsg::SearchingHost { seed })),
-        None => fx.send(Envelope::to_peer(
-            shard.peer.id.clone(),
-            PeerMsg::Host { seed },
-        )),
+    match p.max_child_lt_at(&seed.label) {
+        Some(i) => {
+            let q = p.children()[i].clone();
+            fx.send(Envelope::to_node(q, NodeMsg::SearchingHost { seed }));
+            Some(Link::Child(i as u32))
+        }
+        None => {
+            fx.send(Envelope::to_peer(
+                shard.peer.id.clone(),
+                PeerMsg::Host { seed },
+            ));
+            None
+        }
     }
 }
 
@@ -266,6 +275,23 @@ mod tests {
         PeerShard::new(k(peer), 100)
     }
 
+    /// Delivers `<DataInsertion, key>` (`<Reattach, key>` for an
+    /// orphan) to node `at` of `s`.
+    fn insert(s: &mut PeerShard, at: &str, key: &str, orphan: bool) -> (Effects, Option<Link>) {
+        let mut fx = Effects::default();
+        let slot = s.nodes.find(&k(at), u32::MAX).expect("hosted");
+        let link = on_data_insertion(s, slot, k(key), orphan, &mut fx);
+        (fx, link)
+    }
+
+    /// Delivers `<SearchingHost, seed(label)>` to node `at` of `s`.
+    fn search(s: &mut PeerShard, at: &str, label: &str) -> (Effects, Option<Link>) {
+        let mut fx = Effects::default();
+        let slot = s.nodes.find(&k(at), u32::MAX).expect("hosted");
+        let link = on_searching_host(s, slot, seed(label), &mut fx);
+        (fx, link)
+    }
+
     fn sent_to_node<'a>(fx: &'a Effects, label: &str) -> Vec<&'a NodeMsg> {
         fx.out
             .iter()
@@ -280,8 +306,8 @@ mod tests {
     fn case1_registers_datum_in_place() {
         let mut s = shard("Z");
         s.install(NodeState::new(k("DGEMM")));
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("DGEMM"), k("DGEMM"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "DGEMM", "DGEMM", false);
+        assert_eq!(link, None);
         assert!(fx.out.is_empty());
         assert!(s.nodes[&k("DGEMM")].data.contains(&k("DGEMM")));
     }
@@ -293,8 +319,8 @@ mod tests {
         n.add_child(k("10101"));
         n.add_child(k("10111"));
         s.install(n);
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10"), k("101011"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "10", "101011", false);
+        assert_eq!(link, Some(Link::Child(0)), "forwarded over the child link");
         let msgs = sent_to_node(&fx, "10101");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("101011")));
@@ -304,8 +330,8 @@ mod tests {
     fn case2_creates_child_and_searches_host() {
         let mut s = shard("Z");
         s.install(NodeState::new(k("10")));
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10"), k("1011"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "10", "1011", false);
+        assert_eq!(link, None);
         // Child registered immediately (line 3.09).
         assert!(s.nodes[&k("10")].children().contains(&k("1011")));
         let msgs = sent_to_node(&fx, "10");
@@ -325,8 +351,8 @@ mod tests {
     fn case3_new_root_above_current() {
         let mut s = shard("Z");
         s.install(NodeState::new(k("10101")));
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10101"), k("10"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "10101", "10", false);
+        assert_eq!(link, None);
         assert_eq!(s.nodes[&k("10101")].father(), Some(&k("10")));
         let msgs = sent_to_node(&fx, "10101");
         assert_eq!(msgs.len(), 1);
@@ -349,8 +375,8 @@ mod tests {
         let mut n = NodeState::new(k("PDGELSD"));
         n.set_father(Some(k("PDGELS")));
         s.install(n);
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("PDGELSD"), k("PDGELS"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "PDGELSD", "PDGELS", false);
+        assert_eq!(link, Some(Link::Father));
         let msgs = sent_to_node(&fx, "PDGELS");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("PDGELS")));
@@ -367,8 +393,8 @@ mod tests {
         let mut n = NodeState::new(k("10101"));
         n.set_father(Some(k("1010")));
         s.install(n);
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10101"), k("10"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "10101", "10", false);
+        assert_eq!(link, Some(Link::Father));
         let msgs = sent_to_node(&fx, "1010");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("10")));
@@ -380,8 +406,8 @@ mod tests {
         let mut n = NodeState::new(k("10101"));
         n.set_father(Some(k("1")));
         s.install(n);
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("10101"), k("101"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "10101", "101", false);
+        assert_eq!(link, None, "the splice rewrote the father link");
         assert_eq!(s.nodes[&k("10101")].father(), Some(&k("101")));
         let msgs = sent_to_node(&fx, "1");
         assert_eq!(msgs.len(), 2);
@@ -403,8 +429,8 @@ mod tests {
     fn case4_sibling_split_at_root() {
         let mut s = shard("Z");
         s.install(NodeState::new(k("01")));
-        let mut fx = Effects::default();
-        on_data_insertion(&mut s, &k("01"), k("10101"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "01", "10101", false);
+        assert_eq!(link, None);
         // Common parent ε with children {01, 10101}; new father set.
         assert_eq!(s.nodes[&k("01")].father(), Some(&Key::epsilon()));
         let msgs = sent_to_node(&fx, "01");
@@ -429,9 +455,9 @@ mod tests {
         let mut n = NodeState::new(k("1010"));
         n.set_father(Some(k("10")));
         s.install(n);
-        let mut fx = Effects::default();
         // GCP(1010, 11) = 1, shorter than father 10 → go up.
-        on_data_insertion(&mut s, &k("1010"), k("11"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "1010", "11", false);
+        assert_eq!(link, Some(Link::Father));
         let msgs = sent_to_node(&fx, "10");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataInsertion { key } if key == &k("11")));
@@ -443,9 +469,9 @@ mod tests {
         let mut n = NodeState::new(k("10101"));
         n.set_father(Some(k("1")));
         s.install(n);
-        let mut fx = Effects::default();
         // GCP(10101, 10111) = 101, longer than father 1 → split here.
-        on_data_insertion(&mut s, &k("10101"), k("10111"), false, &mut fx);
+        let (fx, link) = insert(&mut s, "10101", "10111", false);
+        assert_eq!(link, None);
         assert_eq!(s.nodes[&k("10101")].father(), Some(&k("101")));
         let msgs = sent_to_node(&fx, "1");
         assert_eq!(msgs.len(), 3);
@@ -479,8 +505,7 @@ mod tests {
             let mut n = NodeState::new(k(at));
             n.set_father(father.map(k));
             s.install(n);
-            let mut fx = Effects::default();
-            on_data_insertion(&mut s, &k(at), k(orphan), true, &mut fx);
+            let (fx, _) = insert(&mut s, at, orphan, true);
             (s, fx)
         };
         // Case 2: below us — we list it, it learns its father.
@@ -513,8 +538,8 @@ mod tests {
         n.add_child(k("10101"));
         n.add_child(k("10111"));
         s.install(n);
-        let mut fx = Effects::default();
-        on_searching_host(&mut s, &k("101"), seed("10111"), &mut fx);
+        let (fx, link) = search(&mut s, "101", "10111");
+        assert_eq!(link, Some(Link::Child(0)));
         let msgs = sent_to_node(&fx, "10101");
         assert_eq!(msgs.len(), 1, "must descend to 10101, not 10111");
     }
@@ -523,8 +548,8 @@ mod tests {
     fn searching_host_hands_to_peer_when_no_lower_child() {
         let mut s = shard("Z");
         s.install(NodeState::new(k("101")));
-        let mut fx = Effects::default();
-        on_searching_host(&mut s, &k("101"), seed("10111"), &mut fx);
+        let (fx, link) = search(&mut s, "101", "10111");
+        assert_eq!(link, None);
         assert_eq!(fx.out.len(), 1);
         assert_eq!(fx.out[0].to, Address::Peer(k("Z")));
     }

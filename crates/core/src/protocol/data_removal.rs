@@ -18,63 +18,60 @@
 
 use crate::key::Key;
 use crate::messages::{Envelope, NodeMsg};
+use crate::node::Link;
 use crate::peer::PeerShard;
 use crate::protocol::Effects;
 
-/// `<DataRemoval, k>` on node `p`.
-pub fn on_data_removal(shard: &mut PeerShard, node_label: &Key, key: Key, fx: &mut Effects) {
-    let p = shard
-        .nodes
-        .get_mut(node_label)
-        .expect("routed to hosted node");
-    let p_label = p.label.clone();
-
-    if p_label == key {
+/// `<DataRemoval, k>` on node `p`, in `slot`. Returns the link a pure
+/// forward followed.
+pub fn on_data_removal(
+    shard: &mut PeerShard,
+    slot: u32,
+    key: Key,
+    fx: &mut Effects,
+) -> Option<Link> {
+    let p = shard.nodes.at_mut(slot);
+    if p.label == key {
         p.remove_datum(&key);
-        dissolve_if_redundant(shard, &p_label, fx);
-        return;
+        dissolve_if_redundant(shard, slot, fx);
+        return None;
     }
-    if p_label.is_proper_prefix_of(&key) {
-        if let Some(q) = p.child_extending(&key).cloned() {
-            fx.send(Envelope::to_node(q, NodeMsg::DataRemoval { key }));
-        }
+    if p.label.is_proper_prefix_of(&key) {
         // No extending child: the key is not registered; nothing to do.
-        return;
+        let i = p.child_extending_at(&key)?;
+        let q = p.children()[i].clone();
+        fx.send(Envelope::to_node(q, NodeMsg::DataRemoval { key }));
+        return Some(Link::Child(i as u32));
     }
     // The owner is not below us: climb. (Both the `key prefixes us`
     // and the divergence case end up at an ancestor; if the key is
     // absent the walk stops harmlessly at the root region.)
-    let father = p.father().cloned();
-    if let Some(f) = father {
-        let own = p_label.gcp_len(&key);
-        if key.is_prefix_of(&f) || own <= f.len() {
-            fx.send(Envelope::to_node(f, NodeMsg::DataRemoval { key }));
-        }
-        // Divergence below the father with no matching sibling: the
-        // key is not registered.
+    let f = p.father()?;
+    // Divergence below the father with no matching sibling: the key is
+    // not registered.
+    if !key.is_prefix_of(f) && p.label.gcp_len(&key) > f.len() {
+        return None;
     }
+    fx.send(Envelope::to_node(f.clone(), NodeMsg::DataRemoval { key }));
+    Some(Link::Father)
 }
 
-/// `<RemoveChild, c>` on node `p`: a child dissolved; `p` may now be
-/// redundant itself.
-pub fn on_remove_child(shard: &mut PeerShard, node_label: &Key, child: Key, fx: &mut Effects) {
-    let p = shard
-        .nodes
-        .get_mut(node_label)
-        .expect("routed to hosted node");
-    p.remove_child(&child);
-    let label = p.label.clone();
-    dissolve_if_redundant(shard, &label, fx);
+/// `<RemoveChild, c>` on node `p`, in `slot`: a child dissolved; `p`
+/// may now be redundant itself.
+pub fn on_remove_child(shard: &mut PeerShard, slot: u32, child: Key, fx: &mut Effects) {
+    shard.nodes.at_mut(slot).remove_child(&child);
+    dissolve_if_redundant(shard, slot, fx);
 }
 
-/// Dissolves `label` if it holds no data and fewer than two children
-/// (Definition 1 only requires nodes that separate at least two
-/// children or carry data).
-fn dissolve_if_redundant(shard: &mut PeerShard, label: &Key, fx: &mut Effects) {
-    let node = shard.nodes.get(label).expect("present");
+/// Dissolves the node in `slot` if it holds no data and fewer than two
+/// children (Definition 1 only requires nodes that separate at least
+/// two children or carry data).
+fn dissolve_if_redundant(shard: &mut PeerShard, slot: u32, fx: &mut Effects) {
+    let node = shard.nodes.at(slot);
     if !node.data.is_empty() || node.children().len() >= 2 {
         return;
     }
+    let label = node.label.clone();
     let father = node.father().cloned();
     let only_child = node.children().first().cloned();
     match (father, only_child) {
@@ -108,8 +105,8 @@ fn dissolve_if_redundant(shard: &mut PeerShard, label: &Key, fx: &mut Effects) {
             // Last node of the tree.
         }
     }
-    shard.evict(label);
-    fx.removed.push(label.clone());
+    shard.evict(&label);
+    fx.removed.push(label);
 }
 
 #[cfg(test)]
@@ -138,6 +135,14 @@ mod tests {
         s
     }
 
+    /// Delivers `<DataRemoval, key>` to node `at` of `s`.
+    fn remove(s: &mut PeerShard, at: &str, key: &str) -> (Effects, Option<Link>) {
+        let mut fx = Effects::default();
+        let slot = s.nodes.find(&k(at), u32::MAX).expect("hosted");
+        let link = on_data_removal(s, slot, k(key), &mut fx);
+        (fx, link)
+    }
+
     fn sent<'a>(fx: &'a Effects, label: &str) -> Vec<&'a NodeMsg> {
         fx.out
             .iter()
@@ -153,8 +158,8 @@ mod tests {
         // 101 has two data children; removing one leaves a still-valid
         // pair? No — one child of a structural node remains: dissolve.
         let mut s = shard_with(&[("10101", Some("101"), &[], true)]);
-        let mut fx = Effects::default();
-        on_data_removal(&mut s, &k("10101"), k("10101"), &mut fx);
+        let (fx, link) = remove(&mut s, "10101", "10101");
+        assert_eq!(link, None);
         assert!(!s.nodes.contains_key(&k("10101")), "leaf dissolves");
         assert_eq!(fx.removed, vec![k("10101")]);
         let msgs = sent(&fx, "101");
@@ -164,8 +169,8 @@ mod tests {
     #[test]
     fn node_with_two_children_stays_as_structural() {
         let mut s = shard_with(&[("101", Some(""), &["10101", "10111"], true)]);
-        let mut fx = Effects::default();
-        on_data_removal(&mut s, &k("101"), k("101"), &mut fx);
+        let (fx, link) = remove(&mut s, "101", "101");
+        assert_eq!(link, None);
         let n = &s.nodes[&k("101")];
         assert!(n.data.is_empty());
         assert!(fx.removed.is_empty(), "still separates two children");
@@ -175,8 +180,8 @@ mod tests {
     #[test]
     fn one_child_node_lifts_the_child() {
         let mut s = shard_with(&[("10111", Some("101"), &["101111"], true)]);
-        let mut fx = Effects::default();
-        on_data_removal(&mut s, &k("10111"), k("10111"), &mut fx);
+        let (fx, link) = remove(&mut s, "10111", "10111");
+        assert_eq!(link, None);
         assert!(!s.nodes.contains_key(&k("10111")));
         let to_child = sent(&fx, "101111");
         assert!(matches!(to_child[0], NodeMsg::SetFather { father: Some(f) } if f == &k("101")));
@@ -190,8 +195,8 @@ mod tests {
     #[test]
     fn root_with_one_child_hands_over_the_root() {
         let mut s = shard_with(&[("1", None, &["10101"], true)]);
-        let mut fx = Effects::default();
-        on_data_removal(&mut s, &k("1"), k("1"), &mut fx);
+        let (fx, link) = remove(&mut s, "1", "1");
+        assert_eq!(link, None);
         assert!(!s.nodes.contains_key(&k("1")));
         let msgs = sent(&fx, "10101");
         assert!(matches!(msgs[0], NodeMsg::SetFather { father: None }));
@@ -202,7 +207,8 @@ mod tests {
         // Structural node left with one child after RemoveChild: lift.
         let mut s = shard_with(&[("101", Some(""), &["10101", "10111"], false)]);
         let mut fx = Effects::default();
-        on_remove_child(&mut s, &k("101"), k("10101"), &mut fx);
+        let slot = s.nodes.find(&k("101"), u32::MAX).expect("hosted");
+        on_remove_child(&mut s, slot, k("10101"), &mut fx);
         assert!(
             !s.nodes.contains_key(&k("101")),
             "structural node lifts away"
@@ -220,9 +226,9 @@ mod tests {
     #[test]
     fn removal_of_absent_key_is_a_noop() {
         let mut s = shard_with(&[("101", Some(""), &["10101", "10111"], true)]);
-        let mut fx = Effects::default();
         // "10199" diverges from both children below 101.
-        on_data_removal(&mut s, &k("101"), k("10199"), &mut fx);
+        let (fx, link) = remove(&mut s, "101", "10199");
+        assert_eq!(link, None);
         assert!(fx.out.is_empty());
         assert!(fx.removed.is_empty());
         assert!(s.nodes[&k("101")].data.contains(&k("101")));
@@ -231,8 +237,8 @@ mod tests {
     #[test]
     fn removal_routes_up_from_unrelated_entry() {
         let mut s = shard_with(&[("10101", Some("101"), &[], true)]);
-        let mut fx = Effects::default();
-        on_data_removal(&mut s, &k("10101"), k("01"), &mut fx);
+        let (fx, link) = remove(&mut s, "10101", "01");
+        assert_eq!(link, Some(Link::Father));
         let msgs = sent(&fx, "101");
         assert_eq!(msgs.len(), 1);
         assert!(matches!(msgs[0], NodeMsg::DataRemoval { key } if key == &k("01")));

@@ -26,12 +26,6 @@ use crate::node::{Link, NodeState};
 use crate::peer::PeerShard;
 use crate::protocol::Effects;
 
-/// Handles one visit of a discovery request at node `node_label`.
-pub fn on_discovery(shard: &mut PeerShard, node_label: &Key, msg: DiscoveryMsg, fx: &mut Effects) {
-    let node = shard.nodes.get(node_label).expect("routed to hosted node");
-    on_discovery_at(node, msg, fx);
-}
-
 /// Where one up/down visit sends the request next. Borrows only the
 /// node, so the decision outlives the target it was taken against.
 /// Children are named by their index in the node's child set.
@@ -406,7 +400,7 @@ mod tests {
         let mut satisfied = true;
         while let Some((label, m)) = queue.pop() {
             let mut fx = Effects::default();
-            on_discovery(s, &label, m, &mut fx);
+            on_discovery_at(&s.nodes[&label], m, &mut fx);
             for e in fx.out {
                 match e.msg {
                     Message::ClientResponse(o) => {
@@ -506,11 +500,10 @@ mod tests {
 
     #[test]
     fn gather_reports_pending_children() {
-        let mut s = paper_shard();
+        let s = paper_shard();
         let mut fx = Effects::default();
-        on_discovery(
-            &mut s,
-            &k("101"),
+        on_discovery_at(
+            &s.nodes[&k("101")],
             msg(QueryKind::Complete(k("101")), RoutePhase::Gather),
             &mut fx,
         );

@@ -8,6 +8,11 @@
 //! ([`crate::system::DlptSystem`]), the discrete-event simulator and
 //! the threaded live runtime in `dlpt-net`.
 //!
+//! Slot in, link out: a node-message handler gets the slot of its node
+//! in `shard.nodes`, which the runtime found while resolving the
+//! destination, so it probes no hash; and it hands back the tree link
+//! its lone forward followed, if any ([`dispatch_node_msg`]).
+//!
 //! | Paper | Module |
 //! |---|---|
 //! | Algorithm 1 (`PeerJoin`, on node `p`) | [`peer_join`] |
@@ -27,6 +32,7 @@ pub mod repair;
 
 use crate::key::Key;
 use crate::messages::{Envelope, NodeMsg, PeerMsg};
+use crate::node::Link;
 use crate::peer::PeerShard;
 
 /// Side effects of one handler invocation.
@@ -54,51 +60,68 @@ impl Effects {
     }
 }
 
+/// Dispatches a message to the logical node in `slot` of
+/// `shard.nodes` — the slot the runtime resolved its destination to.
+///
+/// Returns the tree link the handler's lone forward followed, if the
+/// visit did nothing but forward over an existing link: the runtime
+/// may then resolve the next hop by that link's memoised label id
+/// instead of hashing the label. A handler reports a link only while
+/// its node is still in `slot` and the visit did not edit that link —
+/// never after a dissolve evicted the node or a splice rewrote the
+/// father. The forwards that report one are insertion's and crash
+/// repair's routing (cases 2–4 of Algorithm 3), removal's two,
+/// the host search's descent and a join's climb and descent.
+pub fn dispatch_node_msg(
+    shard: &mut PeerShard,
+    slot: u32,
+    msg: NodeMsg,
+    fx: &mut Effects,
+) -> Option<Link> {
+    match msg {
+        NodeMsg::PeerJoin { joining, phase } => {
+            peer_join::on_peer_join(shard, slot, joining, phase, fx)
+        }
+        NodeMsg::DataInsertion { key } => {
+            data_insertion::on_data_insertion(shard, slot, key, false, fx)
+        }
+        NodeMsg::Reattach { label } => {
+            data_insertion::on_data_insertion(shard, slot, label, true, fx)
+        }
+        NodeMsg::SearchingHost { seed } => data_insertion::on_searching_host(shard, slot, seed, fx),
+        NodeMsg::DataRemoval { key } => data_removal::on_data_removal(shard, slot, key, fx),
+        NodeMsg::RemoveChild { child } => {
+            data_removal::on_remove_child(shard, slot, child, fx);
+            None
+        }
+        NodeMsg::UpdateChild { old, new } => {
+            shard.nodes.at_mut(slot).replace_child(&old, new);
+            None
+        }
+        NodeMsg::SetFather { father } => {
+            shard.nodes.at_mut(slot).set_father(father);
+            None
+        }
+        NodeMsg::Discovery(msg) => {
+            discovery::on_discovery_at(shard.nodes.at(slot), msg, fx);
+            None
+        }
+    }
+}
+
 /// Dispatches a message addressed to logical node `node_label`, which
-/// must be hosted on `shard`.
+/// must be hosted on `shard`: one probe for its slot, then
+/// [`dispatch_node_msg`].
 ///
 /// # Panics
 /// Panics if the node is not on the shard — runtimes must route
 /// correctly (and requeue while a node is in flight between shards).
 pub fn handle_node_msg(shard: &mut PeerShard, node_label: &Key, msg: NodeMsg, fx: &mut Effects) {
-    debug_assert!(
-        shard.nodes.contains_key(node_label),
-        "node {node_label} not hosted on peer {}",
-        shard.peer.id
-    );
-    match msg {
-        NodeMsg::PeerJoin { joining, phase } => {
-            peer_join::on_peer_join(shard, node_label, joining, phase, fx)
-        }
-        NodeMsg::DataInsertion { key } => {
-            data_insertion::on_data_insertion(shard, node_label, key, false, fx)
-        }
-        NodeMsg::Reattach { label } => {
-            data_insertion::on_data_insertion(shard, node_label, label, true, fx)
-        }
-        NodeMsg::SearchingHost { seed } => {
-            data_insertion::on_searching_host(shard, node_label, seed, fx)
-        }
-        NodeMsg::UpdateChild { old, new } => {
-            let node = shard
-                .nodes
-                .get_mut(node_label)
-                .expect("checked by debug_assert");
-            node.replace_child(&old, new);
-        }
-        NodeMsg::DataRemoval { key } => data_removal::on_data_removal(shard, node_label, key, fx),
-        NodeMsg::RemoveChild { child } => {
-            data_removal::on_remove_child(shard, node_label, child, fx)
-        }
-        NodeMsg::SetFather { father } => {
-            let node = shard
-                .nodes
-                .get_mut(node_label)
-                .expect("checked by debug_assert");
-            node.set_father(father);
-        }
-        NodeMsg::Discovery(msg) => discovery::on_discovery(shard, node_label, msg, fx),
-    }
+    // No hint: an out-of-range slot costs exactly the probe.
+    let Some(slot) = shard.nodes.find(node_label, u32::MAX) else {
+        panic!("node {node_label} not hosted on peer {}", shard.peer.id);
+    };
+    dispatch_node_msg(shard, slot, msg, fx);
 }
 
 /// Dispatches a message addressed to the peer owning `shard`.

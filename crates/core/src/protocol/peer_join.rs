@@ -24,73 +24,51 @@
 
 use crate::key::{in_ring_interval, Key};
 use crate::messages::{Envelope, JoinPhase, NodeMsg, PeerMsg};
-use crate::node::NodeState;
+use crate::node::{Link, NodeState};
 use crate::peer::PeerShard;
 use crate::protocol::Effects;
 
-/// Algorithm 1: `<PeerJoin, P, s>` on node `p`.
+/// Algorithm 1: `<PeerJoin, P, s>` on node `p`, in `slot`. Returns the
+/// link the climb or descent followed.
 pub fn on_peer_join(
     shard: &mut PeerShard,
-    node_label: &Key,
+    slot: u32,
     joining: Key,
     phase: JoinPhase,
     fx: &mut Effects,
-) {
+) -> Option<Link> {
     // Phase transitions are processed in place rather than by a
     // self-send (the paper's `send(<PeerJoin, P, 1>, p)` to itself) so
     // one visit costs one message in the accounting.
-    let (label, father, max_child) = {
-        let node = shard.nodes.get(node_label).expect("routed to hosted node");
-        (
-            node.label.clone(),
-            node.father().cloned(),
-            node.max_child_le(&joining).cloned(),
-        )
-    };
-    match phase {
-        JoinPhase::Up => {
-            // Lines 1.03–1.10: climb until this node covers P's region
-            // or is the root, then switch to the descent.
-            match father {
-                Some(f) if !label.is_prefix_of(&joining) => {
-                    fx.send(Envelope::to_node(
-                        f,
-                        NodeMsg::PeerJoin {
-                            joining,
-                            phase: JoinPhase::Up,
-                        },
-                    ));
-                }
-                _ => descend(shard, &label, joining, max_child, fx),
-            }
-        }
-        JoinPhase::Down => descend(shard, &label, joining, max_child, fx),
-    }
-}
-
-/// Lines 1.11–1.16: move to `Max({q ∈ C_p : q <= P})`, or hand over to
-/// the peer layer when no child qualifies (this node is then the
-/// highest tree node `<= P` reachable in its subtree).
-fn descend(
-    shard: &mut PeerShard,
-    _label: &Key,
-    joining: Key,
-    max_child: Option<Key>,
-    fx: &mut Effects,
-) {
-    match max_child {
-        Some(q) => fx.send(Envelope::to_node(
-            q,
-            NodeMsg::PeerJoin {
+    let node = shard.nodes.at(slot);
+    if phase == JoinPhase::Up {
+        // Lines 1.03–1.10: climb until this node covers P's region or
+        // is the root, then switch to the descent.
+        if let Some(f) = node.father().filter(|_| !node.label.is_prefix_of(&joining)) {
+            let up = NodeMsg::PeerJoin {
                 joining,
-                phase: JoinPhase::Down,
-            },
-        )),
-        None => fx.send(Envelope::to_peer(
+                phase: JoinPhase::Up,
+            };
+            fx.send(Envelope::to_node(f.clone(), up));
+            return Some(Link::Father);
+        }
+    }
+    // Lines 1.11–1.16: move to `Max({q ∈ C_p : q <= P})`, or hand over
+    // to the peer layer when no child qualifies (this node is then the
+    // highest tree node `<= P` reachable in its subtree).
+    let Some(i) = node.max_child_le_at(&joining) else {
+        fx.send(Envelope::to_peer(
             shard.peer.id.clone(),
             PeerMsg::NewPredecessor { joining },
-        )),
-    }
+        ));
+        return None;
+    };
+    let down = NodeMsg::PeerJoin {
+        joining,
+        phase: JoinPhase::Down,
+    };
+    fx.send(Envelope::to_node(node.children()[i].clone(), down));
+    Some(Link::Child(i as u32))
 }
 
 /// Algorithm 2: `<NewPredecessor, P>` on peer `Q`. The split hands
@@ -174,6 +152,19 @@ mod tests {
         s
     }
 
+    /// Delivers `<PeerJoin, joining, phase>` to node `at` of `s`.
+    fn join(
+        s: &mut PeerShard,
+        at: &str,
+        joining: &str,
+        phase: JoinPhase,
+    ) -> (Effects, Option<Link>) {
+        let mut fx = Effects::default();
+        let slot = s.nodes.find(&k(at), u32::MAX).expect("hosted");
+        let link = on_peer_join(s, slot, k(joining), phase, &mut fx);
+        (fx, link)
+    }
+
     #[test]
     fn up_phase_climbs_to_father() {
         let mut s = shard_with_nodes("Z", &["1010"]);
@@ -181,8 +172,8 @@ mod tests {
             .get_mut(&k("1010"))
             .unwrap()
             .set_father(Some(k("10")));
-        let mut fx = Effects::default();
-        on_peer_join(&mut s, &k("1010"), k("0XYZ"), JoinPhase::Up, &mut fx);
+        let (fx, link) = join(&mut s, "1010", "0XYZ", JoinPhase::Up);
+        assert_eq!(link, Some(Link::Father));
         assert_eq!(fx.out.len(), 1);
         assert_eq!(fx.out[0].to, Address::Node(k("10")));
     }
@@ -197,8 +188,8 @@ mod tests {
             n.add_child(k("00"));
             n.add_child(k("0X"));
         }
-        let mut fx = Effects::default();
-        on_peer_join(&mut s, &k("0"), k("0XYZ"), JoinPhase::Up, &mut fx);
+        let (fx, link) = join(&mut s, "0", "0XYZ", JoinPhase::Up);
+        assert_eq!(link, Some(Link::Child(1)));
         assert_eq!(fx.out.len(), 1);
         // Max child <= "0XYZ" is "0X".
         assert_eq!(fx.out[0].to, Address::Node(k("0X")));
@@ -208,8 +199,8 @@ mod tests {
     fn descent_hands_over_to_peer_layer_at_bottom() {
         let mut s = shard_with_nodes("Z", &["0X"]);
         s.nodes.get_mut(&k("0X")).unwrap().set_father(Some(k("0")));
-        let mut fx = Effects::default();
-        on_peer_join(&mut s, &k("0X"), k("0XYZ"), JoinPhase::Down, &mut fx);
+        let (fx, link) = join(&mut s, "0X", "0XYZ", JoinPhase::Down);
+        assert_eq!(link, None);
         assert_eq!(fx.out.len(), 1);
         assert_eq!(fx.out[0].to, Address::Peer(k("Z")));
         assert!(matches!(
@@ -221,9 +212,9 @@ mod tests {
     #[test]
     fn root_switches_phase_even_without_prefix() {
         let mut s = shard_with_nodes("Z", &["1"]);
-        let mut fx = Effects::default();
         // Root "1" does not prefix "0XYZ" but has no father.
-        on_peer_join(&mut s, &k("1"), k("0XYZ"), JoinPhase::Up, &mut fx);
+        let (fx, link) = join(&mut s, "1", "0XYZ", JoinPhase::Up);
+        assert_eq!(link, None);
         // No child <= joining → peer layer.
         assert_eq!(fx.out[0].to, Address::Peer(k("Z")));
     }

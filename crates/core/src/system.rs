@@ -14,7 +14,7 @@
 
 use crate::alphabet::Alphabet;
 use crate::engine::{requeue_limit, Engine, FifoTransport, Step, Transport};
-use crate::error::{DlptError, Result};
+use crate::error::Result;
 use crate::messages::Envelope;
 use crate::overlay::{Driver, Overlay};
 use rand::rngs::StdRng;
@@ -22,13 +22,14 @@ use rand::SeedableRng;
 
 pub use crate::engine::{LookupOutcome, RepairReport};
 
-/// Upper bound on envelopes processed by one drain — a tripwire for
-/// routing loops, which the protocol makes impossible.
+/// Upper bound on messages processed by one drain, chained hops
+/// included ([`Engine::with_hop_budget`]) — a tripwire for routing
+/// loops, which the protocol makes impossible.
 const DRAIN_BUDGET: usize = 4_000_000;
 
 /// How many times one envelope may be requeued while its destination
 /// is still in flight, before the ring-size floor ([`requeue_limit`]).
-const REQUEUE_BUDGET: u32 = 256;
+pub(crate) const REQUEUE_BUDGET: u32 = 256;
 
 /// Tunables of a runtime. Replication and caching are the engine's
 /// ([`Engine::set_replication`], [`Engine::set_cache_capacity`]).
@@ -163,6 +164,10 @@ impl Transport for Pump {
     fn synchronous(&self) -> bool {
         true
     }
+
+    fn idle(&self) -> bool {
+        self.fifo.idle()
+    }
 }
 
 impl Driver for Pump {
@@ -177,15 +182,8 @@ impl Driver for Pump {
     /// spent. (To see the last dispatches before a failure, arm the
     /// ring tracer: [`Engine::set_tracing`].)
     fn quiesce(&mut self, engine: &mut Engine) -> Result<()> {
-        let mut steps = 0usize;
-        loop {
+        engine.with_hop_budget(DRAIN_BUDGET, |engine| loop {
             while let Some((requeues, env)) = self.fifo.queue.pop_front() {
-                steps += 1;
-                if steps > DRAIN_BUDGET {
-                    return Err(DlptError::HopBudgetExhausted {
-                        budget: DRAIN_BUDGET,
-                    });
-                }
                 let Step::Requeue(env) = engine.deliver(self, env)? else {
                     continue;
                 };
@@ -201,7 +199,7 @@ impl Driver for Pump {
             if !engine.flush_deferred(self) {
                 return Ok(());
             }
-        }
+        })
     }
 
     fn rng(&mut self) -> &mut StdRng {
@@ -212,6 +210,7 @@ impl Driver for Pump {
 mod tests {
     use super::*;
     use crate::cache::CacheStats;
+    use crate::error::DlptError;
     use crate::key::Key;
     use crate::messages::QueryKind;
     use crate::replication::ReplicationStats;
@@ -269,6 +268,29 @@ mod tests {
             "scenario must exercise the requeue path"
         );
         assert!(sys.audit().is_empty());
+    }
+
+    /// A forwarding cycle inside one chain still meets the drain
+    /// budget. With `B`'s predecessor corrupted below it, no arc holds
+    /// a label above both peers, so the new node's `Host` seed walks
+    /// B → D → B … for ever. Each hop is a lone forward on an empty
+    /// queue, so the whole walk runs inline in one `Engine::deliver`,
+    /// and only the engine's count of processed messages can end it.
+    /// (Four million hops take ≈ 15 s unoptimized: CI runs it in
+    /// release.)
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "4 M hops: run with --release")]
+    fn a_chained_cycle_exhausts_the_hop_budget() {
+        let mut sys = DlptSystem::builder().build();
+        sys.add_peer_with_id(k("B"), 100).unwrap();
+        sys.add_peer_with_id(k("D"), 100).unwrap();
+        sys.insert_data(k("X")).unwrap();
+        sys.shard_mut(&k("B")).unwrap().peer.pred = k("A");
+        let err = sys.insert_data(k("XY")).unwrap_err();
+        assert!(
+            matches!(err, DlptError::HopBudgetExhausted { budget } if budget == DRAIN_BUDGET),
+            "{err:?}"
+        );
     }
 
     #[test]
