@@ -5,7 +5,7 @@
 //!
 //! One table ([`ENTRIES`]) names every experiment: the paper's
 //! Section 4 (Figures 4–9, Tables 1–2), the extension sweeps (figR,
-//! figC, figA), the ablations and two probes. Each entry runs at paper
+//! figC, figA), the ablations and one probe. Each entry runs at paper
 //! scale by default, writes its series as CSV under `results/`
 //! (`DLPT_RESULTS_DIR` overrides) and prints an ASCII rendering;
 //! `all` runs the eight paper entries, `list` prints the table. Timing
@@ -38,7 +38,7 @@ const SCALE: &[&str] = &["--scale N"];
 const PAPER: usize = 8;
 
 #[rustfmt::skip] // one row per entry, so the table reads as a table
-static ENTRIES: [Entry; 16] = [
+static ENTRIES: [Entry; 15] = [
     Entry { name: "fig4", flags: SCALE, horizon: None, run: paper::fig4,
         about: "Figure 4: stable network (2%/unit churn), 10% load; % satisfied requests per unit over 50 units, MLT vs KC vs NoLB, 30 runs" },
     Entry { name: "fig5", flags: SCALE, horizon: None, run: paper::fig5,
@@ -65,8 +65,6 @@ static ENTRIES: [Entry; 16] = [
         about: "knobs the paper fixes: MLT trigger fraction, KC candidate count k, capacity ratio, request-popularity skew" },
     Entry { name: "footprint", flags: SCALE, horizon: None, run: probes::footprint,
         about: "memory accounting: bytes per node and per peer at 100/1k/10k peers, audit-clean asserted" },
-    Entry { name: "pump_fingerprint", flags: &["--seed N", "--workers N", "--requests N"], horizon: None, run: probes::pump_fingerprint,
-        about: "parallel-pump determinism probe: stdout must not depend on --workers; cross-checked against the sequential pump" },
     Entry { name: "all", flags: SCALE, horizon: None, run: all,
         about: "fig4 fig5 fig6 fig7 fig8 fig9 table1 table2, in that order" },
     Entry { name: "list", flags: &[], horizon: None, run: list,
@@ -91,7 +89,7 @@ impl Entry {
     ///   past the 10-unit growth phase, and 30 are enough for a smoke.
     ///
     /// table2 and footprint run no [`ExperimentConfig`] and divide
-    /// their own sizes; pump_fingerprint does not read `--scale`.
+    /// their own sizes.
     /// `N = 1` is the paper's configuration untouched (not
     /// `scaled_down(1)`, which would swap the grid corpus for a sample).
     fn shrink(&self, cfg: ExperimentConfig, scale: usize) -> ExperimentConfig {
@@ -135,10 +133,6 @@ pub struct Opts {
     trace: Option<PathBuf>,
     /// `--health PATH` (figC, figA). Absent, no snapshot is collected.
     health: Option<PathBuf>,
-    /// `--seed`, `--workers`, `--requests` (pump_fingerprint).
-    seed: u64,
-    workers: usize,
-    requests: usize,
 }
 
 impl Opts {
@@ -147,9 +141,6 @@ impl Opts {
             scale: 1,
             trace: None,
             health: None,
-            seed: 42,
-            workers: 4,
-            requests: 2_000,
         }
     }
 
@@ -160,9 +151,6 @@ impl Opts {
             "--scale" => self.scale = value.parse::<usize>().ok()?.max(1),
             "--trace" => self.trace = Some(value.into()),
             "--health" => self.health = Some(value.into()),
-            "--seed" => self.seed = value.parse().ok()?,
-            "--workers" => self.workers = value.parse().ok()?,
-            "--requests" => self.requests = value.parse().ok()?,
             _ => unreachable!("{flag} is in the table but not parsed"),
         }
         Some(())

@@ -8,9 +8,7 @@ use dlpt_core::{Alphabet, DlptSystem, FaultPlan, HealthSnapshot, Key};
 use dlpt_sim::config::{ExperimentConfig, LbKind, PopKind};
 use dlpt_sim::experiments as exp;
 use dlpt_sim::report::{ascii_chart, ascii_table};
-use dlpt_sim::runner::{
-    average, health_jsonl, health_timing_jsonl, run_all, run_experiment, AveragedSeries,
-};
+use dlpt_sim::runner::{average, health_jsonl, run_all, run_experiment, AveragedSeries};
 use dlpt_workloads::churn::ChurnModel;
 use std::path::{Path, PathBuf};
 
@@ -96,7 +94,6 @@ impl SweepGrid {
 struct Health {
     path: Option<PathBuf>,
     jsonl: String,
-    timing_jsonl: String,
     last: Option<HealthSnapshot>,
 }
 
@@ -105,7 +102,6 @@ impl Health {
         Health {
             path: opts.health.clone(),
             jsonl: String::new(),
-            timing_jsonl: String::new(),
             last: None,
         }
     }
@@ -117,31 +113,22 @@ impl Health {
         let results = run_all(&cfg);
         if self.path.is_some() {
             self.jsonl.push_str(&health_jsonl(&results));
-            self.timing_jsonl.push_str(&health_timing_jsonl(&results));
             self.last = results.last().and_then(|r| r.last_snapshot.clone());
         }
         average(&cfg, &results)
     }
 
     /// Writes the JSONL series at `PATH` and a Prometheus rendering of
-    /// the final snapshot at `PATH` with the extension `prom`. The
-    /// snapshots' timing section goes to `timing.jsonl` / `timing.prom`
-    /// beside them: two seeded runs diff clean on the first pair of
-    /// files and may differ on the second.
+    /// the final snapshot at `PATH` with the extension `prom`; two
+    /// seeded runs diff clean on both.
     fn finish(self) {
         let Some(path) = self.path else { return };
-        let (mut prom, mut timing_prom) = (String::new(), String::new());
+        let mut prom = String::new();
         if let Some(snap) = &self.last {
             snap.write_prometheus(&mut prom);
-            snap.write_timing_prometheus(&mut timing_prom);
         }
         let prom_path = path.with_extension("prom");
-        for (file, body) in [
-            (&path, &self.jsonl),
-            (&path.with_extension("timing.jsonl"), &self.timing_jsonl),
-            (&prom_path, &prom),
-            (&path.with_extension("timing.prom"), &timing_prom),
-        ] {
+        for (file, body) in [(&path, &self.jsonl), (&prom_path, &prom)] {
             std::fs::write(file, body).expect("write health files");
         }
         println!(

@@ -27,14 +27,11 @@ fn scratch(name: &str) -> PathBuf {
 fn a_bad_command_line_exits_2_with_the_entrys_usage_line() {
     let nowhere = scratch("usage");
     let fig4 = "usage: dlpt-bench fig4 [--scale N]\n";
-    let pump = "usage: dlpt-bench pump_fingerprint [--seed N] [--workers N] [--requests N]\n";
     for (args, usage) in [
         (&["fig44"][..], "usage: dlpt-bench <name>"),
         (&["--scale", "8"], "usage: dlpt-bench <name>"),
         (&["fig4", "--trace", "x"], fig4),
         (&["fig4", "--scale"], fig4),
-        (&["pump_fingerprint", "--workers", "x"], pump),
-        (&["pump_fingerprint", "--scale", "2"], pump),
         // Every named entry must read every flag given.
         (
             &["figA", "figC", "--trace", "x"],
@@ -61,7 +58,7 @@ fn list_names_every_entry_and_experiments_md_quotes_it() {
         .collect();
     let mut expected = PAPER.to_vec();
     expected.extend(["figR", "figC", "figA", "ablation", "footprint"]);
-    expected.extend(["pump_fingerprint", "all", "list"]);
+    expected.extend(["all", "list"]);
     assert_eq!(names, expected);
     let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
     let doc = std::fs::read_to_string(doc).expect("EXPERIMENTS.md");

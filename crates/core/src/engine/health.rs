@@ -57,7 +57,6 @@ impl Engine {
         snap.peers = self.members.len() as u64;
         snap.nodes = self.directory.len() as u64;
         snap.audit_violations = 0;
-        snap.timing = self.pump_timing;
 
         // Per-peer rows in ring order; `scratch_rows` maps interned
         // peer id → row index so the directory pass below can attribute

@@ -6,9 +6,7 @@
 //! ([`Engine::deliver`]); the operations that inject envelopes and
 //! drain them are written once as well ([`crate::overlay::Overlay`]).
 //! What distinguishes the runtimes is only *how messages travel*: the
-//! [`Transport`] a [`Driver`](crate::overlay::Driver) queues into (the
-//! batch pump, [`parallel::ParallelPump`], needs no transport: it
-//! routes read-only over `&Engine` and commits in request order):
+//! [`Transport`] a [`Driver`](crate::overlay::Driver) queues into:
 //!
 //! | Runtime | Driver | Delivery |
 //! |---|---|---|
@@ -38,7 +36,6 @@ mod health;
 #[cfg(test)]
 mod link_ids;
 mod membership;
-pub mod parallel;
 mod replicate;
 #[cfg(test)]
 mod run_moves;
@@ -59,7 +56,6 @@ use crate::messages::{
 };
 use crate::metrics::SystemStats;
 use crate::node::{Link, NodeState};
-use crate::obs::health::HealthTiming;
 use crate::obs::{EventKind, TraceEvent, TraceRing, Tracer};
 use crate::peer::PeerShard;
 use crate::protocol::{self, discovery, repair, Effects};
@@ -293,15 +289,6 @@ impl GatherPool {
         Some(&mut self.slots[i as usize])
     }
 
-    fn contains(&self, id: u64) -> bool {
-        self.index.contains_key(&id)
-    }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Removes `id`'s aggregation, moving out the accumulated vectors
     /// and returning the slot to the free list (filter capacity and
     /// the slot itself are retained for reuse).
@@ -502,11 +489,10 @@ pub struct Engine {
     scratch: Effects,
     /// Host ids of the up/down visits the running dispatch has
     /// delivered, entry visit first: while one [`Engine::deliver`]
-    /// chain (or one pump commit) walks a request's whole route this
-    /// is its `host_path` in id space, and [`Engine::assemble_outcome`]
-    /// maps it back instead of re-hashing every path label. Empty
-    /// between dispatches.
-    pub(crate) route_hosts: Vec<u32>,
+    /// chain walks a request's whole route this is its `host_path` in
+    /// id space, and [`Engine::assemble_outcome`] maps it back instead
+    /// of re-hashing every path label. Empty between dispatches.
+    route_hosts: Vec<u32>,
     /// The fault gate (`faults.rs`); inert by default.
     faults: Faults,
     /// Whether a fault plan or partition is active, i.e. envelopes can
@@ -539,10 +525,6 @@ pub struct Engine {
     /// fingerprint byte-identical (events live outside
     /// [`SystemStats`]).
     pub tracer: Tracer,
-    /// How long the route and commit phases of the most recent
-    /// [`parallel::ParallelPump`] batch took, read by
-    /// [`Engine::collect_health`] into the snapshot's timing section.
-    pub(crate) pump_timing: HealthTiming,
     /// Messages processed under the running [`Engine::with_hop_budget`]
     /// — every delivery attempt, chained hops included.
     hops: usize,
@@ -550,6 +532,14 @@ pub struct Engine {
     /// outside [`Engine::with_hop_budget`]).
     hop_budget: usize,
 }
+
+// The threaded runtime (`dlpt-net`) lends the engine to its peer
+// threads: a `Cell`/`Rc` added to engine state must fail the build, not
+// a test.
+const _: fn() = || {
+    fn lent_across_threads<T: Sync + Send>() {}
+    lent_across_threads::<Engine>();
+};
 
 impl Default for Engine {
     /// An empty engine: `k = 1`, caching off, no fault plan.
@@ -577,7 +567,6 @@ impl Default for Engine {
             repl_stats: ReplicationStats::default(),
             cache_stats: CacheStats::default(),
             tracer: Tracer::Noop,
-            pump_timing: HealthTiming::default(),
             hops: 0,
             hop_budget: usize::MAX,
         }
@@ -893,7 +882,7 @@ impl Engine {
     /// outstanding; otherwise the runtime calls
     /// [`Engine::finish_request`] once drained. Responses for already
     /// finalized (or unknown) requests are dropped as stale.
-    pub(super) fn client_response(&mut self, outcome: DiscoveryOutcome, eager: bool) {
+    fn client_response(&mut self, outcome: DiscoveryOutcome, eager: bool) {
         let fault_recovery = self.fault_recovery;
         let Some(agg) = self.gathers.get_mut(outcome.request_id) else {
             return; // stale response after request already finalized
@@ -1173,7 +1162,7 @@ impl Engine {
     /// Either way the chained run performs the identical state-change
     /// sequence the queued run would — it only skips the push and the
     /// pop. A chained hop follows the tree link it took by the label
-    /// id its node memoised on that link ([`follow_link`]), so it
+    /// id its node memoised on that link (`follow_link`), so it
     /// probes no hash; one that cannot deliver yet re-enters the
     /// transport exactly as an unchained forward would have (a fresh
     /// queued envelope, not a requeue of its ancestor). Chained hops

@@ -35,14 +35,6 @@ pub enum DlptError {
         /// Budget that was exceeded.
         budget: usize,
     },
-    /// A batch-pump route worker died; the batch was abandoned cleanly
-    /// (nothing committed, its registered requests released) instead
-    /// of aborting the process.
-    WorkerFailed {
-        /// Requests of the batch that had already resolved when the
-        /// pump collapsed — always 0: routing precedes the commit.
-        completed: usize,
-    },
 }
 
 impl fmt::Display for DlptError {
@@ -61,11 +53,6 @@ impl fmt::Display for DlptError {
             DlptError::HopBudgetExhausted { budget } => {
                 write!(f, "hop budget of {budget} exhausted (routing loop?)")
             }
-            DlptError::WorkerFailed { completed } => write!(
-                f,
-                "batch-pump route worker died; batch abandoned \
-                 ({completed} requests had already resolved)"
-            ),
         }
     }
 }

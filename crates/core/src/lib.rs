@@ -55,15 +55,13 @@ pub mod trie;
 pub use alphabet::Alphabet;
 pub use balance::{KChoices, LoadBalancer, MaxLocalThroughput, NoBalancing};
 pub use cache::{CacheStats, RouteCache, Shortcut};
-pub use engine::{
-    parallel::ParallelPump, Engine, FifoTransport, Step, Transport, REQUEST_RETRY_BUDGET,
-};
+pub use engine::{Engine, FifoTransport, Step, Transport, REQUEST_RETRY_BUDGET};
 pub use error::{DlptError, Result};
 pub use key::Key;
 pub use messages::{Address, Envelope, Message, NodeMsg, PeerMsg, QueryKind};
 pub use node::NodeState;
 pub use obs::health::{
-    AuditCheck, HealthMonitor, HealthSnapshot, HealthTiming, MemoryFootprint, PeerHealth, Violation,
+    AuditCheck, HealthMonitor, HealthSnapshot, MemoryFootprint, PeerHealth, Violation,
 };
 pub use obs::{EventKind, TraceEvent, TraceRing, Tracer};
 pub use overlay::{Driver, Overlay};

@@ -8,12 +8,11 @@
 //! fault-off hot path allocation-free and the golden determinism
 //! fingerprint byte-identical.
 //!
-//! Every event is emitted on the thread that owns the engine — the
-//! batch pump's are emitted by its commit phase, in request order — so
-//! `seq` alone orders a trace. Exporters ([`write_jsonl`],
+//! Every event is emitted on the thread that owns the engine, so `seq`
+//! alone orders a trace. Exporters ([`write_jsonl`],
 //! [`write_chrome_trace`]) serialise an event slice without consulting
 //! the directory — the output is a pure function of the events, hence
-//! byte-stable across repeats and worker counts.
+//! byte-stable across repeats.
 
 pub mod health;
 

@@ -12,9 +12,7 @@
 //!   on demand or on a unit cadence. Collection is a pure read of
 //!   engine state (no counters in the hot path, no allocation once the
 //!   buffers are warm), so health-off runs are byte-identical to the
-//!   golden fingerprint and health-on runs are deterministic per seed
-//!   — except for the [`HealthTiming`] section, which holds wall-clock
-//!   readings and is rendered apart, never to be diffed.
+//!   golden fingerprint and health-on runs are deterministic per seed.
 //! * [`Violation`] / [`AuditCheck`] — the structured result vocabulary
 //!   of [`Engine::audit`](crate::engine::Engine::audit), which checks
 //!   directory↔slab↔trie↔replication cross-consistency and returns
@@ -27,8 +25,7 @@
 //!
 //! Exporters serialise a snapshot as one JSONL object (fixed key
 //! order, fixed float precision — two seeded runs diff clean) or as
-//! Prometheus-style gauge text; the timing section has its own pair of
-//! writers and goes to files of its own.
+//! Prometheus-style gauge text.
 
 use crate::cache::CacheStats;
 use crate::transport::FaultStats;
@@ -98,22 +95,6 @@ impl MemoryFootprint {
     }
 }
 
-/// The wall-clock part of a snapshot: readings that differ between two
-/// runs of one seed because they time the pump's phases. Rendered by
-/// [`HealthSnapshot::write_timing_jsonl_line`] /
-/// [`HealthSnapshot::write_timing_prometheus`] only, so nothing that
-/// compares runs ever sees it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthTiming {
-    /// Microseconds the last [`ParallelPump`](crate::ParallelPump)
-    /// batch spent routing (the parallel, read-only phase); 0 when
-    /// only the sequential pump has run.
-    pub route_us: u64,
-    /// Microseconds the same batch spent committing (the ordered
-    /// capacity replay and response fold on the calling thread).
-    pub commit_us: u64,
-}
-
 /// One filled system snapshot. Every buffer is preallocated by the
 /// owning [`HealthMonitor`] and reused; collection never allocates
 /// once the buffers have reached their high-water marks.
@@ -157,8 +138,6 @@ pub struct HealthSnapshot {
     pub audit_violations: u64,
     /// Memory accounting for the whole engine at snapshot time.
     pub bytes: MemoryFootprint,
-    /// Wall-clock readings; excluded from every rendering above.
-    pub timing: HealthTiming,
 }
 
 /// Owns a [`HealthSnapshot`] plus the previous-counter state needed to
@@ -331,17 +310,6 @@ impl HealthSnapshot {
         out.push_str("]}\n");
     }
 
-    /// Appends the [`HealthTiming`] section as one JSON object line,
-    /// keyed like [`HealthSnapshot::write_jsonl_line`] so the two
-    /// series join on `(cfg, run, unit)`.
-    pub fn write_timing_jsonl_line(&self, cfg: &str, run: u64, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "{{\"cfg\":\"{}\",\"run\":{},\"unit\":{},\"route_us\":{},\"commit_us\":{}}}",
-            cfg, run, self.unit, self.timing.route_us, self.timing.commit_us
-        );
-    }
-
     /// Appends this snapshot as Prometheus-style gauge text. One
     /// `# TYPE` header per family, per-peer gauges labelled by interned
     /// id — deterministic for the same reason as the JSONL form.
@@ -383,17 +351,6 @@ impl HealthSnapshot {
                 "dlpt_peer_messages{{peer=\"{}\"}} {}",
                 p.peer, p.messages
             );
-        }
-    }
-
-    /// Appends the [`HealthTiming`] section as Prometheus-style gauge
-    /// text.
-    pub fn write_timing_prometheus(&self, out: &mut String) {
-        for (name, v) in [
-            ("dlpt_pump_route_us", self.timing.route_us),
-            ("dlpt_pump_commit_us", self.timing.commit_us),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
         }
     }
 }
@@ -458,10 +415,6 @@ mod tests {
                 ..Default::default()
             },
         ];
-        snap.timing = HealthTiming {
-            route_us: 7,
-            commit_us: 3,
-        };
         let mut a = String::new();
         let mut b = String::new();
         snap.write_jsonl_line("t", 0, &mut a);
@@ -477,19 +430,6 @@ mod tests {
         snap.write_prometheus(&mut prom);
         assert!(prom.contains("dlpt_peers 2.0000"));
         assert!(prom.contains("dlpt_peer_nodes{peer=\"0\"} 3"));
-
-        // The timing section renders apart, and only there.
-        assert!(!a.contains("_us") && !prom.contains("_us"));
-        let mut timing = String::new();
-        snap.write_timing_jsonl_line("t", 0, &mut timing);
-        assert_eq!(
-            timing,
-            "{\"cfg\":\"t\",\"run\":0,\"unit\":3,\"route_us\":7,\"commit_us\":3}\n"
-        );
-        timing.clear();
-        snap.write_timing_prometheus(&mut timing);
-        assert!(timing.contains("dlpt_pump_route_us 7\n"));
-        assert!(timing.ends_with("dlpt_pump_commit_us 3\n"));
     }
 
     #[test]

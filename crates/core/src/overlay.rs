@@ -18,9 +18,7 @@
 //!
 //! [`DlptSystem`]: crate::system::DlptSystem
 
-use crate::engine::{
-    empty_outcome, parallel::ParallelPump, Engine, LookupOutcome, RepairReport, Transport,
-};
+use crate::engine::{empty_outcome, Engine, LookupOutcome, RepairReport, Transport};
 use crate::error::{DlptError, Result};
 use crate::key::Key;
 use crate::messages::{Envelope, NodeMsg, QueryKind};
@@ -306,29 +304,16 @@ impl<D: Driver> Overlay<D> {
         }
     }
 
-    /// Runs a batch of discovery requests through the route-then-commit
-    /// pump ([`crate::engine::parallel`]): entry nodes are drawn from
-    /// the RNG exactly as [`Overlay::request`] draws them, the requests
-    /// are routed read-only over the frozen tree on up to `workers`
-    /// threads, and one ordered commit charges the capacity counters in
-    /// request order. Outcomes are returned in input order and — like
-    /// the counters, loads and trace the batch leaves behind — equal
-    /// what calling [`Overlay::request`] once per query on the
-    /// synchronous runtime would produce, at every worker count. Two
-    /// caveats: route caches are consulted up front and taught
-    /// afterwards, and a refused visit is a drop (no replica failover
-    /// at `k > 1`).
+    /// Runs a batch of discovery requests: [`Overlay::request`] once per
+    /// query, in order, stopping at the first error. Outcomes are
+    /// returned in input order. `workers` is accepted and ignored; the
+    /// signature stays because the repo benchmark calls it.
     pub fn discover_batch(
         &mut self,
         queries: Vec<QueryKind>,
-        workers: usize,
+        _workers: usize,
     ) -> Result<Vec<LookupOutcome>> {
-        let mut requests = Vec::with_capacity(queries.len());
-        for query in queries {
-            let entry = self.random_node().ok_or(DlptError::EmptyTree)?;
-            requests.push((entry, query));
-        }
-        ParallelPump::new(workers).run_batch(&mut self.engine, requests)
+        queries.into_iter().map(|q| self.request(q)).collect()
     }
 
     /// Exact lookup of one key.

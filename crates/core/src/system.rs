@@ -557,38 +557,6 @@ mod tests {
         }
     }
 
-    /// A crash at `k = 1` leaves tree links to the lost labels until
-    /// `repair_tree` runs. A batch visit to one fails its request with
-    /// the outcome the sequential pump reaches once its requeue budget
-    /// is spent — only `stats.requeues` tells the two apart.
-    #[test]
-    fn batch_visits_to_lost_labels_fail_like_the_sequential_pump() {
-        let crashed = || {
-            let mut sys = binary_system(5, 13);
-            let victim = sys
-                .peer_ids()
-                .into_iter()
-                .find(|p| sys.shard(p).is_some_and(|s| s.node_count() > 0))
-                .unwrap();
-            assert!(!sys.crash_peer(&victim).unwrap().is_empty());
-            sys
-        };
-        let queries = || PAPER_KEYS.iter().cycle().take(24).map(|s| k(s));
-        let mut seq = crashed();
-        let want: Vec<_> = queries()
-            .map(|key| seq.request(QueryKind::Exact(key)).unwrap())
-            .collect();
-        let mut par = crashed();
-        let got = par
-            .discover_batch(queries().map(QueryKind::Exact).collect(), 3)
-            .unwrap();
-        assert_eq!(want, got);
-        assert!(got.iter().any(|o| o.dropped) && got.iter().any(|o| o.satisfied));
-        assert!(par.stats.undeliverable > 0 && seq.stats.requeues > par.stats.requeues);
-        seq.stats.requeues = par.stats.requeues;
-        assert_eq!(seq.stats, par.stats);
-    }
-
     #[test]
     fn migrate_node_moves_and_counts() {
         let mut sys = binary_system(4, 17);

@@ -205,14 +205,10 @@ pub struct ExperimentConfig {
     /// visited label) — the figC evidence that shortcuts relieve the
     /// upper tree.
     pub track_depth_hist: bool,
-    /// Workers for the discovery phase: at `> 1` each unit's request
-    /// batch runs through the route-then-commit pump
-    /// (`dlpt_core::engine::parallel`) instead of one-at-a-time FIFO.
-    /// The pump commits in request order, so with caching and
-    /// replication off every worker count reproduces the `1` metrics
-    /// unit for unit; with `cache_capacity > 0` a batch consults its
-    /// caches up front and with `replication > 1` it skips replica
-    /// failover, so committed CSVs stay at the default `1`.
+    /// Unread: nothing in the workspace looks at it, and discovery is
+    /// always the one-at-a-time `request` loop. It stays because the
+    /// repo benchmark's replica asserts it is `1`; it goes with the
+    /// benchmark adapter (ROADMAP item 4(c)).
     pub workers: usize,
     /// Probability that a faultable message (discovery, client
     /// response) is lost in transit (fault

@@ -150,10 +150,6 @@ pub struct RunResult {
     /// One JSONL [`dlpt_core::HealthSnapshot`] line per unit when
     /// [`ExperimentConfig::health_snapshots`] is set; empty otherwise.
     pub health: String,
-    /// The snapshots' scheduling-dependent section
-    /// ([`dlpt_core::HealthTiming`]), one JSONL line per unit beside
-    /// `health`. Two runs of one seed may differ here and nowhere else.
-    pub health_timing: String,
     /// The final unit's snapshot (for Prometheus-style rendering of
     /// the end-of-horizon state); `None` unless `health_snapshots`.
     pub last_snapshot: Option<dlpt_core::HealthSnapshot>,
@@ -208,7 +204,6 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
     }
 
     let mut health = String::new();
-    let mut health_timing = String::new();
     let mut monitor = cfg.health_snapshots.then(dlpt_core::HealthMonitor::new);
 
     let mut pop = cfg.popularity.build();
@@ -309,59 +304,32 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
         let mut depth_hist = DepthHistogram::default();
 
         let mut m = UnitMetrics::default();
-        let fold = |m: &mut UnitMetrics,
-                    depth_hist: &mut DepthHistogram,
-                    out: dlpt_core::system::LookupOutcome| {
-            m.issued += 1;
-            if out.satisfied {
-                m.satisfied += 1;
-                m.hop_samples += 1;
-                m.logical_hops_sum += out.logical_hops() as u64;
-                m.physical_lexico_sum += out.physical_hops() as u64;
-                if let Some(rm) = &random_map {
-                    m.physical_random_sum += rm.physical_hops(&out.path) as u64;
-                }
-                if let Some(map) = &depth_map {
-                    for label in &out.path {
-                        if let Some(d) = map.get(label) {
-                            depth_hist.record(*d as usize);
+        if !live_keys.is_empty() {
+            for _ in 0..n_requests {
+                let key = &live_keys[pop.pick(&live_keys, &mut rng, t)];
+                let Ok(out) = sys.request(QueryKind::Exact(key.clone())) else {
+                    continue;
+                };
+                m.issued += 1;
+                if out.satisfied {
+                    m.satisfied += 1;
+                    m.hop_samples += 1;
+                    m.logical_hops_sum += out.logical_hops() as u64;
+                    m.physical_lexico_sum += out.physical_hops() as u64;
+                    if let Some(rm) = &random_map {
+                        m.physical_random_sum += rm.physical_hops(&out.path) as u64;
+                    }
+                    if let Some(map) = &depth_map {
+                        for label in &out.path {
+                            if let Some(d) = map.get(label) {
+                                depth_hist.record(*d as usize);
+                            }
                         }
                     }
-                }
-            } else if out.dropped {
-                m.dropped += 1;
-            } else {
-                m.not_found += 1;
-            }
-        };
-        if !live_keys.is_empty() {
-            if cfg.workers > 1 {
-                // The unit's whole request batch through the
-                // route-then-commit pump: popularity draws and
-                // entry-node draws consume the two RNG streams in
-                // exactly the order the sequential path does, and the
-                // pump commits in request order, so the unit's metrics
-                // equal the sequential path's (cache off, k = 1).
-                let queries: Vec<QueryKind> = (0..n_requests)
-                    .map(|_| QueryKind::Exact(live_keys[pop.pick(&live_keys, &mut rng, t)].clone()))
-                    .collect();
-                // An empty tree (k = 1 crashes can lose every node
-                // while keys remain registered on paper) errors the
-                // batch before any engine state changes — issue
-                // nothing this unit, exactly like the sequential
-                // path's per-request `continue`.
-                if let Ok(outs) = sys.discover_batch(queries, cfg.workers) {
-                    for out in outs {
-                        fold(&mut m, &mut depth_hist, out);
-                    }
-                }
-            } else {
-                for _ in 0..n_requests {
-                    let key = &live_keys[pop.pick(&live_keys, &mut rng, t)];
-                    let Ok(out) = sys.request(QueryKind::Exact(key.clone())) else {
-                        continue;
-                    };
-                    fold(&mut m, &mut depth_hist, out);
+                } else if out.dropped {
+                    m.dropped += 1;
+                } else {
+                    m.not_found += 1;
                 }
             }
         }
@@ -401,8 +369,6 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
             mon.snap.audit_violations = violations.len() as u64;
             mon.snap
                 .write_jsonl_line(&cfg.name, run_idx as u64, &mut health);
-            mon.snap
-                .write_timing_jsonl_line(&cfg.name, run_idx as u64, &mut health_timing);
         }
         sys.end_time_unit();
         units.push(m);
@@ -410,7 +376,6 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
     RunResult {
         units,
         health,
-        health_timing,
         last_snapshot: monitor.map(|mon| mon.snap),
     }
 }
@@ -448,43 +413,6 @@ mod tests {
             dup_rate: 0.0,
             partition: None,
             health_snapshots: false,
-        }
-    }
-
-    #[test]
-    fn multi_worker_discovery_is_deterministic_and_issues_identically() {
-        let mut cfg = tiny(LbKind::None);
-        cfg.workers = 4;
-        let a = run_once(&cfg, 0);
-        let b = run_once(&cfg, 0);
-        assert_eq!(a.units, b.units, "per-seed determinism");
-        // The pump commits in request order: the worker count decides
-        // who routes a request, never what a unit measures.
-        let seq = run_once(&tiny(LbKind::None), 0);
-        assert_eq!(a.units, seq.units);
-    }
-
-    /// Reduced fig5-MLT (stable, overloaded) and fig7-KC (churn,
-    /// overloaded): capacity refusals, migrations and joins all in
-    /// play, and `workers = 4` still reproduces `workers = 1` unit for
-    /// unit (k = 1, cache off — the two caveats of the pump contract).
-    #[test]
-    fn overloaded_figures_at_four_workers_equal_one_worker() {
-        use crate::experiments::{fig5_configs, fig7_configs};
-        let fig5_mlt = fig5_configs().swap_remove(0);
-        let fig7_kc = fig7_configs().swap_remove(1);
-        for cfg in [fig5_mlt, fig7_kc] {
-            let cfg = cfg.scaled_down(5);
-            assert!(cfg.workers == 1 && cfg.replication == 1 && cfg.cache_capacity == 0);
-            let mut four = cfg.clone();
-            four.workers = 4;
-            let (one, four) = (run_once(&cfg, 0), run_once(&four, 0));
-            assert!(
-                one.units.iter().any(|u| u.dropped > 0),
-                "{}: the load must exhaust some peers",
-                cfg.name
-            );
-            assert_eq!(one.units, four.units, "{}", cfg.name);
         }
     }
 
@@ -628,21 +556,6 @@ mod tests {
             );
             assert!(line.contains("\"bytes_total\":"));
         }
-
-        // Same contract under the parallel pump.
-        let mut par = cfg.clone();
-        par.workers = 4;
-        let pa = run_once(&par, 0);
-        let pb = run_once(&par, 0);
-        assert_eq!(pa.health, pb.health, "workers > 1 stays deterministic");
-        assert_eq!(pa.health, a.health, "and equals the single-worker series");
-        // Phase timings are the clock's doing: reported, never compared.
-        assert!(!pa.health.contains("route_us"));
-        assert_eq!(pa.health_timing.lines().count(), 8);
-        assert!(pa
-            .health_timing
-            .lines()
-            .all(|l| l.contains("\"route_us\":") && l.contains("\"commit_us\":")));
     }
 
     #[test]

@@ -177,12 +177,6 @@ pub fn health_jsonl(results: &[RunResult]) -> String {
     results.iter().map(|r| r.health.as_str()).collect()
 }
 
-/// The timing-section twin of [`health_jsonl`]: scheduling-dependent
-/// readings, written to a file of their own that nothing diffs.
-pub fn health_timing_jsonl(results: &[RunResult]) -> String {
-    results.iter().map(|r| r.health_timing.as_str()).collect()
-}
-
 /// Averages run results into per-unit series.
 pub fn average(cfg: &ExperimentConfig, results: &[RunResult]) -> AveragedSeries {
     let units = cfg.time_units as usize;

@@ -23,8 +23,8 @@ vocabulary, and every count in the summary would be suspect.
 ``--validate`` additionally enforces the schema — every line must be a
 JSON object with exactly the seven keys above, integer-valued except
 ``kind`` which must be a known name, and ``seq`` must be
-non-decreasing (every event, the batch pump's included, is emitted in
-order under the engine's one owner). Any violation prints the offending
+non-decreasing (every event is emitted in order under the engine's one
+owner). Any violation prints the offending
 line and exits non-zero; CI diffs two seeded runs on top of this.
 """
 

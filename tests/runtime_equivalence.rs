@@ -4,7 +4,7 @@
 //! and share one operation surface (`Overlay`). Driving one seeded
 //! workload (joins, graceful leaves, registrations, discoveries of
 //! every kind, removals, crashes — repaired at `k = 1`, failed over at
-//! `k = 2` — cache on/off) through all three must yield identical node
+//! `k = 2` — node hand-offs, cache on/off) through all three must yield identical node
 //! placements and identical discovery result sets, and the same misuse
 //! must fail with the same error.
 //!
@@ -45,6 +45,10 @@ enum Op {
     /// anti-entropy passes at `k = 2` so all runtimes fail over
     /// identically.
     Crash(u8),
+    /// Hand the `i % nodes`-th label off to the `j % live`-th peer (a
+    /// balancer's ownership hand-off); `drive` hands every moved label
+    /// back to its canonical host before it returns.
+    Migrate(u8, u8),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -59,6 +63,7 @@ fn op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Complete),
         (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Range(a, b)),
         any::<u8>().prop_map(Op::Crash),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Migrate(a, b)),
     ]
 }
 
@@ -170,7 +175,24 @@ fn drive<D: Driver>(rt: &mut Overlay<D>, ops: &[Op], initial_peers: usize, k: us
                 assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
                 rt.anti_entropy().unwrap();
             }
+            Op::Migrate(i, j) => {
+                let labels = rt.node_labels();
+                if let Some(label) = labels.get(*i as usize % labels.len().max(1)) {
+                    let to = &peers[*j as usize % peers.len()];
+                    if rt.host_of(label) != Some(to) {
+                        rt.migrate_node(label, to).unwrap();
+                    }
+                }
+            }
             _ => {}
+        }
+    }
+    // Back to the mapping rule, so the caller's audit sees canonical
+    // placements.
+    for label in rt.node_labels() {
+        let home = rt.host_peer(&label).cloned();
+        if let Some(home) = home.filter(|h| rt.host_of(&label) != Some(h)) {
+            rt.migrate_node(&label, &home).unwrap();
         }
     }
     Observed {
@@ -272,186 +294,6 @@ fn misuse_fails_with_the_same_error_on_every_runtime() {
     let mut threaded = ThreadedDlpt::new(Alphabet::grid(), 2);
     assert_eq!(misuse(&mut threaded), want, "threaded");
     threaded.shutdown();
-}
-
-/// Drives the workload through one `DlptSystem`, batching queries.
-/// `workers = None` is the sequential reference (`request` per query at
-/// the flush point); `Some(w)` routes each flushed batch through the
-/// route-then-commit pump at `w` workers. Every peer joins with
-/// `capacity`, and no time unit is ever closed, so a small capacity
-/// piles refusals up over the workload. Flush points — before every
-/// mutation, at the mid-workload migration, and at the end — are
-/// identical in every arm, and both paths draw entry nodes from the
-/// system RNG in query order, so all arms consume the RNG identically.
-///
-/// The mid-workload churn exercises the ownership-handoff path twice:
-/// a node is migrated off its canonical host, the next batches run
-/// against the handed-off placement, and the node is later handed back
-/// so the final audit sees the canonical mapping.
-fn drive_batched(
-    sys: &mut DlptSystem,
-    ops: &[Op],
-    initial_peers: usize,
-    workers: Option<usize>,
-    capacity: u32,
-) -> Observed {
-    fn flush(
-        sys: &mut DlptSystem,
-        workers: Option<usize>,
-        batch: &mut Vec<QueryKind>,
-        results: &mut Vec<(bool, Vec<Key>)>,
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        let qs = std::mem::take(batch);
-        match workers {
-            Some(w) => {
-                for o in sys.discover_batch(qs, w).unwrap() {
-                    results.push((o.satisfied, o.results));
-                }
-            }
-            None => {
-                for q in qs {
-                    let o = sys.request(q).unwrap();
-                    results.push((o.satisfied, o.results));
-                }
-            }
-        }
-    }
-
-    for i in 0..initial_peers {
-        sys.add_peer_with_id(peer_id(i), capacity).unwrap();
-    }
-    // Seed the tree so batches always have an entry node and the
-    // migration below always has a label to move.
-    for i in 0..4u8 {
-        sys.insert_data(key(i)).unwrap();
-    }
-    let mut next_peer = initial_peers;
-    let mut results = Vec::new();
-    let mut batch: Vec<QueryKind> = Vec::new();
-    let mut migrated: Option<Key> = None;
-    let mid = ops.len() / 2;
-    for (at, o) in ops.iter().enumerate() {
-        if at == mid {
-            flush(sys, workers, &mut batch, &mut results);
-            // Hand a node off its canonical host: deterministic pick
-            // of the first placement and the last peer not hosting it.
-            let moved = sys
-                .directory()
-                .iter()
-                .map(|(l, h)| (l.clone(), h.clone()))
-                .next();
-            if let Some((label, home)) = moved {
-                if let Some(to) = sys.peer_ids().into_iter().rev().find(|p| *p != home) {
-                    sys.migrate_node(&label, &to).unwrap();
-                    migrated = Some(label);
-                }
-            }
-        }
-        if let Some(q) = query_of(o) {
-            batch.push(q);
-            continue;
-        }
-        flush(sys, workers, &mut batch, &mut results);
-        match o {
-            Op::Join => {
-                sys.add_peer_with_id(peer_id(next_peer), capacity).unwrap();
-                next_peer += 1;
-            }
-            Op::Insert(i) => sys.insert_data(key(*i)).unwrap(),
-            Op::Remove(i) => sys.remove_data(&key(*i)).unwrap(),
-            Op::Leave(i) | Op::Crash(i) => {
-                let peers = sys.peer_ids();
-                if peers.len() < 4 {
-                    continue;
-                }
-                let victim = peers[*i as usize % peers.len()].clone();
-                if matches!(o, Op::Leave(_)) {
-                    sys.leave_peer(&victim).unwrap();
-                    continue;
-                }
-                sys.anti_entropy().unwrap();
-                let lost = sys.crash_peer(&victim).unwrap();
-                assert!(lost.is_empty(), "k=2 + fresh anti-entropy: {lost:?}");
-                sys.anti_entropy().unwrap();
-            }
-            Op::Lookup(_) | Op::Complete(_) | Op::Range(_, _) => unreachable!("queries batch"),
-        }
-    }
-    flush(sys, workers, &mut batch, &mut results);
-    // Hand the migrated node back to whichever peer the mapping rule
-    // designates by now (its old home may have crashed since), so the
-    // final audit sees the canonical mapping; a deregistered node
-    // makes the undo moot.
-    if let Some(label) = migrated {
-        if let Some(home) = sys.host_of(&label).and(sys.host_peer(&label)).cloned() {
-            sys.migrate_node(&label, &home).unwrap();
-        }
-    }
-    flush(sys, workers, &mut batch, &mut results);
-    Observed {
-        placements: sys
-            .directory()
-            .iter()
-            .map(|(l, h)| (l.clone(), h.clone()))
-            .collect(),
-        results,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Batch-pump arm: the same seeded workload — k = 2 crashes, route
-    /// caches on, a mid-workload `migrate_node` ownership handoff —
-    /// driven through the sequential pump and through `discover_batch`
-    /// at workers ∈ {1, 2, 8} must agree on placements and result
-    /// sets, and every arm must audit clean. Then the capacity-limited
-    /// arm: k = 1 and caches off (the pump contract's two caveats, so
-    /// crashes are left out — nothing could absorb them), every peer
-    /// at capacity 3; there the batches must equal the sequential pump
-    /// down to which visits were refused, i.e. in the full counters.
-    #[test]
-    fn parallel_worker_counts_agree_with_the_sequential_pump(
-        ops in proptest::collection::vec(op(), 4..24),
-        seed in 0u64..200,
-        initial_peers in 4usize..6,
-    ) {
-        let calm: Vec<Op> = ops
-            .iter()
-            .filter(|o| !matches!(o, Op::Crash(_)))
-            .cloned()
-            .collect();
-        for (k, cache, capacity, ops) in [(2, 32, u32::MAX >> 1, &ops), (1, 0, 3, &calm)] {
-            let build = || {
-                DlptSystem::builder()
-                    .seed(seed)
-                    .peer_id_len(8)
-                    .replication(k)
-                    .cache_capacity(cache)
-                    .build()
-            };
-            let mut reference = build();
-            let expect = drive_batched(&mut reference, ops, initial_peers, None, capacity);
-            let audit = reference.audit();
-            prop_assert!(audit.is_empty(), "sequential audits clean: {:?}", audit);
-
-            for w in [1usize, 2, 8] {
-                let mut sys = build();
-                let got = drive_batched(&mut sys, ops, initial_peers, Some(w), capacity);
-                let audit = sys.audit();
-                prop_assert!(audit.is_empty(), "workers={} audits clean: {:?}", w, audit);
-                prop_assert_eq!(&expect.placements, &got.placements,
-                    "workers={} placements", w);
-                prop_assert_eq!(&expect.results, &got.results, "workers={} results", w);
-                if k == 1 {
-                    prop_assert_eq!(&reference.stats, &sys.stats, "workers={} counters", w);
-                }
-            }
-        }
-    }
 }
 
 /// Number of queries in an op sequence — the result count `drive` must

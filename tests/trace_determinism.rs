@@ -1,21 +1,19 @@
 //! Trace determinism: the observability subsystem's exported event
-//! stream is a pure function of `(config, seed, operation sequence)` —
-//! the batch pump included, whose commit phase emits in request order
-//! whatever the worker count. Two identical traced runs must serialize
+//! stream is a pure function of `(config, seed, operation sequence)`.
+//! Two identical traced runs must serialize
 //! to byte-identical JSONL and chrome://tracing dumps, which is what
 //! lets CI diff two seeded `figA --scale 8 --trace` runs.
 
 use dlpt::core::messages::QueryKind;
 use dlpt::core::obs::{write_chrome_trace, write_jsonl};
-use dlpt::core::{Alphabet, DlptSystem, EventKind, Key, TraceEvent};
-use std::collections::BTreeMap;
+use dlpt::core::{Alphabet, DlptSystem, Key, TraceEvent};
 
 const KEYS: [&str; 10] = [
     "DGEMM", "DGEMV", "DTRSM", "SGEMM", "SGEMV", "S3L_fft", "S3L_sort", "PSGESV", "PDGEMM", "CAXPY",
 ];
 
-/// One traced workload: sequential requests, then a 3-worker batch, so
-/// the stream crosses both the dispatch and the commit emission sites.
+/// One traced workload: exact lookups (one of them a miss) and a
+/// completion.
 fn traced_run(seed: u64) -> Vec<TraceEvent> {
     let mut sys = DlptSystem::builder()
         .alphabet(Alphabet::grid())
@@ -31,11 +29,6 @@ fn traced_run(seed: u64) -> Vec<TraceEvent> {
         sys.lookup(&Key::from(k));
     }
     sys.request(QueryKind::Complete(Key::from("S3L"))).unwrap();
-    let queries: Vec<QueryKind> = KEYS
-        .iter()
-        .map(|k| QueryKind::Exact(Key::from(*k)))
-        .collect();
-    sys.discover_batch(queries, 3).expect("parallel batch");
     sys.take_trace()
 }
 
@@ -58,74 +51,6 @@ fn traced_runs_serialize_byte_identically_across_repeats() {
     assert_eq!(jsonl_a, jsonl_b, "JSONL dumps diverged");
     assert_eq!(chrome_a, chrome_b, "chrome trace dumps diverged");
     assert!(jsonl_a.ends_with(b"\n"), "JSONL must be newline-terminated");
-}
-
-/// Each request's routing story — its `hop` / `drop` / `branch_*` /
-/// `satisfy` / `fail` events in emission order, minus the ring's `seq`
-/// stamp.
-type Stories = BTreeMap<u32, Vec<(EventKind, u32, u32, u16, u8)>>;
-
-fn stories(events: &[TraceEvent]) -> Stories {
-    use EventKind::*;
-    let mut by_request = Stories::new();
-    for e in events {
-        if matches!(
-            e.kind,
-            Hop | Drop | BranchOpen | BranchClose | Satisfy | Fail
-        ) {
-            let story = by_request.entry(e.request).or_default();
-            story.push((e.kind, e.a, e.b, e.depth, e.flags));
-        }
-    }
-    by_request
-}
-
-/// The commit replays a batch in request order, so each request's
-/// story equals the one the sequential `request` loop tells on a twin
-/// system — refusals under capacity pressure and gather fan-outs
-/// included — at every worker count.
-#[test]
-fn batch_stories_equal_the_sequential_twins_request_by_request() {
-    let build = || {
-        let mut sys = DlptSystem::builder()
-            .alphabet(Alphabet::grid())
-            .seed(42)
-            .peer_id_len(12)
-            .default_capacity(12)
-            .bootstrap_peers(8)
-            .build();
-        for k in &KEYS {
-            sys.insert_data(*k).unwrap();
-        }
-        sys.end_time_unit();
-        sys.set_tracing(1 << 14);
-        sys
-    };
-    let queries = || {
-        let mut qs: Vec<QueryKind> = KEYS
-            .iter()
-            .cycle()
-            .take(30)
-            .map(|k| QueryKind::Exact(Key::from(*k)))
-            .collect();
-        qs.insert(3, QueryKind::Complete(Key::from("S3L")));
-        qs.insert(9, QueryKind::range(Key::from("D"), Key::from("Q")));
-        qs.push(QueryKind::Exact(Key::from("MISSING")));
-        qs
-    };
-    let mut twin = build();
-    for q in queries() {
-        twin.request(q).unwrap();
-    }
-    let want = stories(&twin.take_trace());
-    let kinds = |k: EventKind| want.values().flatten().filter(|e| e.0 == k).count();
-    assert!(kinds(EventKind::Drop) > 0, "capacity 12 must refuse visits");
-    assert!(kinds(EventKind::BranchOpen) > 0 && kinds(EventKind::Satisfy) > 0);
-    for workers in [1, 2, 3, 8] {
-        let mut sys = build();
-        sys.discover_batch(queries(), workers).unwrap();
-        assert_eq!(want, stories(&sys.take_trace()), "workers={workers}");
-    }
 }
 
 #[test]
