@@ -18,7 +18,7 @@ use dlpt::core::{
 };
 use dlpt::net::{LatencyModel, LatencyNet, ThreadedDlpt};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const KEY_POOL: [&str; 16] = [
     "DGEMM", "DGEMV", "DTRSM", "DTRMM", "SGEMM", "SGEMV", "S3L_fft", "S3L_sort", "S3L_mat",
@@ -46,8 +46,9 @@ enum Op {
     /// identically.
     Crash(u8),
     /// Hand the `i % nodes`-th label off to the `j % live`-th peer (a
-    /// balancer's ownership hand-off); `drive` hands every moved label
-    /// back to its canonical host before it returns.
+    /// balancer's ownership hand-off); `drive` hands each label it
+    /// moved, if still live and off-home, back to its canonical host
+    /// before it returns.
     Migrate(u8, u8),
 }
 
@@ -143,6 +144,7 @@ fn drive<D: Driver>(rt: &mut Overlay<D>, ops: &[Op], initial_peers: usize, k: us
     }
     let mut next_peer = initial_peers;
     let mut results = Vec::new();
+    let mut migrated = BTreeSet::new();
     for o in ops {
         if let Some(q) = query_of(o) {
             results.push(ask(rt, q));
@@ -181,17 +183,21 @@ fn drive<D: Driver>(rt: &mut Overlay<D>, ops: &[Op], initial_peers: usize, k: us
                     let to = &peers[*j as usize % peers.len()];
                     if rt.host_of(label) != Some(to) {
                         rt.migrate_node(label, to).unwrap();
+                        migrated.insert(label.clone());
                     }
                 }
             }
             _ => {}
         }
     }
-    // Back to the mapping rule, so the caller's audit sees canonical
-    // placements.
-    for label in rt.node_labels() {
-        let home = rt.host_peer(&label).cloned();
-        if let Some(home) = home.filter(|h| rt.host_of(&label) != Some(h)) {
+    // Only the labels `Op::Migrate` moved go back to the mapping rule;
+    // every other placement stays as the runtime left it, under the
+    // caller's audit and cross-runtime comparison.
+    for label in migrated {
+        let Some(host) = rt.host_of(&label).cloned() else {
+            continue; // deregistered since
+        };
+        if let Some(home) = rt.host_peer(&label).cloned().filter(|h| *h != host) {
             rt.migrate_node(&label, &home).unwrap();
         }
     }
