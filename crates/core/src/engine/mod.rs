@@ -44,6 +44,8 @@ mod slab_props;
 #[cfg(test)]
 mod slot_hints;
 #[cfg(test)]
+mod twin;
+#[cfg(test)]
 mod write_chains;
 
 use crate::cache::{self, CacheStats, RouteCache};

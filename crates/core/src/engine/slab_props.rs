@@ -13,8 +13,9 @@
 //! against the recursive father-chain definition, including the
 //! post-crash, pre-repair state in which subtrees hang off dead
 //! fathers. This lives inside the engine module (not `tests/`) for the
-//! key pool the sibling test modules share.
+//! key pool it shares with the twin tests.
 
+use super::twin::key_pool;
 use crate::alphabet::Alphabet;
 use crate::key::Key;
 use crate::obs::health::AuditCheck;
@@ -48,24 +49,6 @@ fn churn_op() -> impl Strategy<Value = ChurnOp> {
     ]
 }
 
-/// All 39 keys of length 1–3 over the `012` alphabet — small enough
-/// that removals and re-registrations constantly revisit the same
-/// interned ids.
-pub(super) fn key_pool() -> Vec<Key> {
-    let mut pool = Vec::new();
-    let digits = [b'0', b'1', b'2'];
-    for a in digits {
-        pool.push(Key::from_bytes(vec![a]));
-        for b in digits {
-            pool.push(Key::from_bytes(vec![a, b]));
-            for c in digits {
-                pool.push(Key::from_bytes(vec![a, b, c]));
-            }
-        }
-    }
-    pool
-}
-
 /// `audit()` — interner round-trip, slab, ring, trie, replication
 /// records, caches — minus the one class a step may legally leave open:
 /// `migrate_node` moves a node off its canonical host (the balancer
@@ -86,7 +69,7 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec(churn_op(), 1..16),
     ) {
-        let pool = key_pool();
+        let pool = key_pool(3);
         let alphabet = Alphabet::new(b"012", "prop");
         let mut sys = DlptSystem::builder()
             .alphabet(alphabet.clone())
@@ -199,7 +182,7 @@ proptest! {
         keys in proptest::collection::vec(any::<u16>(), 1..40),
         crashes in proptest::collection::vec(any::<u16>(), 0..4),
     ) {
-        let pool = key_pool();
+        let pool = key_pool(3);
         // k = 1: every crash loses its nodes and orphans their subtrees.
         let mut sys = DlptSystem::builder()
             .alphabet(Alphabet::new(b"012", "prop"))

@@ -200,7 +200,7 @@ proptest! {
     /// answer. Every lookup, the final tree and the final key set
     /// match a fault-free twin driven by the same seed.
     #[test]
-    fn duplicated_and_delayed_invalidations_change_nothing_observable(
+    fn duplicated_and_delayed_responses_change_nothing_observable(
         ops in proptest::collection::vec(op(), 1..40),
         seed in 0u64..300,
     ) {
