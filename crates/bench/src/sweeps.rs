@@ -4,7 +4,7 @@
 
 use crate::{write_results, Entry, Opts};
 use dlpt_core::messages::QueryKind;
-use dlpt_core::{Alphabet, DlptSystem, FaultPlan, HealthSnapshot, Key};
+use dlpt_core::{Alphabet, DlptSystem, FaultPlan, Key};
 use dlpt_sim::config::{ExperimentConfig, LbKind, PopKind};
 use dlpt_sim::experiments as exp;
 use dlpt_sim::report::{ascii_chart, ascii_table};
@@ -88,13 +88,12 @@ impl SweepGrid {
     }
 }
 
-/// `--health PATH` of figC and figA: one [`HealthSnapshot`] line per
-/// unit per run, in sweep order. Off (no path), nothing is collected
-/// and the run is byte-identical to an unobserved one.
+/// `--health PATH` of figC and figA: one [`dlpt_core::HealthSnapshot`]
+/// line per unit per run, in sweep order. Off (no path), nothing is
+/// collected and the run is byte-identical to an unobserved one.
 struct Health {
     path: Option<PathBuf>,
     jsonl: String,
-    last: Option<HealthSnapshot>,
 }
 
 impl Health {
@@ -102,7 +101,6 @@ impl Health {
         Health {
             path: opts.health.clone(),
             jsonl: String::new(),
-            last: None,
         }
     }
 
@@ -113,29 +111,18 @@ impl Health {
         let results = run_all(&cfg);
         if self.path.is_some() {
             self.jsonl.push_str(&health_jsonl(&results));
-            self.last = results.last().and_then(|r| r.last_snapshot.clone());
         }
         average(&cfg, &results)
     }
 
-    /// Writes the JSONL series at `PATH` and a Prometheus rendering of
-    /// the final snapshot at `PATH` with the extension `prom`; two
-    /// seeded runs diff clean on both.
+    /// Writes the JSONL series at `PATH`; two seeded runs diff clean.
     fn finish(self) {
         let Some(path) = self.path else { return };
-        let mut prom = String::new();
-        if let Some(snap) = &self.last {
-            snap.write_prometheus(&mut prom);
-        }
-        let prom_path = path.with_extension("prom");
-        for (file, body) in [(&path, &self.jsonl), (&prom_path, &prom)] {
-            std::fs::write(file, body).expect("write health files");
-        }
+        std::fs::write(&path, &self.jsonl).expect("write health file");
         println!(
-            "  health: {} snapshots -> {} (+ {})",
+            "  health: {} snapshots -> {}",
             self.jsonl.lines().count(),
-            path.display(),
-            prom_path.display()
+            path.display()
         );
     }
 }
@@ -264,8 +251,7 @@ pub fn figa(e: &Entry, opts: &Opts) {
 /// The sweep itself stays untraced so its numbers are the committed
 /// ones; this companion run shows what the retry machinery does under
 /// a figA-like 10% loss / 5% duplication plan. Writes the drained
-/// trace as deterministic JSONL at `path` plus a chrome://tracing span
-/// file at `path` with the extension replaced by `chrome.json`.
+/// trace as deterministic JSONL at `path`.
 fn traced_sample(path: &Path) {
     let mut sys = DlptSystem::builder()
         .alphabet(Alphabet::grid())
@@ -291,18 +277,10 @@ fn traced_sample(path: &Path) {
             .expect("tree non-empty");
     }
     let events = sys.take_trace();
-    let chrome_path = path.with_extension("chrome.json");
-    let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
+    let mut jsonl = Vec::new();
     dlpt_core::obs::write_jsonl(&events, &mut jsonl).expect("in-memory write");
-    dlpt_core::obs::write_chrome_trace(&events, &mut chrome).expect("in-memory write");
     std::fs::write(path, jsonl).expect("write figA trace");
-    std::fs::write(&chrome_path, chrome).expect("write figA chrome trace");
-    println!(
-        "  trace: {} events -> {} (+ {})",
-        events.len(),
-        path.display(),
-        chrome_path.display()
-    );
+    println!("  trace: {} events -> {}", events.len(), path.display());
 }
 
 /// Figure C — mean route length and satisfaction vs. per-peer

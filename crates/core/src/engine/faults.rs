@@ -94,7 +94,7 @@ impl Engine {
     /// always `None` for requests admitted with no plan or partition
     /// active, which keep no snapshot.
     pub fn retry_origin(&mut self, id: u64) -> Option<Envelope> {
-        let agg = self.gathers.get_mut(id)?;
+        let agg = self.request.pending(id)?;
         if agg.outstanding <= 0 || agg.attempts >= REQUEST_RETRY_BUDGET {
             return None;
         }

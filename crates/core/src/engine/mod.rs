@@ -23,7 +23,9 @@
 //! No behaviour depends on the runtime: every visit charges Section 4's
 //! capacity model, every mutation is followed by the eager replica
 //! flush, and whether a request may finalize mid-drain is derived from
-//! the transport ([`Transport::synchronous`]) and the fault plan. Fault
+//! the transport ([`Transport::synchronous`]) and the fault plan.
+//! Requests run one at a time: one slot holds the request in flight
+//! from [`Engine::begin_request`] until its outcome is handed out. Fault
 //! injection and the recovery it makes necessary are the engine's too
 //! (`faults.rs`): one gate for everything emitted, one retry policy,
 //! both consequences of the installed [`FaultPlan`].
@@ -44,12 +46,12 @@ mod slab_props;
 #[cfg(test)]
 mod slot_hints;
 #[cfg(test)]
-mod twin;
+pub(crate) mod twin;
 #[cfg(test)]
 mod write_chains;
 
 use crate::cache::{self, CacheStats, RouteCache};
-use crate::directory::{Directory, FxHashMap, FxHashSet};
+use crate::directory::{Directory, FxHashSet};
 use crate::error::{DlptError, Result};
 use crate::key::Key;
 use crate::mapping;
@@ -179,12 +181,18 @@ pub fn empty_outcome() -> LookupOutcome {
     }
 }
 
-/// Aggregation state of one in-flight request. Lives in a pooled slot
-/// of [`GatherPool`]; its buffers (filter table, free-list slot) are
-/// reused across requests so steady-state aggregation allocates
-/// nothing.
-#[derive(Debug)]
-struct GatherAgg {
+/// The one request in flight. Callers finish a request before they
+/// admit the next, so a single slot, re-armed by
+/// [`Engine::begin_request`], holds the aggregation, the
+/// shortcut-learning intent and the eagerly judged outcome; its filter
+/// table is reused across requests so steady-state aggregation
+/// allocates nothing.
+#[derive(Debug, Default)]
+struct Request {
+    /// The request's id: a response carrying another id is stale.
+    id: u64,
+    /// Whether responses still count: from admission until judged.
+    open: bool,
     outstanding: i64,
     satisfied: bool,
     dropped: bool,
@@ -207,27 +215,25 @@ struct GatherAgg {
     retry: Option<Envelope>,
     /// Fault-induced retries this request has been re-armed for, out
     /// of [`REQUEST_RETRY_BUDGET`]. Survives `rearm` (a retry must keep
-    /// its own count) and resets only when the slot is reused for a
-    /// fresh request.
+    /// its own count); [`Request::begin`] resets it.
     attempts: u32,
+    /// `(target, entry host id)` to teach after a satisfied exact query.
+    learn: Option<(Key, u32)>,
+    /// The outcome judged mid-drain, until [`Engine::take_finished`]
+    /// hands it out.
+    outcome: Option<LookupOutcome>,
 }
 
-impl GatherAgg {
-    fn fresh() -> Self {
-        GatherAgg {
-            outstanding: 1,
-            satisfied: true,
-            dropped: false,
-            results: Vec::new(),
-            best_path: Vec::new(),
-            responses: 0,
-            seen: FxHashSet::default(),
-            retry: None,
-            attempts: 0,
-        }
+impl Request {
+    /// Re-arms the slot for request `id`, dropping whatever an earlier
+    /// request left in it.
+    fn begin(&mut self, id: u64) {
+        self.rearm();
+        (self.id, self.open, self.attempts) = (id, true, 0);
+        (self.retry, self.learn, self.outcome) = (None, None, None);
     }
 
-    /// Resets the aggregation to its begin-request state, keeping the
+    /// Resets the aggregation to its admission state, keeping the
     /// retry snapshot (a retried request re-arms with the same origin)
     /// and the filter table's capacity.
     fn rearm(&mut self) {
@@ -239,75 +245,10 @@ impl GatherAgg {
         self.responses = 0;
         self.seen.clear();
     }
-}
 
-/// A finished aggregation's verdict inputs, moved out of the pool slot
-/// at release time.
-struct FinishedAgg {
-    outstanding: i64,
-    satisfied: bool,
-    dropped: bool,
-    responses: usize,
-    results: Vec<Key>,
-    best_path: Vec<Key>,
-}
-
-/// Pooled aggregation slots keyed by request id: request begin/finish
-/// stops allocating and tree-walking per response (the old
-/// `BTreeMap<u64, GatherAgg>` paid a node allocation per request and
-/// an O(log n) walk per response).
-#[derive(Debug, Default)]
-struct GatherPool {
-    /// request id → slot index.
-    index: FxHashMap<u64, u32>,
-    slots: Vec<GatherAgg>,
-    /// Released slot indices awaiting reuse.
-    free: Vec<u32>,
-}
-
-impl GatherPool {
-    /// Registers a fresh aggregation for `id`, reusing a released slot
-    /// when one is available.
-    fn begin(&mut self, id: u64) -> &mut GatherAgg {
-        let i = match self.free.pop() {
-            Some(i) => {
-                let agg = &mut self.slots[i as usize];
-                agg.rearm();
-                agg.retry = None;
-                agg.attempts = 0;
-                i
-            }
-            None => {
-                self.slots.push(GatherAgg::fresh());
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.index.insert(id, i);
-        &mut self.slots[i as usize]
-    }
-
-    fn get_mut(&mut self, id: u64) -> Option<&mut GatherAgg> {
-        let &i = self.index.get(&id)?;
-        Some(&mut self.slots[i as usize])
-    }
-
-    /// Removes `id`'s aggregation, moving out the accumulated vectors
-    /// and returning the slot to the free list (filter capacity and
-    /// the slot itself are retained for reuse).
-    fn release(&mut self, id: u64) -> Option<FinishedAgg> {
-        let i = self.index.remove(&id)?;
-        let agg = &mut self.slots[i as usize];
-        let fin = FinishedAgg {
-            outstanding: agg.outstanding,
-            satisfied: agg.satisfied,
-            dropped: agg.dropped,
-            responses: agg.responses,
-            results: std::mem::take(&mut agg.results),
-            best_path: std::mem::take(&mut agg.best_path),
-        };
-        agg.retry = None;
-        self.free.push(i);
-        Some(fin)
+    /// The slot, while it aggregates request `id`.
+    fn pending(&mut self, id: u64) -> Option<&mut Request> {
+        (self.open && self.id == id).then_some(self)
     }
 }
 
@@ -478,12 +419,8 @@ pub struct Engine {
     ring: repair::RingPlan,
     /// Node label → hosting peer (interned, incrementally ordered).
     pub(crate) directory: Directory,
-    /// In-flight request aggregation, pooled by request id.
-    gathers: GatherPool,
-    finished: FxHashMap<u64, LookupOutcome>,
-    /// Request id → `(target, entry host id)` to teach after a
-    /// satisfied exact query.
-    learn: FxHashMap<u64, (Key, u32)>,
+    /// The request in flight, or the last one.
+    request: Request,
     next_request: u64,
     pub(crate) root: Option<Key>,
     /// Reused effect buffers: one dispatch allocates nothing once the
@@ -492,7 +429,7 @@ pub struct Engine {
     /// Host ids of the up/down visits the running dispatch has
     /// delivered, entry visit first: while one [`Engine::deliver`]
     /// chain walks a request's whole route this is its `host_path` in
-    /// id space, and [`Engine::assemble_outcome`] maps it back instead
+    /// id space, and [`Engine::judge`] maps it back instead
     /// of re-hashing every path label. Empty between dispatches.
     route_hosts: Vec<u32>,
     /// The fault gate (`faults.rs`); inert by default.
@@ -554,9 +491,7 @@ impl Default for Engine {
             members: BTreeSet::new(),
             ring: repair::RingPlan::default(),
             directory: Directory::new(),
-            gathers: GatherPool::default(),
-            finished: FxHashMap::default(),
-            learn: FxHashMap::default(),
+            request: Request::default(),
             next_request: 1,
             root: None,
             scratch: Effects::default(),
@@ -807,8 +742,9 @@ impl Engine {
     // Requests (entry, aggregation, completion) — the discovery flow
     // ------------------------------------------------------------------
 
-    /// Starts a discovery request entering at `entry`: registers the
-    /// aggregation state and builds the envelope to send.
+    /// Starts a discovery request entering at `entry`: re-arms the
+    /// request slot (an earlier request still open there is abandoned)
+    /// and builds the envelope to send.
     ///
     /// When caching is on the entry node's hosting peer — the overlay's
     /// access point for this request — consults its [`RouteCache`]
@@ -816,16 +752,15 @@ impl Engine {
     /// skips the whole upward climb and delivers the request straight
     /// to the covering node in `Down` phase; a stale hit is evicted and
     /// the request falls back to the normal up/down route, so results
-    /// never depend on cache freshness. Satisfied exact queries teach
-    /// the entry peer a fresh shortcut at completion
-    /// ([`Engine::take_finished`] / [`Engine::finish_request`]).
+    /// never depend on cache freshness. A satisfied exact query teaches
+    /// the entry peer a fresh shortcut when it is judged.
     pub fn begin_request(&mut self, entry: &Key, query: QueryKind) -> Result<(u64, Envelope)> {
         let Some((lid, hid, _)) = self.directory.resolve(entry) else {
             return Err(DlptError::UnknownNode(entry.to_string()));
         };
         let id = self.next_request;
         self.next_request += 1;
-        self.gathers.begin(id);
+        self.request.begin(id);
         if self.tracer.enabled() {
             self.tracer
                 .emit(TraceEvent::new(EventKind::Admit, id, lid, hid, 0));
@@ -853,7 +788,7 @@ impl Engine {
                 }
             }
             if shortcut.is_none() && matches!(query, QueryKind::Exact(_)) {
-                self.learn.insert(id, (target.into_owned(), hid));
+                self.request.learn = Some((target.into_owned(), hid));
             }
         }
         let env = match shortcut {
@@ -864,8 +799,7 @@ impl Engine {
             // Only an active gate can lose a branch; the retry snapshot
             // ([`Engine::retry_origin`]) is the one per-request clone
             // such runs pay for it.
-            let agg = self.gathers.get_mut(id).expect("registered above");
-            agg.retry = Some(env.clone());
+            self.request.retry = Some(env.clone());
         }
         Ok((id, env))
     }
@@ -878,16 +812,17 @@ impl Engine {
         t.synchronous() && !self.reordering
     }
 
-    /// Feeds one `ClientResponse` into the request's aggregation. With
-    /// `eager` judging ([`Engine::judges_eagerly`]) the request
-    /// finalizes into the finished set the moment no branch is
-    /// outstanding; otherwise the runtime calls
-    /// [`Engine::finish_request`] once drained. Responses for already
-    /// finalized (or unknown) requests are dropped as stale.
+    /// Feeds one `ClientResponse` into the open request's aggregation.
+    /// With `eager` judging ([`Engine::judges_eagerly`]) the request is
+    /// judged the moment no branch is outstanding and its outcome kept
+    /// for [`Engine::take_finished`]; otherwise the runtime calls
+    /// [`Engine::finish_request`] once drained. A response for another
+    /// request, or one arriving after its request was judged, is stale
+    /// and dropped.
     fn client_response(&mut self, outcome: DiscoveryOutcome, eager: bool) {
         let fault_recovery = self.fault_recovery;
-        let Some(agg) = self.gathers.get_mut(outcome.request_id) else {
-            return; // stale response after request already finalized
+        let Some(agg) = self.request.pending(outcome.request_id) else {
+            return;
         };
         if fault_recovery
             && outcome.satisfied
@@ -941,51 +876,39 @@ impl Engine {
             agg.best_path = outcome.path;
         }
         if eager && agg.outstanding <= 0 {
-            let fin = self
-                .gathers
-                .release(outcome.request_id)
-                .expect("present above");
-            let satisfied = fin.satisfied && !fin.dropped;
-            let out = self.assemble_outcome(fin, satisfied);
-            self.trace_finished(outcome.request_id, &out);
-            self.finished.insert(outcome.request_id, out);
+            self.request.outcome = Some(self.judge());
         }
     }
 
-    /// Emits a finalized request's terminal trace event. Called exactly
-    /// once per request, at eager finalization or at
+    /// Judges the open request and closes it: it is satisfied iff every
+    /// branch responded satisfied, nothing was dropped and no branch is
+    /// outstanding. Teaches the entry peer its shortcut if a satisfied
+    /// exact query left that intent, builds the [`LookupOutcome`] out
+    /// of the aggregation and emits the terminal trace event — exactly
+    /// once per request, at eager judging or at
     /// [`Engine::finish_request`].
-    fn trace_finished(&mut self, id: u64, out: &LookupOutcome) {
-        if self.tracer.enabled() {
-            let kind = if out.satisfied {
-                EventKind::Satisfy
-            } else {
-                EventKind::Fail
-            };
-            self.tracer.emit(TraceEvent::new(
-                kind,
-                id,
-                out.results.len() as u32,
-                out.gather_visits as u32,
-                out.logical_hops(),
-            ));
+    fn judge(&mut self) -> LookupOutcome {
+        let req = &mut self.request;
+        req.open = false;
+        let satisfied = req.satisfied && !req.dropped && req.outstanding <= 0;
+        if let Some((target, host)) = req.learn.take().filter(|_| satisfied) {
+            // A satisfied exact query proves the target's own node is
+            // live and owns the key: that node is the shortcut.
+            let sc = cache::learned_shortcut(&self.directory, &target);
+            if let (Some(sc), Some(slot)) = (sc, self.peers.get_mut(host)) {
+                slot.cache.insert(target, sc);
+                self.cache_stats.learned += 1;
+            }
         }
-    }
-
-    /// Builds the [`LookupOutcome`] from a completed aggregation.
-    fn assemble_outcome(&self, agg: FinishedAgg, satisfied: bool) -> LookupOutcome {
-        let mut results = agg.results;
+        let mut results = std::mem::take(&mut req.results);
+        let path = std::mem::take(&mut req.best_path);
         // Unstable sort: no scratch allocation, and equal keys are
         // byte-identical so stability is unobservable.
         results.sort_unstable();
         results.dedup();
-        let hashed = || {
-            agg.best_path
-                .iter()
-                .filter_map(|l| self.directory.host_of(l))
-        };
-        let mut host_path: Vec<Key> = Vec::with_capacity(agg.best_path.len());
-        if self.route_hosts.len() == agg.best_path.len() {
+        let hashed = || path.iter().filter_map(|l| self.directory.host_of(l));
+        let mut host_path: Vec<Key> = Vec::with_capacity(path.len());
+        if self.route_hosts.len() == path.len() {
             // This dispatch walked the whole route and nothing else
             // ran in between: the hosts resolved per visit still hold.
             host_path.extend(
@@ -998,93 +921,68 @@ impl Engine {
             host_path.extend(hashed().cloned());
         }
         let found = !results.is_empty() || satisfied;
-        LookupOutcome {
+        let out = LookupOutcome {
             satisfied,
             found,
-            dropped: agg.dropped,
+            dropped: req.dropped,
             results,
-            gather_visits: agg.responses.saturating_sub(1),
+            gather_visits: req.responses.saturating_sub(1),
             host_path,
-            path: agg.best_path,
+            path,
+        };
+        if self.tracer.enabled() {
+            let kind = if satisfied {
+                EventKind::Satisfy
+            } else {
+                EventKind::Fail
+            };
+            self.tracer.emit(TraceEvent::new(
+                kind,
+                req.id,
+                out.results.len() as u32,
+                out.gather_visits as u32,
+                out.logical_hops(),
+            ));
         }
-    }
-
-    /// Takes the finalized outcome of request `id` (eager judging),
-    /// applying the shortcut-learning intent when the outcome is
-    /// satisfied. `None` when the request has not finalized.
-    pub fn take_finished(&mut self, id: u64) -> Option<LookupOutcome> {
-        // Not finalized: leave the learn intent in place — a
-        // quiescence-judging caller resolves it via `finish_request`.
-        let out = self.finished.remove(&id)?;
-        if self.learn.is_empty() {
-            return Some(out);
-        }
-        if let Some((target, host)) = self.learn.remove(&id) {
-            if out.satisfied {
-                // A satisfied exact query proves the target's own node
-                // is live and owns the key: that node is the shortcut.
-                self.learn_shortcut(target, host);
-            }
-        }
-        Some(out)
-    }
-
-    /// Judges and removes request `id` at quiescence: a request is
-    /// satisfied only if every branch responded satisfied, nothing was
-    /// dropped, and no branch is still outstanding (the
-    /// outstanding-branch counter can transiently touch zero while
-    /// responses are in flight, so this must only be called once the
-    /// transport is drained, and once [`Engine::retry_origin`] has
-    /// nothing left to re-send). A branch still outstanding now is
-    /// stranded for good: the outcome is the explicit failure, counted
-    /// in `requests_failed`. Applies the shortcut-learning intent.
-    pub fn finish_request(&mut self, id: u64) -> LookupOutcome {
-        let fin = self.gathers.release(id).expect("request was registered");
-        let satisfied = fin.satisfied && !fin.dropped && fin.outstanding <= 0;
-        if fin.outstanding > 0 {
-            self.faults.stats.requests_failed += 1;
-        }
-        match self.learn.remove(&id) {
-            Some((target, host)) if satisfied => self.learn_shortcut(target, host),
-            _ => {}
-        }
-        let out = self.assemble_outcome(fin, satisfied);
-        self.trace_finished(id, &out);
         out
     }
 
-    fn learn_shortcut(&mut self, target: Key, host: u32) {
-        if let Some(sc) = cache::learned_shortcut(&self.directory, &target) {
-            if let Some(slot) = self.peers.get_mut(host) {
-                slot.cache.insert(target, sc);
-                self.cache_stats.learned += 1;
-            }
-        }
+    /// Takes the outcome of request `id` judged mid-drain (eager
+    /// judging). `None` when the request has not been judged.
+    pub fn take_finished(&mut self, id: u64) -> Option<LookupOutcome> {
+        let req = &mut self.request;
+        req.outcome.take_if(|_| req.id == id)
+    }
+
+    /// Judges the open request `id` at quiescence. The
+    /// outstanding-branch counter can transiently touch zero while
+    /// responses are in flight, so this must only be called once the
+    /// transport is drained, and once [`Engine::retry_origin`] has
+    /// nothing left to re-send. A branch still outstanding now is
+    /// stranded for good: the outcome is the explicit failure, counted
+    /// in `requests_failed`. Panics unless `id` is open.
+    pub fn finish_request(&mut self, id: u64) -> LookupOutcome {
+        let req = self.request.pending(id).expect("request was registered");
+        self.faults.stats.requests_failed += u64::from(req.outstanding > 0);
+        self.judge()
     }
 
     /// Abandons an envelope whose requeue budget on `t` is exhausted. A
-    /// lost discovery message must still resolve its request; anything
-    /// else is a hard error.
+    /// lost discovery message must still resolve its request, as a
+    /// dropped branch; anything else is a hard error.
     pub fn fail_undeliverable<T: Transport>(&mut self, t: &T, env: Envelope) -> Result<()> {
-        if let Message::Node(NodeMsg::Discovery(m)) = env.msg {
-            let eager = self.judges_eagerly(t);
-            self.abandon_discovery(m.request_id, m.path, eager);
-            return Ok(());
-        }
         self.stats.undeliverable += 1;
-        Err(DlptError::Undeliverable(format!("{:?}", env.to)))
-    }
-
-    /// Resolves the branch of request `request_id` whose discovery
-    /// message, having travelled `path`, found no node to deliver to.
-    fn abandon_discovery(&mut self, request_id: u64, path: Vec<Key>, eager: bool) {
-        self.stats.undeliverable += 1;
+        let Message::Node(NodeMsg::Discovery(m)) = env.msg else {
+            return Err(DlptError::Undeliverable(format!("{:?}", env.to)));
+        };
         if self.tracer.enabled() {
-            let mut ev = TraceEvent::new(EventKind::Drop, request_id, 0, 0, path.len());
+            let mut ev = TraceEvent::new(EventKind::Drop, m.request_id, 0, 0, m.path.len());
             ev.flags = 1;
             self.tracer.emit(ev);
         }
-        self.client_response(dropped_outcome(request_id, path), eager);
+        let eager = self.judges_eagerly(t);
+        self.client_response(dropped_outcome(m.request_id, m.path), eager);
+        Ok(())
     }
 
     /// Resolves the branch of request `request_id` whose visit to node
@@ -1677,7 +1575,7 @@ mod tests {
         e.client_response(child, true);
         assert_eq!(e.fault_stats().duplicates_suppressed, 1);
         assert!(
-            e.take_finished(id).is_none() && e.gathers.get_mut(id).unwrap().outstanding == 1,
+            e.take_finished(id).is_none() && e.request.outstanding == 1,
             "one branch is genuinely still outstanding"
         );
         // The true second branch finally reports: now it finalizes,
@@ -1723,6 +1621,67 @@ mod tests {
         let out = e.take_finished(id).expect("finalized after retry");
         assert!(out.satisfied);
         assert_eq!(out.results, vec![k("DGEMM")]);
+    }
+
+    /// One request is open at a time: a response carrying an earlier
+    /// request's id, delivered after the next admission, changes no
+    /// counter, emits no trace event and leaves the open request's
+    /// outcome as it was; the abandoned request cannot be judged.
+    #[test]
+    fn a_response_for_an_earlier_request_is_stale() {
+        let mut e = cached_engine(0);
+        e.directory.insert(k("DG"), k("P1"));
+        e.set_tracing(64);
+        let range = QueryKind::range(k("D"), k("E"));
+        let (old, _) = e.begin_request(&k("DG"), range.clone()).unwrap();
+        e.client_response(report(old, vec![k("DG")], Vec::new(), 1), true);
+        let (new, _) = e.begin_request(&k("DG"), range).unwrap();
+        e.client_response(report(new, vec![k("DG")], vec![k("DGEMM")], 1), true);
+        let counters = |e: &Engine| {
+            let (s, r, c, f) = (&e.stats, &e.repl_stats, &e.cache_stats, e.fault_stats());
+            format!("{s:?} {r:?} {c:?} {f:?}")
+        };
+        let (before, _) = (counters(&e), e.take_trace());
+        let stale = report(old, vec![k("DG"), k("DT")], vec![k("DTRSM")], 0);
+        let (env, mut t) = (Envelope::to_client(old, stale), FifoTransport::default());
+        assert!(matches!(e.deliver(&mut t, env), Ok(Step::Done)));
+        assert_eq!(counters(&e), before);
+        assert!(e.take_trace().is_empty() && e.take_finished(new).is_none());
+        e.client_response(report(new, vec![k("DG"), k("DH")], Vec::new(), 0), true);
+        assert!(e.take_finished(old).is_none() && e.retry_origin(old).is_none());
+        let out = e.take_finished(new).expect("judged");
+        assert!(out.satisfied);
+        assert_eq!((out.results, out.gather_visits), (vec![k("DGEMM")], 1));
+    }
+
+    /// A request admitted while an earlier one is still unjudged (its
+    /// drain failed, or its caller walked away) is judged normally, and
+    /// learns its own shortcut, not the abandoned one's.
+    #[test]
+    fn a_request_after_an_unjudged_one_is_judged_normally() {
+        use crate::system::DlptSystem;
+        let mut sys = DlptSystem::builder().bootstrap_peers(4).build();
+        sys.set_cache_capacity(8);
+        for key in ["DGEMM", "DTRSM", "SGEMM"] {
+            sys.insert_data(k(key)).unwrap();
+        }
+        let (entry, exact) = (k("SGEMM"), |key| QueryKind::Exact(k(key)));
+        let (old, _) = sys.begin_request(&entry, exact("DGEMM")).unwrap();
+        let out = sys.request_from(&entry, exact("DTRSM")).unwrap();
+        assert!(out.satisfied && out.results == [k("DTRSM")], "{out:?}");
+        assert_eq!(sys.cache_stats.learned, 1);
+        assert!(sys.take_finished(old).is_none() && sys.retry_origin(old).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "request was registered")]
+    fn finishing_a_judged_request_panics() {
+        let mut e = cached_engine(0);
+        e.directory.insert(k("DG"), k("P1"));
+        let exact = QueryKind::Exact(k("DG"));
+        let (id, _) = e.begin_request(&k("DG"), exact).unwrap();
+        e.finish_request(id);
+        e.finish_request(id);
     }
 
     #[test]

@@ -5,15 +5,18 @@
 //! that disturbs hidden state, or by the mover and balancer `MoveRun`
 //! and `Mlt` go through. A perturbation is unobservable iff it passes.
 
-use super::Engine;
+use super::{requeue_limit, Engine, Step, Transport};
 use crate::alphabet::Alphabet;
 use crate::balance::mlt::rebalance_pair;
+use crate::error::Result;
 use crate::key::Key;
+use crate::messages::Envelope;
 use crate::overlay::{Driver, Overlay};
-use crate::system::{DlptSystem, SystemConfig};
+use crate::system::{DlptSystem, SystemConfig, REQUEUE_BUDGET};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 /// Small enough that visits are refused and units overload peers.
 const CAPACITY: u32 = 6;
@@ -43,6 +46,53 @@ pub(super) fn pump(seed: u64) -> DlptSystem {
         default_capacity: CAPACITY,
     };
     DlptSystem::new(config, seed)
+}
+
+/// The pump with chaining off: its FIFO, drain loop and requeue
+/// policy, over a transport that never reports idle or synchronous.
+#[derive(Debug)]
+pub(crate) struct Queued {
+    queue: VecDeque<(u32, Envelope)>,
+    rng: StdRng,
+}
+
+impl Queued {
+    /// An empty overlay on this driver.
+    pub(crate) fn overlay(config: SystemConfig, seed: u64) -> Overlay<Queued> {
+        let (queue, rng) = (VecDeque::new(), StdRng::seed_from_u64(seed));
+        Overlay::with_driver(config, Queued { queue, rng })
+    }
+}
+
+impl Transport for Queued {
+    fn deliver(&mut self, env: Envelope) {
+        self.queue.push_back((0, env));
+    }
+}
+
+impl Driver for Queued {
+    fn inject(&mut self, _: &mut Engine, env: Envelope) {
+        self.deliver(env);
+    }
+
+    fn quiesce(&mut self, engine: &mut Engine) -> Result<()> {
+        while let Some((requeues, env)) = self.queue.pop_front() {
+            let Step::Requeue(env) = engine.deliver(self, env)? else {
+                continue;
+            };
+            if requeues >= requeue_limit(REQUEUE_BUDGET, engine.peer_count()) {
+                engine.fail_undeliverable(self, env)?;
+                continue;
+            }
+            engine.stats.requeues += 1;
+            self.queue.push_back((requeues + 1, env));
+        }
+        Ok(())
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
 }
 
 /// One step of a script, drawn against side A and applied to both.

@@ -9,10 +9,9 @@
 //! fingerprint byte-identical.
 //!
 //! Every event is emitted on the thread that owns the engine, so `seq`
-//! alone orders a trace. Exporters ([`write_jsonl`],
-//! [`write_chrome_trace`]) serialise an event slice without consulting
-//! the directory — the output is a pure function of the events, hence
-//! byte-stable across repeats.
+//! alone orders a trace. The exporter ([`write_jsonl`]) serialises an
+//! event slice without consulting the directory — the output is a pure
+//! function of the events, hence byte-stable across repeats.
 
 pub mod health;
 
@@ -280,35 +279,6 @@ pub fn write_jsonl<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Result<()>
     Ok(())
 }
 
-/// Writes a chrome://tracing (Trace Event Format) JSON array: each
-/// request is a process (`pid`) of one thread (`tid` 0), and every
-/// trace event a 1-tick complete span (`ph:"X"`) whose timestamp is its
-/// position in the slice.
-/// Deterministic for the same reason as [`write_jsonl`].
-pub fn write_chrome_trace<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Result<()> {
-    write!(w, "[")?;
-    for (ts, ev) in events.iter().enumerate() {
-        if ts > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":0,\"ts\":{},\"dur\":1,\
-             \"args\":{{\"a\":{},\"b\":{},\"depth\":{},\"flags\":{},\"seq\":{}}}}}",
-            ev.kind.name(),
-            ev.request,
-            ts,
-            ev.a,
-            ev.b,
-            ev.depth,
-            ev.flags,
-            ev.seq
-        )?;
-    }
-    writeln!(w, "\n]")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,12 +346,5 @@ mod tests {
         let text = String::from_utf8(a).unwrap();
         assert_eq!(text.lines().count(), 5);
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-
-        let mut c = Vec::new();
-        write_chrome_trace(&events, &mut c).unwrap();
-        let chrome = String::from_utf8(c).unwrap();
-        assert!(chrome.trim_start().starts_with('['));
-        assert!(chrome.trim_end().ends_with(']'));
-        assert_eq!(chrome.matches("\"ph\":\"X\"").count(), 5);
     }
 }

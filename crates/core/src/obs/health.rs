@@ -23,9 +23,8 @@
 //!   caches, embedded in every snapshot as bytes-per-node and
 //!   bytes-per-peer.
 //!
-//! Exporters serialise a snapshot as one JSONL object (fixed key
-//! order, fixed float precision — two seeded runs diff clean) or as
-//! Prometheus-style gauge text.
+//! The exporter serialises a snapshot as one JSONL object (fixed key
+//! order, fixed float precision — two seeded runs diff clean).
 
 use crate::cache::CacheStats;
 use crate::transport::FaultStats;
@@ -309,50 +308,6 @@ impl HealthSnapshot {
         }
         out.push_str("]}\n");
     }
-
-    /// Appends this snapshot as Prometheus-style gauge text. One
-    /// `# TYPE` header per family, per-peer gauges labelled by interned
-    /// id — deterministic for the same reason as the JSONL form.
-    pub fn write_prometheus(&self, out: &mut String) {
-        let scalars: [(&str, f64); 10] = [
-            ("dlpt_peers", self.peers as f64),
-            ("dlpt_nodes", self.nodes as f64),
-            ("dlpt_max_depth", self.max_depth as f64),
-            ("dlpt_optimal_depth", self.optimal_depth),
-            ("dlpt_load_imbalance", self.max_over_mean),
-            ("dlpt_load_gini", self.gini),
-            ("dlpt_under_replicated", self.under_replicated as f64),
-            ("dlpt_audit_violations", self.audit_violations as f64),
-            ("dlpt_bytes_total", self.bytes.total() as f64),
-            ("dlpt_unit", self.unit as f64),
-        ];
-        for (name, v) in scalars {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v:.4}");
-        }
-        let counters: [(&str, u64); 6] = [
-            ("dlpt_cache_hits", self.cache_hits),
-            ("dlpt_cache_stale", self.cache_stale),
-            ("dlpt_cache_learned", self.cache_learned),
-            ("dlpt_frames_lost", self.faults.lost),
-            ("dlpt_frames_duplicated", self.faults.duplicated),
-            ("dlpt_retries", self.faults.retries),
-        ];
-        for (name, v) in counters {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-        }
-        let _ = writeln!(out, "# TYPE dlpt_peer_nodes gauge");
-        for p in &self.per_peer {
-            let _ = writeln!(out, "dlpt_peer_nodes{{peer=\"{}\"}} {}", p.peer, p.nodes);
-        }
-        let _ = writeln!(out, "# TYPE dlpt_peer_messages gauge");
-        for p in &self.per_peer {
-            let _ = writeln!(
-                out,
-                "dlpt_peer_messages{{peer=\"{}\"}} {}",
-                p.peer, p.messages
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -425,11 +380,6 @@ mod tests {
         assert!(a.contains("\"depth_occupancy\":[1,2,2]"));
         assert!(a.contains("\"violations\":0,\"bytes_total\""));
         assert!(a.contains("\"peer_load\":[[0,3,0,0,9],[1,2,0,0,3]]"));
-
-        let mut prom = String::new();
-        snap.write_prometheus(&mut prom);
-        assert!(prom.contains("dlpt_peers 2.0000"));
-        assert!(prom.contains("dlpt_peer_nodes{peer=\"0\"} 3"));
     }
 
     #[test]

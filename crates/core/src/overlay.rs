@@ -26,6 +26,11 @@ use crate::replication::AntiEntropyReport;
 use crate::system::SystemConfig;
 use rand::rngs::StdRng;
 
+/// Upper bound on messages processed by one drain, chained hops
+/// included ([`Engine::with_hop_budget`]) — a tripwire for routing
+/// cycles, which the protocol makes impossible.
+pub(crate) const DRAIN_BUDGET: usize = 4_000_000;
+
 /// How a runtime moves envelopes: the one parameter of an [`Overlay`].
 ///
 /// As a [`Transport`] the driver queues what the engine emits; on top
@@ -118,12 +123,21 @@ impl<D: Driver> Overlay<D> {
         }
     }
 
+    /// Runs the injected traffic to quiescence under [`DRAIN_BUDGET`]:
+    /// every verb drains through here, so a routing cycle ends in
+    /// [`DlptError::HopBudgetExhausted`] on every runtime.
+    fn drain(&mut self) -> Result<()> {
+        let driver = &mut self.driver;
+        self.engine
+            .with_hop_budget(DRAIN_BUDGET, |engine| driver.quiesce(engine))
+    }
+
     /// Runs the injected traffic to quiescence, then the eager replica
     /// flush it made necessary.
     pub(crate) fn settle(&mut self) -> Result<()> {
-        self.driver.quiesce(&mut self.engine)?;
+        self.drain()?;
         self.engine.flush_replication(&mut self.driver);
-        self.driver.quiesce(&mut self.engine)
+        self.drain()
     }
 
     // ------------------------------------------------------------------
@@ -176,9 +190,7 @@ impl<D: Driver> Overlay<D> {
         let report = self.engine.repair_scan();
         for orphan in &report.reattached {
             self.engine.send_orphan(&mut self.driver, orphan.clone());
-            self.driver
-                .quiesce(&mut self.engine)
-                .expect("repair traffic is reliable-class");
+            self.drain().expect("repair traffic is reliable-class");
         }
         report
     }
@@ -195,7 +207,7 @@ impl<D: Driver> Overlay<D> {
             return Ok(report);
         }
         let before = self.engine.repl_stats.replication_messages;
-        self.driver.quiesce(&mut self.engine)?;
+        self.drain()?;
         report.messages_sent = (self.engine.repl_stats.replication_messages - before) as usize;
         Ok(report)
     }
@@ -287,7 +299,7 @@ impl<D: Driver> Overlay<D> {
         let (id, mut env) = self.engine.begin_request(entry, query)?;
         loop {
             self.driver.inject(&mut self.engine, env);
-            self.driver.quiesce(&mut self.engine)?;
+            self.drain()?;
             if let Some(out) = self.engine.take_finished(id) {
                 return Ok(out);
             }

@@ -22,11 +22,6 @@ use rand::SeedableRng;
 
 pub use crate::engine::{LookupOutcome, RepairReport};
 
-/// Upper bound on messages processed by one drain, chained hops
-/// included ([`Engine::with_hop_budget`]) — a tripwire for routing
-/// loops, which the protocol makes impossible.
-const DRAIN_BUDGET: usize = 4_000_000;
-
 /// How many times one envelope may be requeued while its destination
 /// is still in flight, before the ring-size floor ([`requeue_limit`]).
 pub(crate) const REQUEUE_BUDGET: u32 = 256;
@@ -182,7 +177,7 @@ impl Driver for Pump {
     /// spent. (To see the last dispatches before a failure, arm the
     /// ring tracer: [`Engine::set_tracing`].)
     fn quiesce(&mut self, engine: &mut Engine) -> Result<()> {
-        engine.with_hop_budget(DRAIN_BUDGET, |engine| loop {
+        loop {
             while let Some((requeues, env)) = self.fifo.queue.pop_front() {
                 let Step::Requeue(env) = engine.deliver(self, env)? else {
                     continue;
@@ -199,7 +194,7 @@ impl Driver for Pump {
             if !engine.flush_deferred(self) {
                 return Ok(());
             }
-        })
+        }
     }
 
     fn rng(&mut self) -> &mut StdRng {
@@ -210,9 +205,11 @@ impl Driver for Pump {
 mod tests {
     use super::*;
     use crate::cache::CacheStats;
+    use crate::engine::twin::Queued;
     use crate::error::DlptError;
     use crate::key::Key;
     use crate::messages::QueryKind;
+    use crate::overlay::DRAIN_BUDGET;
     use crate::replication::ReplicationStats;
     use crate::trie::PgcpTrie;
 
@@ -270,27 +267,31 @@ mod tests {
         assert!(sys.audit().is_empty());
     }
 
-    /// A forwarding cycle inside one chain still meets the drain
-    /// budget. With `B`'s predecessor corrupted below it, no arc holds
-    /// a label above both peers, so the new node's `Host` seed walks
-    /// B → D → B … for ever. Each hop is a lone forward on an empty
-    /// queue, so the whole walk runs inline in one `Engine::deliver`,
-    /// and only the engine's count of processed messages can end it.
-    /// (Four million hops take ≈ 15 s unoptimized: CI runs it in
-    /// release.)
+    /// A forwarding cycle meets the drain budget on every driver. With
+    /// `B`'s predecessor corrupted below it, no arc holds a label above
+    /// both peers, so the new node's `Host` seed walks B → D → B … for
+    /// ever. On the pump each hop is a lone forward on an empty queue,
+    /// so the whole walk runs inline in one `Engine::deliver`; on
+    /// [`Queued`], which never chains, every hop is queued and popped.
+    /// Either way only the engine's count of processed messages, which
+    /// `Overlay`'s drain arms, can end it. (The eight million hops
+    /// take ≈ 16 s unoptimized, 0.6 s optimized: CI runs it in release.)
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "4 M hops: run with --release")]
-    fn a_chained_cycle_exhausts_the_hop_budget() {
-        let mut sys = DlptSystem::builder().build();
-        sys.add_peer_with_id(k("B"), 100).unwrap();
-        sys.add_peer_with_id(k("D"), 100).unwrap();
-        sys.insert_data(k("X")).unwrap();
-        sys.shard_mut(&k("B")).unwrap().peer.pred = k("A");
-        let err = sys.insert_data(k("XY")).unwrap_err();
-        assert!(
-            matches!(err, DlptError::HopBudgetExhausted { budget } if budget == DRAIN_BUDGET),
-            "{err:?}"
-        );
+    #[cfg_attr(debug_assertions, ignore = "8 M hops: run with --release")]
+    fn a_routing_cycle_exhausts_the_hop_budget() {
+        fn cycle<D: Driver>(mut sys: Overlay<D>) {
+            sys.add_peer_with_id(k("B"), 100).unwrap();
+            sys.add_peer_with_id(k("D"), 100).unwrap();
+            sys.insert_data(k("X")).unwrap();
+            sys.shard_mut(&k("B")).unwrap().peer.pred = k("A");
+            let err = sys.insert_data(k("XY")).unwrap_err();
+            assert!(
+                matches!(err, DlptError::HopBudgetExhausted { budget } if budget == DRAIN_BUDGET),
+                "{err:?}"
+            );
+        }
+        cycle(DlptSystem::builder().build());
+        cycle(Queued::overlay(SystemConfig::default(), 0));
     }
 
     #[test]

@@ -99,31 +99,21 @@ pub enum CorpusKind {
     /// A deterministic spread sample of the grid corpus (scaled-down
     /// benches).
     GridSubset(usize),
-    /// Random binary identifiers (Figure 1(a) style).
-    Binary {
-        /// Number of keys.
-        n: usize,
-        /// Digits per key.
-        len: usize,
-    },
 }
 
 impl CorpusKind {
-    /// Materializes the key set.
-    pub fn build(&self, rng: &mut dyn RngCore) -> Vec<Key> {
+    /// Materializes the key set. No corpus draws from `_rng`; the
+    /// parameter stays because the repo benchmark passes one.
+    pub fn build(&self, _rng: &mut dyn RngCore) -> Vec<Key> {
         match self {
             CorpusKind::Grid => Corpus::grid().keys,
             CorpusKind::GridSubset(n) => Corpus::grid().take_spread(*n),
-            CorpusKind::Binary { n, len } => Corpus::binary(*n, *len, rng).keys,
         }
     }
 
     /// The digit alphabet matching the corpus.
     pub fn alphabet(&self) -> Alphabet {
-        match self {
-            CorpusKind::Grid | CorpusKind::GridSubset(_) => Alphabet::grid(),
-            CorpusKind::Binary { .. } => Alphabet::binary(),
-        }
+        Alphabet::grid()
     }
 }
 
@@ -271,7 +261,6 @@ impl ExperimentConfig {
         self.corpus = match self.corpus {
             CorpusKind::Grid => CorpusKind::GridSubset((1000 / f).max(50)),
             CorpusKind::GridSubset(n) => CorpusKind::GridSubset((n / f).max(50)),
-            other => other,
         };
         self.time_units = (self.time_units / f as u32).max(10);
         self
@@ -299,9 +288,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(CorpusKind::Grid.build(&mut rng).len() > 800);
         assert_eq!(CorpusKind::GridSubset(100).build(&mut rng).len(), 100);
-        let b = CorpusKind::Binary { n: 50, len: 10 }.build(&mut rng);
-        assert!(b.len() <= 50 && b.len() > 30);
-        assert_eq!(CorpusKind::Binary { n: 1, len: 1 }.alphabet().len(), 2);
     }
 
     #[test]

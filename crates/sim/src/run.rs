@@ -150,9 +150,6 @@ pub struct RunResult {
     /// One JSONL [`dlpt_core::HealthSnapshot`] line per unit when
     /// [`ExperimentConfig::health_snapshots`] is set; empty otherwise.
     pub health: String,
-    /// The final unit's snapshot (for Prometheus-style rendering of
-    /// the end-of-horizon state); `None` unless `health_snapshots`.
-    pub last_snapshot: Option<dlpt_core::HealthSnapshot>,
 }
 
 impl RunResult {
@@ -373,11 +370,7 @@ pub fn run_once(cfg: &ExperimentConfig, run_idx: usize) -> RunResult {
         sys.end_time_unit();
         units.push(m);
     }
-    RunResult {
-        units,
-        health,
-        last_snapshot: monitor.map(|mon| mon.snap),
-    }
+    RunResult { units, health }
 }
 
 #[cfg(test)]

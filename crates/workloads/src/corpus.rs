@@ -10,7 +10,6 @@
 //! lexicographically clustered).
 
 use dlpt_core::key::Key;
-use rand::Rng;
 
 /// BLAS level-1/2/3 operation roots (precision-independent part).
 #[rustfmt::skip]
@@ -182,19 +181,6 @@ impl Corpus {
         Corpus::build("grid", raw)
     }
 
-    /// Random binary identifiers (Figure 1(a) style) — used by
-    /// property tests and the binary-alphabet experiments.
-    pub fn binary<R: Rng + ?Sized>(n: usize, len: usize, rng: &mut R) -> Self {
-        let mut raw: Vec<String> = Vec::with_capacity(n);
-        while raw.len() < n {
-            let s: String = (0..len)
-                .map(|_| if rng.gen_bool(0.5) { '1' } else { '0' })
-                .collect();
-            raw.push(s);
-        }
-        Corpus::build("binary", raw)
-    }
-
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -234,8 +220,6 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn blas_contains_classics() {
@@ -290,17 +274,6 @@ mod tests {
         for i in idx {
             assert!(p.is_prefix_of(&c.keys[i]));
         }
-    }
-
-    #[test]
-    fn binary_corpus_deterministic() {
-        let mut r1 = StdRng::seed_from_u64(4);
-        let mut r2 = StdRng::seed_from_u64(4);
-        let a = Corpus::binary(100, 12, &mut r1);
-        let b = Corpus::binary(100, 12, &mut r2);
-        assert_eq!(a.keys, b.keys);
-        assert!(a.len() <= 100); // duplicates collapse
-        assert!(a.len() > 80);
     }
 
     #[test]

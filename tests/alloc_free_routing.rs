@@ -98,7 +98,7 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     let deep = QueryKind::Exact(Key::from("101111"));
 
     // Warm-up: run both lookups repeatedly so every internal buffer
-    // (pump queue, effect scratch, gather maps, result vectors)
+    // (pump queue, effect scratch, request slot, result vectors)
     // reaches its high-water mark.
     for _ in 0..32 {
         assert!(sys.request_from(&entry, shallow.clone()).unwrap().satisfied);
@@ -133,10 +133,9 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     // The deep run routes 256 extra envelopes (64 rounds x 4 hops); if
     // any per-hop path allocated, the difference would be >= 256. The
     // counter occasionally sees a couple of incidental allocations
-    // (BTreeMap node churn in the aggregation maps straddling a
-    // measurement boundary), so the assertion tolerates a constant
-    // jitter far below one allocation per hop instead of flaking on
-    // strict equality.
+    // straddling a measurement boundary, so the assertion tolerates a
+    // constant jitter far below one allocation per hop instead of
+    // flaking on strict equality.
     const JITTER: u64 = 4;
     assert!(
         deep_allocs.abs_diff(shallow_allocs) <= JITTER,
@@ -249,8 +248,8 @@ fn routed_envelopes_are_allocation_free_in_steady_state() {
     }
     let entry = Key::from("00");
     let probe = QueryKind::Exact(Key::from("110"));
-    // Warm both admission modes so the gather pool, learn map and
-    // finished map sit at their high-water marks.
+    // Warm both admission modes so the request slot's buffers sit at
+    // their high-water marks.
     for armed in [false, true, false] {
         if armed {
             net.partition(Key::from("2"), Key::from("3"));

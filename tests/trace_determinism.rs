@@ -1,11 +1,11 @@
 //! Trace determinism: the observability subsystem's exported event
 //! stream is a pure function of `(config, seed, operation sequence)`.
 //! Two identical traced runs must serialize
-//! to byte-identical JSONL and chrome://tracing dumps, which is what
-//! lets CI diff two seeded `figA --scale 8 --trace` runs.
+//! to byte-identical JSONL dumps, which is what lets CI diff two
+//! seeded `figA --scale 8 --trace` runs.
 
 use dlpt::core::messages::QueryKind;
-use dlpt::core::obs::{write_chrome_trace, write_jsonl};
+use dlpt::core::obs::write_jsonl;
 use dlpt::core::{Alphabet, DlptSystem, Key, TraceEvent};
 
 const KEYS: [&str; 10] = [
@@ -42,14 +42,10 @@ fn traced_runs_serialize_byte_identically_across_repeats() {
     let dump = |events: &[TraceEvent]| {
         let mut jsonl = Vec::new();
         write_jsonl(events, &mut jsonl).unwrap();
-        let mut chrome = Vec::new();
-        write_chrome_trace(events, &mut chrome).unwrap();
-        (jsonl, chrome)
+        jsonl
     };
-    let (jsonl_a, chrome_a) = dump(&a);
-    let (jsonl_b, chrome_b) = dump(&b);
+    let (jsonl_a, jsonl_b) = (dump(&a), dump(&b));
     assert_eq!(jsonl_a, jsonl_b, "JSONL dumps diverged");
-    assert_eq!(chrome_a, chrome_b, "chrome trace dumps diverged");
     assert!(jsonl_a.ends_with(b"\n"), "JSONL must be newline-terminated");
 }
 
